@@ -10,15 +10,23 @@ mix of the sequence, squashed by tanh.
 
 import numpy as np
 
-from jointnlu.intent_head import (
-    attention_weights,
-    init_intent_params,
-    intent_forward,
-)
+from jointnlu.encoder import EncoderConfig
+from jointnlu.intent_head import attention_weights, intent_forward
+from jointnlu.model import ModelConfig, init_model_params
 
 rng = np.random.default_rng(7)
 d_h, n_intents = 16, 5
-params = init_intent_params(rng, d_h, n_intents, scale=0.3)
+# The intent head's tensors are the "int." rows of the model's parameter
+# table; draw a whole small model and keep those, prefix dropped.
+config = ModelConfig(
+    encoder=EncoderConfig(vocab_size=8, d_h=d_h, n_heads=4),
+    n_intents=n_intents, n_slots=3,
+)
+params = {
+    name[len("int."):]: value
+    for name, value in init_model_params(config, rng, scale=0.3).items()
+    if name.startswith("int.")
+}
 
 # A batch of two sequences; the second one is padded after 4 positions.
 H = rng.normal(size=(2, 6, d_h))

@@ -19,7 +19,7 @@ from .data import (
     load_corpus,
     save_corpus,
 )
-from .encoder import EncoderConfig, encode, init_encoder_params
+from .encoder import EncoderConfig, encode
 from .features import (
     CaseClass,
     EntityClass,
@@ -35,6 +35,7 @@ from .model import (
     load_checkpoint,
     make_batch,
     model_outputs,
+    param_spec,
     predict_batch,
     save_checkpoint,
 )
@@ -65,11 +66,11 @@ from .toy import ToyData, toy_grammar
 from .training import (
     DESK_ENCODER,
     DivergenceError,
-    LossBreakdown,
     TrainConfig,
     TrainResult,
     evaluate,
     joint_loss,
+    score,
     select_best,
     train,
 )
@@ -93,7 +94,6 @@ __all__ = [
     "EvalReport",
     "FEATURE_DIM",
     "IntentVocab",
-    "LossBreakdown",
     "ModelConfig",
     "O_TAG",
     "SlotTag",
@@ -115,7 +115,6 @@ __all__ = [
     "encode_features",
     "evaluate",
     "extract_chunks",
-    "init_encoder_params",
     "init_model_params",
     "intent_accuracy",
     "joint_loss",
@@ -125,11 +124,13 @@ __all__ = [
     "lr_schedule",
     "make_batch",
     "model_outputs",
+    "param_spec",
     "per_token_micro_f1",
     "predict_batch",
     "relative_error_reduction",
     "save_checkpoint",
     "save_corpus",
+    "score",
     "select_best",
     "sentence_accuracy",
     "slot_f1",

@@ -22,6 +22,7 @@ import numpy as np
 
 from .data import load_corpus
 from .features import WordFeaturizer
+from .intent_head import POOL_MODES
 from .model import (
     SLOT_MODES,
     align_utterance,
@@ -31,25 +32,16 @@ from .model import (
     save_checkpoint,
 )
 from .subwords import align
-from .tagging import (
-    EvalReport,
-    O_TAG,
-    intent_accuracy,
-    per_token_micro_f1,
-    relative_error_reduction,
-    sentence_accuracy,
-    slot_f1,
-)
+from .tagging import EvalReport, O_TAG, relative_error_reduction
 from .training import (
     DivergenceError,
     EpochRecord,
     TrainConfig,
     evaluate,
+    score,
     train,
     validate_config_text,
 )
-
-POOL_MODES = ("attention", "start_token")
 
 # Every file a training run reads from the data directory.
 _REQUIRED_DATA = ("train.txt", "dev.txt", "lexicon.txt", "gazetteer.tsv",
@@ -66,7 +58,6 @@ class RunManifest:
     and where the outputs live relative to the manifest."""
 
     config: TrainConfig
-    seed: int
     data_dir: str
     corpus_hashes: Dict[str, str]
     checkpoint_path: str
@@ -81,7 +72,6 @@ class RunManifest:
     def to_json(self) -> str:
         payload = {
             "config": dataclasses.asdict(self.config),
-            "seed": self.seed,
             "data_dir": self.data_dir,
             "corpus_hashes": dict(self.corpus_hashes),
             "checkpoint_path": self.checkpoint_path,
@@ -93,10 +83,11 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
+        """Read a manifest; a top-level "seed" key, written by older
+        versions as a copy of config.seed, is ignored."""
         d = json.loads(text)
         return cls(
             config=TrainConfig(**d["config"]),
-            seed=int(d["seed"]),
             data_dir=d["data_dir"],
             corpus_hashes=dict(d["corpus_hashes"]),
             checkpoint_path=d["checkpoint_path"],
@@ -121,6 +112,9 @@ def _load_data_dir(data_dir: Path):
         "train": load_corpus(data_dir / "train.txt"),
         "dev": load_corpus(data_dir / "dev.txt"),
     }
+    for split, corpus in corpora.items():
+        if not corpus:
+            raise ValueError(f"{data_dir / (split + '.txt')} holds no utterances")
     hashes = {n: _sha256(data_dir / n) for n in _REQUIRED_DATA}
     if (data_dir / "test.txt").is_file():
         corpora["test"] = load_corpus(data_dir / "test.txt")
@@ -143,7 +137,6 @@ def _train_one(config, corpora, hashes, featurizer, run_dir: Path,
     save_checkpoint(result.checkpoint, run_dir / "checkpoint.npz")
     manifest = RunManifest(
         config=config,
-        seed=config.seed,
         data_dir=data_dir,
         corpus_hashes=dict(hashes),
         checkpoint_path="checkpoint.npz",
@@ -162,12 +155,12 @@ def _seed_summary(manifests: Sequence[RunManifest]) -> str:
     for m, s in zip(manifests, scores):
         d = m.best_dev_report
         lines.append(
-            f"seed={m.seed} best_epoch={m.best_epoch}"
+            f"seed={m.config.seed} best_epoch={m.best_epoch}"
             f" intent_acc={d.intent_accuracy!r}"
             f" sent_acc={d.sentence_accuracy!r}"
             f" slot_f1={d.slot_f1!r} selection={s!r}"
         )
-    lines.append(f"best seed={manifests[pick].seed}")
+    lines.append(f"best seed={manifests[pick].config.seed}")
     return "\n".join(lines) + "\n"
 
 
@@ -211,25 +204,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _self_test_report(corpus) -> EvalReport:
-    """Score the gold labels against themselves; anything below a perfect
-    report means the measurement pipeline itself is broken."""
-    gold_intents = [u.intent for u in corpus]
-    gold_tags = [list(u.tags) for u in corpus]
-    scores = slot_f1(gold_tags, gold_tags)
-    return EvalReport(
-        intent_accuracy=intent_accuracy(gold_intents, gold_intents),
-        sentence_accuracy=sentence_accuracy(
-            gold_intents, gold_intents, gold_tags, gold_tags
-        ),
-        slot_f1=scores.f1,
-        per_token_micro_f1=per_token_micro_f1(gold_tags, gold_tags),
-        tp=scores.tp,
-        fp=scores.fp,
-        fn=scores.fn,
-    )
-
-
 def _check_label_vocabularies(ckpt, corpus) -> None:
     """Compare the corpus label sets against the checkpoint's.
 
@@ -266,7 +240,11 @@ def _check_label_vocabularies(ckpt, corpus) -> None:
 def cmd_eval(args) -> int:
     corpus = load_corpus(args.data)
     if args.self_test:
-        report = _self_test_report(corpus)
+        # Gold scored against itself: anything short of a perfect report
+        # means the measurement pipeline itself is broken.
+        gold_intents = [u.intent for u in corpus]
+        gold_tags = [list(u.tags) for u in corpus]
+        report = score(gold_intents, gold_intents, gold_tags, gold_tags)
     else:
         if not args.checkpoint:
             raise ValueError("--checkpoint is required unless --self-test")

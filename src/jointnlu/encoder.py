@@ -7,8 +7,8 @@ by residual add and layer norm. Padded key positions are masked out of every
 attention row, and the returned hidden states are zeroed at padded positions,
 so padding content can never influence real positions.
 
-Parameters live in a flat name->array dict (see init_encoder_params for the
-naming scheme); gradients come back under the same names.
+Parameters live in a flat name->array dict (model.param_spec lists them
+under the "enc." prefix); gradients come back under the same names.
 """
 
 from __future__ import annotations
@@ -56,32 +56,6 @@ class EncoderConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "EncoderConfig":
         return cls(**payload)
-
-
-def init_encoder_params(
-    cfg: EncoderConfig, rng: np.random.Generator, scale: float = 0.02
-) -> dict[str, np.ndarray]:
-    """Fresh parameter dict: N(0, scale) weights, unit gains, zero biases."""
-    p: dict[str, np.ndarray] = {
-        "tok_emb": rng.normal(0.0, scale, (cfg.vocab_size, cfg.d_h)),
-        "pos_emb": rng.normal(0.0, scale, (cfg.max_len, cfg.d_h)),
-        "ln_emb.g": np.ones(cfg.d_h),
-        "ln_emb.b": np.zeros(cfg.d_h),
-    }
-    for i in range(cfg.n_layers):
-        for w in ("Wq", "Wk", "Wv", "Wo"):
-            p[f"l{i}.{w}"] = rng.normal(0.0, scale, (cfg.d_h, cfg.d_h))
-        for b in ("bq", "bk", "bv", "bo"):
-            p[f"l{i}.{b}"] = np.zeros(cfg.d_h)
-        p[f"l{i}.ln1.g"] = np.ones(cfg.d_h)
-        p[f"l{i}.ln1.b"] = np.zeros(cfg.d_h)
-        p[f"l{i}.W1"] = rng.normal(0.0, scale, (cfg.d_h, cfg.d_ff))
-        p[f"l{i}.b1"] = np.zeros(cfg.d_ff)
-        p[f"l{i}.W2"] = rng.normal(0.0, scale, (cfg.d_ff, cfg.d_h))
-        p[f"l{i}.b2"] = np.zeros(cfg.d_h)
-        p[f"l{i}.ln2.g"] = np.ones(cfg.d_h)
-        p[f"l{i}.ln2.b"] = np.zeros(cfg.d_h)
-    return p
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:

@@ -150,56 +150,12 @@ def encode_features(entity: EntityClass, case: CaseClass) -> np.ndarray:
     return vec
 
 
-@dataclass
-class FeatureNetParams:
-    """Two-layer embedding net: affine, PReLU, affine."""
-
-    W_w: np.ndarray     # (23, 32), applied as x @ W_w
-    b_w: np.ndarray     # (32,)
-    a_prelu: np.ndarray  # scalar slope, stored 0-d for optimizer uniformity
-    W_proj: np.ndarray  # (32, 32)
-    b_proj: np.ndarray  # (32,)
-
-    def __post_init__(self):
-        if self.W_w.shape != (FEATURE_DIM, FEATURE_HIDDEN):
-            raise ValueError(f"W_w must be ({FEATURE_DIM}, {FEATURE_HIDDEN})")
-        if self.b_w.shape != (FEATURE_HIDDEN,):
-            raise ValueError("b_w shape mismatch")
-        if self.a_prelu.shape != ():
-            raise ValueError("a_prelu must be a scalar array")
-        if self.W_proj.shape != (FEATURE_HIDDEN, FEATURE_HIDDEN):
-            raise ValueError("W_proj shape mismatch")
-        if self.b_proj.shape != (FEATURE_HIDDEN,):
-            raise ValueError("b_proj shape mismatch")
-        for name, value in self.tensors().items():
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"non-finite entries in {name}")
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "W_w": self.W_w,
-            "b_w": self.b_w,
-            "a_prelu": self.a_prelu,
-            "W_proj": self.W_proj,
-            "b_proj": self.b_proj,
-        }
-
-
-def init_feature_params(rng: np.random.Generator, scale: float = 0.02) -> FeatureNetParams:
-    return FeatureNetParams(
-        W_w=rng.normal(0.0, scale, (FEATURE_DIM, FEATURE_HIDDEN)),
-        b_w=np.zeros(FEATURE_HIDDEN),
-        a_prelu=np.array(0.25),
-        W_proj=rng.normal(0.0, scale, (FEATURE_HIDDEN, FEATURE_HIDDEN)),
-        b_proj=np.zeros(FEATURE_HIDDEN),
-    )
-
-
 def feature_forward(
-    x: np.ndarray, params: FeatureNetParams, want_cache: bool = False
+    x: np.ndarray, params: dict[str, np.ndarray], want_cache: bool = False
 ):
     """Embed feature vectors: s = x W_w + b_w, h = PReLU(s), out = h W_proj + b_proj.
 
+    `params` holds the "feat." rows of model.param_spec, prefix dropped.
     Accepts a single 23-vector or any (..., 23) batch; the output replaces
     the last axis with 32. With want_cache=True also returns the
     intermediates needed by feature_backward.
@@ -207,21 +163,21 @@ def feature_forward(
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != FEATURE_DIM:
         raise ValueError(f"last axis must be {FEATURE_DIM}, got {x.shape}")
-    s = x @ params.W_w + params.b_w
-    a = float(params.a_prelu)
+    s = x @ params["W_w"] + params["b_w"]
+    a = float(params["a_prelu"])
     h = np.maximum(s, 0.0) + a * np.minimum(s, 0.0)
-    out = h @ params.W_proj + params.b_proj
+    out = h @ params["W_proj"] + params["b_proj"]
     if want_cache:
         return out, (x, s, h)
     return out
 
 
 def feature_backward(
-    d_out: np.ndarray, cache, params: FeatureNetParams
+    d_out: np.ndarray, cache, params: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Backprop through feature_forward.
 
-    Returns (d_x, grads) where grads is keyed like FeatureNetParams.tensors().
+    Returns (d_x, grads) where grads is keyed like params.
     """
     x, s, h = cache
     d_out = np.asarray(d_out, dtype=np.float64)
@@ -232,9 +188,9 @@ def feature_backward(
     flat_h = h.reshape(-1, FEATURE_HIDDEN)
     d_W_proj = flat_h.T @ flat_dout
     d_b_proj = flat_dout.sum(axis=0)
-    d_h = d_out @ params.W_proj.T
+    d_h = d_out @ params["W_proj"].T
 
-    a = float(params.a_prelu)
+    a = float(params["a_prelu"])
     pos = s > 0
     d_s = d_h * np.where(pos, 1.0, a)
     d_a = np.array(np.sum(d_h * np.minimum(s, 0.0)))
@@ -243,7 +199,7 @@ def feature_backward(
     flat_ds = d_s.reshape(-1, FEATURE_HIDDEN)
     d_W_w = flat_x.T @ flat_ds
     d_b_w = flat_ds.sum(axis=0)
-    d_x = d_s @ params.W_w.T
+    d_x = d_s @ params["W_w"].T
 
     grads = {
         "W_w": d_W_w,

@@ -9,10 +9,7 @@ marker positions participate like any other.
 An alternative start-token mode pools by projecting the first position only,
 the conventional classifier-head baseline, kept for ablations.
 
-Parameter dicts use the keys
-  attention mode:   W_score (d_h, d_h), v_score (d_h,), W_cls, b_cls
-  start-token mode: W_pool (d_h, d_h), b_pool (d_h,), W_cls, b_cls
-where W_cls is (n_intents, d_h) and b_cls is (n_intents,).
+Parameter dicts hold the "int." rows of model.param_spec, prefix dropped.
 """
 
 from __future__ import annotations
@@ -45,13 +42,6 @@ def attention_weights(logits: np.ndarray, d_h: int) -> np.ndarray:
     return stable_softmax(logits / np.sqrt(d_h), axis=-1)
 
 
-def pool(H: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """tanh of the per-sequence weighted sum of hidden states."""
-    if alpha.shape != H.shape[:-1]:
-        raise ValueError("weights must match (batch, length)")
-    return np.tanh(np.einsum("bn,bnd->bd", alpha, H))
-
-
 def intent_logits(h_int: np.ndarray, W_cls: np.ndarray, b_cls: np.ndarray) -> np.ndarray:
     if h_int.shape[-1] != W_cls.shape[1]:
         raise ValueError("pooled width disagrees with classifier")
@@ -77,6 +67,8 @@ def intent_forward(
     if mode not in POOL_MODES:
         raise ValueError(f"unknown pooling mode {mode!r}")
     b, n, d_h = H.shape
+    if pad_mask.shape != (b, n):
+        raise ValueError("pad_mask must match (batch, length)")
 
     if mode == "attention":
         logits = attention_logits(H, pad_mask, params["W_score"], params["v_score"])
@@ -151,25 +143,3 @@ def intent_backward(
         d_H[:, 0, :] = d_pre_tanh @ params["W_pool"]
 
     return d_H, grads
-
-
-def init_intent_params(
-    rng: np.random.Generator,
-    d_h: int,
-    n_intents: int,
-    mode: str = "attention",
-    scale: float = 0.02,
-) -> dict[str, np.ndarray]:
-    if mode not in POOL_MODES:
-        raise ValueError(f"unknown pooling mode {mode!r}")
-    params = {
-        "W_cls": rng.normal(0.0, scale, (n_intents, d_h)),
-        "b_cls": np.zeros(n_intents),
-    }
-    if mode == "attention":
-        params["W_score"] = rng.normal(0.0, scale, (d_h, d_h))
-        params["v_score"] = rng.normal(0.0, scale, d_h)
-    else:
-        params["W_pool"] = rng.normal(0.0, scale, (d_h, d_h))
-        params["b_pool"] = np.zeros(d_h)
-    return params

@@ -1,40 +1,33 @@
 """The full joint model: encoder, intent pooling, fused slot scoring.
 
-Parameters live in one flat name -> float64 array dict:
-
-    enc.*                     encoder tensors
-    feat.*                    word-feature network (when the feature path is on)
-    int.*                     intent head (pooling + classifier)
-    W_s, b_s                  fused slot projection
-    crf.T, crf.start, crf.end transition scores (when slot_mode is "crf")
-
-Gradients are returned under the same names, so the optimizer can walk the
-two dicts in parallel and update in place.
+Parameters live in one flat name -> float64 array dict. `param_spec` is the
+one list of its tensors (name, shape, initialiser, weight-decay flag); the
+initialiser, the checkpoint loader and the optimizer all read it. Gradients
+are returned under the same names, so the optimizer can walk the two dicts
+in parallel and update in place.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .crf import crf_nll, crf_nll_backward, viterbi
 from .data import IntentVocab, SlotVocab, TaggedUtterance
-from .encoder import EncoderConfig, encode, encode_backward, init_encoder_params
+from .encoder import EncoderConfig, encode, encode_backward
 from .features import (
     FEATURE_DIM,
-    FeatureNetParams,
+    FEATURE_HIDDEN,
     WordFeaturizer,
     feature_backward,
     feature_forward,
-    init_feature_params,
 )
-from .intent_head import POOL_MODES, init_intent_params, intent_backward, intent_forward
-from .numerics import log_softmax, stable_softmax
-from .slot_head import init_slot_params, slot_backward, slot_forward
+from .intent_head import POOL_MODES, intent_backward, intent_forward
+from .numerics import log_softmax
+from .slot_head import slot_backward, slot_forward
 from .subwords import AlignedSequence, WordPieceVocab, align
 from .tagging import SlotTag
 
@@ -64,15 +57,7 @@ class ModelConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "encoder": self.encoder.to_dict(),
-            "n_intents": self.n_intents,
-            "n_slots": self.n_slots,
-            "slot_mode": self.slot_mode,
-            "slot_features": self.slot_features,
-            "intent_pool": self.intent_pool,
-            "dropout_rate": self.dropout_rate,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -81,44 +66,102 @@ class ModelConfig:
         return cls(**d)
 
 
+class ParamRow(NamedTuple):
+    """One model tensor: its name, its shape, how it starts, and whether
+    AdamW applies weight decay to it."""
+
+    name: str
+    shape: Tuple[int, ...]
+    init: str  # a key of _INITIALISERS
+    decay: bool
+
+
+_INITIALISERS = {
+    "normal": lambda rng, shape, scale: rng.normal(0.0, scale, shape),
+    "zeros": lambda rng, shape, scale: np.zeros(shape),
+    "ones": lambda rng, shape, scale: np.ones(shape),
+    "prelu": lambda rng, shape, scale: np.full(shape, 0.25),
+}
+
+
+def param_spec(cfg: ModelConfig) -> List[ParamRow]:
+    """Every tensor of the model, in the order init_model_params draws them.
+
+    Weights and embeddings start N(0, scale) and take weight decay. Biases,
+    layer-norm gains, the PReLU slope (a 0-d array) and the CRF boundary
+    scores take none. The slot projection reads [intent probabilities; word
+    features, when on; hidden state].
+    """
+    enc, d_h = cfg.encoder, cfg.encoder.d_h
+
+    def weight(name: str, *shape: int) -> ParamRow:
+        return ParamRow(name, shape, "normal", True)
+
+    def fixed(name: str, init: str, *shape: int) -> ParamRow:
+        return ParamRow(name, shape, init, False)
+
+    rows = [
+        weight("enc.tok_emb", enc.vocab_size, d_h),
+        weight("enc.pos_emb", enc.max_len, d_h),
+        fixed("enc.ln_emb.g", "ones", d_h),
+        fixed("enc.ln_emb.b", "zeros", d_h),
+    ]
+    for i in range(enc.n_layers):
+        p = f"enc.l{i}."
+        rows += [weight(p + w, d_h, d_h) for w in ("Wq", "Wk", "Wv", "Wo")]
+        rows += [fixed(p + b, "zeros", d_h) for b in ("bq", "bk", "bv", "bo")]
+        rows += [
+            fixed(p + "ln1.g", "ones", d_h),
+            fixed(p + "ln1.b", "zeros", d_h),
+            weight(p + "W1", d_h, enc.d_ff),
+            fixed(p + "b1", "zeros", enc.d_ff),
+            weight(p + "W2", enc.d_ff, d_h),
+            fixed(p + "b2", "zeros", d_h),
+            fixed(p + "ln2.g", "ones", d_h),
+            fixed(p + "ln2.b", "zeros", d_h),
+        ]
+    slot_input_width = cfg.n_intents + d_h
+    if cfg.slot_features:
+        slot_input_width += FEATURE_HIDDEN
+        rows += [
+            weight("feat.W_w", FEATURE_DIM, FEATURE_HIDDEN),
+            fixed("feat.b_w", "zeros", FEATURE_HIDDEN),
+            fixed("feat.a_prelu", "prelu"),
+            weight("feat.W_proj", FEATURE_HIDDEN, FEATURE_HIDDEN),
+            fixed("feat.b_proj", "zeros", FEATURE_HIDDEN),
+        ]
+    rows += [
+        weight("int.W_cls", cfg.n_intents, d_h),
+        fixed("int.b_cls", "zeros", cfg.n_intents),
+    ]
+    if cfg.intent_pool == "attention":
+        rows += [weight("int.W_score", d_h, d_h), weight("int.v_score", d_h)]
+    else:
+        rows += [weight("int.W_pool", d_h, d_h), fixed("int.b_pool", "zeros", d_h)]
+    rows += [
+        weight("W_s", cfg.n_slots, slot_input_width),
+        fixed("b_s", "zeros", cfg.n_slots),
+    ]
+    if cfg.slot_mode == "crf":
+        rows += [
+            weight("crf.T", cfg.n_slots, cfg.n_slots),
+            fixed("crf.start", "zeros", cfg.n_slots),
+            fixed("crf.end", "zeros", cfg.n_slots),
+        ]
+    return rows
+
+
 def init_model_params(
     cfg: ModelConfig, rng: np.random.Generator, scale: float = 0.02
 ) -> Dict[str, np.ndarray]:
-    params: Dict[str, np.ndarray] = {}
-    for k, v in init_encoder_params(cfg.encoder, rng, scale).items():
-        params[f"enc.{k}"] = v
-    if cfg.slot_features:
-        for k, v in init_feature_params(rng, scale).tensors().items():
-            params[f"feat.{k}"] = v
-    for k, v in init_intent_params(
-        rng, cfg.encoder.d_h, cfg.n_intents, cfg.intent_pool, scale
-    ).items():
-        params[f"int.{k}"] = v
-    params.update(
-        init_slot_params(
-            rng, cfg.n_slots, cfg.n_intents, cfg.encoder.d_h,
-            cfg.slot_features, scale,
-        )
-    )
-    if cfg.slot_mode == "crf":
-        params["crf.T"] = rng.normal(0.0, scale, (cfg.n_slots, cfg.n_slots))
-        params["crf.start"] = np.zeros(cfg.n_slots)
-        params["crf.end"] = np.zeros(cfg.n_slots)
-    return params
+    return {
+        row.name: _INITIALISERS[row.init](rng, row.shape, scale)
+        for row in param_spec(cfg)
+    }
 
 
 def _sub(params: Dict[str, np.ndarray], prefix: str) -> Dict[str, np.ndarray]:
     return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
-
-
-def _feature_params(params: Dict[str, np.ndarray]) -> FeatureNetParams:
-    return FeatureNetParams(
-        W_w=params["feat.W_w"],
-        b_w=params["feat.b_w"],
-        a_prelu=params["feat.a_prelu"],
-        W_proj=params["feat.W_proj"],
-        b_proj=params["feat.b_proj"],
-    )
 
 
 @dataclass(frozen=True)
@@ -209,7 +252,7 @@ def model_outputs(
 
     f_words, feat_cache = None, None
     if cfg.slot_features:
-        feat_out = feature_forward(batch.features, _feature_params(params), want_cache)
+        feat_out = feature_forward(batch.features, _sub(params, "feat."), want_cache)
         f_words, feat_cache = feat_out if want_cache else (feat_out, None)
 
     slot_out = slot_forward(
@@ -352,7 +395,7 @@ def model_loss_and_grads(
         grads[f"int.{k}"] = v
 
     if cfg.slot_features:
-        _, feat_grads = feature_backward(d_f, cache["feat"], _feature_params(params))
+        _, feat_grads = feature_backward(d_f, cache["feat"], _sub(params, "feat."))
         for k, v in feat_grads.items():
             grads[f"feat.{k}"] = v
 
@@ -439,9 +482,27 @@ def load_checkpoint(path) -> Checkpoint:
     if _META_KEY not in arrays:
         raise ValueError(f"{path}: not a model archive (missing metadata)")
     meta = json.loads(arrays.pop(_META_KEY).tobytes().decode("utf-8"))
+    config = ModelConfig.from_dict(meta["config"])
+    rows = param_spec(config)
+    unexpected = sorted(arrays.keys() - {row.name for row in rows})
+    if unexpected:
+        raise ValueError(f"{path}: unexpected tensor {unexpected[0]!r}")
+    for row in rows:
+        arr = arrays.get(row.name)
+        if arr is None:
+            problem = "is missing"
+        elif arr.shape != row.shape:
+            problem = f"has shape {arr.shape}, expected {row.shape}"
+        elif arr.dtype != np.float64:
+            problem = f"has dtype {arr.dtype}, expected float64"
+        elif not np.isfinite(arr).all():
+            problem = "has non-finite values"
+        else:
+            continue
+        raise ValueError(f"{path}: tensor {row.name!r} {problem}")
     return Checkpoint(
         params=arrays,
-        config=ModelConfig.from_dict(meta["config"]),
+        config=config,
         intent_vocab=IntentVocab(tuple(meta["intent_labels"])),
         slot_vocab=SlotVocab(tuple(meta["slot_tags"])),
         piece_vocab=WordPieceVocab(tuple(meta["pieces"])),

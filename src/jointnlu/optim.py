@@ -6,7 +6,7 @@ that any views handed out (e.g. to fused heads) stay valid across steps.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Iterable
 
 import numpy as np
 
@@ -21,8 +21,8 @@ def lr_schedule(
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     if not 0.0 <= warmup_proportion <= 1.0:
         raise ValueError("warmup_proportion must be in [0, 1]")
-    if peak_lr < 0.0:
-        raise ValueError("peak_lr must be nonnegative")
+    if not peak_lr >= 0.0:
+        raise ValueError("learning rate must be nonnegative")
 
     warmup = warmup_proportion * total_steps
     if step <= warmup:
@@ -31,48 +31,34 @@ def lr_schedule(
     return peak_lr * (total_steps - step) / (total_steps - warmup)
 
 
-def default_decay_filter(name: str) -> bool:
-    """True when the named tensor receives weight decay.
-
-    Excluded: every bias vector, layer-norm gains/biases, the PReLU slope,
-    and the sequence-boundary score vectors of the structured decoder.
-    """
-    if name in ("crf.start", "crf.end"):
-        return False
-    leaf = name.rsplit(".", 1)[-1]
-    if leaf in ("g", "b") or leaf.startswith("b") or leaf == "a_prelu":
-        return False
-    return True
-
-
 class AdamW:
     """Adam with bias correction and decoupled weight decay.
 
-    The decay term is scaled by the current learning rate, so a step taken
-    at lr=0 leaves every parameter exactly unchanged.
+    Only the tensors named in `decayed` take weight decay (for the model,
+    the rows of model.param_spec whose decay flag is set). The decay term
+    is scaled by the current learning rate, so a step taken at lr=0 leaves
+    every parameter exactly unchanged.
     """
 
     def __init__(
         self,
+        decayed: Iterable[str],
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-6,
         weight_decay: float = 0.01,
-        decay_filter: Optional[Callable[[str], bool]] = default_decay_filter,
     ) -> None:
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise ValueError("eps must be positive")
-        if weight_decay < 0.0:
+        if not weight_decay >= 0.0:
             raise ValueError("weight_decay must be nonnegative")
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.decay_filter = decay_filter if decay_filter is not None else (
-            lambda name: True
-        )
+        self.decayed = frozenset(decayed)
         self.t = 0
         self._m: Dict[str, np.ndarray] = {}
         self._v: Dict[str, np.ndarray] = {}
@@ -107,6 +93,6 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(g)
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay > 0.0 and self.decay_filter(name):
+            if self.weight_decay > 0.0 and name in self.decayed:
                 update = update + self.weight_decay * p
             p -= lr * update

@@ -15,30 +15,6 @@ import numpy as np
 from .numerics import apply_mask, dropout_mask, softmax_backward, stable_softmax
 
 
-def fused_width(n_intents: int, d_h: int, use_features: bool, feature_width: int = 32) -> int:
-    return n_intents + (feature_width if use_features else 0) + d_h
-
-
-def slot_logits(
-    intent_logit_vec: np.ndarray,
-    feature_vec: np.ndarray | None,
-    hidden_vec: np.ndarray,
-    W_s: np.ndarray,
-    b_s: np.ndarray,
-) -> np.ndarray:
-    """Single-position slot scores: W_s [softmax(intent); features; hidden] + b_s."""
-    blocks = [stable_softmax(intent_logit_vec)]
-    if feature_vec is not None:
-        blocks.append(feature_vec)
-    blocks.append(hidden_vec)
-    fused = np.concatenate(blocks)
-    if W_s.shape[1] != fused.shape[0]:
-        raise ValueError(
-            f"W_s expects width {W_s.shape[1]}, fused input has {fused.shape[0]}"
-        )
-    return W_s @ fused + b_s
-
-
 def slot_forward(
     y_int: np.ndarray,
     f_words: np.ndarray | None,
@@ -103,18 +79,3 @@ def slot_backward(
     d_f_words = d_fused[..., n_int:n_int + f_width] if f_width else None
     d_H = d_fused[..., n_int + f_width:]
     return d_y_int, d_f_words, d_H, grads
-
-
-def init_slot_params(
-    rng: np.random.Generator,
-    n_slots: int,
-    n_intents: int,
-    d_h: int,
-    use_features: bool,
-    scale: float = 0.02,
-) -> dict[str, np.ndarray]:
-    width = fused_width(n_intents, d_h, use_features)
-    return {
-        "W_s": rng.normal(0.0, scale, (n_slots, width)),
-        "b_s": np.zeros(n_slots),
-    }

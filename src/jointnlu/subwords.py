@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -94,14 +93,6 @@ class WordPieceVocab:
 
     def tokenize(self, word: str) -> list[int]:
         return [self.ids[p] for p in self.tokenize_pieces(word)]
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text("".join(p + "\n" for p in self.pieces), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "WordPieceVocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(tuple(lines))
 
 
 def _word_counts(corpus: Iterable[str] | Mapping[str, int]) -> Counter:

@@ -8,7 +8,6 @@ callers are forced to de-align before scoring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -268,10 +267,3 @@ class EvalReport:
             k, v = line.split("=", 1)
             d[k.strip()] = v.strip()
         return cls.from_dict(d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls.from_dict(json.loads(text))

@@ -6,7 +6,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -14,8 +13,9 @@ import numpy as np
 from .data import IntentVocab, SlotVocab, TaggedUtterance
 from .encoder import EncoderConfig
 from .features import WordFeaturizer
+from .intent_head import POOL_MODES
 from .model import (
-    Batch,
+    SLOT_MODES,
     Checkpoint,
     ModelConfig,
     align_utterance,
@@ -23,6 +23,7 @@ from .model import (
     init_model_params,
     make_batch,
     model_loss_and_grads,
+    param_spec,
     predict_batch,
 )
 from .optim import AdamW, lr_schedule
@@ -30,6 +31,7 @@ from .subwords import AlignedSequence, WordPieceVocab, train_vocab
 from .tagging import (
     EvalReport,
     O_TAG,
+    SlotTag,
     intent_accuracy,
     per_token_micro_f1,
     sentence_accuracy,
@@ -72,12 +74,16 @@ class TrainConfig:
             raise ValueError("gamma must be in [0, 1]")
         if self.epochs < 1 or self.batch_size < 1 or self.max_len < 3:
             raise ValueError("epochs, batch_size, max_len out of range")
-        if self.slot_mode not in ("softmax", "crf"):
-            raise ValueError(f"bad slot_mode {self.slot_mode!r}")
-        if self.intent_pool not in ("attention", "start_token"):
-            raise ValueError(f"bad intent_pool {self.intent_pool!r}")
+        if self.slot_mode not in SLOT_MODES:
+            raise ValueError(f"slot_mode must be one of {SLOT_MODES}")
+        if self.intent_pool not in POOL_MODES:
+            raise ValueError(f"intent_pool must be one of {POOL_MODES}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
+        # The optimizer and the schedule own the ranges of their settings;
+        # building them here makes a bad value fail before any output exists.
+        AdamW((), self.beta1, self.beta2, self.epsilon, self.weight_decay)
+        lr_schedule(0, 1, self.warmup_proportion, self.learning_rate)
 
     def to_kv_text(self) -> str:
         return "".join(
@@ -85,24 +91,8 @@ class TrainConfig:
             for f in dataclasses.fields(self)
         )
 
-    @classmethod
-    def from_kv_text(cls, text: str) -> "TrainConfig":
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in fields:
-                raise ValueError(f"line {lineno}: unknown setting {key!r}")
-            kwargs[key] = _parse_value(fields[key].type, value, lineno)
-        return cls(**kwargs)
 
-
-def _parse_value(type_name, text: str, lineno: int):
+def _parse_value(type_name, text: str):
     name = type_name if isinstance(type_name, str) else type_name.__name__
     if name == "bool":
         low = text.lower()
@@ -110,7 +100,7 @@ def _parse_value(type_name, text: str, lineno: int):
             return True
         if low in ("false", "off", "0", "no"):
             return False
-        raise ValueError(f"line {lineno}: not a boolean: {text!r}")
+        raise ValueError(f"not a boolean: {text!r}")
     if name == "int":
         return int(text)
     if name == "float":
@@ -137,7 +127,7 @@ def validate_config_text(text: str):
             errors.append(f"line {lineno}: unknown setting {key!r}")
             continue
         try:
-            kwargs[key] = _parse_value(fields[key].type, value, lineno)
+            kwargs[key] = _parse_value(fields[key].type, value)
         except ValueError:
             errors.append(f"line {lineno}: bad value for {key}: {value!r}")
     # Probe each parsed value on its own so one out-of-range setting does
@@ -157,26 +147,6 @@ def joint_loss(l_intent: float, l_slot: float, gamma: float) -> float:
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
     return gamma * l_intent + (1.0 - gamma) * l_slot
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """One step's loss terms; l_joint always equals the exact mix."""
-
-    l_intent: float
-    l_slot: float
-    l_joint: float
-
-    @classmethod
-    def mix(cls, l_intent: float, l_slot: float, gamma: float) -> "LossBreakdown":
-        return cls(l_intent, l_slot, joint_loss(l_intent, l_slot, gamma))
-
-
-def slot_loss_positions(seq: AlignedSequence) -> Tuple[int, ...]:
-    """Positions whose slot predictions carry loss: every real piece,
-    including continuation pieces and the framing markers. Batch padding
-    beyond len(seq) never contributes."""
-    return tuple(range(len(seq)))
 
 
 def select_best(reports: Sequence[EvalReport]) -> int:
@@ -231,6 +201,27 @@ class TrainResult:
     history: Tuple[EpochRecord, ...]
 
 
+def score(
+    gold_intents: Sequence[str],
+    pred_intents: Sequence[str],
+    gold_tags: Sequence[Sequence[SlotTag]],
+    pred_tags: Sequence[Sequence[SlotTag]],
+) -> EvalReport:
+    """Every measure of one corpus's word-level predictions, in one report."""
+    chunk_scores = slot_f1(gold_tags, pred_tags)
+    return EvalReport(
+        intent_accuracy=intent_accuracy(gold_intents, pred_intents),
+        sentence_accuracy=sentence_accuracy(
+            gold_intents, pred_intents, gold_tags, pred_tags
+        ),
+        slot_f1=chunk_scores.f1,
+        per_token_micro_f1=per_token_micro_f1(gold_tags, pred_tags),
+        tp=chunk_scores.tp,
+        fp=chunk_scores.fp,
+        fn=chunk_scores.fn,
+    )
+
+
 def evaluate(
     params: Dict[str, np.ndarray],
     cfg: ModelConfig,
@@ -247,6 +238,8 @@ def evaluate(
     """
     if len(seqs) != len(utterances):
         raise ValueError("aligned sequences and utterances must pair up")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     pred_intents: List[str] = []
     pred_tags: List[list] = []
     for lo in range(0, len(seqs), batch_size):
@@ -261,18 +254,7 @@ def evaluate(
     for i, (gold, pred) in enumerate(zip(gold_tags, pred_tags)):
         if len(pred) < len(gold):
             pred_tags[i] = pred + [O_TAG] * (len(gold) - len(pred))
-    chunk_scores = slot_f1(gold_tags, pred_tags)
-    return EvalReport(
-        intent_accuracy=intent_accuracy(gold_intents, pred_intents),
-        sentence_accuracy=sentence_accuracy(
-            gold_intents, pred_intents, gold_tags, pred_tags
-        ),
-        slot_f1=chunk_scores.f1,
-        per_token_micro_f1=per_token_micro_f1(gold_tags, pred_tags),
-        tp=chunk_scores.tp,
-        fp=chunk_scores.fp,
-        fn=chunk_scores.fn,
-    )
+    return score(gold_intents, pred_intents, gold_tags, pred_tags)
 
 
 def train(
@@ -295,6 +277,8 @@ def train(
     """
     if not train_corpus:
         raise ValueError("train corpus is empty")
+    if not dev_corpus:
+        raise ValueError("dev corpus is empty: no epoch could be selected")
     rng = np.random.default_rng(config.seed)
 
     if piece_vocab is None:
@@ -318,6 +302,7 @@ def train(
     )
     params = init_model_params(model_cfg, rng)
     opt = AdamW(
+        decayed=[row.name for row in param_spec(model_cfg) if row.decay],
         beta1=config.beta1,
         beta2=config.beta2,
         eps=config.epsilon,

@@ -26,17 +26,18 @@ def brute_force_chunks(tags: list[SlotTag]) -> set[Chunk]:
     out = set()
     labels = {t.label for t in tags if t.label}
     for label in labels:
+        begin, inside = SlotTag("B", label), SlotTag("I", label)
         for start in range(n):
             for end in range(start, n):
-                opens = tags[start] == SlotTag("B", label) or (
-                    tags[start] == SlotTag("I", label)
-                    and (start == 0 or tags[start - 1] not in (SlotTag("B", label), SlotTag("I", label)))
+                opens = tags[start] == begin or (
+                    tags[start] == inside
+                    and (start == 0 or tags[start - 1] not in (begin, inside))
                 )
                 if not opens:
                     continue
-                if any(tags[k] != SlotTag("I", label) for k in range(start + 1, end + 1)):
+                if any(tags[k] != inside for k in range(start + 1, end + 1)):
                     continue
-                if end + 1 < n and tags[end + 1] == SlotTag("I", label):
+                if end + 1 < n and tags[end + 1] == inside:
                     continue
                 out.add(Chunk(label, start, end))
     return out
@@ -151,3 +152,15 @@ def relative_gradient_error(analytic, fd) -> np.ndarray:
     diff = np.abs(a - f)
     denom = np.maximum(1e-8, np.maximum(np.abs(a), np.abs(f)))
     return np.where(diff < 1e-9, 0.0, diff / denom)
+
+
+def slot_logits(intent_logit_vec, feature_vec, hidden_vec, W_s, b_s) -> np.ndarray:
+    """Slot scores at one position, written out block by block:
+    W_s [softmax(intent logits); word features; hidden state] + b_s, the
+    feature block left out when feature_vec is None."""
+    z = np.exp(intent_logit_vec - intent_logit_vec.max())
+    blocks = [z / z.sum()]
+    if feature_vec is not None:
+        blocks.append(feature_vec)
+    blocks.append(hidden_vec)
+    return W_s @ np.concatenate(blocks) + b_s

@@ -6,11 +6,15 @@ criterion. The end-to-end training criteria share a module-scoped fixture
 Tolerances are pinned here and nowhere else.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from heads import part_params
 from oracles import (
     all_tag_sequences,
     brute_force_chunks,
@@ -33,13 +37,14 @@ from jointnlu.features import (
     WordFeaturizer,
     encode_features,
 )
-from jointnlu.intent_head import attention_weights, init_intent_params, intent_forward
+from jointnlu.intent_head import attention_weights, intent_forward
 from jointnlu.model import (
     Batch,
     ModelConfig,
     align_utterance,
     init_model_params,
     model_loss_and_grads,
+    param_spec,
 )
 from jointnlu.optim import AdamW
 from jointnlu.subwords import align, de_align, train_vocab
@@ -199,7 +204,7 @@ def test_criterion_06_pooling_weights_form_masked_simplex():
         b = int(rng.integers(1, 5))
         n = int(rng.integers(1, 9))
         d_h = int(rng.choice([4, 8, 16]))
-        params = init_intent_params(rng, d_h, 3)
+        params = part_params(rng, "int.", d_h=d_h, n_intents=3)
         H = rng.normal(size=(b, n, d_h)) * float(rng.uniform(0.5, 3.0))
         pad = np.zeros((b, n), dtype=bool)
         for i in range(b):
@@ -228,30 +233,49 @@ def test_criterion_06_pooling_weights_form_masked_simplex():
 DESK_SCALING = dict(epochs=70, batch_size=32, max_len=32)
 
 
+# The thread-count variables of the common BLAS builds. The toy runs spend
+# their time in small matrix products, where one BLAS thread per worker
+# process is faster than several threads contending for the same cores.
+BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+)
+
+
+def _toy_run(seed, features):
+    """Train one desk-scale model; its test-split report and training seconds."""
+    data = toy_grammar(seed, 2000, 300, 300)
+    config = TrainConfig(seed=seed, slot_features=features, **DESK_SCALING)
+    t0 = time.time()
+    result = train(data.train, data.dev, config, data.featurizer())
+    seconds = time.time() - t0
+    ck = result.checkpoint
+    seqs = [
+        align_utterance(u, ck.piece_vocab, ck.featurizer, config.max_len)
+        for u in data.test
+    ]
+    report = evaluate(
+        ck.params, ck.config, seqs, data.test,
+        ck.intent_vocab, ck.slot_vocab,
+    )
+    return report, seconds
+
+
 @pytest.fixture(scope="module")
 def toy_runs():
-    """Six trained models: seeds 0..2, each with and without word features."""
-    runs = {}
-    for seed in (0, 1, 2):
-        data = toy_grammar(seed, 2000, 300, 300)
-        for features in (True, False):
-            config = TrainConfig(
-                seed=seed, slot_features=features, **DESK_SCALING
-            )
-            t0 = time.time()
-            result = train(data.train, data.dev, config, data.featurizer())
-            seconds = time.time() - t0
-            ck = result.checkpoint
-            seqs = [
-                align_utterance(u, ck.piece_vocab, ck.featurizer, config.max_len)
-                for u in data.test
-            ]
-            report = evaluate(
-                ck.params, ck.config, seqs, data.test,
-                ck.intent_vocab, ck.slot_vocab,
-            )
-            runs[seed, features] = (report, seconds)
-    return runs
+    """Six trained models: seeds 0..2, each with and without word features.
+
+    The runs are independent, so they are spread over up to two fresh worker
+    processes, each pinned to one BLAS thread before numpy loads.
+    """
+    keys = [(seed, features) for seed in (0, 1, 2) for features in (True, False)]
+    workers = min(2, len(os.sched_getaffinity(0)))
+    with pytest.MonkeyPatch.context() as env:
+        for var in BLAS_THREAD_VARS:
+            env.setenv(var, "1")
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+            results = list(pool.map(_toy_run, *zip(*keys)))
+    return dict(zip(keys, results))
 
 
 def test_criterion_07_toy_training_meets_operating_bars(toy_runs):
@@ -306,7 +330,7 @@ def test_criterion_09_intent_only_weighting_freezes_slot_head():
     ]
     assert slot_only, "expected a slot-side parameter block"
 
-    opt = AdamW()
+    opt = AdamW([row.name for row in param_spec(cfg) if row.decay])
     for _ in range(10):
         batch = _random_batch(rng, enc, cfg.n_intents, cfg.n_slots)
         l_int, l_slot, grads = model_loss_and_grads(params, cfg, batch, 1.0)

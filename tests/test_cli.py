@@ -2,6 +2,7 @@
 error-reduction numbers."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -118,6 +119,47 @@ class TestTrainCommand:
         assert "epochs" in err
         assert not out.exists()
 
+        # Optimizer settings are checked with the rest, before the run
+        # writes anything, even when the data directory is fine.
+        data_dir = tmp_path / "data"
+        toy_grammar(3, 8, 4, 4).write(data_dir)
+        for setting in ("learning_rate=-1", "warmup_proportion=2",
+                        "beta1=1.5", "beta2=1", "epsilon=0",
+                        "weight_decay=-0.1"):
+            config.write_text(f"epochs=1\nbatch_size=4\n{setting}\n")
+            rc = main([
+                "train", "--config", str(config),
+                "--data", str(data_dir), "--out", str(out),
+            ])
+            err = capsys.readouterr().err
+            assert rc == 2, setting
+            assert setting.split("=")[0] in err
+            assert not out.exists(), setting
+
+    def test_empty_dev_split_rejected(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        toy_grammar(3, 8, 4, 4).write(data_dir)
+        (data_dir / "dev.txt").write_text("")
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG_TEXT)
+        out = tmp_path / "out"
+        rc = main([
+            "train", "--config", str(config),
+            "--data", str(data_dir), "--out", str(out),
+        ])
+        assert rc == 2
+        assert "dev.txt" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_with_seed_key_still_reads(self, trained):
+        # manifests once carried a top-level copy of config.seed
+        text = (trained["out"] / "manifest.json").read_text()
+        payload = json.loads(text)
+        payload["seed"] = payload["config"]["seed"]
+        manifest = RunManifest.from_json(json.dumps(payload))
+        assert manifest == RunManifest.from_json(text)
+        assert manifest.config.seed == 11
+
     def test_three_seeds_write_summary(self, tmp_path):
         data_dir = tmp_path / "data"
         toy_grammar(3, 16, 8, 8).write(data_dir)
@@ -133,10 +175,10 @@ class TestTrainCommand:
         ])
         assert rc == 0
         manifests = [read_manifest(out / f"seed{s}") for s in (7, 8, 9)]
-        assert [m.seed for m in manifests] == [7, 8, 9]
+        assert [m.config.seed for m in manifests] == [7, 8, 9]
         summary = (out / "summary.txt").read_text()
         scores = [m.best_dev_report.selection_score for m in manifests]
-        expected = manifests[int(np.argmax(scores))].seed
+        expected = manifests[int(np.argmax(scores))].config.seed
         assert summary.strip().splitlines()[-1] == f"best seed={expected}"
 
     def test_divergent_run_exits_3(self, tmp_path, capsys):
@@ -256,6 +298,65 @@ class TestEvalCommand:
     def test_checkpoint_required_without_self_test(self, trained):
         rc = main(["eval", "--data", str(trained["data"] / "dev.txt")])
         assert rc == 2
+
+    def test_batch_size_below_one_rejected(self, trained, capsys):
+        rc = main([
+            "eval", "--checkpoint", str(trained["out"] / "checkpoint.npz"),
+            "--data", str(trained["data"] / "dev.txt"), "--batch-size", "0",
+        ])
+        assert rc == 2
+        assert "batch_size must be at least 1" in capsys.readouterr().err
+
+
+def _edit_missing(arrays):
+    del arrays["int.W_cls"]
+    return "int.W_cls"
+
+
+def _edit_unexpected(arrays):
+    arrays["int.W_extra"] = np.zeros(3)
+    return "int.W_extra"
+
+
+def _edit_shape(arrays):
+    arrays["W_s"] = arrays["W_s"][:, :-1]
+    return "W_s"
+
+
+def _edit_dtype(arrays):
+    arrays["enc.tok_emb"] = arrays["enc.tok_emb"].astype(np.float32)
+    return "enc.tok_emb"
+
+
+def _edit_non_finite(arrays):
+    arrays["b_s"] = arrays["b_s"].copy()
+    arrays["b_s"][0] = np.nan
+    return "b_s"
+
+
+class TestDamagedCheckpoint:
+    """A checkpoint whose tensors disagree with the model's parameter table
+    is refused on load: exit 2, one line on stderr naming the tensor."""
+
+    @pytest.mark.parametrize("edit", [
+        _edit_missing, _edit_unexpected, _edit_shape, _edit_dtype,
+        _edit_non_finite,
+    ])
+    def test_eval_and_attn_refuse_it(self, trained, tmp_path, capsys, edit):
+        with np.load(trained["out"] / "checkpoint.npz") as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        name = edit(arrays)
+        damaged = tmp_path / "damaged.npz"
+        np.savez(damaged, **arrays)
+        for argv in (
+            ["eval", "--data", str(trained["data"] / "dev.txt")],
+            ["attn", "--text", "play something"],
+        ):
+            rc = main(argv + ["--checkpoint", str(damaged)])
+            err = capsys.readouterr().err
+            assert rc == 2, argv
+            assert len(err.splitlines()) == 1, err
+            assert repr(name) in err, err
 
 
 def write_report(path, intent, slot, sent):

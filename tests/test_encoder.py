@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from jointnlu.encoder import EncoderConfig, encode, encode_backward, init_encoder_params
+from jointnlu.encoder import EncoderConfig, encode, encode_backward
 from jointnlu.numerics import (
     apply_mask,
     dropout_mask,
@@ -16,6 +16,7 @@ from jointnlu.numerics import (
     stable_softmax,
 )
 
+from heads import part_params
 from oracles import finite_difference, relative_gradient_error
 
 
@@ -120,7 +121,7 @@ class TestEncoderConfig:
 
 class TestEncodeForward:
     def test_output_shape_and_padded_rows_zero(self, rng):
-        params = init_encoder_params(SMALL, rng)
+        params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
         out = encode(ids, pad, params, SMALL)
         assert out.shape == (2, 6, SMALL.d_h)
@@ -128,7 +129,7 @@ class TestEncodeForward:
         assert np.array_equal(out[0, 4:], np.zeros((2, SMALL.d_h)))
 
     def test_deterministic_without_dropout(self, rng):
-        params = init_encoder_params(SMALL, rng)
+        params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
         assert np.array_equal(
             encode(ids, pad, params, SMALL), encode(ids, pad, params, SMALL)
@@ -139,14 +140,14 @@ class TestEncodeForward:
         # norm to sqrt(d_h), for any preceding weights
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            params = init_encoder_params(SMALL, rng)
+            params = part_params(rng, "enc.", encoder=SMALL)
             ids, pad = small_batch(rng)
             out = encode(ids, pad, params, SMALL)
             norms = np.linalg.norm(out[pad], axis=-1)
             assert np.allclose(norms, np.sqrt(SMALL.d_h), atol=1e-6)
 
     def test_padding_content_cannot_leak(self, rng):
-        params = init_encoder_params(SMALL, rng)
+        params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
         ids2 = ids.copy()
         ids2[0, 4:] = 7  # rewrite padded slots with arbitrary real ids
@@ -155,7 +156,7 @@ class TestEncodeForward:
         )
 
     def test_attention_rows_are_masked_distributions(self, rng):
-        params = init_encoder_params(SMALL, rng)
+        params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
         _, cache = encode(ids, pad, params, SMALL, want_cache=True)
         for lc in cache["layers"]:
@@ -167,7 +168,7 @@ class TestEncodeForward:
             )
 
     def test_input_validation(self, rng):
-        params = init_encoder_params(SMALL, rng)
+        params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
         with pytest.raises(ValueError):
             encode(ids[:, :5], pad, params, SMALL)
@@ -181,7 +182,7 @@ class TestEncodeForward:
 
 class TestEncodeBackward:
     def _loss_and_grads(self, rng, dropout_rate=0.0, seed=None):
-        params = init_encoder_params(SMALL, rng)
+        params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
         probe = rng.normal(size=(2, 6, SMALL.d_h))
 
@@ -227,7 +228,7 @@ class TestEncodeBackward:
             assert grads[name].shape == params[name].shape
 
     def test_dropout_changes_output_and_replays(self, rng):
-        params = init_encoder_params(SMALL, rng)
+        params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
         plain = encode(ids, pad, params, SMALL)
         d1 = encode(ids, pad, params, SMALL, 0.5, np.random.default_rng(3))

@@ -12,7 +12,6 @@ from jointnlu.features import (
     MERGED_RAW_LABELS,
     CaseClass,
     EntityClass,
-    FeatureNetParams,
     WordFeaturizer,
     annotate_entities,
     canonical_form,
@@ -20,13 +19,13 @@ from jointnlu.features import (
     encode_features,
     feature_backward,
     feature_forward,
-    init_feature_params,
     load_english_dict,
     load_gazetteer,
     load_lexicon,
     truecase,
 )
 
+from heads import part_params
 from oracles import finite_difference, relative_gradient_error
 
 
@@ -168,7 +167,7 @@ class TestEncodeFeatures:
 
 class TestFeatureForward:
     def test_zero_params_give_zero_output(self):
-        params = FeatureNetParams(
+        params = dict(
             W_w=np.zeros((FEATURE_DIM, FEATURE_HIDDEN)),
             b_w=np.zeros(FEATURE_HIDDEN),
             a_prelu=np.array(0.25),
@@ -181,7 +180,7 @@ class TestFeatureForward:
     def test_negative_preactivation_scaled_by_slope(self):
         # b_w = -1 with zero W_w makes every pre-activation -1; the identity
         # projection then exposes the PReLU output directly.
-        params = FeatureNetParams(
+        params = dict(
             W_w=np.zeros((FEATURE_DIM, FEATURE_HIDDEN)),
             b_w=-np.ones(FEATURE_HIDDEN),
             a_prelu=np.array(0.25),
@@ -192,16 +191,16 @@ class TestFeatureForward:
         assert np.allclose(out, -0.25)
 
     def test_batch_matches_single(self, rng):
-        params = init_feature_params(rng)
+        params = part_params(rng, "feat.")
         rows = rng.normal(size=(5, FEATURE_DIM))
         batched = feature_forward(rows, params)
         single = np.stack([feature_forward(r, params) for r in rows])
         assert np.allclose(batched, single)
 
     def test_positive_homogeneity_with_zero_biases(self, rng):
-        params = init_feature_params(rng)
-        params.b_w[:] = 0.0
-        params.b_proj[:] = 0.0
+        params = part_params(rng, "feat.")
+        params["b_w"][:] = 0.0
+        params["b_proj"][:] = 0.0
         x = rng.normal(size=FEATURE_DIM)
         for t in (0.5, 2.0, 7.3):
             assert np.allclose(
@@ -210,23 +209,21 @@ class TestFeatureForward:
 
     def test_gradients_match_finite_differences(self, rng):
         for _ in range(100):
-            params = init_feature_params(rng)
-            params.b_w[:] = rng.normal(size=FEATURE_HIDDEN)
-            params.a_prelu = np.array(rng.uniform(0.05, 0.5))
+            params = part_params(rng, "feat.")
+            params["b_w"][:] = rng.normal(size=FEATURE_HIDDEN)
+            params["a_prelu"] = np.array(rng.uniform(0.05, 0.5))
             x = rng.normal(size=(3, FEATURE_DIM))
             probe = rng.normal(size=(3, FEATURE_HIDDEN))
 
             out, cache = feature_forward(x, params, want_cache=True)
             d_x, grads = feature_backward(probe, cache, params)
 
-            tensors = params.tensors()
-
             def loss(_parms=None):
                 return float(np.sum(feature_forward(x, params) * probe))
 
-            for name in tensors:
+            for name in params:
                 coords, fd = finite_difference(
-                    loss, tensors, name, max_coords=8, rng=rng
+                    loss, params, name, max_coords=8, rng=rng
                 )
                 analytic = np.asarray(grads[name]).reshape(-1)[coords]
                 err = relative_gradient_error(analytic, fd)
@@ -242,7 +239,7 @@ class TestFeatureForward:
             assert err.max() <= 1e-4
 
     def test_wrong_width_rejected(self, rng):
-        params = init_feature_params(rng)
+        params = part_params(rng, "feat.")
         with pytest.raises(ValueError):
             feature_forward(np.zeros(FEATURE_DIM + 1), params)
 

@@ -6,19 +6,29 @@ import pytest
 from jointnlu.intent_head import (
     attention_logits,
     attention_weights,
-    init_intent_params,
     intent_backward,
     intent_forward,
     intent_logits,
-    pool,
 )
 from jointnlu.numerics import log_softmax
 
+from heads import part_params
 from oracles import finite_difference, relative_gradient_error
 
 
 D_H = 8
 N_INTENTS = 4
+
+
+def intent_params(rng, mode="attention"):
+    return part_params(rng, "int.", d_h=D_H, n_intents=N_INTENTS,
+                       intent_pool=mode)
+
+
+def pooled(H, pad_mask, rng):
+    """Pooling weights and pooled vector of the attention head."""
+    _, alpha, h_int = intent_forward(H, pad_mask, intent_params(rng))
+    return alpha, h_int
 
 
 def random_states(rng, b=3, n=6, d=D_H):
@@ -112,20 +122,19 @@ class TestAttentionWeights:
 class TestPool:
     def test_single_position_is_tanh_of_row(self, rng):
         H = rng.normal(size=(2, 1, D_H))
-        out = pool(H, np.ones((2, 1)))
+        alpha, out = pooled(H, np.ones((2, 1), dtype=bool), rng)
+        assert np.array_equal(alpha, np.ones((2, 1)))
         assert np.allclose(out, np.tanh(H[:, 0]))
 
     def test_identical_rows_ignore_weights(self, rng):
         row = rng.normal(size=D_H)
         H = np.tile(row, (1, 5, 1))
-        alpha = rng.dirichlet(np.ones(5))[None, :]
-        assert np.allclose(pool(H, alpha), np.tanh(row))
+        _, out = pooled(H, np.ones((1, 5), dtype=bool), rng)
+        assert np.allclose(out, np.tanh(row))
 
     def test_matches_direct_weighted_sum(self, rng):
         H, pad = random_states(rng)
-        alpha = np.where(pad, rng.random(pad.shape), 0.0)
-        alpha /= alpha.sum(axis=1, keepdims=True)
-        out = pool(H, alpha)
+        alpha, out = pooled(H, pad, rng)
         for b in range(H.shape[0]):
             direct = np.tanh(sum(alpha[b, i] * H[b, i] for i in range(H.shape[1])))
             assert np.allclose(out[b], direct)
@@ -133,15 +142,13 @@ class TestPool:
     def test_output_bounded_by_unit_box(self, rng):
         # tanh saturates to exactly +-1.0 in floats, so the bound is closed
         H, pad = random_states(rng)
-        alpha = np.where(pad, 1.0, 0.0)
-        alpha /= alpha.sum(axis=1, keepdims=True)
-        assert (np.abs(pool(H * 100, alpha)) <= 1.0).all()
-        assert (np.abs(pool(H, alpha)) < 1.0).all()
+        assert (np.abs(pooled(H * 100, pad, rng)[1]) <= 1.0).all()
+        assert (np.abs(pooled(H, pad, rng)[1]) < 1.0).all()
 
     def test_weight_shape_enforced(self, rng):
         H, _ = random_states(rng)
         with pytest.raises(ValueError):
-            pool(H, np.ones((3, 7)))
+            pooled(H, np.ones((3, 7), dtype=bool), rng)
 
 
 class TestIntentLogits:
@@ -183,7 +190,7 @@ class TestForwardBackward:
     @pytest.mark.parametrize("mode", ["attention", "start_token"])
     def test_gradients_match_fd(self, rng, mode):
         H, pad = random_states(rng)
-        params = init_intent_params(rng, D_H, N_INTENTS, mode)
+        params = intent_params(rng, mode)
         for p in params.values():  # larger weights make the check non-trivial
             p += rng.normal(scale=0.3, size=p.shape)
         targets = rng.integers(0, N_INTENTS, size=H.shape[0])
@@ -209,7 +216,7 @@ class TestForwardBackward:
 
     def test_gradients_with_dropout_replay(self, rng):
         H, pad = random_states(rng)
-        params = init_intent_params(rng, D_H, N_INTENTS)
+        params = intent_params(rng)
         targets = rng.integers(0, N_INTENTS, size=H.shape[0])
 
         y, _, _, cache = intent_forward(
@@ -233,20 +240,20 @@ class TestForwardBackward:
 
     def test_boundary_positions_receive_mass(self, rng):
         H, pad = random_states(rng)
-        params = init_intent_params(rng, D_H, N_INTENTS)
+        params = intent_params(rng)
         _, alpha, _ = intent_forward(H, pad, params)
         assert (alpha[:, 0] > 0).all()
         assert (alpha[1:, -1] > 0).all()  # row 0 has padding at the tail
 
     def test_pooled_vector_inside_unit_box(self, rng):
         H, pad = random_states(rng)
-        params = init_intent_params(rng, D_H, N_INTENTS)
+        params = intent_params(rng)
         _, _, h_int = intent_forward(H, pad, params)
         assert (np.abs(h_int) < 1.0).all()
 
     def test_start_token_alpha_is_position_zero_indicator(self, rng):
         H, pad = random_states(rng)
-        params = init_intent_params(rng, D_H, N_INTENTS, "start_token")
+        params = intent_params(rng, "start_token")
         _, alpha, h_int = intent_forward(H, pad, params, "start_token")
         assert np.array_equal(alpha[:, 0], np.ones(H.shape[0]))
         assert np.array_equal(alpha[:, 1:], np.zeros((H.shape[0], H.shape[1] - 1)))

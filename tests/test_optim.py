@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jointnlu.optim import AdamW, default_decay_filter, lr_schedule
+from jointnlu.encoder import EncoderConfig
+from jointnlu.model import ModelConfig, param_spec
+from jointnlu.optim import AdamW, lr_schedule
 
 
 class TestLrSchedule:
@@ -52,17 +54,32 @@ class TestLrSchedule:
         assert (diffs[turn:] < 0).all()
 
 
+def decay_flags(intent_pool="attention"):
+    """The decay flag of every tensor of a two-layer CRF model with word
+    features, as the parameter table gives them to AdamW."""
+    cfg = ModelConfig(
+        encoder=EncoderConfig(vocab_size=8, d_h=8, n_layers=2, n_heads=2,
+                              d_ff=8, max_len=8),
+        n_intents=3, n_slots=4, slot_mode="crf", intent_pool=intent_pool,
+    )
+    return {row.name: row.decay for row in param_spec(cfg)}
+
+
 class TestDecayFilter:
     def test_weights_decay(self):
+        flags = decay_flags()
         for name in ("enc.tok_emb", "enc.l0.Wq", "int.W_score", "int.v_score",
                      "W_s", "crf.T", "feat.W_w", "feat.W_proj"):
-            assert default_decay_filter(name), name
+            assert flags[name], name
+        assert decay_flags("start_token")["int.W_pool"]
 
     def test_exclusions(self):
+        flags = decay_flags()
         for name in ("enc.l0.bq", "enc.ln_emb.g", "enc.ln_emb.b",
                      "enc.l1.ln2.g", "int.b_cls", "b_s", "feat.b_w",
                      "feat.a_prelu", "crf.start", "crf.end"):
-            assert not default_decay_filter(name), name
+            assert not flags[name], name
+        assert not decay_flags("start_token")["int.b_pool"]
 
 
 def reference_adamw_step(p, g, m, v, t, lr, b1, b2, eps, wd):
@@ -80,7 +97,7 @@ class TestAdamW:
         p0 = rng.normal(size=(3, 4))
         g = rng.normal(size=(3, 4))
         params = {"W": p0.copy()}
-        opt = AdamW(weight_decay=0.01)
+        opt = AdamW({"W"}, weight_decay=0.01)
         opt.step(params, {"W": g}, lr=0.1)
         # after one step bias correction cancels the (1-beta) factors
         expected = p0 - 0.1 * (g / (np.abs(g) + 1e-6) + 0.01 * p0)
@@ -92,13 +109,15 @@ class TestAdamW:
         mirror = {k: v.copy() for k, v in params.items()}
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
-        opt = AdamW(beta1=0.9, beta2=0.999, eps=1e-6, weight_decay=0.05)
+        decayed = {"W", "crf.T"}
+        opt = AdamW(decayed, beta1=0.9, beta2=0.999, eps=1e-6,
+                    weight_decay=0.05)
         for t in range(1, 8):
             grads = {k: rng.normal(size=s) for k, s in shapes.items()}
             lr = 0.01 * t
             opt.step(params, grads, lr)
             for k in shapes:
-                wd = 0.05 if default_decay_filter(k) else 0.0
+                wd = 0.05 if k in decayed else 0.0
                 mirror[k], m[k], v[k] = reference_adamw_step(
                     mirror[k], grads[k], m[k], v[k], t, lr, 0.9, 0.999, 1e-6, wd
                 )
@@ -108,7 +127,7 @@ class TestAdamW:
     def test_zero_lr_step_is_pure_noop(self, rng):
         params = {"W": rng.normal(size=(3, 3)), "b": rng.normal(size=3)}
         before = {k: v.copy() for k, v in params.items()}
-        opt = AdamW(weight_decay=0.5)
+        opt = AdamW(params, weight_decay=0.5)
         opt.step(params, {k: rng.normal(size=v.shape) for k, v in params.items()}, 0.0)
         for k in params:
             assert np.array_equal(params[k], before[k]), k
@@ -116,40 +135,41 @@ class TestAdamW:
     def test_decay_only_touches_filtered_names(self, rng):
         params = {"W": np.full((2, 2), 2.0), "b": np.full(2, 2.0)}
         zero = {k: np.zeros_like(v) for k, v in params.items()}
-        opt = AdamW(weight_decay=0.1)
+        opt = AdamW({"W"}, weight_decay=0.1)
         opt.step(params, zero, lr=1.0)
         assert np.allclose(params["W"], 2.0 - 1.0 * 0.1 * 2.0)
         assert np.allclose(params["b"], 2.0)
 
     def test_custom_filter_overrides_default(self, rng):
         params = {"b": np.full(2, 2.0)}
-        opt = AdamW(weight_decay=0.1, decay_filter=lambda name: True)
+        # the caller's set decides, whatever a name looks like
+        opt = AdamW({"b"}, weight_decay=0.1)
         opt.step(params, {"b": np.zeros(2)}, lr=1.0)
         assert np.allclose(params["b"], 1.8)
 
     def test_updates_in_place_preserving_views(self, rng):
         params = {"W": rng.normal(size=(3, 3))}
         view = params["W"].reshape(-1)
-        opt = AdamW()
+        opt = AdamW(params)
         opt.step(params, {"W": rng.normal(size=(3, 3))}, lr=0.1)
         assert view.base is params["W"] or view.base is params["W"].base
         assert np.array_equal(view, params["W"].reshape(-1))
 
     def test_missing_grad_means_zero(self, rng):
         params = {"W": np.full((2, 2), 1.0), "U": np.full((2, 2), 1.0)}
-        opt = AdamW(weight_decay=0.0)
+        opt = AdamW(params, weight_decay=0.0)
         opt.step(params, {"W": np.ones((2, 2))}, lr=0.1)
         assert np.allclose(params["U"], 1.0)
         assert not np.allclose(params["W"], 1.0)
 
     def test_shape_mismatch_rejected(self, rng):
-        opt = AdamW()
+        opt = AdamW(())
         with pytest.raises(ValueError):
             opt.step({"W": np.zeros((2, 2))}, {"W": np.zeros(3)}, lr=0.1)
 
     def test_converges_on_quadratic(self):
         params = {"x": np.array([5.0, -3.0])}
-        opt = AdamW(weight_decay=0.0)
+        opt = AdamW((), weight_decay=0.0)
         total = 400
         for s in range(total):
             lr = lr_schedule(s, total, 0.1, 0.2)
@@ -158,8 +178,8 @@ class TestAdamW:
 
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
-            AdamW(beta1=1.0)
+            AdamW((), beta1=1.0)
         with pytest.raises(ValueError):
-            AdamW(eps=0.0)
+            AdamW((), eps=0.0)
         with pytest.raises(ValueError):
-            AdamW(weight_decay=-0.1)
+            AdamW((), weight_decay=-0.1)

@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
+from jointnlu.encoder import EncoderConfig
+from jointnlu.model import ModelConfig, param_spec
 from jointnlu.numerics import stable_softmax
-from jointnlu.slot_head import (
-    fused_width,
-    init_slot_params,
-    slot_backward,
-    slot_forward,
-    slot_logits,
-)
+from jointnlu.slot_head import slot_backward, slot_forward
 
-from oracles import finite_difference, relative_gradient_error
+from heads import part_params
+from oracles import finite_difference, relative_gradient_error, slot_logits
 
 
 N_INT, N_SLOTS, D_H, F_DIM = 4, 6, 8, 32
@@ -25,11 +22,33 @@ def random_inputs(rng, b=2, n=5, features=True):
     return y_int, f_words, H
 
 
+def slot_params(rng, n_slots, n_intents, d_h, features):
+    """W_s and b_s of the fused slot projection."""
+    params = part_params(rng, "", d_h=d_h, n_intents=n_intents,
+                         n_slots=n_slots, slot_features=features)
+    return {"W_s": params["W_s"], "b_s": params["b_s"]}
+
+
+def one_position(y_int, f, h, W_s, b_s):
+    """slot_forward on a batch of one sequence of one position."""
+    f_words = None if f is None else f[None, None, :]
+    return slot_forward(y_int[None, :], f_words, h[None, None, :], W_s, b_s)[0, 0]
+
+
+def fused_width(n_intents, d_h, features):
+    cfg = ModelConfig(
+        encoder=EncoderConfig(vocab_size=4, d_h=d_h, n_heads=1),
+        n_intents=n_intents, n_slots=N_SLOTS, slot_features=features,
+    )
+    shapes = {row.name: row.shape for row in param_spec(cfg)}
+    return shapes["W_s"][1]
+
+
 class TestSlotLogits:
     def test_zero_matrix_gives_bias(self, rng):
         b_s = rng.normal(size=N_SLOTS)
         width = fused_width(N_INT, D_H, True)
-        out = slot_logits(
+        out = one_position(
             rng.normal(size=N_INT), rng.normal(size=F_DIM),
             rng.normal(size=D_H), np.zeros((N_SLOTS, width)), b_s,
         )
@@ -47,7 +66,7 @@ class TestSlotLogits:
         y_int = rng.normal(size=N_INT)
         f = rng.normal(size=F_DIM)
         h = rng.normal(size=D_H)
-        fused = slot_logits(y_int, f, h, W_s, b_s)
+        fused = one_position(y_int, f, h, W_s, b_s)
         direct = A @ stable_softmax(y_int) + B @ f + C @ h + b_s
         assert np.allclose(fused, direct)
 
@@ -60,13 +79,13 @@ class TestSlotLogits:
         h = rng.normal(size=D_H)
 
         def g(f):
-            return slot_logits(y_int, f, h, W_s, b_s)
+            return one_position(y_int, f, h, W_s, b_s)
 
         assert np.allclose(g(f1) + g(f2) - g(np.zeros(F_DIM)), g(f1 + f2))
 
     def test_width_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
-            slot_logits(
+            one_position(
                 rng.normal(size=N_INT), rng.normal(size=F_DIM),
                 rng.normal(size=D_H), np.zeros((N_SLOTS, 10)), np.zeros(N_SLOTS),
             )
@@ -75,7 +94,7 @@ class TestSlotLogits:
 class TestSlotForward:
     def test_batch_matches_single_position(self, rng):
         y_int, f_words, H = random_inputs(rng)
-        params = init_slot_params(rng, N_SLOTS, N_INT, D_H, True)
+        params = slot_params(rng, N_SLOTS, N_INT, D_H, True)
         out = slot_forward(y_int, f_words, H, params["W_s"], params["b_s"])
         for b in range(H.shape[0]):
             for i in range(H.shape[1]):
@@ -86,20 +105,20 @@ class TestSlotForward:
 
     def test_feature_free_variant_narrows_input(self, rng):
         y_int, _, H = random_inputs(rng, features=False)
-        params = init_slot_params(rng, N_SLOTS, N_INT, D_H, False)
+        params = slot_params(rng, N_SLOTS, N_INT, D_H, False)
         assert params["W_s"].shape == (N_SLOTS, N_INT + D_H)
         out = slot_forward(y_int, None, H, params["W_s"], params["b_s"])
         assert out.shape == (2, 5, N_SLOTS)
 
     def test_wrong_feature_shape_rejected(self, rng):
         y_int, f_words, H = random_inputs(rng)
-        params = init_slot_params(rng, N_SLOTS, N_INT, D_H, True)
+        params = slot_params(rng, N_SLOTS, N_INT, D_H, True)
         with pytest.raises(ValueError):
             slot_forward(y_int, f_words[:, :3], H, params["W_s"], params["b_s"])
 
     def test_dropout_replays_under_same_seed(self, rng):
         y_int, f_words, H = random_inputs(rng)
-        params = init_slot_params(rng, N_SLOTS, N_INT, D_H, True)
+        params = slot_params(rng, N_SLOTS, N_INT, D_H, True)
         a = slot_forward(
             y_int, f_words, H, params["W_s"], params["b_s"], 0.4,
             np.random.default_rng(11),
@@ -117,7 +136,7 @@ class TestSlotBackward:
     @pytest.mark.parametrize("features", [True, False])
     def test_gradients_match_fd(self, rng, features):
         y_int, f_words, H = random_inputs(rng, features=features)
-        params = init_slot_params(rng, N_SLOTS, N_INT, D_H, features)
+        params = slot_params(rng, N_SLOTS, N_INT, D_H, features)
         params["W_s"] += rng.normal(scale=0.3, size=params["W_s"].shape)
         probe = rng.normal(size=(2, 5, N_SLOTS))
 
@@ -151,7 +170,7 @@ class TestSlotBackward:
     def test_intent_gradient_flows_through_softmax(self, rng):
         # the intent block must receive gradient from the slot path
         y_int, f_words, H = random_inputs(rng)
-        params = init_slot_params(rng, N_SLOTS, N_INT, D_H, True)
+        params = slot_params(rng, N_SLOTS, N_INT, D_H, True)
         probe = rng.normal(size=(2, 5, N_SLOTS))
         _, cache = slot_forward(
             y_int, f_words, H, params["W_s"], params["b_s"], want_cache=True
@@ -164,7 +183,7 @@ class TestSlotBackward:
 
     def test_gradients_with_dropout_replay(self, rng):
         y_int, f_words, H = random_inputs(rng)
-        params = init_slot_params(rng, N_SLOTS, N_INT, D_H, True)
+        params = slot_params(rng, N_SLOTS, N_INT, D_H, True)
         probe = rng.normal(size=(2, 5, N_SLOTS))
 
         _, cache = slot_forward(

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from jointnlu.features import FEATURE_DIM
+from jointnlu.data import UNK_INTENT, IntentVocab, SlotVocab
+from jointnlu.encoder import EncoderConfig
+from jointnlu.features import FEATURE_DIM, WordFeaturizer
+from jointnlu.model import (
+    Checkpoint,
+    ModelConfig,
+    init_model_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from jointnlu.subwords import (
     BOS_TOKEN,
     CONTINUATION,
@@ -49,15 +58,25 @@ class TestVocab:
         with pytest.raises(ValueError):
             make_vocab("play", "play")
 
-    def test_save_load_round_trip(self, tmp_path):
+    def test_save_load_round_trip(self, tmp_path, rng):
+        # the vocabulary is stored inside the model checkpoint
         v = train_vocab(["play", "played", "plays"], 40)
-        path = tmp_path / "vocab.txt"
-        v.save(path)
-        loaded = WordPieceVocab.load(path)
+        cfg = ModelConfig(
+            encoder=EncoderConfig(vocab_size=len(v), d_h=4, n_layers=1,
+                                  n_heads=1, d_ff=4, max_len=8),
+            n_intents=1, n_slots=2,
+        )
+        path = tmp_path / "model.npz"
+        save_checkpoint(Checkpoint(
+            params=init_model_params(cfg, rng), config=cfg,
+            intent_vocab=IntentVocab((UNK_INTENT,)),
+            slot_vocab=SlotVocab(("O", "X")), piece_vocab=v,
+            featurizer=WordFeaturizer({}, {}, frozenset()),
+        ), path)
+        loaded = load_checkpoint(path).piece_vocab
         assert loaded.pieces == v.pieces
-        # line number equals id
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert all(lines[i] == v.piece(i) for i in range(len(v)))
+        # every piece keeps its id
+        assert all(loaded.ids[v.piece(i)] == i for i in range(len(v)))
 
 
 class TestTrainVocab:

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -213,8 +214,9 @@ class TestEvalReport:
         assert EvalReport.from_kv_text(r.to_kv_text()) == r
 
     def test_json_roundtrip(self):
+        # the dict form is what training logs and manifests carry
         r = self.put()
-        assert EvalReport.from_json(r.to_json()) == r
+        assert EvalReport.from_dict(json.loads(json.dumps(r.to_dict()))) == r
 
     def test_kv_keys_pinned(self):
         lines = self.put().to_kv_text().strip().splitlines()

@@ -5,26 +5,31 @@ import pytest
 
 from jointnlu.data import IntentVocab, SlotVocab, TaggedUtterance
 from jointnlu.encoder import EncoderConfig
-from jointnlu.model import align_utterance, init_model_params, load_checkpoint, save_checkpoint
+from jointnlu.model import align_utterance, load_checkpoint, make_batch, save_checkpoint
 from jointnlu.subwords import train_vocab
 from jointnlu.tagging import EvalReport, parse_tags
 from jointnlu.training import (
     DESK_ENCODER,
     DivergenceError,
     EpochRecord,
-    LossBreakdown,
     TrainConfig,
     evaluate,
     joint_loss,
     select_best,
-    slot_loss_positions,
     train,
+    validate_config_text,
 )
 from jointnlu.toy import toy_grammar
 
 TINY_ENCODER = EncoderConfig(
     vocab_size=4, d_h=16, n_layers=1, n_heads=2, d_ff=32, max_len=50
 )
+
+
+def parse(text):
+    config, problems = validate_config_text(text)
+    assert problems == []
+    return config
 
 
 def report(i, s, f, t=0.5):
@@ -49,21 +54,19 @@ class TestTrainConfig:
         c = TrainConfig(gamma=0.3, epochs=7, slot_mode="crf",
                         slot_features=False, intent_pool="start_token",
                         seed=42)
-        assert TrainConfig.from_kv_text(c.to_kv_text()) == c
+        assert parse(c.to_kv_text()) == c
 
     def test_kv_accepts_on_off_booleans(self):
-        c = TrainConfig.from_kv_text("slot_features=off\n")
-        assert c.slot_features is False
-        c = TrainConfig.from_kv_text("slot_features=on\n")
-        assert c.slot_features is True
+        assert parse("slot_features=off\n").slot_features is False
+        assert parse("slot_features=on\n").slot_features is True
 
     def test_kv_ignores_comments_and_blanks(self):
-        c = TrainConfig.from_kv_text("# a comment\n\ngamma=0.25\n")
-        assert c.gamma == 0.25
+        assert parse("# a comment\n\ngamma=0.25\n").gamma == 0.25
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown setting"):
-            TrainConfig.from_kv_text("gama=0.5\n")
+        config, problems = validate_config_text("gama=0.5\n")
+        assert config is None
+        assert len(problems) == 1 and "unknown setting" in problems[0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -72,6 +75,14 @@ class TestTrainConfig:
             TrainConfig(slot_mode="viterbi")
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+        for setting in (
+            dict(learning_rate=-1.0), dict(learning_rate=float("nan")),
+            dict(warmup_proportion=2.0), dict(warmup_proportion=-0.1),
+            dict(beta1=1.5), dict(beta1=1.0), dict(beta2=-0.1),
+            dict(epsilon=0.0), dict(weight_decay=-0.01),
+        ):
+            with pytest.raises(ValueError):
+                TrainConfig(**setting)
 
 
 class TestJointLoss:
@@ -88,19 +99,23 @@ class TestJointLoss:
 
     def test_breakdown_identity_is_exact(self):
         for li, ls, g in [(1.0, 2.0, 0.6), (0.123, 4.56, 0.31), (7.0, 0.0, 0.99)]:
-            b = LossBreakdown.mix(li, ls, g)
-            assert b.l_joint == g * li + (1 - g) * ls  # bitwise, not approx
+            assert joint_loss(li, ls, g) == g * li + (1 - g) * ls  # bitwise
 
 
 class TestSlotLossPositions:
     def test_every_piece_counts(self):
+        # the slot loss is taken over the batch's real-position mask
         data = toy_grammar(2, 4, 1, 1)
         vocab = train_vocab([w for u in data.train for w in u.words], 200)
-        seq = align_utterance(data.train[0], vocab, data.featurizer(), 50)
-        positions = slot_loss_positions(seq)
-        assert positions == tuple(range(len(seq)))
-        # markers and continuation pieces are included
-        assert 0 in positions and len(seq) - 1 in positions
+        seqs = [align_utterance(u, vocab, data.featurizer(), 50)
+                for u in data.train[:2]]
+        slot_vocab = SlotVocab.from_corpus(data.train)
+        batch = make_batch(seqs, [0, 0], slot_vocab)
+        for row, seq in zip(batch.pad_mask, seqs):
+            positions = tuple(int(i) for i in np.flatnonzero(row))
+            assert positions == tuple(range(len(seq)))
+            # markers and continuation pieces are included
+            assert 0 in positions and len(seq) - 1 in positions
 
 
 class TestSelectBest:
@@ -223,6 +238,12 @@ class TestTrainLoop:
         data = toy_grammar(1, 4, 2, 2)
         with pytest.raises(ValueError):
             train([], data.dev, quick_config(), data.featurizer())
+
+    def test_empty_dev_rejected(self):
+        # with no dev utterances every epoch would score a perfect 3.0
+        data = toy_grammar(1, 4, 2, 2)
+        with pytest.raises(ValueError, match="dev corpus is empty"):
+            train(data.train, [], quick_config(), data.featurizer())
 
     def test_checkpoint_round_trips_through_disk(self, tmp_path):
         data = toy_grammar(13, 16, 4, 4)
