@@ -12,8 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,34 +109,45 @@ def _rule_entity(word: str, english_dict: frozenset[str] | set[str]) -> EntityCl
     return EntityClass.NONE
 
 
+class PhraseIndex(NamedTuple):
+    """A gazetteer keyed for matching: each phrase's words -> its raw label,
+    and the most words in one phrase."""
+
+    phrases: dict[tuple[str, ...], str]
+    longest: int
+
+    @classmethod
+    def build(cls, gazetteer: Mapping[str, str]) -> "PhraseIndex":
+        phrases = {tuple(p.split()): raw for p, raw in gazetteer.items()}
+        return cls(phrases, max(map(len, phrases), default=0))
+
+
 def annotate_entities(
     words: Sequence[str],
-    gazetteer: Mapping[str, str],
+    gazetteer: Mapping[str, str] | PhraseIndex,
     english_dict: frozenset[str] | set[str],
 ) -> list[EntityClass]:
     """Label each word with an entity class.
 
     Gazetteer phrases match longest-first on lowercased text and label every
     word they cover; remaining words fall through to the digit/year/airport
-    rules, and then to NONE.
+    rules, and then to NONE. `gazetteer` is a phrase map or its PhraseIndex;
+    a WordFeaturizer builds the index once and passes that.
     """
+    if not isinstance(gazetteer, PhraseIndex):
+        gazetteer = PhraseIndex.build(gazetteer)
+    phrases, longest = gazetteer
     lowered = [w.lower() for w in words]
-    phrase_words = {tuple(p.split()) for p in gazetteer}
-    max_phrase = max((len(p) for p in phrase_words), default=0)
 
     out: list[EntityClass] = []
     i = 0
     while i < len(words):
-        matched = 0
-        for span in range(min(max_phrase, len(words) - i), 0, -1):
-            cand = tuple(lowered[i:i + span])
-            if cand in phrase_words:
-                label = resolve_raw_label(gazetteer[" ".join(cand)])
-                out.extend([label] * span)
-                matched = span
+        for span in range(min(longest, len(words) - i), 0, -1):
+            raw = phrases.get(tuple(lowered[i:i + span]))
+            if raw is not None:
+                out.extend([resolve_raw_label(raw)] * span)
+                i += span
                 break
-        if matched:
-            i += matched
         else:
             out.append(_rule_entity(words[i], english_dict))
             i += 1
@@ -267,12 +279,17 @@ class WordFeaturizer:
             english_dict=load_english_dict(english_dict_path),
         )
 
+    @cached_property
+    def phrase_index(self) -> PhraseIndex:
+        """The gazetteer keyed for matching, built on first use."""
+        return PhraseIndex.build(self.gazetteer)
+
     def annotate(
         self, words: Sequence[str]
     ) -> tuple[list[EntityClass], list[CaseClass], list[str]]:
         canonical = [canonical_form(w, self.lexicon) for w in words]
         cases = [classify_case(c) for c in canonical]
-        entities = annotate_entities(canonical, self.gazetteer, self.english_dict)
+        entities = annotate_entities(canonical, self.phrase_index, self.english_dict)
         return entities, cases, canonical
 
     def featurize(self, words: Sequence[str]) -> np.ndarray:

@@ -34,6 +34,16 @@ from .tagging import SlotTag
 SLOT_MODES = ("softmax", "crf")
 
 
+def check_head_settings(slot_mode: str, intent_pool: str, dropout_rate: float):
+    """The checks ModelConfig and TrainConfig share, with one message each."""
+    if slot_mode not in SLOT_MODES:
+        raise ValueError(f"slot_mode must be one of {SLOT_MODES}")
+    if intent_pool not in POOL_MODES:
+        raise ValueError(f"intent_pool must be one of {POOL_MODES}")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError("dropout_rate must be in [0, 1)")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Everything the forward pass needs to know besides the tensors."""
@@ -49,12 +59,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_intents < 1 or self.n_slots < 1:
             raise ValueError("label spaces must be nonempty")
-        if self.slot_mode not in SLOT_MODES:
-            raise ValueError(f"slot_mode must be one of {SLOT_MODES}")
-        if self.intent_pool not in POOL_MODES:
-            raise ValueError(f"intent_pool must be one of {POOL_MODES}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+        check_head_settings(self.slot_mode, self.intent_pool, self.dropout_rate)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -306,31 +311,18 @@ def _crf_slot_loss(
     params: Dict[str, np.ndarray],
 ) -> Tuple[float, np.ndarray, Dict[str, np.ndarray]]:
     """Batch-mean sequence negative log-likelihood and its gradients."""
-    trans, start, end = params["crf.T"], params["crf.start"], params["crf.end"]
     b = slot_scores.shape[0]
-    lengths = pad_mask.sum(axis=1)
-    total = 0.0
-    d_emis = np.zeros_like(slot_scores)
+    nll, cache = crf_nll(
+        slot_scores, tag_ids, params["crf.T"], params["crf.start"],
+        params["crf.end"], pad_mask.sum(axis=1), want_cache=True,
+    )
+    g = crf_nll_backward(cache)
     crf_grads = {
-        "crf.T": np.zeros_like(trans),
-        "crf.start": np.zeros_like(start),
-        "crf.end": np.zeros_like(end),
+        "crf.T": g["trans"] / b,
+        "crf.start": g["start"] / b,
+        "crf.end": g["end"] / b,
     }
-    for i in range(b):
-        L = int(lengths[i])
-        nll, cache = crf_nll(
-            slot_scores[i, :L], tag_ids[i, :L], trans, start, end, want_cache=True
-        )
-        g = crf_nll_backward(cache)
-        total += nll
-        d_emis[i, :L] = g["emissions"]
-        crf_grads["crf.T"] += g["trans"]
-        crf_grads["crf.start"] += g["start"]
-        crf_grads["crf.end"] += g["end"]
-    d_emis /= b
-    for k in crf_grads:
-        crf_grads[k] /= b
-    return total / b, d_emis, crf_grads
+    return float(nll.sum()) / b, g["emissions"] / b, crf_grads
 
 
 def model_losses(
@@ -419,16 +411,12 @@ def predict_batch(
     y_int, slot_scores, alpha = model_outputs(params, cfg, batch)
     intent_pred = np.argmax(y_int, axis=-1)
     lengths = batch.lengths
-    piece_preds: List[np.ndarray] = []
-    for i in range(slot_scores.shape[0]):
-        emissions = slot_scores[i, : int(lengths[i])]
-        if cfg.slot_mode == "crf":
-            piece_preds.append(
-                viterbi(emissions, params["crf.T"], params["crf.start"],
-                        params["crf.end"])
-            )
-        else:
-            piece_preds.append(np.argmax(emissions, axis=-1))
+    if cfg.slot_mode == "crf":
+        paths = viterbi(slot_scores, params["crf.T"], params["crf.start"],
+                        params["crf.end"], lengths)
+    else:
+        paths = np.argmax(slot_scores, axis=-1)
+    piece_preds = [path[:L] for path, L in zip(paths, lengths.tolist())]
     return intent_pred, piece_preds, alpha
 
 
@@ -443,6 +431,8 @@ def decode_word_tags(
 
 
 _META_KEY = "archive_meta"
+# The keys save_checkpoint writes into the metadata object.
+_META_FIELDS = ("config", "intent_labels", "slot_tags", "pieces", "resources")
 
 
 @dataclass(frozen=True)
@@ -476,13 +466,35 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         np.savez(fh, **arrays)
 
 
+def _read_meta(path, raw: np.ndarray) -> dict:
+    try:
+        meta = json.loads(raw.tobytes().decode("utf-8"))
+    except ValueError:  # bad UTF-8 or bad JSON
+        raise ValueError(f"{path}: model metadata is not JSON text") from None
+    if not isinstance(meta, dict):
+        raise ValueError(
+            f"{path}: model metadata is a JSON {type(meta).__name__}, "
+            "expected an object"
+        )
+    missing = [key for key in _META_FIELDS if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: model metadata lacks {missing[0]!r}")
+    return meta
+
+
 def load_checkpoint(path) -> Checkpoint:
     with np.load(path) as archive:
         arrays = {k: archive[k] for k in archive.files}
     if _META_KEY not in arrays:
         raise ValueError(f"{path}: not a model archive (missing metadata)")
-    meta = json.loads(arrays.pop(_META_KEY).tobytes().decode("utf-8"))
-    config = ModelConfig.from_dict(meta["config"])
+    meta = _read_meta(path, arrays.pop(_META_KEY))
+    try:
+        config = ModelConfig.from_dict(meta["config"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(
+            f"{path}: metadata 'config' is not a model config "
+            f"({type(err).__name__}: {err})"
+        ) from None
     rows = param_spec(config)
     unexpected = sorted(arrays.keys() - {row.name for row in rows})
     if unexpected:
@@ -500,11 +512,17 @@ def load_checkpoint(path) -> Checkpoint:
         else:
             continue
         raise ValueError(f"{path}: tensor {row.name!r} {problem}")
-    return Checkpoint(
-        params=arrays,
-        config=config,
-        intent_vocab=IntentVocab(tuple(meta["intent_labels"])),
-        slot_vocab=SlotVocab(tuple(meta["slot_tags"])),
-        piece_vocab=WordPieceVocab(tuple(meta["pieces"])),
-        featurizer=WordFeaturizer.from_dict(meta["resources"]),
-    )
+    try:
+        return Checkpoint(
+            params=arrays,
+            config=config,
+            intent_vocab=IntentVocab(tuple(meta["intent_labels"])),
+            slot_vocab=SlotVocab(tuple(meta["slot_tags"])),
+            piece_vocab=WordPieceVocab(tuple(meta["pieces"])),
+            featurizer=WordFeaturizer.from_dict(meta["resources"]),
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(
+            f"{path}: bad vocabulary or resources in metadata "
+            f"({type(err).__name__}: {err})"
+        ) from None

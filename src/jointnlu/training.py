@@ -13,12 +13,11 @@ import numpy as np
 from .data import IntentVocab, SlotVocab, TaggedUtterance
 from .encoder import EncoderConfig
 from .features import WordFeaturizer
-from .intent_head import POOL_MODES
 from .model import (
-    SLOT_MODES,
     Checkpoint,
     ModelConfig,
     align_utterance,
+    check_head_settings,
     decode_word_tags,
     init_model_params,
     make_batch,
@@ -74,12 +73,7 @@ class TrainConfig:
             raise ValueError("gamma must be in [0, 1]")
         if self.epochs < 1 or self.batch_size < 1 or self.max_len < 3:
             raise ValueError("epochs, batch_size, max_len out of range")
-        if self.slot_mode not in SLOT_MODES:
-            raise ValueError(f"slot_mode must be one of {SLOT_MODES}")
-        if self.intent_pool not in POOL_MODES:
-            raise ValueError(f"intent_pool must be one of {POOL_MODES}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+        check_head_settings(self.slot_mode, self.intent_pool, self.dropout_rate)
         # The optimizer and the schedule own the ranges of their settings;
         # building them here makes a bad value fail before any output exists.
         AdamW((), self.beta1, self.beta2, self.epsilon, self.weight_decay)

@@ -164,3 +164,98 @@ def slot_logits(intent_logit_vec, feature_vec, hidden_vec, W_s, b_s) -> np.ndarr
         blocks.append(feature_vec)
     blocks.append(hidden_vec)
     return W_s @ np.concatenate(blocks) + b_s
+
+
+def crf_forward_backward(emissions, tags, trans, start, end):
+    """One sequence's CRF loss and gradients, position by position.
+
+    The slow reference for the batched crf_nll/crf_nll_backward: scipy's
+    logsumexp at every step of the forward and backward recursions, and one
+    pairwise-marginal table per transition. Returns (nll, grads) with grads
+    keyed emissions, trans, start, end.
+    """
+    from scipy.special import logsumexp
+
+    tags = np.asarray(tags, dtype=int)
+    L, K = emissions.shape
+    log_alpha = np.empty((L, K))
+    log_alpha[0] = start + emissions[0]
+    for t in range(1, L):
+        log_alpha[t] = emissions[t] + logsumexp(
+            log_alpha[t - 1][:, None] + trans, axis=0
+        )
+    log_z = float(logsumexp(log_alpha[-1] + end))
+
+    log_beta = np.empty((L, K))
+    log_beta[-1] = end
+    for t in range(L - 2, -1, -1):
+        log_beta[t] = logsumexp(
+            trans + (emissions[t + 1] + log_beta[t + 1])[None, :], axis=1
+        )
+    marginals = np.exp(log_alpha + log_beta - log_z)
+
+    d_emissions = marginals.copy()
+    d_emissions[np.arange(L), tags] -= 1.0
+    d_trans = np.zeros_like(trans)
+    for t in range(L - 1):
+        log_pair = (
+            log_alpha[t][:, None]
+            + trans
+            + (emissions[t + 1] + log_beta[t + 1])[None, :]
+            - log_z
+        )
+        d_trans += np.exp(log_pair)
+        d_trans[tags[t], tags[t + 1]] -= 1.0
+    d_start = marginals[0].copy()
+    d_start[tags[0]] -= 1.0
+    d_end = marginals[-1].copy()
+    d_end[tags[-1]] -= 1.0
+
+    nll = log_z - crf_score(emissions, tags, trans, start, end)
+    grads = dict(emissions=d_emissions, trans=d_trans, start=d_start, end=d_end)
+    return nll, grads
+
+
+def viterbi_per_sequence(emissions, trans, start, end) -> np.ndarray:
+    """One sequence's Viterbi path, position by position; argmax ties pick
+    the lowest tag id. The slow reference for the batched viterbi."""
+    L, K = emissions.shape
+    delta = start + emissions[0]
+    back = np.empty((L, K), dtype=int)
+    for t in range(1, L):
+        cand = delta[:, None] + trans
+        back[t] = np.argmax(cand, axis=0)
+        delta = emissions[t] + cand[back[t], np.arange(K)]
+    path = np.empty(L, dtype=int)
+    path[-1] = int(np.argmax(delta + end))
+    for t in range(L - 1, 0, -1):
+        path[t - 1] = back[t, path[t]]
+    return path
+
+
+def annotate_entities_longest_first(words, gazetteer, english_dict):
+    """Entity labels from a fresh longest-first scan of the gazetteer.
+
+    The reference for the indexed matcher: the phrase set is rebuilt on every
+    call and the label read back through the phrase's joined text. Words no
+    phrase covers get the package's rule label (an empty gazetteer).
+    """
+    from jointnlu.features import annotate_entities, resolve_raw_label
+
+    lowered = [w.lower() for w in words]
+    phrase_words = {tuple(p.split()) for p in gazetteer}
+    max_phrase = max((len(p) for p in phrase_words), default=0)
+    out = []
+    i = 0
+    while i < len(words):
+        for span in range(min(max_phrase, len(words) - i), 0, -1):
+            cand = tuple(lowered[i:i + span])
+            if cand in phrase_words:
+                label = resolve_raw_label(gazetteer[" ".join(cand)])
+                out.extend([label] * span)
+                i += span
+                break
+        else:
+            out.extend(annotate_entities([words[i]], {}, english_dict))
+            i += 1
+    return out

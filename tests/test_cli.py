@@ -334,9 +334,72 @@ def _edit_non_finite(arrays):
     return "b_s"
 
 
+def _meta_text(edit):
+    """An edit of the checkpoint's JSON metadata, given the decoded object."""
+    def apply(arrays):
+        meta = json.loads(arrays["archive_meta"].tobytes().decode("utf-8"))
+        arrays["archive_meta"] = np.frombuffer(
+            json.dumps(edit(meta)).encode("utf-8"), dtype=np.uint8
+        )
+    return apply
+
+
+def _without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def _with_config(**over):
+    return lambda meta: {**meta, "config": {**meta["config"], **over}}
+
+
+def _not_json(arrays):
+    arrays["archive_meta"] = np.frombuffer(b"\xff{config", dtype=np.uint8)
+
+
+def _encoder_dropped(meta):
+    config = {k: v for k, v in meta["config"].items() if k != "encoder"}
+    return {**meta, "config": config}
+
+
+# (edit of the archive's arrays, text the one stderr line must hold)
+BAD_METADATA = [
+    (_meta_text(_without("config")), "lacks 'config'"),
+    (_meta_text(_without("resources")), "lacks 'resources'"),
+    (_meta_text(lambda meta: [meta]), "is a JSON list, expected an object"),
+    (_meta_text(lambda meta: "config"), "is a JSON str, expected an object"),
+    (_not_json, "metadata is not JSON text"),
+    (_meta_text(_with_config(slot_mode="mrf")), "slot_mode must be one of"),
+    (_meta_text(_with_config(dropout_rate=1.5)), "dropout_rate must be in"),
+    (_meta_text(_with_config(n_layers=2)), "'n_layers'"),
+    (_meta_text(_encoder_dropped), "KeyError: 'encoder'"),
+    (_meta_text(lambda meta: {**meta, "config": 7}), "not a model config"),
+    (_meta_text(lambda meta: {**meta, "slot_tags": ["X"]}),
+     "bad vocabulary or resources"),
+]
+
+
 class TestDamagedCheckpoint:
-    """A checkpoint whose tensors disagree with the model's parameter table
-    is refused on load: exit 2, one line on stderr naming the tensor."""
+    """A checkpoint whose tensors disagree with the model's parameter table,
+    or whose metadata is damaged, is refused on load: exit 2, one line on
+    stderr naming the problem."""
+
+    @pytest.mark.parametrize("edit,needle", BAD_METADATA)
+    def test_bad_metadata_refused(self, trained, tmp_path, capsys, edit,
+                                  needle):
+        with np.load(trained["out"] / "checkpoint.npz") as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        edit(arrays)
+        damaged = tmp_path / "damaged.npz"
+        np.savez(damaged, **arrays)
+        for argv in (
+            ["eval", "--data", str(trained["data"] / "dev.txt")],
+            ["attn", "--text", "play something"],
+        ):
+            rc = main(argv + ["--checkpoint", str(damaged)])
+            err = capsys.readouterr().err
+            assert rc == 2, argv
+            assert len(err.splitlines()) == 1, err
+            assert needle in err, err
 
     @pytest.mark.parametrize("edit", [
         _edit_missing, _edit_unexpected, _edit_shape, _edit_dtype,

@@ -9,9 +9,11 @@ from jointnlu.numerics import log_softmax
 import oracles
 from oracles import (
     crf_best_path_enumerate,
+    crf_forward_backward,
     crf_log_partition_enumerate,
     finite_difference,
     relative_gradient_error,
+    viterbi_per_sequence,
 )
 
 
@@ -161,8 +163,178 @@ class TestViterbi:
         assert path.tolist() == [0]
 
 
+def ragged_batch(rng, max_b=6, max_len=7, max_tags=6):
+    """A padded batch with lengths 1..n and garbage in every padded slot."""
+    b = int(rng.integers(1, max_b + 1))
+    n = int(rng.integers(1, max_len + 1))
+    K = int(rng.integers(2, max_tags + 1))
+    lengths = rng.integers(1, n + 1, size=b)
+    emis = rng.normal(size=(b, n, K)) * 2
+    tags = rng.integers(0, K, size=(b, n))
+    for i, L in enumerate(lengths):
+        emis[i, L:] = rng.normal(size=(n - L, K)) * 1e6
+        tags[i, L:] = rng.integers(-100, 100, size=n - L)
+    return (
+        emis, tags, lengths,
+        rng.normal(size=(K, K)), rng.normal(size=K), rng.normal(size=K),
+    )
+
+
+class TestBatched:
+    """The batched recursions against the per-sequence reference."""
+
+    def test_loss_and_gradients_match_reference(self, rng):
+        for _ in range(200):
+            emis, tags, lengths, trans, start, end = ragged_batch(rng)
+            nll, cache = crf_nll(emis, tags, trans, start, end, lengths,
+                                 want_cache=True)
+            grads = crf_nll_backward(cache)
+            assert grads["emissions"].shape == emis.shape
+            summed = {k: 0.0 for k in ("trans", "start", "end")}
+            for i, L in enumerate(lengths):
+                ref_nll, ref = crf_forward_backward(
+                    emis[i, :L], tags[i, :L], trans, start, end
+                )
+                assert abs(nll[i] - ref_nll) <= 1e-12
+                assert np.abs(grads["emissions"][i, :L] - ref["emissions"]).max() <= 1e-12
+                for k in summed:
+                    summed[k] = summed[k] + ref[k]
+            for k, v in summed.items():
+                assert np.abs(grads[k] - v).max() <= 1e-12, k
+
+    def test_padded_emission_gradient_is_zero(self, rng):
+        for _ in range(50):
+            emis, tags, lengths, trans, start, end = ragged_batch(rng)
+            _, cache = crf_nll(emis, tags, trans, start, end, lengths,
+                               want_cache=True)
+            d = crf_nll_backward(cache)["emissions"]
+            for i, L in enumerate(lengths):
+                assert (d[i, L:] == 0.0).all()
+
+    def test_padding_never_leaks(self, rng):
+        emis, tags, lengths, trans, start, end = ragged_batch(rng, max_len=9)
+        lengths[0] = 1  # guarantee some padding
+        other = emis.copy()
+        for i, L in enumerate(lengths):
+            other[i, L:] = -other[i, L:]
+        a = crf_nll(emis, tags, trans, start, end, lengths, want_cache=True)
+        b = crf_nll(other, tags, trans, start, end, lengths, want_cache=True)
+        assert np.array_equal(a[0], b[0])
+        ga, gb = crf_nll_backward(a[1]), crf_nll_backward(b[1])
+        for k in ga:
+            assert np.array_equal(ga[k], gb[k]), k
+        pa = viterbi(emis, trans, start, end, lengths)
+        pb = viterbi(other, trans, start, end, lengths)
+        for i, L in enumerate(lengths):
+            assert np.array_equal(pa[i, :L], pb[i, :L])
+
+    def test_single_sequence_is_a_batch_of_one(self, rng):
+        emis, trans, start, end = random_instance(rng)
+        tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
+        nll, cache = crf_nll(emis, tags, trans, start, end, want_cache=True)
+        nll_b, cache_b = crf_nll(emis[None], tags[None], trans, start, end,
+                                 want_cache=True)
+        assert isinstance(nll, float) and nll == nll_b[0]
+        g, g_b = crf_nll_backward(cache), crf_nll_backward(cache_b)
+        assert np.array_equal(g["emissions"], g_b["emissions"][0])
+        for k in ("trans", "start", "end"):
+            assert np.array_equal(g[k], g_b[k])
+        assert np.array_equal(
+            viterbi(emis, trans, start, end),
+            viterbi(emis[None], trans, start, end)[0],
+        )
+        assert crf_score(emis, tags, trans, start, end) == crf_score(
+            emis[None], tags[None], trans, start, end)[0]
+
+    def test_viterbi_matches_enumeration_and_reference(self, rng):
+        for _ in range(200):
+            emis, _, lengths, trans, start, end = ragged_batch(
+                rng, max_len=5, max_tags=4
+            )
+            paths = viterbi(emis, trans, start, end, lengths)
+            assert paths.shape == emis.shape[:2]
+            for i, L in enumerate(lengths):
+                path = paths[i, :L]
+                assert np.array_equal(
+                    path, viterbi_per_sequence(emis[i, :L], trans, start, end)
+                )
+                best, best_score, n_optimal = crf_best_path_enumerate(
+                    emis[i, :L], trans, start, end
+                )
+                score = crf_score(emis[i, :L], path, trans, start, end)
+                assert abs(score - best_score) <= 1e-8
+                if n_optimal == 1:
+                    assert path.tolist() == best
+
+    def test_viterbi_ties_match_reference(self, rng):
+        # Small integer scores make many paths tie; the batch must break
+        # every tie exactly as the per-sequence decoder does.
+        for _ in range(300):
+            emis, _, lengths, trans, start, end = ragged_batch(rng, max_tags=4)
+            emis, trans = np.round(emis / 4), np.round(trans)
+            start, end = np.round(start), np.round(end)
+            paths = viterbi(emis, trans, start, end, lengths)
+            for i, L in enumerate(lengths):
+                assert np.array_equal(
+                    paths[i, :L],
+                    viterbi_per_sequence(emis[i, :L], trans, start, end),
+                )
+
+    def test_all_ties_pick_lowest_ids_at_mixed_lengths(self):
+        lengths = np.array([2, 5, 1, 5, 3])
+        K = 3
+        emis = np.zeros((5, 5, K))
+        emis[0, 2:] = 7.0  # padding must not break the ties
+        zeros = np.zeros(K)
+        paths = viterbi(emis, np.zeros((K, K)), zeros, zeros, lengths)
+        for i, L in enumerate(lengths):
+            best, _, n_optimal = crf_best_path_enumerate(
+                emis[i, :L], np.zeros((K, K)), zeros, zeros
+            )
+            assert n_optimal == K ** L
+            assert paths[i, :L].tolist() == best == [0] * L
+
+    def test_forbidden_moves_match_reference(self, rng):
+        # -inf scores: tag 0 never follows another tag and tag 1 never
+        # starts, so no path reaches tag 0 after the first position.
+        for _ in range(50):
+            emis, tags, lengths, trans, start, end = ragged_batch(rng)
+            K = trans.shape[0]
+            trans[:, 0] = -np.inf
+            start[1] = -np.inf
+            tags = np.where(tags < 0, 0, tags) % (K - 1) + 1
+            tags[:, 0] = np.where(K > 2, 2, 0)
+            nll, cache = crf_nll(emis, tags, trans, start, end, lengths,
+                                 want_cache=True)
+            grads = crf_nll_backward(cache)
+            for i, L in enumerate(lengths):
+                ref_nll, ref = crf_forward_backward(
+                    emis[i, :L], tags[i, :L], trans, start, end
+                )
+                assert abs(nll[i] - ref_nll) <= 1e-12
+                assert np.abs(grads["emissions"][i, :L] - ref["emissions"]).max() <= 1e-12
+            assert np.isfinite(grads["trans"]).all()
+
+
 class TestValidation:
     def test_shape_disagreement(self, rng):
         emis = rng.normal(size=(3, 4))
         with pytest.raises(ValueError):
             crf_nll(emis, [0, 0, 0], np.zeros((5, 5)), np.zeros(5), np.zeros(5))
+
+    @pytest.mark.parametrize("lengths", [[0, 3], [3, 4], [3], [[3, 3]]])
+    def test_bad_lengths(self, rng, lengths):
+        emis = rng.normal(size=(2, 3, 4))
+        zeros = np.zeros(4)
+        with pytest.raises(ValueError):
+            viterbi(emis, np.zeros((4, 4)), zeros, zeros, lengths)
+
+    def test_tag_out_of_range_at_a_real_position(self, rng):
+        emis = rng.normal(size=(2, 3, 4))
+        tags = np.zeros((2, 3), dtype=int)
+        tags[1, 1] = 4
+        zeros = np.zeros(4)
+        with pytest.raises(ValueError):
+            crf_nll(emis, tags, np.zeros((4, 4)), zeros, zeros, [3, 2])
+        tags[1, 1], tags[1, 2] = 0, 4  # past the length: ignored
+        crf_nll(emis, tags, np.zeros((4, 4)), zeros, zeros, [3, 2])

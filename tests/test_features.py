@@ -12,6 +12,7 @@ from jointnlu.features import (
     MERGED_RAW_LABELS,
     CaseClass,
     EntityClass,
+    PhraseIndex,
     WordFeaturizer,
     annotate_entities,
     canonical_form,
@@ -26,7 +27,11 @@ from jointnlu.features import (
 )
 
 from heads import part_params
-from oracles import finite_difference, relative_gradient_error
+from oracles import (
+    annotate_entities_longest_first,
+    finite_difference,
+    relative_gradient_error,
+)
 
 
 LEXICON = {"mcvey": "McVey", "justin": "Justin", "usa": "USA", "jfk": "JFK"}
@@ -137,6 +142,24 @@ class TestAnnotateEntities:
         got = annotate_entities(words, gaz, DICT)
         assert len(got) == len(words)
         assert all(isinstance(e, EntityClass) for e in got)
+
+
+    def test_index_matches_longest_first_scan(self, rng):
+        # A five-word vocabulary makes phrases overlap, nest and share
+        # prefixes; the text mixes them with rule words and casing.
+        vocab = ["new", "york", "city", "jfk", "2005"]
+        labels = ["CITY", "STATE_OR_PROVINCE", "ORGANIZATION", "TITLE", "TIME"]
+        for _ in range(300):
+            gaz = {}
+            for _ in range(int(rng.integers(0, 12))):
+                size = int(rng.integers(1, 5))
+                phrase = " ".join(rng.choice(vocab, size=size))
+                gaz[phrase] = str(rng.choice(labels))
+            words = [str(w) for w in rng.choice(vocab + ["JFK", "New", "x"],
+                                                size=int(rng.integers(0, 12)))]
+            expected = annotate_entities_longest_first(words, gaz, DICT)
+            assert annotate_entities(words, gaz, DICT) == expected
+            assert annotate_entities(words, PhraseIndex.build(gaz), DICT) == expected
 
 
 class TestEncodeFeatures:
@@ -310,6 +333,15 @@ class TestWordFeaturizer:
         clone = WordFeaturizer.from_dict(fz.to_dict())
         words = "fly from baltimore to jfk for 2005".split()
         assert np.array_equal(clone.featurize(words), fz.featurize(words))
+
+    def test_phrase_index_built_once_on_first_use(self):
+        fz = WordFeaturizer.from_dict(self._featurizer().to_dict())
+        assert "phrase_index" not in vars(fz)  # loading does not build it
+        fz.featurize(["fly", "baltimore"])
+        index = fz.phrase_index
+        fz.featurize(["dallas"])
+        assert fz.phrase_index is index
+        assert index == PhraseIndex.build(fz.gazetteer)
 
     def test_from_files(self, tmp_path):
         (tmp_path / "lex.txt").write_text("JFK\n", encoding="utf-8")

@@ -25,7 +25,11 @@ from jointnlu.subwords import WordPieceVocab, RESERVED_TOKENS
 from jointnlu.tagging import SlotTag
 from jointnlu.toy import toy_grammar
 
-from oracles import finite_difference, relative_gradient_error
+from oracles import (
+    finite_difference,
+    relative_gradient_error,
+    viterbi_per_sequence,
+)
 
 VOCAB = 24
 N_INT, N_SLOTS = 4, 5
@@ -56,6 +60,19 @@ def tiny_batch(rng, b=3, n=7):
                 features[i, j, hot[i, j]] = 1.0
     tag_ids = rng.integers(0, N_SLOTS, size=(b, n))
     tag_ids[~pad_mask] = 0
+    intent_ids = rng.integers(0, N_INT, size=b)
+    return Batch(ids, pad_mask, features, tag_ids, intent_ids)
+
+
+def ragged_batch(rng, lengths, n=7):
+    """A batch whose sequences have the given lengths, padded to n."""
+    b = len(lengths)
+    pad_mask = np.arange(n)[None, :] < np.asarray(lengths)[:, None]
+    ids = np.where(pad_mask, rng.integers(4, VOCAB, size=(b, n)), 0)
+    features = np.zeros((b, n, FEATURE_DIM))
+    hot = rng.integers(0, FEATURE_DIM, size=(b, n))
+    features[pad_mask, hot[pad_mask]] = 1.0
+    tag_ids = np.where(pad_mask, rng.integers(0, N_SLOTS, size=(b, n)), 0)
     intent_ids = rng.integers(0, N_INT, size=b)
     return Batch(ids, pad_mask, features, tag_ids, intent_ids)
 
@@ -178,6 +195,28 @@ class TestGradients:
             err = relative_gradient_error(grads[name].reshape(-1)[coords], fd)
             assert err.max() <= 1e-4, f"{slot_mode} {name}: {err.max():.2e}"
 
+    def test_crf_gradients_match_fd_on_ragged_batch(self, rng):
+        cfg = tiny_config(slot_mode="crf")
+        params = init_model_params(cfg, rng)
+        for k in ("crf.T", "crf.start", "crf.end"):
+            params[k] = rng.normal(size=params[k].shape)
+        batch = ragged_batch(rng, [7, 1, 4, 2, 7])
+        gamma = 0.3
+        _, _, grads = model_loss_and_grads(params, cfg, batch, gamma)
+
+        def loss(_parms=None):
+            li, ls = model_losses(params, cfg, batch)
+            return gamma * li + (1.0 - gamma) * ls
+
+        for name, coords in (("crf.T", None), ("crf.start", None),
+                             ("crf.end", None), ("W_s", 12), ("b_s", None),
+                             ("enc.tok_emb", 8), ("enc.l0.W1", 6)):
+            probed, fd = finite_difference(
+                loss, params, name, step=1e-5, max_coords=coords, rng=rng
+            )
+            err = relative_gradient_error(grads[name].reshape(-1)[probed], fd)
+            assert err.max() <= 1e-4, f"{name}: {err.max():.2e}"
+
     def test_start_token_pool_gradients_match_fd(self, rng):
         cfg = tiny_config(intent_pool="start_token")
         params = init_model_params(cfg, rng)
@@ -279,6 +318,25 @@ class TestSlotLossShape:
         assert np.allclose(d[0, 2:], 0.0)
 
 
+    def test_crf_padded_positions_carry_no_gradient(self, rng):
+        from jointnlu.model import _crf_slot_loss
+
+        cfg = tiny_config(slot_mode="crf")
+        params = init_model_params(cfg, rng)
+        mask = np.array([[True, True, False, False], [True] * 4,
+                         [True, False, False, False]])
+        scores = rng.normal(size=(3, 4, N_SLOTS))
+        tags = np.where(mask, rng.integers(0, N_SLOTS, size=(3, 4)), 0)
+        loss, d, grads = _crf_slot_loss(scores, tags, mask, params)
+        assert (d[~mask] == 0.0).all()
+        # whatever the padded rows hold, nothing else moves
+        scores[~mask] = rng.normal(size=(int((~mask).sum()), N_SLOTS)) * 1e6
+        loss2, d2, grads2 = _crf_slot_loss(scores, tags, mask, params)
+        assert loss2 == loss and np.array_equal(d2, d)
+        for k in grads:
+            assert np.array_equal(grads2[k], grads[k]), k
+
+
 class TestPredict:
     def test_predict_shapes_and_ranges(self, rng):
         for slot_mode in ("softmax", "crf"):
@@ -304,6 +362,26 @@ class TestPredict:
         for p in pieces:
             inner = p[1:]
             assert not np.any(inner == 2)
+
+    def test_batch_decodes_like_each_sequence_alone(self, rng):
+        for slot_mode in ("softmax", "crf"):
+            cfg = tiny_config(slot_mode=slot_mode)
+            params = init_model_params(cfg, rng)
+            if slot_mode == "crf":
+                params["crf.T"] = rng.normal(size=params["crf.T"].shape)
+            batch = ragged_batch(rng, [7, 1, 4, 2, 7])
+            _, slot_scores, _ = model_outputs(params, cfg, batch)
+            _, pieces, _ = predict_batch(params, cfg, batch)
+            for i, L in enumerate(batch.lengths):
+                emissions = slot_scores[i, :L]
+                if slot_mode == "crf":
+                    alone = viterbi_per_sequence(
+                        emissions, params["crf.T"], params["crf.start"],
+                        params["crf.end"],
+                    )
+                else:
+                    alone = emissions.argmax(axis=1)
+                assert np.array_equal(pieces[i], alone)
 
 
 class TestEndToEndPipeline:
