@@ -33,7 +33,8 @@ H = rng.normal(size=(2, 6, d_h))
 pad_mask = np.ones((2, 6), dtype=bool)
 pad_mask[1, 4:] = False
 
-y_int, alpha, pooled = intent_forward(H, pad_mask, params, "attention")
+y_int, alpha, cache = intent_forward(H, pad_mask, params, "attention")
+pooled = cache["h_int"]
 
 print("intent logits shape:", y_int.shape)
 print("pooling weights:")

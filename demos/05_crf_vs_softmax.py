@@ -37,7 +37,7 @@ all_paths = list(itertools.product(range(n_tags), repeat=n_positions))
 log_partition_brute = logsumexp([path_score(p) for p in all_paths])
 
 gold = np.array([0, 1, 1, 2])
-nll = crf_nll(emissions, gold, trans, start, end)
+nll, _ = crf_nll(emissions, gold, trans, start, end)
 log_partition = path_score(tuple(gold)) + nll
 print("log partition, brute force:", round(float(log_partition_brute), 10))
 print("log partition, forward alg:", round(float(log_partition), 10))

@@ -79,7 +79,7 @@ feats = reloaded.featurizer.featurize(words)
 seq = align(words, [O_TAG] * len(words), feats, reloaded.piece_vocab,
             config.max_len)
 batch = make_batch([seq], [0], reloaded.slot_vocab)
-_, _, alpha = model_outputs(reloaded.params, reloaded.config, batch)
+alpha = model_outputs(reloaded.params, reloaded.config, batch)[2]
 
 print("pooling weights for:", " ".join(words))
 for pid, weight in zip(seq.piece_ids, alpha[0]):

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .data import load_corpus
+from .data import load_corpus, open_atomic
 from .features import WordFeaturizer
 from .intent_head import POOL_MODES
 from .model import (
@@ -32,13 +30,14 @@ from .model import (
     save_checkpoint,
 )
 from .subwords import align
-from .tagging import EvalReport, O_TAG, relative_error_reduction
+from .tagging import EvalReport, O_TAG, read_kv, relative_error_reduction
 from .training import (
     DivergenceError,
     EpochRecord,
     TrainConfig,
     evaluate,
     score,
+    select_best,
     train,
     validate_config_text,
 )
@@ -70,31 +69,17 @@ class RunManifest:
         return EpochRecord.from_line(self.history[self.best_epoch]).dev
 
     def to_json(self) -> str:
-        payload = {
-            "config": dataclasses.asdict(self.config),
-            "data_dir": self.data_dir,
-            "corpus_hashes": dict(self.corpus_hashes),
-            "checkpoint_path": self.checkpoint_path,
-            "log_path": self.log_path,
-            "best_epoch": self.best_epoch,
-            "history": list(self.history),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        """Read a manifest; a top-level "seed" key, written by older
-        versions as a copy of config.seed, is ignored."""
+        """Read a manifest; keys that are not fields, such as the top-level
+        "seed" older versions wrote as a copy of config.seed, are ignored."""
         d = json.loads(text)
-        return cls(
-            config=TrainConfig(**d["config"]),
-            data_dir=d["data_dir"],
-            corpus_hashes=dict(d["corpus_hashes"]),
-            checkpoint_path=d["checkpoint_path"],
-            log_path=d["log_path"],
-            best_epoch=int(d["best_epoch"]),
-            history=tuple(d["history"]),
-        )
+        d = {f.name: d[f.name] for f in dataclasses.fields(cls)}
+        d["config"] = TrainConfig(**d["config"])
+        d["history"] = tuple(d["history"])
+        return cls(**d)
 
 
 def _sha256(path: Path) -> str:
@@ -144,23 +129,22 @@ def _train_one(config, corpora, hashes, featurizer, run_dir: Path,
         best_epoch=result.best_epoch,
         history=tuple(r.to_line() for r in result.history),
     )
-    (run_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+    with open_atomic(run_dir / "manifest.json") as fh:
+        fh.write(manifest.to_json())
     return manifest
 
 
 def _seed_summary(manifests: Sequence[RunManifest]) -> str:
-    scores = [m.best_dev_report.selection_score for m in manifests]
-    pick = int(np.argmax(scores))
+    reports = [m.best_dev_report for m in manifests]
     lines = []
-    for m, s in zip(manifests, scores):
-        d = m.best_dev_report
+    for m, report in zip(manifests, reports):
+        d = report.to_dict()
         lines.append(
-            f"seed={m.config.seed} best_epoch={m.best_epoch}"
-            f" intent_acc={d.intent_accuracy!r}"
-            f" sent_acc={d.sentence_accuracy!r}"
-            f" slot_f1={d.slot_f1!r} selection={s!r}"
+            f"seed={m.config.seed} best_epoch={m.best_epoch} "
+            + " ".join(f"{k}={d[k]!r}" for k in _MEASURES)
+            + f" selection={report.selection_score!r}"
         )
-    lines.append(f"best seed={manifests[pick].config.seed}")
+    lines.append(f"best seed={manifests[select_best(reports)].config.seed}")
     return "\n".join(lines) + "\n"
 
 
@@ -199,7 +183,8 @@ def cmd_train(args) -> int:
         )
     if args.seeds > 1:
         summary = _seed_summary(manifests)
-        (out_root / "summary.txt").write_text(summary, encoding="utf-8")
+        with open_atomic(out_root / "summary.txt") as fh:
+            fh.write(summary)
         sys.stdout.write(summary)
     return 0
 
@@ -219,22 +204,17 @@ def _check_label_vocabularies(ckpt, corpus) -> None:
             "vocabulary mismatch: no corpus intent appears in the "
             "checkpoint's label set"
         )
-    unk_int = sorted(corpus_intents - known)
-    unk_tag = sorted(
-        {t for u in corpus for t in u.tag_strings()} - set(ckpt.slot_vocab.tags)
-    )
-    if unk_int:
-        print(
-            "warning: intent label(s) unseen in training, scored as errors: "
-            + ", ".join(unk_int),
-            file=sys.stderr,
-        )
-    if unk_tag:
-        print(
-            "warning: slot tag(s) unseen in training, scored as errors: "
-            + ", ".join(unk_tag),
-            file=sys.stderr,
-        )
+    corpus_tags = {t for u in corpus for t in u.tag_strings()}
+    for kind, unseen in (
+        ("intent label(s)", corpus_intents - known),
+        ("slot tag(s)", corpus_tags - set(ckpt.slot_vocab.tags)),
+    ):
+        if unseen:
+            print(
+                f"warning: {kind} unseen in training, scored as errors: "
+                + ", ".join(sorted(unseen)),
+                file=sys.stderr,
+            )
 
 
 def cmd_eval(args) -> int:
@@ -262,7 +242,8 @@ def cmd_eval(args) -> int:
     text = report.to_kv_text()
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open_atomic(args.out) as fh:
+            fh.write(text)
     return 0
 
 
@@ -271,22 +252,27 @@ def _read_measures(path) -> Dict[str, float]:
 
     Values above 1 are read as percentages (published-table style) and
     values in [0, 1] as fractions; the choice is made per file over the
-    three measures, so extra entries like chunk counts never skew it.
+    three measures, so extra entries like chunk counts never skew it. A
+    measure that is not a number in [0, 100] is refused.
     """
-    values: Dict[str, float] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        try:
-            values[key.strip()] = float(value)
-        except ValueError:
-            continue
-    missing = [m for m in _MEASURES if m not in values]
+    entries, problems = read_kv(Path(path).read_text(encoding="utf-8"))
+    if problems:
+        raise ValueError(f"{path}: {problems[0]}")
+    missing = [m for m in _MEASURES if m not in entries]
     if missing:
         raise ValueError(f"{path}: missing measure(s): {', '.join(missing)}")
-    picked = {m: values[m] for m in _MEASURES}
+    picked = {}
+    for m in _MEASURES:
+        lineno, text = entries[m]
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        if not 0.0 <= value <= 100.0:  # also refuses nan
+            raise ValueError(
+                f"{path}: line {lineno}: {m}={text} is not a number in [0, 100]"
+            )
+        picked[m] = value
     if any(v > 1.0 for v in picked.values()):
         picked = {m: v / 100.0 for m, v in picked.items()}
     return picked
@@ -302,7 +288,8 @@ def cmd_compare(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open_atomic(args.out) as fh:
+            fh.write(text)
     return 0
 
 
@@ -345,7 +332,7 @@ def cmd_attn(args) -> int:
     seq = align(words, [O_TAG] * len(words), feats, ckpt.piece_vocab,
                 ckpt.config.encoder.max_len)
     batch = make_batch([seq], [0], ckpt.slot_vocab)
-    _, _, alpha = model_outputs(ckpt.params, ckpt.config, batch)
+    alpha = model_outputs(ckpt.params, ckpt.config, batch)[2]
     rows = [
         (ckpt.piece_vocab.piece(pid), float(alpha[0, i]))
         for i, pid in enumerate(seq.piece_ids)
@@ -357,7 +344,8 @@ def cmd_attn(args) -> int:
             f"{tok}\t{w!r}\n" for tok, w in rows
         )
     if args.out:
-        Path(args.out).write_text(content, encoding="utf-8")
+        with open_atomic(args.out) as fh:
+            fh.write(content)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(content)

@@ -117,22 +117,6 @@ def _path_scores(batch: _Batch, tags: np.ndarray, trans, start, end) -> np.ndarr
     return score
 
 
-def crf_score(
-    emissions: np.ndarray,
-    tags,
-    trans: np.ndarray,
-    start: np.ndarray,
-    end: np.ndarray,
-    lengths=None,
-):
-    """Unnormalized log-score of each tag path: a float for one sequence,
-    a (b,) array for a batch."""
-    batch = _Batch(emissions, trans, start, end, lengths)
-    score = _path_scores(batch, batch.tags(tags), trans, start, end)
-    score = batch.restore(score)
-    return float(score) if batch.single else score
-
-
 # log(0) = -inf is the expected log-sum of a tag no path reaches.
 @np.errstate(divide="ignore")
 def crf_nll(
@@ -142,12 +126,12 @@ def crf_nll(
     start: np.ndarray,
     end: np.ndarray,
     lengths=None,
-    want_cache: bool = False,
 ):
-    """Negative log-likelihood of each gold path: log Z - score(gold).
+    """Negative log-likelihood of each gold path, log Z - score(gold), and
+    the cache crf_nll_backward needs.
 
-    A float for one sequence, a (b,) array for a batch. With want_cache=True
-    also returns what crf_nll_backward needs.
+    The loss is a float for one sequence and a (b,) array for a batch; the
+    cache's "log_z" holds each sequence's log Z, longest sequence first.
     """
     batch = _Batch(emissions, trans, start, end, lengths)
     tags = batch.tags(tags)
@@ -167,8 +151,6 @@ def crf_nll(
     nll = batch.restore(log_z - _path_scores(batch, tags, trans, start, end))
     if batch.single:
         nll = float(nll)
-    if not want_cache:
-        return nll
     cache = dict(
         batch=batch, tags=tags, trans=trans, end=end,
         log_alpha=log_alpha, log_z=log_z,

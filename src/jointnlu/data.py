@@ -12,11 +12,13 @@ same format carries converted benchmark data and the synthetic grammar.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Sequence, Tuple
 
-from .tagging import SlotTag
+from .tagging import SlotTag, kv_text
 
 INTENT_HEADER = "# intent="
 
@@ -130,6 +132,22 @@ def save_corpus(corpus: Sequence[TaggedUtterance], path) -> None:
         fh.write("\n".join(lines))
 
 
+@contextmanager
+def open_atomic(path, mode: str = "w"):
+    """Write `path` in one step. The block writes a temporary file beside
+    it, which replaces `path` only when the block ends without an error; on
+    an error the temporary file is removed and `path` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def lint_corpus(corpus: Sequence[TaggedUtterance]) -> list[str]:
     """Flag continuation tags that do not extend a chunk of the same label.
 
@@ -191,7 +209,7 @@ class CorpusStats:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     def to_kv_text(self) -> str:
-        return "".join(f"{k}={v!r}\n" for k, v in self.to_dict().items())
+        return kv_text(self.to_dict())
 
 
 def corpus_stats(

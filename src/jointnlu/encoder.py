@@ -75,9 +75,9 @@ def encode(
     cfg: EncoderConfig,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    want_cache: bool = False,
 ):
-    """Hidden states (batch, length, d_h) for a padded id batch.
+    """Hidden states (batch, length, d_h) for a padded id batch, and the
+    cache encode_backward needs.
 
     pad_mask is True at real positions. Output rows at padded positions are
     exactly zero. Dropout needs an rng; with rate 0 or rng None the pass is
@@ -137,8 +137,6 @@ def encode(
         x = x2
 
     out = x * pad_mask[:, :, None]
-    if not want_cache:
-        return out
     cache = dict(
         ids=ids, pad_mask=pad_mask, emb_mask=emb_mask,
         ln_emb_cache=ln_emb_cache, layers=layers, scale=scale,

@@ -162,15 +162,13 @@ def encode_features(entity: EntityClass, case: CaseClass) -> np.ndarray:
     return vec
 
 
-def feature_forward(
-    x: np.ndarray, params: dict[str, np.ndarray], want_cache: bool = False
-):
+def feature_forward(x: np.ndarray, params: dict[str, np.ndarray]):
     """Embed feature vectors: s = x W_w + b_w, h = PReLU(s), out = h W_proj + b_proj.
 
     `params` holds the "feat." rows of model.param_spec, prefix dropped.
     Accepts a single 23-vector or any (..., 23) batch; the output replaces
-    the last axis with 32. With want_cache=True also returns the
-    intermediates needed by feature_backward.
+    the last axis with 32. Returns (out, cache), the cache holding the
+    intermediates feature_backward needs.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != FEATURE_DIM:
@@ -179,9 +177,7 @@ def feature_forward(
     a = float(params["a_prelu"])
     h = np.maximum(s, 0.0) + a * np.minimum(s, 0.0)
     out = h @ params["W_proj"] + params["b_proj"]
-    if want_cache:
-        return out, (x, s, h)
-    return out
+    return out, (x, s, h)
 
 
 def feature_backward(

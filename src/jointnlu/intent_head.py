@@ -55,14 +55,14 @@ def intent_forward(
     mode: str = "attention",
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    want_cache: bool = False,
 ):
     """Pooled intent logits for a batch.
 
-    Returns (y_int, alpha, h_int) and optionally a cache. alpha is the
-    pooling weight row per sequence (after attention dropout, when active);
-    in start-token mode it is the indicator of position 0. Dropout is applied
-    to the pooling weights (no renormalization) and to h_int after the tanh.
+    Returns (y_int, alpha, cache). alpha is the pooling weight row per
+    sequence (after attention dropout, when active); in start-token mode it
+    is the indicator of position 0. cache["h_int"] is the pooled state.
+    Dropout is applied to the pooling weights (no renormalization) and to
+    h_int after the tanh.
     """
     if mode not in POOL_MODES:
         raise ValueError(f"unknown pooling mode {mode!r}")
@@ -88,14 +88,12 @@ def intent_forward(
     h_used = apply_mask(h_int, h_drop)
     y_int = intent_logits(h_used, params["W_cls"], params["b_cls"])
 
-    if not want_cache:
-        return y_int, alpha, h_int
     cache = dict(
         H=H, pad_mask=pad_mask, mode=mode, alpha_clean=alpha_clean,
         att_drop=att_drop, alpha=alpha, h_int=h_int, h_drop=h_drop,
         h_used=h_used,
     )
-    return y_int, alpha, h_int, cache
+    return y_int, alpha, cache
 
 
 def intent_backward(

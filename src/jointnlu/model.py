@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .crf import crf_nll, crf_nll_backward, viterbi
-from .data import IntentVocab, SlotVocab, TaggedUtterance
+from .data import IntentVocab, SlotVocab, TaggedUtterance, open_atomic
 from .encoder import EncoderConfig, encode, encode_backward
 from .features import (
     FEATURE_DIM,
@@ -28,7 +28,7 @@ from .features import (
 from .intent_head import POOL_MODES, intent_backward, intent_forward
 from .numerics import log_softmax
 from .slot_head import slot_backward, slot_forward
-from .subwords import AlignedSequence, WordPieceVocab, align
+from .subwords import AlignedSequence, WordPieceVocab, align, de_align
 from .tagging import SlotTag
 
 SLOT_MODES = ("softmax", "crf")
@@ -197,13 +197,12 @@ def make_batch(
     seqs: Sequence[AlignedSequence],
     intent_ids: Sequence[int],
     slot_vocab: SlotVocab,
-    pad_id: int = 0,
 ) -> Batch:
     if not seqs or len(seqs) != len(intent_ids):
         raise ValueError("need one intent id per aligned sequence")
     b = len(seqs)
     n = max(len(s) for s in seqs)
-    ids = np.full((b, n), pad_id, dtype=int)
+    ids = np.zeros((b, n), dtype=int)  # padding is piece id 0
     pad_mask = np.zeros((b, n), dtype=bool)
     features = np.zeros((b, n, FEATURE_DIM))
     tag_ids = np.zeros((b, n), dtype=int)
@@ -232,46 +231,28 @@ def model_outputs(
     batch: Batch,
     dropout_rate: float = 0.0,
     rng: Optional[np.random.Generator] = None,
-    want_cache: bool = False,
 ):
     """Run the full forward pass.
 
-    Returns (y_int, slot_scores, alpha) and optionally the cache bundle for
-    the backward pass. slot_scores is (b, n, n_slots); rows at padded
+    Returns (y_int, slot_scores, alpha, cache), the cache bundling what the
+    backward pass needs. slot_scores is (b, n, n_slots); rows at padded
     positions are meaningless and must be masked by the consumer.
     """
-    enc_params = _sub(params, "enc.")
-    enc_out = encode(
-        batch.ids, batch.pad_mask, enc_params, cfg.encoder,
-        dropout_rate, rng, want_cache,
+    H, enc_cache = encode(
+        batch.ids, batch.pad_mask, _sub(params, "enc."), cfg.encoder,
+        dropout_rate, rng,
     )
-    H, enc_cache = enc_out if want_cache else (enc_out, None)
-
-    int_params = _sub(params, "int.")
-    int_out = intent_forward(
-        H, batch.pad_mask, int_params, cfg.intent_pool,
-        dropout_rate, rng, want_cache,
+    y_int, alpha, int_cache = intent_forward(
+        H, batch.pad_mask, _sub(params, "int."), cfg.intent_pool,
+        dropout_rate, rng,
     )
-    y_int, alpha = int_out[0], int_out[1]
-    int_cache = int_out[3] if want_cache else None
-
     f_words, feat_cache = None, None
     if cfg.slot_features:
-        feat_out = feature_forward(batch.features, _sub(params, "feat."), want_cache)
-        f_words, feat_cache = feat_out if want_cache else (feat_out, None)
-
-    slot_out = slot_forward(
-        y_int, f_words, H, params["W_s"], params["b_s"],
-        dropout_rate, rng, want_cache,
+        f_words, feat_cache = feature_forward(batch.features, _sub(params, "feat."))
+    slot_scores, slot_cache = slot_forward(
+        y_int, f_words, H, params["W_s"], params["b_s"], dropout_rate, rng,
     )
-    slot_scores, slot_cache = slot_out if want_cache else (slot_out, None)
-
-    if not want_cache:
-        return y_int, slot_scores, alpha
-    cache = dict(
-        enc=enc_cache, int=int_cache, feat=feat_cache, slot=slot_cache,
-        batch=batch,
-    )
+    cache = dict(enc=enc_cache, int=int_cache, feat=feat_cache, slot=slot_cache)
     return y_int, slot_scores, alpha, cache
 
 
@@ -314,7 +295,7 @@ def _crf_slot_loss(
     b = slot_scores.shape[0]
     nll, cache = crf_nll(
         slot_scores, tag_ids, params["crf.T"], params["crf.start"],
-        params["crf.end"], pad_mask.sum(axis=1), want_cache=True,
+        params["crf.end"], pad_mask.sum(axis=1),
     )
     g = crf_nll_backward(cache)
     crf_grads = {
@@ -323,23 +304,6 @@ def _crf_slot_loss(
         "crf.end": g["end"] / b,
     }
     return float(nll.sum()) / b, g["emissions"] / b, crf_grads
-
-
-def model_losses(
-    params: Dict[str, np.ndarray],
-    cfg: ModelConfig,
-    batch: Batch,
-    dropout_rate: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[float, float]:
-    """Forward-only (l_intent, l_slot); used by gradient checks and logging."""
-    y_int, slot_scores, _ = model_outputs(params, cfg, batch, dropout_rate, rng)
-    l_int, _ = _intent_ce(y_int, batch.intent_ids)
-    if cfg.slot_mode == "crf":
-        l_slot, _, _ = _crf_slot_loss(slot_scores, batch.tag_ids, batch.pad_mask, params)
-    else:
-        l_slot, _ = _softmax_slot_loss(slot_scores, batch.tag_ids, batch.pad_mask)
-    return l_int, l_slot
 
 
 def model_loss_and_grads(
@@ -358,7 +322,7 @@ def model_loss_and_grads(
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
     y_int, slot_scores, _, cache = model_outputs(
-        params, cfg, batch, dropout_rate, rng, want_cache=True
+        params, cfg, batch, dropout_rate, rng
     )
 
     l_int, d_y_ce = _intent_ce(y_int, batch.intent_ids)
@@ -381,21 +345,17 @@ def model_loss_and_grads(
     grads.update(slot_grads)
 
     d_y_int = gamma * d_y_ce + d_y_from_slot
-    int_params = _sub(params, "int.")
-    d_H_int, int_grads = intent_backward(d_y_int, cache["int"], int_params)
-    for k, v in int_grads.items():
-        grads[f"int.{k}"] = v
+    d_H_int, int_grads = intent_backward(d_y_int, cache["int"], _sub(params, "int."))
+    grads.update((f"int.{k}", v) for k, v in int_grads.items())
 
     if cfg.slot_features:
         _, feat_grads = feature_backward(d_f, cache["feat"], _sub(params, "feat."))
-        for k, v in feat_grads.items():
-            grads[f"feat.{k}"] = v
+        grads.update((f"feat.{k}", v) for k, v in feat_grads.items())
 
     enc_grads = encode_backward(
         d_H_int + d_H_slot, cache["enc"], _sub(params, "enc."), cfg.encoder
     )
-    for k, v in enc_grads.items():
-        grads[f"enc.{k}"] = v
+    grads.update((f"enc.{k}", v) for k, v in enc_grads.items())
     return l_int, l_slot, grads
 
 
@@ -408,7 +368,8 @@ def predict_batch(
     [unpadded lengths], pooling weights). The structured decoder is used in
     crf mode, independent per-position argmax otherwise.
     """
-    y_int, slot_scores, alpha = model_outputs(params, cfg, batch)
+    # Slicing drops the forward cache before decoding starts.
+    y_int, slot_scores, alpha = model_outputs(params, cfg, batch)[:3]
     intent_pred = np.argmax(y_int, axis=-1)
     lengths = batch.lengths
     if cfg.slot_mode == "crf":
@@ -424,8 +385,6 @@ def decode_word_tags(
     seq: AlignedSequence, piece_tag_ids: np.ndarray, slot_vocab: SlotVocab
 ) -> List[SlotTag]:
     """Map piece-level tag id predictions back to one tag per source word."""
-    from .subwords import de_align
-
     piece_tags = [slot_vocab.decode(int(i)) for i in piece_tag_ids]
     return de_align(seq, piece_tags)
 
@@ -462,7 +421,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     arrays[_META_KEY] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
-    with open(path, "wb") as fh:
+    with open_atomic(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 

@@ -23,9 +23,9 @@ def slot_forward(
     b_s: np.ndarray,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    want_cache: bool = False,
 ):
-    """Batched slot scores (batch, length, n_slots).
+    """Batched slot scores (batch, length, n_slots) and the cache
+    slot_backward needs.
 
     y_int is (batch, n_intents); its softmax row is broadcast to every
     position. f_words is (batch, length, 32) or None when the feature path is
@@ -47,8 +47,6 @@ def slot_forward(
     drop = dropout_mask(rng, fused.shape, dropout_rate)
     fused_used = apply_mask(fused, drop)
     logits = fused_used @ W_s.T + b_s
-    if not want_cache:
-        return logits
     cache = dict(
         p_int=p_int, f_width=0 if f_words is None else f_words.shape[-1],
         d_h=d_h, drop=drop, fused_used=fused_used,

@@ -9,7 +9,7 @@ callers are forced to de-align before scoring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 
 class AlignmentError(ValueError):
@@ -198,8 +198,51 @@ def relative_error_reduction(acc_a: float, acc_b: float) -> float:
     return 100.0 * (1.0 - (1.0 - acc_a) / (1.0 - acc_b))
 
 
-# Serialization keys, in emission order.
-_REPORT_KEYS = ("intent_acc", "sent_acc", "slot_f1", "token_f1", "tp", "fp", "fn")
+def read_kv(text: str, fields: bool = False):
+    """Parse key=value entries, one per line, or with `fields` one per
+    whitespace-separated field of a single line.
+
+    Blank entries and entries starting with '#' are skipped; keys and values
+    are stripped. Returns (entries, problems): entries maps each key to
+    (number, value) in the order read, numbered from 1, and problems holds
+    one "line N: ..." (or "field N: ...") message per entry without an '='
+    and per repeated key.
+    """
+    unit = "field" if fields else "line"
+    entries: Dict[str, Tuple[int, str]] = {}
+    problems: List[str] = []
+    for number, raw in enumerate(text.split() if fields else text.splitlines(), 1):
+        item = raw.strip()
+        if not item or item.startswith("#"):
+            continue
+        key, eq, value = (s.strip() for s in item.partition("="))
+        if not eq:
+            problems.append(f"{unit} {number}: expected key=value, got {item!r}")
+        elif key in entries:
+            problems.append(
+                f"{unit} {number}: repeated key {key!r} "
+                f"(first on {unit} {entries[key][0]})"
+            )
+        else:
+            entries[key] = (number, value)
+    return entries, problems
+
+
+def kv_text(entries: Mapping[str, object]) -> str:
+    """One key=repr(value) line per entry, in order; read_kv reads it back."""
+    return "".join(f"{k}={v!r}\n" for k, v in entries.items())
+
+
+# Report key, EvalReport field and its type, in emission order.
+_REPORT_FIELDS = (
+    ("intent_acc", "intent_accuracy", float),
+    ("sent_acc", "sentence_accuracy", float),
+    ("slot_f1", "slot_f1", float),
+    ("token_f1", "per_token_micro_f1", float),
+    ("tp", "tp", int),
+    ("fp", "fp", int),
+    ("fn", "fn", int),
+)
 
 
 @dataclass(frozen=True)
@@ -215,9 +258,9 @@ class EvalReport:
     fn: int = 0
 
     def __post_init__(self):
-        for name in ("intent_accuracy", "sentence_accuracy", "slot_f1", "per_token_micro_f1"):
+        for _, name, kind in _REPORT_FIELDS:
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if kind is float and not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0,1]")
 
     @property
@@ -226,44 +269,21 @@ class EvalReport:
         return self.intent_accuracy + self.sentence_accuracy + self.slot_f1
 
     def to_dict(self) -> dict:
-        return {
-            "intent_acc": self.intent_accuracy,
-            "sent_acc": self.sentence_accuracy,
-            "slot_f1": self.slot_f1,
-            "token_f1": self.per_token_micro_f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
+        return {key: getattr(self, name) for key, name, _ in _REPORT_FIELDS}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        missing = [k for k in _REPORT_KEYS if k not in d]
+    def from_dict(cls, d: Mapping) -> "EvalReport":
+        missing = [key for key, _, _ in _REPORT_FIELDS if key not in d]
         if missing:
             raise ValueError(f"report is missing keys: {missing}")
-        return cls(
-            intent_accuracy=float(d["intent_acc"]),
-            sentence_accuracy=float(d["sent_acc"]),
-            slot_f1=float(d["slot_f1"]),
-            per_token_micro_f1=float(d["token_f1"]),
-            tp=int(d["tp"]),
-            fp=int(d["fp"]),
-            fn=int(d["fn"]),
-        )
+        return cls(**{name: kind(d[key]) for key, name, kind in _REPORT_FIELDS})
 
     def to_kv_text(self) -> str:
-        d = self.to_dict()
-        return "".join(f"{k}={d[k]!r}\n" for k in _REPORT_KEYS)
+        return kv_text(self.to_dict())
 
     @classmethod
     def from_kv_text(cls, text: str) -> "EvalReport":
-        d = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-            k, v = line.split("=", 1)
-            d[k.strip()] = v.strip()
-        return cls.from_dict(d)
+        entries, problems = read_kv(text)
+        if problems:
+            raise ValueError(problems[0])
+        return cls.from_dict({k: v for k, (_, v) in entries.items()})

@@ -32,7 +32,9 @@ from .tagging import (
     O_TAG,
     SlotTag,
     intent_accuracy,
+    kv_text,
     per_token_micro_f1,
+    read_kv,
     sentence_accuracy,
     slot_f1,
 )
@@ -80,14 +82,11 @@ class TrainConfig:
         lr_schedule(0, 1, self.warmup_proportion, self.learning_rate)
 
     def to_kv_text(self) -> str:
-        return "".join(
-            f"{f.name}={getattr(self, f.name)!r}\n"
-            for f in dataclasses.fields(self)
-        )
+        return kv_text(dataclasses.asdict(self))
 
 
-def _parse_value(type_name, text: str):
-    name = type_name if isinstance(type_name, str) else type_name.__name__
+def _parse_value(name: str, text: str):
+    """A setting's value from its text; `name` is the field's type name."""
     if name == "bool":
         low = text.lower()
         if low in ("true", "on", "1", "yes"):
@@ -108,15 +107,8 @@ def validate_config_text(text: str):
     """
     fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
     kwargs = {}
-    errors: List[str] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            errors.append(f"line {lineno}: expected key=value, got {line!r}")
-            continue
-        key, value = (s.strip() for s in line.split("=", 1))
+    entries, errors = read_kv(text)
+    for key, (lineno, value) in entries.items():
         if key not in fields:
             errors.append(f"line {lineno}: unknown setting {key!r}")
             continue
@@ -163,22 +155,23 @@ class EpochRecord:
     dev: EvalReport
 
     def to_line(self) -> str:
-        d = self.dev.to_dict()
-        parts = [
-            f"epoch={self.epoch}",
-            f"l_intent={self.l_intent!r}",
-            f"l_slot={self.l_slot!r}",
-            f"l_joint={self.l_joint!r}",
-        ]
-        parts.extend(f"{k}={v!r}" for k, v in d.items())
-        return " ".join(parts)
+        losses = dict(
+            epoch=self.epoch, l_intent=self.l_intent, l_slot=self.l_slot,
+            l_joint=self.l_joint,
+        )
+        return " ".join(kv_text({**losses, **self.dev.to_dict()}).splitlines())
 
     @classmethod
     def from_line(cls, line: str) -> "EpochRecord":
-        d = {}
-        for token in line.split():
-            key, value = token.split("=", 1)
-            d[key] = value
+        """Read a to_line line; a malformed one raises ValueError naming
+        the problem."""
+        entries, problems = read_kv(line, fields=True)
+        if problems:
+            raise ValueError(f"training log line: {problems[0]}")
+        d = {k: v for k, (_, v) in entries.items()}
+        missing = [k for k in ("epoch", "l_intent", "l_slot", "l_joint") if k not in d]
+        if missing:
+            raise ValueError(f"training log line lacks {missing[0]!r}")
         return cls(
             epoch=int(d["epoch"]),
             l_intent=float(d["l_intent"]),
@@ -320,9 +313,6 @@ def train(
     total_steps = steps_per_epoch * config.epochs
     step = 0
     history: List[EpochRecord] = []
-    best_params: Dict[str, np.ndarray] = {}
-    best_score = -np.inf
-    best_epoch = 0
     log_file = open(log_path, "a", encoding="utf-8") if log_path else None
     try:
         for epoch in range(config.epochs):
@@ -379,9 +369,8 @@ def train(
             if log_file:
                 log_file.write(record.to_line() + "\n")
                 log_file.flush()
-            if dev_report.selection_score > best_score:
-                best_score = dev_report.selection_score
-                best_epoch = epoch
+            best_epoch = select_best([r.dev for r in history])
+            if best_epoch == epoch:
                 best_params = {k: v.copy() for k, v in params.items()}
     finally:
         if log_file:

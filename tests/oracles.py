@@ -3,7 +3,8 @@
 Everything here is deliberately brute-force and shares no code with the
 package: chunking by scanning all (start, end, label) triples, CRF partition
 and decoding by exhaustive enumeration, and gradients by central finite
-differences.
+differences. The one exception is `model_losses`, the joint model's loss
+without any backward pass, which the finite-difference checks probe.
 """
 
 from __future__ import annotations
@@ -164,6 +165,25 @@ def slot_logits(intent_logit_vec, feature_vec, hidden_vec, W_s, b_s) -> np.ndarr
         blocks.append(feature_vec)
     blocks.append(hidden_vec)
     return W_s @ np.concatenate(blocks) + b_s
+
+
+def model_losses(params, cfg, batch, dropout_rate=0.0, rng=None):
+    """Forward-only (l_intent, l_slot): the package's forward pass and loss
+    terms, with the CRF's negative log-likelihood taken from crf_nll and no
+    backward pass run."""
+    from jointnlu.crf import crf_nll
+    from jointnlu.model import _intent_ce, _softmax_slot_loss, model_outputs
+
+    y_int, slot_scores, _, _ = model_outputs(params, cfg, batch, dropout_rate, rng)
+    l_int, _ = _intent_ce(y_int, batch.intent_ids)
+    if cfg.slot_mode == "crf":
+        nll, _ = crf_nll(
+            slot_scores, batch.tag_ids, params["crf.T"], params["crf.start"],
+            params["crf.end"], batch.lengths,
+        )
+        return l_int, float(nll.sum()) / len(nll)
+    l_slot, _ = _softmax_slot_loss(slot_scores, batch.tag_ids, batch.pad_mask)
+    return l_int, l_slot
 
 
 def crf_forward_backward(emissions, tags, trans, start, end):

@@ -150,7 +150,7 @@ def test_criterion_03_crf_matches_exhaustive_enumeration():
         )
 
         gold = [int(t) for t in rng.integers(0, s, size=n)]
-        nll = crf_nll(emissions, gold, trans, start, end)
+        nll, _ = crf_nll(emissions, gold, trans, start, end)
         recovered = nll + crf_score(emissions, gold, trans, start, end)
         assert abs(recovered - log_z) <= 1e-8
 

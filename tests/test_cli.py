@@ -104,6 +104,44 @@ class TestTrainCommand:
         assert rc == 2
         assert not out.exists()
 
+    def test_repeated_config_key_writes_nothing(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        toy_grammar(3, 8, 4, 4).write(data_dir)
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\nbatch_size=4\ngamma=0.3\ngamma=0.9\n")
+        out = tmp_path / "out"
+        rc = main([
+            "train", "--config", str(config),
+            "--data", str(data_dir), "--out", str(out),
+        ])
+        assert rc == 2
+        assert "line 4: repeated key 'gamma'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_interrupted_checkpoint_write_leaves_no_checkpoint(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        data_dir = tmp_path / "data"
+        toy_grammar(3, 8, 4, 4).write(data_dir)
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\nbatch_size=4\n")
+
+        def fail_midway(fh, **arrays):
+            fh.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", fail_midway)
+        out = tmp_path / "out"
+        rc = main([
+            "train", "--config", str(config),
+            "--data", str(data_dir), "--out", str(out),
+        ])
+        assert rc == 2
+        assert "disk full" in capsys.readouterr().err
+        # the log is written as training goes; no checkpoint, manifest or
+        # temporary file may be left
+        assert [p.name for p in out.iterdir()] == ["train.log"]
+
     def test_config_problems_reported_together(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
         config.write_text("gamma=2.5\nwat=1\nepochs=zero\n")
@@ -479,6 +517,34 @@ class TestCompareCommand:
         b = write_report(tmp_path / "b.txt", 95.0, 90.0, 85.0)
         assert main(["compare", str(a), b]) == 2
         assert "slot_f1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-3", "100.5", "inf", "-inf", "high"])
+    def test_bad_measure_rejected(self, tmp_path, capsys, value):
+        # nan used to print nan and -3 a -3900% reduction, both exiting 0
+        a = tmp_path / "a.txt"
+        a.write_text(f"intent_acc={value}\nslot_f1=90.0\nsent_acc=85.0\n")
+        b = write_report(tmp_path / "b.txt", 95.0, 90.0, 85.0)
+        out = tmp_path / "cmp.tsv"
+        assert main(["compare", str(a), b, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert str(a) in err[0] and f"intent_acc={value}" in err[0]
+        assert not out.exists()
+
+    def test_bounds_are_accepted(self, tmp_path, capsys):
+        a = write_report(tmp_path / "a.txt", 100.0, 0.0, 50.0)
+        b = write_report(tmp_path / "b.txt", 95.0, 90.0, 85.0)
+        assert main(["compare", a, b]) == 0
+
+    def test_repeated_measure_rejected(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("intent_acc=97.0\nslot_f1=90.0\nsent_acc=85.0\nintent_acc=20\n")
+        b = write_report(tmp_path / "b.txt", 95.0, 90.0, 85.0)
+        assert main(["compare", str(a), b]) == 2
+        err = capsys.readouterr().err
+        assert str(a) in err and "line 4: repeated key 'intent_acc'" in err
 
     def test_perfect_baseline_rejected(self, tmp_path, capsys):
         a = write_report(tmp_path / "a.txt", 99.0, 99.0, 99.0)

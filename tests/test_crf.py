@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jointnlu.crf import crf_nll, crf_nll_backward, crf_score, viterbi
+from jointnlu.crf import crf_nll, crf_nll_backward, viterbi
 from jointnlu.numerics import log_softmax
 
 import oracles
@@ -29,12 +29,16 @@ def random_instance(rng, max_len=6, max_tags=5):
 
 
 class TestScore:
+    """The gold path's score inside crf_nll, log Z - nll."""
+
     def test_matches_oracle(self, rng):
         for _ in range(50):
             emis, trans, start, end = random_instance(rng)
             tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
+            nll, _ = crf_nll(emis, tags, trans, start, end)
+            brute_log_z = crf_log_partition_enumerate(emis, trans, start, end)
             assert np.isclose(
-                crf_score(emis, tags, trans, start, end),
+                brute_log_z - nll,
                 oracles.crf_score(emis, tags, trans, start, end),
             )
 
@@ -42,19 +46,19 @@ class TestScore:
         emis, trans, start, end = random_instance(rng)
         bad = np.full(emis.shape[0], emis.shape[1])
         with pytest.raises(ValueError):
-            crf_score(emis, bad, trans, start, end)
+            crf_nll(emis, bad, trans, start, end)
 
     def test_rejects_wrong_tag_count(self, rng):
         emis, trans, start, end = random_instance(rng)
         with pytest.raises(ValueError):
-            crf_score(emis, [0] * (emis.shape[0] + 1), trans, start, end)
+            crf_nll(emis, [0] * (emis.shape[0] + 1), trans, start, end)
 
 
 class TestNll:
     def test_single_position_reduces_to_cross_entropy(self, rng):
         emis = rng.normal(size=(1, 4))
         zeros4 = np.zeros(4)
-        nll = crf_nll(emis, [2], np.zeros((4, 4)), zeros4, zeros4)
+        nll, _ = crf_nll(emis, [2], np.zeros((4, 4)), zeros4, zeros4)
         assert np.isclose(nll, -log_softmax(emis[0])[2])
 
     def test_two_by_two_partition_is_four_term_sum(self, rng):
@@ -67,22 +71,21 @@ class TestNll:
             for i in range(2)
             for j in range(2)
         ]
-        nll, cache = crf_nll(emis, [0, 1], trans, start, end, want_cache=True)
+        nll, cache = crf_nll(emis, [0, 1], trans, start, end)
         assert np.isclose(cache["log_z"], np.log(np.exp(terms).sum()))
 
     def test_partition_matches_enumeration(self, rng):
         for _ in range(300):
             emis, trans, start, end = random_instance(rng)
             tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
-            _, cache = crf_nll(emis, tags, trans, start, end, want_cache=True)
+            _, cache = crf_nll(emis, tags, trans, start, end)
             brute = crf_log_partition_enumerate(emis, trans, start, end)
             assert abs(cache["log_z"] - brute) <= 1e-8
 
     def test_partition_dominates_every_path(self, rng):
         emis, trans, start, end = random_instance(rng, max_len=4, max_tags=3)
         _, cache = crf_nll(
-            emis, [0] * emis.shape[0], trans, start, end, want_cache=True
-        )
+            emis, [0] * emis.shape[0], trans, start, end)
         _, best, _ = crf_best_path_enumerate(emis, trans, start, end)
         assert cache["log_z"] > best  # strict: several paths contribute mass
 
@@ -93,14 +96,14 @@ class TestNll:
         for boost in (0.0, 1.0, 2.0, 4.0):
             boosted = emis.copy()
             boosted[np.arange(len(tags)), tags] += boost
-            values.append(crf_nll(boosted, tags, trans, start, end))
+            values.append(crf_nll(boosted, tags, trans, start, end)[0])
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_gradients_match_fd(self, rng):
         for _ in range(20):
             emis, trans, start, end = random_instance(rng)
             tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
-            _, cache = crf_nll(emis, tags, trans, start, end, want_cache=True)
+            _, cache = crf_nll(emis, tags, trans, start, end)
             grads = crf_nll_backward(cache)
 
             holders = {"emissions": emis, "trans": trans, "start": start, "end": end}
@@ -109,7 +112,7 @@ class TestNll:
                 return crf_nll(
                     holders["emissions"], tags, holders["trans"],
                     holders["start"], holders["end"],
-                )
+                )[0]
 
             for name in holders:
                 coords, fd = finite_difference(
@@ -122,7 +125,7 @@ class TestNll:
         # rows of d_emissions + onehot(gold) must be probability rows
         emis, trans, start, end = random_instance(rng)
         tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
-        _, cache = crf_nll(emis, tags, trans, start, end, want_cache=True)
+        _, cache = crf_nll(emis, tags, trans, start, end)
         marg = crf_nll_backward(cache)["emissions"].copy()
         marg[np.arange(len(tags)), tags] += 1.0
         assert np.allclose(marg.sum(axis=1), 1.0)
@@ -141,7 +144,7 @@ class TestViterbi:
             emis, trans, start, end = random_instance(rng)
             path = viterbi(emis, trans, start, end)
             best, best_score, n_optimal = crf_best_path_enumerate(emis, trans, start, end)
-            assert abs(crf_score(emis, path, trans, start, end) - best_score) <= 1e-8
+            assert abs(oracles.crf_score(emis, path, trans, start, end) - best_score) <= 1e-8
             if n_optimal == 1:
                 assert np.array_equal(path, best)
 
@@ -149,7 +152,7 @@ class TestViterbi:
         emis, trans, start, end = random_instance(rng)
         path = viterbi(emis, trans, start, end)
         _, best_score, _ = crf_best_path_enumerate(emis, trans, start, end)
-        assert np.isclose(crf_score(emis, path, trans, start, end), best_score)
+        assert np.isclose(oracles.crf_score(emis, path, trans, start, end), best_score)
 
     def test_all_ties_pick_lowest_ids(self):
         emis = np.zeros((4, 3))
@@ -186,8 +189,7 @@ class TestBatched:
     def test_loss_and_gradients_match_reference(self, rng):
         for _ in range(200):
             emis, tags, lengths, trans, start, end = ragged_batch(rng)
-            nll, cache = crf_nll(emis, tags, trans, start, end, lengths,
-                                 want_cache=True)
+            nll, cache = crf_nll(emis, tags, trans, start, end, lengths)
             grads = crf_nll_backward(cache)
             assert grads["emissions"].shape == emis.shape
             summed = {k: 0.0 for k in ("trans", "start", "end")}
@@ -205,8 +207,7 @@ class TestBatched:
     def test_padded_emission_gradient_is_zero(self, rng):
         for _ in range(50):
             emis, tags, lengths, trans, start, end = ragged_batch(rng)
-            _, cache = crf_nll(emis, tags, trans, start, end, lengths,
-                               want_cache=True)
+            _, cache = crf_nll(emis, tags, trans, start, end, lengths)
             d = crf_nll_backward(cache)["emissions"]
             for i, L in enumerate(lengths):
                 assert (d[i, L:] == 0.0).all()
@@ -217,8 +218,8 @@ class TestBatched:
         other = emis.copy()
         for i, L in enumerate(lengths):
             other[i, L:] = -other[i, L:]
-        a = crf_nll(emis, tags, trans, start, end, lengths, want_cache=True)
-        b = crf_nll(other, tags, trans, start, end, lengths, want_cache=True)
+        a = crf_nll(emis, tags, trans, start, end, lengths)
+        b = crf_nll(other, tags, trans, start, end, lengths)
         assert np.array_equal(a[0], b[0])
         ga, gb = crf_nll_backward(a[1]), crf_nll_backward(b[1])
         for k in ga:
@@ -231,9 +232,8 @@ class TestBatched:
     def test_single_sequence_is_a_batch_of_one(self, rng):
         emis, trans, start, end = random_instance(rng)
         tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
-        nll, cache = crf_nll(emis, tags, trans, start, end, want_cache=True)
-        nll_b, cache_b = crf_nll(emis[None], tags[None], trans, start, end,
-                                 want_cache=True)
+        nll, cache = crf_nll(emis, tags, trans, start, end)
+        nll_b, cache_b = crf_nll(emis[None], tags[None], trans, start, end)
         assert isinstance(nll, float) and nll == nll_b[0]
         g, g_b = crf_nll_backward(cache), crf_nll_backward(cache_b)
         assert np.array_equal(g["emissions"], g_b["emissions"][0])
@@ -243,8 +243,7 @@ class TestBatched:
             viterbi(emis, trans, start, end),
             viterbi(emis[None], trans, start, end)[0],
         )
-        assert crf_score(emis, tags, trans, start, end) == crf_score(
-            emis[None], tags[None], trans, start, end)[0]
+        assert np.array_equal(cache["log_z"], cache_b["log_z"])
 
     def test_viterbi_matches_enumeration_and_reference(self, rng):
         for _ in range(200):
@@ -261,7 +260,7 @@ class TestBatched:
                 best, best_score, n_optimal = crf_best_path_enumerate(
                     emis[i, :L], trans, start, end
                 )
-                score = crf_score(emis[i, :L], path, trans, start, end)
+                score = oracles.crf_score(emis[i, :L], path, trans, start, end)
                 assert abs(score - best_score) <= 1e-8
                 if n_optimal == 1:
                     assert path.tolist() == best
@@ -304,8 +303,7 @@ class TestBatched:
             start[1] = -np.inf
             tags = np.where(tags < 0, 0, tags) % (K - 1) + 1
             tags[:, 0] = np.where(K > 2, 2, 0)
-            nll, cache = crf_nll(emis, tags, trans, start, end, lengths,
-                                 want_cache=True)
+            nll, cache = crf_nll(emis, tags, trans, start, end, lengths)
             grads = crf_nll_backward(cache)
             for i, L in enumerate(lengths):
                 ref_nll, ref = crf_forward_backward(

@@ -16,6 +16,7 @@ from jointnlu.data import (
     corpus_stats,
     lint_corpus,
     load_corpus,
+    open_atomic,
     save_corpus,
 )
 from jointnlu.features import CaseClass, EntityClass
@@ -222,6 +223,31 @@ class TestCorpusStats:
         for key in ("vocab_size", "avg_sentence_length", "n_intents",
                     "n_slots", "n_train", "n_dev", "n_test"):
             assert f"{key}=" in text
+
+
+class TestOpenAtomic:
+    def test_writes_the_file_and_nothing_else(self, tmp_path):
+        with open_atomic(tmp_path / "out.txt") as fh:
+            fh.write("a=1\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert (tmp_path / "out.txt").read_text() == "a=1\n"
+
+    def test_failure_part_way_leaves_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with open_atomic(tmp_path / "out.bin", "wb") as fh:
+                fh.write(b"half")
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_part_way_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with open_atomic(target) as fh:
+                fh.write("new, half")
+                raise RuntimeError("interrupted")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert target.read_text() == "old\n"
 
 
 class TestIntentVocab:

@@ -123,7 +123,7 @@ class TestEncodeForward:
     def test_output_shape_and_padded_rows_zero(self, rng):
         params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
-        out = encode(ids, pad, params, SMALL)
+        out, _ = encode(ids, pad, params, SMALL)
         assert out.shape == (2, 6, SMALL.d_h)
         assert out.dtype == np.float64
         assert np.array_equal(out[0, 4:], np.zeros((2, SMALL.d_h)))
@@ -132,7 +132,7 @@ class TestEncodeForward:
         params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
         assert np.array_equal(
-            encode(ids, pad, params, SMALL), encode(ids, pad, params, SMALL)
+            encode(ids, pad, params, SMALL)[0], encode(ids, pad, params, SMALL)[0]
         )
 
     def test_real_rows_have_sqrt_dh_norm_at_init(self):
@@ -142,7 +142,7 @@ class TestEncodeForward:
             rng = np.random.default_rng(seed)
             params = part_params(rng, "enc.", encoder=SMALL)
             ids, pad = small_batch(rng)
-            out = encode(ids, pad, params, SMALL)
+            out, _ = encode(ids, pad, params, SMALL)
             norms = np.linalg.norm(out[pad], axis=-1)
             assert np.allclose(norms, np.sqrt(SMALL.d_h), atol=1e-6)
 
@@ -152,13 +152,13 @@ class TestEncodeForward:
         ids2 = ids.copy()
         ids2[0, 4:] = 7  # rewrite padded slots with arbitrary real ids
         assert np.array_equal(
-            encode(ids, pad, params, SMALL), encode(ids2, pad, params, SMALL)
+            encode(ids, pad, params, SMALL)[0], encode(ids2, pad, params, SMALL)[0]
         )
 
     def test_attention_rows_are_masked_distributions(self, rng):
         params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
-        _, cache = encode(ids, pad, params, SMALL, want_cache=True)
+        _, cache = encode(ids, pad, params, SMALL)
         for lc in cache["layers"]:
             probs = lc["probs"]
             assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
@@ -188,15 +188,13 @@ class TestEncodeBackward:
 
         def forward():
             drop_rng = None if seed is None else np.random.default_rng(seed)
-            return encode(ids, pad, params, SMALL, dropout_rate, drop_rng)
+            return encode(ids, pad, params, SMALL, dropout_rate, drop_rng)[0]
 
         def loss(_parms=None):
             return float(np.sum(forward() * probe))
 
         drop_rng = None if seed is None else np.random.default_rng(seed)
-        out, cache = encode(
-            ids, pad, params, SMALL, dropout_rate, drop_rng, want_cache=True
-        )
+        out, cache = encode(ids, pad, params, SMALL, dropout_rate, drop_rng)
         grads = encode_backward(probe, cache, params, SMALL)
         return params, loss, grads
 
@@ -230,8 +228,8 @@ class TestEncodeBackward:
     def test_dropout_changes_output_and_replays(self, rng):
         params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
-        plain = encode(ids, pad, params, SMALL)
-        d1 = encode(ids, pad, params, SMALL, 0.5, np.random.default_rng(3))
-        d2 = encode(ids, pad, params, SMALL, 0.5, np.random.default_rng(3))
+        plain, _ = encode(ids, pad, params, SMALL)
+        d1, _ = encode(ids, pad, params, SMALL, 0.5, np.random.default_rng(3))
+        d2, _ = encode(ids, pad, params, SMALL, 0.5, np.random.default_rng(3))
         assert not np.array_equal(plain, d1)
         assert np.array_equal(d1, d2)

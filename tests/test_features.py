@@ -197,7 +197,7 @@ class TestFeatureForward:
             W_proj=np.zeros((FEATURE_HIDDEN, FEATURE_HIDDEN)),
             b_proj=np.zeros(FEATURE_HIDDEN),
         )
-        out = feature_forward(np.ones(FEATURE_DIM), params)
+        out, _ = feature_forward(np.ones(FEATURE_DIM), params)
         assert np.array_equal(out, np.zeros(FEATURE_HIDDEN))
 
     def test_negative_preactivation_scaled_by_slope(self):
@@ -210,14 +210,14 @@ class TestFeatureForward:
             W_proj=np.eye(FEATURE_HIDDEN),
             b_proj=np.zeros(FEATURE_HIDDEN),
         )
-        out = feature_forward(np.zeros(FEATURE_DIM), params)
+        out, _ = feature_forward(np.zeros(FEATURE_DIM), params)
         assert np.allclose(out, -0.25)
 
     def test_batch_matches_single(self, rng):
         params = part_params(rng, "feat.")
         rows = rng.normal(size=(5, FEATURE_DIM))
-        batched = feature_forward(rows, params)
-        single = np.stack([feature_forward(r, params) for r in rows])
+        batched, _ = feature_forward(rows, params)
+        single = np.stack([feature_forward(r, params)[0] for r in rows])
         assert np.allclose(batched, single)
 
     def test_positive_homogeneity_with_zero_biases(self, rng):
@@ -227,7 +227,7 @@ class TestFeatureForward:
         x = rng.normal(size=FEATURE_DIM)
         for t in (0.5, 2.0, 7.3):
             assert np.allclose(
-                feature_forward(t * x, params), t * feature_forward(x, params)
+                feature_forward(t * x, params)[0], t * feature_forward(x, params)[0]
             )
 
     def test_gradients_match_finite_differences(self, rng):
@@ -238,11 +238,11 @@ class TestFeatureForward:
             x = rng.normal(size=(3, FEATURE_DIM))
             probe = rng.normal(size=(3, FEATURE_HIDDEN))
 
-            out, cache = feature_forward(x, params, want_cache=True)
+            out, cache = feature_forward(x, params)
             d_x, grads = feature_backward(probe, cache, params)
 
             def loss(_parms=None):
-                return float(np.sum(feature_forward(x, params) * probe))
+                return float(np.sum(feature_forward(x, params)[0] * probe))
 
             for name in params:
                 coords, fd = finite_difference(
@@ -255,7 +255,7 @@ class TestFeatureForward:
             x_param = {"x": x}
 
             def loss_x(_parms=None):
-                return float(np.sum(feature_forward(x_param["x"], params) * probe))
+                return float(np.sum(feature_forward(x_param["x"], params)[0] * probe))
 
             coords, fd = finite_difference(loss_x, x_param, "x", max_coords=8, rng=rng)
             err = relative_gradient_error(d_x.reshape(-1)[coords], fd)

@@ -27,8 +27,8 @@ def intent_params(rng, mode="attention"):
 
 def pooled(H, pad_mask, rng):
     """Pooling weights and pooled vector of the attention head."""
-    _, alpha, h_int = intent_forward(H, pad_mask, intent_params(rng))
-    return alpha, h_int
+    _, alpha, cache = intent_forward(H, pad_mask, intent_params(rng))
+    return alpha, cache["h_int"]
 
 
 def random_states(rng, b=3, n=6, d=D_H):
@@ -195,7 +195,7 @@ class TestForwardBackward:
             p += rng.normal(scale=0.3, size=p.shape)
         targets = rng.integers(0, N_INTENTS, size=H.shape[0])
 
-        y, _, _, cache = intent_forward(H, pad, params, mode, want_cache=True)
+        y, _, cache = intent_forward(H, pad, params, mode)
         d_H, grads = intent_backward(_ce_grad(y, targets), cache, params)
 
         holders = dict(params)
@@ -219,9 +219,8 @@ class TestForwardBackward:
         params = intent_params(rng)
         targets = rng.integers(0, N_INTENTS, size=H.shape[0])
 
-        y, _, _, cache = intent_forward(
+        y, _, cache = intent_forward(
             H, pad, params, dropout_rate=0.3, rng=np.random.default_rng(5),
-            want_cache=True,
         )
         _, grads = intent_backward(_ce_grad(y, targets), cache, params)
 
@@ -248,17 +247,17 @@ class TestForwardBackward:
     def test_pooled_vector_inside_unit_box(self, rng):
         H, pad = random_states(rng)
         params = intent_params(rng)
-        _, _, h_int = intent_forward(H, pad, params)
-        assert (np.abs(h_int) < 1.0).all()
+        _, _, cache = intent_forward(H, pad, params)
+        assert (np.abs(cache["h_int"]) < 1.0).all()
 
     def test_start_token_alpha_is_position_zero_indicator(self, rng):
         H, pad = random_states(rng)
         params = intent_params(rng, "start_token")
-        _, alpha, h_int = intent_forward(H, pad, params, "start_token")
+        _, alpha, cache = intent_forward(H, pad, params, "start_token")
         assert np.array_equal(alpha[:, 0], np.ones(H.shape[0]))
         assert np.array_equal(alpha[:, 1:], np.zeros((H.shape[0], H.shape[1] - 1)))
         direct = np.tanh(H[:, 0] @ params["W_pool"].T + params["b_pool"])
-        assert np.allclose(h_int, direct)
+        assert np.allclose(cache["h_int"], direct)
 
     def test_unknown_mode_rejected(self, rng):
         H, pad = random_states(rng)

@@ -16,7 +16,6 @@ from jointnlu.model import (
     load_checkpoint,
     make_batch,
     model_loss_and_grads,
-    model_losses,
     model_outputs,
     predict_batch,
     save_checkpoint,
@@ -27,6 +26,7 @@ from jointnlu.toy import toy_grammar
 
 from oracles import (
     finite_difference,
+    model_losses,
     relative_gradient_error,
     viterbi_per_sequence,
 )
@@ -121,7 +121,7 @@ class TestForward:
         cfg = tiny_config()
         params = init_model_params(cfg, rng)
         batch = tiny_batch(rng)
-        y_int, slot_scores, alpha = model_outputs(params, cfg, batch)
+        y_int, slot_scores, alpha, _ = model_outputs(params, cfg, batch)
         assert y_int.shape == (3, N_INT)
         assert slot_scores.shape == (3, 7, N_SLOTS)
         assert alpha.shape == (3, 7)
@@ -132,8 +132,8 @@ class TestForward:
         cfg = tiny_config()
         params = init_model_params(cfg, rng)
         batch = tiny_batch(rng)
-        a = model_outputs(params, cfg, batch)
-        b = model_outputs(params, cfg, batch)
+        a = model_outputs(params, cfg, batch)[:3]
+        b = model_outputs(params, cfg, batch)[:3]
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -370,7 +370,7 @@ class TestPredict:
             if slot_mode == "crf":
                 params["crf.T"] = rng.normal(size=params["crf.T"].shape)
             batch = ragged_batch(rng, [7, 1, 4, 2, 7])
-            _, slot_scores, _ = model_outputs(params, cfg, batch)
+            _, slot_scores, _, _ = model_outputs(params, cfg, batch)
             _, pieces, _ = predict_batch(params, cfg, batch)
             for i, L in enumerate(batch.lengths):
                 emissions = slot_scores[i, :L]

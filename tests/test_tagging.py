@@ -13,8 +13,10 @@ from jointnlu.tagging import (
     SlotTag,
     extract_chunks,
     intent_accuracy,
+    kv_text,
     parse_tags,
     per_token_micro_f1,
+    read_kv,
     relative_error_reduction,
     sentence_accuracy,
     slot_f1,
@@ -234,6 +236,45 @@ class TestEvalReport:
 
     def test_selection_score(self):
         assert self.put().selection_score == pytest.approx(0.9787 + 0.8869 + 0.9625)
+
+    def test_repeated_key_rejected(self):
+        text = self.put().to_kv_text() + "slot_f1=0.5\n"
+        with pytest.raises(ValueError, match="line 8: repeated key 'slot_f1'"):
+            EvalReport.from_kv_text(text)
+
+
+class TestReadKv:
+    def test_entries_carry_line_numbers(self):
+        entries, problems = read_kv("# header\n\n a = 1 \nb=x=y\nc=\n")
+        assert problems == []
+        assert entries == {"a": (3, "1"), "b": (4, "x=y"), "c": (5, "")}
+        assert list(entries) == ["a", "b", "c"]
+
+    def test_line_without_equals_is_a_problem(self):
+        entries, problems = read_kv("a=1\njunk\n")
+        assert entries == {"a": (1, "1")}
+        assert problems == ["line 2: expected key=value, got 'junk'"]
+
+    def test_repeated_key_is_a_problem_naming_both_lines(self):
+        entries, problems = read_kv("gamma=0.3\nepochs=2\ngamma=0.9\n")
+        assert entries["gamma"] == (1, "0.3")
+        assert problems == ["line 3: repeated key 'gamma' (first on line 1)"]
+
+    def test_fields_of_one_line(self):
+        entries, problems = read_kv("epoch=1 junk epoch=2", fields=True)
+        assert entries == {"epoch": (1, "1")}
+        assert problems == [
+            "field 2: expected key=value, got 'junk'",
+            "field 3: repeated key 'epoch' (first on field 1)",
+        ]
+
+    def test_kv_text_reads_back(self):
+        d = {"a": 0.1, "b": 3, "c": "crf", "d": True}
+        entries, problems = read_kv(kv_text(d))
+        assert problems == []
+        assert {k: v for k, (_, v) in entries.items()} == {
+            k: repr(v) for k, v in d.items()
+        }
 
 
 def test_intent_accuracy_basic():

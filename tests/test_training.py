@@ -68,6 +68,12 @@ class TestTrainConfig:
         assert config is None
         assert len(problems) == 1 and "unknown setting" in problems[0]
 
+    def test_repeated_key_rejected(self):
+        # the second copy used to win silently
+        config, problems = validate_config_text("gamma=0.3\ngamma=0.9\n")
+        assert config is None
+        assert problems == ["line 2: repeated key 'gamma' (first on line 1)"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(gamma=1.5)
@@ -145,6 +151,28 @@ class TestEpochRecord:
         )
         back = EpochRecord.from_line(rec.to_line())
         assert back == rec
+
+    def test_reads_a_logged_line(self):
+        line = (
+            "epoch=2 l_intent=0.5 l_slot=1.25 l_joint=0.8 intent_acc=0.9 "
+            "sent_acc=0.8 slot_f1=0.7 token_f1=0.6 tp=7 fp=1 fn=2"
+        )
+        rec = EpochRecord.from_line(line)
+        assert (rec.epoch, rec.l_slot, rec.dev.tp) == (2, 1.25, 7)
+        assert rec.to_line() == line
+
+    def test_field_without_equals_is_a_clear_error(self):
+        with pytest.raises(ValueError, match="field 2: expected key=value, got 'junk'"):
+            EpochRecord.from_line("epoch=1 junk")
+
+    def test_missing_loss_is_a_clear_error(self):
+        line = EpochRecord(
+            epoch=3, l_intent=0.25, l_slot=1.5, l_joint=0.75,
+            dev=report(0.9, 0.8, 0.7, 0.6),
+        ).to_line()
+        without = " ".join(f for f in line.split() if not f.startswith("l_slot="))
+        with pytest.raises(ValueError, match="lacks 'l_slot'"):
+            EpochRecord.from_line(without)
 
 
 def quick_config(**over):
