@@ -16,17 +16,13 @@ from jointnlu.model import ModelConfig, init_model_params
 
 rng = np.random.default_rng(7)
 d_h, n_intents = 16, 5
-# The intent head's tensors are the "int." rows of the model's parameter
-# table; draw a whole small model and keep those, prefix dropped.
+# The intent head reads the "int." rows of the model's parameter table;
+# draw a whole small model and hand the head its flat parameter dict.
 config = ModelConfig(
     encoder=EncoderConfig(vocab_size=8, d_h=d_h, n_heads=4),
     n_intents=n_intents, n_slots=3,
 )
-params = {
-    name[len("int."):]: value
-    for name, value in init_model_params(config, rng, scale=0.3).items()
-    if name.startswith("int.")
-}
+params = init_model_params(config, rng, scale=0.3)
 
 # A batch of two sequences; the second one is padded after 4 positions.
 H = rng.normal(size=(2, 6, d_h))

@@ -71,16 +71,6 @@ class RunManifest:
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        """Read a manifest; keys that are not fields, such as the top-level
-        "seed" older versions wrote as a copy of config.seed, are ignored."""
-        d = json.loads(text)
-        d = {f.name: d[f.name] for f in dataclasses.fields(cls)}
-        d["config"] = TrainConfig(**d["config"])
-        d["history"] = tuple(d["history"])
-        return cls(**d)
-
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -199,7 +189,7 @@ def _check_label_vocabularies(ckpt, corpus) -> None:
     """
     corpus_intents = {u.intent for u in corpus}
     known = set(ckpt.intent_vocab.labels)
-    if corpus_intents and not (corpus_intents & known):
+    if not corpus_intents & known:
         raise ValueError(
             "vocabulary mismatch: no corpus intent appears in the "
             "checkpoint's label set"
@@ -219,6 +209,8 @@ def _check_label_vocabularies(ckpt, corpus) -> None:
 
 def cmd_eval(args) -> int:
     corpus = load_corpus(args.data)
+    if not corpus:
+        raise ValueError(f"{args.data} holds no utterances")
     if args.self_test:
         # Gold scored against itself: anything short of a perfect report
         # means the measurement pipeline itself is broken.

@@ -256,10 +256,6 @@ class IntentVocab:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def unk_id(self) -> int:
-        return 0
-
     def encode(self, label: str) -> int:
         return self._ids.get(label, 0)
 
@@ -291,14 +287,6 @@ class SlotVocab:
 
     def __len__(self) -> int:
         return len(self.tags)
-
-    @property
-    def o_id(self) -> int:
-        return 0
-
-    @property
-    def x_id(self) -> int:
-        return 1
 
     def encode(self, tag: SlotTag | str) -> int:
         return self._ids.get(str(tag), 0)

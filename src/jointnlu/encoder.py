@@ -7,8 +7,9 @@ by residual add and layer norm. Padded key positions are masked out of every
 attention row, and the returned hidden states are zeroed at padded positions,
 so padding content can never influence real positions.
 
-Parameters live in a flat name->array dict (model.param_spec lists them
-under the "enc." prefix); gradients come back under the same names.
+Parameters are read from the model's flat name->array dict under their
+model.param_spec names ("enc.tok_emb", "enc.l0.Wq", ...); gradients come
+back under the same names.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ def encode(
     if not pad_mask.any(axis=1).all():
         raise ValueError("every sequence needs at least one real position")
 
-    emb = params["tok_emb"][ids] + params["pos_emb"][:n][None, :, :]
-    x, ln_emb_cache = layer_norm(emb, params["ln_emb.g"], params["ln_emb.b"])
+    emb = params["enc.tok_emb"][ids] + params["enc.pos_emb"][:n][None, :, :]
+    x, ln_emb_cache = layer_norm(emb, params["enc.ln_emb.g"], params["enc.ln_emb.b"])
     emb_mask = dropout_mask(rng, x.shape, dropout_rate)
     x = apply_mask(x, emb_mask)
 
@@ -104,27 +105,28 @@ def encode(
     scale = 1.0 / np.sqrt(cfg.d_head)
     layers = []
     for i in range(cfg.n_layers):
+        p = f"enc.l{i}."
         x_in = x
-        q = _split_heads(x @ params[f"l{i}.Wq"] + params[f"l{i}.bq"], cfg.n_heads)
-        k = _split_heads(x @ params[f"l{i}.Wk"] + params[f"l{i}.bk"], cfg.n_heads)
-        v = _split_heads(x @ params[f"l{i}.Wv"] + params[f"l{i}.bv"], cfg.n_heads)
+        q = _split_heads(x @ params[p + "Wq"] + params[p + "bq"], cfg.n_heads)
+        k = _split_heads(x @ params[p + "Wk"] + params[p + "bk"], cfg.n_heads)
+        v = _split_heads(x @ params[p + "Wv"] + params[p + "bv"], cfg.n_heads)
         scores = np.where(key_mask, (q @ k.swapaxes(-1, -2)) * scale, -np.inf)
         probs = stable_softmax(scores, axis=-1)
         ctx = _merge_heads(probs @ v)
-        attn_out = ctx @ params[f"l{i}.Wo"] + params[f"l{i}.bo"]
+        attn_out = ctx @ params[p + "Wo"] + params[p + "bo"]
         attn_drop = dropout_mask(rng, attn_out.shape, dropout_rate)
         attn_out = apply_mask(attn_out, attn_drop)
         x1, ln1_cache = layer_norm(
-            x_in + attn_out, params[f"l{i}.ln1.g"], params[f"l{i}.ln1.b"]
+            x_in + attn_out, params[p + "ln1.g"], params[p + "ln1.b"]
         )
 
-        u = x1 @ params[f"l{i}.W1"] + params[f"l{i}.b1"]
+        u = x1 @ params[p + "W1"] + params[p + "b1"]
         a = gelu(u)
-        ffn_out = a @ params[f"l{i}.W2"] + params[f"l{i}.b2"]
+        ffn_out = a @ params[p + "W2"] + params[p + "b2"]
         ffn_drop = dropout_mask(rng, ffn_out.shape, dropout_rate)
         ffn_out = apply_mask(ffn_out, ffn_drop)
         x2, ln2_cache = layer_norm(
-            x1 + ffn_out, params[f"l{i}.ln2.g"], params[f"l{i}.ln2.b"]
+            x1 + ffn_out, params[p + "ln2.g"], params[p + "ln2.b"]
         )
 
         layers.append(
@@ -150,45 +152,46 @@ def encode_backward(
     params: dict[str, np.ndarray],
     cfg: EncoderConfig,
 ) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every encoder parameter."""
+    """Gradients of a scalar loss w.r.t. every "enc." parameter, by name."""
     ids = cache["ids"]
     pad_mask = cache["pad_mask"]
-    b, n = ids.shape
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    n = ids.shape[1]
+    grads = {}
 
     d_x = d_out * pad_mask[:, :, None]
     for i in reversed(range(cfg.n_layers)):
         lc = cache["layers"][i]
+        p = f"enc.l{i}."
 
-        d_r2, d_g, d_b = layer_norm_backward(d_x, lc["ln2_cache"])
-        grads[f"l{i}.ln2.g"] += d_g
-        grads[f"l{i}.ln2.b"] += d_b
+        d_r2, grads[p + "ln2.g"], grads[p + "ln2.b"] = layer_norm_backward(
+            d_x, lc["ln2_cache"]
+        )
         d_x1 = d_r2.copy()
         d_ffn = apply_mask(d_r2, lc["ffn_drop"])
 
         flat_a = lc["a"].reshape(-1, cfg.d_ff)
         flat_dffn = d_ffn.reshape(-1, cfg.d_h)
-        grads[f"l{i}.W2"] += flat_a.T @ flat_dffn
-        grads[f"l{i}.b2"] += flat_dffn.sum(axis=0)
-        d_a = d_ffn @ params[f"l{i}.W2"].T
+        grads[p + "W2"] = flat_a.T @ flat_dffn
+        grads[p + "b2"] = flat_dffn.sum(axis=0)
+        d_a = d_ffn @ params[p + "W2"].T
         d_u = d_a * gelu_grad(lc["u"])
         flat_x1 = lc["x1"].reshape(-1, cfg.d_h)
         flat_du = d_u.reshape(-1, cfg.d_ff)
-        grads[f"l{i}.W1"] += flat_x1.T @ flat_du
-        grads[f"l{i}.b1"] += flat_du.sum(axis=0)
-        d_x1 += d_u @ params[f"l{i}.W1"].T
+        grads[p + "W1"] = flat_x1.T @ flat_du
+        grads[p + "b1"] = flat_du.sum(axis=0)
+        d_x1 += d_u @ params[p + "W1"].T
 
-        d_r1, d_g, d_b = layer_norm_backward(d_x1, lc["ln1_cache"])
-        grads[f"l{i}.ln1.g"] += d_g
-        grads[f"l{i}.ln1.b"] += d_b
+        d_r1, grads[p + "ln1.g"], grads[p + "ln1.b"] = layer_norm_backward(
+            d_x1, lc["ln1_cache"]
+        )
         d_x_in = d_r1.copy()
         d_attn = apply_mask(d_r1, lc["attn_drop"])
 
         flat_ctx = lc["ctx"].reshape(-1, cfg.d_h)
         flat_dattn = d_attn.reshape(-1, cfg.d_h)
-        grads[f"l{i}.Wo"] += flat_ctx.T @ flat_dattn
-        grads[f"l{i}.bo"] += flat_dattn.sum(axis=0)
-        d_ctx = _split_heads(d_attn @ params[f"l{i}.Wo"].T, cfg.n_heads)
+        grads[p + "Wo"] = flat_ctx.T @ flat_dattn
+        grads[p + "bo"] = flat_dattn.sum(axis=0)
+        d_ctx = _split_heads(d_attn @ params[p + "Wo"].T, cfg.n_heads)
 
         d_probs = d_ctx @ lc["v"].swapaxes(-1, -2)
         d_v = lc["probs"].swapaxes(-1, -2) @ d_ctx
@@ -201,16 +204,19 @@ def encode_backward(
         for name, d_heads in (("q", d_q), ("k", d_k), ("v", d_v)):
             d_lin = _merge_heads(d_heads)
             flat_d = d_lin.reshape(-1, cfg.d_h)
-            grads[f"l{i}.W{name}"] += flat_x.T @ flat_d
-            grads[f"l{i}.b{name}"] += flat_d.sum(axis=0)
-            d_x_in += d_lin @ params[f"l{i}.W{name}"].T
+            grads[p + "W" + name] = flat_x.T @ flat_d
+            grads[p + "b" + name] = flat_d.sum(axis=0)
+            d_x_in += d_lin @ params[p + "W" + name].T
 
         d_x = d_x_in
 
     d_x = apply_mask(d_x, cache["emb_mask"])
-    d_emb, d_g, d_b = layer_norm_backward(d_x, cache["ln_emb_cache"])
-    grads["ln_emb.g"] += d_g
-    grads["ln_emb.b"] += d_b
-    np.add.at(grads["tok_emb"], ids, d_emb)
-    grads["pos_emb"][:n] += d_emb.sum(axis=0)
+    d_emb, grads["enc.ln_emb.g"], grads["enc.ln_emb.b"] = layer_norm_backward(
+        d_x, cache["ln_emb_cache"]
+    )
+    # Embedding rows the batch never touches get exact zeros.
+    grads["enc.tok_emb"] = np.zeros_like(params["enc.tok_emb"])
+    np.add.at(grads["enc.tok_emb"], ids, d_emb)
+    grads["enc.pos_emb"] = np.zeros_like(params["enc.pos_emb"])
+    grads["enc.pos_emb"][:n] = d_emb.sum(axis=0)
     return grads

@@ -81,11 +81,6 @@ def classify_case(word: str) -> CaseClass:
     return CaseClass.O
 
 
-def truecase(word: str, lexicon: Mapping[str, str]) -> CaseClass:
-    """Restore the word's canonical form and classify its capitalization."""
-    return classify_case(canonical_form(word, lexicon))
-
-
 def resolve_raw_label(raw: str) -> EntityClass:
     if raw in MERGED_RAW_LABELS:
         return EntityClass.OTHER
@@ -124,19 +119,16 @@ class PhraseIndex(NamedTuple):
 
 def annotate_entities(
     words: Sequence[str],
-    gazetteer: Mapping[str, str] | PhraseIndex,
+    index: PhraseIndex,
     english_dict: frozenset[str] | set[str],
 ) -> list[EntityClass]:
     """Label each word with an entity class.
 
     Gazetteer phrases match longest-first on lowercased text and label every
     word they cover; remaining words fall through to the digit/year/airport
-    rules, and then to NONE. `gazetteer` is a phrase map or its PhraseIndex;
-    a WordFeaturizer builds the index once and passes that.
+    rules, and then to NONE. A WordFeaturizer builds its index once.
     """
-    if not isinstance(gazetteer, PhraseIndex):
-        gazetteer = PhraseIndex.build(gazetteer)
-    phrases, longest = gazetteer
+    phrases, longest = index
     lowered = [w.lower() for w in words]
 
     out: list[EntityClass] = []
@@ -165,7 +157,7 @@ def encode_features(entity: EntityClass, case: CaseClass) -> np.ndarray:
 def feature_forward(x: np.ndarray, params: dict[str, np.ndarray]):
     """Embed feature vectors: s = x W_w + b_w, h = PReLU(s), out = h W_proj + b_proj.
 
-    `params` holds the "feat." rows of model.param_spec, prefix dropped.
+    `params` is the model's flat dict; the net reads its "feat." names.
     Accepts a single 23-vector or any (..., 23) batch; the output replaces
     the last axis with 32. Returns (out, cache), the cache holding the
     intermediates feature_backward needs.
@@ -173,10 +165,10 @@ def feature_forward(x: np.ndarray, params: dict[str, np.ndarray]):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != FEATURE_DIM:
         raise ValueError(f"last axis must be {FEATURE_DIM}, got {x.shape}")
-    s = x @ params["W_w"] + params["b_w"]
-    a = float(params["a_prelu"])
+    s = x @ params["feat.W_w"] + params["feat.b_w"]
+    a = float(params["feat.a_prelu"])
     h = np.maximum(s, 0.0) + a * np.minimum(s, 0.0)
-    out = h @ params["W_proj"] + params["b_proj"]
+    out = h @ params["feat.W_proj"] + params["feat.b_proj"]
     return out, (x, s, h)
 
 
@@ -185,7 +177,7 @@ def feature_backward(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Backprop through feature_forward.
 
-    Returns (d_x, grads) where grads is keyed like params.
+    Returns (d_x, grads) with grads under the "feat." names.
     """
     x, s, h = cache
     d_out = np.asarray(d_out, dtype=np.float64)
@@ -196,9 +188,9 @@ def feature_backward(
     flat_h = h.reshape(-1, FEATURE_HIDDEN)
     d_W_proj = flat_h.T @ flat_dout
     d_b_proj = flat_dout.sum(axis=0)
-    d_h = d_out @ params["W_proj"].T
+    d_h = d_out @ params["feat.W_proj"].T
 
-    a = float(params["a_prelu"])
+    a = float(params["feat.a_prelu"])
     pos = s > 0
     d_s = d_h * np.where(pos, 1.0, a)
     d_a = np.array(np.sum(d_h * np.minimum(s, 0.0)))
@@ -207,14 +199,14 @@ def feature_backward(
     flat_ds = d_s.reshape(-1, FEATURE_HIDDEN)
     d_W_w = flat_x.T @ flat_ds
     d_b_w = flat_ds.sum(axis=0)
-    d_x = d_s @ params["W_w"].T
+    d_x = d_s @ params["feat.W_w"].T
 
     grads = {
-        "W_w": d_W_w,
-        "b_w": d_b_w,
-        "a_prelu": d_a,
-        "W_proj": d_W_proj,
-        "b_proj": d_b_proj,
+        "feat.W_w": d_W_w,
+        "feat.b_w": d_b_w,
+        "feat.a_prelu": d_a,
+        "feat.W_proj": d_W_proj,
+        "feat.b_proj": d_b_proj,
     }
     return d_x, grads
 

@@ -9,7 +9,8 @@ marker positions participate like any other.
 An alternative start-token mode pools by projecting the first position only,
 the conventional classifier-head baseline, kept for ablations.
 
-Parameter dicts hold the "int." rows of model.param_spec, prefix dropped.
+Both passes read the model's flat parameter dict under its "int." names
+(model.param_spec); gradients come back under the same names.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def intent_forward(
         raise ValueError("pad_mask must match (batch, length)")
 
     if mode == "attention":
-        logits = attention_logits(H, pad_mask, params["W_score"], params["v_score"])
+        logits = attention_logits(H, pad_mask, params["int.W_score"],
+                                  params["int.v_score"])
         alpha_clean = attention_weights(logits, d_h)
         att_drop = dropout_mask(rng, alpha_clean.shape, dropout_rate)
         alpha = apply_mask(alpha_clean, att_drop)
@@ -79,14 +81,14 @@ def intent_forward(
         h_int = np.tanh(pooled)
     else:
         first = H[:, 0, :]
-        h_int = np.tanh(first @ params["W_pool"].T + params["b_pool"])
+        h_int = np.tanh(first @ params["int.W_pool"].T + params["int.b_pool"])
         alpha_clean, att_drop = None, None
         alpha = np.zeros((b, n))
         alpha[:, 0] = 1.0
 
     h_drop = dropout_mask(rng, h_int.shape, dropout_rate)
     h_used = apply_mask(h_int, h_drop)
-    y_int = intent_logits(h_used, params["W_cls"], params["b_cls"])
+    y_int = intent_logits(h_used, params["int.W_cls"], params["int.b_cls"])
 
     cache = dict(
         H=H, pad_mask=pad_mask, mode=mode, alpha_clean=alpha_clean,
@@ -103,16 +105,16 @@ def intent_backward(
 
     d_y_int must already combine every consumer of the intent logits (the
     intent loss and the slot head's fused probabilities). Returns
-    (d_H, grads) with grads keyed like the forward params.
+    (d_H, grads) with grads under the "int." names the forward pass read.
     """
     H, h_int = cache["H"], cache["h_int"]
     d_h = H.shape[-1]
 
     grads = {
-        "W_cls": d_y_int.T @ cache["h_used"],
-        "b_cls": d_y_int.sum(axis=0),
+        "int.W_cls": d_y_int.T @ cache["h_used"],
+        "int.b_cls": d_y_int.sum(axis=0),
     }
-    d_h_used = d_y_int @ params["W_cls"]
+    d_h_used = d_y_int @ params["int.W_cls"]
     d_h_int = apply_mask(d_h_used, cache["h_drop"])
     d_pre_tanh = d_h_int * (1.0 - h_int * h_int)
 
@@ -125,19 +127,19 @@ def intent_backward(
         d_scaled = softmax_backward(d_alpha_clean, alpha_clean, axis=-1)
         d_logits = d_scaled / np.sqrt(d_h)
 
-        t = np.tanh(H @ params["W_score"].T)
-        d_t = d_logits[:, :, None] * params["v_score"][None, None, :]
+        t = np.tanh(H @ params["int.W_score"].T)
+        d_t = d_logits[:, :, None] * params["int.v_score"][None, None, :]
         d_proj = d_t * (1.0 - t * t)
-        grads["v_score"] = np.einsum("bnd,bn->d", t, d_logits)
+        grads["int.v_score"] = np.einsum("bnd,bn->d", t, d_logits)
         flat_proj = d_proj.reshape(-1, d_h)
         flat_H = H.reshape(-1, d_h)
-        grads["W_score"] = flat_proj.T @ flat_H
-        d_H = d_H + d_proj @ params["W_score"]
+        grads["int.W_score"] = flat_proj.T @ flat_H
+        d_H = d_H + d_proj @ params["int.W_score"]
     else:
         first = H[:, 0, :]
-        grads["W_pool"] = d_pre_tanh.T @ first
-        grads["b_pool"] = d_pre_tanh.sum(axis=0)
+        grads["int.W_pool"] = d_pre_tanh.T @ first
+        grads["int.b_pool"] = d_pre_tanh.sum(axis=0)
         d_H = np.zeros_like(H)
-        d_H[:, 0, :] = d_pre_tanh @ params["W_pool"]
+        d_H[:, 0, :] = d_pre_tanh @ params["int.W_pool"]
 
     return d_H, grads

@@ -2,9 +2,9 @@
 
 Parameters live in one flat name -> float64 array dict. `param_spec` is the
 one list of its tensors (name, shape, initialiser, weight-decay flag); the
-initialiser, the checkpoint loader and the optimizer all read it. Gradients
-are returned under the same names, so the optimizer can walk the two dicts
-in parallel and update in place.
+initialiser, the checkpoint loader and the optimizer all read it. Every layer
+reads its tensors from that dict under those names and returns gradients
+under the same names, so the optimizer walks the two dicts in parallel.
 """
 
 from __future__ import annotations
@@ -165,10 +165,6 @@ def init_model_params(
     }
 
 
-def _sub(params: Dict[str, np.ndarray], prefix: str) -> Dict[str, np.ndarray]:
-    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
-
-
 @dataclass(frozen=True)
 class Batch:
     """Padded tensor view of a list of aligned sequences."""
@@ -229,29 +225,24 @@ def model_outputs(
     params: Dict[str, np.ndarray],
     cfg: ModelConfig,
     batch: Batch,
-    dropout_rate: float = 0.0,
     rng: Optional[np.random.Generator] = None,
 ):
-    """Run the full forward pass.
+    """Run the full forward pass, with cfg.dropout_rate applied when an rng
+    is given and no dropout otherwise.
 
     Returns (y_int, slot_scores, alpha, cache), the cache bundling what the
     backward pass needs. slot_scores is (b, n, n_slots); rows at padded
     positions are meaningless and must be masked by the consumer.
     """
-    H, enc_cache = encode(
-        batch.ids, batch.pad_mask, _sub(params, "enc."), cfg.encoder,
-        dropout_rate, rng,
-    )
+    rate = cfg.dropout_rate  # dropout_mask draws nothing when rng is None
+    H, enc_cache = encode(batch.ids, batch.pad_mask, params, cfg.encoder, rate, rng)
     y_int, alpha, int_cache = intent_forward(
-        H, batch.pad_mask, _sub(params, "int."), cfg.intent_pool,
-        dropout_rate, rng,
+        H, batch.pad_mask, params, cfg.intent_pool, rate, rng
     )
     f_words, feat_cache = None, None
     if cfg.slot_features:
-        f_words, feat_cache = feature_forward(batch.features, _sub(params, "feat."))
-    slot_scores, slot_cache = slot_forward(
-        y_int, f_words, H, params["W_s"], params["b_s"], dropout_rate, rng,
-    )
+        f_words, feat_cache = feature_forward(batch.features, params)
+    slot_scores, slot_cache = slot_forward(y_int, f_words, H, params, rate, rng)
     cache = dict(enc=enc_cache, int=int_cache, feat=feat_cache, slot=slot_cache)
     return y_int, slot_scores, alpha, cache
 
@@ -311,19 +302,16 @@ def model_loss_and_grads(
     cfg: ModelConfig,
     batch: Batch,
     gamma: float,
-    dropout_rate: float = 0.0,
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[float, float, Dict[str, np.ndarray]]:
-    """One full forward/backward pass.
+    """One full forward/backward pass, with dropout as in model_outputs.
 
     Returns (l_intent, l_slot, grads) where grads is the gradient of
     gamma*l_intent + (1-gamma)*l_slot, keyed exactly like params.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
-    y_int, slot_scores, _, cache = model_outputs(
-        params, cfg, batch, dropout_rate, rng
-    )
+    y_int, slot_scores, _, cache = model_outputs(params, cfg, batch, rng)
 
     l_int, d_y_ce = _intent_ce(y_int, batch.intent_ids)
     grads: Dict[str, np.ndarray] = {}
@@ -331,8 +319,7 @@ def model_loss_and_grads(
         l_slot, d_slot, crf_grads = _crf_slot_loss(
             slot_scores, batch.tag_ids, batch.pad_mask, params
         )
-        for k, v in crf_grads.items():
-            grads[k] = (1.0 - gamma) * v
+        grads.update((k, (1.0 - gamma) * v) for k, v in crf_grads.items())
     else:
         l_slot, d_slot = _softmax_slot_loss(
             slot_scores, batch.tag_ids, batch.pad_mask
@@ -340,22 +327,20 @@ def model_loss_and_grads(
 
     d_slot = (1.0 - gamma) * d_slot
     d_y_from_slot, d_f, d_H_slot, slot_grads = slot_backward(
-        d_slot, cache["slot"], params["W_s"]
+        d_slot, cache["slot"], params
     )
     grads.update(slot_grads)
 
     d_y_int = gamma * d_y_ce + d_y_from_slot
-    d_H_int, int_grads = intent_backward(d_y_int, cache["int"], _sub(params, "int."))
-    grads.update((f"int.{k}", v) for k, v in int_grads.items())
+    d_H_int, int_grads = intent_backward(d_y_int, cache["int"], params)
+    grads.update(int_grads)
 
     if cfg.slot_features:
-        _, feat_grads = feature_backward(d_f, cache["feat"], _sub(params, "feat."))
-        grads.update((f"feat.{k}", v) for k, v in feat_grads.items())
+        grads.update(feature_backward(d_f, cache["feat"], params)[1])
 
-    enc_grads = encode_backward(
-        d_H_int + d_H_slot, cache["enc"], _sub(params, "enc."), cfg.encoder
+    grads.update(
+        encode_backward(d_H_int + d_H_slot, cache["enc"], params, cfg.encoder)
     )
-    grads.update((f"enc.{k}", v) for k, v in enc_grads.items())
     return l_int, l_slot, grads
 
 

@@ -69,21 +69,28 @@ class AdamW:
         grads: Dict[str, np.ndarray],
         lr: float,
     ) -> None:
-        """Apply one update in place. Missing grads are treated as zero."""
+        """Apply one update in place. `grads` must hold exactly one gradient
+        per tensor of `params`, by name and shape; otherwise ValueError is
+        raised before anything changes."""
         if lr < 0.0:
             raise ValueError("lr must be nonnegative")
+        if grads.keys() != params.keys():
+            missing = sorted(params.keys() - grads.keys())
+            if missing:
+                raise ValueError(f"no gradient for parameter {missing[0]!r}")
+            extra = sorted(grads.keys() - params.keys())
+            raise ValueError(f"gradient {extra[0]!r} names no parameter")
+        for name, p in params.items():
+            if grads[name].shape != p.shape:
+                raise ValueError(
+                    f"gradient shape {grads[name].shape} != parameter shape "
+                    f"{p.shape} for {name!r}"
+                )
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name, p in params.items():
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(p)
-            if g.shape != p.shape:
-                raise ValueError(
-                    f"gradient shape {g.shape} != parameter shape {p.shape} "
-                    f"for {name!r}"
-                )
+            g = grads[name]
             if name not in self._m:
                 self._m[name] = np.zeros_like(p)
                 self._v[name] = np.zeros_like(p)

@@ -5,7 +5,8 @@ word-feature embedding; hidden state], squeezed through dropout and one
 linear projection. The intent block uses the softmax of the CURRENT intent
 logits and stays differentiable, so slot supervision also shapes the intent
 head. The feature block can be switched off, narrowing the projection to
-[intent probabilities; hidden state].
+[intent probabilities; hidden state]. Both passes read the model's flat
+parameter dict under its names for the projection, "W_s" and "b_s".
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ def slot_forward(
     y_int: np.ndarray,
     f_words: np.ndarray | None,
     H: np.ndarray,
-    W_s: np.ndarray,
-    b_s: np.ndarray,
+    params: dict[str, np.ndarray],
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ):
@@ -31,7 +31,7 @@ def slot_forward(
     position. f_words is (batch, length, 32) or None when the feature path is
     ablated. Dropout hits the concatenated vector.
     """
-    b, n, d_h = H.shape
+    b, n, _ = H.shape
     p_int = stable_softmax(y_int, axis=-1)
     blocks = [np.broadcast_to(p_int[:, None, :], (b, n, p_int.shape[-1]))]
     if f_words is not None:
@@ -40,22 +40,23 @@ def slot_forward(
         blocks.append(f_words)
     blocks.append(H)
     fused = np.concatenate(blocks, axis=-1)
+    W_s = params["W_s"]
     if W_s.shape[1] != fused.shape[-1]:
         raise ValueError(
             f"W_s expects width {W_s.shape[1]}, fused input has {fused.shape[-1]}"
         )
     drop = dropout_mask(rng, fused.shape, dropout_rate)
     fused_used = apply_mask(fused, drop)
-    logits = fused_used @ W_s.T + b_s
+    logits = fused_used @ W_s.T + params["b_s"]
     cache = dict(
         p_int=p_int, f_width=0 if f_words is None else f_words.shape[-1],
-        d_h=d_h, drop=drop, fused_used=fused_used,
+        drop=drop, fused_used=fused_used,
     )
     return logits, cache
 
 
 def slot_backward(
-    d_logits: np.ndarray, cache: dict, W_s: np.ndarray
+    d_logits: np.ndarray, cache: dict, params: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, dict[str, np.ndarray]]:
     """Backprop through slot_forward.
 
@@ -64,7 +65,7 @@ def slot_backward(
     """
     p_int = cache["p_int"]
     n_int = p_int.shape[-1]
-    f_width, d_h = cache["f_width"], cache["d_h"]
+    f_width, W_s = cache["f_width"], params["W_s"]
 
     flat_d = d_logits.reshape(-1, d_logits.shape[-1])
     flat_fused = cache["fused_used"].reshape(-1, W_s.shape[1])

@@ -46,14 +46,6 @@ class WordPieceVocab:
         return len(self.pieces)
 
     @property
-    def pad_id(self) -> int:
-        return self.ids[PAD_TOKEN]
-
-    @property
-    def unk_id(self) -> int:
-        return self.ids[UNK_TOKEN]
-
-    @property
     def bos_id(self) -> int:
         return self.ids[BOS_TOKEN]
 

@@ -331,8 +331,7 @@ def train(
                     # protected, so inf/nan here means the step blew up.
                     with np.errstate(over="raise", invalid="raise"):
                         l_int, l_slot, grads = model_loss_and_grads(
-                            params, model_cfg, batch, config.gamma,
-                            config.dropout_rate, rng,
+                            params, model_cfg, batch, config.gamma, rng
                         )
                 except FloatingPointError as err:
                     raise DivergenceError(

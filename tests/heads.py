@@ -2,8 +2,8 @@
 head or the encoder on its own.
 
 The tensors come from the package's own table (`model.param_spec`) through
-`init_model_params`, and are keyed the way that part's functions take them:
-the prefix ("enc.", "feat.", "int.") is dropped.
+`init_model_params`, under the same names the model uses ("enc.l0.Wq",
+"feat.W_w", "int.W_cls", "W_s", ...), which is how every part reads them.
 """
 
 from __future__ import annotations
@@ -32,4 +32,4 @@ def part_params(
     fields = dict(n_intents=1, n_slots=1)
     fields.update(model_fields)
     params = init_model_params(ModelConfig(encoder=encoder, **fields), rng, scale)
-    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+    return {k: v for k, v in params.items() if k.startswith(prefix)}

@@ -167,14 +167,14 @@ def slot_logits(intent_logit_vec, feature_vec, hidden_vec, W_s, b_s) -> np.ndarr
     return W_s @ np.concatenate(blocks) + b_s
 
 
-def model_losses(params, cfg, batch, dropout_rate=0.0, rng=None):
+def model_losses(params, cfg, batch, rng=None):
     """Forward-only (l_intent, l_slot): the package's forward pass and loss
     terms, with the CRF's negative log-likelihood taken from crf_nll and no
     backward pass run."""
     from jointnlu.crf import crf_nll
     from jointnlu.model import _intent_ce, _softmax_slot_loss, model_outputs
 
-    y_int, slot_scores, _, _ = model_outputs(params, cfg, batch, dropout_rate, rng)
+    y_int, slot_scores, _, _ = model_outputs(params, cfg, batch, rng)
     l_int, _ = _intent_ce(y_int, batch.intent_ids)
     if cfg.slot_mode == "crf":
         nll, _ = crf_nll(
@@ -260,7 +260,7 @@ def annotate_entities_longest_first(words, gazetteer, english_dict):
     call and the label read back through the phrase's joined text. Words no
     phrase covers get the package's rule label (an empty gazetteer).
     """
-    from jointnlu.features import annotate_entities, resolve_raw_label
+    from jointnlu.features import PhraseIndex, annotate_entities, resolve_raw_label
 
     lowered = [w.lower() for w in words]
     phrase_words = {tuple(p.split()) for p in gazetteer}
@@ -276,6 +276,6 @@ def annotate_entities_longest_first(words, gazetteer, english_dict):
                 i += span
                 break
         else:
-            out.extend(annotate_entities([words[i]], {}, english_dict))
+            out.extend(annotate_entities([words[i]], PhraseIndex({}, 0), english_dict))
             i += 1
     return out

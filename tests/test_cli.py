@@ -14,7 +14,7 @@ from jointnlu.model import load_checkpoint
 from jointnlu.subwords import BOS_TOKEN, EOS_TOKEN
 from jointnlu.tagging import EvalReport
 from jointnlu.toy import toy_grammar
-from jointnlu.training import EpochRecord, train
+from jointnlu.training import EpochRecord, TrainConfig, train
 
 CONFIG_TEXT = """\
 # quick desk run on the toy grammar
@@ -46,7 +46,11 @@ def trained(tmp_path_factory):
 
 
 def read_manifest(out_dir) -> RunManifest:
-    return RunManifest.from_json((out_dir / "manifest.json").read_text())
+    """The run's manifest.json, read back into the RunManifest it holds."""
+    d = json.loads((out_dir / "manifest.json").read_text())
+    d["config"] = TrainConfig(**d["config"])
+    d["history"] = tuple(d["history"])
+    return RunManifest(**d)
 
 
 class TestTrainCommand:
@@ -188,15 +192,6 @@ class TestTrainCommand:
         assert rc == 2
         assert "dev.txt" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_manifest_with_seed_key_still_reads(self, trained):
-        # manifests once carried a top-level copy of config.seed
-        text = (trained["out"] / "manifest.json").read_text()
-        payload = json.loads(text)
-        payload["seed"] = payload["config"]["seed"]
-        manifest = RunManifest.from_json(json.dumps(payload))
-        assert manifest == RunManifest.from_json(text)
-        assert manifest.config.seed == 11
 
     def test_three_seeds_write_summary(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -344,6 +339,25 @@ class TestEvalCommand:
         ])
         assert rc == 2
         assert "batch_size must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "\n\n\n"])
+    @pytest.mark.parametrize("self_test", [False, True])
+    def test_empty_corpus_rejected(self, trained, tmp_path, capsys, text,
+                                   self_test):
+        # an empty corpus used to print a perfect report and exit 0
+        data = tmp_path / "empty.txt"
+        data.write_text(text)
+        out_file = tmp_path / "report.txt"
+        argv = ["eval", "--data", str(data), "--out", str(out_file)]
+        if self_test:
+            argv.append("--self-test")
+        else:
+            argv += ["--checkpoint", str(trained["out"] / "checkpoint.npz")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {data} holds no utterances\n"
+        assert not out_file.exists()
 
 
 def _edit_missing(arrays):

@@ -255,7 +255,7 @@ class TestIntentVocab:
         corpus = [utt(["a"], ["O"], intent=i) for i in ("z", "b", "m", "b")]
         vocab = IntentVocab.from_corpus(corpus)
         assert vocab.labels == (UNK_INTENT, "b", "m", "z")
-        assert vocab.unk_id == 0
+        assert vocab.encode(UNK_INTENT) == 0
         assert len(vocab) == 4
 
     def test_encode_decode_round_trip(self):
@@ -266,8 +266,8 @@ class TestIntentVocab:
 
     def test_unseen_maps_to_reserved_id(self):
         vocab = IntentVocab((UNK_INTENT, "a"))
-        assert vocab.encode("never_seen") == vocab.unk_id
-        assert vocab.decode(vocab.unk_id) == UNK_INTENT
+        assert vocab.encode("never_seen") == 0
+        assert vocab.decode(0) == UNK_INTENT
 
     def test_unseen_label_scores_as_error(self):
         # the reserved decode string never equals a raw gold label
@@ -287,7 +287,7 @@ class TestSlotVocab:
         corpus = [utt(["a", "b", "c"], ["B-z", "I-z", "B-a"])]
         vocab = SlotVocab.from_corpus(corpus)
         assert vocab.tags == ("O", "X", "B-a", "B-z", "I-z")
-        assert vocab.o_id == 0 and vocab.x_id == 1
+        assert vocab.encode("O") == 0 and vocab.encode("X") == 1
 
     def test_encode_accepts_tags_and_strings(self):
         vocab = SlotVocab(("O", "X", "B-a"))
@@ -297,7 +297,7 @@ class TestSlotVocab:
 
     def test_unseen_tag_maps_to_o(self):
         vocab = SlotVocab(("O", "X", "B-a"))
-        assert vocab.encode("B-never") == vocab.o_id
+        assert vocab.encode("B-never") == 0
 
     def test_decode_returns_parsed_tags(self):
         vocab = SlotVocab(("O", "X", "B-a", "I-a"))
@@ -415,7 +415,7 @@ class TestToyGrammar:
         ivocab = IntentVocab.from_corpus(d.train)
         svocab = SlotVocab.from_corpus(d.train)
         for u in d.dev + d.test:
-            assert ivocab.encode(u.intent) != ivocab.unk_id
+            assert ivocab.encode(u.intent) != 0
             for t in u.tags:
                 enc = svocab.encode(t)
                 assert svocab.decode(enc) == t

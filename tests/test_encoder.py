@@ -212,7 +212,7 @@ class TestEncodeBackward:
         # replaying the dropout rng seed makes the loss deterministic, so
         # the masked path is checkable by finite differences too
         params, loss, grads = self._loss_and_grads(rng, dropout_rate=0.3, seed=99)
-        for name in ("l0.Wq", "l1.W2", "tok_emb", "ln_emb.g"):
+        for name in ("enc.l0.Wq", "enc.l1.W2", "enc.tok_emb", "enc.ln_emb.g"):
             coords, fd = finite_difference(
                 loss, params, name, step=1e-5, max_coords=4, rng=rng
             )

@@ -23,7 +23,6 @@ from jointnlu.features import (
     load_english_dict,
     load_gazetteer,
     load_lexicon,
-    truecase,
 )
 
 from heads import part_params
@@ -38,26 +37,31 @@ LEXICON = {"mcvey": "McVey", "justin": "Justin", "usa": "USA", "jfk": "JFK"}
 DICT = frozenset({"for", "the", "fly", "dog"})
 
 
+def annotate(words, gazetteer):
+    """annotate_entities over the index of a phrase map."""
+    return annotate_entities(words, PhraseIndex.build(gazetteer), DICT)
+
+
 class TestTruecase:
     def test_mixed_case_form_is_class_o(self):
-        assert truecase("mcvey", LEXICON) is CaseClass.O
+        assert classify_case(canonical_form("mcvey", LEXICON)) is CaseClass.O
 
     def test_init_upper(self):
-        assert truecase("justin", LEXICON) is CaseClass.INIT_UPPER
+        assert classify_case(canonical_form("justin", LEXICON)) is CaseClass.INIT_UPPER
 
     def test_all_upper(self):
-        assert truecase("usa", LEXICON) is CaseClass.UPPER
+        assert classify_case(canonical_form("usa", LEXICON)) is CaseClass.UPPER
 
     def test_fallback_keeps_word_as_given(self):
         assert canonical_form("zzz", LEXICON) == "zzz"
-        assert truecase("zzz", LEXICON) is CaseClass.LOWER
+        assert classify_case(canonical_form("zzz", LEXICON)) is CaseClass.LOWER
 
     def test_lookup_ignores_input_casing(self):
         assert canonical_form("MCVEY", LEXICON) == "McVey"
-        assert truecase("Usa", LEXICON) is CaseClass.UPPER
+        assert classify_case(canonical_form("Usa", LEXICON)) is CaseClass.UPPER
 
     def test_digits_classify_as_o(self):
-        assert truecase("2005", {}) is CaseClass.O
+        assert classify_case(canonical_form("2005", {})) is CaseClass.O
 
     def test_single_letter(self):
         assert classify_case("A") is CaseClass.UPPER
@@ -65,70 +69,70 @@ class TestTruecase:
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
-            truecase("", LEXICON)
+            classify_case(canonical_form("", LEXICON))
 
 
 class TestAnnotateEntities:
     def test_dictionary_word_suppresses_airport(self):
-        assert annotate_entities(["FOR"], {}, DICT) == [EntityClass.NONE]
+        assert annotate(["FOR"], {}) == [EntityClass.NONE]
 
     def test_non_word_code_is_airport(self):
-        assert annotate_entities(["JFK"], {}, DICT) == [EntityClass.AIRPORT_CODE]
+        assert annotate(["JFK"], {}) == [EntityClass.AIRPORT_CODE]
 
     def test_four_digit_year_is_date(self):
-        assert annotate_entities(["2005"], {}, DICT) == [EntityClass.DATE]
+        assert annotate(["2005"], {}) == [EntityClass.DATE]
 
     def test_year_range_boundaries(self):
-        get = lambda w: annotate_entities([w], {}, DICT)[0]
+        get = lambda w: annotate([w], {})[0]
         assert get("1900") is EntityClass.DATE
         assert get("2099") is EntityClass.DATE
         assert get("1899") is EntityClass.NUMBER
         assert get("2100") is EntityClass.NUMBER
 
     def test_plain_digits_are_number(self):
-        assert annotate_entities(["42"], {}, DICT) == [EntityClass.NUMBER]
-        assert annotate_entities(["12345"], {}, DICT) == [EntityClass.NUMBER]
+        assert annotate(["42"], {}) == [EntityClass.NUMBER]
+        assert annotate(["12345"], {}) == [EntityClass.NUMBER]
 
     def test_unmatched_word_is_none(self):
-        assert annotate_entities(["hello"], {}, DICT) == [EntityClass.NONE]
+        assert annotate(["hello"], {}) == [EntityClass.NONE]
 
     def test_mixed_alnum_falls_through(self):
-        assert annotate_entities(["b52"], {}, DICT) == [EntityClass.NONE]
+        assert annotate(["b52"], {}) == [EntityClass.NONE]
 
     def test_gazetteer_single_word(self):
         gaz = {"baltimore": "CITY"}
-        got = annotate_entities(["Baltimore"], gaz, DICT)
+        got = annotate(["Baltimore"], gaz)
         assert got == [EntityClass.CITY]
 
     def test_gazetteer_phrase_covers_all_words(self):
         gaz = {"new york city": "CITY"}
-        got = annotate_entities(["new", "york", "city"], gaz, DICT)
+        got = annotate(["new", "york", "city"], gaz)
         assert got == [EntityClass.CITY] * 3
 
     def test_longest_match_wins(self):
         gaz = {"new york": "CITY", "new york times": "ORGANIZATION"}
-        got = annotate_entities(["new", "york", "times"], gaz, DICT)
+        got = annotate(["new", "york", "times"], gaz)
         assert got == [EntityClass.ORGANIZATION] * 3
 
     def test_matching_is_case_insensitive(self):
         gaz = {"baltimore": "CITY"}
-        assert annotate_entities(["BALTIMORE"], gaz, DICT) == [EntityClass.CITY]
+        assert annotate(["BALTIMORE"], gaz) == [EntityClass.CITY]
 
     def test_merged_labels_become_other(self):
         for raw in sorted(MERGED_RAW_LABELS):
-            got = annotate_entities(["senator"], {"senator": raw}, DICT)
+            got = annotate(["senator"], {"senator": raw})
             assert got == [EntityClass.OTHER]
 
     def test_gazetteer_overrides_token_rules(self):
         gaz = {"2005": "TIME"}
-        assert annotate_entities(["2005"], gaz, DICT) == [EntityClass.TIME]
+        assert annotate(["2005"], gaz) == [EntityClass.TIME]
 
     def test_unknown_raw_label_rejected(self):
         with pytest.raises(ValueError):
-            annotate_entities(["x"], {"x": "GADGET"}, DICT)
+            annotate(["x"], {"x": "GADGET"})
 
     def test_empty_sequence(self):
-        assert annotate_entities([], {"a": "CITY"}, DICT) == []
+        assert annotate([], {"a": "CITY"}) == []
 
     @given(
         st.lists(
@@ -139,7 +143,7 @@ class TestAnnotateEntities:
     )
     def test_output_always_in_inventory(self, words):
         gaz = {"ab": "TITLE", "cd ef": "IDEOLOGY", "gh": "CITY"}
-        got = annotate_entities(words, gaz, DICT)
+        got = annotate(words, gaz)
         assert len(got) == len(words)
         assert all(isinstance(e, EntityClass) for e in got)
 
@@ -158,8 +162,7 @@ class TestAnnotateEntities:
             words = [str(w) for w in rng.choice(vocab + ["JFK", "New", "x"],
                                                 size=int(rng.integers(0, 12)))]
             expected = annotate_entities_longest_first(words, gaz, DICT)
-            assert annotate_entities(words, gaz, DICT) == expected
-            assert annotate_entities(words, PhraseIndex.build(gaz), DICT) == expected
+            assert annotate(words, gaz) == expected
 
 
 class TestEncodeFeatures:
@@ -190,26 +193,26 @@ class TestEncodeFeatures:
 
 class TestFeatureForward:
     def test_zero_params_give_zero_output(self):
-        params = dict(
-            W_w=np.zeros((FEATURE_DIM, FEATURE_HIDDEN)),
-            b_w=np.zeros(FEATURE_HIDDEN),
-            a_prelu=np.array(0.25),
-            W_proj=np.zeros((FEATURE_HIDDEN, FEATURE_HIDDEN)),
-            b_proj=np.zeros(FEATURE_HIDDEN),
-        )
+        params = {
+            "feat.W_w": np.zeros((FEATURE_DIM, FEATURE_HIDDEN)),
+            "feat.b_w": np.zeros(FEATURE_HIDDEN),
+            "feat.a_prelu": np.array(0.25),
+            "feat.W_proj": np.zeros((FEATURE_HIDDEN, FEATURE_HIDDEN)),
+            "feat.b_proj": np.zeros(FEATURE_HIDDEN),
+        }
         out, _ = feature_forward(np.ones(FEATURE_DIM), params)
         assert np.array_equal(out, np.zeros(FEATURE_HIDDEN))
 
     def test_negative_preactivation_scaled_by_slope(self):
         # b_w = -1 with zero W_w makes every pre-activation -1; the identity
         # projection then exposes the PReLU output directly.
-        params = dict(
-            W_w=np.zeros((FEATURE_DIM, FEATURE_HIDDEN)),
-            b_w=-np.ones(FEATURE_HIDDEN),
-            a_prelu=np.array(0.25),
-            W_proj=np.eye(FEATURE_HIDDEN),
-            b_proj=np.zeros(FEATURE_HIDDEN),
-        )
+        params = {
+            "feat.W_w": np.zeros((FEATURE_DIM, FEATURE_HIDDEN)),
+            "feat.b_w": -np.ones(FEATURE_HIDDEN),
+            "feat.a_prelu": np.array(0.25),
+            "feat.W_proj": np.eye(FEATURE_HIDDEN),
+            "feat.b_proj": np.zeros(FEATURE_HIDDEN),
+        }
         out, _ = feature_forward(np.zeros(FEATURE_DIM), params)
         assert np.allclose(out, -0.25)
 
@@ -222,8 +225,8 @@ class TestFeatureForward:
 
     def test_positive_homogeneity_with_zero_biases(self, rng):
         params = part_params(rng, "feat.")
-        params["b_w"][:] = 0.0
-        params["b_proj"][:] = 0.0
+        params["feat.b_w"][:] = 0.0
+        params["feat.b_proj"][:] = 0.0
         x = rng.normal(size=FEATURE_DIM)
         for t in (0.5, 2.0, 7.3):
             assert np.allclose(
@@ -233,8 +236,8 @@ class TestFeatureForward:
     def test_gradients_match_finite_differences(self, rng):
         for _ in range(100):
             params = part_params(rng, "feat.")
-            params["b_w"][:] = rng.normal(size=FEATURE_HIDDEN)
-            params["a_prelu"] = np.array(rng.uniform(0.05, 0.5))
+            params["feat.b_w"][:] = rng.normal(size=FEATURE_HIDDEN)
+            params["feat.a_prelu"] = np.array(rng.uniform(0.05, 0.5))
             x = rng.normal(size=(3, FEATURE_DIM))
             probe = rng.normal(size=(3, FEATURE_HIDDEN))
 

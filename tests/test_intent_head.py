@@ -256,7 +256,7 @@ class TestForwardBackward:
         _, alpha, cache = intent_forward(H, pad, params, "start_token")
         assert np.array_equal(alpha[:, 0], np.ones(H.shape[0]))
         assert np.array_equal(alpha[:, 1:], np.zeros((H.shape[0], H.shape[1] - 1)))
-        direct = np.tanh(H[:, 0] @ params["W_pool"].T + params["b_pool"])
+        direct = np.tanh(H[:, 0] @ params["int.W_pool"].T + params["int.b_pool"])
         assert np.allclose(cache["h_int"], direct)
 
     def test_unknown_mode_rejected(self, rng):

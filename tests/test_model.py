@@ -6,7 +6,9 @@ import pytest
 from jointnlu.data import IntentVocab, SlotVocab, UNK_INTENT
 from jointnlu.encoder import EncoderConfig
 from jointnlu.features import FEATURE_DIM, WordFeaturizer
+from jointnlu.intent_head import POOL_MODES
 from jointnlu.model import (
+    SLOT_MODES,
     Batch,
     Checkpoint,
     ModelConfig,
@@ -17,6 +19,7 @@ from jointnlu.model import (
     make_batch,
     model_loss_and_grads,
     model_outputs,
+    param_spec,
     predict_batch,
     save_checkpoint,
 )
@@ -167,6 +170,20 @@ class TestForward:
 
 
 class TestGradients:
+    @pytest.mark.parametrize("slot_mode", SLOT_MODES)
+    @pytest.mark.parametrize("slot_features", [True, False])
+    @pytest.mark.parametrize("intent_pool", POOL_MODES)
+    def test_grads_are_keyed_like_param_spec(
+        self, rng, slot_mode, slot_features, intent_pool
+    ):
+        cfg = tiny_config(slot_mode=slot_mode, slot_features=slot_features,
+                          intent_pool=intent_pool)
+        params = init_model_params(cfg, rng)
+        _, _, grads = model_loss_and_grads(params, cfg, tiny_batch(rng), 0.6)
+        assert sorted(grads) == sorted(row.name for row in param_spec(cfg))
+        for row in param_spec(cfg):
+            assert grads[row.name].shape == row.shape, row.name
+
     # one representative tensor per subsystem keeps the sweep affordable
     PROBE = ["enc.tok_emb", "enc.l0.Wq", "enc.l0.ln2.g", "feat.W_w",
              "feat.a_prelu", "int.W_score", "int.v_score", "int.W_cls",
@@ -235,18 +252,16 @@ class TestGradients:
             assert err.max() <= 1e-4, f"{name}: {err.max():.2e}"
 
     def test_dropout_gradients_with_replayed_stream(self, rng):
-        cfg = tiny_config()
+        cfg = tiny_config(dropout_rate=0.2)
         params = init_model_params(cfg, rng)
         batch = tiny_batch(rng)
         _, _, grads = model_loss_and_grads(
-            params, cfg, batch, 0.6, dropout_rate=0.2,
-            rng=np.random.default_rng(99),
+            params, cfg, batch, 0.6, rng=np.random.default_rng(99),
         )
 
         def loss(_parms=None):
             li, ls = model_losses(
-                params, cfg, batch, dropout_rate=0.2,
-                rng=np.random.default_rng(99),
+                params, cfg, batch, rng=np.random.default_rng(99),
             )
             return 0.6 * li + 0.4 * ls
 

@@ -155,17 +155,30 @@ class TestAdamW:
         assert view.base is params["W"] or view.base is params["W"].base
         assert np.array_equal(view, params["W"].reshape(-1))
 
-    def test_missing_grad_means_zero(self, rng):
+    def test_grad_names_must_match_params(self):
         params = {"W": np.full((2, 2), 1.0), "U": np.full((2, 2), 1.0)}
         opt = AdamW(params, weight_decay=0.0)
-        opt.step(params, {"W": np.ones((2, 2))}, lr=0.1)
-        assert np.allclose(params["U"], 1.0)
-        assert not np.allclose(params["W"], 1.0)
+        with pytest.raises(ValueError, match="no gradient for parameter 'U'"):
+            opt.step(params, {"W": np.ones((2, 2))}, lr=0.1)
+        grads = {"W": np.ones((2, 2)), "U": np.ones((2, 2)), "V": np.ones(2)}
+        with pytest.raises(ValueError, match="gradient 'V' names no parameter"):
+            opt.step(params, grads, lr=0.1)
+        # a refused step changes neither the parameters nor the step count
+        assert opt.t == 0
+        assert np.array_equal(params["W"], np.full((2, 2), 1.0))
+        assert np.array_equal(params["U"], np.full((2, 2), 1.0))
 
     def test_shape_mismatch_rejected(self, rng):
         opt = AdamW(())
         with pytest.raises(ValueError):
             opt.step({"W": np.zeros((2, 2))}, {"W": np.zeros(3)}, lr=0.1)
+        # the check runs before any tensor is updated
+        params = {"A": np.ones(2), "W": np.ones((2, 2))}
+        grads = {"A": np.ones(2), "W": np.ones(3)}
+        with pytest.raises(ValueError, match="'W'"):
+            opt.step(params, grads, lr=0.1)
+        assert opt.t == 0
+        assert np.array_equal(params["A"], np.ones(2))
 
     def test_converges_on_quadratic(self):
         params = {"x": np.array([5.0, -3.0])}

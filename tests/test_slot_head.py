@@ -32,7 +32,8 @@ def slot_params(rng, n_slots, n_intents, d_h, features):
 def one_position(y_int, f, h, W_s, b_s):
     """slot_forward on a batch of one sequence of one position."""
     f_words = None if f is None else f[None, None, :]
-    return slot_forward(y_int[None, :], f_words, h[None, None, :], W_s, b_s)[0][0, 0]
+    params = {"W_s": W_s, "b_s": b_s}
+    return slot_forward(y_int[None, :], f_words, h[None, None, :], params)[0][0, 0]
 
 
 def fused_width(n_intents, d_h, features):
@@ -95,7 +96,7 @@ class TestSlotForward:
     def test_batch_matches_single_position(self, rng):
         y_int, f_words, H = random_inputs(rng)
         params = slot_params(rng, N_SLOTS, N_INT, D_H, True)
-        out, _ = slot_forward(y_int, f_words, H, params["W_s"], params["b_s"])
+        out, _ = slot_forward(y_int, f_words, H, params)
         for b in range(H.shape[0]):
             for i in range(H.shape[1]):
                 direct = slot_logits(
@@ -107,27 +108,25 @@ class TestSlotForward:
         y_int, _, H = random_inputs(rng, features=False)
         params = slot_params(rng, N_SLOTS, N_INT, D_H, False)
         assert params["W_s"].shape == (N_SLOTS, N_INT + D_H)
-        out, _ = slot_forward(y_int, None, H, params["W_s"], params["b_s"])
+        out, _ = slot_forward(y_int, None, H, params)
         assert out.shape == (2, 5, N_SLOTS)
 
     def test_wrong_feature_shape_rejected(self, rng):
         y_int, f_words, H = random_inputs(rng)
         params = slot_params(rng, N_SLOTS, N_INT, D_H, True)
         with pytest.raises(ValueError):
-            slot_forward(y_int, f_words[:, :3], H, params["W_s"], params["b_s"])
+            slot_forward(y_int, f_words[:, :3], H, params)
 
     def test_dropout_replays_under_same_seed(self, rng):
         y_int, f_words, H = random_inputs(rng)
         params = slot_params(rng, N_SLOTS, N_INT, D_H, True)
         a, _ = slot_forward(
-            y_int, f_words, H, params["W_s"], params["b_s"], 0.4,
-            np.random.default_rng(11),
+            y_int, f_words, H, params, 0.4, np.random.default_rng(11)
         )
         b, _ = slot_forward(
-            y_int, f_words, H, params["W_s"], params["b_s"], 0.4,
-            np.random.default_rng(11),
+            y_int, f_words, H, params, 0.4, np.random.default_rng(11)
         )
-        plain, _ = slot_forward(y_int, f_words, H, params["W_s"], params["b_s"])
+        plain, _ = slot_forward(y_int, f_words, H, params)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, plain)
 
@@ -140,8 +139,8 @@ class TestSlotBackward:
         params["W_s"] += rng.normal(scale=0.3, size=params["W_s"].shape)
         probe = rng.normal(size=(2, 5, N_SLOTS))
 
-        out, cache = slot_forward(y_int, f_words, H, params["W_s"], params["b_s"])
-        d_y, d_f, d_H, grads = slot_backward(probe, cache, params["W_s"])
+        out, cache = slot_forward(y_int, f_words, H, params)
+        d_y, d_f, d_H, grads = slot_backward(probe, cache, params)
 
         holders = {"y_int": y_int, "H": H, **params}
         analytic = {"y_int": d_y, "H": d_H, **grads}
@@ -153,8 +152,7 @@ class TestSlotBackward:
 
         def loss(_parms=None):
             got, _ = slot_forward(
-                holders["y_int"], holders.get("f_words"), holders["H"],
-                holders["W_s"], holders["b_s"],
+                holders["y_int"], holders.get("f_words"), holders["H"], holders
             )
             return float(np.sum(got * probe))
 
@@ -170,8 +168,8 @@ class TestSlotBackward:
         y_int, f_words, H = random_inputs(rng)
         params = slot_params(rng, N_SLOTS, N_INT, D_H, True)
         probe = rng.normal(size=(2, 5, N_SLOTS))
-        _, cache = slot_forward(y_int, f_words, H, params["W_s"], params["b_s"])
-        d_y, _, _, _ = slot_backward(probe, cache, params["W_s"])
+        _, cache = slot_forward(y_int, f_words, H, params)
+        d_y, _, _, _ = slot_backward(probe, cache, params)
         assert d_y.shape == y_int.shape
         assert np.abs(d_y).max() > 0
         # softmax jacobian rows are orthogonal to constants
@@ -183,15 +181,13 @@ class TestSlotBackward:
         probe = rng.normal(size=(2, 5, N_SLOTS))
 
         _, cache = slot_forward(
-            y_int, f_words, H, params["W_s"], params["b_s"], 0.3,
-            np.random.default_rng(21),
+            y_int, f_words, H, params, 0.3, np.random.default_rng(21)
         )
-        _, _, _, grads = slot_backward(probe, cache, params["W_s"])
+        _, _, _, grads = slot_backward(probe, cache, params)
 
         def loss(_parms=None):
             got, _ = slot_forward(
-                y_int, f_words, H, params["W_s"], params["b_s"], 0.3,
-                np.random.default_rng(21),
+                y_int, f_words, H, params, 0.3, np.random.default_rng(21)
             )
             return float(np.sum(got * probe))
 
