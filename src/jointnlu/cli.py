@@ -13,6 +13,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,11 +32,11 @@ from .model import (
     save_checkpoint,
 )
 from .subwords import align
-from .tagging import EvalReport, O_TAG, read_kv, relative_error_reduction
+from .tagging import O_TAG, read_kv, relative_error_reduction
 from .training import (
     DivergenceError,
-    EpochRecord,
     TrainConfig,
+    TrainResult,
     evaluate,
     score,
     select_best,
@@ -62,11 +64,6 @@ class RunManifest:
     checkpoint_path: str
     log_path: str
     best_epoch: int
-    history: Tuple[str, ...]
-
-    @property
-    def best_dev_report(self) -> EvalReport:
-        return EpochRecord.from_line(self.history[self.best_epoch]).dev
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
@@ -103,11 +100,11 @@ def _load_data_dir(data_dir: Path):
 
 
 def _train_one(config, corpora, hashes, featurizer, run_dir: Path,
-               data_dir: str) -> RunManifest:
-    run_dir.mkdir(parents=True, exist_ok=True)
-    result = train(
-        corpora["train"], corpora["dev"], config, featurizer,
-        log_path=run_dir / "train.log",
+               data_dir: str) -> TrainResult:
+    result = train(corpora["train"], corpora["dev"], config, featurizer)
+    run_dir.mkdir(parents=True)
+    (run_dir / "train.log").write_text(
+        "".join(r.to_line() + "\n" for r in result.history), encoding="utf-8"
     )
     save_checkpoint(result.checkpoint, run_dir / "checkpoint.npz")
     manifest = RunManifest(
@@ -117,24 +114,22 @@ def _train_one(config, corpora, hashes, featurizer, run_dir: Path,
         checkpoint_path="checkpoint.npz",
         log_path="train.log",
         best_epoch=result.best_epoch,
-        history=tuple(r.to_line() for r in result.history),
     )
-    with open_atomic(run_dir / "manifest.json") as fh:
-        fh.write(manifest.to_json())
-    return manifest
+    (run_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+    return result
 
 
-def _seed_summary(manifests: Sequence[RunManifest]) -> str:
-    reports = [m.best_dev_report for m in manifests]
+def _seed_summary(runs: Sequence[Tuple[int, TrainResult]]) -> str:
+    reports = [r.history[r.best_epoch].dev for _, r in runs]
     lines = []
-    for m, report in zip(manifests, reports):
+    for (seed, r), report in zip(runs, reports):
         d = report.to_dict()
         lines.append(
-            f"seed={m.config.seed} best_epoch={m.best_epoch} "
+            f"seed={seed} best_epoch={r.best_epoch} "
             + " ".join(f"{k}={d[k]!r}" for k in _MEASURES)
             + f" selection={report.selection_score!r}"
         )
-    lines.append(f"best seed={manifests[select_best(reports)].config.seed}")
+    lines.append(f"best seed={runs[select_best(reports)][0]}")
     return "\n".join(lines) + "\n"
 
 
@@ -157,24 +152,34 @@ def cmd_train(args) -> int:
     # Everything is loaded and checked before anything is written, so a bad
     # invocation leaves no partial outputs behind.
     corpora, featurizer, hashes = _load_data_dir(Path(args.data))
+    out = Path(args.out)
+    if out.exists():
+        raise ValueError(f"{out} already exists; give a new --out")
 
-    out_root = Path(args.out)
-    manifests = []
-    for k in range(args.seeds):
-        run_cfg = dataclasses.replace(config, seed=config.seed + k)
-        run_dir = out_root / f"seed{run_cfg.seed}" if args.seeds > 1 else out_root
-        manifest = _train_one(run_cfg, corpora, hashes, featurizer,
-                              run_dir, args.data)
-        manifests.append(manifest)
-        best = manifest.best_dev_report
-        print(
-            f"seed={run_cfg.seed} best_epoch={manifest.best_epoch}"
-            f" selection={best.selection_score:.4f}"
-        )
+    # The run is built in a staging directory beside --out and renamed into
+    # place whole, so a failed or interrupted run leaves nothing behind.
+    stage = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    runs = []
+    try:
+        for k in range(args.seeds):
+            run_cfg = dataclasses.replace(config, seed=config.seed + k)
+            run_dir = stage / f"seed{run_cfg.seed}" if args.seeds > 1 else stage
+            result = _train_one(run_cfg, corpora, hashes, featurizer,
+                                run_dir, args.data)
+            runs.append((run_cfg.seed, result))
+            best = result.history[result.best_epoch].dev
+            print(
+                f"seed={run_cfg.seed} best_epoch={result.best_epoch}"
+                f" selection={best.selection_score:.4f}"
+            )
+        if args.seeds > 1:
+            summary = _seed_summary(runs)
+            (stage / "summary.txt").write_text(summary, encoding="utf-8")
+        os.replace(stage, out)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
     if args.seeds > 1:
-        summary = _seed_summary(manifests)
-        with open_atomic(out_root / "summary.txt") as fh:
-            fh.write(summary)
         sys.stdout.write(summary)
     return 0
 
@@ -373,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training settings, key=value per line")
     p.add_argument("--data", required=True,
                    help="directory with train.txt, dev.txt, and resources")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True,
+                   help="output directory; must not exist yet")
     p.add_argument("--seeds", type=int, default=1,
                    help="run this many seeds (config seed, +1, ...)")
     p.add_argument("--slot-mode", choices=SLOT_MODES)

@@ -21,8 +21,8 @@ def lr_schedule(
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     if not 0.0 <= warmup_proportion <= 1.0:
         raise ValueError("warmup_proportion must be in [0, 1]")
-    if not peak_lr >= 0.0:
-        raise ValueError("learning rate must be nonnegative")
+    if not 0.0 <= peak_lr < np.inf:
+        raise ValueError("learning rate must be finite and nonnegative")
 
     warmup = warmup_proportion * total_steps
     if step <= warmup:
@@ -50,10 +50,10 @@ class AdamW:
     ) -> None:
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
-        if not eps > 0.0:
-            raise ValueError("eps must be positive")
-        if not weight_decay >= 0.0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not 0.0 < eps < np.inf:
+            raise ValueError("eps must be finite and positive")
+        if not 0.0 <= weight_decay < np.inf:
+            raise ValueError("weight_decay must be finite and nonnegative")
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps

@@ -75,6 +75,8 @@ class TrainConfig:
             raise ValueError("gamma must be in [0, 1]")
         if self.epochs < 1 or self.batch_size < 1 or self.max_len < 3:
             raise ValueError("epochs, batch_size, max_len out of range")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         check_head_settings(self.slot_mode, self.intent_pool, self.dropout_rate)
         # The optimizer and the schedule own the ranges of their settings;
         # building them here makes a bad value fail before any output exists.
@@ -146,7 +148,7 @@ def select_best(reports: Sequence[EvalReport]) -> int:
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """One append-only training-log line."""
+    """One training-log line."""
 
     epoch: int
     l_intent: float
@@ -253,7 +255,6 @@ def train(
     encoder: Optional[EncoderConfig] = None,
     piece_vocab: Optional[WordPieceVocab] = None,
     vocab_target: int = 300,
-    log_path=None,
 ) -> TrainResult:
     """Fit the joint model and return the dev-selected checkpoint.
 
@@ -313,67 +314,59 @@ def train(
     total_steps = steps_per_epoch * config.epochs
     step = 0
     history: List[EpochRecord] = []
-    log_file = open(log_path, "a", encoding="utf-8") if log_path else None
-    try:
-        for epoch in range(config.epochs):
-            order = rng.permutation(n)
-            sums = np.zeros(3)
-            n_batches = 0
-            for lo in range(0, n, config.batch_size):
-                idx = order[lo:lo + config.batch_size]
-                batch = make_batch(
-                    [train_seqs[i] for i in idx],
-                    train_intents[idx],
-                    slot_vocab,
-                )
-                try:
-                    # Healthy runs never overflow: softmax is shift
-                    # protected, so inf/nan here means the step blew up.
-                    with np.errstate(over="raise", invalid="raise"):
-                        l_int, l_slot, grads = model_loss_and_grads(
-                            params, model_cfg, batch, config.gamma, rng
-                        )
-                except FloatingPointError as err:
-                    raise DivergenceError(
-                        f"non-finite activations at epoch {epoch}, "
-                        f"step {step}: {err}"
-                    ) from err
-                l_jnt = joint_loss(l_int, l_slot, config.gamma)
-                if not (np.isfinite(l_int) and np.isfinite(l_slot)):
-                    raise DivergenceError(
-                        f"non-finite loss at epoch {epoch}, step {step}: "
-                        f"intent={l_int}, slot={l_slot}"
-                    )
-                lr = lr_schedule(
-                    step, total_steps, config.warmup_proportion,
-                    config.learning_rate,
-                )
-                opt.step(params, grads, lr)
-                if not all(np.isfinite(v).all() for v in params.values()):
-                    raise DivergenceError(
-                        f"non-finite parameters after epoch {epoch}, "
-                        f"step {step}; try a lower learning rate"
-                    )
-                step += 1
-                sums += (l_int, l_slot, l_jnt)
-                n_batches += 1
-
-            dev_report = evaluate(
-                params, model_cfg, dev_seqs, dev_corpus,
-                intent_vocab, slot_vocab, config.batch_size,
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        sums = np.zeros(3)
+        n_batches = 0
+        for lo in range(0, n, config.batch_size):
+            idx = order[lo:lo + config.batch_size]
+            batch = make_batch(
+                [train_seqs[i] for i in idx],
+                train_intents[idx],
+                slot_vocab,
             )
-            means = [float(x) for x in sums / n_batches]
-            record = EpochRecord(epoch, *means, dev=dev_report)
-            history.append(record)
-            if log_file:
-                log_file.write(record.to_line() + "\n")
-                log_file.flush()
-            best_epoch = select_best([r.dev for r in history])
-            if best_epoch == epoch:
-                best_params = {k: v.copy() for k, v in params.items()}
-    finally:
-        if log_file:
-            log_file.close()
+            try:
+                # Healthy runs never overflow: softmax is shift
+                # protected, so inf/nan here means the step blew up.
+                with np.errstate(over="raise", invalid="raise"):
+                    l_int, l_slot, grads = model_loss_and_grads(
+                        params, model_cfg, batch, config.gamma, rng
+                    )
+            except FloatingPointError as err:
+                raise DivergenceError(
+                    f"non-finite activations at epoch {epoch}, "
+                    f"step {step}: {err}"
+                ) from err
+            l_jnt = joint_loss(l_int, l_slot, config.gamma)
+            if not (np.isfinite(l_int) and np.isfinite(l_slot)):
+                raise DivergenceError(
+                    f"non-finite loss at epoch {epoch}, step {step}: "
+                    f"intent={l_int}, slot={l_slot}"
+                )
+            lr = lr_schedule(
+                step, total_steps, config.warmup_proportion,
+                config.learning_rate,
+            )
+            opt.step(params, grads, lr)
+            if not all(np.isfinite(v).all() for v in params.values()):
+                raise DivergenceError(
+                    f"non-finite parameters after epoch {epoch}, "
+                    f"step {step}; try a lower learning rate"
+                )
+            step += 1
+            sums += (l_int, l_slot, l_jnt)
+            n_batches += 1
+
+        dev_report = evaluate(
+            params, model_cfg, dev_seqs, dev_corpus,
+            intent_vocab, slot_vocab, config.batch_size,
+        )
+        means = [float(x) for x in sums / n_batches]
+        record = EpochRecord(epoch, *means, dev=dev_report)
+        history.append(record)
+        best_epoch = select_best([r.dev for r in history])
+        if best_epoch == epoch:
+            best_params = {k: v.copy() for k, v in params.items()}
 
     checkpoint = Checkpoint(
         params=best_params,

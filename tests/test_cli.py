@@ -3,10 +3,12 @@ error-reduction numbers."""
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jointnlu import cli
 from jointnlu.cli import RunManifest, main
 from jointnlu.data import load_corpus, save_corpus
 from jointnlu.features import WordFeaturizer
@@ -14,7 +16,7 @@ from jointnlu.model import load_checkpoint
 from jointnlu.subwords import BOS_TOKEN, EOS_TOKEN
 from jointnlu.tagging import EvalReport
 from jointnlu.toy import toy_grammar
-from jointnlu.training import EpochRecord, TrainConfig, train
+from jointnlu.training import DivergenceError, EpochRecord, TrainConfig, train
 
 CONFIG_TEXT = """\
 # quick desk run on the toy grammar
@@ -49,27 +51,41 @@ def read_manifest(out_dir) -> RunManifest:
     """The run's manifest.json, read back into the RunManifest it holds."""
     d = json.loads((out_dir / "manifest.json").read_text())
     d["config"] = TrainConfig(**d["config"])
-    d["history"] = tuple(d["history"])
     return RunManifest(**d)
+
+
+def best_dev_report(out_dir) -> EvalReport:
+    """The dev report of the run's best epoch, read from its train.log."""
+    lines = (out_dir / "train.log").read_text().splitlines()
+    return EpochRecord.from_line(lines[read_manifest(out_dir).best_epoch]).dev
+
+
+def snapshot(root) -> dict:
+    """Every path under `root`, with the bytes of each file."""
+    return {
+        p.relative_to(root): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
 
 
 class TestTrainCommand:
     def test_writes_checkpoint_manifest_and_log(self, trained):
         out = trained["out"]
         assert (out / "checkpoint.npz").is_file()
-        assert (out / "train.log").is_file()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.npz", "manifest.json", "train.log",
+        ]
         manifest = read_manifest(out)
-        assert len(manifest.history) == 3
         assert 0 <= manifest.best_epoch < 3
-        report = manifest.best_dev_report
+        report = best_dev_report(out)
         for v in (report.intent_accuracy, report.sentence_accuracy,
                   report.slot_f1):
             assert 0.0 <= v <= 1.0
-        # the log holds the same records the manifest does
+        # the log holds one record per epoch; the manifest does not copy it
         log_lines = (out / "train.log").read_text().splitlines()
-        assert tuple(log_lines) == manifest.history
-        for line in log_lines:
-            EpochRecord.from_line(line)
+        records = [EpochRecord.from_line(line) for line in log_lines]
+        assert [r.epoch for r in records] == [0, 1, 2]
+        assert "history" not in json.loads((out / "manifest.json").read_text())
 
     def test_manifest_hashes_every_input_file(self, trained):
         manifest = read_manifest(trained["out"])
@@ -142,9 +158,11 @@ class TestTrainCommand:
         ])
         assert rc == 2
         assert "disk full" in capsys.readouterr().err
-        # the log is written as training goes; no checkpoint, manifest or
-        # temporary file may be left
-        assert [p.name for p in out.iterdir()] == ["train.log"]
+        # no log, checkpoint, manifest, run directory or temporary file
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.txt", "data",
+        ]
 
     def test_config_problems_reported_together(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
@@ -167,7 +185,8 @@ class TestTrainCommand:
         toy_grammar(3, 8, 4, 4).write(data_dir)
         for setting in ("learning_rate=-1", "warmup_proportion=2",
                         "beta1=1.5", "beta2=1", "epsilon=0",
-                        "weight_decay=-0.1"):
+                        "weight_decay=-0.1", "seed=-1", "learning_rate=inf",
+                        "weight_decay=inf", "epsilon=inf"):
             config.write_text(f"epochs=1\nbatch_size=4\n{setting}\n")
             rc = main([
                 "train", "--config", str(config),
@@ -210,7 +229,9 @@ class TestTrainCommand:
         manifests = [read_manifest(out / f"seed{s}") for s in (7, 8, 9)]
         assert [m.config.seed for m in manifests] == [7, 8, 9]
         summary = (out / "summary.txt").read_text()
-        scores = [m.best_dev_report.selection_score for m in manifests]
+        scores = [
+            best_dev_report(out / f"seed{s}").selection_score for s in (7, 8, 9)
+        ]
         expected = manifests[int(np.argmax(scores))].config.seed
         assert summary.strip().splitlines()[-1] == f"best seed={expected}"
 
@@ -250,6 +271,106 @@ class TestTrainCommand:
         assert not any(n.startswith("feat.") for n in ckpt.params)
 
 
+class TestWholeRun:
+    """A `train` run directory appears whole or not at all."""
+
+    @pytest.fixture
+    def runs(self, tmp_path):
+        """An empty parent for --out, and the argv of a two-seed run
+        (seeds 7 and 8) into it."""
+        data_dir = tmp_path / "data"
+        toy_grammar(3, 8, 4, 4).write(data_dir)
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\nbatch_size=4\nmax_len=24\nseed=7\n")
+        parent = tmp_path / "runs"
+        parent.mkdir()
+        argv = [
+            "train", "--config", str(config), "--data", str(data_dir),
+            "--out", str(parent / "out"), "--seeds", "2",
+        ]
+        return parent, argv
+
+    @staticmethod
+    def fail_at(stage, monkeypatch):
+        """Make `stage` of the second seed (or the summary) fail, after the
+        first seed's directory is complete."""
+        if stage in ("training", "interrupt"):
+            real_train = cli.train
+            exc = (DivergenceError("non-finite loss at epoch 0, step 0")
+                   if stage == "training" else KeyboardInterrupt())
+
+            def train(train_corpus, dev_corpus, config, featurizer):
+                if config.seed == 8:
+                    raise exc
+                return real_train(train_corpus, dev_corpus, config, featurizer)
+
+            monkeypatch.setattr(cli, "train", train)
+        elif stage == "checkpoint":
+            real_save = cli.save_checkpoint
+
+            def save_checkpoint(ckpt, path):
+                if path.parent.name == "seed8":
+                    path.write_bytes(b"PK\x03\x04 half an archive")
+                    raise OSError("disk full")
+                real_save(ckpt, path)
+
+            monkeypatch.setattr(cli, "save_checkpoint", save_checkpoint)
+        else:
+            name = {"log": "train.log", "manifest": "manifest.json",
+                    "summary": "summary.txt"}[stage]
+            real_write = Path.write_text
+
+            def write_text(self, text, *args, **kwargs):
+                if self.name == name and self.parent.name != "seed7":
+                    real_write(self, text[:10], *args, **kwargs)
+                    raise OSError("disk full")
+                return real_write(self, text, *args, **kwargs)
+
+            monkeypatch.setattr(Path, "write_text", write_text)
+
+    @pytest.mark.parametrize("stage", [
+        "log", "training", "checkpoint", "manifest", "summary", "interrupt",
+    ])
+    def test_failed_run_leaves_nothing(self, runs, stage, monkeypatch,
+                                       capsys):
+        parent, argv = runs
+        self.fail_at(stage, monkeypatch)
+        if stage == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc == (3 if stage == "training" else 2)
+            assert len(err.splitlines()) == 1
+            assert ("non-finite" if stage == "training" else "disk full") in err
+        # no run directory, no seed directory, no staging directory
+        assert list(parent.iterdir()) == []
+
+    def test_complete_run_is_published(self, runs, capsys):
+        parent, argv = runs
+        assert main(argv) == 0
+        assert sorted(str(p) for p in snapshot(parent)) == [
+            "out", "out/seed7", "out/seed7/checkpoint.npz",
+            "out/seed7/manifest.json", "out/seed7/train.log", "out/seed8",
+            "out/seed8/checkpoint.npz", "out/seed8/manifest.json",
+            "out/seed8/train.log", "out/summary.txt",
+        ]
+
+    def test_rerun_into_existing_out_changes_nothing(self, runs, capsys):
+        parent, argv = runs
+        assert main(argv) == 0
+        before = snapshot(parent)
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {parent / 'out'} already exists; give a new --out"
+        ]
+        assert snapshot(parent) == before
+
+
 class TestEvalCommand:
     def test_dev_report_matches_manifest(self, trained, capsys):
         rc = main([
@@ -258,7 +379,7 @@ class TestEvalCommand:
         ])
         assert rc == 0
         report = EvalReport.from_kv_text(capsys.readouterr().out)
-        assert report == read_manifest(trained["out"]).best_dev_report
+        assert report == best_dev_report(trained["out"])
 
     def test_deterministic_output(self, trained, capsys):
         argv = [

@@ -29,6 +29,11 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             lr_schedule(0, 0, 0.1, 1.0)
 
+    @pytest.mark.parametrize("peak", [np.inf, np.nan, -1e-5])
+    def test_bad_peak_rejected(self, peak):
+        with pytest.raises(ValueError, match="learning rate must be finite"):
+            lr_schedule(0, 10, 0.1, peak)
+
     def test_step_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             lr_schedule(-1, 10, 0.1, 1.0)
@@ -196,3 +201,10 @@ class TestAdamW:
             AdamW((), eps=0.0)
         with pytest.raises(ValueError):
             AdamW((), weight_decay=-0.1)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_hyperparameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            AdamW((), eps=bad)
+        with pytest.raises(ValueError, match="weight_decay must be finite"):
+            AdamW((), weight_decay=bad)

@@ -85,7 +85,9 @@ class TestTrainConfig:
             dict(learning_rate=-1.0), dict(learning_rate=float("nan")),
             dict(warmup_proportion=2.0), dict(warmup_proportion=-0.1),
             dict(beta1=1.5), dict(beta1=1.0), dict(beta2=-0.1),
-            dict(epsilon=0.0), dict(weight_decay=-0.01),
+            dict(epsilon=0.0), dict(weight_decay=-0.01), dict(seed=-1),
+            dict(learning_rate=float("inf")), dict(epsilon=float("inf")),
+            dict(weight_decay=float("inf")),
         ):
             with pytest.raises(ValueError):
                 TrainConfig(**setting)
@@ -208,30 +210,26 @@ class TestTrainLoop:
                   data.featurizer(), encoder=TINY_ENCODER)
         assert a.history != b.history
 
-    def test_history_and_log_file(self, tmp_path):
+    def test_history_and_log_file(self):
         data = toy_grammar(3, 16, 8, 8)
-        log = tmp_path / "train.log"
         res = train(data.train, data.dev, quick_config(epochs=3),
-                    data.featurizer(), encoder=TINY_ENCODER, log_path=log)
+                    data.featurizer(), encoder=TINY_ENCODER)
         assert len(res.history) == 3
-        lines = log.read_text().splitlines()
-        assert len(lines) == 3
-        for line, rec in zip(lines, res.history):
-            assert EpochRecord.from_line(line) == rec
+        assert [rec.epoch for rec in res.history] == [0, 1, 2]
+        # each record survives the log line format it is written in
+        for rec in res.history:
+            assert EpochRecord.from_line(rec.to_line()) == rec
         # identity between logged terms holds every epoch
         for rec in res.history:
             mixed = joint_loss(rec.l_intent, rec.l_slot, 0.6)
             assert rec.l_joint == pytest.approx(mixed, abs=1e-12)
 
-    def test_log_is_append_only(self, tmp_path):
-        log = tmp_path / "train.log"
-        log.write_text("epoch=99 preexisting line\n")
+    def test_writes_no_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         data = toy_grammar(3, 8, 4, 4)
         train(data.train, data.dev, quick_config(epochs=1, batch_size=4),
-              data.featurizer(), encoder=TINY_ENCODER, log_path=log)
-        lines = log.read_text().splitlines()
-        assert lines[0] == "epoch=99 preexisting line"
-        assert len(lines) == 2
+              data.featurizer(), encoder=TINY_ENCODER)
+        assert list(tmp_path.iterdir()) == []
 
     def test_best_epoch_matches_selection_rule(self):
         data = toy_grammar(5, 24, 8, 8)
