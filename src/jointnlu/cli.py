@@ -4,7 +4,8 @@ Batch commands only; every run is deterministic given its inputs, and a
 training run leaves behind a manifest that pins everything needed to redo
 it bit for bit (settings, seed, corpus fingerprints).
 
-Exit codes: 0 success, 2 bad usage or bad inputs, 3 training divergence.
+Exit codes: 0 success, 2 bad usage or bad inputs, 3 training divergence,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -13,18 +14,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
-import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
-from .data import load_corpus, open_atomic
+from .data import load_corpus, staged
 from .features import WordFeaturizer
-from .intent_head import POOL_MODES
 from .model import (
-    SLOT_MODES,
     align_utterance,
     load_checkpoint,
     make_batch,
@@ -140,12 +137,6 @@ def cmd_train(args) -> int:
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)
         return 2
-    if args.slot_mode:
-        config = dataclasses.replace(config, slot_mode=args.slot_mode)
-    if args.no_slot_features:
-        config = dataclasses.replace(config, slot_features=False)
-    if args.intent_pool:
-        config = dataclasses.replace(config, intent_pool=args.intent_pool)
     if args.seeds < 1:
         raise ValueError("--seeds must be at least 1")
 
@@ -155,12 +146,13 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     if out.exists():
         raise ValueError(f"{out} already exists; give a new --out")
+    if not out.parent.is_dir():
+        raise ValueError(f"{out.parent} is not a directory; create it first")
 
     # The run is built in a staging directory beside --out and renamed into
     # place whole, so a failed or interrupted run leaves nothing behind.
-    stage = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     runs = []
-    try:
+    with staged(out) as stage:
         for k in range(args.seeds):
             run_cfg = dataclasses.replace(config, seed=config.seed + k)
             run_dir = stage / f"seed{run_cfg.seed}" if args.seeds > 1 else stage
@@ -175,10 +167,6 @@ def cmd_train(args) -> int:
         if args.seeds > 1:
             summary = _seed_summary(runs)
             (stage / "summary.txt").write_text(summary, encoding="utf-8")
-        os.replace(stage, out)
-    except BaseException:
-        shutil.rmtree(stage, ignore_errors=True)
-        raise
     if args.seeds > 1:
         sys.stdout.write(summary)
     return 0
@@ -239,8 +227,8 @@ def cmd_eval(args) -> int:
     text = report.to_kv_text()
     sys.stdout.write(text)
     if args.out:
-        with open_atomic(args.out) as fh:
-            fh.write(text)
+        with staged(args.out) as tmp:
+            tmp.write_text(text, encoding="utf-8")
     return 0
 
 
@@ -285,8 +273,8 @@ def cmd_compare(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        with open_atomic(args.out) as fh:
-            fh.write(text)
+        with staged(args.out) as tmp:
+            tmp.write_text(text, encoding="utf-8")
     return 0
 
 
@@ -341,8 +329,8 @@ def cmd_attn(args) -> int:
             f"{tok}\t{w!r}\n" for tok, w in rows
         )
     if args.out:
-        with open_atomic(args.out) as fh:
-            fh.write(content)
+        with staged(args.out) as tmp:
+            tmp.write_text(content, encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(content)
@@ -375,16 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
         "train", help="fit a model; writes checkpoint, manifest, and log"
     )
     p.add_argument("--config", required=True,
-                   help="training settings, key=value per line")
+                   help="every training and ablation setting, key=value per line")
     p.add_argument("--data", required=True,
                    help="directory with train.txt, dev.txt, and resources")
     p.add_argument("--out", required=True,
-                   help="output directory; must not exist yet")
+                   help="output directory; must not exist yet, its parent must")
     p.add_argument("--seeds", type=int, default=1,
                    help="run this many seeds (config seed, +1, ...)")
-    p.add_argument("--slot-mode", choices=SLOT_MODES)
-    p.add_argument("--no-slot-features", action="store_true")
-    p.add_argument("--intent-pool", choices=POOL_MODES)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a corpus")
@@ -434,6 +419,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ same format carries converted benchmark data and the synthetic grammar.
 from __future__ import annotations
 
 import os
+import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,23 +129,28 @@ def save_corpus(corpus: Sequence[TaggedUtterance], path) -> None:
         lines.append(INTENT_HEADER + utt.intent)
         lines.extend(f"{w}\t{t}" for w, t in zip(utt.words, utt.tags))
         lines.append("")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
+    with staged(path) as tmp:
+        tmp.write_text("\n".join(lines), encoding="utf-8", newline="\n")
 
 
 @contextmanager
-def open_atomic(path, mode: str = "w"):
-    """Write `path` in one step. The block writes a temporary file beside
-    it, which replaces `path` only when the block ends without an error; on
-    an error the temporary file is removed and `path` is left as it was."""
+def staged(path):
+    """Publish `path` in one step: the one way every output is written.
+
+    The block builds its output, a file or a whole directory tree, at the
+    yielded hidden sibling `.NAME.PID.tmp`. When the block ends cleanly one
+    `os.replace` moves it onto `path`; on any exception the stage is removed
+    and `path` is left as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        if tmp.is_dir():
+            shutil.rmtree(tmp, ignore_errors=True)
+        else:
+            tmp.unlink(missing_ok=True)
         raise
 
 

@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .crf import crf_nll, crf_nll_backward, viterbi
-from .data import IntentVocab, SlotVocab, TaggedUtterance, open_atomic
+from .data import IntentVocab, SlotVocab, TaggedUtterance, staged
 from .encoder import EncoderConfig, encode, encode_backward
 from .features import (
     FEATURE_DIM,
@@ -34,16 +34,6 @@ from .tagging import SlotTag
 SLOT_MODES = ("softmax", "crf")
 
 
-def check_head_settings(slot_mode: str, intent_pool: str, dropout_rate: float):
-    """The checks ModelConfig and TrainConfig share, with one message each."""
-    if slot_mode not in SLOT_MODES:
-        raise ValueError(f"slot_mode must be one of {SLOT_MODES}")
-    if intent_pool not in POOL_MODES:
-        raise ValueError(f"intent_pool must be one of {POOL_MODES}")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError("dropout_rate must be in [0, 1)")
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Everything the forward pass needs to know besides the tensors."""
@@ -59,7 +49,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_intents < 1 or self.n_slots < 1:
             raise ValueError("label spaces must be nonempty")
-        check_head_settings(self.slot_mode, self.intent_pool, self.dropout_rate)
+        if self.slot_mode not in SLOT_MODES:
+            raise ValueError(f"slot_mode must be one of {SLOT_MODES}")
+        if self.intent_pool not in POOL_MODES:
+            raise ValueError(f"intent_pool must be one of {POOL_MODES}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must be in [0, 1)")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -406,7 +401,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     arrays[_META_KEY] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
-    with open_atomic(path, "wb") as fh:
+    with staged(path) as tmp, open(tmp, "wb") as fh:
         np.savez(fh, **arrays)
 
 

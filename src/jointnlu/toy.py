@@ -16,7 +16,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .data import TaggedUtterance, save_corpus
+from .data import TaggedUtterance, save_corpus, staged
 from .features import WordFeaturizer
 from .tagging import O_TAG, SlotTag
 
@@ -161,12 +161,13 @@ class ToyData:
         save_corpus(self.train, paths["train"])
         save_corpus(self.dev, paths["dev"])
         save_corpus(self.test, paths["test"])
-        with open(paths["gazetteer"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{p}\t{lab}\n" for p, lab in self.gazetteer)
-        with open(paths["lexicon"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{w}\n" for w in self.lexicon)
-        with open(paths["english_dict"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{w}\n" for w in self.english_dict)
+        for name, lines in (
+            ("gazetteer", [f"{p}\t{lab}\n" for p, lab in self.gazetteer]),
+            ("lexicon", [f"{w}\n" for w in self.lexicon]),
+            ("english_dict", [f"{w}\n" for w in self.english_dict]),
+        ):
+            with staged(paths[name]) as tmp:
+                tmp.write_text("".join(lines), encoding="utf-8", newline="\n")
         return paths
 
     def featurizer(self) -> WordFeaturizer:

@@ -17,7 +17,6 @@ from .model import (
     Checkpoint,
     ModelConfig,
     align_utterance,
-    check_head_settings,
     decode_word_tags,
     init_model_params,
     make_batch,
@@ -43,6 +42,9 @@ from .tagging import (
 DESK_ENCODER = EncoderConfig(
     vocab_size=4, d_h=64, n_layers=2, n_heads=4, d_ff=128, max_len=50
 )
+
+# Size of the sub-word vocabulary induced from the train split.
+VOCAB_TARGET = 300
 
 
 class DivergenceError(RuntimeError):
@@ -77,9 +79,11 @@ class TrainConfig:
             raise ValueError("epochs, batch_size, max_len out of range")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        check_head_settings(self.slot_mode, self.intent_pool, self.dropout_rate)
-        # The optimizer and the schedule own the ranges of their settings;
-        # building them here makes a bad value fail before any output exists.
+        # The model, the optimizer and the schedule own the ranges of their
+        # settings; building them here makes a bad value fail before any
+        # output exists.
+        ModelConfig(DESK_ENCODER, 1, 1, self.slot_mode, self.slot_features,
+                    self.intent_pool, self.dropout_rate)
         AdamW((), self.beta1, self.beta2, self.epsilon, self.weight_decay)
         lr_schedule(0, 1, self.warmup_proportion, self.learning_rate)
 
@@ -254,7 +258,6 @@ def train(
     *,
     encoder: Optional[EncoderConfig] = None,
     piece_vocab: Optional[WordPieceVocab] = None,
-    vocab_target: int = 300,
 ) -> TrainResult:
     """Fit the joint model and return the dev-selected checkpoint.
 
@@ -271,7 +274,7 @@ def train(
 
     if piece_vocab is None:
         words = [w for u in train_corpus for w in u.words]
-        piece_vocab = train_vocab(words, vocab_target)
+        piece_vocab = train_vocab(words, VOCAB_TARGET)
     intent_vocab = IntentVocab.from_corpus(train_corpus)
     slot_vocab = SlotVocab.from_corpus(train_corpus)
 

@@ -250,25 +250,69 @@ class TestTrainCommand:
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
 
-    def test_flag_overrides_reach_the_model(self, tmp_path):
+    def test_ablation_config_lines_reach_the_model(self, tmp_path):
         data_dir = tmp_path / "data"
         toy_grammar(3, 16, 8, 8).write(data_dir)
         config = tmp_path / "config.txt"
         config.write_text(
             "epochs=1\nbatch_size=8\nmax_len=24\nlearning_rate=1e-3\nseed=3\n"
+            "slot_mode=crf\nslot_features=false\nintent_pool=start_token\n"
         )
         out = tmp_path / "out"
         rc = main([
             "train", "--config", str(config), "--data", str(data_dir),
-            "--out", str(out), "--slot-mode", "crf", "--no-slot-features",
+            "--out", str(out),
         ])
         assert rc == 0
         manifest = read_manifest(out)
         assert manifest.config.slot_mode == "crf"
         assert manifest.config.slot_features is False
+        assert manifest.config.intent_pool == "start_token"
         ckpt = load_checkpoint(out / "checkpoint.npz")
         assert "crf.T" in ckpt.params
+        assert "int.W_pool" in ckpt.params
         assert not any(n.startswith("feat.") for n in ckpt.params)
+
+    @pytest.mark.parametrize("flag", [
+        ["--slot-mode", "crf"], ["--no-slot-features"],
+        ["--intent-pool", "start_token"],
+    ])
+    def test_head_setting_flags_are_usage_errors(self, tmp_path, flag,
+                                                 capsys):
+        data_dir = tmp_path / "data"
+        toy_grammar(3, 8, 4, 4).write(data_dir)
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\nbatch_size=4\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "train", "--config", str(config), "--data", str(data_dir),
+                "--out", str(out), *flag,
+            ])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_missing_out_parent_creates_nothing(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        toy_grammar(3, 8, 4, 4).write(data_dir)
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\nbatch_size=4\n")
+        before = snapshot(tmp_path)
+        rc = main([
+            "train", "--config", str(config), "--data", str(data_dir),
+            "--out", str(tmp_path / "nope" / "deeper" / "run"),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "seed=" not in captured.out
+        assert captured.err.splitlines() == [
+            f"error: {tmp_path / 'nope' / 'deeper'} is not a directory; "
+            "create it first"
+        ]
+        assert snapshot(tmp_path) == before
 
 
 class TestWholeRun:
@@ -335,15 +379,15 @@ class TestWholeRun:
                                        capsys):
         parent, argv = runs
         self.fail_at(stage, monkeypatch)
-        if stage == "interrupt":
-            with pytest.raises(KeyboardInterrupt):
-                main(argv)
-        else:
+        try:
             rc = main(argv)
-            err = capsys.readouterr().err
-            assert rc == (3 if stage == "training" else 2)
-            assert len(err.splitlines()) == 1
-            assert ("non-finite" if stage == "training" else "disk full") in err
+        except KeyboardInterrupt:  # would end the whole pytest session
+            pytest.fail("main let the interrupt through")
+        err = capsys.readouterr().err
+        assert rc == {"training": 3, "interrupt": 130}.get(stage, 2)
+        assert len(err.splitlines()) == 1
+        assert {"training": "non-finite", "interrupt": "error: interrupted"}.get(
+            stage, "disk full") in err
         # no run directory, no seed directory, no staging directory
         assert list(parent.iterdir()) == []
 

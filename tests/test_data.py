@@ -16,8 +16,8 @@ from jointnlu.data import (
     corpus_stats,
     lint_corpus,
     load_corpus,
-    open_atomic,
     save_corpus,
+    staged,
 )
 from jointnlu.features import CaseClass, EntityClass
 from jointnlu.tagging import O_TAG, SlotTag, parse_tags
@@ -225,16 +225,24 @@ class TestCorpusStats:
             assert f"{key}=" in text
 
 
-class TestOpenAtomic:
+def tree(root) -> dict:
+    """Every path under `root`, with the bytes of each file."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
+
+
+class TestStaged:
     def test_writes_the_file_and_nothing_else(self, tmp_path):
-        with open_atomic(tmp_path / "out.txt") as fh:
-            fh.write("a=1\n")
+        with staged(tmp_path / "out.txt") as tmp:
+            tmp.write_text("a=1\n")
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
         assert (tmp_path / "out.txt").read_text() == "a=1\n"
 
     def test_failure_part_way_leaves_no_file(self, tmp_path):
         with pytest.raises(RuntimeError):
-            with open_atomic(tmp_path / "out.bin", "wb") as fh:
+            with staged(tmp_path / "out.bin") as tmp, open(tmp, "wb") as fh:
                 fh.write(b"half")
                 raise RuntimeError("interrupted")
         assert list(tmp_path.iterdir()) == []
@@ -243,11 +251,53 @@ class TestOpenAtomic:
         target = tmp_path / "out.txt"
         target.write_text("old\n")
         with pytest.raises(RuntimeError):
-            with open_atomic(target) as fh:
+            with staged(target) as tmp, open(tmp, "w") as fh:
                 fh.write("new, half")
                 raise RuntimeError("interrupted")
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
         assert target.read_text() == "old\n"
+
+    def test_directory_tree_is_published_whole(self, tmp_path):
+        target = tmp_path / "run"
+        with staged(target) as stage:
+            (stage / "seed1").mkdir(parents=True)
+            (stage / "seed1" / "a.bin").write_bytes(b"a")
+            (stage / "summary.txt").write_bytes(b"s\n")
+            assert not target.exists()
+        assert tree(tmp_path) == {
+            "run": None, "run/seed1": None, "run/seed1/a.bin": b"a",
+            "run/summary.txt": b"s\n",
+        }
+
+    def test_half_built_tree_is_removed_and_the_old_one_kept(self, tmp_path):
+        target = tmp_path / "run"
+        (target / "seed1").mkdir(parents=True)
+        (target / "seed1" / "a.bin").write_bytes(b"old")
+        before = tree(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            with staged(target) as stage:
+                (stage / "seed1").mkdir(parents=True)
+                (stage / "seed1" / "a.bin").write_bytes(b"half")
+                raise KeyboardInterrupt
+        assert tree(tmp_path) == before
+
+    def test_failed_save_corpus_keeps_the_old_corpus(self, tmp_path,
+                                                     monkeypatch):
+        target = tmp_path / "train.txt"
+        save_corpus([utt(["play", "jazz"], ["O", "B-genre"])], target)
+        before = tree(tmp_path)
+
+        real_write = Path.write_text
+
+        def write_half(self, text, *args, **kwargs):
+            real_write(self, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half)
+        with pytest.raises(OSError, match="disk full"):
+            save_corpus([utt(["fly", "to", "boston"], ["O", "O", "B-city"])],
+                        target)
+        assert tree(tmp_path) == before
 
 
 class TestIntentVocab:
