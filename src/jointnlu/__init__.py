@@ -9,12 +9,10 @@ CRF decoding, joint training, and entity-level evaluation.
 from .crf import crf_nll, viterbi
 from .data import (
     CorpusError,
-    CorpusStats,
     IntentVocab,
     SlotVocab,
     TaggedUtterance,
     combine_intents,
-    corpus_stats,
     lint_corpus,
     load_corpus,
     save_corpus,
@@ -86,7 +84,6 @@ __all__ = [
     "Chunk",
     "ChunkF1",
     "CorpusError",
-    "CorpusStats",
     "DESK_ENCODER",
     "DivergenceError",
     "EncoderConfig",
@@ -108,7 +105,6 @@ __all__ = [
     "align",
     "align_utterance",
     "combine_intents",
-    "corpus_stats",
     "crf_nll",
     "de_align",
     "encode",

@@ -10,8 +10,7 @@ Viterbi with ties broken toward the lowest tag id at each backtrack step.
 Every function takes a padded batch: emissions (b, n, K), tags (b, n) and
 `lengths` (b,), each in 1..n (default: all n). Positions at or past a
 sequence's length are padding; their values are never read and their
-emission gradient is exactly 0. A 2-D (L, K) input is a batch of one
-sequence of length L, and its results come back without the batch axis.
+emission gradient is exactly 0. One sequence is a batch of one.
 
 The recursions step over positions and update only the sequences that are
 still running. The batch is sorted by length, longest first, so those are
@@ -30,11 +29,8 @@ class _Batch:
 
     def __init__(self, emissions, trans, start, end, lengths):
         emissions = np.asarray(emissions, dtype=np.float64)
-        self.single = emissions.ndim == 2
-        if self.single:
-            emissions = emissions[None]
         if emissions.ndim != 3:
-            raise ValueError("emissions must be (L, K) or (b, n, K)")
+            raise ValueError(f"emissions must be (b, n, K), got {emissions.shape}")
         b, n, K = emissions.shape
         if b < 1 or n < 1:
             raise ValueError("need at least one sequence and one position")
@@ -50,7 +46,7 @@ class _Batch:
             self.order = np.argsort(-lengths, kind="stable")
             lengths, emissions = lengths[self.order], emissions[self.order]
             by_length = lengths.tolist()
-        else:  # already longest first, as any single sequence is
+        else:  # already longest first, as any batch of one is
             self.order = None
         if by_length[-1] < 1 or by_length[0] > n:
             raise ValueError(f"sequence lengths must be in 1..{n}")
@@ -72,8 +68,6 @@ class _Batch:
     def tags(self, tags) -> np.ndarray:
         """Gold tags in sorted order, padding set to tag 0."""
         tags = np.asarray(tags)
-        if self.single:
-            tags = tags[None]
         if tags.shape != self.shape[:2]:
             raise ValueError(
                 f"need tags of shape {self.shape[:2]}, got {tags.shape}"
@@ -86,13 +80,12 @@ class _Batch:
         return tags
 
     def restore(self, sorted_rows: np.ndarray) -> np.ndarray:
-        """Put per-sequence rows back in input order; drop the batch axis of
-        a single sequence."""
-        out = sorted_rows
-        if self.order is not None:
-            out = np.empty_like(sorted_rows)
-            out[self.order] = sorted_rows
-        return out[0] if self.single else out
+        """Put per-sequence rows back in input order."""
+        if self.order is None:
+            return sorted_rows
+        out = np.empty_like(sorted_rows)
+        out[self.order] = sorted_rows
+        return out
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -130,8 +123,8 @@ def crf_nll(
     """Negative log-likelihood of each gold path, log Z - score(gold), and
     the cache crf_nll_backward needs.
 
-    The loss is a float for one sequence and a (b,) array for a batch; the
-    cache's "log_z" holds each sequence's log Z, longest sequence first.
+    The loss is a (b,) array; the cache's "log_z" holds each sequence's
+    log Z, longest sequence first.
     """
     batch = _Batch(emissions, trans, start, end, lengths)
     tags = batch.tags(tags)
@@ -149,8 +142,6 @@ def crf_nll(
     log_z = _logsumexp(last + end, axis=1)
 
     nll = batch.restore(log_z - _path_scores(batch, tags, trans, start, end))
-    if batch.single:
-        nll = float(nll)
     cache = dict(
         batch=batch, tags=tags, trans=trans, end=end,
         log_alpha=log_alpha, log_z=log_z,
@@ -221,8 +212,7 @@ def viterbi(
     """Highest-scoring tag path of each sequence; argmax ties pick the
     lowest tag id.
 
-    One sequence gives an (L,) path; a batch gives (b, n) paths with 0 at
-    padded positions.
+    Returns (b, n) paths with 0 at padded positions.
     """
     batch = _Batch(emissions, trans, start, end, lengths)
     running = batch.running

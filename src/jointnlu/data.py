@@ -1,4 +1,4 @@
-"""Corpus files, label vocabularies, and split statistics.
+"""Corpus files, label vocabularies, and the one publish step for outputs.
 
 On-disk format, one utterance per block:
 
@@ -17,9 +17,9 @@ import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from .tagging import SlotTag, kv_text
+from .tagging import SlotTag
 
 INTENT_HEADER = "# intent="
 
@@ -192,50 +192,6 @@ def combine_intents(labels: Iterable[str]) -> str:
     if not parts:
         raise ValueError("no intent labels to combine")
     return "#".join(sorted(parts))
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    """Split-level summary; word/label statistics come from train only."""
-
-    vocab_size: int
-    avg_sentence_length: float
-    n_intents: int
-    n_slots: int
-    n_train: int
-    n_dev: int
-    n_test: int
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} is negative")
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    def to_kv_text(self) -> str:
-        return kv_text(self.to_dict())
-
-
-def corpus_stats(
-    train: Sequence[TaggedUtterance],
-    dev: Sequence[TaggedUtterance],
-    test: Sequence[TaggedUtterance],
-) -> CorpusStats:
-    vocab = {w for u in train for w in u.words}
-    avg = sum(len(u.words) for u in train) / len(train) if train else 0.0
-    intents = {u.intent for u in train}
-    slots = {s for u in train for s in u.tag_strings()}
-    return CorpusStats(
-        vocab_size=len(vocab),
-        avg_sentence_length=avg,
-        n_intents=len(intents),
-        n_slots=len(slots),
-        n_train=len(train),
-        n_dev=len(dev),
-        n_test=len(test),
-    )
 
 
 @dataclass(frozen=True)

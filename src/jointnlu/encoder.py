@@ -14,7 +14,7 @@ back under the same names.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +50,6 @@ class EncoderConfig:
     @property
     def d_head(self) -> int:
         return self.d_h // self.n_heads
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EncoderConfig":

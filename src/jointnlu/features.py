@@ -174,10 +174,9 @@ def feature_forward(x: np.ndarray, params: dict[str, np.ndarray]):
 
 def feature_backward(
     d_out: np.ndarray, cache, params: dict[str, np.ndarray]
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Backprop through feature_forward.
-
-    Returns (d_x, grads) with grads under the "feat." names.
+) -> dict[str, np.ndarray]:
+    """Backprop through feature_forward into the parameters, under the
+    "feat." names; the one-hot inputs are fixed, so they get no gradient.
     """
     x, s, h = cache
     d_out = np.asarray(d_out, dtype=np.float64)
@@ -199,16 +198,14 @@ def feature_backward(
     flat_ds = d_s.reshape(-1, FEATURE_HIDDEN)
     d_W_w = flat_x.T @ flat_ds
     d_b_w = flat_ds.sum(axis=0)
-    d_x = d_s @ params["feat.W_w"].T
 
-    grads = {
+    return {
         "feat.W_w": d_W_w,
         "feat.b_w": d_b_w,
         "feat.a_prelu": d_a,
         "feat.W_proj": d_W_proj,
         "feat.b_proj": d_b_proj,
     }
-    return d_x, grads
 
 
 def load_gazetteer(path: str | Path) -> dict[str, str]:

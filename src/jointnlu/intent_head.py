@@ -91,9 +91,8 @@ def intent_forward(
     y_int = intent_logits(h_used, params["int.W_cls"], params["int.b_cls"])
 
     cache = dict(
-        H=H, pad_mask=pad_mask, mode=mode, alpha_clean=alpha_clean,
-        att_drop=att_drop, alpha=alpha, h_int=h_int, h_drop=h_drop,
-        h_used=h_used,
+        H=H, mode=mode, alpha_clean=alpha_clean, att_drop=att_drop,
+        alpha=alpha, h_int=h_int, h_drop=h_drop, h_used=h_used,
     )
     return y_int, alpha, cache
 

@@ -10,6 +10,8 @@ under the same names, so the optimizer walks the two dicts in parallel.
 from __future__ import annotations
 
 import json
+import tokenize
+import zipfile
 from dataclasses import asdict, dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -331,7 +333,7 @@ def model_loss_and_grads(
     grads.update(int_grads)
 
     if cfg.slot_features:
-        grads.update(feature_backward(d_f, cache["feat"], params)[1])
+        grads.update(feature_backward(d_f, cache["feat"], params))
 
     grads.update(
         encode_backward(d_H_int + d_H_slot, cache["enc"], params, cfg.encoder)
@@ -372,6 +374,10 @@ def decode_word_tags(
 _META_KEY = "archive_meta"
 # The keys save_checkpoint writes into the metadata object.
 _META_FIELDS = ("config", "intent_labels", "slot_tags", "pieces", "resources")
+# What np.load raises, besides ValueError and OSError, on a damaged archive.
+# RuntimeError covers zipfile's "compression method is not supported"
+# (a NotImplementedError) and "is encrypted, password required".
+_UNREADABLE = (zipfile.BadZipFile, RuntimeError, tokenize.TokenError, EOFError)
 
 
 @dataclass(frozen=True)
@@ -422,8 +428,13 @@ def _read_meta(path, raw: np.ndarray) -> dict:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with np.load(path) as archive:
-        arrays = {k: archive[k] for k in archive.files}
+    try:
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+    except _UNREADABLE as err:
+        raise ValueError(
+            f"{path}: not a readable model archive ({type(err).__name__}: {err})"
+        ) from None
     if _META_KEY not in arrays:
         raise ValueError(f"{path}: not a model archive (missing metadata)")
     meta = _read_meta(path, arrays.pop(_META_KEY))
@@ -452,7 +463,7 @@ def load_checkpoint(path) -> Checkpoint:
             continue
         raise ValueError(f"{path}: tensor {row.name!r} {problem}")
     try:
-        return Checkpoint(
+        ckpt = Checkpoint(
             params=arrays,
             config=config,
             intent_vocab=IntentVocab(tuple(meta["intent_labels"])),
@@ -465,3 +476,14 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: bad vocabulary or resources in metadata "
             f"({type(err).__name__}: {err})"
         ) from None
+    for field, have, want in (
+        ("intent_labels", len(ckpt.intent_vocab), config.n_intents),
+        ("slot_tags", len(ckpt.slot_vocab), config.n_slots),
+        ("pieces", len(ckpt.piece_vocab), config.encoder.vocab_size),
+    ):
+        if have != want:
+            raise ValueError(
+                f"{path}: metadata {field!r} holds {have} entries, "
+                f"the config says {want}"
+            )
+    return ckpt

@@ -11,8 +11,8 @@ piece-level predictions can be gathered back to word level.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class WordPieceVocab:
     """Dense piece->id table; ids 0..3 are reserved, base pieces follow."""
 
     pieces: tuple[str, ...]
-    ids: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if tuple(self.pieces[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
@@ -87,32 +86,24 @@ class WordPieceVocab:
         return [self.ids[p] for p in self.tokenize_pieces(word)]
 
 
-def _word_counts(corpus: Iterable[str] | Mapping[str, int]) -> Counter:
-    if isinstance(corpus, Mapping):
-        counts = Counter(dict(corpus))
-    else:
-        counts = Counter(corpus)
-    if not counts:
-        raise ValueError("empty corpus")
-    if any(not w for w in counts):
-        raise ValueError("empty word in corpus")
-    return counts
-
-
 def _merge(a: str, b: str) -> str:
     return a + b.removeprefix(CONTINUATION)
 
 
-def train_vocab(corpus: Iterable[str] | Mapping[str, int], target_size: int) -> WordPieceVocab:
+def train_vocab(words: Iterable[str], target_size: int) -> WordPieceVocab:
     """Induce a word-piece vocabulary by greedy pair merging.
 
     The base inventory holds every character of the corpus in both
     word-initial and continuation form (tokenization totality); merges then
     add the most frequent adjacent pair until `target_size` pieces exist or
     no pair repeats. Ties are broken lexicographically, so the result is a
-    pure function of the corpus multiset and the size.
+    pure function of the word multiset and the size.
     """
-    counts = _word_counts(corpus)
+    counts = Counter(words)
+    if not counts:
+        raise ValueError("empty corpus")
+    if any(not w for w in counts):
+        raise ValueError("empty word in corpus")
     alphabet = sorted({c for w in counts for c in w})
     base = sorted(alphabet + [CONTINUATION + c for c in alphabet])
     floor = len(RESERVED_TOKENS) + len(base)
@@ -157,20 +148,19 @@ class AlignedSequence:
     """Piece-level view of one tagged utterance, framed by [BOS]/[EOS].
 
     All per-position tuples share one length. `active[i]` is True exactly at
-    the first piece of each surviving word; `word_index[i]` points back to
-    the source word (None at markers). `features` is (length, 23) float64.
+    the first piece of each surviving word. `features` is (length, 23)
+    float64.
     """
 
     piece_ids: tuple[int, ...]
     piece_tags: tuple[SlotTag, ...]
     active: tuple[bool, ...]
     features: np.ndarray
-    word_index: tuple[int | None, ...]
     truncated: bool = False
 
     def __post_init__(self):
         n = len(self.piece_ids)
-        if not (len(self.piece_tags) == len(self.active) == len(self.word_index) == n):
+        if not (len(self.piece_tags) == len(self.active) == n):
             raise ValueError("aligned fields disagree on length")
         if self.features.shape != (n, FEATURE_DIM):
             raise ValueError(f"features must be ({n}, {FEATURE_DIM})")
@@ -206,7 +196,6 @@ def align(
     ids = [vocab.bos_id]
     piece_tags = [X_TAG]
     active = [False]
-    word_index: list[int | None] = [None]
     rows = [np.zeros(FEATURE_DIM)]
     truncated = False
     for wi, (word, tag) in enumerate(zip(words, tags)):
@@ -218,12 +207,10 @@ def align(
             ids.append(pid)
             piece_tags.append(tag if k == 0 else X_TAG)
             active.append(k == 0)
-            word_index.append(wi)
             rows.append(np.asarray(features[wi], dtype=float))
     ids.append(vocab.eos_id)
     piece_tags.append(X_TAG)
     active.append(False)
-    word_index.append(None)
     rows.append(np.zeros(FEATURE_DIM))
 
     return AlignedSequence(
@@ -231,7 +218,6 @@ def align(
         piece_tags=tuple(piece_tags),
         active=tuple(active),
         features=np.array(rows, dtype=np.float64),
-        word_index=tuple(word_index),
         truncated=truncated,
     )
 

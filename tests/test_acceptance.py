@@ -150,11 +150,11 @@ def test_criterion_03_crf_matches_exhaustive_enumeration():
         )
 
         gold = [int(t) for t in rng.integers(0, s, size=n)]
-        nll, _ = crf_nll(emissions, gold, trans, start, end)
-        recovered = nll + crf_score(emissions, gold, trans, start, end)
+        nll, _ = crf_nll(emissions[None], [gold], trans, start, end)
+        recovered = nll[0] + crf_score(emissions, gold, trans, start, end)
         assert abs(recovered - log_z) <= 1e-8
 
-        path = [int(t) for t in viterbi(emissions, trans, start, end)]
+        path = [int(t) for t in viterbi(emissions[None], trans, start, end)[0]]
         decoded = crf_score(emissions, path, trans, start, end)
         assert abs(decoded - best_score) <= 1e-8
         if n_optimal == 1:

@@ -639,6 +639,76 @@ class TestDamagedCheckpoint:
             assert repr(name) in err, err
 
 
+def _cut_in_half(raw):
+    return raw[: len(raw) // 2]
+
+
+def _zeroed_run(raw):
+    return raw[:200] + bytes(60) + raw[260:]
+
+
+def _emptied(raw):
+    return b""
+
+
+def _extra_pieces(pieces):
+    return pieces + [f"[EXTRA{i}]" for i in range(50)]
+
+
+class TestUnreadableCheckpoint:
+    """A checkpoint file that is no longer a readable archive, or whose
+    vocabularies disagree with its config, is refused the same way: exit 2,
+    one stderr line naming the file, and no --out file."""
+
+    def refused(self, trained, tmp_path, capsys, damaged) -> list:
+        errors = []
+        out = tmp_path / "out.txt"
+        for argv in (
+            ["eval", "--data", str(trained["data"] / "dev.txt")],
+            ["attn", "--text", "play something"],
+        ):
+            rc = main(argv + ["--checkpoint", str(damaged), "--out", str(out)])
+            captured = capsys.readouterr()
+            assert rc == 2, argv
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1, captured.err
+            assert not out.exists()
+            errors.append(captured.err)
+        return errors
+
+    @pytest.mark.parametrize("damage", [_cut_in_half, _zeroed_run, _emptied])
+    def test_damaged_file(self, trained, tmp_path, capsys, damage):
+        raw = (trained["out"] / "checkpoint.npz").read_bytes()
+        damaged = tmp_path / "damaged.npz"
+        damaged.write_bytes(damage(raw))
+        for err in self.refused(trained, tmp_path, capsys, damaged):
+            assert err.startswith(
+                f"error: {damaged}: not a readable model archive ("
+            ), err
+
+    @pytest.mark.parametrize("field,edit", [
+        ("intent_labels", lambda labels: labels[:2]),
+        ("slot_tags", lambda tags: tags[:3]),
+        ("pieces", _extra_pieces),
+    ], ids=["intent_labels", "slot_tags", "pieces"])
+    def test_vocabulary_size_disagrees_with_config(self, trained, tmp_path,
+                                                   capsys, field, edit):
+        with np.load(trained["out"] / "checkpoint.npz") as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        meta = json.loads(arrays["archive_meta"].tobytes().decode("utf-8"))
+        have, meta[field] = len(meta[field]), edit(meta[field])
+        arrays["archive_meta"] = np.frombuffer(
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        )
+        damaged = tmp_path / "damaged.npz"
+        np.savez(damaged, **arrays)
+        expected = (
+            f"error: {damaged}: metadata {field!r} holds {len(meta[field])} "
+            f"entries, the config says {have}\n"
+        )
+        assert self.refused(trained, tmp_path, capsys, damaged) == [expected] * 2
+
+
 def write_report(path, intent, slot, sent):
     path.write_text(f"intent_acc={intent}\nslot_f1={slot}\nsent_acc={sent}\n")
     return str(path)

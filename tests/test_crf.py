@@ -1,4 +1,8 @@
-"""CRF log-partition, gradients, and decoding against enumeration oracles."""
+"""CRF log-partition, gradients, and decoding against enumeration oracles.
+
+The CRF takes only padded (b, n, K) batches; the single-sequence tests pass
+one (L, K) instance as a batch of one, `emis[None]`, and read row 0 back.
+"""
 
 import numpy as np
 import pytest
@@ -35,31 +39,31 @@ class TestScore:
         for _ in range(50):
             emis, trans, start, end = random_instance(rng)
             tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
-            nll, _ = crf_nll(emis, tags, trans, start, end)
+            nll, _ = crf_nll(emis[None], tags[None], trans, start, end)
             brute_log_z = crf_log_partition_enumerate(emis, trans, start, end)
             assert np.isclose(
-                brute_log_z - nll,
+                brute_log_z - nll[0],
                 oracles.crf_score(emis, tags, trans, start, end),
             )
 
     def test_rejects_bad_tag_ids(self, rng):
         emis, trans, start, end = random_instance(rng)
-        bad = np.full(emis.shape[0], emis.shape[1])
-        with pytest.raises(ValueError):
-            crf_nll(emis, bad, trans, start, end)
+        bad = np.full((1, emis.shape[0]), emis.shape[1])
+        with pytest.raises(ValueError, match="tag id out of range"):
+            crf_nll(emis[None], bad, trans, start, end)
 
     def test_rejects_wrong_tag_count(self, rng):
         emis, trans, start, end = random_instance(rng)
-        with pytest.raises(ValueError):
-            crf_nll(emis, [0] * (emis.shape[0] + 1), trans, start, end)
+        with pytest.raises(ValueError, match="need tags of shape"):
+            crf_nll(emis[None], [[0] * (emis.shape[0] + 1)], trans, start, end)
 
 
 class TestNll:
     def test_single_position_reduces_to_cross_entropy(self, rng):
-        emis = rng.normal(size=(1, 4))
+        emis = rng.normal(size=(1, 1, 4))
         zeros4 = np.zeros(4)
-        nll, _ = crf_nll(emis, [2], np.zeros((4, 4)), zeros4, zeros4)
-        assert np.isclose(nll, -log_softmax(emis[0])[2])
+        nll, _ = crf_nll(emis, [[2]], np.zeros((4, 4)), zeros4, zeros4)
+        assert np.isclose(nll[0], -log_softmax(emis[0, 0])[2])
 
     def test_two_by_two_partition_is_four_term_sum(self, rng):
         emis = rng.normal(size=(2, 2))
@@ -71,23 +75,23 @@ class TestNll:
             for i in range(2)
             for j in range(2)
         ]
-        nll, cache = crf_nll(emis, [0, 1], trans, start, end)
-        assert np.isclose(cache["log_z"], np.log(np.exp(terms).sum()))
+        nll, cache = crf_nll(emis[None], [[0, 1]], trans, start, end)
+        assert np.isclose(cache["log_z"][0], np.log(np.exp(terms).sum()))
 
     def test_partition_matches_enumeration(self, rng):
         for _ in range(300):
             emis, trans, start, end = random_instance(rng)
             tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
-            _, cache = crf_nll(emis, tags, trans, start, end)
+            _, cache = crf_nll(emis[None], tags[None], trans, start, end)
             brute = crf_log_partition_enumerate(emis, trans, start, end)
-            assert abs(cache["log_z"] - brute) <= 1e-8
+            assert abs(cache["log_z"][0] - brute) <= 1e-8
 
     def test_partition_dominates_every_path(self, rng):
         emis, trans, start, end = random_instance(rng, max_len=4, max_tags=3)
         _, cache = crf_nll(
-            emis, [0] * emis.shape[0], trans, start, end)
+            emis[None], [[0] * emis.shape[0]], trans, start, end)
         _, best, _ = crf_best_path_enumerate(emis, trans, start, end)
-        assert cache["log_z"] > best  # strict: several paths contribute mass
+        assert cache["log_z"][0] > best  # strict: several paths contribute mass
 
     def test_nll_decreases_as_gold_emissions_grow(self, rng):
         emis, trans, start, end = random_instance(rng)
@@ -96,23 +100,25 @@ class TestNll:
         for boost in (0.0, 1.0, 2.0, 4.0):
             boosted = emis.copy()
             boosted[np.arange(len(tags)), tags] += boost
-            values.append(crf_nll(boosted, tags, trans, start, end)[0])
+            values.append(crf_nll(boosted[None], tags[None], trans, start, end)[0][0])
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_gradients_match_fd(self, rng):
         for _ in range(20):
             emis, trans, start, end = random_instance(rng)
             tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
-            _, cache = crf_nll(emis, tags, trans, start, end)
+            _, cache = crf_nll(emis[None], tags[None], trans, start, end)
             grads = crf_nll_backward(cache)
 
-            holders = {"emissions": emis, "trans": trans, "start": start, "end": end}
+            holders = {
+                "emissions": emis[None], "trans": trans, "start": start, "end": end,
+            }
 
             def loss(_parms=None):
                 return crf_nll(
-                    holders["emissions"], tags, holders["trans"],
+                    holders["emissions"], tags[None], holders["trans"],
                     holders["start"], holders["end"],
-                )[0]
+                )[0][0]
 
             for name in holders:
                 coords, fd = finite_difference(
@@ -125,8 +131,8 @@ class TestNll:
         # rows of d_emissions + onehot(gold) must be probability rows
         emis, trans, start, end = random_instance(rng)
         tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
-        _, cache = crf_nll(emis, tags, trans, start, end)
-        marg = crf_nll_backward(cache)["emissions"].copy()
+        _, cache = crf_nll(emis[None], tags[None], trans, start, end)
+        marg = crf_nll_backward(cache)["emissions"][0].copy()
         marg[np.arange(len(tags)), tags] += 1.0
         assert np.allclose(marg.sum(axis=1), 1.0)
         assert (marg >= 0).all() and (marg <= 1).all()
@@ -136,13 +142,13 @@ class TestViterbi:
     def test_zero_transitions_reduce_to_argmax(self, rng):
         emis = rng.normal(size=(5, 4))
         K = emis.shape[1]
-        path = viterbi(emis, np.zeros((K, K)), np.zeros(K), np.zeros(K))
+        path = viterbi(emis[None], np.zeros((K, K)), np.zeros(K), np.zeros(K))[0]
         assert np.array_equal(path, emis.argmax(axis=1))
 
     def test_matches_enumeration_on_random_instances(self, rng):
         for _ in range(300):
             emis, trans, start, end = random_instance(rng)
-            path = viterbi(emis, trans, start, end)
+            path = viterbi(emis[None], trans, start, end)[0]
             best, best_score, n_optimal = crf_best_path_enumerate(emis, trans, start, end)
             assert abs(oracles.crf_score(emis, path, trans, start, end) - best_score) <= 1e-8
             if n_optimal == 1:
@@ -150,19 +156,19 @@ class TestViterbi:
 
     def test_decoded_score_self_consistency(self, rng):
         emis, trans, start, end = random_instance(rng)
-        path = viterbi(emis, trans, start, end)
+        path = viterbi(emis[None], trans, start, end)[0]
         _, best_score, _ = crf_best_path_enumerate(emis, trans, start, end)
         assert np.isclose(oracles.crf_score(emis, path, trans, start, end), best_score)
 
     def test_all_ties_pick_lowest_ids(self):
-        emis = np.zeros((4, 3))
-        path = viterbi(emis, np.zeros((3, 3)), np.zeros(3), np.zeros(3))
+        emis = np.zeros((1, 4, 3))
+        path = viterbi(emis, np.zeros((3, 3)), np.zeros(3), np.zeros(3))[0]
         assert np.array_equal(path, np.zeros(4, dtype=int))
 
     def test_final_position_tie_breaks_low(self):
         # two tags with equal total score; the lower id must win
-        emis = np.array([[1.0, 1.0]])
-        path = viterbi(emis, np.zeros((2, 2)), np.zeros(2), np.zeros(2))
+        emis = np.array([[[1.0, 1.0]]])
+        path = viterbi(emis, np.zeros((2, 2)), np.zeros(2), np.zeros(2))[0]
         assert path.tolist() == [0]
 
 
@@ -228,22 +234,6 @@ class TestBatched:
         pb = viterbi(other, trans, start, end, lengths)
         for i, L in enumerate(lengths):
             assert np.array_equal(pa[i, :L], pb[i, :L])
-
-    def test_single_sequence_is_a_batch_of_one(self, rng):
-        emis, trans, start, end = random_instance(rng)
-        tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
-        nll, cache = crf_nll(emis, tags, trans, start, end)
-        nll_b, cache_b = crf_nll(emis[None], tags[None], trans, start, end)
-        assert isinstance(nll, float) and nll == nll_b[0]
-        g, g_b = crf_nll_backward(cache), crf_nll_backward(cache_b)
-        assert np.array_equal(g["emissions"], g_b["emissions"][0])
-        for k in ("trans", "start", "end"):
-            assert np.array_equal(g[k], g_b[k])
-        assert np.array_equal(
-            viterbi(emis, trans, start, end),
-            viterbi(emis[None], trans, start, end)[0],
-        )
-        assert np.array_equal(cache["log_z"], cache_b["log_z"])
 
     def test_viterbi_matches_enumeration_and_reference(self, rng):
         for _ in range(200):
@@ -316,9 +306,17 @@ class TestBatched:
 
 class TestValidation:
     def test_shape_disagreement(self, rng):
+        emis = rng.normal(size=(1, 3, 4))
+        with pytest.raises(ValueError, match="shapes disagree with emissions"):
+            crf_nll(emis, [[0, 0, 0]], np.zeros((5, 5)), np.zeros(5), np.zeros(5))
+
+    def test_bare_sequence_refused(self, rng):
         emis = rng.normal(size=(3, 4))
-        with pytest.raises(ValueError):
-            crf_nll(emis, [0, 0, 0], np.zeros((5, 5)), np.zeros(5), np.zeros(5))
+        zeros = np.zeros(4)
+        with pytest.raises(ValueError, match=r"must be \(b, n, K\)"):
+            crf_nll(emis, [0, 0, 0], np.zeros((4, 4)), zeros, zeros)
+        with pytest.raises(ValueError, match=r"must be \(b, n, K\)"):
+            viterbi(emis, np.zeros((4, 4)), zeros, zeros)
 
     @pytest.mark.parametrize("lengths", [[0, 3], [3, 4], [3], [[3, 3]]])
     def test_bad_lengths(self, rng, lengths):

@@ -4,16 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from jointnlu.data import (
     UNK_INTENT,
     CorpusError,
-    CorpusStats,
     IntentVocab,
     SlotVocab,
     TaggedUtterance,
     combine_intents,
-    corpus_stats,
     lint_corpus,
     load_corpus,
     save_corpus,
@@ -65,6 +64,20 @@ class TestTaggedUtterance:
     def test_x_tag_rejected(self):
         with pytest.raises(ValueError):
             TaggedUtterance(("a",), (SlotTag("X"),), "i")
+
+
+# Lines near the format, for text that gets past the first line more often
+# than arbitrary text does.
+CORPUS_LINES = st.sampled_from([
+    "", "# intent=play", "# intent=", "# other", "#", "play\tO", "play\tB-a",
+    "play\tI-a", "play\tX", "play\tB-", "play O", "\tO", "play\t",
+    "play\tO\tO", " \tO", "pl ay\tO", "play\tO\r",
+])
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus")
 
 
 class TestLoadCorpus:
@@ -147,6 +160,19 @@ class TestLoadCorpus:
         save_corpus(load_corpus(p), q)
         assert p.read_bytes() == q.read_bytes()
 
+    @given(text=st.one_of(st.text(), st.lists(CORPUS_LINES).map("\n".join)))
+    def test_any_text_loads_or_is_refused(self, scratch, text):
+        """Any text is read or refused with CorpusError; what is read writes
+        back and reads back unchanged."""
+        path = scratch / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            corpus = load_corpus(path)
+        except CorpusError:
+            return
+        save_corpus(corpus, path)
+        assert load_corpus(path) == corpus
+
 
 class TestLint:
     def test_clean_corpus_has_no_flags(self):
@@ -190,39 +216,6 @@ class TestCombineIntents:
             combine_intents([])
         with pytest.raises(ValueError):
             combine_intents(["a#"])
-
-
-class TestCorpusStats:
-    def test_single_utterance(self):
-        train = [utt(["a", "b", "c", "d"], ["O", "O", "O", "O"])]
-        s = corpus_stats(train, [], [])
-        assert s.vocab_size == 4
-        assert s.avg_sentence_length == 4.0
-        assert s.n_intents == 1
-        assert s.n_slots == 1
-        assert (s.n_train, s.n_dev, s.n_test) == (1, 0, 0)
-
-    def test_vocab_is_case_preserving_exact_match(self):
-        train = [utt(["Play", "play"], ["O", "O"])]
-        assert corpus_stats(train, [], []).vocab_size == 2
-
-    def test_counts_come_from_train_only(self):
-        train = [utt(["a"], ["O"], intent="i1")]
-        dev = [utt(["b", "c"], ["B-x", "O"], intent="i2")]
-        s = corpus_stats(train, dev, dev)
-        assert s.vocab_size == 1 and s.n_intents == 1 and s.n_slots == 1
-        assert s.n_dev == 1 and s.n_test == 1
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            CorpusStats(-1, 0.0, 0, 0, 0, 0, 0)
-
-    def test_kv_text_lists_every_field(self):
-        s = corpus_stats([utt(["a"], ["O"])], [], [])
-        text = s.to_kv_text()
-        for key in ("vocab_size", "avg_sentence_length", "n_intents",
-                    "n_slots", "n_train", "n_dev", "n_test"):
-            assert f"{key}=" in text
 
 
 def tree(root) -> dict:
@@ -364,10 +357,18 @@ class TestSlotVocab:
 _DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 
 
-def _load_benchmark(name):
-    root = _DATASETS / name
-    return tuple(
-        load_corpus(root / f"{split}.txt") for split in ("train", "dev", "test")
+def _benchmark_statistics(name) -> dict:
+    """The paper's dataset table; word and label counts come from train."""
+    train, dev, test = (
+        load_corpus(_DATASETS / name / f"{split}.txt")
+        for split in ("train", "dev", "test")
+    )
+    return dict(
+        vocab_size=len({w for u in train for w in u.words}),
+        avg_sentence_length=sum(len(u.words) for u in train) / len(train),
+        n_intents=len({u.intent for u in train}),
+        n_slots=len({t for u in train for t in u.tag_strings()}),
+        sizes=(len(train), len(dev), len(test)),
     )
 
 
@@ -375,22 +376,22 @@ def _load_benchmark(name):
     not (_DATASETS / "atis").is_dir(), reason="licensed benchmark not bundled"
 )
 def test_atis_statistics():
-    s = corpus_stats(*_load_benchmark("atis"))
-    assert s.vocab_size == 722
-    assert s.avg_sentence_length == pytest.approx(11.28, abs=0.005)
-    assert (s.n_intents, s.n_slots) == (21, 120)
-    assert (s.n_train, s.n_dev, s.n_test) == (4478, 500, 893)
+    s = _benchmark_statistics("atis")
+    assert s["vocab_size"] == 722
+    assert s["avg_sentence_length"] == pytest.approx(11.28, abs=0.005)
+    assert (s["n_intents"], s["n_slots"]) == (21, 120)
+    assert s["sizes"] == (4478, 500, 893)
 
 
 @pytest.mark.skipif(
     not (_DATASETS / "snips").is_dir(), reason="benchmark not bundled"
 )
 def test_snips_statistics():
-    s = corpus_stats(*_load_benchmark("snips"))
-    assert s.vocab_size == 11241
-    assert s.avg_sentence_length == pytest.approx(9.05, abs=0.005)
-    assert (s.n_intents, s.n_slots) == (7, 72)
-    assert (s.n_train, s.n_dev, s.n_test) == (13084, 700, 700)
+    s = _benchmark_statistics("snips")
+    assert s["vocab_size"] == 11241
+    assert s["avg_sentence_length"] == pytest.approx(9.05, abs=0.005)
+    assert (s["n_intents"], s["n_slots"]) == (7, 72)
+    assert s["sizes"] == (13084, 700, 700)
 
 
 class TestToyGrammar:

@@ -1,5 +1,7 @@
 """Encoder forward/backward, padding isolation, and the numerics helpers."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -116,7 +118,7 @@ class TestEncoderConfig:
             EncoderConfig(vocab_size=0)
 
     def test_dict_round_trip(self):
-        assert EncoderConfig.from_dict(SMALL.to_dict()) == SMALL
+        assert EncoderConfig.from_dict(asdict(SMALL)) == SMALL
 
 
 class TestEncodeForward:

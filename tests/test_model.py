@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from jointnlu.data import IntentVocab, SlotVocab, UNK_INTENT
 from jointnlu.encoder import EncoderConfig
@@ -471,6 +472,31 @@ class TestBatch:
             make_batch([], [], SlotVocab(("O", "X")))
 
 
+def tiny_checkpoint(params, cfg) -> Checkpoint:
+    """`params` with vocabularies as large as tiny_config says."""
+    return Checkpoint(
+        params=params, config=cfg,
+        intent_vocab=IntentVocab((UNK_INTENT, "a", "b", "c")),
+        slot_vocab=SlotVocab(("O", "X", "B-a", "B-b", "I-b")),
+        piece_vocab=WordPieceVocab(
+            RESERVED_TOKENS + tuple(chr(97 + i) for i in range(VOCAB - 4))
+        ),
+        featurizer=WordFeaturizer({}, {}, frozenset()),
+    )
+
+
+@pytest.fixture(scope="module")
+def archive(tmp_path_factory):
+    """One small valid checkpoint's bytes, and a scratch path to write to."""
+    root = tmp_path_factory.mktemp("archive")
+    cfg = tiny_config(slot_mode="crf")
+    save_checkpoint(
+        tiny_checkpoint(init_model_params(cfg, np.random.default_rng(0)), cfg),
+        root / "model.npz",
+    )
+    return (root / "model.npz").read_bytes(), root / "damaged.npz"
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_everything(self, rng, tmp_path):
         data = toy_grammar(7, 12, 2, 2)
@@ -515,17 +541,8 @@ class TestCheckpoint:
         batch = tiny_batch(rng)
         before = predict_batch(params, cfg, batch)
 
-        ckpt = Checkpoint(
-            params=params, config=cfg,
-            intent_vocab=IntentVocab((UNK_INTENT, "a", "b", "c")),
-            slot_vocab=SlotVocab(("O", "X", "B-a", "B-b", "I-b")),
-            piece_vocab=WordPieceVocab(
-                RESERVED_TOKENS + tuple(chr(97 + i) for i in range(VOCAB - 4))
-            ),
-            featurizer=WordFeaturizer({}, {}, frozenset()),
-        )
         path = tmp_path / "m.npz"
-        save_checkpoint(ckpt, path)
+        save_checkpoint(tiny_checkpoint(params, cfg), path)
         loaded = load_checkpoint(path)
         after = predict_batch(loaded.params, loaded.config, batch)
         assert np.array_equal(before[0], after[0])
@@ -545,3 +562,19 @@ class TestCheckpoint:
         )
         with pytest.raises(ValueError):
             save_checkpoint(ckpt, tmp_path / "m.npz")
+
+    @given(st.data())
+    def test_damaged_archive_loads_or_is_refused(self, archive, data):
+        """A flipped byte or a cut anywhere in the file either leaves a
+        loadable model or raises ValueError/OSError, never anything else."""
+        raw, path = bytearray(archive[0]), archive[1]
+        at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        if data.draw(st.booleans(), label="flip"):
+            raw[at] ^= data.draw(st.integers(1, 255), label="mask")
+        else:
+            del raw[at:]
+        path.write_bytes(raw)
+        try:
+            assert isinstance(load_checkpoint(path), Checkpoint)
+        except (ValueError, OSError):
+            pass

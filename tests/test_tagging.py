@@ -244,6 +244,13 @@ class TestEvalReport:
 
 
 class TestReadKv:
+    @given(st.text(), st.booleans())
+    def test_never_raises(self, text, fields):
+        entries, problems = read_kv(text, fields)
+        assert all(isinstance(n, int) and isinstance(v, str)
+                   for n, v in entries.values())
+        assert all(isinstance(p, str) for p in problems)
+
     def test_entries_carry_line_numbers(self):
         entries, problems = read_kv("# header\n\n a = 1 \nb=x=y\nc=\n")
         assert problems == []
