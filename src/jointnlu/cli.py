@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
-from .data import load_corpus, staged
+from .data import load_corpus, read_utf8, staged
 from .features import WordFeaturizer
 from .model import (
     align_utterance,
@@ -130,9 +130,26 @@ def _seed_summary(runs: Sequence[Tuple[int, TrainResult]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_out(out) -> None:
+    """Refuse an --out that cannot be published: its parent is not a
+    directory, or it is an existing directory. Every command that writes
+    --out calls this before it loads anything, so the mistake costs no work
+    and prints nothing else."""
+    if out is None:
+        return
+    out = Path(out)
+    if not out.parent.is_dir():
+        raise ValueError(f"{out.parent} is not a directory; create it first")
+    if out.is_dir():
+        raise ValueError(f"{out} is a directory; give a file path")
+
+
 def cmd_train(args) -> int:
-    config_text = Path(args.config).read_text(encoding="utf-8")
-    config, problems = validate_config_text(config_text)
+    out = Path(args.out)
+    if out.exists():
+        raise ValueError(f"{out} already exists; give a new --out")
+    _check_out(out)
+    config, problems = validate_config_text(read_utf8(args.config))
     if problems:
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)
@@ -143,11 +160,6 @@ def cmd_train(args) -> int:
     # Everything is loaded and checked before anything is written, so a bad
     # invocation leaves no partial outputs behind.
     corpora, featurizer, hashes = _load_data_dir(Path(args.data))
-    out = Path(args.out)
-    if out.exists():
-        raise ValueError(f"{out} already exists; give a new --out")
-    if not out.parent.is_dir():
-        raise ValueError(f"{out.parent} is not a directory; create it first")
 
     # The run is built in a staging directory beside --out and renamed into
     # place whole, so a failed or interrupted run leaves nothing behind.
@@ -201,6 +213,7 @@ def _check_label_vocabularies(ckpt, corpus) -> None:
 
 
 def cmd_eval(args) -> int:
+    _check_out(args.out)
     corpus = load_corpus(args.data)
     if not corpus:
         raise ValueError(f"{args.data} holds no utterances")
@@ -240,7 +253,7 @@ def _read_measures(path) -> Dict[str, float]:
     three measures, so extra entries like chunk counts never skew it. A
     measure that is not a number in [0, 100] is refused.
     """
-    entries, problems = read_kv(Path(path).read_text(encoding="utf-8"))
+    entries, problems = read_kv(read_utf8(path))
     if problems:
         raise ValueError(f"{path}: {problems[0]}")
     missing = [m for m in _MEASURES if m not in entries]
@@ -264,6 +277,7 @@ def _read_measures(path) -> Dict[str, float]:
 
 
 def cmd_compare(args) -> int:
+    _check_out(args.out)
     a = _read_measures(args.report_a)
     b = _read_measures(args.report_b)
     lines = ["measure\ta\tb\trer_pct"]
@@ -311,6 +325,7 @@ def _attention_svg(rows: Sequence[Tuple[str, float]]) -> str:
 
 
 def cmd_attn(args) -> int:
+    _check_out(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     words = args.text.split()
     feats = ckpt.featurizer.featurize(words)

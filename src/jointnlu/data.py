@@ -63,10 +63,26 @@ class TaggedUtterance:
         return tuple(str(t) for t in self.tags)
 
 
+def read_utf8(path, error: type[ValueError] = ValueError) -> str:
+    """A UTF-8 text file's contents with universal newlines, as
+    Path.read_text gives them: the one reader of every text input. A byte
+    that does not decode raises `error` naming the file and the 1-based line
+    of the first bad byte."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(
+            f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_corpus(path) -> list[TaggedUtterance]:
     """Parse a corpus file; malformed input raises CorpusError with the
     offending line number. Lenient about chunk continuity (see lint_corpus)."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path, CorpusError)
     out: list[TaggedUtterance] = []
     intent: str | None = None
     header_line = 0

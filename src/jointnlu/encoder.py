@@ -3,8 +3,11 @@ gradients.
 
 Post-norm residual blocks: embeddings go through a layer norm, then each
 block applies self-attention and a GELU feed-forward sublayer, each followed
-by residual add and layer norm. Padded key positions are masked out of every
-attention row, and the returned hidden states are zeroed at padded positions,
+by residual add and layer norm. Every dense layer (embedding, Q/K/V, output
+projection, feed-forward, layer norms) runs on the rows of real pieces only;
+the attention scores, their softmax and the weighted sum of values are the
+one block kept in the padded layout, with padded key positions masked out of
+every row. The returned hidden states are exactly zero at padded positions,
 so padding content can never influence real positions.
 
 Parameters are read from the model's flat name->array dict under their
@@ -66,6 +69,36 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
 
 
+def _scatter(x: np.ndarray, rows: np.ndarray, b: int, n: int) -> np.ndarray:
+    """(T, d) rows of real pieces -> (b, n, d), zeros at padded positions."""
+    out = np.zeros((b * n, x.shape[-1]))
+    out[rows] = x
+    return out.reshape(b, n, -1)
+
+
+def _gather(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(b, n, d) -> the (T, d) rows of real pieces."""
+    return x.reshape(-1, x.shape[-1])[rows]
+
+
+def _to_heads(x: np.ndarray, rows: np.ndarray, b: int, n: int, n_heads: int):
+    """(T, d) rows -> (b, heads, n, d_head) for attention, zeros at padding."""
+    return _split_heads(_scatter(x, rows, b, n), n_heads)
+
+
+def _from_heads(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(b, heads, n, d_head) -> the (T, d) rows of real pieces."""
+    return _gather(_merge_heads(x), rows)
+
+
+def _row_dropout(rng, shape: tuple[int, int, int], rate: float, rows: np.ndarray):
+    """A dropout mask drawn at the padded (b, n, d) shape, then gathered to
+    real rows: the rng takes the same draws as when every dense layer ran
+    on padded rows, so training follows the same trajectory."""
+    mask = dropout_mask(rng, shape, rate)
+    return None if mask is None else _gather(mask, rows)
+
+
 def encode(
     ids: np.ndarray,
     pad_mask: np.ndarray,
@@ -80,6 +113,11 @@ def encode(
     pad_mask is True at real positions. Output rows at padded positions are
     exactly zero. Dropout needs an rng; with rate 0 or rng None the pass is
     deterministic.
+
+    Every dense layer runs on the (T, d_h) rows of the T real pieces only;
+    q, k and v are scattered to the padded (batch, heads, length, d_head)
+    layout for the masked attention scores and their softmax, and the
+    attention context is gathered back to rows.
     """
     ids = np.asarray(ids)
     pad_mask = np.asarray(pad_mask, dtype=bool)
@@ -93,9 +131,12 @@ def encode(
     if not pad_mask.any(axis=1).all():
         raise ValueError("every sequence needs at least one real position")
 
-    emb = params["enc.tok_emb"][ids] + params["enc.pos_emb"][:n][None, :, :]
+    rows = np.flatnonzero(pad_mask)
+    padded_shape = (b, n, cfg.d_h)
+    real_ids = ids.ravel()[rows]
+    emb = params["enc.tok_emb"][real_ids] + params["enc.pos_emb"][rows % n]
     x, ln_emb_cache = layer_norm(emb, params["enc.ln_emb.g"], params["enc.ln_emb.b"])
-    emb_mask = dropout_mask(rng, x.shape, dropout_rate)
+    emb_mask = _row_dropout(rng, padded_shape, dropout_rate, rows)
     x = apply_mask(x, emb_mask)
 
     key_mask = pad_mask[:, None, None, :]  # broadcast over heads and queries
@@ -104,23 +145,23 @@ def encode(
     for i in range(cfg.n_layers):
         p = f"enc.l{i}."
         x_in = x
-        q = _split_heads(x @ params[p + "Wq"] + params[p + "bq"], cfg.n_heads)
-        k = _split_heads(x @ params[p + "Wk"] + params[p + "bk"], cfg.n_heads)
-        v = _split_heads(x @ params[p + "Wv"] + params[p + "bv"], cfg.n_heads)
+        q = _to_heads(x @ params[p + "Wq"] + params[p + "bq"], rows, b, n, cfg.n_heads)
+        k = _to_heads(x @ params[p + "Wk"] + params[p + "bk"], rows, b, n, cfg.n_heads)
+        v = _to_heads(x @ params[p + "Wv"] + params[p + "bv"], rows, b, n, cfg.n_heads)
         scores = np.where(key_mask, (q @ k.swapaxes(-1, -2)) * scale, -np.inf)
         probs = stable_softmax(scores, axis=-1)
-        ctx = _merge_heads(probs @ v)
+        ctx = _from_heads(probs @ v, rows)
         attn_out = ctx @ params[p + "Wo"] + params[p + "bo"]
-        attn_drop = dropout_mask(rng, attn_out.shape, dropout_rate)
+        attn_drop = _row_dropout(rng, padded_shape, dropout_rate, rows)
         attn_out = apply_mask(attn_out, attn_drop)
         x1, ln1_cache = layer_norm(
             x_in + attn_out, params[p + "ln1.g"], params[p + "ln1.b"]
         )
 
         u = x1 @ params[p + "W1"] + params[p + "b1"]
-        a = gelu(u)
+        a, one_erf = gelu(u)
         ffn_out = a @ params[p + "W2"] + params[p + "b2"]
-        ffn_drop = dropout_mask(rng, ffn_out.shape, dropout_rate)
+        ffn_drop = _row_dropout(rng, padded_shape, dropout_rate, rows)
         ffn_out = apply_mask(ffn_out, ffn_drop)
         x2, ln2_cache = layer_norm(
             x1 + ffn_out, params[p + "ln2.g"], params[p + "ln2.b"]
@@ -130,17 +171,17 @@ def encode(
             dict(
                 x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx,
                 attn_drop=attn_drop, ln1_cache=ln1_cache, x1=x1,
-                u=u, a=a, ffn_drop=ffn_drop, ln2_cache=ln2_cache,
+                u=u, one_erf=one_erf, a=a, ffn_drop=ffn_drop,
+                ln2_cache=ln2_cache,
             )
         )
         x = x2
 
-    out = x * pad_mask[:, :, None]
     cache = dict(
-        ids=ids, pad_mask=pad_mask, emb_mask=emb_mask,
+        real_ids=real_ids, rows=rows, shape=(b, n), emb_mask=emb_mask,
         ln_emb_cache=ln_emb_cache, layers=layers, scale=scale,
     )
-    return out, cache
+    return _scatter(x, rows, b, n), cache
 
 
 def encode_backward(
@@ -149,13 +190,15 @@ def encode_backward(
     params: dict[str, np.ndarray],
     cfg: EncoderConfig,
 ) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every "enc." parameter, by name."""
-    ids = cache["ids"]
-    pad_mask = cache["pad_mask"]
-    n = ids.shape[1]
+    """Gradients of a scalar loss w.r.t. every "enc." parameter, by name.
+
+    d_out at padded positions is ignored: those outputs are constant zeros.
+    """
+    rows = cache["rows"]
+    b, n = cache["shape"]
     grads = {}
 
-    d_x = d_out * pad_mask[:, :, None]
+    d_x = _gather(d_out, rows)
     for i in reversed(range(cfg.n_layers)):
         lc = cache["layers"][i]
         p = f"enc.l{i}."
@@ -166,16 +209,12 @@ def encode_backward(
         d_x1 = d_r2.copy()
         d_ffn = apply_mask(d_r2, lc["ffn_drop"])
 
-        flat_a = lc["a"].reshape(-1, cfg.d_ff)
-        flat_dffn = d_ffn.reshape(-1, cfg.d_h)
-        grads[p + "W2"] = flat_a.T @ flat_dffn
-        grads[p + "b2"] = flat_dffn.sum(axis=0)
+        grads[p + "W2"] = lc["a"].T @ d_ffn
+        grads[p + "b2"] = d_ffn.sum(axis=0)
         d_a = d_ffn @ params[p + "W2"].T
-        d_u = d_a * gelu_grad(lc["u"])
-        flat_x1 = lc["x1"].reshape(-1, cfg.d_h)
-        flat_du = d_u.reshape(-1, cfg.d_ff)
-        grads[p + "W1"] = flat_x1.T @ flat_du
-        grads[p + "b1"] = flat_du.sum(axis=0)
+        d_u = d_a * gelu_grad(lc["u"], lc["one_erf"])
+        grads[p + "W1"] = lc["x1"].T @ d_u
+        grads[p + "b1"] = d_u.sum(axis=0)
         d_x1 += d_u @ params[p + "W1"].T
 
         d_r1, grads[p + "ln1.g"], grads[p + "ln1.b"] = layer_norm_backward(
@@ -184,11 +223,9 @@ def encode_backward(
         d_x_in = d_r1.copy()
         d_attn = apply_mask(d_r1, lc["attn_drop"])
 
-        flat_ctx = lc["ctx"].reshape(-1, cfg.d_h)
-        flat_dattn = d_attn.reshape(-1, cfg.d_h)
-        grads[p + "Wo"] = flat_ctx.T @ flat_dattn
-        grads[p + "bo"] = flat_dattn.sum(axis=0)
-        d_ctx = _split_heads(d_attn @ params[p + "Wo"].T, cfg.n_heads)
+        grads[p + "Wo"] = lc["ctx"].T @ d_attn
+        grads[p + "bo"] = d_attn.sum(axis=0)
+        d_ctx = _to_heads(d_attn @ params[p + "Wo"].T, rows, b, n, cfg.n_heads)
 
         d_probs = d_ctx @ lc["v"].swapaxes(-1, -2)
         d_v = lc["probs"].swapaxes(-1, -2) @ d_ctx
@@ -197,12 +234,10 @@ def encode_backward(
         d_k = (d_scores.swapaxes(-1, -2) @ lc["q"]) * cache["scale"]
 
         x_in = lc["x_in"]
-        flat_x = x_in.reshape(-1, cfg.d_h)
         for name, d_heads in (("q", d_q), ("k", d_k), ("v", d_v)):
-            d_lin = _merge_heads(d_heads)
-            flat_d = d_lin.reshape(-1, cfg.d_h)
-            grads[p + "W" + name] = flat_x.T @ flat_d
-            grads[p + "b" + name] = flat_d.sum(axis=0)
+            d_lin = _from_heads(d_heads, rows)
+            grads[p + "W" + name] = x_in.T @ d_lin
+            grads[p + "b" + name] = d_lin.sum(axis=0)
             d_x_in += d_lin @ params[p + "W" + name].T
 
         d_x = d_x_in
@@ -213,7 +248,7 @@ def encode_backward(
     )
     # Embedding rows the batch never touches get exact zeros.
     grads["enc.tok_emb"] = np.zeros_like(params["enc.tok_emb"])
-    np.add.at(grads["enc.tok_emb"], ids, d_emb)
+    np.add.at(grads["enc.tok_emb"], cache["real_ids"], d_emb)
     grads["enc.pos_emb"] = np.zeros_like(params["enc.pos_emb"])
-    grads["enc.pos_emb"][:n] = d_emb.sum(axis=0)
+    grads["enc.pos_emb"][:n] = _scatter(d_emb, rows, b, n).sum(axis=0)
     return grads

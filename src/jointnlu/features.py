@@ -18,6 +18,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .data import read_utf8
+
 
 class EntityClass(IntEnum):
     PERSON = 0
@@ -211,7 +213,7 @@ def feature_backward(
 def load_gazetteer(path: str | Path) -> dict[str, str]:
     """Read tab-separated "phrase<TAB>RAW_LABEL" lines into a phrase map."""
     out: dict[str, str] = {}
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln, line in enumerate(read_utf8(path).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -226,7 +228,7 @@ def load_gazetteer(path: str | Path) -> dict[str, str]:
 def load_lexicon(path: str | Path) -> dict[str, str]:
     """Read canonical cased forms, one per line, keyed by lowercase."""
     out: dict[str, str] = {}
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line in read_utf8(path).splitlines():
         form = line.strip()
         if not form:
             continue
@@ -236,7 +238,7 @@ def load_lexicon(path: str | Path) -> dict[str, str]:
 
 def load_english_dict(path: str | Path) -> frozenset[str]:
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_utf8(path).splitlines():
         w = line.strip()
         if w:
             words.add(w.lower())

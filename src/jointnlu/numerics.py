@@ -32,22 +32,28 @@ def log_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+def gelu(x: np.ndarray):
+    """Returns (gelu(x), one_erf) with one_erf = 1 + erf(x/sqrt 2), which
+    gelu_grad reuses instead of evaluating erf again."""
+    one_erf = 1.0 + erf(x / _SQRT2)
+    return 0.5 * x * one_erf, one_erf
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+def gelu_grad(x: np.ndarray, one_erf: np.ndarray) -> np.ndarray:
+    return 0.5 * one_erf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Normalize the last axis to zero mean, unit variance; affine rescale.
 
-    Returns (y, cache) where cache feeds layer_norm_backward.
+    Returns (y, cache) where cache feeds layer_norm_backward. Means are
+    np.add.reduce(...) / d, the arithmetic of ndarray.mean without its
+    wrapper overhead.
     """
-    mean = x.mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / d
     centered = x - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv_sigma = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv_sigma
     return gain * xhat + bias, (xhat, inv_sigma, gain)
@@ -59,9 +65,10 @@ def layer_norm_backward(d_y: np.ndarray, cache):
     lead = tuple(range(d_y.ndim - 1))
     d_bias = d_y.sum(axis=lead)
     d_gain = (d_y * xhat).sum(axis=lead)
+    d = d_y.shape[-1]
     d_xhat = d_y * gain
-    mean_dxhat = d_xhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+    mean_dxhat = np.add.reduce(d_xhat, axis=-1, keepdims=True) / d
+    mean_dxhat_xhat = np.add.reduce(d_xhat * xhat, axis=-1, keepdims=True) / d
     d_x = inv_sigma * (d_xhat - mean_dxhat - xhat * mean_dxhat_xhat)
     return d_x, d_gain, d_bias
 

@@ -3,8 +3,10 @@
 Everything here is deliberately brute-force and shares no code with the
 package: chunking by scanning all (start, end, label) triples, CRF partition
 and decoding by exhaustive enumeration, and gradients by central finite
-differences. The one exception is `model_losses`, the joint model's loss
-without any backward pass, which the finite-difference checks probe.
+differences. The exceptions are `model_losses`, the joint model's loss
+without any backward pass, which the finite-difference checks probe, and the
+padded encoder, which reuses the package's softmax and dropout helpers so it
+draws the same dropout masks as the packed encoder it checks.
 """
 
 from __future__ import annotations
@@ -12,7 +14,15 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.special import erf
 
+from jointnlu.numerics import (
+    LN_EPS,
+    apply_mask,
+    dropout_mask,
+    softmax_backward,
+    stable_softmax,
+)
 from jointnlu.tagging import Chunk, SlotTag
 
 
@@ -279,3 +289,160 @@ def annotate_entities_longest_first(words, gazetteer, english_dict):
             out.extend(annotate_entities([words[i]], PhraseIndex({}, 0), english_dict))
             i += 1
     return out
+
+
+def gelu_two_erf(x):
+    """GELU as x * Phi(x), erf evaluated here and again in its gradient."""
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def gelu_grad_two_erf(x):
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * (
+        1.0 / np.sqrt(2.0 * np.pi)
+    ) * np.exp(-0.5 * x * x)
+
+
+def layer_norm_mean(x, gain, bias):
+    """Layer norm over the last axis with ndarray.mean; returns (y, cache)."""
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    inv_sigma = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = centered * inv_sigma
+    return gain * xhat + bias, (xhat, inv_sigma, gain)
+
+
+def layer_norm_mean_backward(d_y, cache):
+    xhat, inv_sigma, gain = cache
+    lead = tuple(range(d_y.ndim - 1))
+    d_bias = d_y.sum(axis=lead)
+    d_gain = (d_y * xhat).sum(axis=lead)
+    d_xhat = d_y * gain
+    mean_dxhat = d_xhat.mean(axis=-1, keepdims=True)
+    mean_dxhat_xhat = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+    d_x = inv_sigma * (d_xhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    return d_x, d_gain, d_bias
+
+
+def _split_heads(x, n_heads):
+    b, n, d = x.shape
+    return x.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    b, h, n, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
+
+
+def encode_padded(ids, pad_mask, params, cfg, dropout_rate=0.0, rng=None):
+    """The encoder run on every (batch, length) position, padding included.
+
+    The reference for the packed encoder: every dense layer sees the padded
+    rows too, and only the final output is zeroed at padding. Dropout masks
+    are drawn in the same order and shapes. Returns (out, cache).
+    """
+    b, n = ids.shape
+    emb = params["enc.tok_emb"][ids] + params["enc.pos_emb"][:n][None, :, :]
+    x, ln_emb_cache = layer_norm_mean(
+        emb, params["enc.ln_emb.g"], params["enc.ln_emb.b"]
+    )
+    emb_mask = dropout_mask(rng, x.shape, dropout_rate)
+    x = apply_mask(x, emb_mask)
+
+    key_mask = pad_mask[:, None, None, :]
+    scale = 1.0 / np.sqrt(cfg.d_head)
+    layers = []
+    for i in range(cfg.n_layers):
+        p = f"enc.l{i}."
+        x_in = x
+        q = _split_heads(x @ params[p + "Wq"] + params[p + "bq"], cfg.n_heads)
+        k = _split_heads(x @ params[p + "Wk"] + params[p + "bk"], cfg.n_heads)
+        v = _split_heads(x @ params[p + "Wv"] + params[p + "bv"], cfg.n_heads)
+        scores = np.where(key_mask, (q @ k.swapaxes(-1, -2)) * scale, -np.inf)
+        probs = stable_softmax(scores, axis=-1)
+        ctx = _merge_heads(probs @ v)
+        attn_out = ctx @ params[p + "Wo"] + params[p + "bo"]
+        attn_drop = dropout_mask(rng, attn_out.shape, dropout_rate)
+        attn_out = apply_mask(attn_out, attn_drop)
+        x1, ln1_cache = layer_norm_mean(
+            x_in + attn_out, params[p + "ln1.g"], params[p + "ln1.b"]
+        )
+        u = x1 @ params[p + "W1"] + params[p + "b1"]
+        a = gelu_two_erf(u)
+        ffn_out = a @ params[p + "W2"] + params[p + "b2"]
+        ffn_drop = dropout_mask(rng, ffn_out.shape, dropout_rate)
+        ffn_out = apply_mask(ffn_out, ffn_drop)
+        x2, ln2_cache = layer_norm_mean(
+            x1 + ffn_out, params[p + "ln2.g"], params[p + "ln2.b"]
+        )
+        layers.append(dict(
+            x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx,
+            attn_drop=attn_drop, ln1_cache=ln1_cache, x1=x1,
+            u=u, a=a, ffn_drop=ffn_drop, ln2_cache=ln2_cache,
+        ))
+        x = x2
+
+    out = x * pad_mask[:, :, None]
+    cache = dict(ids=ids, pad_mask=pad_mask, emb_mask=emb_mask,
+                 ln_emb_cache=ln_emb_cache, layers=layers, scale=scale)
+    return out, cache
+
+
+def encode_padded_backward(d_out, cache, params, cfg):
+    """Gradients of encode_padded by name, every sum taken over all b*n
+    positions."""
+    ids, pad_mask = cache["ids"], cache["pad_mask"]
+    n = ids.shape[1]
+    grads = {}
+    d_x = d_out * pad_mask[:, :, None]
+    for i in reversed(range(cfg.n_layers)):
+        lc = cache["layers"][i]
+        p = f"enc.l{i}."
+        d_r2, grads[p + "ln2.g"], grads[p + "ln2.b"] = layer_norm_mean_backward(
+            d_x, lc["ln2_cache"]
+        )
+        d_x1 = d_r2.copy()
+        d_ffn = apply_mask(d_r2, lc["ffn_drop"])
+        flat_dffn = d_ffn.reshape(-1, cfg.d_h)
+        grads[p + "W2"] = lc["a"].reshape(-1, cfg.d_ff).T @ flat_dffn
+        grads[p + "b2"] = flat_dffn.sum(axis=0)
+        d_u = (d_ffn @ params[p + "W2"].T) * gelu_grad_two_erf(lc["u"])
+        flat_du = d_u.reshape(-1, cfg.d_ff)
+        grads[p + "W1"] = lc["x1"].reshape(-1, cfg.d_h).T @ flat_du
+        grads[p + "b1"] = flat_du.sum(axis=0)
+        d_x1 += d_u @ params[p + "W1"].T
+
+        d_r1, grads[p + "ln1.g"], grads[p + "ln1.b"] = layer_norm_mean_backward(
+            d_x1, lc["ln1_cache"]
+        )
+        d_x_in = d_r1.copy()
+        d_attn = apply_mask(d_r1, lc["attn_drop"])
+        flat_dattn = d_attn.reshape(-1, cfg.d_h)
+        grads[p + "Wo"] = lc["ctx"].reshape(-1, cfg.d_h).T @ flat_dattn
+        grads[p + "bo"] = flat_dattn.sum(axis=0)
+        d_ctx = _split_heads(d_attn @ params[p + "Wo"].T, cfg.n_heads)
+
+        d_probs = d_ctx @ lc["v"].swapaxes(-1, -2)
+        d_v = lc["probs"].swapaxes(-1, -2) @ d_ctx
+        d_scores = softmax_backward(d_probs, lc["probs"], axis=-1)
+        d_q = (d_scores @ lc["k"]) * cache["scale"]
+        d_k = (d_scores.swapaxes(-1, -2) @ lc["q"]) * cache["scale"]
+
+        flat_x = lc["x_in"].reshape(-1, cfg.d_h)
+        for name, d_heads in (("q", d_q), ("k", d_k), ("v", d_v)):
+            d_lin = _merge_heads(d_heads)
+            flat_d = d_lin.reshape(-1, cfg.d_h)
+            grads[p + "W" + name] = flat_x.T @ flat_d
+            grads[p + "b" + name] = flat_d.sum(axis=0)
+            d_x_in += d_lin @ params[p + "W" + name].T
+        d_x = d_x_in
+
+    d_x = apply_mask(d_x, cache["emb_mask"])
+    d_emb, grads["enc.ln_emb.g"], grads["enc.ln_emb.b"] = layer_norm_mean_backward(
+        d_x, cache["ln_emb_cache"]
+    )
+    grads["enc.tok_emb"] = np.zeros_like(params["enc.tok_emb"])
+    np.add.at(grads["enc.tok_emb"], ids, d_emb)
+    grads["enc.pos_emb"] = np.zeros_like(params["enc.pos_emb"])
+    grads["enc.pos_emb"][:n] = d_emb.sum(axis=0)
+    return grads

@@ -960,3 +960,97 @@ class TestParser:
             "--out", str(trained["out"] / "again"), "--seeds", "0",
         ])
         assert rc == 2
+
+
+class TestUnreadableText:
+    """A text input that is not UTF-8 ends in one stderr line naming the file
+    and the line of the bad byte."""
+
+    @staticmethod
+    def _argv(reader, bad, tmp_path, trained):
+        if reader == "corpus":
+            return ["eval", "--self-test", "--data", str(bad)]
+        if reader == "config":
+            return ["train", "--config", str(bad), "--data",
+                    str(trained["data"]), "--out", str(tmp_path / "run")]
+        return ["compare", str(bad), str(bad)]
+
+    @pytest.mark.parametrize("reader", ["corpus", "config", "report"])
+    def test_bad_byte_names_file_and_line(self, trained, tmp_path, capsys,
+                                          reader):
+        good = {
+            "corpus": b"# intent=x\nplay\tO\n\n# intent=y\n",
+            "config": b"epochs=1\nbatch_size=4\n",
+            "report": b"intent_acc=0.9\nslot_f1=0.9\n",
+        }[reader]
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(good + b"pl\xffy\tO\n")
+        line = good.count(b"\n") + 1
+        assert main(self._argv(reader, bad, tmp_path, trained)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {bad}: line {line}: byte 0xff is not UTF-8"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
+
+
+class TestOutParentChecked:
+    """Every command that writes --out refuses a missing parent before it
+    loads or prints anything."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "compare", "attn"])
+    def test_missing_out_parent_refused_first(self, trained, tmp_path, capsys,
+                                              command):
+        out = tmp_path / "nope" / "result.txt"
+        checkpoint = str(trained["out"] / "checkpoint.npz")
+        report = write_report(tmp_path / "r.txt", 95.0, 90.0, 85.0)
+        argv = {
+            "train": ["train", "--config", str(trained["config"]),
+                      "--data", str(trained["data"])],
+            "eval": ["eval", "--checkpoint", checkpoint,
+                     "--data", str(trained["data"] / "dev.txt")],
+            "compare": ["compare", report, report],
+            "attn": ["attn", "--checkpoint", checkpoint, "--text", "play"],
+        }[command]
+        before = snapshot(tmp_path)
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {out.parent} is not a directory; create it first"
+        ]
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["eval", "compare", "attn"])
+    def test_directory_out_refused_first(self, trained, tmp_path, capsys,
+                                         command):
+        # used to print the whole result, then fail renaming the stage
+        out = tmp_path / "a_dir"
+        out.mkdir()
+        report = write_report(tmp_path / "r.txt", 95.0, 90.0, 85.0)
+        argv = {
+            "eval": ["eval", "--self-test",
+                     "--data", str(trained["data"] / "dev.txt")],
+            "compare": ["compare", report, report],
+            "attn": ["attn", "--checkpoint",
+                     str(trained["out"] / "checkpoint.npz"), "--text", "play"],
+        }[command]
+        before = snapshot(tmp_path)
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {out} is a directory; give a file path"
+        ]
+        assert snapshot(tmp_path) == before
+
+    def test_checked_before_the_inputs_are_read(self, tmp_path, capsys):
+        # the inputs do not exist either; the --out mistake is reported
+        out = tmp_path / "nope" / "report.txt"
+        argv = ["eval", "--self-test", "--data", str(tmp_path / "absent.txt"),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out.parent} is not a directory; create it first"
+        ]

@@ -98,6 +98,20 @@ class TestLoadCorpus:
         p.write_text("", encoding="utf-8")
         assert load_corpus(p) == []
 
+    def test_bad_byte_names_file_and_line(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_bytes(PLAY_FILE.encode("utf-8") + b"\n# intent=x\npl\xe9y\tO\n")
+        line = PLAY_FILE.count("\n") + 3
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(p)
+        assert str(exc.value) == f"{p}: line {line}: byte 0xe9 is not UTF-8"
+
+    def test_crlf_lines_read_like_lf_lines(self, tmp_path):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(PLAY_FILE.encode("utf-8"))
+        crlf.write_bytes(PLAY_FILE.replace("\n", "\r\n").encode("utf-8"))
+        assert load_corpus(crlf) == load_corpus(lf)
+
     def test_multiple_utterances(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text(PLAY_FILE + "\n" + PLAY_FILE, encoding="utf-8")

@@ -19,18 +19,37 @@ from jointnlu.numerics import (
 )
 
 from heads import part_params
-from oracles import finite_difference, relative_gradient_error
+from oracles import (
+    encode_padded,
+    encode_padded_backward,
+    finite_difference,
+    gelu_grad_two_erf,
+    gelu_two_erf,
+    layer_norm_mean,
+    layer_norm_mean_backward,
+    relative_gradient_error,
+)
 
 
 SMALL = EncoderConfig(vocab_size=11, d_h=8, n_layers=2, n_heads=2, d_ff=16, max_len=12)
 
 
 def small_batch(rng):
-    ids = rng.integers(4, SMALL.vocab_size, size=(2, 6))
-    pad = np.ones((2, 6), dtype=bool)
-    ids[0, 4:] = 0
-    pad[0, 4:] = False
+    """Rows of lengths 4, 6 (full) and 1, with random non-zero ids in the
+    padded slots, which nothing may read."""
+    ids = rng.integers(1, SMALL.vocab_size, size=(3, 6))
+    pad = np.arange(6)[None, :] < np.array([4, 6, 1])[:, None]
     return ids, pad
+
+
+def ragged_batch(rng, n):
+    """A random batch padded to n, with lengths 1 and n among its rows and
+    random non-zero ids in the padded slots."""
+    b = int(rng.integers(2, 6))
+    lengths = rng.integers(1, n + 1, size=b)
+    lengths[rng.choice(b, size=2, replace=False)] = (1, n)
+    ids = rng.integers(1, SMALL.vocab_size, size=(b, n))
+    return ids, np.arange(n)[None, :] < lengths[:, None]
 
 
 class TestNumerics:
@@ -54,15 +73,36 @@ class TestNumerics:
         assert np.isclose(logsumexp(scores), np.log(np.exp(scores).sum()))
 
     def test_gelu_endpoints(self):
-        assert gelu(np.array(0.0)) == 0.0
-        assert np.isclose(gelu(np.array(10.0)), 10.0)
-        assert np.isclose(gelu(np.array(-10.0)), 0.0, atol=1e-12)
+        assert gelu(np.array(0.0)) == (0.0, 1.0)
+        assert np.isclose(gelu(np.array(10.0))[0], 10.0)
+        assert np.isclose(gelu(np.array(-10.0))[0], 0.0, atol=1e-12)
 
     def test_gelu_grad_matches_fd(self, rng):
         x = rng.normal(size=50) * 2
         step = 1e-6
-        fd = (gelu(x + step) - gelu(x - step)) / (2 * step)
-        assert relative_gradient_error(gelu_grad(x), fd).max() < 1e-6
+        fd = (gelu(x + step)[0] - gelu(x - step)[0]) / (2 * step)
+        _, one_erf = gelu(x)
+        assert relative_gradient_error(gelu_grad(x, one_erf), fd).max() < 1e-6
+
+    def test_gelu_bit_equal_to_two_erf_oracle(self, rng):
+        x = rng.normal(size=(32, 20, 128)) * 3
+        a, one_erf = gelu(x)
+        assert np.array_equal(a, gelu_two_erf(x))
+        assert np.array_equal(gelu_grad(x, one_erf), gelu_grad_two_erf(x))
+
+    @pytest.mark.parametrize(
+        "shape", [(20, 64), (32, 20, 64), (450, 64), (1, 7, 64), (3, 5, 11)]
+    )
+    def test_layer_norm_bit_equal_to_mean_oracle(self, rng, shape):
+        x = rng.normal(size=shape) * 3 + 1
+        g, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        d_y = rng.normal(size=shape)
+        y, cache = layer_norm(x, g, b)
+        y_ref, cache_ref = layer_norm_mean(x, g, b)
+        assert np.array_equal(y, y_ref)
+        for got, want in zip(layer_norm_backward(d_y, cache),
+                             layer_norm_mean_backward(d_y, cache_ref)):
+            assert np.array_equal(got, want)
 
     def test_layer_norm_statistics(self, rng):
         x = rng.normal(size=(3, 4, 10)) * 5 + 2
@@ -126,9 +166,9 @@ class TestEncodeForward:
         params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
         out, _ = encode(ids, pad, params, SMALL)
-        assert out.shape == (2, 6, SMALL.d_h)
+        assert out.shape == (3, 6, SMALL.d_h)
         assert out.dtype == np.float64
-        assert np.array_equal(out[0, 4:], np.zeros((2, SMALL.d_h)))
+        assert np.array_equal(out[~pad], np.zeros(((~pad).sum(), SMALL.d_h)))
 
     def test_deterministic_without_dropout(self, rng):
         params = part_params(rng, "enc.", encoder=SMALL)
@@ -152,7 +192,8 @@ class TestEncodeForward:
         params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
         ids2 = ids.copy()
-        ids2[0, 4:] = 7  # rewrite padded slots with arbitrary real ids
+        # a different real id in every padded slot
+        ids2[~pad] = ids[~pad] % (SMALL.vocab_size - 1) + 1
         assert np.array_equal(
             encode(ids, pad, params, SMALL)[0], encode(ids2, pad, params, SMALL)[0]
         )
@@ -165,9 +206,8 @@ class TestEncodeForward:
             probs = lc["probs"]
             assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
             assert (probs >= 0).all()
-            assert np.array_equal(
-                probs[0, :, :, 4:], np.zeros_like(probs[0, :, :, 4:])
-            )
+            padded_keys = probs * ~pad[:, None, None, :]
+            assert np.array_equal(padded_keys, np.zeros_like(probs))
 
     def test_input_validation(self, rng):
         params = part_params(rng, "enc.", encoder=SMALL)
@@ -186,7 +226,7 @@ class TestEncodeBackward:
     def _loss_and_grads(self, rng, dropout_rate=0.0, seed=None):
         params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
-        probe = rng.normal(size=(2, 6, SMALL.d_h))
+        probe = rng.normal(size=(3, 6, SMALL.d_h))
 
         def forward():
             drop_rng = None if seed is None else np.random.default_rng(seed)
@@ -235,3 +275,43 @@ class TestEncodeBackward:
         d2, _ = encode(ids, pad, params, SMALL, 0.5, np.random.default_rng(3))
         assert not np.array_equal(plain, d1)
         assert np.array_equal(d1, d2)
+
+
+class TestPackedMatchesPaddedOracle:
+    """The packed encoder against the padded one in tests/oracles.py, which
+    runs every dense layer over padding too."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_forward_and_gradients_match(self, rng, rate):
+        for trial in range(6):
+            n = int(rng.integers(2, SMALL.max_len + 1))
+            params = part_params(rng, "enc.", encoder=SMALL)
+            ids, pad = ragged_batch(rng, n)
+            d_out = rng.normal(size=(*ids.shape, SMALL.d_h))
+            rng_packed = np.random.default_rng(trial)
+            rng_padded = np.random.default_rng(trial)
+
+            out, cache = encode(ids, pad, params, SMALL, rate, rng_packed)
+            ref, ref_cache = encode_padded(ids, pad, params, SMALL, rate, rng_padded)
+            assert rng_packed.bit_generator.state == rng_padded.bit_generator.state
+            assert np.array_equal(out[~pad], np.zeros(((~pad).sum(), SMALL.d_h)))
+            assert np.abs(out - ref).max() <= 1e-12
+            real_queries = pad[:, None, :, None]
+            for lc, ref_lc in zip(cache["layers"], ref_cache["layers"]):
+                diff = np.abs(lc["probs"] - ref_lc["probs"]) * real_queries
+                assert diff.max() <= 1e-12
+
+            grads = encode_backward(d_out, cache, params, SMALL)
+            ref_grads = encode_padded_backward(d_out, ref_cache, params, SMALL)
+            assert grads.keys() == ref_grads.keys() == params.keys()
+            for name in params:
+                err = np.abs(grads[name] - ref_grads[name]).max()
+                assert err <= 1e-12, f"{name}: {err:.2e}"
+
+    def test_unpadded_batch_matches(self, rng):
+        params = part_params(rng, "enc.", encoder=SMALL)
+        ids = rng.integers(1, SMALL.vocab_size, size=(1, 7))
+        pad = np.ones((1, 7), dtype=bool)
+        out, _ = encode(ids, pad, params, SMALL)
+        ref, _ = encode_padded(ids, pad, params, SMALL)
+        assert np.abs(out - ref).max() <= 1e-12

@@ -69,10 +69,11 @@ def tiny_batch(rng, b=3, n=7):
 
 
 def ragged_batch(rng, lengths, n=7):
-    """A batch whose sequences have the given lengths, padded to n."""
+    """A batch whose sequences have the given lengths, padded to n. The
+    padded slots hold random real ids, which nothing may read."""
     b = len(lengths)
     pad_mask = np.arange(n)[None, :] < np.asarray(lengths)[:, None]
-    ids = np.where(pad_mask, rng.integers(4, VOCAB, size=(b, n)), 0)
+    ids = rng.integers(4, VOCAB, size=(b, n))
     features = np.zeros((b, n, FEATURE_DIM))
     hot = rng.integers(0, FEATURE_DIM, size=(b, n))
     features[pad_mask, hot[pad_mask]] = 1.0
@@ -213,11 +214,23 @@ class TestGradients:
             err = relative_gradient_error(grads[name].reshape(-1)[coords], fd)
             assert err.max() <= 1e-4, f"{slot_mode} {name}: {err.max():.2e}"
 
-    def test_crf_gradients_match_fd_on_ragged_batch(self, rng):
-        cfg = tiny_config(slot_mode="crf")
+    # every encoder tensor kind the packed rows touch, plus the embeddings
+    RAGGED_PROBE = (
+        ("W_s", 12), ("b_s", None), ("enc.tok_emb", 8), ("enc.pos_emb", 8),
+        ("enc.ln_emb.b", None), ("enc.l0.Wq", 6), ("enc.l0.Wk", 6),
+        ("enc.l0.Wv", 6), ("enc.l0.Wo", 6), ("enc.l0.bv", None),
+        ("enc.l0.ln1.g", None), ("enc.l0.W1", 6),
+    )
+
+    @pytest.mark.parametrize("slot_mode", SLOT_MODES)
+    def test_gradients_match_fd_on_ragged_batch(self, rng, slot_mode):
+        cfg = tiny_config(slot_mode=slot_mode)
         params = init_model_params(cfg, rng)
-        for k in ("crf.T", "crf.start", "crf.end"):
-            params[k] = rng.normal(size=params[k].shape)
+        names = list(self.RAGGED_PROBE)
+        if slot_mode == "crf":
+            for k in ("crf.T", "crf.start", "crf.end"):
+                params[k] = rng.normal(size=params[k].shape)
+                names.append((k, None))
         batch = ragged_batch(rng, [7, 1, 4, 2, 7])
         gamma = 0.3
         _, _, grads = model_loss_and_grads(params, cfg, batch, gamma)
@@ -226,14 +239,12 @@ class TestGradients:
             li, ls = model_losses(params, cfg, batch)
             return gamma * li + (1.0 - gamma) * ls
 
-        for name, coords in (("crf.T", None), ("crf.start", None),
-                             ("crf.end", None), ("W_s", 12), ("b_s", None),
-                             ("enc.tok_emb", 8), ("enc.l0.W1", 6)):
+        for name, coords in names:
             probed, fd = finite_difference(
                 loss, params, name, step=1e-5, max_coords=coords, rng=rng
             )
             err = relative_gradient_error(grads[name].reshape(-1)[probed], fd)
-            assert err.max() <= 1e-4, f"{name}: {err.max():.2e}"
+            assert err.max() <= 1e-4, f"{slot_mode} {name}: {err.max():.2e}"
 
     def test_start_token_pool_gradients_match_fd(self, rng):
         cfg = tiny_config(intent_pool="start_token")
