@@ -3,9 +3,10 @@ Attention pooling for the intent representation
 ===============================================
 
 The intent head scores every encoder state with a small feed-forward
-probe, temperature-scales by 1/sqrt(d_h), masks padding with -inf, and
-softmaxes into pooling weights. The pooled state is a weight-averaged
-mix of the sequence, squashed by tanh.
+probe, temperature-scales by 1/sqrt(d_h), and softmaxes the scores within
+each sequence into pooling weights. The hidden states arrive packed, one
+row per real piece, so padding never enters the softmax. The pooled state
+is a weight-averaged mix of the sequence, squashed by tanh.
 """
 
 import numpy as np
@@ -24,24 +25,25 @@ config = ModelConfig(
 )
 params = init_model_params(config, rng, scale=0.3)
 
-# A batch of two sequences; the second one is padded after 4 positions.
-H = rng.normal(size=(2, 6, d_h))
+# A batch of two sequences of 6 and 4 pieces. The mask describes the padded
+# (2, 6) layout; the hidden states are its 10 real rows, packed.
 pad_mask = np.ones((2, 6), dtype=bool)
 pad_mask[1, 4:] = False
+H = rng.normal(size=(int(pad_mask.sum()), d_h))
 
 y_int, alpha, cache = intent_forward(H, pad_mask, params, "attention")
 pooled = cache["h_int"]
 
 print("intent logits shape:", y_int.shape)
-print("pooling weights:")
-for row, mask in zip(alpha, pad_mask):
+print("pooling weights, one per real piece:")
+segments = np.split(alpha, [6])
+for row in segments:
     print("  ", np.round(row, 3), "sum =", round(float(row.sum()), 6))
 
-# Two structural facts: each row is a probability simplex over the real
-# positions, and padded positions get exactly zero mass.
-assert np.allclose(alpha.sum(axis=1), 1.0)
-assert (alpha[1, 4:] == 0.0).all()
-print("padded positions hold zero weight")
+# Each sequence's weights form a probability simplex over its own pieces.
+assert alpha.shape == (10,)
+assert all(np.isclose(row.sum(), 1.0) for row in segments)
+print("each sequence's weights sum to one")
 
 # The pooled state lives in tanh's range.
 print("pooled state range:",
@@ -52,14 +54,15 @@ print("pooled state range:",
 # before the softmax is the same as calling the weight function with
 # that scaling already applied and unit temperature.
 # ------------------------------------------------------------------
-logits = rng.normal(size=(3, 8)) * 4.0
-direct = attention_weights(logits, d_h)
-rescaled = attention_weights(logits / np.sqrt(d_h), 1)
+logits = rng.normal(size=24) * 4.0
+lengths = [8, 8, 8]
+direct = attention_weights(logits, lengths, d_h)
+rescaled = attention_weights(logits / np.sqrt(d_h), lengths, 1)
 print("temperature equivalence:", np.allclose(direct, rescaled, atol=1e-12))
 
 # Sharper scores concentrate the pooled mix; the temperature keeps the
 # softmax from saturating as d_h grows.
-flat = attention_weights(np.array([[0.5, 0.4, 0.6]]), d_h)
-sharp = attention_weights(np.array([[5.0, -4.0, 6.0]]), d_h)
+flat = attention_weights(np.array([0.5, 0.4, 0.6]), [3], d_h)
+sharp = attention_weights(np.array([5.0, -4.0, 6.0]), [3], d_h)
 print("near-uniform weights:", np.round(flat, 3))
 print("peaked weights:      ", np.round(sharp, 3))

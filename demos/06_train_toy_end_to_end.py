@@ -82,6 +82,6 @@ batch = make_batch([seq], [0], reloaded.slot_vocab)
 alpha = model_outputs(reloaded.params, reloaded.config, batch)[2]
 
 print("pooling weights for:", " ".join(words))
-for pid, weight in zip(seq.piece_ids, alpha[0]):
+for pid, weight in zip(seq.piece_ids, alpha):
     bar = "#" * int(round(40 * float(weight)))
     print(f"  {reloaded.piece_vocab.piece(pid):12s} {weight:6.3f} {bar}")

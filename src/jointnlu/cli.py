@@ -326,16 +326,21 @@ def _attention_svg(rows: Sequence[Tuple[str, float]]) -> str:
 
 def cmd_attn(args) -> int:
     _check_out(args.out)
-    ckpt = load_checkpoint(args.checkpoint)
     words = args.text.split()
+    if not words:
+        raise ValueError("--text holds no words")
+    ckpt = load_checkpoint(args.checkpoint)
     feats = ckpt.featurizer.featurize(words)
-    seq = align(words, [O_TAG] * len(words), feats, ckpt.piece_vocab,
-                ckpt.config.encoder.max_len)
+    max_len = ckpt.config.encoder.max_len
+    seq = align(words, [O_TAG] * len(words), feats, ckpt.piece_vocab, max_len)
+    if seq.truncated:
+        print(f"warning: kept {seq.word_count} of {len(words)} words, the most "
+              f"that fit the checkpoint's max_len of {max_len}", file=sys.stderr)
     batch = make_batch([seq], [0], ckpt.slot_vocab)
     alpha = model_outputs(ckpt.params, ckpt.config, batch)[2]
     rows = [
-        (ckpt.piece_vocab.piece(pid), float(alpha[0, i]))
-        for i, pid in enumerate(seq.piece_ids)
+        (ckpt.piece_vocab.piece(pid), float(w))
+        for pid, w in zip(seq.piece_ids, alpha)
     ]
     if args.format == "svg":
         content = _attention_svg(rows)

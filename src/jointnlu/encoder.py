@@ -4,11 +4,11 @@ gradients.
 Post-norm residual blocks: embeddings go through a layer norm, then each
 block applies self-attention and a GELU feed-forward sublayer, each followed
 by residual add and layer norm. Every dense layer (embedding, Q/K/V, output
-projection, feed-forward, layer norms) runs on the rows of real pieces only;
-the attention scores, their softmax and the weighted sum of values are the
-one block kept in the padded layout, with padded key positions masked out of
-every row. The returned hidden states are exactly zero at padded positions,
-so padding content can never influence real positions.
+projection, feed-forward, layer norms) runs on the packed rows of real
+pieces only (numerics.packed_layout); the attention scores, their softmax and
+the weighted sum of values are the one block kept in the padded layout, with
+padded key positions masked out of every row, so padding content can never
+influence real positions. The hidden states come back packed.
 
 Parameters are read from the model's flat name->array dict under their
 model.param_spec names ("enc.tok_emb", "enc.l0.Wq", ...); gradients come
@@ -23,11 +23,12 @@ import numpy as np
 
 from .numerics import (
     apply_mask,
-    dropout_mask,
     gelu,
     gelu_grad,
     layer_norm,
     layer_norm_backward,
+    row_dropout,
+    scatter_rows,
     softmax_backward,
     stable_softmax,
 )
@@ -59,44 +60,16 @@ class EncoderConfig:
         return cls(**payload)
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    b, n, d = x.shape
-    return x.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, h, n, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
-
-
-def _scatter(x: np.ndarray, rows: np.ndarray, b: int, n: int) -> np.ndarray:
-    """(T, d) rows of real pieces -> (b, n, d), zeros at padded positions."""
-    out = np.zeros((b * n, x.shape[-1]))
-    out[rows] = x
-    return out.reshape(b, n, -1)
-
-
-def _gather(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(b, n, d) -> the (T, d) rows of real pieces."""
-    return x.reshape(-1, x.shape[-1])[rows]
-
-
 def _to_heads(x: np.ndarray, rows: np.ndarray, b: int, n: int, n_heads: int):
     """(T, d) rows -> (b, heads, n, d_head) for attention, zeros at padding."""
-    return _split_heads(_scatter(x, rows, b, n), n_heads)
+    padded = scatter_rows(x, rows, b, n)
+    return padded.reshape(b, n, n_heads, -1).transpose(0, 2, 1, 3)
 
 
 def _from_heads(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(b, heads, n, d_head) -> the (T, d) rows of real pieces."""
-    return _gather(_merge_heads(x), rows)
-
-
-def _row_dropout(rng, shape: tuple[int, int, int], rate: float, rows: np.ndarray):
-    """A dropout mask drawn at the padded (b, n, d) shape, then gathered to
-    real rows: the rng takes the same draws as when every dense layer ran
-    on padded rows, so training follows the same trajectory."""
-    mask = dropout_mask(rng, shape, rate)
-    return None if mask is None else _gather(mask, rows)
+    b, h, n, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b * n, h * dh)[rows]
 
 
 def encode(
@@ -107,17 +80,16 @@ def encode(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ):
-    """Hidden states (batch, length, d_h) for a padded id batch, and the
-    cache encode_backward needs.
+    """Hidden states (T, d_h) of the T real pieces of a padded id batch, in
+    np.flatnonzero(pad_mask) order, and the cache encode_backward needs.
 
-    pad_mask is True at real positions. Output rows at padded positions are
-    exactly zero. Dropout needs an rng; with rate 0 or rng None the pass is
-    deterministic.
+    pad_mask is True at real positions. Dropout needs an rng; with rate 0 or
+    rng None the pass is deterministic.
 
-    Every dense layer runs on the (T, d_h) rows of the T real pieces only;
-    q, k and v are scattered to the padded (batch, heads, length, d_head)
-    layout for the masked attention scores and their softmax, and the
-    attention context is gathered back to rows.
+    Every dense layer runs on the packed rows; q, k and v are scattered to
+    the padded (batch, heads, length, d_head) layout for the masked
+    attention scores and their softmax, and the attention context is
+    gathered back to rows.
     """
     ids = np.asarray(ids)
     pad_mask = np.asarray(pad_mask, dtype=bool)
@@ -136,7 +108,7 @@ def encode(
     real_ids = ids.ravel()[rows]
     emb = params["enc.tok_emb"][real_ids] + params["enc.pos_emb"][rows % n]
     x, ln_emb_cache = layer_norm(emb, params["enc.ln_emb.g"], params["enc.ln_emb.b"])
-    emb_mask = _row_dropout(rng, padded_shape, dropout_rate, rows)
+    emb_mask = row_dropout(rng, padded_shape, dropout_rate, rows)
     x = apply_mask(x, emb_mask)
 
     key_mask = pad_mask[:, None, None, :]  # broadcast over heads and queries
@@ -152,7 +124,7 @@ def encode(
         probs = stable_softmax(scores, axis=-1)
         ctx = _from_heads(probs @ v, rows)
         attn_out = ctx @ params[p + "Wo"] + params[p + "bo"]
-        attn_drop = _row_dropout(rng, padded_shape, dropout_rate, rows)
+        attn_drop = row_dropout(rng, padded_shape, dropout_rate, rows)
         attn_out = apply_mask(attn_out, attn_drop)
         x1, ln1_cache = layer_norm(
             x_in + attn_out, params[p + "ln1.g"], params[p + "ln1.b"]
@@ -161,7 +133,7 @@ def encode(
         u = x1 @ params[p + "W1"] + params[p + "b1"]
         a, one_erf = gelu(u)
         ffn_out = a @ params[p + "W2"] + params[p + "b2"]
-        ffn_drop = _row_dropout(rng, padded_shape, dropout_rate, rows)
+        ffn_drop = row_dropout(rng, padded_shape, dropout_rate, rows)
         ffn_out = apply_mask(ffn_out, ffn_drop)
         x2, ln2_cache = layer_norm(
             x1 + ffn_out, params[p + "ln2.g"], params[p + "ln2.b"]
@@ -181,7 +153,7 @@ def encode(
         real_ids=real_ids, rows=rows, shape=(b, n), emb_mask=emb_mask,
         ln_emb_cache=ln_emb_cache, layers=layers, scale=scale,
     )
-    return _scatter(x, rows, b, n), cache
+    return x, cache
 
 
 def encode_backward(
@@ -190,15 +162,13 @@ def encode_backward(
     params: dict[str, np.ndarray],
     cfg: EncoderConfig,
 ) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every "enc." parameter, by name.
-
-    d_out at padded positions is ignored: those outputs are constant zeros.
-    """
+    """Gradients of a scalar loss w.r.t. every "enc." parameter, by name,
+    given d_out, the loss's (T, d_h) gradient w.r.t. encode's output."""
     rows = cache["rows"]
     b, n = cache["shape"]
     grads = {}
 
-    d_x = _gather(d_out, rows)
+    d_x = d_out
     for i in reversed(range(cfg.n_layers)):
         lc = cache["layers"][i]
         p = f"enc.l{i}."
@@ -250,5 +220,5 @@ def encode_backward(
     grads["enc.tok_emb"] = np.zeros_like(params["enc.tok_emb"])
     np.add.at(grads["enc.tok_emb"], cache["real_ids"], d_emb)
     grads["enc.pos_emb"] = np.zeros_like(params["enc.pos_emb"])
-    grads["enc.pos_emb"][:n] = _scatter(d_emb, rows, b, n).sum(axis=0)
+    grads["enc.pos_emb"][:n] = scatter_rows(d_emb, rows, b, n).sum(axis=0)
     return grads

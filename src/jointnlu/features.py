@@ -157,16 +157,16 @@ def encode_features(entity: EntityClass, case: CaseClass) -> np.ndarray:
 
 
 def feature_forward(x: np.ndarray, params: dict[str, np.ndarray]):
-    """Embed feature vectors: s = x W_w + b_w, h = PReLU(s), out = h W_proj + b_proj.
+    """Embed feature rows: s = x W_w + b_w, h = PReLU(s), out = h W_proj + b_proj.
 
     `params` is the model's flat dict; the net reads its "feat." names.
-    Accepts a single 23-vector or any (..., 23) batch; the output replaces
-    the last axis with 32. Returns (out, cache), the cache holding the
-    intermediates feature_backward needs.
+    x is (T, 23), one row per real piece; the output is (T, 32). Returns
+    (out, cache), the cache holding the intermediates feature_backward
+    needs.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != FEATURE_DIM:
-        raise ValueError(f"last axis must be {FEATURE_DIM}, got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
+        raise ValueError(f"features must be (T, {FEATURE_DIM}), got {x.shape}")
     s = x @ params["feat.W_w"] + params["feat.b_w"]
     a = float(params["feat.a_prelu"])
     h = np.maximum(s, 0.0) + a * np.minimum(s, 0.0)
@@ -182,31 +182,18 @@ def feature_backward(
     """
     x, s, h = cache
     d_out = np.asarray(d_out, dtype=np.float64)
-    if d_out.shape != h.shape[:-1] + (FEATURE_HIDDEN,):
+    if d_out.shape != h.shape:
         raise ValueError("upstream gradient shape mismatch")
 
-    flat_dout = d_out.reshape(-1, FEATURE_HIDDEN)
-    flat_h = h.reshape(-1, FEATURE_HIDDEN)
-    d_W_proj = flat_h.T @ flat_dout
-    d_b_proj = flat_dout.sum(axis=0)
     d_h = d_out @ params["feat.W_proj"].T
-
     a = float(params["feat.a_prelu"])
-    pos = s > 0
-    d_s = d_h * np.where(pos, 1.0, a)
-    d_a = np.array(np.sum(d_h * np.minimum(s, 0.0)))
-
-    flat_x = x.reshape(-1, FEATURE_DIM)
-    flat_ds = d_s.reshape(-1, FEATURE_HIDDEN)
-    d_W_w = flat_x.T @ flat_ds
-    d_b_w = flat_ds.sum(axis=0)
-
+    d_s = d_h * np.where(s > 0, 1.0, a)
     return {
-        "feat.W_w": d_W_w,
-        "feat.b_w": d_b_w,
-        "feat.a_prelu": d_a,
-        "feat.W_proj": d_W_proj,
-        "feat.b_proj": d_b_proj,
+        "feat.W_w": x.T @ d_s,
+        "feat.b_w": d_s.sum(axis=0),
+        "feat.a_prelu": np.array(np.sum(d_h * np.minimum(s, 0.0))),
+        "feat.W_proj": h.T @ d_out,
+        "feat.b_proj": d_out.sum(axis=0),
     }
 
 

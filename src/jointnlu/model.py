@@ -1,5 +1,9 @@
 """The full joint model: encoder, intent pooling, fused slot scoring.
 
+Every per-piece array from the encoder's output to the loss is packed: one
+row per real piece, sequence after sequence (numerics.packed_layout). Only
+the encoder's attention block and the CRF see the padded (b, n) layout.
+
 Parameters live in one flat name -> float64 array dict. `param_spec` is the
 one list of its tensors (name, shape, initialiser, weight-decay flag); the
 initialiser, the checkpoint loader and the optimizer all read it. Every layer
@@ -28,7 +32,7 @@ from .features import (
     feature_forward,
 )
 from .intent_head import POOL_MODES, intent_backward, intent_forward
-from .numerics import log_softmax
+from .numerics import log_softmax, packed_layout, scatter_rows
 from .slot_head import slot_backward, slot_forward
 from .subwords import AlignedSequence, WordPieceVocab, align, de_align
 from .tagging import SlotTag
@@ -164,26 +168,25 @@ def init_model_params(
 
 @dataclass(frozen=True)
 class Batch:
-    """Padded tensor view of a list of aligned sequences."""
+    """A list of aligned sequences as arrays. The ids are padded for the
+    encoder; the per-piece arrays hold the T real pieces packed, in
+    np.flatnonzero(pad_mask) order."""
 
     ids: np.ndarray          # (b, n) int
     pad_mask: np.ndarray     # (b, n) bool, True at real positions
-    features: np.ndarray     # (b, n, 23)
-    tag_ids: np.ndarray      # (b, n) int, 0 at padding
+    features: np.ndarray     # (T, 23)
+    tag_ids: np.ndarray      # (T,) int
     intent_ids: np.ndarray   # (b,)
 
     def __post_init__(self):
         b, n = self.ids.shape
-        if self.pad_mask.shape != (b, n) or self.tag_ids.shape != (b, n):
-            raise ValueError("per-position arrays disagree on shape")
-        if self.features.shape != (b, n, FEATURE_DIM):
-            raise ValueError("feature block has wrong shape")
+        if self.pad_mask.shape != (b, n):
+            raise ValueError("ids and pad_mask disagree on shape")
+        T = int(self.pad_mask.sum())
+        if self.tag_ids.shape != (T,) or self.features.shape != (T, FEATURE_DIM):
+            raise ValueError("per-piece arrays need one row per real position")
         if self.intent_ids.shape != (b,):
             raise ValueError("need one intent id per sequence")
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return self.pad_mask.sum(axis=1)
 
 
 def make_batch(
@@ -193,18 +196,14 @@ def make_batch(
 ) -> Batch:
     if not seqs or len(seqs) != len(intent_ids):
         raise ValueError("need one intent id per aligned sequence")
-    b = len(seqs)
-    n = max(len(s) for s in seqs)
-    ids = np.zeros((b, n), dtype=int)  # padding is piece id 0
-    pad_mask = np.zeros((b, n), dtype=bool)
-    features = np.zeros((b, n, FEATURE_DIM))
-    tag_ids = np.zeros((b, n), dtype=int)
-    for i, seq in enumerate(seqs):
-        L = len(seq)
-        ids[i, :L] = seq.piece_ids
-        pad_mask[i, :L] = True
-        features[i, :L] = seq.features
-        tag_ids[i, :L] = [slot_vocab.encode(t) for t in seq.piece_tags]
+    lengths = np.array([len(s) for s in seqs])
+    pad_mask = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.zeros(pad_mask.shape, dtype=int)  # padding is piece id 0
+    ids[pad_mask] = [pid for seq in seqs for pid in seq.piece_ids]
+    features = np.concatenate([seq.features for seq in seqs])
+    tag_ids = np.array(
+        [slot_vocab.encode(t) for seq in seqs for t in seq.piece_tags], dtype=int
+    )
     return Batch(ids, pad_mask, features, tag_ids, np.asarray(intent_ids, dtype=int))
 
 
@@ -228,8 +227,8 @@ def model_outputs(
     is given and no dropout otherwise.
 
     Returns (y_int, slot_scores, alpha, cache), the cache bundling what the
-    backward pass needs. slot_scores is (b, n, n_slots); rows at padded
-    positions are meaningless and must be masked by the consumer.
+    backward pass needs: y_int is (b, n_intents), slot_scores (T, n_slots)
+    and alpha (T,), one row per real piece.
     """
     rate = cfg.dropout_rate  # dropout_mask draws nothing when rng is None
     H, enc_cache = encode(batch.ids, batch.pad_mask, params, cfg.encoder, rate, rng)
@@ -239,7 +238,9 @@ def model_outputs(
     f_words, feat_cache = None, None
     if cfg.slot_features:
         f_words, feat_cache = feature_forward(batch.features, params)
-    slot_scores, slot_cache = slot_forward(y_int, f_words, H, params, rate, rng)
+    slot_scores, slot_cache = slot_forward(
+        y_int, f_words, H, batch.pad_mask, params, rate, rng
+    )
     cache = dict(enc=enc_cache, int=int_cache, feat=feat_cache, slot=slot_cache)
     return y_int, slot_scores, alpha, cache
 
@@ -258,18 +259,17 @@ def _intent_ce(y_int: np.ndarray, intent_ids: np.ndarray) -> Tuple[float, np.nda
 def _softmax_slot_loss(
     slot_scores: np.ndarray, tag_ids: np.ndarray, pad_mask: np.ndarray
 ) -> Tuple[float, np.ndarray]:
-    """Cross-entropy at every non-padded position: per-sequence mean over
-    positions, then mean over the batch."""
-    b, n, _ = slot_scores.shape
+    """Cross-entropy at every packed row: per-sequence mean over positions,
+    then mean over the batch."""
+    _, lengths, starts = packed_layout(pad_mask)
     logp = log_softmax(slot_scores, axis=-1)
-    gold = np.take_along_axis(logp, tag_ids[:, :, None], axis=-1)[:, :, 0]
-    counts = pad_mask.sum(axis=1)
-    per_seq = -(gold * pad_mask).sum(axis=1) / counts
+    gold = (np.arange(len(tag_ids)), tag_ids)
+    per_seq = -np.add.reduceat(logp[gold], starts) / lengths
     loss = float(per_seq.mean())
 
     d = np.exp(logp)
-    d[np.arange(b)[:, None], np.arange(n)[None, :], tag_ids] -= 1.0
-    d *= (pad_mask / (counts[:, None] * b))[:, :, None]
+    d[gold] -= 1.0
+    d *= np.repeat(1.0 / (lengths * len(lengths)), lengths)[:, None]
     return loss, d
 
 
@@ -279,11 +279,13 @@ def _crf_slot_loss(
     pad_mask: np.ndarray,
     params: Dict[str, np.ndarray],
 ) -> Tuple[float, np.ndarray, Dict[str, np.ndarray]]:
-    """Batch-mean sequence negative log-likelihood and its gradients."""
-    b = slot_scores.shape[0]
+    """Batch-mean sequence negative log-likelihood and its gradients, the
+    emission gradient packed like slot_scores."""
+    rows, lengths, _ = packed_layout(pad_mask)
+    b, n = pad_mask.shape
     nll, cache = crf_nll(
-        slot_scores, tag_ids, params["crf.T"], params["crf.start"],
-        params["crf.end"], pad_mask.sum(axis=1),
+        scatter_rows(slot_scores, rows, b, n), scatter_rows(tag_ids, rows, b, n),
+        params["crf.T"], params["crf.start"], params["crf.end"], lengths,
     )
     g = crf_nll_backward(cache)
     crf_grads = {
@@ -291,7 +293,7 @@ def _crf_slot_loss(
         "crf.start": g["start"] / b,
         "crf.end": g["end"] / b,
     }
-    return float(nll.sum()) / b, g["emissions"] / b, crf_grads
+    return float(nll.sum()) / b, g["emissions"][pad_mask] / b, crf_grads
 
 
 def model_loss_and_grads(
@@ -347,20 +349,22 @@ def predict_batch(
     """Deterministic decoding.
 
     Returns (intent id per sequence, piece-level tag ids per sequence
-    [unpadded lengths], pooling weights). The structured decoder is used in
-    crf mode, independent per-position argmax otherwise.
+    [unpadded lengths], (T,) pooling weights). The structured decoder is
+    used in crf mode, independent per-position argmax otherwise.
     """
     # Slicing drops the forward cache before decoding starts.
     y_int, slot_scores, alpha = model_outputs(params, cfg, batch)[:3]
     intent_pred = np.argmax(y_int, axis=-1)
-    lengths = batch.lengths
+    rows, lengths, starts = packed_layout(batch.pad_mask)
     if cfg.slot_mode == "crf":
-        paths = viterbi(slot_scores, params["crf.T"], params["crf.start"],
-                        params["crf.end"], lengths)
+        b, n = batch.pad_mask.shape
+        paths = viterbi(
+            scatter_rows(slot_scores, rows, b, n), params["crf.T"],
+            params["crf.start"], params["crf.end"], lengths,
+        )[batch.pad_mask]
     else:
         paths = np.argmax(slot_scores, axis=-1)
-    piece_preds = [path[:L] for path, L in zip(paths, lengths.tolist())]
-    return intent_pred, piece_preds, alpha
+    return intent_pred, np.split(paths, starts[1:]), alpha
 
 
 def decode_word_tags(

@@ -1,4 +1,6 @@
-"""Shared float64 building blocks: softmax, GELU, layer norm, dropout masks.
+"""Shared float64 building blocks: softmax, GELU, layer norm, dropout masks,
+and the packed layout: one row per real piece of a (batch, length) batch, in
+np.flatnonzero(pad_mask) order, so each sequence is a segment of rows.
 
 Every forward helper that participates in training has an exact hand-derived
 backward companion; caches carry whatever the backward pass needs.
@@ -90,3 +92,26 @@ def dropout_mask(
 
 def apply_mask(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return x if mask is None else x * mask
+
+
+def packed_layout(pad_mask: np.ndarray):
+    """(rows, lengths, starts) of a (b, n) mask, True at real positions: the
+    flat index of each real position, each sequence's length, and the
+    packed row where each sequence's segment starts."""
+    lengths = pad_mask.sum(axis=1)
+    return np.flatnonzero(pad_mask), lengths, np.cumsum(lengths) - lengths
+
+
+def scatter_rows(x: np.ndarray, rows: np.ndarray, b: int, n: int) -> np.ndarray:
+    """(T, ...) packed rows -> (b, n, ...), zeros at padded positions."""
+    out = np.zeros((b * n,) + x.shape[1:], dtype=x.dtype)
+    out[rows] = x
+    return out.reshape((b, n) + x.shape[1:])
+
+
+def row_dropout(rng, shape: tuple[int, ...], rate: float, rows: np.ndarray):
+    """A dropout mask drawn at the padded (b, n, ...) shape, then gathered to
+    the packed rows: the rng takes the same draws as when every layer ran on
+    padded rows, so training follows the same trajectory."""
+    mask = dropout_mask(rng, shape, rate)
+    return None if mask is None else mask.reshape((-1,) + tuple(shape[2:]))[rows]

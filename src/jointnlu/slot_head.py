@@ -1,42 +1,51 @@
 """Per-position slot scoring with intent and word-feature fusion.
 
-Each position's input is the concatenation [intent probabilities;
+Each real piece's input is the concatenation [intent probabilities;
 word-feature embedding; hidden state], squeezed through dropout and one
-linear projection. The intent block uses the softmax of the CURRENT intent
-logits and stays differentiable, so slot supervision also shapes the intent
-head. The feature block can be switched off, narrowing the projection to
-[intent probabilities; hidden state]. Both passes read the model's flat
-parameter dict under its names for the projection, "W_s" and "b_s".
+linear projection. Every per-piece array is packed: one row per real piece,
+sequence after sequence (numerics.packed_layout). The intent block uses the
+softmax of the CURRENT intent logits and stays differentiable, so slot
+supervision also shapes the intent head. The feature block can be switched
+off, narrowing the projection to [intent probabilities; hidden state]. Both
+passes read the model's flat parameter dict under its names for the
+projection, "W_s" and "b_s".
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import apply_mask, dropout_mask, softmax_backward, stable_softmax
+from .numerics import (
+    apply_mask,
+    packed_layout,
+    row_dropout,
+    softmax_backward,
+    stable_softmax,
+)
 
 
 def slot_forward(
     y_int: np.ndarray,
     f_words: np.ndarray | None,
     H: np.ndarray,
+    pad_mask: np.ndarray,
     params: dict[str, np.ndarray],
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ):
-    """Batched slot scores (batch, length, n_slots) and the cache
-    slot_backward needs.
+    """Slot scores (T, n_slots) for the T real positions of pad_mask, and
+    the cache slot_backward needs.
 
-    y_int is (batch, n_intents); its softmax row is broadcast to every
-    position. f_words is (batch, length, 32) or None when the feature path is
-    ablated. Dropout hits the concatenated vector.
+    y_int is (batch, n_intents); each sequence's softmax row is repeated onto
+    its rows. f_words is (T, 32), or None when the feature path is ablated;
+    H is (T, d_h); arrays that disagree on T or batch raise ValueError.
+    Dropout hits the concatenated vector, with the mask drawn at the padded
+    shape and gathered (numerics.row_dropout).
     """
-    b, n, _ = H.shape
+    rows, lengths, starts = packed_layout(pad_mask)
     p_int = stable_softmax(y_int, axis=-1)
-    blocks = [np.broadcast_to(p_int[:, None, :], (b, n, p_int.shape[-1]))]
+    blocks = [np.repeat(p_int, lengths, axis=0)]
     if f_words is not None:
-        if f_words.shape[:2] != (b, n):
-            raise ValueError("feature block shape disagrees with hidden states")
         blocks.append(f_words)
     blocks.append(H)
     fused = np.concatenate(blocks, axis=-1)
@@ -45,12 +54,12 @@ def slot_forward(
         raise ValueError(
             f"W_s expects width {W_s.shape[1]}, fused input has {fused.shape[-1]}"
         )
-    drop = dropout_mask(rng, fused.shape, dropout_rate)
+    drop = row_dropout(rng, pad_mask.shape + fused.shape[1:], dropout_rate, rows)
     fused_used = apply_mask(fused, drop)
     logits = fused_used @ W_s.T + params["b_s"]
     cache = dict(
         p_int=p_int, f_width=0 if f_words is None else f_words.shape[-1],
-        drop=drop, fused_used=fused_used,
+        starts=starts, drop=drop, fused_used=fused_used,
     )
     return logits, cache
 
@@ -58,7 +67,7 @@ def slot_forward(
 def slot_backward(
     d_logits: np.ndarray, cache: dict, params: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, dict[str, np.ndarray]]:
-    """Backprop through slot_forward.
+    """Backprop through slot_forward, given the (T, n_slots) d_logits.
 
     Returns (d_y_int, d_f_words, d_H, grads) where grads holds W_s and b_s.
     d_f_words is None when the feature path was off.
@@ -67,14 +76,11 @@ def slot_backward(
     n_int = p_int.shape[-1]
     f_width, W_s = cache["f_width"], params["W_s"]
 
-    flat_d = d_logits.reshape(-1, d_logits.shape[-1])
-    flat_fused = cache["fused_used"].reshape(-1, W_s.shape[1])
-    grads = {"W_s": flat_d.T @ flat_fused, "b_s": flat_d.sum(axis=0)}
-
+    grads = {"W_s": d_logits.T @ cache["fused_used"], "b_s": d_logits.sum(axis=0)}
     d_fused = apply_mask(d_logits @ W_s, cache["drop"])
-    d_p_rows = d_fused[..., :n_int]
-    d_p_int = d_p_rows.sum(axis=1)  # every position shares the intent row
+    # every row of a sequence shares its intent row
+    d_p_int = np.add.reduceat(d_fused[:, :n_int], cache["starts"], axis=0)
     d_y_int = softmax_backward(d_p_int, p_int, axis=-1)
-    d_f_words = d_fused[..., n_int:n_int + f_width] if f_width else None
-    d_H = d_fused[..., n_int + f_width:]
+    d_f_words = d_fused[:, n_int:n_int + f_width] if f_width else None
+    d_H = d_fused[:, n_int + f_width:]
     return d_y_int, d_f_words, d_H, grads

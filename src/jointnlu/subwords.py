@@ -196,7 +196,7 @@ def align(
     ids = [vocab.bos_id]
     piece_tags = [X_TAG]
     active = [False]
-    rows = [np.zeros(FEATURE_DIM)]
+    word_of = []  # the word of each piece between the markers
     truncated = False
     for wi, (word, tag) in enumerate(zip(words, tags)):
         piece_ids = vocab.tokenize(word)
@@ -207,17 +207,18 @@ def align(
             ids.append(pid)
             piece_tags.append(tag if k == 0 else X_TAG)
             active.append(k == 0)
-            rows.append(np.asarray(features[wi], dtype=float))
+            word_of.append(wi)
     ids.append(vocab.eos_id)
     piece_tags.append(X_TAG)
     active.append(False)
-    rows.append(np.zeros(FEATURE_DIM))
+    block = np.zeros((len(ids), FEATURE_DIM))  # the markers keep zero rows
+    block[1:-1] = np.asarray(features, dtype=np.float64)[word_of]
 
     return AlignedSequence(
         piece_ids=tuple(ids),
         piece_tags=tuple(piece_tags),
         active=tuple(active),
-        features=np.array(rows, dtype=np.float64),
+        features=block,
         truncated=truncated,
     )
 

@@ -5,8 +5,10 @@ package: chunking by scanning all (start, end, label) triples, CRF partition
 and decoding by exhaustive enumeration, and gradients by central finite
 differences. The exceptions are `model_losses`, the joint model's loss
 without any backward pass, which the finite-difference checks probe, and the
-padded encoder, which reuses the package's softmax and dropout helpers so it
-draws the same dropout masks as the packed encoder it checks.
+padded model (`model_padded`: encoder, heads, feature net and losses run on
+every (batch, length) position), which reuses the package's softmax, dropout,
+cross-entropy and CRF helpers so it draws the same dropout masks as the
+packed model it checks.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from jointnlu.numerics import (
     LN_EPS,
     apply_mask,
     dropout_mask,
+    log_softmax,
     softmax_backward,
     stable_softmax,
 )
@@ -188,12 +191,20 @@ def model_losses(params, cfg, batch, rng=None):
     l_int, _ = _intent_ce(y_int, batch.intent_ids)
     if cfg.slot_mode == "crf":
         nll, _ = crf_nll(
-            slot_scores, batch.tag_ids, params["crf.T"], params["crf.start"],
-            params["crf.end"], batch.lengths,
+            pad_rows(slot_scores, batch.pad_mask),
+            pad_rows(batch.tag_ids, batch.pad_mask), params["crf.T"],
+            params["crf.start"], params["crf.end"], batch.pad_mask.sum(axis=1),
         )
         return l_int, float(nll.sum()) / len(nll)
     l_slot, _ = _softmax_slot_loss(slot_scores, batch.tag_ids, batch.pad_mask)
     return l_int, l_slot
+
+
+def pad_rows(x, pad_mask):
+    """Packed (T, ...) rows -> (b, n, ...), zeros at padded positions."""
+    out = np.zeros(pad_mask.shape + x.shape[1:], dtype=x.dtype)
+    out[pad_mask] = x
+    return out
 
 
 def crf_forward_backward(emissions, tags, trans, start, end):
@@ -446,3 +457,172 @@ def encode_padded_backward(d_out, cache, params, cfg):
     grads["enc.pos_emb"] = np.zeros_like(params["enc.pos_emb"])
     grads["enc.pos_emb"][:n] = d_emb.sum(axis=0)
     return grads
+
+
+def intent_forward_padded(H, pad_mask, params, mode, dropout_rate=0.0, rng=None):
+    """Intent pooling over (b, n, d_h) states: -inf scores at padding, a
+    softmax over every row, einsum pooling. Returns (y_int, alpha, cache)
+    with alpha (b, n)."""
+    b, n, d_h = H.shape
+    if mode == "attention":
+        scores = np.tanh(H @ params["int.W_score"].T) @ params["int.v_score"]
+        logits = np.where(pad_mask, scores, -np.inf)
+        alpha_clean = stable_softmax(logits / np.sqrt(d_h), axis=-1)
+        att_drop = dropout_mask(rng, alpha_clean.shape, dropout_rate)
+        alpha = apply_mask(alpha_clean, att_drop)
+        h_int = np.tanh(np.einsum("bn,bnd->bd", alpha, H))
+    else:
+        h_int = np.tanh(H[:, 0, :] @ params["int.W_pool"].T + params["int.b_pool"])
+        alpha_clean, att_drop = None, None
+        alpha = np.zeros((b, n))
+        alpha[:, 0] = 1.0
+    h_drop = dropout_mask(rng, h_int.shape, dropout_rate)
+    h_used = apply_mask(h_int, h_drop)
+    y_int = h_used @ params["int.W_cls"].T + params["int.b_cls"]
+    cache = dict(H=H, mode=mode, alpha_clean=alpha_clean, att_drop=att_drop,
+                 alpha=alpha, h_int=h_int, h_drop=h_drop, h_used=h_used)
+    return y_int, alpha, cache
+
+
+def intent_backward_padded(d_y_int, cache, params):
+    H, h_int = cache["H"], cache["h_int"]
+    d_h = H.shape[-1]
+    grads = {"int.W_cls": d_y_int.T @ cache["h_used"],
+             "int.b_cls": d_y_int.sum(axis=0)}
+    d_h_int = apply_mask(d_y_int @ params["int.W_cls"], cache["h_drop"])
+    d_pre_tanh = d_h_int * (1.0 - h_int * h_int)
+    if cache["mode"] == "attention":
+        alpha, alpha_clean = cache["alpha"], cache["alpha_clean"]
+        d_alpha = np.einsum("bd,bnd->bn", d_pre_tanh, H)
+        d_H = alpha[:, :, None] * d_pre_tanh[:, None, :]
+        d_alpha_clean = apply_mask(d_alpha, cache["att_drop"])
+        d_logits = softmax_backward(d_alpha_clean, alpha_clean, axis=-1) / np.sqrt(d_h)
+        t = np.tanh(H @ params["int.W_score"].T)
+        d_proj = d_logits[:, :, None] * params["int.v_score"][None, None, :] * (1.0 - t * t)
+        grads["int.v_score"] = np.einsum("bnd,bn->d", t, d_logits)
+        grads["int.W_score"] = d_proj.reshape(-1, d_h).T @ H.reshape(-1, d_h)
+        d_H = d_H + d_proj @ params["int.W_score"]
+    else:
+        grads["int.W_pool"] = d_pre_tanh.T @ H[:, 0, :]
+        grads["int.b_pool"] = d_pre_tanh.sum(axis=0)
+        d_H = np.zeros_like(H)
+        d_H[:, 0, :] = d_pre_tanh @ params["int.W_pool"]
+    return d_H, grads
+
+
+def feature_forward_padded(x, params):
+    """The feature net on a (b, n, 23) block, padding rows included."""
+    s = x @ params["feat.W_w"] + params["feat.b_w"]
+    a = float(params["feat.a_prelu"])
+    h = np.maximum(s, 0.0) + a * np.minimum(s, 0.0)
+    return h @ params["feat.W_proj"] + params["feat.b_proj"], (x, s, h)
+
+
+def feature_backward_padded(d_out, cache, params):
+    x, s, h = cache
+    flat_dout = d_out.reshape(-1, d_out.shape[-1])
+    d_h = d_out @ params["feat.W_proj"].T
+    d_s = d_h * np.where(s > 0, 1.0, float(params["feat.a_prelu"]))
+    flat_ds = d_s.reshape(-1, d_s.shape[-1])
+    return {
+        "feat.W_w": x.reshape(-1, x.shape[-1]).T @ flat_ds,
+        "feat.b_w": flat_ds.sum(axis=0),
+        "feat.a_prelu": np.array(np.sum(d_h * np.minimum(s, 0.0))),
+        "feat.W_proj": h.reshape(-1, h.shape[-1]).T @ flat_dout,
+        "feat.b_proj": flat_dout.sum(axis=0),
+    }
+
+
+def slot_forward_padded(y_int, f_words, H, params, dropout_rate=0.0, rng=None):
+    """Slot scores (b, n, n_slots) with the intent row broadcast to every
+    position, padding included."""
+    b, n, _ = H.shape
+    p_int = stable_softmax(y_int, axis=-1)
+    blocks = [np.broadcast_to(p_int[:, None, :], (b, n, p_int.shape[-1]))]
+    if f_words is not None:
+        blocks.append(f_words)
+    blocks.append(H)
+    fused = np.concatenate(blocks, axis=-1)
+    drop = dropout_mask(rng, fused.shape, dropout_rate)
+    fused_used = apply_mask(fused, drop)
+    logits = fused_used @ params["W_s"].T + params["b_s"]
+    f_width = 0 if f_words is None else f_words.shape[-1]
+    return logits, dict(p_int=p_int, f_width=f_width, drop=drop,
+                        fused_used=fused_used)
+
+
+def slot_backward_padded(d_logits, cache, params):
+    p_int, f_width, W_s = cache["p_int"], cache["f_width"], params["W_s"]
+    n_int = p_int.shape[-1]
+    flat_d = d_logits.reshape(-1, d_logits.shape[-1])
+    grads = {"W_s": flat_d.T @ cache["fused_used"].reshape(-1, W_s.shape[1]),
+             "b_s": flat_d.sum(axis=0)}
+    d_fused = apply_mask(d_logits @ W_s, cache["drop"])
+    d_y_int = softmax_backward(d_fused[..., :n_int].sum(axis=1), p_int, axis=-1)
+    d_f = d_fused[..., n_int:n_int + f_width] if f_width else None
+    return d_y_int, d_f, d_fused[..., n_int + f_width:], grads
+
+
+def softmax_slot_loss_padded(slot_scores, tag_ids, pad_mask):
+    """Per-sequence mean cross-entropy over (b, n) positions with padding
+    masked out, then the batch mean; and its gradient."""
+    b, n, _ = slot_scores.shape
+    logp = log_softmax(slot_scores, axis=-1)
+    gold = np.take_along_axis(logp, tag_ids[:, :, None], axis=-1)[:, :, 0]
+    counts = pad_mask.sum(axis=1)
+    loss = float((-(gold * pad_mask).sum(axis=1) / counts).mean())
+    d = np.exp(logp)
+    d[np.arange(b)[:, None], np.arange(n)[None, :], tag_ids] -= 1.0
+    d *= (pad_mask / (counts[:, None] * b))[:, :, None]
+    return loss, d
+
+
+def model_padded(params, cfg, batch, gamma, rng=None):
+    """The joint model with every layer after the encoder on the padded
+    (b, n) layout, as before packing: the reference for model_outputs and
+    model_loss_and_grads. The packed per-piece arrays of `batch` are
+    scattered to zero-padded blocks here. Returns (l_intent, l_slot, grads,
+    y_int, slot_scores, alpha), with slot_scores (b, n, K) and alpha (b, n).
+    """
+    from jointnlu.crf import crf_nll, crf_nll_backward
+    from jointnlu.model import _intent_ce
+
+    pad_mask, rate = batch.pad_mask, cfg.dropout_rate
+    b = pad_mask.shape[0]
+    features = pad_rows(batch.features, pad_mask)
+    tag_ids = pad_rows(batch.tag_ids, pad_mask)
+    H, enc_cache = encode_padded(batch.ids, pad_mask, params, cfg.encoder, rate, rng)
+    y_int, alpha, int_cache = intent_forward_padded(
+        H, pad_mask, params, cfg.intent_pool, rate, rng
+    )
+    f_words = feat_cache = None
+    if cfg.slot_features:
+        f_words, feat_cache = feature_forward_padded(features, params)
+    slot_scores, slot_cache = slot_forward_padded(y_int, f_words, H, params, rate, rng)
+
+    l_int, d_y_ce = _intent_ce(y_int, batch.intent_ids)
+    grads = {}
+    if cfg.slot_mode == "crf":
+        nll, crf_cache = crf_nll(slot_scores, tag_ids, params["crf.T"],
+                                 params["crf.start"], params["crf.end"],
+                                 pad_mask.sum(axis=1))
+        g = crf_nll_backward(crf_cache)
+        for name, key in (("crf.T", "trans"), ("crf.start", "start"),
+                          ("crf.end", "end")):
+            grads[name] = (1.0 - gamma) * (g[key] / b)
+        l_slot, d_slot = float(nll.sum()) / b, g["emissions"] / b
+    else:
+        l_slot, d_slot = softmax_slot_loss_padded(slot_scores, tag_ids, pad_mask)
+    d_y_slot, d_f, d_H_slot, slot_grads = slot_backward_padded(
+        (1.0 - gamma) * d_slot, slot_cache, params
+    )
+    grads.update(slot_grads)
+    d_H_int, int_grads = intent_backward_padded(
+        gamma * d_y_ce + d_y_slot, int_cache, params
+    )
+    grads.update(int_grads)
+    if cfg.slot_features:
+        grads.update(feature_backward_padded(d_f, feat_cache, params))
+    grads.update(encode_padded_backward(d_H_int + d_H_slot, enc_cache, params,
+                                        cfg.encoder))
+    return l_int, l_slot, grads, y_int, slot_scores, alpha

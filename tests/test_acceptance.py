@@ -95,9 +95,8 @@ def _random_batch(rng, enc: EncoderConfig, n_intents: int, n_slots: int) -> Batc
         pad[i, : int(rng.integers(2, n + 1))] = True
     feats = rng.normal(size=(b, n, FEATURE_DIM))
     tags = rng.integers(0, n_slots, size=(b, n))
-    tags[~pad] = 0
     intents = rng.integers(0, n_intents, size=b)
-    return Batch(ids, pad, feats, tags, intents)
+    return Batch(ids, pad, feats[pad], tags[pad], intents)
 
 
 def test_criterion_02_full_loss_gradients_match_finite_differences():
@@ -205,21 +204,25 @@ def test_criterion_06_pooling_weights_form_masked_simplex():
         n = int(rng.integers(1, 9))
         d_h = int(rng.choice([4, 8, 16]))
         params = part_params(rng, "int.", d_h=d_h, n_intents=3)
-        H = rng.normal(size=(b, n, d_h)) * float(rng.uniform(0.5, 3.0))
         pad = np.zeros((b, n), dtype=bool)
         for i in range(b):
             pad[i, : int(rng.integers(1, n + 1))] = True
+        # packed states: one row per real position, sequence after sequence
+        H = rng.normal(size=(int(pad.sum()), d_h)) * float(rng.uniform(0.5, 3.0))
         _, alpha, _ = intent_forward(H, pad, params, "attention")
+        lengths = pad.sum(axis=1)
+        assert alpha.shape == H.shape[:1]
         assert np.all(alpha >= 0.0)
-        assert np.max(np.abs(alpha.sum(axis=1) - 1.0)) <= 1e-6
-        assert np.all(alpha[~pad] == 0.0)
+        sums = np.add.reduceat(alpha, np.cumsum(lengths) - lengths)
+        assert np.max(np.abs(sums - 1.0)) <= 1e-6
         checked += b
 
     # scoring at temperature sqrt(d_h) equals pre-divided scores at temp 1
-    logits = rng.normal(size=(64, 7)) * 3.0
+    logits = rng.normal(size=64 * 7) * 3.0
+    lengths = np.full(64, 7)
     for d_h in (1, 4, 9, 64):
-        direct = attention_weights(logits, d_h)
-        manual = attention_weights(logits / np.sqrt(d_h), 1)
+        direct = attention_weights(logits, lengths, d_h)
+        manual = attention_weights(logits / np.sqrt(d_h), lengths, 1)
         assert np.allclose(direct, manual, rtol=0.0, atol=1e-12)
 
 

@@ -1,0 +1,55 @@
+"""The benchmark's serving path runs on the package as it is.
+
+`perfbench/workloads.py::serve` turns raw words into predictions through
+align_utterance, make_batch, predict_batch and decode_word_tags. The file is
+loaded here read-only, with perfbench/ on sys.path as the benchmark runs it,
+so a change to those functions or to the batch layout that breaks the
+benchmark fails in the suite rather than in a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from jointnlu.toy import toy_grammar
+from jointnlu.training import train
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    before = set(sys.modules)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", PERFBENCH / "workloads.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses look their defining module up while the file executes
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name in set(sys.modules) - before:
+            path = getattr(sys.modules[name], "__file__", None) or ""
+            if name == "perfbench_workloads" or path.startswith(str(PERFBENCH)):
+                del sys.modules[name]
+
+
+@pytest.mark.parametrize("workload", ["train-softmax", "train-crf"])
+def test_serve_tags_every_word_alike_at_batch_1_and_n(workloads, workload):
+    data = toy_grammar(1, 300, 30, 48)
+    config = workloads.train_config(workloads.WORKLOADS[workload])
+    ckpt = train(data.train, data.dev, config, data.featurizer()).checkpoint
+    utterances = [u.words for u in data.test]
+
+    batched = workloads.serve(ckpt, utterances)
+    alone = [workloads.serve(ckpt, [words])[0] for words in utterances]
+    assert batched == alone
+    for words, (intent, tags) in zip(utterances, batched):
+        assert intent in ckpt.intent_vocab.labels
+        assert len(tags) == len(words)

@@ -858,15 +858,41 @@ class TestAttnCommand:
         ]
         assert len(word_rows) == 7
 
-    def test_empty_text_dumps_only_the_markers(self, trained, capsys):
-        rc = main([
-            "attn", "--checkpoint", str(trained["out"] / "checkpoint.npz"),
-            "--text", "",
-        ])
+    def test_text_without_words_refused(self, trained, tmp_path, capsys):
+        out = tmp_path / "weights.tsv"
+        for text in ("", " ", "\t \n"):
+            rc = main([
+                "attn", "--checkpoint", str(trained["out"] / "checkpoint.npz"),
+                "--text", text, "--out", str(out),
+            ])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert len(captured.err.splitlines()) == 1
+            assert list(tmp_path.iterdir()) == []
+
+    def test_truncation_warned_on_stderr(self, trained, capsys):
+        checkpoint = str(trained["out"] / "checkpoint.npz")
+        corpus = load_corpus(trained["data"] / "train.txt")
+        words = [w for u in corpus for w in u.words][:40]
+        assert len(words) == 40
+        rc = main(["attn", "--checkpoint", checkpoint, "--text", " ".join(words)])
         assert rc == 0
-        rows = parse_attn_rows(capsys.readouterr().out)
-        assert [tok for tok, _ in rows] == [BOS_TOKEN, EOS_TOKEN]
-        assert abs(sum(w for _, w in rows) - 1.0) <= 1e-6
+        captured = capsys.readouterr()
+        kept = int(captured.err.split()[2])
+        assert captured.err == (
+            f"warning: kept {kept} of 40 words, the most that fit the "
+            "checkpoint's max_len of 24\n"
+        )
+        assert 0 < kept < 40
+        # stdout is exactly the dump of the words that were kept
+        rc = main(["attn", "--checkpoint", checkpoint,
+                   "--text", " ".join(words[:kept])])
+        assert rc == 0
+        alone = capsys.readouterr()
+        assert alone.err == ""
+        assert alone.out == captured.out
 
     def test_svg_file_written(self, trained, tmp_path):
         out = tmp_path / "weights.svg"

@@ -200,8 +200,8 @@ class TestFeatureForward:
             "feat.W_proj": np.zeros((FEATURE_HIDDEN, FEATURE_HIDDEN)),
             "feat.b_proj": np.zeros(FEATURE_HIDDEN),
         }
-        out, _ = feature_forward(np.ones(FEATURE_DIM), params)
-        assert np.array_equal(out, np.zeros(FEATURE_HIDDEN))
+        out, _ = feature_forward(np.ones((1, FEATURE_DIM)), params)
+        assert np.array_equal(out, np.zeros((1, FEATURE_HIDDEN)))
 
     def test_negative_preactivation_scaled_by_slope(self):
         # b_w = -1 with zero W_w makes every pre-activation -1; the identity
@@ -213,21 +213,21 @@ class TestFeatureForward:
             "feat.W_proj": np.eye(FEATURE_HIDDEN),
             "feat.b_proj": np.zeros(FEATURE_HIDDEN),
         }
-        out, _ = feature_forward(np.zeros(FEATURE_DIM), params)
+        out, _ = feature_forward(np.zeros((1, FEATURE_DIM)), params)
         assert np.allclose(out, -0.25)
 
     def test_batch_matches_single(self, rng):
         params = part_params(rng, "feat.")
         rows = rng.normal(size=(5, FEATURE_DIM))
         batched, _ = feature_forward(rows, params)
-        single = np.stack([feature_forward(r, params)[0] for r in rows])
+        single = np.concatenate([feature_forward(r[None], params)[0] for r in rows])
         assert np.allclose(batched, single)
 
     def test_positive_homogeneity_with_zero_biases(self, rng):
         params = part_params(rng, "feat.")
         params["feat.b_w"][:] = 0.0
         params["feat.b_proj"][:] = 0.0
-        x = rng.normal(size=FEATURE_DIM)
+        x = rng.normal(size=(1, FEATURE_DIM))
         for t in (0.5, 2.0, 7.3):
             assert np.allclose(
                 feature_forward(t * x, params)[0], t * feature_forward(x, params)[0]
@@ -258,7 +258,9 @@ class TestFeatureForward:
     def test_wrong_width_rejected(self, rng):
         params = part_params(rng, "feat.")
         with pytest.raises(ValueError):
-            feature_forward(np.zeros(FEATURE_DIM + 1), params)
+            feature_forward(np.zeros((1, FEATURE_DIM + 1)), params)
+        with pytest.raises(ValueError):  # one row per piece, no other shape
+            feature_forward(np.zeros(FEATURE_DIM), params)
 
 
 class TestResourceFiles:

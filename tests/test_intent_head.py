@@ -32,60 +32,65 @@ def pooled(H, pad_mask, rng):
 
 
 def random_states(rng, b=3, n=6, d=D_H):
+    """Packed hidden states of b sequences padded to n, the first of length
+    4 and the rest full, and their pad mask."""
     H = rng.normal(size=(b, n, d))
     pad = np.ones((b, n), dtype=bool)
     pad[0, 4:] = False
-    H[~pad] = 0.0
-    return H, pad
+    return H[pad], pad
+
+
+def segment_starts(pad):
+    lengths = pad.sum(axis=1)
+    return np.cumsum(lengths) - lengths
 
 
 class TestAttentionLogits:
     def test_zero_matrix_gives_zero_scores(self, rng):
         H, pad = random_states(rng)
-        logits = attention_logits(H, pad, np.zeros((D_H, D_H)), rng.normal(size=D_H))
-        assert np.array_equal(logits[pad], np.zeros(pad.sum()))
-        assert np.all(np.isneginf(logits[~pad]))
+        logits = attention_logits(H, np.zeros((D_H, D_H)), rng.normal(size=D_H))
+        assert np.array_equal(logits, np.zeros(pad.sum()))
 
     def test_single_position(self, rng):
-        H = rng.normal(size=(1, 1, D_H))
+        H = rng.normal(size=(1, D_H))
         logits = attention_logits(
-            H, np.ones((1, 1), bool), rng.normal(size=(D_H, D_H)), rng.normal(size=D_H)
+            H, rng.normal(size=(D_H, D_H)), rng.normal(size=D_H)
         )
-        assert logits.shape == (1, 1)
+        assert logits.shape == (1,)
 
     def test_matches_per_position_evaluation(self, rng):
-        H, pad = random_states(rng)
+        H, _ = random_states(rng)
         W = rng.normal(size=(D_H, D_H))
         v = rng.normal(size=D_H)
-        logits = attention_logits(H, pad, W, v)
-        for b in range(H.shape[0]):
-            for i in range(H.shape[1]):
-                if pad[b, i]:
-                    direct = v @ np.tanh(W @ H[b, i])
-                    assert np.isclose(logits[b, i], direct)
+        logits = attention_logits(H, W, v)
+        for t in range(len(H)):
+            assert np.isclose(logits[t], v @ np.tanh(W @ H[t]))
 
     def test_shape_mismatch(self, rng):
-        H, pad = random_states(rng)
+        H, _ = random_states(rng)
         with pytest.raises(ValueError):
-            attention_logits(H, pad, np.zeros((D_H + 1, D_H + 1)), np.zeros(D_H + 1))
+            attention_logits(H, np.zeros((D_H + 1, D_H + 1)), np.zeros(D_H + 1))
 
 
 class TestAttentionWeights:
     def test_equal_logits_uniform(self):
-        w = attention_weights(np.zeros((1, 4)), D_H)
+        w = attention_weights(np.zeros(4), [4], D_H)
         assert np.allclose(w, 0.25)
 
     def test_closed_form_two_positions(self):
-        logits = np.array([[np.sqrt(D_H), 0.0]])
-        w = attention_weights(logits, D_H)
+        logits = np.array([np.sqrt(D_H), 0.0])
+        w = attention_weights(logits, [2], D_H)
         e = np.exp(1.0)
         assert np.allclose(w, [e / (1 + e), 1 / (1 + e)])
         assert np.allclose(w, [0.7311, 0.2689], atol=5e-5)
 
     def test_shift_invariance(self, rng):
-        logits = rng.normal(size=(2, 5))
+        # a different constant on each segment changes nothing
+        logits = rng.normal(size=10)
+        shifts = np.repeat([3.7, -250.0], 5)
         assert np.allclose(
-            attention_weights(logits, D_H), attention_weights(logits + 3.7, D_H)
+            attention_weights(logits, [5, 5], D_H),
+            attention_weights(logits + shifts, [5, 5], D_H),
         )
 
     def test_scaling_equivalence(self, rng):
@@ -94,49 +99,43 @@ class TestAttentionWeights:
 
         logits = rng.normal(size=(4, 7)) * 5
         assert np.allclose(
-            attention_weights(logits, D_H),
-            stable_softmax(logits / np.sqrt(D_H), axis=-1),
+            attention_weights(logits.ravel(), [7] * 4, D_H),
+            stable_softmax(logits / np.sqrt(D_H), axis=-1).ravel(),
         )
 
-    def test_simplex_with_zero_mass_on_padding(self, rng):
+    def test_each_segment_is_a_simplex(self, rng):
         for _ in range(1000):
-            n = int(rng.integers(2, 9))
-            H = rng.normal(size=(1, n, D_H))
-            pad = np.ones((1, n), dtype=bool)
-            n_pad = int(rng.integers(0, n - 1))
-            if n_pad:
-                pad[0, n - n_pad:] = False
+            lengths = rng.integers(1, 9, size=int(rng.integers(1, 4)))
+            starts = np.cumsum(lengths) - lengths
             logits = attention_logits(
-                H, pad, rng.normal(size=(D_H, D_H)), rng.normal(size=D_H)
+                rng.normal(size=(lengths.sum(), D_H)),
+                rng.normal(size=(D_H, D_H)), rng.normal(size=D_H),
             )
-            alpha = attention_weights(logits, D_H)
-            assert abs(alpha.sum() - 1.0) <= 1e-6
+            alpha = attention_weights(logits, lengths, D_H)
+            assert np.abs(np.add.reduceat(alpha, starts) - 1.0).max() <= 1e-6
             assert (alpha >= 0).all()
-            assert np.array_equal(alpha[~pad], np.zeros(n_pad))
-
-    def test_all_padded_rejected(self):
-        with pytest.raises(ValueError):
-            attention_weights(np.full((1, 3), -np.inf), D_H)
 
 
 class TestPool:
     def test_single_position_is_tanh_of_row(self, rng):
-        H = rng.normal(size=(2, 1, D_H))
+        H = rng.normal(size=(2, D_H))
         alpha, out = pooled(H, np.ones((2, 1), dtype=bool), rng)
-        assert np.array_equal(alpha, np.ones((2, 1)))
-        assert np.allclose(out, np.tanh(H[:, 0]))
+        assert np.array_equal(alpha, np.ones(2))
+        assert np.allclose(out, np.tanh(H))
 
     def test_identical_rows_ignore_weights(self, rng):
         row = rng.normal(size=D_H)
-        H = np.tile(row, (1, 5, 1))
+        H = np.tile(row, (5, 1))
         _, out = pooled(H, np.ones((1, 5), dtype=bool), rng)
         assert np.allclose(out, np.tanh(row))
 
     def test_matches_direct_weighted_sum(self, rng):
         H, pad = random_states(rng)
         alpha, out = pooled(H, pad, rng)
-        for b in range(H.shape[0]):
-            direct = np.tanh(sum(alpha[b, i] * H[b, i] for i in range(H.shape[1])))
+        lengths = pad.sum(axis=1)
+        for b, lo in enumerate(segment_starts(pad)):
+            seg = range(lo, lo + lengths[b])
+            direct = np.tanh(sum(alpha[t] * H[t] for t in seg))
             assert np.allclose(out[b], direct)
 
     def test_output_bounded_by_unit_box(self, rng):
@@ -193,7 +192,7 @@ class TestForwardBackward:
         params = intent_params(rng, mode)
         for p in params.values():  # larger weights make the check non-trivial
             p += rng.normal(scale=0.3, size=p.shape)
-        targets = rng.integers(0, N_INTENTS, size=H.shape[0])
+        targets = rng.integers(0, N_INTENTS, size=len(pad))
 
         y, _, cache = intent_forward(H, pad, params, mode)
         d_H, grads = intent_backward(_ce_grad(y, targets), cache, params)
@@ -217,7 +216,7 @@ class TestForwardBackward:
     def test_gradients_with_dropout_replay(self, rng):
         H, pad = random_states(rng)
         params = intent_params(rng)
-        targets = rng.integers(0, N_INTENTS, size=H.shape[0])
+        targets = rng.integers(0, N_INTENTS, size=len(pad))
 
         y, _, cache = intent_forward(
             H, pad, params, dropout_rate=0.3, rng=np.random.default_rng(5),
@@ -241,8 +240,9 @@ class TestForwardBackward:
         H, pad = random_states(rng)
         params = intent_params(rng)
         _, alpha, _ = intent_forward(H, pad, params)
-        assert (alpha[:, 0] > 0).all()
-        assert (alpha[1:, -1] > 0).all()  # row 0 has padding at the tail
+        starts = segment_starts(pad)
+        assert (alpha[starts] > 0).all()  # every sequence's first piece
+        assert (alpha[np.append(starts[1:], len(H)) - 1] > 0).all()  # and last
 
     def test_pooled_vector_inside_unit_box(self, rng):
         H, pad = random_states(rng)
@@ -254,9 +254,12 @@ class TestForwardBackward:
         H, pad = random_states(rng)
         params = intent_params(rng, "start_token")
         _, alpha, cache = intent_forward(H, pad, params, "start_token")
-        assert np.array_equal(alpha[:, 0], np.ones(H.shape[0]))
-        assert np.array_equal(alpha[:, 1:], np.zeros((H.shape[0], H.shape[1] - 1)))
-        direct = np.tanh(H[:, 0] @ params["int.W_pool"].T + params["int.b_pool"])
+        starts = segment_starts(pad)
+        indicator = np.zeros(len(H))
+        indicator[starts] = 1.0
+        assert np.array_equal(alpha, indicator)
+        first = H[starts]
+        direct = np.tanh(first @ params["int.W_pool"].T + params["int.b_pool"])
         assert np.allclose(cache["h_int"], direct)
 
     def test_unknown_mode_rejected(self, rng):

@@ -31,6 +31,7 @@ from jointnlu.toy import toy_grammar
 from oracles import (
     finite_difference,
     model_losses,
+    model_padded,
     relative_gradient_error,
     viterbi_per_sequence,
 )
@@ -63,9 +64,8 @@ def tiny_batch(rng, b=3, n=7):
             if pad_mask[i, j]:
                 features[i, j, hot[i, j]] = 1.0
     tag_ids = rng.integers(0, N_SLOTS, size=(b, n))
-    tag_ids[~pad_mask] = 0
     intent_ids = rng.integers(0, N_INT, size=b)
-    return Batch(ids, pad_mask, features, tag_ids, intent_ids)
+    return Batch(ids, pad_mask, features[pad_mask], tag_ids[pad_mask], intent_ids)
 
 
 def ragged_batch(rng, lengths, n=7):
@@ -74,12 +74,18 @@ def ragged_batch(rng, lengths, n=7):
     b = len(lengths)
     pad_mask = np.arange(n)[None, :] < np.asarray(lengths)[:, None]
     ids = rng.integers(4, VOCAB, size=(b, n))
-    features = np.zeros((b, n, FEATURE_DIM))
-    hot = rng.integers(0, FEATURE_DIM, size=(b, n))
-    features[pad_mask, hot[pad_mask]] = 1.0
-    tag_ids = np.where(pad_mask, rng.integers(0, N_SLOTS, size=(b, n)), 0)
+    T = int(pad_mask.sum())
+    features = np.zeros((T, FEATURE_DIM))
+    features[np.arange(T), rng.integers(0, FEATURE_DIM, size=T)] = 1.0
+    tag_ids = rng.integers(0, N_SLOTS, size=T)
     intent_ids = rng.integers(0, N_INT, size=b)
     return Batch(ids, pad_mask, features, tag_ids, intent_ids)
+
+
+def segments(batch):
+    """(start, length) of each sequence's packed rows."""
+    lengths = batch.pad_mask.sum(axis=1)
+    return list(zip((np.cumsum(lengths) - lengths).tolist(), lengths.tolist()))
 
 
 class TestConfig:
@@ -128,10 +134,10 @@ class TestForward:
         batch = tiny_batch(rng)
         y_int, slot_scores, alpha, _ = model_outputs(params, cfg, batch)
         assert y_int.shape == (3, N_INT)
-        assert slot_scores.shape == (3, 7, N_SLOTS)
-        assert alpha.shape == (3, 7)
-        assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
-        assert np.allclose(alpha[0, 5:], 0.0)
+        assert slot_scores.shape == (5 + 7 + 7, N_SLOTS)
+        assert alpha.shape == (5 + 7 + 7,)
+        for lo, L in segments(batch):
+            assert np.isclose(alpha[lo:lo + L].sum(), 1.0, atol=1e-6)
 
     def test_deterministic_without_dropout(self, rng):
         cfg = tiny_config()
@@ -222,29 +228,40 @@ class TestGradients:
         ("enc.l0.ln1.g", None), ("enc.l0.W1", 6),
     )
 
+    # the feature net and each pooling mode's tensors, on packed rows
+    FEATURE_PROBE = (("feat.W_w", 6), ("feat.a_prelu", None), ("feat.W_proj", 6))
+    POOL_PROBE = {
+        "attention": (("int.W_score", 6), ("int.v_score", None)),
+        "start_token": (("int.W_pool", 6), ("int.b_pool", None)),
+    }
+
     @pytest.mark.parametrize("slot_mode", SLOT_MODES)
     def test_gradients_match_fd_on_ragged_batch(self, rng, slot_mode):
-        cfg = tiny_config(slot_mode=slot_mode)
-        params = init_model_params(cfg, rng)
-        names = list(self.RAGGED_PROBE)
-        if slot_mode == "crf":
-            for k in ("crf.T", "crf.start", "crf.end"):
-                params[k] = rng.normal(size=params[k].shape)
-                names.append((k, None))
-        batch = ragged_batch(rng, [7, 1, 4, 2, 7])
-        gamma = 0.3
-        _, _, grads = model_loss_and_grads(params, cfg, batch, gamma)
+        for intent_pool in POOL_MODES:
+            cfg = tiny_config(slot_mode=slot_mode, intent_pool=intent_pool)
+            params = init_model_params(cfg, rng)
+            names = [*self.RAGGED_PROBE, *self.FEATURE_PROBE,
+                     *self.POOL_PROBE[intent_pool]]
+            if slot_mode == "crf":
+                for k in ("crf.T", "crf.start", "crf.end"):
+                    params[k] = rng.normal(size=params[k].shape)
+                    names.append((k, None))
+            batch = ragged_batch(rng, [7, 1, 4, 2, 7])
+            gamma = 0.3
+            _, _, grads = model_loss_and_grads(params, cfg, batch, gamma)
 
-        def loss(_parms=None):
-            li, ls = model_losses(params, cfg, batch)
-            return gamma * li + (1.0 - gamma) * ls
+            def loss(_parms=None, cfg=cfg, params=params, batch=batch):
+                li, ls = model_losses(params, cfg, batch)
+                return gamma * li + (1.0 - gamma) * ls
 
-        for name, coords in names:
-            probed, fd = finite_difference(
-                loss, params, name, step=1e-5, max_coords=coords, rng=rng
-            )
-            err = relative_gradient_error(grads[name].reshape(-1)[probed], fd)
-            assert err.max() <= 1e-4, f"{slot_mode} {name}: {err.max():.2e}"
+            for name, coords in names:
+                probed, fd = finite_difference(
+                    loss, params, name, step=1e-5, max_coords=coords, rng=rng
+                )
+                err = relative_gradient_error(grads[name].reshape(-1)[probed], fd)
+                assert err.max() <= 1e-4, (
+                    f"{slot_mode} {intent_pool} {name}: {err.max():.2e}"
+                )
 
     def test_start_token_pool_gradients_match_fd(self, rng):
         cfg = tiny_config(intent_pool="start_token")
@@ -316,52 +333,176 @@ class TestGradients:
         assert ls_a == pytest.approx(ls_b, abs=1e-15)
 
 
+class TestPackedMatchesPaddedModel:
+    """model_outputs and model_loss_and_grads against oracles.model_padded,
+    which runs the heads, the feature net and the losses on the padded
+    (b, n) layout, padding included."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("slot_features", [True, False])
+    @pytest.mark.parametrize("intent_pool", POOL_MODES)
+    @pytest.mark.parametrize("slot_mode", SLOT_MODES)
+    def test_losses_outputs_and_gradients_match(
+        self, rng, slot_mode, intent_pool, slot_features, rate
+    ):
+        cfg = tiny_config(slot_mode=slot_mode, intent_pool=intent_pool,
+                          slot_features=slot_features, dropout_rate=rate)
+        for trial in range(3):
+            params = init_model_params(cfg, rng, scale=0.3)
+            lengths = rng.integers(1, 8, size=5)
+            lengths[:2] = (1, 7)
+            batch = ragged_batch(rng, lengths)  # random ids in the padding
+            pad = batch.pad_mask
+
+            rng_packed = np.random.default_rng(trial)
+            rng_padded = np.random.default_rng(trial)
+            l_int, l_slot, grads = model_loss_and_grads(
+                params, cfg, batch, 0.4, rng_packed)
+            ref_int, ref_slot, ref_grads, *_ = model_padded(
+                params, cfg, batch, 0.4, rng_padded)
+            assert rng_packed.bit_generator.state == rng_padded.bit_generator.state
+            assert abs(l_int - ref_int) <= 1e-12
+            assert abs(l_slot - ref_slot) <= 1e-12
+            assert grads.keys() == ref_grads.keys() == params.keys()
+            for name in params:
+                err = np.abs(grads[name] - ref_grads[name]).max()
+                assert err <= 1e-12, f"{name}: {err:.2e}"
+
+            y_int, scores, alpha, _ = model_outputs(
+                params, cfg, batch, np.random.default_rng(trial))
+            *_, ref_y, ref_scores, ref_alpha = model_padded(
+                params, cfg, batch, 0.4, np.random.default_rng(trial))
+            assert np.abs(y_int - ref_y).max() <= 1e-12
+            assert np.abs(scores - ref_scores[pad]).max() <= 1e-12
+            assert np.abs(alpha - ref_alpha[pad]).max() <= 1e-12
+            assert (ref_alpha[~pad] == 0.0).all()
+
+
+def _arrays(obj, path=()):
+    """Every ndarray inside nested dicts, lists and tuples, with its path."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _arrays(value, path + (key,))
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _arrays(value, path + (i,))
+
+
+class TestPackedLayout:
+    """From the encoder's output to the loss every per-piece array has one
+    row per real piece. Only the encoder's attention block (q, k, v and the
+    attention probabilities) holds a padded length axis; the CRF's padded
+    arrays live inside crf_nll and viterbi."""
+
+    # b = 5 sequences padded to n = 7 hold T = 21 pieces; n is none of the
+    # model's widths, so any array with a length axis shows it.
+    LENGTHS, N = [7, 1, 4, 2, 7], 7
+
+    def _check(self, where, arr, params):
+        b, T, n = len(self.LENGTHS), sum(self.LENGTHS), self.N
+        if any(arr is p for p in params.values()):
+            return  # a layer-norm gain the cache holds by reference
+        if where[-1] in ("q", "k", "v", "probs"):
+            assert arr.shape[0] == b and arr.shape[2] == n, where
+        else:
+            assert arr.shape[0] in (T, b), (where, arr.shape)
+            assert n not in arr.shape[1:], (where, arr.shape)
+
+    @pytest.mark.parametrize("slot_mode", SLOT_MODES)
+    @pytest.mark.parametrize("intent_pool", POOL_MODES)
+    def test_cache_and_gradients_are_packed(self, rng, monkeypatch, slot_mode,
+                                            intent_pool):
+        import jointnlu.model as model
+
+        cfg = tiny_config(slot_mode=slot_mode, intent_pool=intent_pool,
+                          dropout_rate=0.2)
+        params = init_model_params(cfg, rng)
+        batch = ragged_batch(rng, self.LENGTHS, n=self.N)
+        *_, cache = model_outputs(params, cfg, batch, np.random.default_rng(0))
+        for where, arr in _arrays(cache):
+            self._check(where, arr, params)
+
+        # the gradient each backward pass receives and hands on
+        seen = []
+        for name in ("slot_backward", "intent_backward", "feature_backward",
+                     "encode_backward"):
+            def record(*args, _fn=getattr(model, name), _name=name):
+                out = _fn(*args)
+                parts = out if isinstance(out, tuple) else (out,)
+                seen.append((_name, [args[0]] + [
+                    p for p in parts if not isinstance(p, dict)]))
+                return out
+            monkeypatch.setattr(model, name, record)
+        model_loss_and_grads(params, cfg, batch, 0.4, np.random.default_rng(0))
+        assert len(seen) == 4
+        for where, arr in _arrays(seen):
+            self._check(where, arr, params)
+
+
 class TestSlotLossShape:
     def test_softmax_loss_is_per_sequence_position_mean(self, rng):
         from jointnlu.model import _softmax_slot_loss
         from jointnlu.numerics import log_softmax
 
-        b, n, S = 2, 4, 3
-        scores = rng.normal(size=(b, n, S))
-        tags = rng.integers(0, S, size=(b, n))
+        S = 3
         mask = np.array([[True] * 4, [True, True, True, False]])
+        scores = rng.normal(size=(7, S))
+        tags = rng.integers(0, S, size=7)
         loss, _ = _softmax_slot_loss(scores, tags, mask)
-        manual = []
-        for i in range(b):
-            rows = []
-            for j in range(n):
-                if mask[i, j]:
-                    rows.append(-log_softmax(scores[i, j])[tags[i, j]])
-            manual.append(np.mean(rows))
+        manual = [
+            np.mean([-log_softmax(scores[t])[tags[t]] for t in rows])
+            for rows in (range(0, 4), range(4, 7))
+        ]
         assert loss == pytest.approx(np.mean(manual))
 
     def test_padded_positions_carry_no_gradient(self, rng):
-        from jointnlu.model import _softmax_slot_loss
-
-        scores = rng.normal(size=(2, 4, 3))
-        tags = rng.integers(0, 3, size=(2, 4))
-        mask = np.array([[True, True, False, False], [True] * 4])
-        _, d = _softmax_slot_loss(scores, tags, mask)
-        assert np.allclose(d[0, 2:], 0.0)
-
+        # whatever ids the padded slots hold, no loss or gradient moves
+        batch = ragged_batch(rng, [7, 1, 4, 2, 7])
+        ids = batch.ids.copy()
+        ids[~batch.pad_mask] = rng.integers(0, VOCAB, size=(~batch.pad_mask).sum())
+        other = Batch(ids, batch.pad_mask, batch.features, batch.tag_ids,
+                      batch.intent_ids)
+        for slot_mode in SLOT_MODES:
+            cfg = tiny_config(slot_mode=slot_mode, dropout_rate=0.3)
+            params = init_model_params(cfg, rng)
+            li, ls, g = model_loss_and_grads(
+                params, cfg, batch, 0.4, np.random.default_rng(3))
+            li2, ls2, g2 = model_loss_and_grads(
+                params, cfg, other, 0.4, np.random.default_rng(3))
+            assert (li2, ls2) == (li, ls)
+            for k in g:
+                assert np.array_equal(g2[k], g[k]), (slot_mode, k)
 
     def test_crf_padded_positions_carry_no_gradient(self, rng):
+        from jointnlu.crf import crf_nll, crf_nll_backward
         from jointnlu.model import _crf_slot_loss
 
         cfg = tiny_config(slot_mode="crf")
         params = init_model_params(cfg, rng)
         mask = np.array([[True, True, False, False], [True] * 4,
                          [True, False, False, False]])
-        scores = rng.normal(size=(3, 4, N_SLOTS))
-        tags = np.where(mask, rng.integers(0, N_SLOTS, size=(3, 4)), 0)
+        T = int(mask.sum())
+        scores = rng.normal(size=(T, N_SLOTS))
+        tags = rng.integers(0, N_SLOTS, size=T)
         loss, d, grads = _crf_slot_loss(scores, tags, mask, params)
-        assert (d[~mask] == 0.0).all()
-        # whatever the padded rows hold, nothing else moves
-        scores[~mask] = rng.normal(size=(int((~mask).sum()), N_SLOTS)) * 1e6
-        loss2, d2, grads2 = _crf_slot_loss(scores, tags, mask, params)
-        assert loss2 == loss and np.array_equal(d2, d)
-        for k in grads:
-            assert np.array_equal(grads2[k], grads[k]), k
+        assert d.shape == (T, N_SLOTS)
+        # the CRF on padded emissions, with anything at all in the padding
+        emissions = rng.normal(size=(3, 4, N_SLOTS)) * 1e6
+        emissions[mask] = scores
+        padded_tags = rng.integers(0, N_SLOTS, size=(3, 4))
+        padded_tags[mask] = tags
+        nll, cache = crf_nll(emissions, padded_tags, params["crf.T"],
+                             params["crf.start"], params["crf.end"],
+                             mask.sum(axis=1))
+        g = crf_nll_backward(cache)
+        assert loss == float(nll.sum()) / 3
+        assert (g["emissions"][~mask] == 0.0).all()
+        assert np.array_equal(d, g["emissions"][mask] / 3)
+        for k, key in (("crf.T", "trans"), ("crf.start", "start"),
+                       ("crf.end", "end")):
+            assert np.array_equal(grads[k], g[key] / 3), k
 
 
 class TestPredict:
@@ -373,7 +514,7 @@ class TestPredict:
             intents, pieces, alpha = predict_batch(params, cfg, batch)
             assert intents.shape == (3,)
             assert all(0 <= i < N_INT for i in intents)
-            lengths = batch.lengths
+            lengths = batch.pad_mask.sum(axis=1)
             for i, p in enumerate(pieces):
                 assert len(p) == lengths[i]
                 assert p.min() >= 0 and p.max() < N_SLOTS
@@ -399,8 +540,8 @@ class TestPredict:
             batch = ragged_batch(rng, [7, 1, 4, 2, 7])
             _, slot_scores, _, _ = model_outputs(params, cfg, batch)
             _, pieces, _ = predict_batch(params, cfg, batch)
-            for i, L in enumerate(batch.lengths):
-                emissions = slot_scores[i, :L]
+            for i, (lo, L) in enumerate(segments(batch)):
+                emissions = slot_scores[lo:lo + L]
                 if slot_mode == "crf":
                     alone = viterbi_per_sequence(
                         emissions, params["crf.T"], params["crf.start"],
@@ -475,8 +616,24 @@ class TestBatch:
             L = len(seq)
             assert batch.pad_mask[i, :L].all()
             assert not batch.pad_mask[i, L:].any()
+            assert batch.ids[i, :L].tolist() == list(seq.piece_ids)
             assert (batch.ids[i, L:] == 0).all()
-            assert np.allclose(batch.features[i, L:], 0.0)
+        # the per-piece arrays are packed: sequence after sequence
+        assert np.array_equal(
+            batch.features, np.concatenate([s.features for s in seqs])
+        )
+        assert batch.tag_ids.tolist() == [
+            slot_vocab.encode(t) for s in seqs for t in s.piece_tags
+        ]
+
+    def test_per_piece_arrays_need_one_row_per_real_position(self, rng):
+        batch = tiny_batch(rng)
+        with pytest.raises(ValueError):
+            Batch(batch.ids, batch.pad_mask, batch.features[:-1],
+                  batch.tag_ids, batch.intent_ids)
+        with pytest.raises(ValueError):
+            Batch(batch.ids, batch.pad_mask, batch.features,
+                  batch.tag_ids[:-1], batch.intent_ids)
 
     def test_mismatched_lengths_rejected(self, rng):
         with pytest.raises(ValueError):

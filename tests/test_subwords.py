@@ -168,6 +168,26 @@ class TestAlign:
         assert np.array_equal(seq.features[1], feats[0])
         assert np.array_equal(seq.features[2], feats[0])
 
+    def test_feature_block_of_several_multi_piece_words(self):
+        # broad|##rick, mu|##sic and p|##l|##ay: every piece copies its
+        # word's row, the markers get zero rows, all bit for bit
+        v = make_vocab("broad", "##rick", "mu", "##sic", "p", "##l", "##ay")
+        words = ["broadrick", "music", "play", "music"]
+        feats = np.random.default_rng(4).normal(size=(4, FEATURE_DIM))
+        seq = align(words, [O_TAG] * 4, feats, v, max_len=50)
+        word_of_piece = [0, 0, 1, 1, 2, 2, 2, 3, 3]
+        want = np.zeros((len(word_of_piece) + 2, FEATURE_DIM))
+        for i, w in enumerate(word_of_piece):
+            want[i + 1] = feats[w]
+        assert seq.features.dtype == np.float64
+        assert seq.features.tobytes() == want.tobytes()
+        # a truncated sequence keeps the rows of the words it kept
+        cut = align(words, [O_TAG] * 4, feats, v, max_len=8)
+        assert cut.truncated and cut.word_count == 2
+        assert cut.features.tobytes() == np.vstack(
+            [want[:5], np.zeros((1, FEATURE_DIM))]
+        ).tobytes()
+
     def test_markers_carry_zero_features_and_x(self):
         v = self._vocab()
         seq = align(["play"], [O_TAG], np.ones((1, FEATURE_DIM)), v, max_len=50)
