@@ -45,7 +45,7 @@ assert cases[8] is CaseClass.O
 # ------------------------------------------------------------------
 # The dense encoding: one 23-dim row per word, exactly two ones.
 # ------------------------------------------------------------------
-row = encode_features(EntityClass.CITY, CaseClass.INIT_UPPER)
+row = encode_features([EntityClass.CITY], [CaseClass.INIT_UPPER])[0]
 print("\nfeature row length:", row.shape[0])
 print("hot positions:", [int(i) for i in row.nonzero()[0]],
       "(entity block 0-18, case block 19-22)")

@@ -5,8 +5,9 @@ Attention pooling for the intent representation
 The intent head scores every encoder state with a small feed-forward
 probe, temperature-scales by 1/sqrt(d_h), and softmaxes the scores within
 each sequence into pooling weights. The hidden states arrive packed, one
-row per real piece, so padding never enters the softmax. The pooled state
-is a weight-averaged mix of the sequence, squashed by tanh.
+row per real piece, with each sequence's length saying which rows are
+whose, so padding never enters the softmax. The pooled state is a
+weight-averaged mix of the sequence, squashed by tanh.
 """
 
 import numpy as np
@@ -25,18 +26,17 @@ config = ModelConfig(
 )
 params = init_model_params(config, rng, scale=0.3)
 
-# A batch of two sequences of 6 and 4 pieces. The mask describes the padded
-# (2, 6) layout; the hidden states are its 10 real rows, packed.
-pad_mask = np.ones((2, 6), dtype=bool)
-pad_mask[1, 4:] = False
-H = rng.normal(size=(int(pad_mask.sum()), d_h))
+# A batch of two sequences of 6 and 4 pieces: their 10 hidden states,
+# packed one after the other, and the two lengths.
+lengths = np.array([6, 4])
+H = rng.normal(size=(int(lengths.sum()), d_h))
 
-y_int, alpha, cache = intent_forward(H, pad_mask, params, "attention")
+y_int, alpha, cache = intent_forward(H, lengths, params, "attention")
 pooled = cache["h_int"]
 
 print("intent logits shape:", y_int.shape)
 print("pooling weights, one per real piece:")
-segments = np.split(alpha, [6])
+segments = np.split(alpha, np.cumsum(lengths)[:-1])
 for row in segments:
     print("  ", np.round(row, 3), "sum =", round(float(row.sum()), 6))
 
@@ -55,9 +55,8 @@ print("pooled state range:",
 # that scaling already applied and unit temperature.
 # ------------------------------------------------------------------
 logits = rng.normal(size=24) * 4.0
-lengths = [8, 8, 8]
-direct = attention_weights(logits, lengths, d_h)
-rescaled = attention_weights(logits / np.sqrt(d_h), lengths, 1)
+direct = attention_weights(logits, [8, 8, 8], d_h)
+rescaled = attention_weights(logits / np.sqrt(d_h), [8, 8, 8], 1)
 print("temperature equivalence:", np.allclose(direct, rescaled, atol=1e-12))
 
 # Sharper scores concentrate the pooled mix; the temperature keeps the

@@ -6,8 +6,9 @@ The slot head can decode each position independently (argmax over the
 emission scores) or through a linear-chain CRF whose transition table
 scores tag-to-tag moves. The CRF's log-partition function is checked
 against brute-force enumeration here, and a crafted example shows the
-two decoders disagreeing. The CRF functions take a padded batch of
-sequences, (batch, positions, tags); one sequence is a batch of one.
+two decoders disagreeing. The CRF functions take packed rows, (positions,
+tags), and the length of each sequence packed in them; with no lengths the
+rows are one sequence. Nothing is padded.
 """
 
 import itertools
@@ -38,13 +39,13 @@ all_paths = list(itertools.product(range(n_tags), repeat=n_positions))
 log_partition_brute = logsumexp([path_score(p) for p in all_paths])
 
 gold = np.array([0, 1, 1, 2])
-nll, _ = crf_nll(emissions[None], gold[None], trans, start, end)
+nll, _ = crf_nll(emissions, gold, trans, start, end)
 log_partition = path_score(tuple(gold)) + nll[0]
 print("log partition, brute force:", round(float(log_partition_brute), 10))
 print("log partition, forward alg:", round(float(log_partition), 10))
 
 best_brute = max(all_paths, key=path_score)
-best_viterbi = viterbi(emissions[None], trans, start, end)[0]
+best_viterbi = viterbi(emissions, trans, start, end)
 print("best path, brute force:", list(best_brute))
 print("best path, viterbi:    ", [int(t) for t in best_viterbi])
 
@@ -66,7 +67,20 @@ start = np.array([0.0, 0.0, no_move])
 end = np.zeros(3)
 
 independent = emissions.argmax(axis=1)
-structured = viterbi(emissions[None], trans, start, end)[0]
+structured = viterbi(emissions, trans, start, end)
 names = np.array(["O", "B", "I"])
 print("\nindependent decode:", [str(n) for n in names[independent]])
 print("structured decode: ", [str(n) for n in names[structured]])
+
+# ------------------------------------------------------------------
+# A batch is its sequences' rows one after another, and their lengths.
+# Here the 3-position example and a 2-position one that reads B I,
+# decoded in one call: each sequence decodes as it does alone.
+# ------------------------------------------------------------------
+second = np.array([[0.1, 1.0, 0.0], [0.2, 0.0, 1.0]])
+batch = np.concatenate([emissions, second])
+paths = viterbi(batch, trans, start, end, lengths=[3, 2])
+alone = viterbi(second, trans, start, end)
+print("\nbatch of lengths 3 and 2:", [str(n) for n in names[paths]])
+assert np.array_equal(paths[:3], structured)
+assert np.array_equal(paths[3:], alone)

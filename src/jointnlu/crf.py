@@ -7,85 +7,77 @@ obtained from a log-space forward-backward sweep (Sutton & McCallum, "An
 Introduction to Conditional Random Fields", arXiv:1011.4088). Decoding is
 Viterbi with ties broken toward the lowest tag id at each backtrack step.
 
-Every function takes a padded batch: emissions (b, n, K), tags (b, n) and
-`lengths` (b,), each in 1..n (default: all n). Positions at or past a
-sequence's length are padding; their values are never read and their
-emission gradient is exactly 0. One sequence is a batch of one.
+Every function takes packed rows: emissions (T, K) and tags (T,) hold the
+positions of b sequences one after another, and `lengths` (b,) gives each
+sequence's length (default: one sequence of all T rows). Nothing is padded.
 
-The recursions step over positions and update only the sequences that are
-still running. The batch is sorted by length, longest first, so those are
-always a leading block of rows.
+The recursions step over positions. The rows are regrouped once into
+step-major order: position 0 of every sequence, then position 1 of every
+sequence that has one, and so on, the sequences ranked longest first. The
+sequences still running at a step are then the leading rows of the step
+before it, so every step reads and writes contiguous slices.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 
-class _Batch:
-    """Inputs sorted by length, longest first, with the recursion bounds."""
+class _Steps(NamedTuple):
+    """Where each packed row sits in step-major order.
 
-    def __init__(self, emissions, trans, start, end, lengths):
-        emissions = np.asarray(emissions, dtype=np.float64)
-        if emissions.ndim != 3:
-            raise ValueError(f"emissions must be (b, n, K), got {emissions.shape}")
-        b, n, K = emissions.shape
-        if b < 1 or n < 1:
-            raise ValueError("need at least one sequence and one position")
-        if trans.shape != (K, K) or start.shape != (K,) or end.shape != (K,):
-            raise ValueError("transition/start/end shapes disagree with emissions")
-        if lengths is None:
-            lengths = np.full(b, n)
-        lengths = np.asarray(lengths, dtype=np.intp)
-        if lengths.shape != (b,):
-            raise ValueError(f"need one length per sequence, got {lengths.shape}")
-        by_length = lengths.tolist()
-        if any(x < y for x, y in zip(by_length, by_length[1:])):
-            self.order = np.argsort(-lengths, kind="stable")
-            lengths, emissions = lengths[self.order], emissions[self.order]
-            by_length = lengths.tolist()
-        else:  # already longest first, as any batch of one is
-            self.order = None
-        if by_length[-1] < 1 or by_length[0] > n:
-            raise ValueError(f"sequence lengths must be in 1..{n}")
-        self.lengths, self.emissions, self.shape = lengths, emissions, (b, n, K)
-        # running[t]: how many sequences have a position t; they are the
-        # first rows.
-        self.running = []
-        m = b
-        for t in range(by_length[0]):
-            while by_length[m - 1] <= t:
-                m -= 1
-            self.running.append(m)
+    Step t holds position t of every sequence longer than t, in rank order,
+    at rows offsets[t] .. offsets[t] + counts[t]. rows[r] is the packed row
+    of step-major row r (None when the two orders agree); last[i] is the
+    step-major row of sequence i's last position.
+    """
 
-    @cached_property
-    def real(self) -> np.ndarray:
-        """(b, n) mask, True at the positions of a sequence."""
-        return np.arange(self.shape[1])[None, :] < self.lengths[:, None]
+    lengths: np.ndarray
+    rows: Optional[np.ndarray]
+    counts: List[int]
+    offsets: List[int]
+    ranks: List[int]
+    last: List[int]
 
-    def tags(self, tags) -> np.ndarray:
-        """Gold tags in sorted order, padding set to tag 0."""
-        tags = np.asarray(tags)
-        if tags.shape != self.shape[:2]:
-            raise ValueError(
-                f"need tags of shape {self.shape[:2]}, got {tags.shape}"
-            )
-        if self.order is not None:
-            tags = tags[self.order]
-        tags = np.where(self.real, tags, 0)
-        if tags.min() < 0 or tags.max() >= self.shape[2]:
-            raise ValueError("tag id out of range")
-        return tags
 
-    def restore(self, sorted_rows: np.ndarray) -> np.ndarray:
-        """Put per-sequence rows back in input order."""
-        if self.order is None:
-            return sorted_rows
-        out = np.empty_like(sorted_rows)
-        out[self.order] = sorted_rows
-        return out
+def _steps(T: int, lengths) -> _Steps:
+    lengths = np.asarray([T] if lengths is None else lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.size < 1:
+        raise ValueError(f"need a (b,) array of lengths, got {lengths.shape}")
+    if lengths.min() < 1 or lengths.sum() != T:
+        raise ValueError(f"sequence lengths must be positive and sum to {T}")
+    b = len(lengths)
+    if b == 1:  # one sequence is already in step-major order
+        rows, ranks, counts, offsets = None, [0], [1] * T, list(range(T))
+    else:
+        order = np.argsort(-lengths, kind="stable")
+        steps = int(lengths[order[0]])
+        counts = b - np.cumsum(np.bincount(lengths, minlength=steps))[:steps]
+        offsets = np.cumsum(counts) - counts
+        rank_of_row = np.arange(T) - np.repeat(offsets, counts)
+        starts = np.cumsum(lengths) - lengths
+        rows = starts[order][rank_of_row] + np.repeat(np.arange(steps), counts)
+        rank = np.empty(b, dtype=np.intp)
+        rank[order] = np.arange(b)
+        ranks, counts, offsets = rank.tolist(), counts.tolist(), offsets.tolist()
+    last = [offsets[L - 1] + r for L, r in zip(lengths.tolist(), ranks)]
+    return _Steps(lengths, rows, counts, offsets, ranks, last)
+
+
+def _inputs(emissions, trans, start, end, lengths):
+    """Checked emissions and their layout, and the emissions in step-major
+    order."""
+    emissions = np.asarray(emissions, dtype=np.float64)
+    if emissions.ndim != 2:
+        raise ValueError(f"emissions must be (T, K), got {emissions.shape}")
+    T, K = emissions.shape
+    if trans.shape != (K, K) or start.shape != (K,) or end.shape != (K,):
+        raise ValueError("transition/start/end shapes disagree with emissions")
+    steps = _steps(T, lengths)
+    em = emissions if steps.rows is None else emissions[steps.rows]
+    return emissions, steps, em
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -99,14 +91,15 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _path_scores(batch: _Batch, tags: np.ndarray, trans, start, end) -> np.ndarray:
-    """Unnormalized log-score of each sorted sequence's tag path."""
-    b = batch.shape[0]
-    gold = np.take_along_axis(batch.emissions, tags[:, :, None], axis=2)[:, :, 0]
-    score = np.where(batch.real, gold, 0.0).sum(axis=1)
-    pairs = trans[tags[:, :-1], tags[:, 1:]]
-    score += np.where(batch.real[:, 1:], pairs, 0.0).sum(axis=1)
-    score += start[tags[:, 0]] + end[tags[np.arange(b), batch.lengths - 1]]
+def _path_scores(emissions, tags, lengths, trans, start, end) -> np.ndarray:
+    """Unnormalized log-score of each sequence's tag path, on packed rows."""
+    starts = np.cumsum(lengths) - lengths
+    # Row t's term: its emission plus the transition into it, none at a start.
+    terms = emissions[np.arange(len(tags)), tags]
+    terms[1:] += trans[tags[:-1], tags[1:]]
+    terms[starts] = emissions[starts, tags[starts]]
+    score = np.add.reduceat(terms, starts)
+    score += start[tags[starts]] + end[tags[starts + lengths - 1]]
     return score
 
 
@@ -123,28 +116,33 @@ def crf_nll(
     """Negative log-likelihood of each gold path, log Z - score(gold), and
     the cache crf_nll_backward needs.
 
-    The loss is a (b,) array; the cache's "log_z" holds each sequence's
-    log Z, longest sequence first.
+    The loss is a (b,) array, as is the cache's "log_z", each sequence's
+    log Z.
     """
-    batch = _Batch(emissions, trans, start, end, lengths)
-    tags = batch.tags(tags)
-    em, running = batch.emissions, batch.running
-    b, n, K = batch.shape
+    emissions, steps, em = _inputs(emissions, trans, start, end, lengths)
+    T, K = emissions.shape
+    tags = np.asarray(tags)
+    if tags.shape != (T,):
+        raise ValueError(f"need tags of shape {(T,)}, got {tags.shape}")
+    if tags.min() < 0 or tags.max() >= K:
+        raise ValueError("tag id out of range")
+    counts, offsets = steps.counts, steps.offsets
 
-    log_alpha = np.zeros((b, n, K))
-    log_alpha[:, 0] = start + em[:, 0]
-    for t in range(1, len(running)):
-        m = running[t]
-        log_alpha[:m, t] = em[:m, t] + _logsumexp(
-            log_alpha[:m, t - 1, :, None] + trans, axis=1
+    log_alpha = np.empty((T, K))
+    np.add(start, em[:counts[0]], out=log_alpha[:counts[0]])
+    for t in range(1, len(counts)):
+        lo, m, prev = offsets[t], counts[t], offsets[t - 1]
+        np.add(
+            em[lo:lo + m],
+            _logsumexp(log_alpha[prev:prev + m, :, None] + trans, axis=1),
+            out=log_alpha[lo:lo + m],
         )
-    last = log_alpha[np.arange(b), batch.lengths - 1]
-    log_z = _logsumexp(last + end, axis=1)
+    log_z = _logsumexp(log_alpha[steps.last] + end, axis=1)
 
-    nll = batch.restore(log_z - _path_scores(batch, tags, trans, start, end))
+    nll = log_z - _path_scores(emissions, tags, steps.lengths, trans, start, end)
     cache = dict(
-        batch=batch, tags=tags, trans=trans, end=end,
-        log_alpha=log_alpha, log_z=log_z,
+        steps=steps, em=em, tags=tags if steps.rows is None else tags[steps.rows],
+        trans=trans, end=end, log_alpha=log_alpha, log_z=log_z,
     )
     return nll, cache
 
@@ -154,51 +152,56 @@ def crf_nll_backward(cache: dict) -> dict[str, np.ndarray]:
     """Exact gradients of the summed crf_nll w.r.t. emissions, trans, start
     and end.
 
-    The emission gradient is the classic (posterior marginals - gold one-hot)
-    at real positions and 0 at padding, shaped like the emissions passed in.
-    Transition, start and end gradients follow the same pattern with
-    pairwise and boundary marginals, summed over the batch.
+    The emission gradient is the classic (posterior marginals - gold one-hot),
+    packed like the emissions passed in. Transition, start and end gradients
+    follow the same pattern with pairwise and boundary marginals, summed over
+    the batch.
     """
-    batch, tags, trans = cache["batch"], cache["tags"], cache["trans"]
+    steps, em, tags, trans = cache["steps"], cache["em"], cache["tags"], cache["trans"]
     log_alpha, log_z = cache["log_alpha"], cache["log_z"]
-    em, running, real, lengths = (
-        batch.emissions, batch.running, batch.real, batch.lengths,
-    )
-    b, n, K = batch.shape
-    rows = np.arange(b)
+    counts, offsets = steps.counts, steps.offsets
+    T, K = em.shape
+    b = counts[0]
 
-    log_beta = np.zeros((b, n, K))
-    log_beta[rows, lengths - 1] = cache["end"]
-    for t in range(len(running) - 2, -1, -1):
-        m = running[t + 1]
-        log_beta[:m, t] = _logsumexp(
-            trans + (em[:m, t + 1] + log_beta[:m, t + 1])[:, None, :], axis=2
+    log_beta = np.empty((T, K))
+    log_beta[steps.last] = cache["end"]
+    for t in range(len(counts) - 2, -1, -1):
+        lo, m, nxt = offsets[t], counts[t + 1], offsets[t + 1]
+        log_beta[lo:lo + m] = _logsumexp(
+            trans + (em[nxt:nxt + m] + log_beta[nxt:nxt + m])[:, None, :], axis=2
         )
 
-    d_emissions = np.zeros((b, n, K))
-    d_emissions[real] = np.exp(
-        log_alpha[real] + log_beta[real] - np.repeat(log_z, lengths)[:, None]
-    )
-    seq, pos = np.nonzero(real)
-    d_emissions[seq, pos, tags[seq, pos]] -= 1.0
+    # Each step-major row's log Z.
+    row_log_z = np.repeat(log_z, steps.lengths)
+    if steps.rows is not None:
+        row_log_z = row_log_z[steps.rows]
+    d_em = np.exp(log_alpha + log_beta - row_log_z[:, None])
+    d_em[np.arange(T), tags] -= 1.0
 
-    # Pairwise marginals of every transition inside a sequence, t -> t+1.
-    inner = real[:, 1:]
+    # Pairwise marginals of every transition inside a sequence: step-major
+    # row r >= b follows row r - (the count of the step before it).
+    prev = np.arange(b, T) - np.repeat(
+        np.array(counts[:-1], dtype=np.intp), counts[1:]
+    )
     log_pair = (
-        log_alpha[:, :-1][inner][:, :, None]
+        log_alpha[prev][:, :, None]
         + trans
-        + (em[:, 1:][inner] + log_beta[:, 1:][inner])[:, None, :]
-        - np.repeat(log_z, lengths - 1)[:, None, None]
+        + (em[b:] + log_beta[b:])[:, None, :]
+        - row_log_z[b:, None, None]
     )
     d_trans = np.exp(log_pair, out=log_pair).sum(axis=0)
-    moves = tags[:, :-1][inner] * K + tags[:, 1:][inner]
-    d_trans -= np.bincount(moves, minlength=K * K).reshape(K, K)
+    d_trans -= np.bincount(tags[prev] * K + tags[b:], minlength=K * K).reshape(K, K)
 
+    if steps.rows is None:
+        d_emissions = d_em
+    else:
+        d_emissions = np.empty_like(d_em)
+        d_emissions[steps.rows] = d_em
     return dict(
-        emissions=batch.restore(d_emissions),
+        emissions=d_emissions,
         trans=d_trans,
-        start=d_emissions[:, 0].sum(axis=0),
-        end=d_emissions[rows, lengths - 1].sum(axis=0),
+        start=d_em[:b].sum(axis=0),
+        end=d_em[steps.last].sum(axis=0),
     )
 
 
@@ -212,36 +215,33 @@ def viterbi(
     """Highest-scoring tag path of each sequence; argmax ties pick the
     lowest tag id.
 
-    Returns (b, n) paths with 0 at padded positions.
+    Returns the (T,) tags, packed like the emissions.
     """
-    batch = _Batch(emissions, trans, start, end, lengths)
-    running = batch.running
-    b, n, K = batch.shape
-    steps = len(running)
-    em = batch.emissions.transpose(1, 0, 2)
+    emissions, steps, em = _inputs(emissions, trans, start, end, lengths)
+    counts, offsets = steps.counts, steps.offsets
+    T, K = emissions.shape
 
-    # delta[t, i, j]: best score of sequence i's path prefix ending in tag j
-    # at position t.
-    delta = np.zeros((steps, b, K))
-    np.add(start, em[0], out=delta[0])
-    for t in range(1, steps):
-        m = running[t]
-        best = np.maximum.reduce(delta[t - 1, :m, :, None] + trans, axis=1)
-        np.add(em[t, :m], best, out=delta[t, :m])
-    # choice[i][t][j] for j < K: the best tag before tag j at position t + 1
-    # of sequence i; choice[i][t][K]: the best last tag if sequence i ends at
-    # position t. One argmax over every step, previous tag on the last axis.
+    # delta[r, j]: best score of a path prefix ending in tag j at row r.
+    delta = np.empty((T, K))
+    np.add(start, em[:counts[0]], out=delta[:counts[0]])
+    for t in range(1, len(counts)):
+        lo, m, prev = offsets[t], counts[t], offsets[t - 1]
+        best = np.maximum.reduce(delta[prev:prev + m, :, None] + trans, axis=1)
+        np.add(em[lo:lo + m], best, out=delta[lo:lo + m])
+    # choice[r][j] for j < K: the best tag at row r before tag j at the next
+    # position; choice[r][K]: the best last tag if the sequence ends at row
+    # r. One argmax over every row, previous tag on the last axis.
     into = np.concatenate([trans.T, end[None]])
-    choice = (delta[:, :, None, :] + into).argmax(axis=3).transpose(1, 0, 2)
+    choice = (delta[:, None, :] + into).argmax(axis=2).tolist()
 
     # The walk back along the pointers is on Python ints: a step costs far
     # less than one numpy call, which matters most for a batch of one.
     paths = []
-    for steps_back, length in zip(choice.tolist(), batch.lengths.tolist()):
-        tag = steps_back[length - 1][K]
+    for rank, last, length in zip(steps.ranks, steps.last, steps.lengths.tolist()):
+        tag = choice[last][K]
         path = [tag]
-        for step in reversed(steps_back[:length - 1]):
-            tag = step[tag]
+        for t in range(length - 2, -1, -1):
+            tag = choice[offsets[t] + rank][tag]
             path.append(tag)
-        paths.append(path[::-1] + [0] * (n - length))
-    return batch.restore(np.array(paths, dtype=np.intp))
+        paths.extend(reversed(path))
+    return np.array(paths, dtype=np.intp)

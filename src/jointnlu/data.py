@@ -154,20 +154,25 @@ def staged(path):
     """Publish `path` in one step: the one way every output is written.
 
     The block builds its output, a file or a whole directory tree, at the
-    yielded hidden sibling `.NAME.PID.tmp`. When the block ends cleanly one
-    `os.replace` moves it onto `path`; on any exception the stage is removed
-    and `path` is left as it was."""
+    yielded hidden sibling `.NAME.PID.tmp`, first clearing any leftover a
+    killed process with the same PID left there. When the block ends cleanly
+    one `os.replace` moves it onto `path`; on any exception the stage is
+    removed and `path` is left as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
+
+    def clear():
         if tmp.is_dir():
             shutil.rmtree(tmp, ignore_errors=True)
         else:
             tmp.unlink(missing_ok=True)
-        raise
+
+    clear()
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        clear()  # after a clean replace there is nothing left to clear
 
 
 def lint_corpus(corpus: Sequence[TaggedUtterance]) -> list[str]:

@@ -5,10 +5,11 @@ Post-norm residual blocks: embeddings go through a layer norm, then each
 block applies self-attention and a GELU feed-forward sublayer, each followed
 by residual add and layer norm. Every dense layer (embedding, Q/K/V, output
 projection, feed-forward, layer norms) runs on the packed rows of real
-pieces only (numerics.packed_layout); the attention scores, their softmax and
-the weighted sum of values are the one block kept in the padded layout, with
-padded key positions masked out of every row, so padding content can never
-influence real positions. The hidden states come back packed.
+pieces only, and every dropout mask is drawn at that (T, d_h) shape; the
+attention scores, their softmax and the weighted sum of values are the one
+block kept in the padded layout, with padded key positions masked out of
+every row, so padding content can never influence real positions. The
+hidden states come back packed.
 
 Parameters are read from the model's flat name->array dict under their
 model.param_spec names ("enc.tok_emb", "enc.l0.Wq", ...); gradients come
@@ -23,11 +24,11 @@ import numpy as np
 
 from .numerics import (
     apply_mask,
+    dropout_mask,
     gelu,
     gelu_grad,
     layer_norm,
     layer_norm_backward,
-    row_dropout,
     scatter_rows,
     softmax_backward,
     stable_softmax,
@@ -104,11 +105,10 @@ def encode(
         raise ValueError("every sequence needs at least one real position")
 
     rows = np.flatnonzero(pad_mask)
-    padded_shape = (b, n, cfg.d_h)
     real_ids = ids.ravel()[rows]
     emb = params["enc.tok_emb"][real_ids] + params["enc.pos_emb"][rows % n]
     x, ln_emb_cache = layer_norm(emb, params["enc.ln_emb.g"], params["enc.ln_emb.b"])
-    emb_mask = row_dropout(rng, padded_shape, dropout_rate, rows)
+    emb_mask = dropout_mask(rng, x.shape, dropout_rate)
     x = apply_mask(x, emb_mask)
 
     key_mask = pad_mask[:, None, None, :]  # broadcast over heads and queries
@@ -124,7 +124,7 @@ def encode(
         probs = stable_softmax(scores, axis=-1)
         ctx = _from_heads(probs @ v, rows)
         attn_out = ctx @ params[p + "Wo"] + params[p + "bo"]
-        attn_drop = row_dropout(rng, padded_shape, dropout_rate, rows)
+        attn_drop = dropout_mask(rng, attn_out.shape, dropout_rate)
         attn_out = apply_mask(attn_out, attn_drop)
         x1, ln1_cache = layer_norm(
             x_in + attn_out, params[p + "ln1.g"], params[p + "ln1.b"]
@@ -133,7 +133,7 @@ def encode(
         u = x1 @ params[p + "W1"] + params[p + "b1"]
         a, one_erf = gelu(u)
         ffn_out = a @ params[p + "W2"] + params[p + "b2"]
-        ffn_drop = row_dropout(rng, padded_shape, dropout_rate, rows)
+        ffn_drop = dropout_mask(rng, ffn_out.shape, dropout_rate)
         ffn_out = apply_mask(ffn_out, ffn_drop)
         x2, ln2_cache = layer_norm(
             x1 + ffn_out, params[p + "ln2.g"], params[p + "ln2.b"]

@@ -148,12 +148,16 @@ def annotate_entities(
     return out
 
 
-def encode_features(entity: EntityClass, case: CaseClass) -> np.ndarray:
-    """One-hot pair: entity block first, case block after it."""
-    vec = np.zeros(FEATURE_DIM)
-    vec[int(entity)] = 1.0
-    vec[ENTITY_DIM + int(case)] = 1.0
-    return vec
+def encode_features(
+    entities: Sequence[EntityClass], cases: Sequence[CaseClass]
+) -> np.ndarray:
+    """One one-hot pair per word, shape (len(entities), 23): entity block
+    first, case block after it."""
+    rows = np.arange(len(entities))
+    out = np.zeros((len(entities), FEATURE_DIM))
+    out[rows, np.array(entities, dtype=np.intp)] = 1.0
+    out[rows, ENTITY_DIM + np.array(cases, dtype=np.intp)] = 1.0
+    return out
 
 
 def feature_forward(x: np.ndarray, params: dict[str, np.ndarray]):
@@ -268,10 +272,8 @@ class WordFeaturizer:
 
     def featurize(self, words: Sequence[str]) -> np.ndarray:
         """Per-word 23-dim feature rows, shape (len(words), 23)."""
-        if not words:
-            return np.zeros((0, FEATURE_DIM))
         entities, cases, _ = self.annotate(words)
-        return np.stack([encode_features(e, c) for e, c in zip(entities, cases)])
+        return encode_features(entities, cases)
 
     def to_dict(self) -> dict:
         return {

@@ -1,8 +1,8 @@
 """Utterance-level intent classification over pooled hidden states.
 
 The hidden states arrive packed: the rows of each sequence's real pieces,
-sequence after sequence (numerics.packed_layout). The default pooling learns
-one scalar score per row (a tanh bottleneck projected to a scalar),
+sequence after sequence, `lengths` rows per sequence. The default pooling
+learns one scalar score per row (a tanh bottleneck projected to a scalar),
 normalizes the scores with a temperature-scaled softmax within each
 sequence's segment, and takes the tanh of the segment's weighted sum of
 hidden states. Start/end marker positions participate like any other.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import apply_mask, dropout_mask, packed_layout, row_dropout
+from .numerics import apply_mask, dropout_mask
 
 POOL_MODES = ("attention", "start_token")
 
@@ -52,7 +52,7 @@ def intent_logits(h_int: np.ndarray, W_cls: np.ndarray, b_cls: np.ndarray) -> np
 
 def intent_forward(
     H: np.ndarray,
-    pad_mask: np.ndarray,
+    lengths: np.ndarray,
     params: dict[str, np.ndarray],
     mode: str = "attention",
     dropout_rate: float = 0.0,
@@ -60,24 +60,24 @@ def intent_forward(
 ):
     """Pooled intent logits for a batch.
 
-    H holds the (T, d_h) packed rows of the real positions of pad_mask.
-    Returns (y_int, alpha, cache). alpha is the (T,) pooling weight of each
-    row (after attention dropout, when active); in start-token mode it is
-    the indicator of each sequence's first row. cache["h_int"] is the pooled
-    state. Dropout masks are drawn at the padded shape and gathered
-    (numerics.row_dropout), then applied to the pooling weights (no
-    renormalization) and to h_int after the tanh.
+    H holds the (T, d_h) packed rows of b sequences of the given (b,)
+    lengths. Returns (y_int, alpha, cache). alpha is the (T,) pooling weight
+    of each row (after attention dropout, when active); in start-token mode
+    it is the indicator of each sequence's first row. cache["h_int"] is the
+    pooled state. Dropout masks are drawn at the packed shapes, (T,) for the
+    pooling weights (no renormalization) and (b, d_h) for h_int after the
+    tanh.
     """
     if mode not in POOL_MODES:
         raise ValueError(f"unknown pooling mode {mode!r}")
-    rows, lengths, starts = packed_layout(pad_mask)
-    if H.ndim != 2 or len(H) != len(rows):
-        raise ValueError("H must hold one row per real position of pad_mask")
+    if H.ndim != 2 or len(H) != np.sum(lengths):
+        raise ValueError("H must hold one row per position of the lengths")
+    starts = np.cumsum(lengths) - lengths
 
     if mode == "attention":
         logits = attention_logits(H, params["int.W_score"], params["int.v_score"])
         alpha_clean = attention_weights(logits, lengths, H.shape[1])
-        att_drop = row_dropout(rng, pad_mask.shape, dropout_rate, rows)
+        att_drop = dropout_mask(rng, alpha_clean.shape, dropout_rate)
         alpha = apply_mask(alpha_clean, att_drop)
         h_int = np.tanh(np.add.reduceat(alpha[:, None] * H, starts, axis=0))
     else:

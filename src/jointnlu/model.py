@@ -1,8 +1,9 @@
 """The full joint model: encoder, intent pooling, fused slot scoring.
 
 Every per-piece array from the encoder's output to the loss is packed: one
-row per real piece, sequence after sequence (numerics.packed_layout). Only
-the encoder's attention block and the CRF see the padded (b, n) layout.
+row per real piece, sequence after sequence. Past the encoder the one layout
+fact is `Batch.lengths`, each sequence's row count; only the encoder's
+attention block sees the padded (b, n) layout.
 
 Parameters live in one flat name -> float64 array dict. `param_spec` is the
 one list of its tensors (name, shape, initialiser, weight-decay flag); the
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 import tokenize
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +33,7 @@ from .features import (
     feature_forward,
 )
 from .intent_head import POOL_MODES, intent_backward, intent_forward
-from .numerics import log_softmax, packed_layout, scatter_rows
+from .numerics import log_softmax
 from .slot_head import slot_backward, slot_forward
 from .subwords import AlignedSequence, WordPieceVocab, align, de_align
 from .tagging import SlotTag
@@ -170,19 +171,21 @@ def init_model_params(
 class Batch:
     """A list of aligned sequences as arrays. The ids are padded for the
     encoder; the per-piece arrays hold the T real pieces packed, in
-    np.flatnonzero(pad_mask) order."""
+    np.flatnonzero(pad_mask) order, `lengths` of them per sequence."""
 
     ids: np.ndarray          # (b, n) int
     pad_mask: np.ndarray     # (b, n) bool, True at real positions
     features: np.ndarray     # (T, 23)
     tag_ids: np.ndarray      # (T,) int
     intent_ids: np.ndarray   # (b,)
+    lengths: np.ndarray = field(init=False)  # (b,) real pieces per sequence
 
     def __post_init__(self):
         b, n = self.ids.shape
         if self.pad_mask.shape != (b, n):
             raise ValueError("ids and pad_mask disagree on shape")
-        T = int(self.pad_mask.sum())
+        object.__setattr__(self, "lengths", self.pad_mask.sum(axis=1))
+        T = int(self.lengths.sum())
         if self.tag_ids.shape != (T,) or self.features.shape != (T, FEATURE_DIM):
             raise ValueError("per-piece arrays need one row per real position")
         if self.intent_ids.shape != (b,):
@@ -233,13 +236,13 @@ def model_outputs(
     rate = cfg.dropout_rate  # dropout_mask draws nothing when rng is None
     H, enc_cache = encode(batch.ids, batch.pad_mask, params, cfg.encoder, rate, rng)
     y_int, alpha, int_cache = intent_forward(
-        H, batch.pad_mask, params, cfg.intent_pool, rate, rng
+        H, batch.lengths, params, cfg.intent_pool, rate, rng
     )
     f_words, feat_cache = None, None
     if cfg.slot_features:
         f_words, feat_cache = feature_forward(batch.features, params)
     slot_scores, slot_cache = slot_forward(
-        y_int, f_words, H, batch.pad_mask, params, rate, rng
+        y_int, f_words, H, batch.lengths, params, rate, rng
     )
     cache = dict(enc=enc_cache, int=int_cache, feat=feat_cache, slot=slot_cache)
     return y_int, slot_scores, alpha, cache
@@ -257,11 +260,11 @@ def _intent_ce(y_int: np.ndarray, intent_ids: np.ndarray) -> Tuple[float, np.nda
 
 
 def _softmax_slot_loss(
-    slot_scores: np.ndarray, tag_ids: np.ndarray, pad_mask: np.ndarray
+    slot_scores: np.ndarray, tag_ids: np.ndarray, lengths: np.ndarray
 ) -> Tuple[float, np.ndarray]:
     """Cross-entropy at every packed row: per-sequence mean over positions,
     then mean over the batch."""
-    _, lengths, starts = packed_layout(pad_mask)
+    starts = np.cumsum(lengths) - lengths
     logp = log_softmax(slot_scores, axis=-1)
     gold = (np.arange(len(tag_ids)), tag_ids)
     per_seq = -np.add.reduceat(logp[gold], starts) / lengths
@@ -276,16 +279,15 @@ def _softmax_slot_loss(
 def _crf_slot_loss(
     slot_scores: np.ndarray,
     tag_ids: np.ndarray,
-    pad_mask: np.ndarray,
+    lengths: np.ndarray,
     params: Dict[str, np.ndarray],
 ) -> Tuple[float, np.ndarray, Dict[str, np.ndarray]]:
     """Batch-mean sequence negative log-likelihood and its gradients, the
     emission gradient packed like slot_scores."""
-    rows, lengths, _ = packed_layout(pad_mask)
-    b, n = pad_mask.shape
+    b = len(lengths)
     nll, cache = crf_nll(
-        scatter_rows(slot_scores, rows, b, n), scatter_rows(tag_ids, rows, b, n),
-        params["crf.T"], params["crf.start"], params["crf.end"], lengths,
+        slot_scores, tag_ids, params["crf.T"], params["crf.start"],
+        params["crf.end"], lengths,
     )
     g = crf_nll_backward(cache)
     crf_grads = {
@@ -293,7 +295,7 @@ def _crf_slot_loss(
         "crf.start": g["start"] / b,
         "crf.end": g["end"] / b,
     }
-    return float(nll.sum()) / b, g["emissions"][pad_mask] / b, crf_grads
+    return float(nll.sum()) / b, g["emissions"] / b, crf_grads
 
 
 def model_loss_and_grads(
@@ -316,12 +318,12 @@ def model_loss_and_grads(
     grads: Dict[str, np.ndarray] = {}
     if cfg.slot_mode == "crf":
         l_slot, d_slot, crf_grads = _crf_slot_loss(
-            slot_scores, batch.tag_ids, batch.pad_mask, params
+            slot_scores, batch.tag_ids, batch.lengths, params
         )
         grads.update((k, (1.0 - gamma) * v) for k, v in crf_grads.items())
     else:
         l_slot, d_slot = _softmax_slot_loss(
-            slot_scores, batch.tag_ids, batch.pad_mask
+            slot_scores, batch.tag_ids, batch.lengths
         )
 
     d_slot = (1.0 - gamma) * d_slot
@@ -355,16 +357,15 @@ def predict_batch(
     # Slicing drops the forward cache before decoding starts.
     y_int, slot_scores, alpha = model_outputs(params, cfg, batch)[:3]
     intent_pred = np.argmax(y_int, axis=-1)
-    rows, lengths, starts = packed_layout(batch.pad_mask)
+    lengths = batch.lengths
     if cfg.slot_mode == "crf":
-        b, n = batch.pad_mask.shape
         paths = viterbi(
-            scatter_rows(slot_scores, rows, b, n), params["crf.T"],
-            params["crf.start"], params["crf.end"], lengths,
-        )[batch.pad_mask]
+            slot_scores, params["crf.T"], params["crf.start"],
+            params["crf.end"], lengths,
+        )
     else:
         paths = np.argmax(slot_scores, axis=-1)
-    return intent_pred, np.split(paths, starts[1:]), alpha
+    return intent_pred, np.split(paths, np.cumsum(lengths)[:-1]), alpha
 
 
 def decode_word_tags(

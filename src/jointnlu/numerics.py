@@ -1,6 +1,7 @@
 """Shared float64 building blocks: softmax, GELU, layer norm, dropout masks,
-and the packed layout: one row per real piece of a (batch, length) batch, in
-np.flatnonzero(pad_mask) order, so each sequence is a segment of rows.
+and the scatter of packed rows (one per real piece of a (batch, length)
+batch, in np.flatnonzero(pad_mask) order) to the padded layout that
+attention needs.
 
 Every forward helper that participates in training has an exact hand-derived
 backward companion; caches carry whatever the backward pass needs.
@@ -17,21 +18,26 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 LN_EPS = 1e-12
 
 
+# The softmaxes reduce with np.maximum.reduce / np.add.reduce: the
+# arithmetic of np.max / np.sum without their wrapper overhead.
+
+
 def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax that tolerates -inf entries (they get probability zero)."""
-    shifted = scores - np.max(scores, axis=axis, keepdims=True)
+    shifted = scores - np.maximum.reduce(scores, axis=axis, keepdims=True)
     exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    return exp / np.add.reduce(exp, axis=axis, keepdims=True)
 
 
 def softmax_backward(d_probs: np.ndarray, probs: np.ndarray, axis: int = -1) -> np.ndarray:
-    inner = np.sum(d_probs * probs, axis=axis, keepdims=True)
+    inner = np.add.reduce(d_probs * probs, axis=axis, keepdims=True)
     return probs * (d_probs - inner)
 
 
 def log_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = scores - np.max(scores, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = scores - np.maximum.reduce(scores, axis=axis, keepdims=True)
+    log_total = np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
+    return shifted - log_total
 
 
 def gelu(x: np.ndarray):
@@ -94,24 +100,9 @@ def apply_mask(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return x if mask is None else x * mask
 
 
-def packed_layout(pad_mask: np.ndarray):
-    """(rows, lengths, starts) of a (b, n) mask, True at real positions: the
-    flat index of each real position, each sequence's length, and the
-    packed row where each sequence's segment starts."""
-    lengths = pad_mask.sum(axis=1)
-    return np.flatnonzero(pad_mask), lengths, np.cumsum(lengths) - lengths
-
-
 def scatter_rows(x: np.ndarray, rows: np.ndarray, b: int, n: int) -> np.ndarray:
     """(T, ...) packed rows -> (b, n, ...), zeros at padded positions."""
     out = np.zeros((b * n,) + x.shape[1:], dtype=x.dtype)
     out[rows] = x
     return out.reshape((b, n) + x.shape[1:])
 
-
-def row_dropout(rng, shape: tuple[int, ...], rate: float, rows: np.ndarray):
-    """A dropout mask drawn at the padded (b, n, ...) shape, then gathered to
-    the packed rows: the rng takes the same draws as when every layer ran on
-    padded rows, so training follows the same trajectory."""
-    mask = dropout_mask(rng, shape, rate)
-    return None if mask is None else mask.reshape((-1,) + tuple(shape[2:]))[rows]

@@ -3,8 +3,8 @@
 Each real piece's input is the concatenation [intent probabilities;
 word-feature embedding; hidden state], squeezed through dropout and one
 linear projection. Every per-piece array is packed: one row per real piece,
-sequence after sequence (numerics.packed_layout). The intent block uses the
-softmax of the CURRENT intent logits and stays differentiable, so slot
+sequence after sequence, `lengths` rows per sequence. The intent block uses
+the softmax of the CURRENT intent logits and stays differentiable, so slot
 supervision also shapes the intent head. The feature block can be switched
 off, narrowing the projection to [intent probabilities; hidden state]. Both
 passes read the model's flat parameter dict under its names for the
@@ -15,34 +15,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import (
-    apply_mask,
-    packed_layout,
-    row_dropout,
-    softmax_backward,
-    stable_softmax,
-)
+from .numerics import apply_mask, dropout_mask, softmax_backward, stable_softmax
 
 
 def slot_forward(
     y_int: np.ndarray,
     f_words: np.ndarray | None,
     H: np.ndarray,
-    pad_mask: np.ndarray,
+    lengths: np.ndarray,
     params: dict[str, np.ndarray],
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ):
-    """Slot scores (T, n_slots) for the T real positions of pad_mask, and
-    the cache slot_backward needs.
+    """Slot scores (T, n_slots) for the T packed rows of b sequences of the
+    given (b,) lengths, and the cache slot_backward needs.
 
-    y_int is (batch, n_intents); each sequence's softmax row is repeated onto
+    y_int is (b, n_intents); each sequence's softmax row is repeated onto
     its rows. f_words is (T, 32), or None when the feature path is ablated;
-    H is (T, d_h); arrays that disagree on T or batch raise ValueError.
-    Dropout hits the concatenated vector, with the mask drawn at the padded
-    shape and gathered (numerics.row_dropout).
+    H is (T, d_h); arrays that disagree on T or b raise ValueError. Dropout
+    hits the concatenated vector, with the mask drawn at its packed shape.
     """
-    rows, lengths, starts = packed_layout(pad_mask)
+    starts = np.cumsum(lengths) - lengths
     p_int = stable_softmax(y_int, axis=-1)
     blocks = [np.repeat(p_int, lengths, axis=0)]
     if f_words is not None:
@@ -54,7 +47,7 @@ def slot_forward(
         raise ValueError(
             f"W_s expects width {W_s.shape[1]}, fused input has {fused.shape[-1]}"
         )
-    drop = row_dropout(rng, pad_mask.shape + fused.shape[1:], dropout_rate, rows)
+    drop = dropout_mask(rng, fused.shape, dropout_rate)
     fused_used = apply_mask(fused, drop)
     logits = fused_used @ W_s.T + params["b_s"]
     cache = dict(

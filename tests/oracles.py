@@ -6,9 +6,9 @@ and decoding by exhaustive enumeration, and gradients by central finite
 differences. The exceptions are `model_losses`, the joint model's loss
 without any backward pass, which the finite-difference checks probe, and the
 padded model (`model_padded`: encoder, heads, feature net and losses run on
-every (batch, length) position), which reuses the package's softmax, dropout,
-cross-entropy and CRF helpers so it draws the same dropout masks as the
-packed model it checks.
+every (batch, length) position), which reuses the package's softmax, dropout
+and cross-entropy helpers so it draws the same dropout masks as the packed
+model it checks; its CRF term is the per-sequence `crf_forward_backward`.
 """
 
 from __future__ import annotations
@@ -191,12 +191,11 @@ def model_losses(params, cfg, batch, rng=None):
     l_int, _ = _intent_ce(y_int, batch.intent_ids)
     if cfg.slot_mode == "crf":
         nll, _ = crf_nll(
-            pad_rows(slot_scores, batch.pad_mask),
-            pad_rows(batch.tag_ids, batch.pad_mask), params["crf.T"],
-            params["crf.start"], params["crf.end"], batch.pad_mask.sum(axis=1),
+            slot_scores, batch.tag_ids, params["crf.T"], params["crf.start"],
+            params["crf.end"], batch.lengths,
         )
         return l_int, float(nll.sum()) / len(nll)
-    l_slot, _ = _softmax_slot_loss(slot_scores, batch.tag_ids, batch.pad_mask)
+    l_slot, _ = _softmax_slot_loss(slot_scores, batch.tag_ids, batch.lengths)
     return l_int, l_slot
 
 
@@ -205,6 +204,14 @@ def pad_rows(x, pad_mask):
     out = np.zeros(pad_mask.shape + x.shape[1:], dtype=x.dtype)
     out[pad_mask] = x
     return out
+
+
+def packed_dropout(rng, pad_mask, width, rate):
+    """A dropout mask drawn as the packed model draws it, one row of shape
+    `width` per real position, then scattered to (b, n, *width) with zeros
+    at padding; None when dropout is off."""
+    mask = dropout_mask(rng, (int(pad_mask.sum()),) + width, rate)
+    return None if mask is None else pad_rows(mask, pad_mask)
 
 
 def crf_forward_backward(emissions, tags, trans, start, end):
@@ -335,6 +342,21 @@ def layer_norm_mean_backward(d_y, cache):
     return d_x, d_gain, d_bias
 
 
+def stable_softmax_max_sum(scores, axis=-1):
+    """Softmax through the np.max and np.sum wrappers."""
+    exp = np.exp(scores - np.max(scores, axis=axis, keepdims=True))
+    return exp / np.sum(exp, axis=axis, keepdims=True)
+
+
+def log_softmax_max_sum(scores, axis=-1):
+    shifted = scores - np.max(scores, axis=axis, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+
+def softmax_backward_max_sum(d_probs, probs, axis=-1):
+    return probs * (d_probs - np.sum(d_probs * probs, axis=axis, keepdims=True))
+
+
 def _split_heads(x, n_heads):
     b, n, d = x.shape
     return x.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
@@ -350,14 +372,15 @@ def encode_padded(ids, pad_mask, params, cfg, dropout_rate=0.0, rng=None):
 
     The reference for the packed encoder: every dense layer sees the padded
     rows too, and only the final output is zeroed at padding. Dropout masks
-    are drawn in the same order and shapes. Returns (out, cache).
+    are drawn in the same order and packed shapes (packed_dropout). Returns
+    (out, cache).
     """
     b, n = ids.shape
     emb = params["enc.tok_emb"][ids] + params["enc.pos_emb"][:n][None, :, :]
     x, ln_emb_cache = layer_norm_mean(
         emb, params["enc.ln_emb.g"], params["enc.ln_emb.b"]
     )
-    emb_mask = dropout_mask(rng, x.shape, dropout_rate)
+    emb_mask = packed_dropout(rng, pad_mask, (cfg.d_h,), dropout_rate)
     x = apply_mask(x, emb_mask)
 
     key_mask = pad_mask[:, None, None, :]
@@ -373,7 +396,7 @@ def encode_padded(ids, pad_mask, params, cfg, dropout_rate=0.0, rng=None):
         probs = stable_softmax(scores, axis=-1)
         ctx = _merge_heads(probs @ v)
         attn_out = ctx @ params[p + "Wo"] + params[p + "bo"]
-        attn_drop = dropout_mask(rng, attn_out.shape, dropout_rate)
+        attn_drop = packed_dropout(rng, pad_mask, (cfg.d_h,), dropout_rate)
         attn_out = apply_mask(attn_out, attn_drop)
         x1, ln1_cache = layer_norm_mean(
             x_in + attn_out, params[p + "ln1.g"], params[p + "ln1.b"]
@@ -381,7 +404,7 @@ def encode_padded(ids, pad_mask, params, cfg, dropout_rate=0.0, rng=None):
         u = x1 @ params[p + "W1"] + params[p + "b1"]
         a = gelu_two_erf(u)
         ffn_out = a @ params[p + "W2"] + params[p + "b2"]
-        ffn_drop = dropout_mask(rng, ffn_out.shape, dropout_rate)
+        ffn_drop = packed_dropout(rng, pad_mask, (cfg.d_h,), dropout_rate)
         ffn_out = apply_mask(ffn_out, ffn_drop)
         x2, ln2_cache = layer_norm_mean(
             x1 + ffn_out, params[p + "ln2.g"], params[p + "ln2.b"]
@@ -468,7 +491,7 @@ def intent_forward_padded(H, pad_mask, params, mode, dropout_rate=0.0, rng=None)
         scores = np.tanh(H @ params["int.W_score"].T) @ params["int.v_score"]
         logits = np.where(pad_mask, scores, -np.inf)
         alpha_clean = stable_softmax(logits / np.sqrt(d_h), axis=-1)
-        att_drop = dropout_mask(rng, alpha_clean.shape, dropout_rate)
+        att_drop = packed_dropout(rng, pad_mask, (), dropout_rate)
         alpha = apply_mask(alpha_clean, att_drop)
         h_int = np.tanh(np.einsum("bn,bnd->bd", alpha, H))
     else:
@@ -533,7 +556,8 @@ def feature_backward_padded(d_out, cache, params):
     }
 
 
-def slot_forward_padded(y_int, f_words, H, params, dropout_rate=0.0, rng=None):
+def slot_forward_padded(y_int, f_words, H, pad_mask, params, dropout_rate=0.0,
+                        rng=None):
     """Slot scores (b, n, n_slots) with the intent row broadcast to every
     position, padding included."""
     b, n, _ = H.shape
@@ -543,7 +567,7 @@ def slot_forward_padded(y_int, f_words, H, params, dropout_rate=0.0, rng=None):
         blocks.append(f_words)
     blocks.append(H)
     fused = np.concatenate(blocks, axis=-1)
-    drop = dropout_mask(rng, fused.shape, dropout_rate)
+    drop = packed_dropout(rng, pad_mask, fused.shape[2:], dropout_rate)
     fused_used = apply_mask(fused, drop)
     logits = fused_used @ params["W_s"].T + params["b_s"]
     f_width = 0 if f_words is None else f_words.shape[-1]
@@ -584,7 +608,6 @@ def model_padded(params, cfg, batch, gamma, rng=None):
     scattered to zero-padded blocks here. Returns (l_intent, l_slot, grads,
     y_int, slot_scores, alpha), with slot_scores (b, n, K) and alpha (b, n).
     """
-    from jointnlu.crf import crf_nll, crf_nll_backward
     from jointnlu.model import _intent_ce
 
     pad_mask, rate = batch.pad_mask, cfg.dropout_rate
@@ -598,19 +621,27 @@ def model_padded(params, cfg, batch, gamma, rng=None):
     f_words = feat_cache = None
     if cfg.slot_features:
         f_words, feat_cache = feature_forward_padded(features, params)
-    slot_scores, slot_cache = slot_forward_padded(y_int, f_words, H, params, rate, rng)
+    slot_scores, slot_cache = slot_forward_padded(
+        y_int, f_words, H, pad_mask, params, rate, rng
+    )
 
     l_int, d_y_ce = _intent_ce(y_int, batch.intent_ids)
     grads = {}
     if cfg.slot_mode == "crf":
-        nll, crf_cache = crf_nll(slot_scores, tag_ids, params["crf.T"],
-                                 params["crf.start"], params["crf.end"],
-                                 pad_mask.sum(axis=1))
-        g = crf_nll_backward(crf_cache)
-        for name, key in (("crf.T", "trans"), ("crf.start", "start"),
-                          ("crf.end", "end")):
-            grads[name] = (1.0 - gamma) * (g[key] / b)
-        l_slot, d_slot = float(nll.sum()) / b, g["emissions"] / b
+        names = {"crf.T": "trans", "crf.start": "start", "crf.end": "end"}
+        summed = {name: 0.0 for name in names}
+        l_slot, d_slot = 0.0, np.zeros_like(slot_scores)
+        for i, L in enumerate(pad_mask.sum(axis=1)):
+            nll, g = crf_forward_backward(
+                slot_scores[i, :L], tag_ids[i, :L], params["crf.T"],
+                params["crf.start"], params["crf.end"],
+            )
+            l_slot += nll / b
+            d_slot[i, :L] = g["emissions"] / b
+            for name, key in names.items():
+                summed[name] = summed[name] + g[key]
+        for name, total in summed.items():
+            grads[name] = (1.0 - gamma) * (total / b)
     else:
         l_slot, d_slot = softmax_slot_loss_padded(slot_scores, tag_ids, pad_mask)
     d_y_slot, d_f, d_H_slot, slot_grads = slot_backward_padded(

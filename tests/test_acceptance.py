@@ -149,11 +149,11 @@ def test_criterion_03_crf_matches_exhaustive_enumeration():
         )
 
         gold = [int(t) for t in rng.integers(0, s, size=n)]
-        nll, _ = crf_nll(emissions[None], [gold], trans, start, end)
+        nll, _ = crf_nll(emissions, gold, trans, start, end)
         recovered = nll[0] + crf_score(emissions, gold, trans, start, end)
         assert abs(recovered - log_z) <= 1e-8
 
-        path = [int(t) for t in viterbi(emissions[None], trans, start, end)[0]]
+        path = [int(t) for t in viterbi(emissions, trans, start, end)]
         decoded = crf_score(emissions, path, trans, start, end)
         assert abs(decoded - best_score) <= 1e-8
         if n_optimal == 1:
@@ -209,8 +209,8 @@ def test_criterion_06_pooling_weights_form_masked_simplex():
             pad[i, : int(rng.integers(1, n + 1))] = True
         # packed states: one row per real position, sequence after sequence
         H = rng.normal(size=(int(pad.sum()), d_h)) * float(rng.uniform(0.5, 3.0))
-        _, alpha, _ = intent_forward(H, pad, params, "attention")
         lengths = pad.sum(axis=1)
+        _, alpha, _ = intent_forward(H, lengths, params, "attention")
         assert alpha.shape == H.shape[:1]
         assert np.all(alpha >= 0.0)
         sums = np.add.reduceat(alpha, np.cumsum(lengths) - lengths)
@@ -372,5 +372,5 @@ def test_criterion_10_word_feature_rules_and_encoding_width():
     # one entity block plus one case block, one-hot each
     assert FEATURE_DIM == 23 == ENTITY_DIM + CASE_DIM
     assert ENTITY_DIM == 19 and CASE_DIM == 4
-    row = encode_features(EntityClass.CITY, CaseClass.LOWER)
-    assert row.shape == (FEATURE_DIM,) and row.sum() == 2.0
+    row = encode_features([EntityClass.CITY], [CaseClass.LOWER])
+    assert row.shape == (1, FEATURE_DIM) and row.sum() == 2.0

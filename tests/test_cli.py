@@ -1,12 +1,17 @@
 """Command-line surface tests: artifacts, exit codes, and the published
 error-reduction numbers."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from jointnlu import cli
 from jointnlu.cli import RunManifest, main
@@ -16,7 +21,13 @@ from jointnlu.model import load_checkpoint
 from jointnlu.subwords import BOS_TOKEN, EOS_TOKEN
 from jointnlu.tagging import EvalReport
 from jointnlu.toy import toy_grammar
-from jointnlu.training import DivergenceError, EpochRecord, TrainConfig, train
+from jointnlu.training import (
+    DivergenceError,
+    EpochRecord,
+    TrainConfig,
+    train,
+    validate_config_text,
+)
 
 CONFIG_TEXT = """\
 # quick desk run on the toy grammar
@@ -313,6 +324,82 @@ class TestTrainCommand:
             "create it first"
         ]
         assert snapshot(tmp_path) == before
+
+    def test_stale_stage_of_this_pid_does_not_break_train(self, tmp_path,
+                                                          capsys):
+        # A run killed outright left its stage, and this process has its PID.
+        data_dir = tmp_path / "data"
+        toy_grammar(3, 8, 4, 4).write(data_dir)
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\nbatch_size=4\n")
+        stale = tmp_path / f".run.{os.getpid()}.tmp"
+        (stale / "seed1").mkdir(parents=True)
+        (stale / "train.log").write_text("stale\n")
+        rc = main([
+            "train", "--config", str(config), "--data", str(data_dir),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert rc == 0, capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.txt", "data", "run",
+        ]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "checkpoint.npz", "manifest.json", "train.log",
+        ]
+
+
+# Config texts: free text, and lines of known or unknown keys with values
+# of every kind the fields take, and some they do not.
+SETTING_KEYS = [f.name for f in dataclasses.fields(TrainConfig)]
+SETTING_VALUES = st.one_of(
+    st.text(max_size=8), st.integers().map(str), st.floats().map(str),
+    st.sampled_from(["softmax", "crf", "attention", "start_token", "true",
+                     "false", "1e-3", "0.5", "-1", "nan", "inf"]),
+)
+CONFIG_LINES = st.one_of(
+    st.builds("{}={}".format,
+              st.one_of(st.sampled_from(SETTING_KEYS), st.text(max_size=8)),
+              SETTING_VALUES),
+    st.text(max_size=20),
+)
+CONFIG_TEXTS = st.one_of(st.text(), st.lists(CONFIG_LINES, max_size=8).map("\n".join))
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz_data")
+    toy_grammar(3, 8, 4, 4).write(root)
+    return root
+
+
+class TestConfigFuzz:
+    @given(CONFIG_TEXTS)
+    def test_validation_never_raises(self, text):
+        config, errors = validate_config_text(text)
+        if config is None:
+            assert errors and all(isinstance(e, str) for e in errors)
+        else:
+            assert isinstance(config, TrainConfig) and errors == []
+
+    @given(text=CONFIG_TEXTS)
+    def test_refused_text_ends_train_in_config_errors_only(self, fuzz_data,
+                                                           text):
+        assume(validate_config_text(text)[0] is None)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            config = root / "config.txt"
+            config.write_bytes(text.encode("utf-8"))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main([
+                    "train", "--config", str(config), "--data", str(fuzz_data),
+                    "--out", str(root / "run"),
+                ])
+            assert rc == 2
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert lines and all(ln.startswith("config error: ") for ln in lines)
+            assert [p.name for p in root.iterdir()] == ["config.txt"]
 
 
 class TestWholeRun:

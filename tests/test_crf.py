@@ -1,7 +1,8 @@
 """CRF log-partition, gradients, and decoding against enumeration oracles.
 
-The CRF takes only padded (b, n, K) batches; the single-sequence tests pass
-one (L, K) instance as a batch of one, `emis[None]`, and read row 0 back.
+The CRF takes packed (T, K) rows and the sequences' lengths; the
+single-sequence tests pass one (L, K) instance with no lengths, which is one
+sequence of all L rows.
 """
 
 import numpy as np
@@ -39,7 +40,7 @@ class TestScore:
         for _ in range(50):
             emis, trans, start, end = random_instance(rng)
             tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
-            nll, _ = crf_nll(emis[None], tags[None], trans, start, end)
+            nll, _ = crf_nll(emis, tags, trans, start, end)
             brute_log_z = crf_log_partition_enumerate(emis, trans, start, end)
             assert np.isclose(
                 brute_log_z - nll[0],
@@ -48,22 +49,22 @@ class TestScore:
 
     def test_rejects_bad_tag_ids(self, rng):
         emis, trans, start, end = random_instance(rng)
-        bad = np.full((1, emis.shape[0]), emis.shape[1])
+        bad = np.full(emis.shape[0], emis.shape[1])
         with pytest.raises(ValueError, match="tag id out of range"):
-            crf_nll(emis[None], bad, trans, start, end)
+            crf_nll(emis, bad, trans, start, end)
 
     def test_rejects_wrong_tag_count(self, rng):
         emis, trans, start, end = random_instance(rng)
         with pytest.raises(ValueError, match="need tags of shape"):
-            crf_nll(emis[None], [[0] * (emis.shape[0] + 1)], trans, start, end)
+            crf_nll(emis, [0] * (emis.shape[0] + 1), trans, start, end)
 
 
 class TestNll:
     def test_single_position_reduces_to_cross_entropy(self, rng):
-        emis = rng.normal(size=(1, 1, 4))
+        emis = rng.normal(size=(1, 4))
         zeros4 = np.zeros(4)
-        nll, _ = crf_nll(emis, [[2]], np.zeros((4, 4)), zeros4, zeros4)
-        assert np.isclose(nll[0], -log_softmax(emis[0, 0])[2])
+        nll, _ = crf_nll(emis, [2], np.zeros((4, 4)), zeros4, zeros4)
+        assert np.isclose(nll[0], -log_softmax(emis[0])[2])
 
     def test_two_by_two_partition_is_four_term_sum(self, rng):
         emis = rng.normal(size=(2, 2))
@@ -75,21 +76,20 @@ class TestNll:
             for i in range(2)
             for j in range(2)
         ]
-        nll, cache = crf_nll(emis[None], [[0, 1]], trans, start, end)
+        nll, cache = crf_nll(emis, [0, 1], trans, start, end)
         assert np.isclose(cache["log_z"][0], np.log(np.exp(terms).sum()))
 
     def test_partition_matches_enumeration(self, rng):
         for _ in range(300):
             emis, trans, start, end = random_instance(rng)
             tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
-            _, cache = crf_nll(emis[None], tags[None], trans, start, end)
+            _, cache = crf_nll(emis, tags, trans, start, end)
             brute = crf_log_partition_enumerate(emis, trans, start, end)
             assert abs(cache["log_z"][0] - brute) <= 1e-8
 
     def test_partition_dominates_every_path(self, rng):
         emis, trans, start, end = random_instance(rng, max_len=4, max_tags=3)
-        _, cache = crf_nll(
-            emis[None], [[0] * emis.shape[0]], trans, start, end)
+        _, cache = crf_nll(emis, [0] * emis.shape[0], trans, start, end)
         _, best, _ = crf_best_path_enumerate(emis, trans, start, end)
         assert cache["log_z"][0] > best  # strict: several paths contribute mass
 
@@ -100,23 +100,23 @@ class TestNll:
         for boost in (0.0, 1.0, 2.0, 4.0):
             boosted = emis.copy()
             boosted[np.arange(len(tags)), tags] += boost
-            values.append(crf_nll(boosted[None], tags[None], trans, start, end)[0][0])
+            values.append(crf_nll(boosted, tags, trans, start, end)[0][0])
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_gradients_match_fd(self, rng):
         for _ in range(20):
             emis, trans, start, end = random_instance(rng)
             tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
-            _, cache = crf_nll(emis[None], tags[None], trans, start, end)
+            _, cache = crf_nll(emis, tags, trans, start, end)
             grads = crf_nll_backward(cache)
 
             holders = {
-                "emissions": emis[None], "trans": trans, "start": start, "end": end,
+                "emissions": emis, "trans": trans, "start": start, "end": end,
             }
 
             def loss(_parms=None):
                 return crf_nll(
-                    holders["emissions"], tags[None], holders["trans"],
+                    holders["emissions"], tags, holders["trans"],
                     holders["start"], holders["end"],
                 )[0][0]
 
@@ -131,8 +131,8 @@ class TestNll:
         # rows of d_emissions + onehot(gold) must be probability rows
         emis, trans, start, end = random_instance(rng)
         tags = rng.integers(0, emis.shape[1], size=emis.shape[0])
-        _, cache = crf_nll(emis[None], tags[None], trans, start, end)
-        marg = crf_nll_backward(cache)["emissions"][0].copy()
+        _, cache = crf_nll(emis, tags, trans, start, end)
+        marg = crf_nll_backward(cache)["emissions"].copy()
         marg[np.arange(len(tags)), tags] += 1.0
         assert np.allclose(marg.sum(axis=1), 1.0)
         assert (marg >= 0).all() and (marg <= 1).all()
@@ -142,13 +142,13 @@ class TestViterbi:
     def test_zero_transitions_reduce_to_argmax(self, rng):
         emis = rng.normal(size=(5, 4))
         K = emis.shape[1]
-        path = viterbi(emis[None], np.zeros((K, K)), np.zeros(K), np.zeros(K))[0]
+        path = viterbi(emis, np.zeros((K, K)), np.zeros(K), np.zeros(K))
         assert np.array_equal(path, emis.argmax(axis=1))
 
     def test_matches_enumeration_on_random_instances(self, rng):
         for _ in range(300):
             emis, trans, start, end = random_instance(rng)
-            path = viterbi(emis[None], trans, start, end)[0]
+            path = viterbi(emis, trans, start, end)
             best, best_score, n_optimal = crf_best_path_enumerate(emis, trans, start, end)
             assert abs(oracles.crf_score(emis, path, trans, start, end) - best_score) <= 1e-8
             if n_optimal == 1:
@@ -156,132 +156,148 @@ class TestViterbi:
 
     def test_decoded_score_self_consistency(self, rng):
         emis, trans, start, end = random_instance(rng)
-        path = viterbi(emis[None], trans, start, end)[0]
+        path = viterbi(emis, trans, start, end)
         _, best_score, _ = crf_best_path_enumerate(emis, trans, start, end)
         assert np.isclose(oracles.crf_score(emis, path, trans, start, end), best_score)
 
     def test_all_ties_pick_lowest_ids(self):
-        emis = np.zeros((1, 4, 3))
-        path = viterbi(emis, np.zeros((3, 3)), np.zeros(3), np.zeros(3))[0]
+        emis = np.zeros((4, 3))
+        path = viterbi(emis, np.zeros((3, 3)), np.zeros(3), np.zeros(3))
         assert np.array_equal(path, np.zeros(4, dtype=int))
 
     def test_final_position_tie_breaks_low(self):
         # two tags with equal total score; the lower id must win
-        emis = np.array([[[1.0, 1.0]]])
-        path = viterbi(emis, np.zeros((2, 2)), np.zeros(2), np.zeros(2))[0]
+        emis = np.array([[1.0, 1.0]])
+        path = viterbi(emis, np.zeros((2, 2)), np.zeros(2), np.zeros(2))
         assert path.tolist() == [0]
 
 
 def ragged_batch(rng, max_b=6, max_len=7, max_tags=6):
-    """A padded batch with lengths 1..n and garbage in every padded slot."""
+    """Packed rows of b sequences with lengths 1..n, one of them 1 and one n
+    whenever b allows, and the lengths."""
     b = int(rng.integers(1, max_b + 1))
     n = int(rng.integers(1, max_len + 1))
     K = int(rng.integers(2, max_tags + 1))
     lengths = rng.integers(1, n + 1, size=b)
-    emis = rng.normal(size=(b, n, K)) * 2
-    tags = rng.integers(0, K, size=(b, n))
-    for i, L in enumerate(lengths):
-        emis[i, L:] = rng.normal(size=(n - L, K)) * 1e6
-        tags[i, L:] = rng.integers(-100, 100, size=n - L)
+    lengths[rng.permutation(b)[:2]] = (1, n)[:b]
+    T = int(lengths.sum())
     return (
-        emis, tags, lengths,
+        rng.normal(size=(T, K)) * 2, rng.integers(0, K, size=T), lengths,
         rng.normal(size=(K, K)), rng.normal(size=K), rng.normal(size=K),
     )
 
 
+def with_ties(emis, trans, start, end):
+    """Small integer scores, so that many paths tie."""
+    return np.round(emis / 4), np.round(trans), np.round(start), np.round(end)
+
+
+def segments(lengths):
+    """(first row, length) of each packed sequence."""
+    return zip((np.cumsum(lengths) - lengths).tolist(), lengths.tolist())
+
+
 class TestBatched:
-    """The batched recursions against the per-sequence reference."""
+    """The batched recursions against the per-sequence reference and
+    enumeration."""
 
     def test_loss_and_gradients_match_reference(self, rng):
-        for _ in range(200):
+        for trial in range(200):
             emis, tags, lengths, trans, start, end = ragged_batch(rng)
+            if trial % 2:
+                emis, trans, start, end = with_ties(emis, trans, start, end)
             nll, cache = crf_nll(emis, tags, trans, start, end, lengths)
             grads = crf_nll_backward(cache)
+            assert nll.shape == lengths.shape
             assert grads["emissions"].shape == emis.shape
             summed = {k: 0.0 for k in ("trans", "start", "end")}
-            for i, L in enumerate(lengths):
+            for i, (lo, L) in enumerate(segments(lengths)):
                 ref_nll, ref = crf_forward_backward(
-                    emis[i, :L], tags[i, :L], trans, start, end
+                    emis[lo:lo + L], tags[lo:lo + L], trans, start, end
                 )
                 assert abs(nll[i] - ref_nll) <= 1e-12
-                assert np.abs(grads["emissions"][i, :L] - ref["emissions"]).max() <= 1e-12
+                err = np.abs(grads["emissions"][lo:lo + L] - ref["emissions"])
+                assert err.max() <= 1e-12
                 for k in summed:
                     summed[k] = summed[k] + ref[k]
             for k, v in summed.items():
                 assert np.abs(grads[k] - v).max() <= 1e-12, k
 
-    def test_padded_emission_gradient_is_zero(self, rng):
-        for _ in range(50):
-            emis, tags, lengths, trans, start, end = ragged_batch(rng)
-            _, cache = crf_nll(emis, tags, trans, start, end, lengths)
-            d = crf_nll_backward(cache)["emissions"]
-            for i, L in enumerate(lengths):
-                assert (d[i, L:] == 0.0).all()
+    def test_loss_matches_enumeration(self, rng):
+        for _ in range(200):
+            emis, tags, lengths, trans, start, end = ragged_batch(
+                rng, max_len=5, max_tags=4
+            )
+            nll, _ = crf_nll(emis, tags, trans, start, end, lengths)
+            for i, (lo, L) in enumerate(segments(lengths)):
+                log_z, *_ = oracles.crf_enumerate(emis[lo:lo + L], trans, start, end)
+                score = oracles.crf_score(emis[lo:lo + L], tags[lo:lo + L],
+                                          trans, start, end)
+                assert abs(nll[i] + score - log_z) <= 1e-12
 
-    def test_padding_never_leaks(self, rng):
-        emis, tags, lengths, trans, start, end = ragged_batch(rng, max_len=9)
-        lengths[0] = 1  # guarantee some padding
-        other = emis.copy()
-        for i, L in enumerate(lengths):
-            other[i, L:] = -other[i, L:]
-        a = crf_nll(emis, tags, trans, start, end, lengths)
-        b = crf_nll(other, tags, trans, start, end, lengths)
-        assert np.array_equal(a[0], b[0])
-        ga, gb = crf_nll_backward(a[1]), crf_nll_backward(b[1])
-        for k in ga:
-            assert np.array_equal(ga[k], gb[k]), k
-        pa = viterbi(emis, trans, start, end, lengths)
-        pb = viterbi(other, trans, start, end, lengths)
-        for i, L in enumerate(lengths):
-            assert np.array_equal(pa[i, :L], pb[i, :L])
+    def test_sequences_never_leak(self, rng):
+        # new scores and tags for one sequence move nothing of the others
+        for _ in range(50):
+            emis, tags, lengths, trans, start, end = ragged_batch(rng, max_len=9)
+            lo, L = list(segments(lengths))[0]
+            other_emis, other_tags = emis.copy(), tags.copy()
+            other_emis[lo:lo + L] = -other_emis[lo:lo + L] * 7
+            other_tags[lo:lo + L] = (other_tags[lo:lo + L] + 1) % trans.shape[0]
+            a = crf_nll(emis, tags, trans, start, end, lengths)
+            b = crf_nll(other_emis, other_tags, trans, start, end, lengths)
+            assert np.array_equal(a[0][1:], b[0][1:])
+            ga, gb = crf_nll_backward(a[1]), crf_nll_backward(b[1])
+            assert np.array_equal(ga["emissions"][L:], gb["emissions"][L:])
+            pa = viterbi(emis, trans, start, end, lengths)
+            pb = viterbi(other_emis, trans, start, end, lengths)
+            assert np.array_equal(pa[L:], pb[L:])
 
     def test_viterbi_matches_enumeration_and_reference(self, rng):
-        for _ in range(200):
+        for trial in range(200):
             emis, _, lengths, trans, start, end = ragged_batch(
                 rng, max_len=5, max_tags=4
             )
+            if trial % 2:
+                emis, trans, start, end = with_ties(emis, trans, start, end)
             paths = viterbi(emis, trans, start, end, lengths)
-            assert paths.shape == emis.shape[:2]
-            for i, L in enumerate(lengths):
-                path = paths[i, :L]
+            assert paths.shape == (len(emis),)
+            for lo, L in segments(lengths):
+                path = paths[lo:lo + L]
                 assert np.array_equal(
-                    path, viterbi_per_sequence(emis[i, :L], trans, start, end)
+                    path, viterbi_per_sequence(emis[lo:lo + L], trans, start, end)
                 )
-                best, best_score, n_optimal = crf_best_path_enumerate(
-                    emis[i, :L], trans, start, end
+                _, best, best_score, n_optimal = oracles.crf_enumerate(
+                    emis[lo:lo + L], trans, start, end
                 )
-                score = oracles.crf_score(emis[i, :L], path, trans, start, end)
-                assert abs(score - best_score) <= 1e-8
+                score = oracles.crf_score(emis[lo:lo + L], path, trans, start, end)
+                assert abs(score - best_score) <= 1e-12
                 if n_optimal == 1:
                     assert path.tolist() == best
 
     def test_viterbi_ties_match_reference(self, rng):
-        # Small integer scores make many paths tie; the batch must break
-        # every tie exactly as the per-sequence decoder does.
+        # The batch must break every tie exactly as the per-sequence
+        # decoder does.
         for _ in range(300):
             emis, _, lengths, trans, start, end = ragged_batch(rng, max_tags=4)
-            emis, trans = np.round(emis / 4), np.round(trans)
-            start, end = np.round(start), np.round(end)
+            emis, trans, start, end = with_ties(emis, trans, start, end)
             paths = viterbi(emis, trans, start, end, lengths)
-            for i, L in enumerate(lengths):
+            for lo, L in segments(lengths):
                 assert np.array_equal(
-                    paths[i, :L],
-                    viterbi_per_sequence(emis[i, :L], trans, start, end),
+                    paths[lo:lo + L],
+                    viterbi_per_sequence(emis[lo:lo + L], trans, start, end),
                 )
 
     def test_all_ties_pick_lowest_ids_at_mixed_lengths(self):
         lengths = np.array([2, 5, 1, 5, 3])
         K = 3
-        emis = np.zeros((5, 5, K))
-        emis[0, 2:] = 7.0  # padding must not break the ties
         zeros = np.zeros(K)
-        paths = viterbi(emis, np.zeros((K, K)), zeros, zeros, lengths)
-        for i, L in enumerate(lengths):
+        paths = viterbi(np.zeros((16, K)), np.zeros((K, K)), zeros, zeros, lengths)
+        for lo, L in segments(lengths):
             best, _, n_optimal = crf_best_path_enumerate(
-                emis[i, :L], np.zeros((K, K)), zeros, zeros
+                np.zeros((L, K)), np.zeros((K, K)), zeros, zeros
             )
             assert n_optimal == K ** L
-            assert paths[i, :L].tolist() == best == [0] * L
+            assert paths[lo:lo + L].tolist() == best == [0] * L
 
     def test_forbidden_moves_match_reference(self, rng):
         # -inf scores: tag 0 never follows another tag and tag 1 never
@@ -291,46 +307,49 @@ class TestBatched:
             K = trans.shape[0]
             trans[:, 0] = -np.inf
             start[1] = -np.inf
-            tags = np.where(tags < 0, 0, tags) % (K - 1) + 1
-            tags[:, 0] = np.where(K > 2, 2, 0)
+            tags = tags % (K - 1) + 1
+            starts = np.cumsum(lengths) - lengths
+            tags[starts] = 2 if K > 2 else 0
             nll, cache = crf_nll(emis, tags, trans, start, end, lengths)
             grads = crf_nll_backward(cache)
-            for i, L in enumerate(lengths):
+            for i, (lo, L) in enumerate(segments(lengths)):
                 ref_nll, ref = crf_forward_backward(
-                    emis[i, :L], tags[i, :L], trans, start, end
+                    emis[lo:lo + L], tags[lo:lo + L], trans, start, end
                 )
                 assert abs(nll[i] - ref_nll) <= 1e-12
-                assert np.abs(grads["emissions"][i, :L] - ref["emissions"]).max() <= 1e-12
+                err = np.abs(grads["emissions"][lo:lo + L] - ref["emissions"])
+                assert err.max() <= 1e-12
             assert np.isfinite(grads["trans"]).all()
 
 
 class TestValidation:
     def test_shape_disagreement(self, rng):
-        emis = rng.normal(size=(1, 3, 4))
-        with pytest.raises(ValueError, match="shapes disagree with emissions"):
-            crf_nll(emis, [[0, 0, 0]], np.zeros((5, 5)), np.zeros(5), np.zeros(5))
-
-    def test_bare_sequence_refused(self, rng):
         emis = rng.normal(size=(3, 4))
+        with pytest.raises(ValueError, match="shapes disagree with emissions"):
+            crf_nll(emis, [0, 0, 0], np.zeros((5, 5)), np.zeros(5), np.zeros(5))
+
+    def test_padded_batch_refused(self, rng):
+        emis = rng.normal(size=(1, 3, 4))
         zeros = np.zeros(4)
-        with pytest.raises(ValueError, match=r"must be \(b, n, K\)"):
-            crf_nll(emis, [0, 0, 0], np.zeros((4, 4)), zeros, zeros)
-        with pytest.raises(ValueError, match=r"must be \(b, n, K\)"):
+        with pytest.raises(ValueError, match=r"must be \(T, K\)"):
+            crf_nll(emis, [[0, 0, 0]], np.zeros((4, 4)), zeros, zeros)
+        with pytest.raises(ValueError, match=r"must be \(T, K\)"):
             viterbi(emis, np.zeros((4, 4)), zeros, zeros)
 
-    @pytest.mark.parametrize("lengths", [[0, 3], [3, 4], [3], [[3, 3]]])
+    @pytest.mark.parametrize("lengths", [[0, 6], [3, 4], [7], [[3, 3]], []])
     def test_bad_lengths(self, rng, lengths):
-        emis = rng.normal(size=(2, 3, 4))
+        emis = rng.normal(size=(6, 4))
         zeros = np.zeros(4)
         with pytest.raises(ValueError):
             viterbi(emis, np.zeros((4, 4)), zeros, zeros, lengths)
-
-    def test_tag_out_of_range_at_a_real_position(self, rng):
-        emis = rng.normal(size=(2, 3, 4))
-        tags = np.zeros((2, 3), dtype=int)
-        tags[1, 1] = 4
-        zeros = np.zeros(4)
         with pytest.raises(ValueError):
-            crf_nll(emis, tags, np.zeros((4, 4)), zeros, zeros, [3, 2])
-        tags[1, 1], tags[1, 2] = 0, 4  # past the length: ignored
-        crf_nll(emis, tags, np.zeros((4, 4)), zeros, zeros, [3, 2])
+            crf_nll(emis, [0] * 6, np.zeros((4, 4)), zeros, zeros, lengths)
+
+    def test_tag_out_of_range(self, rng):
+        emis = rng.normal(size=(5, 4))
+        tags = np.zeros(5, dtype=int)
+        zeros = np.zeros(4)
+        for bad in (4, -1):
+            tags[3] = bad
+            with pytest.raises(ValueError, match="tag id out of range"):
+                crf_nll(emis, tags, np.zeros((4, 4)), zeros, zeros, [3, 2])

@@ -1,5 +1,6 @@
 """Corpus format, label tables, statistics, and the synthetic grammar."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,20 @@ class TestStaged:
                 (stage / "seed1" / "a.bin").write_bytes(b"half")
                 raise KeyboardInterrupt
         assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("leftover", ["file", "tree"])
+    def test_stale_stage_of_this_pid_is_cleared(self, tmp_path, leftover):
+        # a killed run left its stage; a new process got the same PID
+        stale = tmp_path / f".run.{os.getpid()}.tmp"
+        if leftover == "tree":
+            (stale / "seed1").mkdir(parents=True)
+            (stale / "seed1" / "a.bin").write_bytes(b"stale")
+        else:
+            stale.write_bytes(b"stale")
+        with staged(tmp_path / "run") as stage:
+            stage.mkdir()
+            (stage / "a.bin").write_bytes(b"new")
+        assert tree(tmp_path) == {"run": None, "run/a.bin": b"new"}
 
     def test_failed_save_corpus_keeps_the_old_corpus(self, tmp_path,
                                                      monkeypatch):

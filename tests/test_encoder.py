@@ -15,6 +15,7 @@ from jointnlu.numerics import (
     layer_norm,
     layer_norm_backward,
     log_softmax,
+    softmax_backward,
     stable_softmax,
 )
 
@@ -27,8 +28,11 @@ from oracles import (
     gelu_two_erf,
     layer_norm_mean,
     layer_norm_mean_backward,
+    log_softmax_max_sum,
     pad_rows,
     relative_gradient_error,
+    softmax_backward_max_sum,
+    stable_softmax_max_sum,
 )
 
 
@@ -104,6 +108,24 @@ class TestNumerics:
         for got, want in zip(layer_norm_backward(d_y, cache),
                              layer_norm_mean_backward(d_y, cache_ref)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "shape", [(20, 64), (2, 4, 13, 13), (1, 23), (7, 1), (3, 5, 11)]
+    )
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_softmaxes_bit_equal_to_max_sum_oracles(self, rng, shape, axis):
+        scores = rng.normal(size=shape) * 4
+        scores[rng.random(shape) < 0.2] = -np.inf  # masked entries
+        scores[..., 0] = rng.normal(size=shape[:-1])  # one finite per row
+        if axis == 0:
+            scores = np.where(np.isinf(scores), 0.0, scores)
+        d = rng.normal(size=shape)
+        probs = stable_softmax(scores, axis=axis)
+        assert np.array_equal(probs, stable_softmax_max_sum(scores, axis))
+        assert np.array_equal(log_softmax(scores, axis=axis),
+                              log_softmax_max_sum(scores, axis))
+        assert np.array_equal(softmax_backward(d, probs, axis=axis),
+                              softmax_backward_max_sum(d, probs, axis))
 
     def test_layer_norm_statistics(self, rng):
         x = rng.normal(size=(3, 4, 10)) * 5 + 2

@@ -170,25 +170,41 @@ class TestEncodeFeatures:
         assert ENTITY_DIM == 19 and CASE_DIM == 4 and FEATURE_DIM == 23
 
     def test_none_lower_positions(self):
-        vec = encode_features(EntityClass.NONE, CaseClass.LOWER)
+        vec = encode_features([EntityClass.NONE], [CaseClass.LOWER])
         assert np.flatnonzero(vec).tolist() == [18, 20]
 
     def test_airport_upper_positions(self):
-        vec = encode_features(EntityClass.AIRPORT_CODE, CaseClass.UPPER)
+        vec = encode_features([EntityClass.AIRPORT_CODE], [CaseClass.UPPER])
         assert np.flatnonzero(vec).tolist() == [17, 19]
 
     def test_every_pair_sums_to_two(self):
         for e in EntityClass:
             for c in CaseClass:
-                v = encode_features(e, c)
+                v = encode_features([e], [c])
                 assert v.sum() == 2.0
-                assert v.shape == (FEATURE_DIM,)
+                assert v.shape == (1, FEATURE_DIM)
 
     def test_injective_over_all_pairs(self):
         seen = {
-            tuple(encode_features(e, c)) for e in EntityClass for c in CaseClass
+            tuple(encode_features([e], [c])[0])
+            for e in EntityClass for c in CaseClass
         }
         assert len(seen) == len(EntityClass) * len(CaseClass)
+
+    def test_block_is_the_stack_of_per_word_rows(self):
+        # the one-step block is bit-identical to one row built per word
+        rng = np.random.default_rng(0)
+        entities = [EntityClass(i) for i in rng.integers(0, ENTITY_DIM, 50)]
+        cases = [CaseClass(i) for i in rng.integers(0, CASE_DIM, 50)]
+        rows = []
+        for e, c in zip(entities, cases):
+            row = np.zeros(FEATURE_DIM)
+            row[int(e)] = row[ENTITY_DIM + int(c)] = 1.0
+            rows.append(row)
+        block = encode_features(entities, cases)
+        assert block.dtype == np.float64
+        assert np.array_equal(block, np.stack(rows))
+        assert encode_features([], []).shape == (0, FEATURE_DIM)
 
 
 class TestFeatureForward:

@@ -25,31 +25,29 @@ def intent_params(rng, mode="attention"):
                        intent_pool=mode)
 
 
-def pooled(H, pad_mask, rng):
+def pooled(H, lengths, rng):
     """Pooling weights and pooled vector of the attention head."""
-    _, alpha, cache = intent_forward(H, pad_mask, intent_params(rng))
+    _, alpha, cache = intent_forward(H, lengths, intent_params(rng))
     return alpha, cache["h_int"]
 
 
 def random_states(rng, b=3, n=6, d=D_H):
-    """Packed hidden states of b sequences padded to n, the first of length
-    4 and the rest full, and their pad mask."""
-    H = rng.normal(size=(b, n, d))
-    pad = np.ones((b, n), dtype=bool)
-    pad[0, 4:] = False
-    return H[pad], pad
+    """Packed hidden states of b sequences, the first of length 4 and the
+    rest of length n, and their lengths."""
+    lengths = np.full(b, n)
+    lengths[0] = 4
+    return rng.normal(size=(int(lengths.sum()), d)), lengths
 
 
-def segment_starts(pad):
-    lengths = pad.sum(axis=1)
+def segment_starts(lengths):
     return np.cumsum(lengths) - lengths
 
 
 class TestAttentionLogits:
     def test_zero_matrix_gives_zero_scores(self, rng):
-        H, pad = random_states(rng)
+        H, lengths = random_states(rng)
         logits = attention_logits(H, np.zeros((D_H, D_H)), rng.normal(size=D_H))
-        assert np.array_equal(logits, np.zeros(pad.sum()))
+        assert np.array_equal(logits, np.zeros(lengths.sum()))
 
     def test_single_position(self, rng):
         H = rng.normal(size=(1, D_H))
@@ -119,35 +117,34 @@ class TestAttentionWeights:
 class TestPool:
     def test_single_position_is_tanh_of_row(self, rng):
         H = rng.normal(size=(2, D_H))
-        alpha, out = pooled(H, np.ones((2, 1), dtype=bool), rng)
+        alpha, out = pooled(H, [1, 1], rng)
         assert np.array_equal(alpha, np.ones(2))
         assert np.allclose(out, np.tanh(H))
 
     def test_identical_rows_ignore_weights(self, rng):
         row = rng.normal(size=D_H)
         H = np.tile(row, (5, 1))
-        _, out = pooled(H, np.ones((1, 5), dtype=bool), rng)
+        _, out = pooled(H, [5], rng)
         assert np.allclose(out, np.tanh(row))
 
     def test_matches_direct_weighted_sum(self, rng):
-        H, pad = random_states(rng)
-        alpha, out = pooled(H, pad, rng)
-        lengths = pad.sum(axis=1)
-        for b, lo in enumerate(segment_starts(pad)):
+        H, lengths = random_states(rng)
+        alpha, out = pooled(H, lengths, rng)
+        for b, lo in enumerate(segment_starts(lengths)):
             seg = range(lo, lo + lengths[b])
             direct = np.tanh(sum(alpha[t] * H[t] for t in seg))
             assert np.allclose(out[b], direct)
 
     def test_output_bounded_by_unit_box(self, rng):
         # tanh saturates to exactly +-1.0 in floats, so the bound is closed
-        H, pad = random_states(rng)
-        assert (np.abs(pooled(H * 100, pad, rng)[1]) <= 1.0).all()
-        assert (np.abs(pooled(H, pad, rng)[1]) < 1.0).all()
+        H, lengths = random_states(rng)
+        assert (np.abs(pooled(H * 100, lengths, rng)[1]) <= 1.0).all()
+        assert (np.abs(pooled(H, lengths, rng)[1]) < 1.0).all()
 
     def test_weight_shape_enforced(self, rng):
         H, _ = random_states(rng)
         with pytest.raises(ValueError):
-            pooled(H, np.ones((3, 7), dtype=bool), rng)
+            pooled(H, [7, 7, 7], rng)
 
 
 class TestIntentLogits:
@@ -188,20 +185,20 @@ def _ce_grad(y, targets):
 class TestForwardBackward:
     @pytest.mark.parametrize("mode", ["attention", "start_token"])
     def test_gradients_match_fd(self, rng, mode):
-        H, pad = random_states(rng)
+        H, lengths = random_states(rng)
         params = intent_params(rng, mode)
         for p in params.values():  # larger weights make the check non-trivial
             p += rng.normal(scale=0.3, size=p.shape)
-        targets = rng.integers(0, N_INTENTS, size=len(pad))
+        targets = rng.integers(0, N_INTENTS, size=len(lengths))
 
-        y, _, cache = intent_forward(H, pad, params, mode)
+        y, _, cache = intent_forward(H, lengths, params, mode)
         d_H, grads = intent_backward(_ce_grad(y, targets), cache, params)
 
         holders = dict(params)
         holders["H"] = H
 
         def loss(_parms=None):
-            out, _, _ = intent_forward(holders["H"], pad, params, mode)
+            out, _, _ = intent_forward(holders["H"], lengths, params, mode)
             return _ce(out, targets)
 
         analytic = dict(grads)
@@ -214,18 +211,18 @@ class TestForwardBackward:
             assert err.max() <= 1e-4, f"{mode}/{name}: {err.max():.2e}"
 
     def test_gradients_with_dropout_replay(self, rng):
-        H, pad = random_states(rng)
+        H, lengths = random_states(rng)
         params = intent_params(rng)
-        targets = rng.integers(0, N_INTENTS, size=len(pad))
+        targets = rng.integers(0, N_INTENTS, size=len(lengths))
 
         y, _, cache = intent_forward(
-            H, pad, params, dropout_rate=0.3, rng=np.random.default_rng(5),
+            H, lengths, params, dropout_rate=0.3, rng=np.random.default_rng(5),
         )
         _, grads = intent_backward(_ce_grad(y, targets), cache, params)
 
         def loss(_parms=None):
             out, _, _ = intent_forward(
-                H, pad, params, dropout_rate=0.3, rng=np.random.default_rng(5)
+                H, lengths, params, dropout_rate=0.3, rng=np.random.default_rng(5)
             )
             return _ce(out, targets)
 
@@ -237,24 +234,24 @@ class TestForwardBackward:
             assert err.max() <= 1e-4, f"{name}: {err.max():.2e}"
 
     def test_boundary_positions_receive_mass(self, rng):
-        H, pad = random_states(rng)
+        H, lengths = random_states(rng)
         params = intent_params(rng)
-        _, alpha, _ = intent_forward(H, pad, params)
-        starts = segment_starts(pad)
+        _, alpha, _ = intent_forward(H, lengths, params)
+        starts = segment_starts(lengths)
         assert (alpha[starts] > 0).all()  # every sequence's first piece
         assert (alpha[np.append(starts[1:], len(H)) - 1] > 0).all()  # and last
 
     def test_pooled_vector_inside_unit_box(self, rng):
-        H, pad = random_states(rng)
+        H, lengths = random_states(rng)
         params = intent_params(rng)
-        _, _, cache = intent_forward(H, pad, params)
+        _, _, cache = intent_forward(H, lengths, params)
         assert (np.abs(cache["h_int"]) < 1.0).all()
 
     def test_start_token_alpha_is_position_zero_indicator(self, rng):
-        H, pad = random_states(rng)
+        H, lengths = random_states(rng)
         params = intent_params(rng, "start_token")
-        _, alpha, cache = intent_forward(H, pad, params, "start_token")
-        starts = segment_starts(pad)
+        _, alpha, cache = intent_forward(H, lengths, params, "start_token")
+        starts = segment_starts(lengths)
         indicator = np.zeros(len(H))
         indicator[starts] = 1.0
         assert np.array_equal(alpha, indicator)
@@ -263,6 +260,6 @@ class TestForwardBackward:
         assert np.allclose(cache["h_int"], direct)
 
     def test_unknown_mode_rejected(self, rng):
-        H, pad = random_states(rng)
+        H, lengths = random_states(rng)
         with pytest.raises(ValueError):
-            intent_forward(H, pad, {}, mode="mean")
+            intent_forward(H, lengths, {}, mode="mean")

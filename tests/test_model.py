@@ -392,23 +392,36 @@ def _arrays(obj, path=()):
 
 class TestPackedLayout:
     """From the encoder's output to the loss every per-piece array has one
-    row per real piece. Only the encoder's attention block (q, k, v and the
-    attention probabilities) holds a padded length axis; the CRF's padded
-    arrays live inside crf_nll and viterbi."""
+    row per real piece, and every per-sequence array one row per sequence.
+    Only the encoder's attention block (q, k, v and the attention
+    probabilities) holds a padded length axis."""
 
-    # b = 5 sequences padded to n = 7 hold T = 21 pieces; n is none of the
-    # model's widths, so any array with a length axis shows it.
-    LENGTHS, N = [7, 1, 4, 2, 7], 7
+    # b = 6 sequences padded to n = 7 hold T = 24 pieces; none of b, n and T
+    # is one of the model's widths, so any array with a length axis shows it.
+    LENGTHS, N = [7, 1, 4, 2, 7, 3], 7
 
     def _check(self, where, arr, params):
         b, T, n = len(self.LENGTHS), sum(self.LENGTHS), self.N
         if any(arr is p for p in params.values()):
-            return  # a layer-norm gain the cache holds by reference
+            return  # a layer-norm gain or CRF score the cache holds by reference
         if where[-1] in ("q", "k", "v", "probs"):
             assert arr.shape[0] == b and arr.shape[2] == n, where
         else:
             assert arr.shape[0] in (T, b), (where, arr.shape)
             assert n not in arr.shape[1:], (where, arr.shape)
+
+    @staticmethod
+    def _record(monkeypatch, module, names):
+        """Patch each named function of `module` to log its positional
+        arguments and what it returns."""
+        seen = []
+        for name in names:
+            def record(*args, _fn=getattr(module, name), _name=name):
+                out = _fn(*args)
+                seen.append((_name, args, out))
+                return out
+            monkeypatch.setattr(module, name, record)
+        return seen
 
     @pytest.mark.parametrize("slot_mode", SLOT_MODES)
     @pytest.mark.parametrize("intent_pool", POOL_MODES)
@@ -424,21 +437,54 @@ class TestPackedLayout:
         for where, arr in _arrays(cache):
             self._check(where, arr, params)
 
-        # the gradient each backward pass receives and hands on
-        seen = []
-        for name in ("slot_backward", "intent_backward", "feature_backward",
-                     "encode_backward"):
-            def record(*args, _fn=getattr(model, name), _name=name):
-                out = _fn(*args)
-                parts = out if isinstance(out, tuple) else (out,)
-                seen.append((_name, [args[0]] + [
-                    p for p in parts if not isinstance(p, dict)]))
-                return out
-            monkeypatch.setattr(model, name, record)
+        # the gradient each backward pass receives and hands on, and in crf
+        # mode the CRF's inputs, cache and gradients
+        backward = ("slot_backward", "intent_backward", "feature_backward",
+                    "encode_backward")
+        crf = ("crf_nll", "crf_nll_backward") if slot_mode == "crf" else ()
+        seen = self._record(monkeypatch, model, backward + crf)
         model_loss_and_grads(params, cfg, batch, 0.4, np.random.default_rng(0))
-        assert len(seen) == 4
-        for where, arr in _arrays(seen):
-            self._check(where, arr, params)
+        assert [name for name, *_ in seen] == list(crf) + list(backward)
+        for name, args, out in seen:
+            if name == "crf_nll_backward":
+                K = N_SLOTS
+                assert out["emissions"].shape == (sum(self.LENGTHS), K)
+                assert out["trans"].shape == (K, K)
+                assert out["start"].shape == out["end"].shape == (K,)
+                continue
+            parts = out if isinstance(out, tuple) else (out,)
+            kept = [args if name == "crf_nll" else args[:1]]
+            kept += [p for p in parts if name == "crf_nll" or not isinstance(p, dict)]
+            for where, arr in _arrays(kept):
+                self._check((name,) + where, arr, params)
+
+    @pytest.mark.parametrize("intent_pool", POOL_MODES)
+    def test_dropout_draws_are_the_packed_mask_shapes(self, rng, intent_pool):
+        cfg = tiny_config(intent_pool=intent_pool, dropout_rate=0.3)
+        params = init_model_params(cfg, rng)
+        batch = ragged_batch(rng, self.LENGTHS, n=self.N)
+        b, T = len(self.LENGTHS), sum(self.LENGTHS)
+        d_h = cfg.encoder.d_h
+        shapes = [(T, d_h)] + [(T, d_h), (T, d_h)] * cfg.encoder.n_layers
+        if intent_pool == "attention":
+            shapes.append((T,))
+        shapes += [(b, d_h), (T, params["W_s"].shape[1])]
+
+        used = np.random.default_rng(7)
+        *_, cache = model_outputs(params, cfg, batch, used)
+        replay = np.random.default_rng(7)
+        masks = [(replay.random(shape) >= 0.3) / 0.7 for shape in shapes]
+        assert used.bit_generator.state == replay.bit_generator.state
+        enc, head = cache["enc"], cache["int"]
+        drawn = [enc["emb_mask"]]
+        for layer in enc["layers"]:
+            drawn += [layer["attn_drop"], layer["ffn_drop"]]
+        if intent_pool == "attention":
+            drawn.append(head["att_drop"])
+        drawn += [head["h_drop"], cache["slot"]["drop"]]
+        assert len(drawn) == len(masks)
+        for got, want in zip(drawn, masks):
+            assert np.array_equal(got, want)
 
 
 class TestSlotLossShape:
@@ -447,10 +493,9 @@ class TestSlotLossShape:
         from jointnlu.numerics import log_softmax
 
         S = 3
-        mask = np.array([[True] * 4, [True, True, True, False]])
         scores = rng.normal(size=(7, S))
         tags = rng.integers(0, S, size=7)
-        loss, _ = _softmax_slot_loss(scores, tags, mask)
+        loss, _ = _softmax_slot_loss(scores, tags, np.array([4, 3]))
         manual = [
             np.mean([-log_softmax(scores[t])[tags[t]] for t in rows])
             for rows in (range(0, 4), range(4, 7))
@@ -475,31 +520,21 @@ class TestSlotLossShape:
             for k in g:
                 assert np.array_equal(g2[k], g[k]), (slot_mode, k)
 
-    def test_crf_padded_positions_carry_no_gradient(self, rng):
+    def test_crf_loss_is_batch_mean_of_the_packed_crf(self, rng):
         from jointnlu.crf import crf_nll, crf_nll_backward
         from jointnlu.model import _crf_slot_loss
 
         cfg = tiny_config(slot_mode="crf")
         params = init_model_params(cfg, rng)
-        mask = np.array([[True, True, False, False], [True] * 4,
-                         [True, False, False, False]])
-        T = int(mask.sum())
-        scores = rng.normal(size=(T, N_SLOTS))
-        tags = rng.integers(0, N_SLOTS, size=T)
-        loss, d, grads = _crf_slot_loss(scores, tags, mask, params)
-        assert d.shape == (T, N_SLOTS)
-        # the CRF on padded emissions, with anything at all in the padding
-        emissions = rng.normal(size=(3, 4, N_SLOTS)) * 1e6
-        emissions[mask] = scores
-        padded_tags = rng.integers(0, N_SLOTS, size=(3, 4))
-        padded_tags[mask] = tags
-        nll, cache = crf_nll(emissions, padded_tags, params["crf.T"],
-                             params["crf.start"], params["crf.end"],
-                             mask.sum(axis=1))
+        lengths = np.array([2, 4, 1])
+        scores = rng.normal(size=(7, N_SLOTS))
+        tags = rng.integers(0, N_SLOTS, size=7)
+        loss, d, grads = _crf_slot_loss(scores, tags, lengths, params)
+        nll, cache = crf_nll(scores, tags, params["crf.T"], params["crf.start"],
+                             params["crf.end"], lengths)
         g = crf_nll_backward(cache)
         assert loss == float(nll.sum()) / 3
-        assert (g["emissions"][~mask] == 0.0).all()
-        assert np.array_equal(d, g["emissions"][mask] / 3)
+        assert np.array_equal(d, g["emissions"] / 3)
         for k, key in (("crf.T", "trans"), ("crf.start", "start"),
                        ("crf.end", "end")):
             assert np.array_equal(grads[k], g[key] / 3), k

@@ -17,12 +17,12 @@ N_INT, N_SLOTS, D_H, F_DIM = 4, 6, 8, 32
 
 def random_inputs(rng, features=True):
     """Two sequences of 5 and 3 pieces: intent logits, packed feature and
-    hidden rows, and the pad mask."""
-    pad = np.arange(5) < np.array([[5], [3]])
+    hidden rows, and the lengths."""
+    lengths = np.array([5, 3])
     y_int = rng.normal(size=(2, N_INT))
     f_words = rng.normal(size=(8, F_DIM)) if features else None
     H = rng.normal(size=(8, D_H))
-    return y_int, f_words, H, pad
+    return y_int, f_words, H, lengths
 
 
 def slot_params(rng, n_slots, n_intents, d_h, features):
@@ -36,8 +36,7 @@ def one_position(y_int, f, h, W_s, b_s):
     """slot_forward on a batch of one sequence of one position."""
     f_words = None if f is None else f[None, :]
     params = {"W_s": W_s, "b_s": b_s}
-    one = np.ones((1, 1), dtype=bool)
-    return slot_forward(y_int[None, :], f_words, h[None, :], one, params)[0][0]
+    return slot_forward(y_int[None, :], f_words, h[None, :], [1], params)[0][0]
 
 
 def fused_width(n_intents, d_h, features):
@@ -98,10 +97,10 @@ class TestSlotLogits:
 
 class TestSlotForward:
     def test_batch_matches_single_position(self, rng):
-        y_int, f_words, H, pad = random_inputs(rng)
+        y_int, f_words, H, lengths = random_inputs(rng)
         params = slot_params(rng, N_SLOTS, N_INT, D_H, True)
-        out, _ = slot_forward(y_int, f_words, H, pad, params)
-        seq_of_row = np.nonzero(pad)[0]
+        out, _ = slot_forward(y_int, f_words, H, lengths, params)
+        seq_of_row = np.repeat(np.arange(len(lengths)), lengths)
         for t, b in enumerate(seq_of_row):
             direct = slot_logits(
                 y_int[b], f_words[t], H[t], params["W_s"], params["b_s"]
@@ -109,30 +108,30 @@ class TestSlotForward:
             assert np.allclose(out[t], direct)
 
     def test_feature_free_variant_narrows_input(self, rng):
-        y_int, _, H, pad = random_inputs(rng, features=False)
+        y_int, _, H, lengths = random_inputs(rng, features=False)
         params = slot_params(rng, N_SLOTS, N_INT, D_H, False)
         assert params["W_s"].shape == (N_SLOTS, N_INT + D_H)
-        out, _ = slot_forward(y_int, None, H, pad, params)
+        out, _ = slot_forward(y_int, None, H, lengths, params)
         assert out.shape == (8, N_SLOTS)
 
     def test_wrong_feature_shape_rejected(self, rng):
-        y_int, f_words, H, pad = random_inputs(rng)
+        y_int, f_words, H, lengths = random_inputs(rng)
         params = slot_params(rng, N_SLOTS, N_INT, D_H, True)
         with pytest.raises(ValueError):
-            slot_forward(y_int, f_words[:3], H, pad, params)
+            slot_forward(y_int, f_words[:3], H, lengths, params)
         with pytest.raises(ValueError):
-            slot_forward(y_int, f_words, H, pad[:1], params)
+            slot_forward(y_int, f_words, H, lengths[:1], params)
 
     def test_dropout_replays_under_same_seed(self, rng):
-        y_int, f_words, H, pad = random_inputs(rng)
+        y_int, f_words, H, lengths = random_inputs(rng)
         params = slot_params(rng, N_SLOTS, N_INT, D_H, True)
         a, _ = slot_forward(
-            y_int, f_words, H, pad, params, 0.4, np.random.default_rng(11)
+            y_int, f_words, H, lengths, params, 0.4, np.random.default_rng(11)
         )
         b, _ = slot_forward(
-            y_int, f_words, H, pad, params, 0.4, np.random.default_rng(11)
+            y_int, f_words, H, lengths, params, 0.4, np.random.default_rng(11)
         )
-        plain, _ = slot_forward(y_int, f_words, H, pad, params)
+        plain, _ = slot_forward(y_int, f_words, H, lengths, params)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, plain)
 
@@ -140,12 +139,12 @@ class TestSlotForward:
 class TestSlotBackward:
     @pytest.mark.parametrize("features", [True, False])
     def test_gradients_match_fd(self, rng, features):
-        y_int, f_words, H, pad = random_inputs(rng, features=features)
+        y_int, f_words, H, lengths = random_inputs(rng, features=features)
         params = slot_params(rng, N_SLOTS, N_INT, D_H, features)
         params["W_s"] += rng.normal(scale=0.3, size=params["W_s"].shape)
         probe = rng.normal(size=(8, N_SLOTS))
 
-        out, cache = slot_forward(y_int, f_words, H, pad, params)
+        out, cache = slot_forward(y_int, f_words, H, lengths, params)
         d_y, d_f, d_H, grads = slot_backward(probe, cache, params)
 
         holders = {"y_int": y_int, "H": H, **params}
@@ -158,7 +157,7 @@ class TestSlotBackward:
 
         def loss(_parms=None):
             got, _ = slot_forward(
-                holders["y_int"], holders.get("f_words"), holders["H"], pad,
+                holders["y_int"], holders.get("f_words"), holders["H"], lengths,
                 holders,
             )
             return float(np.sum(got * probe))
@@ -172,10 +171,10 @@ class TestSlotBackward:
 
     def test_intent_gradient_flows_through_softmax(self, rng):
         # the intent block must receive gradient from the slot path
-        y_int, f_words, H, pad = random_inputs(rng)
+        y_int, f_words, H, lengths = random_inputs(rng)
         params = slot_params(rng, N_SLOTS, N_INT, D_H, True)
         probe = rng.normal(size=(8, N_SLOTS))
-        _, cache = slot_forward(y_int, f_words, H, pad, params)
+        _, cache = slot_forward(y_int, f_words, H, lengths, params)
         d_y, _, _, _ = slot_backward(probe, cache, params)
         assert d_y.shape == y_int.shape
         assert np.abs(d_y).max() > 0
@@ -183,18 +182,18 @@ class TestSlotBackward:
         assert np.allclose(d_y.sum(axis=-1), 0.0, atol=1e-12)
 
     def test_gradients_with_dropout_replay(self, rng):
-        y_int, f_words, H, pad = random_inputs(rng)
+        y_int, f_words, H, lengths = random_inputs(rng)
         params = slot_params(rng, N_SLOTS, N_INT, D_H, True)
         probe = rng.normal(size=(8, N_SLOTS))
 
         _, cache = slot_forward(
-            y_int, f_words, H, pad, params, 0.3, np.random.default_rng(21)
+            y_int, f_words, H, lengths, params, 0.3, np.random.default_rng(21)
         )
         _, _, _, grads = slot_backward(probe, cache, params)
 
         def loss(_parms=None):
             got, _ = slot_forward(
-                y_int, f_words, H, pad, params, 0.3, np.random.default_rng(21)
+                y_int, f_words, H, lengths, params, 0.3, np.random.default_rng(21)
             )
             return float(np.sum(got * probe))
 
