@@ -1,12 +1,16 @@
-"""Learning-rate schedule and decoupled-weight-decay Adam.
+"""Learning-rate schedule, the flat parameter buffer and decoupled-weight-
+decay Adam.
 
-Parameters live in a flat name -> array dict and are updated in place so
-that any views handed out (e.g. to fused heads) stay valid across steps.
+The trainer keeps every parameter tensor as a view into one flat float64
+buffer (`flat_buffer`), so AdamW updates all of them with one in-place step
+over flat moment and scratch buffers. Views handed out stay valid across
+steps.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+import math
+from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -31,8 +35,23 @@ def lr_schedule(
     return peak_lr * (total_steps - step) / (total_steps - warmup)
 
 
+def flat_buffer(
+    shapes: Mapping[str, Tuple[int, ...]], dtype=np.float64
+) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """One zeroed 1-d buffer holding the named tensors end to end, in the
+    order of `shapes`, and a view of it per name."""
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    flat = np.zeros(sum(sizes), dtype=dtype)
+    views, lo = {}, 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        views[name] = flat[lo:lo + size].reshape(shape)
+        lo += size
+    return flat, views
+
+
 class AdamW:
-    """Adam with bias correction and decoupled weight decay.
+    """Adam with bias correction and decoupled weight decay, over the flat
+    buffer that `flat_buffer(shapes)` lays out.
 
     Only the tensors named in `decayed` take weight decay (for the model,
     the rows of model.param_spec whose decay flag is set). The decay term
@@ -42,6 +61,7 @@ class AdamW:
 
     def __init__(
         self,
+        shapes: Mapping[str, Tuple[int, ...]],
         decayed: Iterable[str],
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -58,48 +78,69 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.decayed = frozenset(decayed)
         self.t = 0
-        self._m: Dict[str, np.ndarray] = {}
-        self._v: Dict[str, np.ndarray] = {}
+        # The gradient buffer doubles as scratch once the moments have read it.
+        self._g, self._grads = flat_buffer(shapes)
+        decay_mask, masks = flat_buffer(shapes)
+        for name in frozenset(decayed) & masks.keys():
+            masks[name][...] = 1.0
+        self._decay_mask = decay_mask
+        self._m = np.zeros_like(self._g)
+        self._v = np.zeros_like(self._g)
+        self._scratch = np.zeros_like(self._g)
 
     def step(
-        self,
-        params: Dict[str, np.ndarray],
-        grads: Dict[str, np.ndarray],
-        lr: float,
+        self, params: np.ndarray, grads: Mapping[str, np.ndarray], lr: float
     ) -> None:
-        """Apply one update in place. `grads` must hold exactly one gradient
-        per tensor of `params`, by name and shape; otherwise ValueError is
-        raised before anything changes."""
+        """Apply one update in place to the flat float64 `params`. `grads`
+        must hold exactly one gradient per tensor of the layout, by name and
+        shape, of any float dtype; otherwise ValueError is raised before
+        anything changes."""
         if lr < 0.0:
             raise ValueError("lr must be nonnegative")
-        if grads.keys() != params.keys():
-            missing = sorted(params.keys() - grads.keys())
+        if params.shape != self._g.shape:
+            raise ValueError(
+                f"params must be a flat buffer of {self._g.size} values, "
+                f"got shape {params.shape}"
+            )
+        views = self._grads
+        if grads.keys() != views.keys():
+            missing = sorted(views.keys() - grads.keys())
             if missing:
                 raise ValueError(f"no gradient for parameter {missing[0]!r}")
-            extra = sorted(grads.keys() - params.keys())
+            extra = sorted(grads.keys() - views.keys())
             raise ValueError(f"gradient {extra[0]!r} names no parameter")
-        for name, p in params.items():
-            if grads[name].shape != p.shape:
+        for name, view in views.items():
+            if grads[name].shape != view.shape:
                 raise ValueError(
                     f"gradient shape {grads[name].shape} != parameter shape "
-                    f"{p.shape} for {name!r}"
+                    f"{view.shape} for {name!r}"
                 )
+        for name, view in views.items():
+            np.copyto(view, grads[name])
+
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in params.items():
-            g = grads[name]
-            if name not in self._m:
-                self._m[name] = np.zeros_like(p)
-                self._v[name] = np.zeros_like(p)
-            m, v = self._m[name], self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay > 0.0 and name in self.decayed:
-                update = update + self.weight_decay * p
-            p -= lr * update
+        g, m, v, s = self._g, self._m, self._v, self._scratch
+        # Per element, the arithmetic (and its order) of the textbook step:
+        # m = b1 m + (1-b1) g; v = b2 v + (1-b2) g^2;
+        # u = (m/bc1) / (sqrt(v/bc2) + eps) + wd p [decayed]; p -= lr u.
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.square(g, out=s)
+        s *= 1.0 - self.beta2
+        v += s
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        np.divide(m, bc1, out=g)
+        g /= s
+        if self.weight_decay > 0.0:
+            np.multiply(params, self.weight_decay, out=s)
+            s *= self._decay_mask
+            g += s
+        g *= lr
+        params -= g

@@ -24,7 +24,7 @@ from .model import (
     param_spec,
     predict_batch,
 )
-from .optim import AdamW, lr_schedule
+from .optim import AdamW, flat_buffer, lr_schedule
 from .subwords import AlignedSequence, WordPieceVocab, train_vocab
 from .tagging import (
     EvalReport,
@@ -84,7 +84,7 @@ class TrainConfig:
         # output exists.
         ModelConfig(DESK_ENCODER, 1, 1, self.slot_mode, self.slot_features,
                     self.intent_pool, self.dropout_rate)
-        AdamW((), self.beta1, self.beta2, self.epsilon, self.weight_decay)
+        AdamW({}, (), self.beta1, self.beta2, self.epsilon, self.weight_decay)
         lr_schedule(0, 1, self.warmup_proportion, self.learning_rate)
 
     def to_kv_text(self) -> str:
@@ -291,9 +291,16 @@ def train(
         intent_pool=config.intent_pool,
         dropout_rate=config.dropout_rate,
     )
-    params = init_model_params(model_cfg, rng)
+    # Every tensor is a view into one flat float64 buffer, which AdamW
+    # updates in one step.
+    spec = param_spec(model_cfg)
+    shapes = {row.name: row.shape for row in spec}
+    masters, params = flat_buffer(shapes)
+    for name, value in init_model_params(model_cfg, rng).items():
+        params[name][...] = value
     opt = AdamW(
-        decayed=[row.name for row in param_spec(model_cfg) if row.decay],
+        shapes,
+        [row.name for row in spec if row.decay],
         beta1=config.beta1,
         beta2=config.beta2,
         eps=config.epsilon,
@@ -350,8 +357,8 @@ def train(
                 step, total_steps, config.warmup_proportion,
                 config.learning_rate,
             )
-            opt.step(params, grads, lr)
-            if not all(np.isfinite(v).all() for v in params.values()):
+            opt.step(masters, grads, lr)
+            if not np.isfinite(masters).all():
                 raise DivergenceError(
                     f"non-finite parameters after epoch {epoch}, "
                     f"step {step}; try a lower learning rate"

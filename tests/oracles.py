@@ -2,9 +2,10 @@
 
 Everything here is deliberately brute-force and shares no code with the
 package: chunking by scanning all (start, end, label) triples, CRF partition
-and decoding by exhaustive enumeration, and gradients by central finite
-differences. The exceptions are `model_losses`, the joint model's loss
-without any backward pass, which the finite-difference checks probe, and the
+and decoding by exhaustive enumeration, gradients by central finite
+differences, and AdamW one tensor at a time (`AdamWPerTensor`). The
+exceptions are `model_losses`, the joint model's loss without any backward
+pass, which the finite-difference checks probe, and the
 padded model (`model_padded`: encoder, heads, feature net and losses run on
 every (batch, length) position), which reuses the package's softmax, dropout
 and cross-entropy helpers so it draws the same dropout masks as the packed
@@ -157,6 +158,39 @@ def finite_difference(fn, params: dict[str, np.ndarray], name: str, step: float 
         flat[c] = keep
         grads[j] = (up - down) / (2 * step)
     return coords, grads
+
+
+class AdamWPerTensor:
+    """The per-tensor AdamW loop the flat step replaced: moments per name,
+    one tensor at a time, in the same arithmetic order."""
+
+    def __init__(self, decayed, beta1=0.9, beta2=0.999, eps=1e-6,
+                 weight_decay=0.01):
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.weight_decay = weight_decay
+        self.decayed = frozenset(decayed)
+        self.t = 0
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+
+    def step(self, params: dict[str, np.ndarray], grads, lr: float) -> None:
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, p in params.items():
+            g = grads[name]
+            if name not in self._m:
+                self._m[name] = np.zeros_like(p)
+                self._v[name] = np.zeros_like(p)
+            m, v = self._m[name], self._v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * np.square(g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if self.weight_decay > 0.0 and name in self.decayed:
+                update = update + self.weight_decay * p
+            p -= lr * update
 
 
 def relative_gradient_error(analytic, fd) -> np.ndarray:

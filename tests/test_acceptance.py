@@ -46,7 +46,7 @@ from jointnlu.model import (
     model_loss_and_grads,
     param_spec,
 )
-from jointnlu.optim import AdamW
+from jointnlu.optim import AdamW, flat_buffer
 from jointnlu.subwords import align, de_align, train_vocab
 from jointnlu.tagging import extract_chunks, parse_tags, per_token_micro_f1, slot_f1
 from jointnlu.toy import toy_grammar
@@ -326,14 +326,18 @@ def test_criterion_09_intent_only_weighting_freezes_slot_head():
         encoder=enc, n_intents=3, n_slots=5,
         slot_mode="crf", slot_features=True,
     )
-    params = init_model_params(cfg, rng)
+    spec = param_spec(cfg)
+    shapes = {row.name: row.shape for row in spec}
+    flat, params = flat_buffer(shapes)
+    for name, value in init_model_params(cfg, rng).items():
+        params[name][...] = value
     slot_only = [
         k for k in params
         if k in ("W_s", "b_s") or k.startswith(("crf.", "feat."))
     ]
     assert slot_only, "expected a slot-side parameter block"
 
-    opt = AdamW([row.name for row in param_spec(cfg) if row.decay])
+    opt = AdamW(shapes, [row.name for row in spec if row.decay])
     for _ in range(10):
         batch = _random_batch(rng, enc, cfg.n_intents, cfg.n_slots)
         l_int, l_slot, grads = model_loss_and_grads(params, cfg, batch, 1.0)
@@ -343,7 +347,7 @@ def test_criterion_09_intent_only_weighting_freezes_slot_head():
         assert np.isfinite(l_slot) and l_slot > 0.0
         assert joint_loss(l_int, l_slot, 1.0) == 1.0 * l_int + 0.0 * l_slot
         assert joint_loss(l_int, l_slot, 0.6) == 0.6 * l_int + 0.4 * l_slot
-        opt.step(params, grads, 1e-3)
+        opt.step(flat, grads, 1e-3)
 
 
 # ----------------------------------------------------------------------
