@@ -67,9 +67,9 @@ def _steps(T: int, lengths) -> _Steps:
 
 
 def _inputs(emissions, trans, start, end, lengths):
-    """Checked emissions and their layout, and the emissions in step-major
-    order."""
-    emissions = np.asarray(emissions, dtype=np.float64)
+    """Checked emissions, in the dtype of the transition scores, and their
+    layout, and the emissions in step-major order."""
+    emissions = np.asarray(emissions, dtype=trans.dtype)
     if emissions.ndim != 2:
         raise ValueError(f"emissions must be (T, K), got {emissions.shape}")
     T, K = emissions.shape
@@ -128,7 +128,7 @@ def crf_nll(
         raise ValueError("tag id out of range")
     counts, offsets = steps.counts, steps.offsets
 
-    log_alpha = np.empty((T, K))
+    log_alpha = np.empty((T, K), dtype=em.dtype)
     np.add(start, em[:counts[0]], out=log_alpha[:counts[0]])
     for t in range(1, len(counts)):
         lo, m, prev = offsets[t], counts[t], offsets[t - 1]
@@ -163,7 +163,7 @@ def crf_nll_backward(cache: dict) -> dict[str, np.ndarray]:
     T, K = em.shape
     b = counts[0]
 
-    log_beta = np.empty((T, K))
+    log_beta = np.empty((T, K), dtype=em.dtype)
     log_beta[steps.last] = cache["end"]
     for t in range(len(counts) - 2, -1, -1):
         lo, m, nxt = offsets[t], counts[t + 1], offsets[t + 1]
@@ -222,7 +222,7 @@ def viterbi(
     T, K = emissions.shape
 
     # delta[r, j]: best score of a path prefix ending in tag j at row r.
-    delta = np.empty((T, K))
+    delta = np.empty((T, K), dtype=em.dtype)
     np.add(start, em[:counts[0]], out=delta[:counts[0]])
     for t in range(1, len(counts)):
         lo, m, prev = offsets[t], counts[t], offsets[t - 1]

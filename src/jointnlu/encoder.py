@@ -18,6 +18,7 @@ back under the same names.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,11 +109,11 @@ def encode(
     real_ids = ids.ravel()[rows]
     emb = params["enc.tok_emb"][real_ids] + params["enc.pos_emb"][rows % n]
     x, ln_emb_cache = layer_norm(emb, params["enc.ln_emb.g"], params["enc.ln_emb.b"])
-    emb_mask = dropout_mask(rng, x.shape, dropout_rate)
+    emb_mask = dropout_mask(rng, x.shape, dropout_rate, x.dtype)
     x = apply_mask(x, emb_mask)
 
     key_mask = pad_mask[:, None, None, :]  # broadcast over heads and queries
-    scale = 1.0 / np.sqrt(cfg.d_head)
+    scale = 1.0 / math.sqrt(cfg.d_head)
     layers = []
     for i in range(cfg.n_layers):
         p = f"enc.l{i}."
@@ -124,7 +125,7 @@ def encode(
         probs = stable_softmax(scores, axis=-1)
         ctx = _from_heads(probs @ v, rows)
         attn_out = ctx @ params[p + "Wo"] + params[p + "bo"]
-        attn_drop = dropout_mask(rng, attn_out.shape, dropout_rate)
+        attn_drop = dropout_mask(rng, attn_out.shape, dropout_rate, x.dtype)
         attn_out = apply_mask(attn_out, attn_drop)
         x1, ln1_cache = layer_norm(
             x_in + attn_out, params[p + "ln1.g"], params[p + "ln1.b"]
@@ -133,7 +134,7 @@ def encode(
         u = x1 @ params[p + "W1"] + params[p + "b1"]
         a, one_erf = gelu(u)
         ffn_out = a @ params[p + "W2"] + params[p + "b2"]
-        ffn_drop = dropout_mask(rng, ffn_out.shape, dropout_rate)
+        ffn_drop = dropout_mask(rng, ffn_out.shape, dropout_rate, x.dtype)
         ffn_out = apply_mask(ffn_out, ffn_drop)
         x2, ln2_cache = layer_norm(
             x1 + ffn_out, params[p + "ln2.g"], params[p + "ln2.b"]

@@ -164,11 +164,11 @@ def feature_forward(x: np.ndarray, params: dict[str, np.ndarray]):
     """Embed feature rows: s = x W_w + b_w, h = PReLU(s), out = h W_proj + b_proj.
 
     `params` is the model's flat dict; the net reads its "feat." names.
-    x is (T, 23), one row per real piece; the output is (T, 32). Returns
-    (out, cache), the cache holding the intermediates feature_backward
-    needs.
+    x is (T, 23), one row per real piece; the output is (T, 32), in the
+    parameters' dtype. Returns (out, cache), the cache holding the
+    intermediates feature_backward needs.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params["feat.W_w"].dtype)
     if x.ndim != 2 or x.shape[1] != FEATURE_DIM:
         raise ValueError(f"features must be (T, {FEATURE_DIM}), got {x.shape}")
     s = x @ params["feat.W_w"] + params["feat.b_w"]
@@ -185,13 +185,12 @@ def feature_backward(
     "feat." names; the one-hot inputs are fixed, so they get no gradient.
     """
     x, s, h = cache
-    d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != h.shape:
         raise ValueError("upstream gradient shape mismatch")
 
     d_h = d_out @ params["feat.W_proj"].T
     a = float(params["feat.a_prelu"])
-    d_s = d_h * np.where(s > 0, 1.0, a)
+    d_s = np.where(s > 0, d_h, a * d_h)
     return {
         "feat.W_w": x.T @ d_s,
         "feat.b_w": d_s.sum(axis=0),

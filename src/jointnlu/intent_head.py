@@ -16,6 +16,8 @@ Both passes read the model's flat parameter dict under its "int." names
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .numerics import apply_mask, dropout_mask
@@ -39,7 +41,7 @@ def attention_weights(
     segment of the packed logits; `lengths` gives the segments in order and
     each must be nonempty."""
     starts = np.cumsum(lengths) - lengths
-    scaled = logits / np.sqrt(d_h)
+    scaled = logits / math.sqrt(d_h)
     exp = np.exp(scaled - np.repeat(np.maximum.reduceat(scaled, starts), lengths))
     return exp / np.repeat(np.add.reduceat(exp, starts), lengths)
 
@@ -77,16 +79,16 @@ def intent_forward(
     if mode == "attention":
         logits = attention_logits(H, params["int.W_score"], params["int.v_score"])
         alpha_clean = attention_weights(logits, lengths, H.shape[1])
-        att_drop = dropout_mask(rng, alpha_clean.shape, dropout_rate)
+        att_drop = dropout_mask(rng, alpha_clean.shape, dropout_rate, H.dtype)
         alpha = apply_mask(alpha_clean, att_drop)
         h_int = np.tanh(np.add.reduceat(alpha[:, None] * H, starts, axis=0))
     else:
         h_int = np.tanh(H[starts] @ params["int.W_pool"].T + params["int.b_pool"])
         alpha_clean, att_drop = None, None
-        alpha = np.zeros(len(H))
+        alpha = np.zeros(len(H), dtype=H.dtype)
         alpha[starts] = 1.0
 
-    h_drop = dropout_mask(rng, h_int.shape, dropout_rate)
+    h_drop = dropout_mask(rng, h_int.shape, dropout_rate, H.dtype)
     h_used = apply_mask(h_int, h_drop)
     y_int = intent_logits(h_used, params["int.W_cls"], params["int.b_cls"])
 
@@ -129,7 +131,7 @@ def intent_backward(
         inner = np.repeat(
             np.add.reduceat(d_alpha_clean * alpha_clean, starts), lengths
         )
-        d_logits = alpha_clean * (d_alpha_clean - inner) / np.sqrt(H.shape[1])
+        d_logits = alpha_clean * (d_alpha_clean - inner) / math.sqrt(H.shape[1])
 
         t = np.tanh(H @ params["int.W_score"].T)
         d_proj = d_logits[:, None] * params["int.v_score"] * (1.0 - t * t)

@@ -5,11 +5,13 @@ row per real piece, sequence after sequence. Past the encoder the one layout
 fact is `Batch.lengths`, each sequence's row count; only the encoder's
 attention block sees the padded (b, n) layout.
 
-Parameters live in one flat name -> float64 array dict. `param_spec` is the
-one list of its tensors (name, shape, initialiser, weight-decay flag); the
-initialiser, the checkpoint loader and the optimizer all read it. Every layer
-reads its tensors from that dict under those names and returns gradients
-under the same names, so the optimizer walks the two dicts in parallel.
+Parameters live in one flat name -> array dict. `param_spec` is the one
+list of its tensors (name, shape, initialiser, weight-decay flag); the
+initialiser, the checkpoint loader and the trainer's flat buffers all read
+it. Every layer reads its tensors from that dict under those names and
+returns gradients under the same names. The forward and backward passes
+compute in the dtype of the parameters handed in: float32 in training,
+float64 for checkpoints, serving and evaluation.
 """
 
 from __future__ import annotations

@@ -1,19 +1,25 @@
-"""Shared float64 building blocks: softmax, GELU, layer norm, dropout masks,
-and the scatter of packed rows (one per real piece of a (batch, length)
-batch, in np.flatnonzero(pad_mask) order) to the padded layout that
-attention needs.
+"""Shared building blocks: softmax, GELU, layer norm, dropout masks, and
+the scatter of packed rows (one per real piece of a (batch, length) batch,
+in np.flatnonzero(pad_mask) order) to the padded layout that attention
+needs.
 
 Every forward helper that participates in training has an exact hand-derived
-backward companion; caches carry whatever the backward pass needs.
+backward companion; caches carry whatever the backward pass needs. Each
+helper computes in the float dtype of the arrays it is given (float32 in
+training, float64 elsewhere): its constants are Python floats, which numpy
+never lets widen an array's dtype, where an np.float64 scalar would turn a
+float32 array into float64.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 LN_EPS = 1e-12
 
@@ -82,18 +88,23 @@ def layer_norm_backward(d_y: np.ndarray, cache):
 
 
 def dropout_mask(
-    rng: np.random.Generator | None, shape: tuple[int, ...], rate: float
+    rng: np.random.Generator | None,
+    shape: tuple[int, ...],
+    rate: float,
+    dtype: np.dtype,
 ) -> np.ndarray | None:
-    """Inverted-dropout multiplier, or None when dropout is inactive.
+    """Inverted-dropout multiplier of the given float dtype, or None when
+    dropout is inactive.
 
-    Kept entries are scaled by 1/(1-rate) so expectations are preserved.
+    Kept entries are scaled by 1/(1-rate) so expectations are preserved. The
+    draws do not depend on the dtype.
     """
     if rate < 0.0 or rate >= 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0 or rng is None:
         return None
     keep = rng.random(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+    return keep.astype(dtype) / (1.0 - rate)
 
 
 def apply_mask(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:

@@ -47,7 +47,7 @@ def slot_forward(
         raise ValueError(
             f"W_s expects width {W_s.shape[1]}, fused input has {fused.shape[-1]}"
         )
-    drop = dropout_mask(rng, fused.shape, dropout_rate)
+    drop = dropout_mask(rng, fused.shape, dropout_rate, fused.dtype)
     fused_used = apply_mask(fused, drop)
     logits = fused_used @ W_s.T + params["b_s"]
     cache = dict(

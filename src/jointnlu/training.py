@@ -46,6 +46,11 @@ DESK_ENCODER = EncoderConfig(
 # Size of the sub-word vocabulary induced from the train split.
 VOCAB_TARGET = 300
 
+# Training steps compute in float32 on a copy of the float64 master
+# parameters, which AdamW updates; checkpoints, dev evaluation and serving
+# read the float64 masters.
+COMPUTE_DTYPE = np.float32
+
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or parameters; surfaced,
@@ -291,13 +296,15 @@ def train(
         intent_pool=config.intent_pool,
         dropout_rate=config.dropout_rate,
     )
-    # Every tensor is a view into one flat float64 buffer, which AdamW
-    # updates in one step.
+    # Every tensor is a view into one flat float64 master buffer, which
+    # AdamW updates in one step, and into its flat float32 copy, which each
+    # step's forward and backward passes read.
     spec = param_spec(model_cfg)
     shapes = {row.name: row.shape for row in spec}
     masters, params = flat_buffer(shapes)
     for name, value in init_model_params(model_cfg, rng).items():
         params[name][...] = value
+    compute, compute_params = flat_buffer(shapes, COMPUTE_DTYPE)
     opt = AdamW(
         shapes,
         [row.name for row in spec if row.decay],
@@ -336,16 +343,17 @@ def train(
                 slot_vocab,
             )
             try:
-                # Healthy runs never overflow: softmax is shift
-                # protected, so inf/nan here means the step blew up.
+                # Healthy runs never overflow: softmax is shift protected,
+                # so inf/nan here, or a master parameter beyond float32's
+                # range, means the step blew up.
                 with np.errstate(over="raise", invalid="raise"):
+                    np.copyto(compute, masters)
                     l_int, l_slot, grads = model_loss_and_grads(
-                        params, model_cfg, batch, config.gamma, rng
+                        compute_params, model_cfg, batch, config.gamma, rng
                     )
             except FloatingPointError as err:
                 raise DivergenceError(
-                    f"non-finite activations at epoch {epoch}, "
-                    f"step {step}: {err}"
+                    f"non-finite values at epoch {epoch}, step {step}: {err}"
                 ) from err
             l_jnt = joint_loss(l_int, l_slot, config.gamma)
             if not (np.isfinite(l_int) and np.isfinite(l_slot)):

@@ -244,7 +244,7 @@ def packed_dropout(rng, pad_mask, width, rate):
     """A dropout mask drawn as the packed model draws it, one row of shape
     `width` per real position, then scattered to (b, n, *width) with zeros
     at padding; None when dropout is off."""
-    mask = dropout_mask(rng, (int(pad_mask.sum()),) + width, rate)
+    mask = dropout_mask(rng, (int(pad_mask.sum()),) + width, rate, np.float64)
     return None if mask is None else pad_rows(mask, pad_mask)
 
 
@@ -533,7 +533,7 @@ def intent_forward_padded(H, pad_mask, params, mode, dropout_rate=0.0, rng=None)
         alpha_clean, att_drop = None, None
         alpha = np.zeros((b, n))
         alpha[:, 0] = 1.0
-    h_drop = dropout_mask(rng, h_int.shape, dropout_rate)
+    h_drop = dropout_mask(rng, h_int.shape, dropout_rate, np.float64)
     h_used = apply_mask(h_int, h_drop)
     y_int = h_used @ params["int.W_cls"].T + params["int.b_cls"]
     cache = dict(H=H, mode=mode, alpha_clean=alpha_clean, att_drop=att_drop,

@@ -153,22 +153,24 @@ class TestNumerics:
             err = relative_gradient_error(analytic[name].reshape(-1)[coords], fd)
             assert err.max() < 1e-5, name
 
-    def test_dropout_mask_values_and_scaling(self, rng):
-        mask = dropout_mask(rng, (1000,), 0.25)
-        assert set(np.unique(mask)) <= {0.0, 1.0 / 0.75}
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_mask_values_and_scaling(self, rng, dtype):
+        mask = dropout_mask(rng, (1000,), 0.25, dtype)
+        assert mask.dtype == dtype
+        assert set(np.unique(mask)) <= {dtype(0.0), dtype(1.0) / dtype(0.75)}
         assert abs((mask > 0).mean() - 0.75) < 0.05
 
     def test_dropout_inactive_cases(self, rng):
-        assert dropout_mask(rng, (4,), 0.0) is None
-        assert dropout_mask(None, (4,), 0.5) is None
+        assert dropout_mask(rng, (4,), 0.0, np.float64) is None
+        assert dropout_mask(None, (4,), 0.5, np.float64) is None
         x = np.arange(4.0)
         assert apply_mask(x, None) is x
 
     def test_dropout_rate_bounds(self, rng):
         with pytest.raises(ValueError):
-            dropout_mask(rng, (4,), 1.0)
+            dropout_mask(rng, (4,), 1.0, np.float64)
         with pytest.raises(ValueError):
-            dropout_mask(rng, (4,), -0.1)
+            dropout_mask(rng, (4,), -0.1, np.float64)
 
 
 class TestEncoderConfig:

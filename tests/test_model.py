@@ -487,6 +487,88 @@ class TestPackedLayout:
             assert np.array_equal(got, want)
 
 
+class TestComputeDtype:
+    """Both passes compute in the dtype of the parameters handed in: float32
+    for training steps, float64 everywhere else. A float64 constant or
+    default anywhere on the path would silently widen a float32 pass."""
+
+    LENGTHS, N = TestPackedLayout.LENGTHS, TestPackedLayout.N
+    # Set from float32's resolution before looking at any result.
+    TOL = 1e3 * float(np.finfo(np.float32).eps)
+
+    @staticmethod
+    def _params(cfg, rng, dtype):
+        return {k: v.astype(dtype) for k, v in init_model_params(cfg, rng).items()}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+    @pytest.mark.parametrize("slot_features", [True, False])
+    @pytest.mark.parametrize("intent_pool", POOL_MODES)
+    @pytest.mark.parametrize("slot_mode", SLOT_MODES)
+    def test_every_float_array_has_the_params_dtype(
+        self, rng, monkeypatch, slot_mode, intent_pool, slot_features,
+        dropout_rate, dtype,
+    ):
+        import jointnlu.model as model
+
+        cfg = tiny_config(slot_mode=slot_mode, intent_pool=intent_pool,
+                          slot_features=slot_features, dropout_rate=dropout_rate)
+        params = self._params(cfg, rng, dtype)
+        batch = ragged_batch(rng, self.LENGTHS, n=self.N)
+        outputs = model_outputs(params, cfg, batch, np.random.default_rng(0))
+
+        # what every backward pass and the CRF receive and return
+        names = ("slot_backward", "intent_backward", "feature_backward",
+                 "encode_backward", "crf_nll", "crf_nll_backward")
+        seen = TestPackedLayout._record(monkeypatch, model, names)
+        *losses, grads = model_loss_and_grads(
+            params, cfg, batch, 0.4, np.random.default_rng(0)
+        )
+        assert grads.keys() == params.keys()
+        found = list(_arrays([outputs, grads, [(args, out) for _, args, out in seen]]))
+        floats = [(where, arr) for where, arr in found if arr.dtype.kind == "f"]
+        assert len(floats) > len(grads)
+        for where, arr in floats:
+            assert arr.dtype == dtype, where
+        assert all(type(x) is float for x in losses)
+
+    @pytest.mark.parametrize("slot_features", [True, False])
+    @pytest.mark.parametrize("intent_pool", POOL_MODES)
+    @pytest.mark.parametrize("slot_mode", SLOT_MODES)
+    def test_float32_matches_float64_within_its_resolution(
+        self, rng, slot_mode, intent_pool, slot_features
+    ):
+        cfg = tiny_config(slot_mode=slot_mode, intent_pool=intent_pool,
+                          slot_features=slot_features, dropout_rate=0.0)
+        params = init_model_params(cfg, rng)
+        params32 = {k: v.astype(np.float32) for k, v in params.items()}
+        batch = ragged_batch(rng, self.LENGTHS, n=self.N)
+        *l64, g64 = model_loss_and_grads(params, cfg, batch, 0.4)
+        *l32, g32 = model_loss_and_grads(params32, cfg, batch, 0.4)
+        for a, b in zip(l32, l64):
+            assert abs(a - b) <= self.TOL * abs(b)
+        top = max(np.abs(g).max() for g in g64.values())
+        for name, want in g64.items():
+            # A gradient that is zero up to rounding (the key biases', by the
+            # softmax's shift invariance) is measured against the largest.
+            scale = max(np.abs(want).max(), self.TOL * top)
+            assert np.abs(g32[name] - want).max() <= self.TOL * scale, name
+
+    @pytest.mark.parametrize("intent_pool", POOL_MODES)
+    def test_both_dtypes_draw_the_same_dropout(self, rng, intent_pool):
+        cfg = tiny_config(slot_mode="crf", intent_pool=intent_pool,
+                          dropout_rate=0.1)
+        params = init_model_params(cfg, rng)
+        batch = ragged_batch(rng, self.LENGTHS, n=self.N)
+        rngs = []
+        for dtype in (np.float32, np.float64):
+            used = np.random.default_rng(3)
+            params_d = {k: v.astype(dtype) for k, v in params.items()}
+            model_loss_and_grads(params_d, cfg, batch, 0.4, used)
+            rngs.append(used.bit_generator.state)
+        assert rngs[0] == rngs[1]
+
+
 class TestSlotLossShape:
     def test_softmax_loss_is_per_sequence_position_mean(self, rng):
         from jointnlu.model import _softmax_slot_loss

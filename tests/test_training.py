@@ -252,6 +252,8 @@ class TestTrainLoop:
         )
         assert res.history[-1].l_joint < first.l_joint
 
+    # a parameter beyond float32's range ends the run, not in a warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_aborts_with_diagnostic(self):
         data = toy_grammar(9, 8, 4, 4)
         cfg = quick_config(epochs=4, batch_size=4, learning_rate=1e200,
