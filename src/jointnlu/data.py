@@ -13,6 +13,7 @@ same format carries converted benchmark data and the synthetic grammar.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -149,30 +150,56 @@ def save_corpus(corpus: Sequence[TaggedUtterance], path) -> None:
         tmp.write_text("\n".join(lines), encoding="utf-8", newline="\n")
 
 
+def _remove(stage: Path) -> None:
+    if stage.is_dir():
+        shutil.rmtree(stage, ignore_errors=True)
+    else:
+        stage.unlink(missing_ok=True)
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # signal 0 checks that the process exists
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:  # it exists, under another user
+        return True
+    return True
+
+
+def _dead_stages(path: Path) -> list[Path]:
+    """The `.NAME.PID.tmp` stages of `path` whose process has ended."""
+    pattern = re.compile(re.escape(f".{path.name}.") + r"([1-9][0-9]*)\.tmp")
+    try:
+        names = os.listdir(path.parent)
+    except OSError:  # a missing parent fails where the block writes
+        return []
+    return [
+        path.parent / name for name in names
+        if (m := pattern.fullmatch(name)) and not _pid_alive(int(m[1]))
+    ]
+
+
 @contextmanager
 def staged(path):
     """Publish `path` in one step: the one way every output is written.
 
     The block builds its output, a file or a whole directory tree, at the
-    yielded hidden sibling `.NAME.PID.tmp`, first clearing any leftover a
-    killed process with the same PID left there. When the block ends cleanly
-    one `os.replace` moves it onto `path`; on any exception the stage is
+    yielded hidden sibling `.NAME.PID.tmp`. Before it starts, a leftover at
+    that name (a killed process that had the same PID) is cleared, and so is
+    every other `.NAME.PID.tmp` stage whose process is no longer alive; a
+    live process's stage is never touched. When the block ends cleanly one
+    `os.replace` moves the stage onto `path`; on any exception the stage is
     removed and `path` is left as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-
-    def clear():
-        if tmp.is_dir():
-            shutil.rmtree(tmp, ignore_errors=True)
-        else:
-            tmp.unlink(missing_ok=True)
-
-    clear()
+    for stale in [tmp, *_dead_stages(path)]:
+        _remove(stale)
     try:
         yield tmp
         os.replace(tmp, path)
     finally:
-        clear()  # after a clean replace there is nothing left to clear
+        _remove(tmp)  # after a clean replace there is nothing left to clear
 
 
 def lint_corpus(corpus: Sequence[TaggedUtterance]) -> list[str]:

@@ -1,6 +1,8 @@
 """Corpus format, label tables, statistics, and the synthetic grammar."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +304,28 @@ class TestStaged:
             stage.mkdir()
             (stage / "a.bin").write_bytes(b"new")
         assert tree(tmp_path) == {"run": None, "run/a.bin": b"new"}
+
+    @pytest.mark.parametrize("leftover", ["file", "tree"])
+    def test_stages_of_ended_processes_are_swept(self, tmp_path, leftover):
+        # a run killed outright left its stage; its process is gone
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait(timeout=60) == 0  # exited and reaped
+        stale = tmp_path / f".run.{child.pid}.tmp"
+        if leftover == "tree":
+            (stale / "seed1").mkdir(parents=True)
+            (stale / "seed1" / "a.bin").write_bytes(b"stale")
+        else:
+            stale.write_bytes(b"stale")
+        # a live process's stage, and another output's stage, are not ours
+        live = tmp_path / f".run.{os.getppid()}.tmp"
+        live.write_bytes(b"live")
+        other = tmp_path / f".log.{child.pid}.tmp"
+        other.write_bytes(b"other")
+        with staged(tmp_path / "run") as stage:
+            stage.write_bytes(b"new")
+        assert tree(tmp_path) == {
+            "run": b"new", live.name: b"live", other.name: b"other",
+        }
 
     def test_failed_save_corpus_keeps_the_old_corpus(self, tmp_path,
                                                      monkeypatch):
