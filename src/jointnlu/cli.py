@@ -14,10 +14,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
+import scipy
 
 from .data import load_corpus, read_utf8, staged
 from .features import WordFeaturizer
@@ -31,6 +35,7 @@ from .model import (
 from .subwords import align
 from .tagging import O_TAG, read_kv, relative_error_reduction
 from .training import (
+    COMPUTE_DTYPE,
     DivergenceError,
     TrainConfig,
     TrainResult,
@@ -48,12 +53,19 @@ _REQUIRED_DATA = ("train.txt", "dev.txt", "lexicon.txt", "gazetteer.tsv",
 # Headline measures compared between two runs.
 _MEASURES = ("intent_acc", "sent_acc", "slot_f1")
 
+# Environment variables that set the BLAS thread count, which can change
+# the summation order of matrix products and so the bits of a run.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 @dataclass(frozen=True)
 class RunManifest:
     """Record of one training run, sufficient to reproduce it bit for bit:
     the exact settings (seed included), fingerprints of every input file,
-    and where the outputs live relative to the manifest."""
+    where the outputs live relative to the manifest, and the numerics it ran
+    with (compute dtype, numpy and scipy versions, BLAS thread variables,
+    None for an unset one). The numerics fields have empty defaults, which
+    is how a manifest written before they were recorded reads back."""
 
     config: TrainConfig
     data_dir: str
@@ -61,6 +73,10 @@ class RunManifest:
     checkpoint_path: str
     log_path: str
     best_epoch: int
+    compute_dtype: str = ""
+    numpy_version: str = ""
+    scipy_version: str = ""
+    blas_threads: Dict[str, Optional[str]] = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
@@ -111,6 +127,10 @@ def _train_one(config, corpora, hashes, featurizer, run_dir: Path,
         checkpoint_path="checkpoint.npz",
         log_path="train.log",
         best_epoch=result.best_epoch,
+        compute_dtype=np.dtype(COMPUTE_DTYPE).name,
+        numpy_version=np.__version__,
+        scipy_version=scipy.__version__,
+        blas_threads={v: os.environ.get(v) for v in _BLAS_THREAD_VARS},
     )
     (run_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
     return result

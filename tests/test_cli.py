@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import assume, given, strategies as st
 
 from jointnlu import cli
@@ -103,6 +104,28 @@ class TestTrainCommand:
         for name in ("train.txt", "dev.txt", "test.txt", "lexicon.txt",
                      "gazetteer.tsv", "english_dict.txt"):
             assert len(manifest.corpus_hashes[name]) == 64
+
+    def test_manifest_records_the_numerics(self, trained):
+        manifest = read_manifest(trained["out"])
+        assert manifest.compute_dtype == "float32"
+        assert manifest.numpy_version == np.__version__
+        assert manifest.scipy_version == scipy.__version__
+        assert manifest.blas_threads == {
+            v: os.environ.get(v)
+            for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+
+    def test_manifest_without_the_numerics_still_loads(self, trained):
+        # a manifest written before the numerics fields were recorded
+        d = json.loads((trained["out"] / "manifest.json").read_text())
+        for key in ("compute_dtype", "numpy_version", "scipy_version",
+                    "blas_threads"):
+            del d[key]
+        d["config"] = TrainConfig(**d["config"])
+        old = RunManifest(**d)
+        assert old.compute_dtype == old.numpy_version == old.scipy_version == ""
+        assert old.blas_threads == {}
+        assert old.config == read_manifest(trained["out"]).config
 
     def test_manifest_reproduces_the_run_bitwise(self, trained):
         data_dir = trained["data"]
