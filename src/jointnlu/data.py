@@ -163,7 +163,7 @@ def _pid_alive(pid: int) -> bool:
     except (ProcessLookupError, OverflowError):
         return False
     except PermissionError:  # it exists, under another user
-        return True
+        pass
     return True
 
 

@@ -493,12 +493,8 @@ class TestComputeDtype:
     default anywhere on the path would silently widen a float32 pass."""
 
     LENGTHS, N = TestPackedLayout.LENGTHS, TestPackedLayout.N
-    # Set from float32's resolution before looking at any result.
+    # From float32's resolution: 1e3 eps covers the rounding of every layer.
     TOL = 1e3 * float(np.finfo(np.float32).eps)
-
-    @staticmethod
-    def _params(cfg, rng, dtype):
-        return {k: v.astype(dtype) for k, v in init_model_params(cfg, rng).items()}
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
@@ -513,7 +509,7 @@ class TestComputeDtype:
 
         cfg = tiny_config(slot_mode=slot_mode, intent_pool=intent_pool,
                           slot_features=slot_features, dropout_rate=dropout_rate)
-        params = self._params(cfg, rng, dtype)
+        params = {k: v.astype(dtype) for k, v in init_model_params(cfg, rng).items()}
         batch = ragged_batch(rng, self.LENGTHS, n=self.N)
         outputs = model_outputs(params, cfg, batch, np.random.default_rng(0))
 
