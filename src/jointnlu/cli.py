@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
@@ -23,9 +24,11 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 import scipy
 
+from . import __version__
 from .data import load_corpus, read_utf8, staged
 from .features import WordFeaturizer
 from .model import (
+    COMPUTE_DTYPE,
     align_utterance,
     load_checkpoint,
     make_batch,
@@ -35,7 +38,6 @@ from .model import (
 from .subwords import align
 from .tagging import O_TAG, read_kv, relative_error_reduction
 from .training import (
-    COMPUTE_DTYPE,
     DivergenceError,
     TrainConfig,
     TrainResult,
@@ -64,8 +66,10 @@ class RunManifest:
     the exact settings (seed included), fingerprints of every input file,
     where the outputs live relative to the manifest, and the numerics it ran
     with (compute dtype, numpy and scipy versions, BLAS thread variables,
-    None for an unset one). The numerics fields have empty defaults, which
-    is how a manifest written before they were recorded reads back."""
+    None for an unset one). It also records the jointnlu version and the
+    run's wall seconds, from the start of training to the checkpoint being
+    written. The fields after best_epoch have empty defaults, which is how a
+    manifest written before they were recorded reads back."""
 
     config: TrainConfig
     data_dir: str
@@ -77,6 +81,8 @@ class RunManifest:
     numpy_version: str = ""
     scipy_version: str = ""
     blas_threads: Dict[str, Optional[str]] = field(default_factory=dict)
+    package_version: str = ""
+    wall_s: Optional[float] = None
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
@@ -114,6 +120,7 @@ def _load_data_dir(data_dir: Path):
 
 def _train_one(config, corpora, hashes, featurizer, run_dir: Path,
                data_dir: str) -> TrainResult:
+    t0 = time.perf_counter()
     result = train(corpora["train"], corpora["dev"], config, featurizer)
     run_dir.mkdir(parents=True)
     (run_dir / "train.log").write_text(
@@ -131,6 +138,8 @@ def _train_one(config, corpora, hashes, featurizer, run_dir: Path,
         numpy_version=np.__version__,
         scipy_version=scipy.__version__,
         blas_threads={v: os.environ.get(v) for v in _BLAS_THREAD_VARS},
+        package_version=__version__,
+        wall_s=time.perf_counter() - t0,
     )
     (run_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
     return result
@@ -233,6 +242,8 @@ def _check_label_vocabularies(ckpt, corpus) -> None:
 
 
 def cmd_eval(args) -> int:
+    if args.batch_size < 1:
+        raise ValueError(f"--batch-size must be at least 1, got {args.batch_size}")
     _check_out(args.out)
     corpus = load_corpus(args.data)
     if not corpus:
@@ -392,8 +403,16 @@ def cmd_annotate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error ends in one `error:` line and exit 2, like every other
+    refused input. The subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jointnlu",
         description="Joint intent and slot model: batch operator commands.",
     )

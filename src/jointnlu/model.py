@@ -10,8 +10,10 @@ list of its tensors (name, shape, initialiser, weight-decay flag); the
 initialiser, the checkpoint loader and the trainer's flat buffers all read
 it. Every layer reads its tensors from that dict under those names and
 returns gradients under the same names. The forward and backward passes
-compute in the dtype of the parameters handed in: float32 in training,
-float64 for checkpoints, serving and evaluation.
+compute in the dtype of the parameters handed in. The model's own dtype is
+COMPUTE_DTYPE (float32): training steps, dev evaluation, checkpoints and
+serving all use it, and only the optimizer's master copy is float64. The
+finite-difference tests hand in float64 arrays and get float64 passes.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ from .subwords import AlignedSequence, WordPieceVocab, align, de_align
 from .tagging import SlotTag
 
 SLOT_MODES = ("softmax", "crf")
+
+# The dtype the model computes, is evaluated, saved and served in. Only the
+# trainer's master parameters, which AdamW updates, are float64.
+COMPUTE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -410,7 +416,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "pieces": list(ckpt.piece_vocab.pieces),
         "resources": ckpt.featurizer.to_dict(),
     }
-    arrays = dict(ckpt.params)
+    arrays = {k: np.asarray(v, dtype=COMPUTE_DTYPE) for k, v in ckpt.params.items()}
     arrays[_META_KEY] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
@@ -462,12 +468,17 @@ def load_checkpoint(path) -> Checkpoint:
             problem = "is missing"
         elif arr.shape != row.shape:
             problem = f"has shape {arr.shape}, expected {row.shape}"
-        elif arr.dtype != np.float64:
-            problem = f"has dtype {arr.dtype}, expected float64"
-        elif not np.isfinite(arr).all():
-            problem = "has non-finite values"
+        elif arr.dtype not in (COMPUTE_DTYPE, np.float64):
+            problem = f"has dtype {arr.dtype}, expected {np.dtype(COMPUTE_DTYPE)}"
         else:
-            continue
+            # Archives written before checkpoints were float32 hold float64
+            # tensors: one cast here. A value beyond float32's range becomes
+            # inf and is refused with the non-finite ones.
+            with np.errstate(over="ignore"):
+                arr = arrays[row.name] = arr.astype(COMPUTE_DTYPE, copy=False)
+            if np.isfinite(arr).all():
+                continue
+            problem = "has non-finite values"
         raise ValueError(f"{path}: tensor {row.name!r} {problem}")
     try:
         ckpt = Checkpoint(

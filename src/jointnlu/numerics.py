@@ -5,8 +5,9 @@ needs.
 
 Every forward helper that participates in training has an exact hand-derived
 backward companion; caches carry whatever the backward pass needs. Each
-helper computes in the float dtype of the arrays it is given (float32 in
-training, float64 elsewhere): its constants are Python floats, which numpy
+helper computes in the float dtype of the arrays it is given (float32 for
+the model in training, evaluation and serving; float64 in the
+finite-difference checks): its constants are Python floats, which numpy
 never lets widen an array's dtype, where an np.float64 scalar would turn a
 float32 array into float64.
 """

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -14,6 +15,7 @@ from .data import IntentVocab, SlotVocab, TaggedUtterance
 from .encoder import EncoderConfig
 from .features import WordFeaturizer
 from .model import (
+    COMPUTE_DTYPE,
     Checkpoint,
     ModelConfig,
     align_utterance,
@@ -45,11 +47,6 @@ DESK_ENCODER = EncoderConfig(
 
 # Size of the sub-word vocabulary induced from the train split.
 VOCAB_TARGET = 300
-
-# Training steps compute in float32 on a copy of the float64 master
-# parameters, which AdamW updates; checkpoints, dev evaluation and serving
-# read the float64 masters.
-COMPUTE_DTYPE = np.float32
 
 
 class DivergenceError(RuntimeError):
@@ -255,6 +252,22 @@ def evaluate(
     return score(gold_intents, pred_intents, gold_tags, pred_tags)
 
 
+@contextmanager
+def _diverges_at(epoch: int, step: int):
+    """Turn an overflow or invalid value in the block into a DivergenceError.
+
+    Healthy runs never overflow: softmax is shift protected, so inf/nan in a
+    step, or a master parameter beyond float32's range in its copy, means
+    the run blew up."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as err:
+        raise DivergenceError(
+            f"non-finite values at epoch {epoch}, step {step}: {err}"
+        ) from err
+
+
 def train(
     train_corpus: Sequence[TaggedUtterance],
     dev_corpus: Sequence[TaggedUtterance],
@@ -297,14 +310,15 @@ def train(
         dropout_rate=config.dropout_rate,
     )
     # Every tensor is a view into one flat float64 master buffer, which
-    # AdamW updates in one step, and into its flat float32 copy, which each
-    # step's forward and backward passes read.
+    # AdamW updates in one step, and into its flat COMPUTE_DTYPE copy, which
+    # the forward and backward passes, dev evaluation and the checkpoint read.
     spec = param_spec(model_cfg)
     shapes = {row.name: row.shape for row in spec}
-    masters, params = flat_buffer(shapes)
+    masters, master_params = flat_buffer(shapes)
     for name, value in init_model_params(model_cfg, rng).items():
-        params[name][...] = value
-    compute, compute_params = flat_buffer(shapes, COMPUTE_DTYPE)
+        master_params[name][...] = value
+    compute, params = flat_buffer(shapes, COMPUTE_DTYPE)
+    np.copyto(compute, masters)
     opt = AdamW(
         shapes,
         [row.name for row in spec if row.decay],
@@ -342,19 +356,10 @@ def train(
                 train_intents[idx],
                 slot_vocab,
             )
-            try:
-                # Healthy runs never overflow: softmax is shift protected,
-                # so inf/nan here, or a master parameter beyond float32's
-                # range, means the step blew up.
-                with np.errstate(over="raise", invalid="raise"):
-                    np.copyto(compute, masters)
-                    l_int, l_slot, grads = model_loss_and_grads(
-                        compute_params, model_cfg, batch, config.gamma, rng
-                    )
-            except FloatingPointError as err:
-                raise DivergenceError(
-                    f"non-finite values at epoch {epoch}, step {step}: {err}"
-                ) from err
+            with _diverges_at(epoch, step):
+                l_int, l_slot, grads = model_loss_and_grads(
+                    params, model_cfg, batch, config.gamma, rng
+                )
             l_jnt = joint_loss(l_int, l_slot, config.gamma)
             if not (np.isfinite(l_int) and np.isfinite(l_slot)):
                 raise DivergenceError(
@@ -371,6 +376,10 @@ def train(
                     f"non-finite parameters after epoch {epoch}, "
                     f"step {step}; try a lower learning rate"
                 )
+            # The copy follows the masters after every step, so the dev
+            # evaluation below reads the parameters the epoch ended with.
+            with _diverges_at(epoch, step):
+                np.copyto(compute, masters)
             step += 1
             sums += (l_int, l_slot, l_jnt)
             n_batches += 1

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, event, given, strategies as st
 
+import jointnlu
 from jointnlu import cli
 from jointnlu.cli import RunManifest, main
 from jointnlu.data import load_corpus, save_corpus
@@ -115,16 +116,24 @@ class TestTrainCommand:
             for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         }
 
+    def test_manifest_records_version_and_wall_time(self, trained):
+        manifest = read_manifest(trained["out"])
+        assert manifest.package_version == jointnlu.__version__
+        assert 0.0 < manifest.wall_s < 600.0
+
     def test_manifest_without_the_numerics_still_loads(self, trained):
-        # a manifest written before the numerics fields were recorded
+        # a manifest written before the numerics, the version and the wall
+        # time were recorded
         d = json.loads((trained["out"] / "manifest.json").read_text())
         for key in ("compute_dtype", "numpy_version", "scipy_version",
-                    "blas_threads"):
+                    "blas_threads", "package_version", "wall_s"):
             del d[key]
         d["config"] = TrainConfig(**d["config"])
         old = RunManifest(**d)
         assert old.compute_dtype == old.numpy_version == old.scipy_version == ""
+        assert old.package_version == ""
         assert old.blas_threads == {}
+        assert old.wall_s is None
         assert old.config == read_manifest(trained["out"]).config
 
     def test_manifest_reproduces_the_run_bitwise(self, trained):
@@ -613,7 +622,23 @@ class TestEvalCommand:
             "--data", str(trained["data"] / "dev.txt"), "--batch-size", "0",
         ])
         assert rc == 2
-        assert "batch_size must be at least 1" in capsys.readouterr().err
+        assert "--batch-size must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("self_test", [False, True])
+    def test_batch_size_refused_before_any_input_is_read(self, tmp_path,
+                                                         capsys, self_test):
+        # neither input exists: the flag is refused before either is read
+        argv = ["eval", "--data", str(tmp_path / "absent.txt"),
+                "--batch-size", "-3", "--out", str(tmp_path / "report.txt")]
+        argv += (["--self-test"] if self_test
+                 else ["--checkpoint", str(tmp_path / "absent.npz")])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --batch-size must be at least 1, got -3"
+        ]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("text", ["", "\n\n\n"])
     @pytest.mark.parametrize("self_test", [False, True])
@@ -651,7 +676,7 @@ def _edit_shape(arrays):
 
 
 def _edit_dtype(arrays):
-    arrays["enc.tok_emb"] = arrays["enc.tok_emb"].astype(np.float32)
+    arrays["enc.tok_emb"] = arrays["enc.tok_emb"].astype(np.float16)
     return "enc.tok_emb"
 
 
@@ -1089,6 +1114,24 @@ class TestParser:
             main(["train", "--data", "x", "--out", "y"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate"],
+        ["train", "--data", "x", "--out", "y"],
+        ["eval", "--data", "d.txt", "--batch-size", "many"],
+        ["attn", "--checkpoint", "m.npz", "--text", "hi", "--format", "pdf"],
+        ["compare", "a.txt"],
+        ["annotate", "--lexicon", "l", "--gazetteer", "g", "--dict", "d",
+         "--text", "hi", "--verbose"],
+    ])
+    def test_usage_error_is_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert captured.err.startswith("error: ")
+
     def test_bad_seed_count_rejected(self, trained):
         rc = main([
             "train", "--config", str(trained["config"]),
@@ -1190,3 +1233,108 @@ class TestOutParentChecked:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {out.parent} is not a directory; create it first"
         ]
+
+
+# Inputs a fuzzed argv may name, each a key of the `argv_inputs` fixture.
+_INPUTS = ("model", "corpus", "report", "lexicon", "gazetteer", "dict",
+           "not_utf8", "empty", "missing", "dir")
+_WORDS = ("play", "fly", "from", "baltimore", "to", "dallas", "Dallas",
+          "tomorrow", "7", "x##y")
+
+
+def _input(valid):
+    """A key of argv_inputs, `valid` about half the time and first, so a
+    failing case shrinks towards a working command line."""
+    return st.one_of(st.just(valid), st.sampled_from(_INPUTS))
+
+
+_TEXT = st.one_of(st.lists(st.sampled_from(_WORDS), max_size=40).map(" ".join),
+                  st.text(max_size=12))
+_OUT = st.sampled_from(("out.txt", "nope/out.txt", "sub"))
+_BATCH_SIZE = st.one_of(st.integers(-1, 70).map(str),
+                        st.sampled_from(("x", "2.5", "")))
+
+# Per command: (flag or None for a positional, strategy for its value or
+# None for a switch).
+_ARGV_OPTIONS = {
+    "eval": [("--checkpoint", _input("model")), ("--data", _input("corpus")),
+             ("--out", _OUT), ("--batch-size", _BATCH_SIZE),
+             ("--self-test", None)],
+    "compare": [(None, _input("report")), (None, _input("report")),
+                ("--out", _OUT)],
+    "attn": [("--checkpoint", _input("model")), ("--text", _TEXT),
+             ("--format", st.sampled_from(("tsv", "svg", "pdf"))),
+             ("--out", _OUT)],
+    "annotate": [("--lexicon", _input("lexicon")),
+                 ("--gazetteer", _input("gazetteer")),
+                 ("--dict", _input("dict")), ("--text", _TEXT)],
+}
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(trained, tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv_inputs")
+    (root / "not_utf8.txt").write_bytes(b"# intent=x\npl\xffy\tO\n")
+    (root / "empty.txt").write_text("")
+    (root / "a_dir").mkdir()
+    data = trained["data"]
+    return {
+        "model": trained["out"] / "checkpoint.npz",
+        "corpus": data / "dev.txt",
+        "report": Path(write_report(root / "report.txt", 95.0, 90.0, 85.0)),
+        "lexicon": data / "lexicon.txt",
+        "gazetteer": data / "gazetteer.tsv",
+        "dict": data / "english_dict.txt",
+        "not_utf8": root / "not_utf8.txt",
+        "empty": root / "empty.txt",
+        "missing": root / "absent.txt",
+        "dir": root / "a_dir",
+    }
+
+
+class TestArgvFuzz:
+    """Any command line for eval, compare, attn or annotate ends in exit 0,
+    or in exit 2 with one stderr line; either way nothing appears beside
+    --out, and a refused command does not write --out."""
+
+    @given(data=st.data())
+    def test_exit_0_or_one_error_line(self, argv_inputs, data):
+        command = data.draw(st.sampled_from(sorted(_ARGV_OPTIONS)),
+                            label="command")
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            (work / "sub").mkdir()
+            argv, out = [command], None
+            for flag, values in _ARGV_OPTIONS[command]:
+                # most options are kept, so that many cases get to run
+                if data.draw(st.integers(0, 4), label=f"drop {flag}") == 4:
+                    continue
+                value = None if values is None else data.draw(values, label=flag)
+                if flag == "--out":
+                    out = value = work / value
+                elif values is not None and value in argv_inputs:
+                    value = argv_inputs[value]
+                argv += [a for a in (flag, value) if a is not None]
+            if data.draw(st.integers(0, 9), label="extra") == 9:
+                argv.append("--bogus")
+            argv = [str(a) for a in argv]
+
+            before = snapshot(work)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+            after = snapshot(work)
+            event(f"{command} exit {rc}")
+
+            if rc == 0 and out is not None and out.parent == work:
+                assert after.pop(out.relative_to(work), None) is not None
+            else:
+                assert rc == 0 or (
+                    rc == 2 and len(stderr.getvalue().splitlines()) == 1
+                    and stderr.getvalue().startswith("error: ")
+                ), (argv, rc, stderr.getvalue())
+            assert after == before, argv

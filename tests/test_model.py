@@ -9,6 +9,7 @@ from jointnlu.encoder import EncoderConfig
 from jointnlu.features import FEATURE_DIM, WordFeaturizer
 from jointnlu.intent_head import POOL_MODES
 from jointnlu.model import (
+    COMPUTE_DTYPE,
     SLOT_MODES,
     Batch,
     Checkpoint,
@@ -489,8 +490,9 @@ class TestPackedLayout:
 
 class TestComputeDtype:
     """Both passes compute in the dtype of the parameters handed in: float32
-    for training steps, float64 everywhere else. A float64 constant or
-    default anywhere on the path would silently widen a float32 pass."""
+    (COMPUTE_DTYPE) for training, evaluation and serving, float64 in the
+    finite-difference checks. A float64 constant or default anywhere on the
+    path would silently widen a float32 pass."""
 
     LENGTHS, N = TestPackedLayout.LENGTHS, TestPackedLayout.N
     # From float32's resolution: 1e3 eps covers the rounding of every layer.
@@ -811,14 +813,20 @@ class TestCheckpoint:
         assert loaded.piece_vocab == piece_vocab
         assert loaded.featurizer == data.featurizer()
         assert set(loaded.params) == set(params)
+        # the archive holds, and the loader returns, the model's dtype
+        with np.load(path) as archive:
+            assert {archive[k].dtype for k in params} == {np.dtype(COMPUTE_DTYPE)}
         for k in params:
-            assert np.array_equal(loaded.params[k], params[k]), k
+            assert loaded.params[k].dtype == COMPUTE_DTYPE, k
+            assert np.array_equal(loaded.params[k],
+                                  params[k].astype(COMPUTE_DTYPE)), k
         # the structured-decoder tensor names are part of the archive contract
         assert {"W_s", "b_s", "crf.T", "crf.start", "crf.end"} <= set(loaded.params)
 
     def test_loaded_model_predicts_identically(self, rng, tmp_path):
         cfg = tiny_config(slot_mode="crf")
-        params = init_model_params(cfg, rng)
+        params = {k: v.astype(COMPUTE_DTYPE)
+                  for k, v in init_model_params(cfg, rng).items()}
         batch = tiny_batch(rng)
         before = predict_batch(params, cfg, batch)
 
@@ -828,6 +836,31 @@ class TestCheckpoint:
         after = predict_batch(loaded.params, loaded.config, batch)
         assert np.array_equal(before[0], after[0])
         for x, y in zip(before[1], after[1]):
+            assert np.array_equal(x, y)
+
+    def test_float64_archive_loads_as_its_float32_twin(self, rng, tmp_path):
+        # archives written before checkpoints were float32 hold float64
+        cfg = tiny_config(slot_mode="crf")
+        params = {k: v.astype(COMPUTE_DTYPE)
+                  for k, v in init_model_params(cfg, rng).items()}
+        twin = tmp_path / "twin.npz"
+        save_checkpoint(tiny_checkpoint(params, cfg), twin)
+        with np.load(twin) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        for k in params:
+            arrays[k] = arrays[k].astype(np.float64)
+        old = tmp_path / "old.npz"
+        np.savez(old, **arrays)
+
+        a, b = load_checkpoint(twin), load_checkpoint(old)
+        for k in params:
+            assert b.params[k].dtype == COMPUTE_DTYPE, k
+            assert np.array_equal(b.params[k], a.params[k]), k
+        batch = tiny_batch(rng)
+        intents_a, pieces_a, _ = predict_batch(a.params, a.config, batch)
+        intents_b, pieces_b, _ = predict_batch(b.params, b.config, batch)
+        assert np.array_equal(intents_a, intents_b)
+        for x, y in zip(pieces_a, pieces_b):
             assert np.array_equal(x, y)
 
     def test_reserved_name_collision_rejected(self, rng, tmp_path):

@@ -5,7 +5,17 @@ import pytest
 
 from jointnlu.data import IntentVocab, SlotVocab, TaggedUtterance
 from jointnlu.encoder import EncoderConfig
-from jointnlu.model import align_utterance, load_checkpoint, make_batch, save_checkpoint
+from jointnlu.intent_head import POOL_MODES
+from jointnlu.model import (
+    COMPUTE_DTYPE,
+    SLOT_MODES,
+    align_utterance,
+    decode_word_tags,
+    load_checkpoint,
+    make_batch,
+    predict_batch,
+    save_checkpoint,
+)
 from jointnlu.subwords import train_vocab
 from jointnlu.tagging import EvalReport, parse_tags
 from jointnlu.training import (
@@ -312,6 +322,44 @@ class TestTrainLoop:
             assert not any(k.startswith("feat.") for k in ckpt.params)
         if variant.get("intent_pool") == "start_token":
             assert "int.W_pool" in ckpt.params
+
+
+class TestFloat32Model:
+    """The trained model is float32, and it serves each utterance the same
+    whatever batch it arrives in: the benchmark's b1 == b64 gate."""
+
+    @pytest.mark.parametrize("intent_pool", POOL_MODES)
+    @pytest.mark.parametrize("slot_mode", SLOT_MODES)
+    def test_predictions_do_not_depend_on_batch_size(self, slot_mode,
+                                                     intent_pool):
+        data = toy_grammar(17, 64, 8, 72)
+        cfg = quick_config(slot_mode=slot_mode, intent_pool=intent_pool)
+        ckpt = train(data.train, data.dev, cfg, data.featurizer(),
+                     encoder=TINY_ENCODER).checkpoint
+        assert {a.dtype for a in ckpt.params.values()} == {
+            np.dtype(COMPUTE_DTYPE)
+        }
+        seqs = [
+            align_utterance(u, ckpt.piece_vocab, ckpt.featurizer, 50)
+            for u in data.test
+        ]
+
+        def served(batch_size):
+            out = []
+            for lo in range(0, len(seqs), batch_size):
+                chunk = seqs[lo:lo + batch_size]
+                batch = make_batch(chunk, [0] * len(chunk), ckpt.slot_vocab)
+                intents, pieces, _ = predict_batch(ckpt.params, ckpt.config,
+                                                   batch)
+                out += [
+                    (int(i), decode_word_tags(seq, p, ckpt.slot_vocab))
+                    for seq, i, p in zip(chunk, intents, pieces)
+                ]
+            return out
+
+        alone = served(1)
+        assert served(7) == alone
+        assert served(64) == alone
 
 
 class TestEvaluate:
