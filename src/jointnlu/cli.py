@@ -178,13 +178,13 @@ def cmd_train(args) -> int:
     if out.exists():
         raise ValueError(f"{out} already exists; give a new --out")
     _check_out(out)
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     config, problems = validate_config_text(read_utf8(args.config))
     if problems:
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)
         return 2
-    if args.seeds < 1:
-        raise ValueError("--seeds must be at least 1")
 
     # Everything is loaded and checked before anything is written, so a bad
     # invocation leaves no partial outputs behind.

@@ -54,7 +54,7 @@ class TaggedUtterance:
         if not self.intent:
             raise ValueError("intent label is empty")
         for w in self.words:
-            if not w or any(c.isspace() for c in w):
+            if w.split() != [w]:  # empty, or holds whitespace
                 raise ValueError(f"bad word {w!r}")
         for t in self.tags:
             if t.kind == "X":

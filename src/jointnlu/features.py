@@ -60,6 +60,10 @@ MERGED_RAW_LABELS = frozenset(
     {"TITLE", "IDEOLOGY", "CRIMINAL_CHARGE", "CAUSE_OF_DEATH"}
 )
 
+# Most distinct words one WordFeaturizer remembers the WordFacts of; a word
+# first seen after that is looked up afresh on every call.
+WORD_MEMO_WORDS = 1 << 16
+
 _AIRPORT_RE = re.compile(r"[A-Z]{3}")
 _DIGITS_RE = re.compile(r"[0-9]+")
 
@@ -108,44 +112,72 @@ def _rule_entity(word: str, english_dict: frozenset[str] | set[str]) -> EntityCl
 
 class PhraseIndex(NamedTuple):
     """A gazetteer keyed for matching: each phrase's words -> its raw label,
-    and the most words in one phrase."""
+    and each first word -> the lengths of the phrases that start with it,
+    longest first."""
 
     phrases: dict[tuple[str, ...], str]
-    longest: int
+    spans: dict[str, tuple[int, ...]]
 
     @classmethod
     def build(cls, gazetteer: Mapping[str, str]) -> "PhraseIndex":
         phrases = {tuple(p.split()): raw for p, raw in gazetteer.items()}
-        return cls(phrases, max(map(len, phrases), default=0))
+        spans: dict[str, tuple[int, ...]] = {}
+        # Equal tuples of lengths are stored once, so that the spans of a
+        # large gazetteer cost little more than one entry per first word.
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for words in phrases:
+            if not words:  # a blank phrase matches nothing
+                continue
+            have = spans.get(words[0], ())
+            if len(words) not in have:
+                lengths = tuple(sorted((*have, len(words)), reverse=True))
+                spans[words[0]] = shared.setdefault(lengths, lengths)
+        return cls(phrases, spans)
+
+
+class WordFacts(NamedTuple):
+    """What featurizing needs to know of one word on its own: its canonical
+    form, that form lowercased (the gazetteer's key), its case class and the
+    entity class the rules give it."""
+
+    canonical: str
+    lowered: str
+    case: CaseClass
+    rule: EntityClass
 
 
 def annotate_entities(
-    words: Sequence[str],
-    index: PhraseIndex,
-    english_dict: frozenset[str] | set[str],
+    facts: Sequence[WordFacts], index: PhraseIndex
 ) -> list[EntityClass]:
     """Label each word with an entity class.
 
     Gazetteer phrases match longest-first on lowercased text and label every
-    word they cover; remaining words fall through to the digit/year/airport
-    rules, and then to NONE. A WordFeaturizer builds its index once.
+    word they cover; only the phrases that start with a word's own text are
+    tried there. Remaining words keep their rule class (digits, years,
+    airport codes, else NONE). A WordFeaturizer builds its index once.
     """
-    phrases, longest = index
-    lowered = [w.lower() for w in words]
-
+    phrases, spans = index
     out: list[EntityClass] = []
     i = 0
-    while i < len(words):
-        for span in range(min(longest, len(words) - i), 0, -1):
-            raw = phrases.get(tuple(lowered[i:i + span]))
-            if raw is not None:
-                out.extend([resolve_raw_label(raw)] * span)
-                i += span
-                break
+    while i < len(facts):
+        for span in spans.get(facts[i].lowered, ()):
+            if i + span <= len(facts):
+                raw = phrases.get(tuple(f.lowered for f in facts[i:i + span]))
+                if raw is not None:
+                    out.extend([resolve_raw_label(raw)] * span)
+                    i += span
+                    break
         else:
-            out.append(_rule_entity(words[i], english_dict))
+            out.append(facts[i].rule)
             i += 1
     return out
+
+
+# Row e * CASE_DIM + c is the one-hot pair of entity class e and case class c.
+_ONE_HOT_PAIRS = np.hstack([
+    np.repeat(np.eye(ENTITY_DIM), CASE_DIM, axis=0),
+    np.tile(np.eye(CASE_DIM), (ENTITY_DIM, 1)),
+])
 
 
 def encode_features(
@@ -153,11 +185,12 @@ def encode_features(
 ) -> np.ndarray:
     """One one-hot pair per word, shape (len(entities), 23): entity block
     first, case block after it."""
-    rows = np.arange(len(entities))
-    out = np.zeros((len(entities), FEATURE_DIM))
-    out[rows, np.array(entities, dtype=np.intp)] = 1.0
-    out[rows, ENTITY_DIM + np.array(cases, dtype=np.intp)] = 1.0
-    return out
+    if len(entities) != len(cases):
+        raise ValueError(
+            f"{len(entities)} entity classes vs {len(cases)} case classes"
+        )
+    pairs = [e * CASE_DIM + c for e, c in zip(entities, cases)]
+    return _ONE_HOT_PAIRS.take(pairs, axis=0)
 
 
 def feature_forward(x: np.ndarray, params: dict[str, np.ndarray]):
@@ -237,7 +270,11 @@ def load_english_dict(path: str | Path) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class WordFeaturizer:
-    """Bundles the three annotation resources behind one featurize call."""
+    """Bundles the three annotation resources behind one featurize call.
+
+    The resources must not be changed after first use: the phrase index and
+    the per-word memo are built from them once, lazily, and are not fields,
+    so they take no part in `==`, `to_dict` or a checkpoint."""
 
     lexicon: Mapping[str, str]
     gazetteer: Mapping[str, str]
@@ -261,13 +298,31 @@ class WordFeaturizer:
         """The gazetteer keyed for matching, built on first use."""
         return PhraseIndex.build(self.gazetteer)
 
+    @cached_property
+    def _word_memo(self) -> dict[str, WordFacts]:
+        """Each word's WordFacts, kept for up to WORD_MEMO_WORDS words."""
+        return {}
+
+    def _word_facts(self, word: str) -> WordFacts:
+        facts = self._word_memo.get(word)
+        if facts is None:
+            canonical = canonical_form(word, self.lexicon)
+            facts = WordFacts(
+                canonical,
+                canonical.lower(),
+                classify_case(canonical),
+                _rule_entity(canonical, self.english_dict),
+            )
+            if len(self._word_memo) < WORD_MEMO_WORDS:
+                self._word_memo[word] = facts
+        return facts
+
     def annotate(
         self, words: Sequence[str]
     ) -> tuple[list[EntityClass], list[CaseClass], list[str]]:
-        canonical = [canonical_form(w, self.lexicon) for w in words]
-        cases = [classify_case(c) for c in canonical]
-        entities = annotate_entities(canonical, self.phrase_index, self.english_dict)
-        return entities, cases, canonical
+        facts = [self._word_facts(w) for w in words]
+        entities = annotate_entities(facts, self.phrase_index)
+        return entities, [f.case for f in facts], [f.canonical for f in facts]
 
     def featurize(self, words: Sequence[str]) -> np.ndarray:
         """Per-word 23-dim feature rows, shape (len(words), 23)."""

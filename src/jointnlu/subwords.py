@@ -27,10 +27,18 @@ BOS_TOKEN = "[BOS]"
 EOS_TOKEN = "[EOS]"
 RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN, BOS_TOKEN, EOS_TOKEN)
 
+# Most distinct words one vocabulary remembers the piece ids of; a word first
+# seen after that is segmented afresh on every call.
+TOKENIZE_MEMO_WORDS = 1 << 16
+
 
 @dataclass(frozen=True)
 class WordPieceVocab:
-    """Dense piece->id table; ids 0..3 are reserved, base pieces follow."""
+    """Dense piece->id table; ids 0..3 are reserved, base pieces follow.
+
+    `tokenize` remembers each word's piece ids, up to TOKENIZE_MEMO_WORDS
+    words; the memo is not a field, so it takes no part in `==` or in what a
+    checkpoint stores."""
 
     pieces: tuple[str, ...]
 
@@ -40,6 +48,7 @@ class WordPieceVocab:
         if len(set(self.pieces)) != len(self.pieces):
             raise ValueError("duplicate pieces in vocabulary")
         object.__setattr__(self, "ids", {p: i for i, p in enumerate(self.pieces)})
+        object.__setattr__(self, "_memo", {})
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -83,7 +92,13 @@ class WordPieceVocab:
         return out
 
     def tokenize(self, word: str) -> list[int]:
-        return [self.ids[p] for p in self.tokenize_pieces(word)]
+        """The word's piece ids, in a new list the caller may change."""
+        piece_ids = self._memo.get(word)
+        if piece_ids is None:
+            piece_ids = tuple(self.ids[p] for p in self.tokenize_pieces(word))
+            if len(self._memo) < TOKENIZE_MEMO_WORDS:
+                self._memo[word] = piece_ids
+        return list(piece_ids)
 
 
 def _merge(a: str, b: str) -> str:
@@ -196,23 +211,28 @@ def align(
     ids = [vocab.bos_id]
     piece_tags = [X_TAG]
     active = [False]
-    word_of = []  # the word of each piece between the markers
+    widths = []  # the piece count of each kept word
     truncated = False
-    for wi, (word, tag) in enumerate(zip(words, tags)):
+    for word, tag in zip(words, tags):
         piece_ids = vocab.tokenize(word)
-        if len(ids) + len(piece_ids) + 1 > max_len:
+        n = len(piece_ids)
+        if len(ids) + n + 1 > max_len:
             truncated = True
             break
-        for k, pid in enumerate(piece_ids):
-            ids.append(pid)
-            piece_tags.append(tag if k == 0 else X_TAG)
-            active.append(k == 0)
-            word_of.append(wi)
+        ids += piece_ids
+        piece_tags.append(tag)
+        active.append(True)
+        if n > 1:
+            piece_tags += [X_TAG] * (n - 1)
+            active += [False] * (n - 1)
+        widths.append(n)
     ids.append(vocab.eos_id)
     piece_tags.append(X_TAG)
     active.append(False)
     block = np.zeros((len(ids), FEATURE_DIM))  # the markers keep zero rows
-    block[1:-1] = np.asarray(features, dtype=np.float64)[word_of]
+    block[1:-1] = np.asarray(features, dtype=np.float64)[:len(widths)].repeat(
+        widths, axis=0
+    )
 
     return AlignedSequence(
         piece_ids=tuple(ids),

@@ -10,6 +10,8 @@ padded model (`model_padded`: encoder, heads, feature net and losses run on
 every (batch, length) position), which reuses the package's softmax, dropout
 and cross-entropy helpers so it draws the same dropout masks as the packed
 model it checks; its CRF term is the per-sequence `crf_forward_backward`.
+The per-piece `align_per_piece` segments words with the vocabulary's own
+`tokenize_pieces`, which its own tests pin.
 """
 
 from __future__ import annotations
@@ -319,11 +321,13 @@ def annotate_entities_longest_first(words, gazetteer, english_dict):
     """Entity labels from a fresh longest-first scan of the gazetteer.
 
     The reference for the indexed matcher: the phrase set is rebuilt on every
-    call and the label read back through the phrase's joined text. Words no
-    phrase covers get the package's rule label (an empty gazetteer).
+    call, every span length up to the longest phrase is tried at every
+    position, and the label is read back through the phrase's joined text.
+    Words no phrase covers get the package's rule label (an empty gazetteer).
     """
-    from jointnlu.features import PhraseIndex, annotate_entities, resolve_raw_label
+    from jointnlu.features import WordFeaturizer, resolve_raw_label
 
+    rules, _, _ = WordFeaturizer({}, {}, english_dict).annotate(words)
     lowered = [w.lower() for w in words]
     phrase_words = {tuple(p.split()) for p in gazetteer}
     max_phrase = max((len(p) for p in phrase_words), default=0)
@@ -338,9 +342,39 @@ def annotate_entities_longest_first(words, gazetteer, english_dict):
                 i += span
                 break
         else:
-            out.extend(annotate_entities([words[i]], PhraseIndex({}, 0), english_dict))
+            out.append(rules[i])
             i += 1
     return out
+
+
+def align_per_piece(words, tags, features, vocab, max_len):
+    """The aligned fields (ids, tags, active, feature block, truncated) built
+    one piece at a time, each word segmented afresh with tokenize_pieces.
+    The reference for the per-word align; it checks no arguments."""
+    from jointnlu.tagging import X_TAG
+
+    ids = [vocab.ids["[BOS]"]]
+    piece_tags = [X_TAG]
+    active = [False]
+    word_of = []  # the word of each piece between the markers
+    truncated = False
+    for wi, (word, tag) in enumerate(zip(words, tags)):
+        piece_ids = [vocab.ids[p] for p in vocab.tokenize_pieces(word)]
+        if len(ids) + len(piece_ids) + 1 > max_len:
+            truncated = True
+            break
+        for k, pid in enumerate(piece_ids):
+            ids.append(pid)
+            piece_tags.append(tag if k == 0 else X_TAG)
+            active.append(k == 0)
+            word_of.append(wi)
+    ids.append(vocab.ids["[EOS]"])
+    piece_tags.append(X_TAG)
+    active.append(False)
+    block = np.zeros((len(ids), features.shape[1]))
+    for row, wi in enumerate(word_of, start=1):
+        block[row] = features[wi]
+    return tuple(ids), tuple(piece_tags), tuple(active), block, truncated
 
 
 def gelu_two_erf(x):

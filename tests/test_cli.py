@@ -1132,13 +1132,29 @@ class TestParser:
         assert len(captured.err.splitlines()) == 1, captured.err
         assert captured.err.startswith("error: ")
 
-    def test_bad_seed_count_rejected(self, trained):
+    def test_bad_seed_count_rejected(self, trained, tmp_path, capsys):
         rc = main([
             "train", "--config", str(trained["config"]),
             "--data", str(trained["data"]),
             "--out", str(trained["out"] / "again"), "--seeds", "0",
         ])
         assert rc == 2
+        # the flag is refused before the config is read: a bad config adds
+        # no line of its own
+        bad = tmp_path / "bad.txt"
+        bad.write_text("epochs = none\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = main([
+            "train", "--config", str(bad), "--data", str(trained["data"]),
+            "--out", str(tmp_path / "run"), "--seeds", "0",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --seeds must be at least 1, got 0"
+        ]
+        assert not (tmp_path / "run").exists()
 
 
 class TestUnreadableText:

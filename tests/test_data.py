@@ -68,6 +68,21 @@ class TestTaggedUtterance:
         with pytest.raises(ValueError):
             TaggedUtterance(("a",), (SlotTag("X"),), "i")
 
+    @given(st.text(st.one_of(
+        st.characters(),
+        st.sampled_from(" \t\n\r\v\f\x1c\x1d\x1e\x1f\x85\xa0\u1680"
+                        "\u2000\u200a\u200b\u2028\u2029\u202f\u3000\ufeff"),
+    ), max_size=8))
+    def test_word_check_is_the_per_character_whitespace_scan(self, word):
+        # a word is good iff it is non-empty and no character is whitespace
+        per_char = bool(word) and not any(c.isspace() for c in word)
+        assert (word.split() == [word]) == per_char
+        if per_char:
+            assert utt([word], ["O"]).words == (word,)
+        else:
+            with pytest.raises(ValueError, match="bad word"):
+                utt([word], ["O"])
+
 
 # Lines near the format, for text that gets past the first line more often
 # than arbitrary text does.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from jointnlu import features
 from jointnlu.features import (
     CASE_DIM,
     ENTITY_DIM,
@@ -14,7 +15,6 @@ from jointnlu.features import (
     EntityClass,
     PhraseIndex,
     WordFeaturizer,
-    annotate_entities,
     canonical_form,
     classify_case,
     encode_features,
@@ -38,8 +38,8 @@ DICT = frozenset({"for", "the", "fly", "dog"})
 
 
 def annotate(words, gazetteer):
-    """annotate_entities over the index of a phrase map."""
-    return annotate_entities(words, PhraseIndex.build(gazetteer), DICT)
+    """Entity classes of the words under a phrase map and no lexicon."""
+    return WordFeaturizer({}, gazetteer, DICT).annotate(words)[0]
 
 
 class TestTruecase:
@@ -354,6 +354,32 @@ class TestWordFeaturizer:
         fz.featurize(["dallas"])
         assert fz.phrase_index is index
         assert index == PhraseIndex.build(fz.gazetteer)
+
+    def test_index_lists_spans_by_first_word_longest_first(self):
+        index = PhraseIndex.build({
+            "new york city": "CITY", "new": "MISC", "new york": "CITY",
+            "york": "CITY", "new jersey": "CITY", " ": "CITY",
+        })
+        assert index.spans == {"new": (3, 2, 1), "york": (1,)}
+
+    def test_word_memo_stops_growing_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(features, "WORD_MEMO_WORDS", 3)
+        gaz = {"baltimore": "CITY", "new york": "CITY"}
+        fz = WordFeaturizer(dict(LEXICON), gaz, DICT)
+        assert "_word_memo" not in vars(fz)  # built on first use
+        texts = ["fly from baltimore to jfk", "USA 2005 for new york",
+                 "Justin and mcvey FOR 42 New York", "fly fly fly"]
+        for _ in range(2):
+            for text in texts:
+                words = text.split()
+                canonical = [canonical_form(w, LEXICON) for w in words]
+                entities, cases, got_canonical = fz.annotate(words)
+                assert got_canonical == canonical
+                assert cases == [classify_case(c) for c in canonical]
+                assert entities == annotate_entities_longest_first(
+                    canonical, gaz, DICT)
+                assert len(fz._word_memo) <= 3
+        assert len(fz._word_memo) == 3
 
     def test_from_files(self, tmp_path):
         (tmp_path / "lex.txt").write_text("JFK\n", encoding="utf-8")

@@ -1,9 +1,12 @@
 """Vocabulary induction, greedy tokenization, and tag/feature alignment."""
 
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from jointnlu import subwords
 from jointnlu.data import UNK_INTENT, IntentVocab, SlotVocab
 from jointnlu.encoder import EncoderConfig
 from jointnlu.features import FEATURE_DIM, WordFeaturizer
@@ -29,9 +32,26 @@ from jointnlu.subwords import (
 )
 from jointnlu.tagging import AlignmentError, O_TAG, SlotTag, X_TAG, parse_tags
 
+from oracles import align_per_piece
+
 
 def make_vocab(*extra: str) -> WordPieceVocab:
     return WordPieceVocab(RESERVED_TOKENS + extra)
+
+
+def tiny_checkpoint(vocab, featurizer, rng) -> Checkpoint:
+    """A one-layer model around the given vocabulary and featurizer."""
+    cfg = ModelConfig(
+        encoder=EncoderConfig(vocab_size=len(vocab), d_h=4, n_layers=1,
+                              n_heads=1, d_ff=4, max_len=8),
+        n_intents=1, n_slots=2,
+    )
+    return Checkpoint(
+        params=init_model_params(cfg, rng), config=cfg,
+        intent_vocab=IntentVocab((UNK_INTENT,)),
+        slot_vocab=SlotVocab(("O", "X")), piece_vocab=vocab,
+        featurizer=featurizer,
+    )
 
 
 def rand_features(rng, n):
@@ -61,18 +81,9 @@ class TestVocab:
     def test_save_load_round_trip(self, tmp_path, rng):
         # the vocabulary is stored inside the model checkpoint
         v = train_vocab(["play", "played", "plays"], 40)
-        cfg = ModelConfig(
-            encoder=EncoderConfig(vocab_size=len(v), d_h=4, n_layers=1,
-                                  n_heads=1, d_ff=4, max_len=8),
-            n_intents=1, n_slots=2,
-        )
         path = tmp_path / "model.npz"
-        save_checkpoint(Checkpoint(
-            params=init_model_params(cfg, rng), config=cfg,
-            intent_vocab=IntentVocab((UNK_INTENT,)),
-            slot_vocab=SlotVocab(("O", "X")), piece_vocab=v,
-            featurizer=WordFeaturizer({}, {}, frozenset()),
-        ), path)
+        save_checkpoint(
+            tiny_checkpoint(v, WordFeaturizer({}, {}, frozenset()), rng), path)
         loaded = load_checkpoint(path).piece_vocab
         assert loaded.pieces == v.pieces
         # every piece keeps its id
@@ -128,6 +139,13 @@ class TestTokenize:
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
             make_vocab().tokenize("")
+
+    def test_returned_list_is_the_callers(self):
+        v = make_vocab("broad", "##rick")
+        first = v.tokenize("broadrick")
+        first.append(0)
+        first[0] = v.ids[UNK_TOKEN]
+        assert v.tokenize("broadrick") == [v.ids["broad"], v.ids["##rick"]]
 
     @given(
         st.lists(st.text(alphabet="abcd", min_size=1, max_size=6), min_size=1, max_size=12),
@@ -290,6 +308,90 @@ class TestRoundTripOracle:
             assert de_align(seq, seq.piece_tags) == tags
             active_rows = seq.features[np.array(seq.active)]
             assert np.array_equal(active_rows, feats)
+
+
+def archive_members(path) -> dict:
+    with zipfile.ZipFile(path) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+class TestTokenizeMemo:
+    WORDS = ["play", "played", "plays", "player", "ab", "abz", "zz", "layp",
+             "yalp", "pl", "a", "b"]
+
+    @staticmethod
+    def _reference(v, word):
+        return [v.ids[p] for p in v.tokenize_pieces(word)]
+
+    def test_memo_stops_growing_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(subwords, "TOKENIZE_MEMO_WORDS", 3)
+        v = train_vocab(["play", "played", "plays", "ab"], 40)
+        for _ in range(2):
+            for word in self.WORDS:
+                assert v.tokenize(word) == self._reference(v, word)
+                assert len(v._memo) <= 3
+        assert len(v._memo) == 3
+
+    def test_warm_memo_changes_no_comparison_or_checkpoint(self, tmp_path, rng):
+        v = train_vocab(["play", "played", "plays", "ab"], 40)
+        fz = WordFeaturizer({"jfk": "JFK"}, {"new york": "CITY"},
+                            frozenset({"for"}))
+        ckpt = tiny_checkpoint(v, fz, rng)
+        save_checkpoint(ckpt, tmp_path / "cold.npz")
+        cold_dict = fz.to_dict()
+        for word in self.WORDS:
+            v.tokenize(word)
+        fz.featurize(self.WORDS + ["new", "york", "for", "2005", "JFK"])
+        assert v._memo and fz._word_memo
+        save_checkpoint(ckpt, tmp_path / "warm.npz")
+        assert archive_members(tmp_path / "warm.npz") == archive_members(
+            tmp_path / "cold.npz")
+        assert v == WordPieceVocab(v.pieces)
+        assert fz == WordFeaturizer.from_dict(cold_dict)
+        assert fz.to_dict() == cold_dict
+
+
+class TestAlignMatchesPerPieceReference:
+    """align against the per-piece loop it replaced, field by field."""
+
+    TAGS = parse_tags(["O", "B-artist", "I-artist", "B-song"])
+    # "z" is outside the vocabulary's alphabet, so words holding it are [UNK].
+    VOCAB = train_vocab(["abc", "abd", "bca", "cab", "ab", "ab", "dd", "ca"], 30)
+    WORD = st.text(alphabet="abcdz", min_size=1, max_size=9)
+
+    def _check(self, words, tags, feats, max_len):
+        got = align(words, tags, feats, self.VOCAB, max_len)
+        ids, piece_tags, active, block, truncated = align_per_piece(
+            words, tags, feats, self.VOCAB, max_len)
+        assert got.piece_ids == ids
+        assert got.piece_tags == piece_tags
+        assert got.active == active
+        assert got.features.dtype == block.dtype
+        assert got.features.tobytes() == block.tobytes()
+        assert got.truncated == truncated
+        return got
+
+    @given(st.lists(WORD, max_size=12), st.integers(3, 40), st.data())
+    def test_hypothesis_utterances(self, words, max_len, data):
+        tags = [data.draw(st.sampled_from(self.TAGS)) for _ in words]
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        feats = np.random.default_rng(seed).normal(size=(len(words), FEATURE_DIM))
+        self._check(words, tags, feats, max_len)
+
+    def test_random_utterances_cover_every_case(self, rng):
+        seen = {"unk": 0, "multi": 0, "truncated": 0}
+        unk = self.VOCAB.ids[UNK_TOKEN]
+        for _ in range(600):
+            n = int(rng.integers(0, 10))
+            words = ["".join(rng.choice(list("abcdz"), size=rng.integers(1, 7)))
+                     for _ in range(n)]
+            tags = [self.TAGS[i] for i in rng.integers(0, len(self.TAGS), size=n)]
+            feats = rng.normal(size=(n, FEATURE_DIM))
+            seq = self._check(words, tags, feats, int(rng.integers(3, 30)))
+            seen["unk"] += unk in seq.piece_ids
+            seen["multi"] += any(len(self.VOCAB.tokenize(w)) > 1 for w in words)
+            seen["truncated"] += seq.truncated
+        assert min(seen.values()) > 50, seen
 
 
 class TestAlignedSequenceValidation:

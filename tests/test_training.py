@@ -1,5 +1,7 @@
 """Training regime: config, losses, selection, determinism, divergence."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,24 @@ class TestTrainLoop:
             assert np.array_equal(
                 a.checkpoint.params[k], b.checkpoint.params[k]
             ), k
+
+    def test_warm_memos_change_nothing(self, tmp_path):
+        # the second run reuses the featurizer and vocabulary the first one
+        # filled, so every word is a memo hit; the runs agree bit for bit
+        data = toy_grammar(1, 24, 8, 8)
+        featurizer = data.featurizer()
+        vocab = train_vocab([w for u in data.train for w in u.words], 120)
+        cfg = quick_config()
+        runs = []
+        for name in ("cold", "warm"):
+            res = train(data.train, data.dev, cfg, featurizer,
+                        encoder=TINY_ENCODER, piece_vocab=vocab)
+            save_checkpoint(res.checkpoint, tmp_path / f"{name}.npz")
+            with zipfile.ZipFile(tmp_path / f"{name}.npz") as zf:
+                runs.append((res.history, res.best_epoch,
+                             {n: zf.read(n) for n in zf.namelist()}))
+        assert vocab._memo and featurizer._word_memo
+        assert runs[0] == runs[1]
 
     def test_different_seeds_differ(self):
         data = toy_grammar(1, 24, 8, 8)
