@@ -16,17 +16,13 @@ import numpy as np
 from jointnlu import (
     EncoderConfig,
     TrainConfig,
-    align_utterance,
     evaluate,
     load_checkpoint,
-    make_batch,
-    model_outputs,
+    predict,
     save_checkpoint,
     toy_grammar,
     train,
 )
-from jointnlu.subwords import align
-from jointnlu.tagging import O_TAG
 
 data = toy_grammar(seed=1, n_train=400, n_dev=60, n_test=60)
 print("train/dev/test sizes:",
@@ -49,12 +45,7 @@ print("selected epoch:", result.best_epoch)
 # Held-out scoring with the dev-selected parameters.
 # ------------------------------------------------------------------
 ckpt = result.checkpoint
-test_seqs = [
-    align_utterance(u, ckpt.piece_vocab, ckpt.featurizer, config.max_len)
-    for u in data.test
-]
-report = evaluate(ckpt.params, ckpt.config, test_seqs, data.test,
-                  ckpt.intent_vocab, ckpt.slot_vocab)
+report = evaluate(ckpt, data.test)
 print("\ntest report:")
 print(report.to_kv_text())
 
@@ -71,17 +62,15 @@ with tempfile.TemporaryDirectory() as tmp:
               for k, v in ckpt.params.items()))
 
 # ------------------------------------------------------------------
-# What does the intent pooling look at? Dump the weights for one
-# utterance; the framing markers participate like any other piece.
+# Serving takes raw words. What does the intent pooling look at? Dump
+# the weights for one utterance; the framing markers participate like
+# any other piece.
 # ------------------------------------------------------------------
-words = list(data.test[1].words)
-feats = reloaded.featurizer.featurize(words)
-seq = align(words, [O_TAG] * len(words), feats, reloaded.piece_vocab,
-            config.max_len)
-batch = make_batch([seq], [0], reloaded.slot_vocab)
-alpha = model_outputs(reloaded.params, reloaded.config, batch)[2]
+words = data.test[1].words
+(pred,) = predict(reloaded, [words])
+print("served:", pred.intent, " ".join(str(t) for t in pred.tags))
 
 print("pooling weights for:", " ".join(words))
-for pid, weight in zip(seq.piece_ids, alpha):
+for pid, weight in zip(pred.seq.piece_ids, pred.alpha):
     bar = "#" * int(round(40 * float(weight)))
     print(f"  {reloaded.piece_vocab.piece(pid):12s} {weight:6.3f} {bar}")

@@ -28,13 +28,9 @@ from .features import (
 from .model import (
     Checkpoint,
     ModelConfig,
-    align_utterance,
     init_model_params,
     load_checkpoint,
-    make_batch,
-    model_outputs,
     param_spec,
-    predict_batch,
     save_checkpoint,
 )
 from .optim import AdamW, lr_schedule
@@ -64,10 +60,12 @@ from .toy import ToyData, toy_grammar
 from .training import (
     DESK_ENCODER,
     DivergenceError,
+    Prediction,
     TrainConfig,
     TrainResult,
     evaluate,
     joint_loss,
+    predict,
     score,
     select_best,
     train,
@@ -93,6 +91,7 @@ __all__ = [
     "IntentVocab",
     "ModelConfig",
     "O_TAG",
+    "Prediction",
     "SlotTag",
     "SlotVocab",
     "TaggedUtterance",
@@ -103,7 +102,6 @@ __all__ = [
     "WordPieceVocab",
     "X_TAG",
     "align",
-    "align_utterance",
     "combine_intents",
     "crf_nll",
     "de_align",
@@ -118,11 +116,9 @@ __all__ = [
     "load_checkpoint",
     "load_corpus",
     "lr_schedule",
-    "make_batch",
-    "model_outputs",
     "param_spec",
     "per_token_micro_f1",
-    "predict_batch",
+    "predict",
     "relative_error_reduction",
     "save_checkpoint",
     "save_corpus",

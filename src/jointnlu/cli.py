@@ -27,21 +27,14 @@ import scipy
 from . import __version__
 from .data import load_corpus, read_utf8, staged
 from .features import WordFeaturizer
-from .model import (
-    COMPUTE_DTYPE,
-    align_utterance,
-    load_checkpoint,
-    make_batch,
-    model_outputs,
-    save_checkpoint,
-)
-from .subwords import align
-from .tagging import O_TAG, read_kv, relative_error_reduction
+from .model import COMPUTE_DTYPE, load_checkpoint, save_checkpoint
+from .tagging import read_kv, relative_error_reduction
 from .training import (
     DivergenceError,
     TrainConfig,
     TrainResult,
     evaluate,
+    predict,
     score,
     select_best,
     train,
@@ -259,15 +252,7 @@ def cmd_eval(args) -> int:
             raise ValueError("--checkpoint is required unless --self-test")
         ckpt = load_checkpoint(args.checkpoint)
         _check_label_vocabularies(ckpt, corpus)
-        seqs = [
-            align_utterance(u, ckpt.piece_vocab, ckpt.featurizer,
-                            ckpt.config.encoder.max_len)
-            for u in corpus
-        ]
-        report = evaluate(
-            ckpt.params, ckpt.config, seqs, corpus,
-            ckpt.intent_vocab, ckpt.slot_vocab, args.batch_size,
-        )
+        report = evaluate(ckpt, corpus, args.batch_size)
     text = report.to_kv_text()
     sys.stdout.write(text)
     if args.out:
@@ -361,17 +346,15 @@ def cmd_attn(args) -> int:
     if not words:
         raise ValueError("--text holds no words")
     ckpt = load_checkpoint(args.checkpoint)
-    feats = ckpt.featurizer.featurize(words)
-    max_len = ckpt.config.encoder.max_len
-    seq = align(words, [O_TAG] * len(words), feats, ckpt.piece_vocab, max_len)
+    (pred,) = predict(ckpt, [words])
+    seq = pred.seq
     if seq.truncated:
         print(f"warning: kept {seq.word_count} of {len(words)} words, the most "
-              f"that fit the checkpoint's max_len of {max_len}", file=sys.stderr)
-    batch = make_batch([seq], [0], ckpt.slot_vocab)
-    alpha = model_outputs(ckpt.params, ckpt.config, batch)[2]
+              f"that fit the checkpoint's max_len of "
+              f"{ckpt.config.encoder.max_len}", file=sys.stderr)
     rows = [
         (ckpt.piece_vocab.piece(pid), float(w))
-        for pid, w in zip(seq.piece_ids, alpha)
+        for pid, w in zip(seq.piece_ids, pred.alpha)
     ]
     if args.format == "svg":
         content = _attention_svg(rows)

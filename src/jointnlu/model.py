@@ -379,9 +379,9 @@ def predict_batch(
 def decode_word_tags(
     seq: AlignedSequence, piece_tag_ids: np.ndarray, slot_vocab: SlotVocab
 ) -> List[SlotTag]:
-    """Map piece-level tag id predictions back to one tag per source word."""
-    piece_tags = [slot_vocab.decode(int(i)) for i in piece_tag_ids]
-    return de_align(seq, piece_tags)
+    """Map piece-level tag id predictions back to one tag per source word;
+    only the ids at first pieces are decoded."""
+    return de_align(seq, np.asarray(piece_tag_ids).tolist(), slot_vocab.decode)
 
 
 _META_KEY = "archive_meta"

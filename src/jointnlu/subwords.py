@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -243,18 +244,18 @@ def align(
     )
 
 
-def de_align(seq: AlignedSequence, piece_predictions: Sequence[SlotTag]) -> list[SlotTag]:
+def de_align(seq: AlignedSequence, piece_predictions: Sequence, decode=None) -> list[SlotTag]:
     """Gather piece-level predictions back to word level.
 
-    Only active positions contribute; an X predicted at an active position
-    falls back to O so downstream scoring stays total.
+    Only active positions are read; `decode`, when given, turns each of
+    their predictions (a tag id, say) into its tag. An X at an active
+    position falls back to O so downstream scoring stays total.
     """
     if len(piece_predictions) != len(seq):
         raise AlignmentError(
             f"{len(piece_predictions)} predictions vs {len(seq)} aligned positions"
         )
-    out = []
-    for is_active, tag in zip(seq.active, piece_predictions):
-        if is_active:
-            out.append(O_TAG if tag.kind == "X" else tag)
-    return out
+    kept = compress(piece_predictions, seq.active)
+    if decode is not None:
+        kept = map(decode, kept)
+    return [O_TAG if tag.kind == "X" else tag for tag in kept]

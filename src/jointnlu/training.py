@@ -7,7 +7,7 @@ import dataclasses
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -217,39 +217,61 @@ def score(
     )
 
 
-def evaluate(
-    params: Dict[str, np.ndarray],
-    cfg: ModelConfig,
-    seqs: Sequence[AlignedSequence],
-    utterances: Sequence[TaggedUtterance],
-    intent_vocab: IntentVocab,
-    slot_vocab: SlotVocab,
-    batch_size: int = 64,
-) -> EvalReport:
-    """Word-level scoring of the model on an aligned corpus.
+class Prediction(NamedTuple):
+    """One served utterance: its intent, a tag per kept word, the aligned
+    sequence it was read as and that sequence's intent-pooling weights."""
+
+    intent: str
+    tags: List[SlotTag]
+    seq: AlignedSequence
+    alpha: np.ndarray  # (len(seq),)
+
+
+def predict(ckpt: Checkpoint, utterances: Sequence[Sequence[str]],
+            batch_size: int = 64) -> List[Prediction]:
+    """Words in, intents and word tags out: the one serving path. Each
+    utterance is aligned at the checkpoint's max_len, so a truncated one
+    (`seq.truncated`) gets tags for its kept words only."""
+    if not utterances:
+        raise ValueError("need at least one utterance to predict")
+    if any(isinstance(words, str) for words in utterances):
+        raise ValueError("each utterance is a sequence of words, not a string")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    out: List[Prediction] = []
+    for lo in range(0, len(utterances), batch_size):
+        # Alignment and batching carry labels; the forward pass and the
+        # decoder never read these placeholders.
+        seqs = [
+            align_utterance(TaggedUtterance(w, (O_TAG,) * len(w), "unlabeled"),
+                            ckpt.piece_vocab, ckpt.featurizer,
+                            ckpt.config.encoder.max_len)
+            for w in utterances[lo:lo + batch_size]
+        ]
+        batch = make_batch(seqs, [0] * len(seqs), ckpt.slot_vocab)
+        intent_ids, pieces, alpha = predict_batch(ckpt.params, ckpt.config, batch)
+        alphas = np.split(alpha, np.cumsum(batch.lengths)[:-1])
+        out += [
+            Prediction(ckpt.intent_vocab.decode(int(i)),
+                       decode_word_tags(seq, p, ckpt.slot_vocab), seq, a)
+            for seq, i, p, a in zip(seqs, intent_ids, pieces, alphas)
+        ]
+    return out
+
+
+def evaluate(ckpt: Checkpoint, utterances: Sequence[TaggedUtterance],
+             batch_size: int = 64) -> EvalReport:
+    """Word-level scoring of a checkpoint on a tagged corpus.
 
     Predictions on truncated sequences are padded with O for the dropped
     words, so they score as ordinary errors instead of crashing alignment.
     """
-    if len(seqs) != len(utterances):
-        raise ValueError("aligned sequences and utterances must pair up")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    pred_intents: List[str] = []
-    pred_tags: List[list] = []
-    for lo in range(0, len(seqs), batch_size):
-        chunk = seqs[lo:lo + batch_size]
-        batch = make_batch(chunk, [0] * len(chunk), slot_vocab)
-        intent_ids, piece_preds, _ = predict_batch(params, cfg, batch)
-        for seq, iid, pieces in zip(chunk, intent_ids, piece_preds):
-            pred_intents.append(intent_vocab.decode(int(iid)))
-            pred_tags.append(decode_word_tags(seq, pieces, slot_vocab))
-    gold_intents = [u.intent for u in utterances]
+    preds = predict(ckpt, [u.words for u in utterances], batch_size)
     gold_tags = [list(u.tags) for u in utterances]
-    for i, (gold, pred) in enumerate(zip(gold_tags, pred_tags)):
-        if len(pred) < len(gold):
-            pred_tags[i] = pred + [O_TAG] * (len(gold) - len(pred))
-    return score(gold_intents, pred_intents, gold_tags, pred_tags)
+    pred_tags = [p.tags + [O_TAG] * (len(gold) - len(p.tags))
+                 for p, gold in zip(preds, gold_tags)]
+    return score([u.intent for u in utterances], [p.intent for p in preds],
+                 gold_tags, pred_tags)
 
 
 @contextmanager
@@ -319,6 +341,10 @@ def train(
         master_params[name][...] = value
     compute, params = flat_buffer(shapes, COMPUTE_DTYPE)
     np.copyto(compute, masters)
+    # Each epoch's dev evaluation serves this checkpoint over the live
+    # views; the result holds a copy of the best epoch's.
+    ckpt = Checkpoint(params, model_cfg, intent_vocab, slot_vocab,
+                      piece_vocab, featurizer)
     opt = AdamW(
         shapes,
         [row.name for row in spec if row.decay],
@@ -335,10 +361,6 @@ def train(
     train_intents = np.array(
         [intent_vocab.encode(u.intent) for u in train_corpus], dtype=int
     )
-    dev_seqs = [
-        align_utterance(u, piece_vocab, featurizer, config.max_len)
-        for u in dev_corpus
-    ]
 
     n = len(train_seqs)
     steps_per_epoch = math.ceil(n / config.batch_size)
@@ -384,10 +406,7 @@ def train(
             sums += (l_int, l_slot, l_jnt)
             n_batches += 1
 
-        dev_report = evaluate(
-            params, model_cfg, dev_seqs, dev_corpus,
-            intent_vocab, slot_vocab, config.batch_size,
-        )
+        dev_report = evaluate(ckpt, dev_corpus, config.batch_size)
         means = [float(x) for x in sums / n_batches]
         record = EpochRecord(epoch, *means, dev=dev_report)
         history.append(record)
@@ -395,16 +414,8 @@ def train(
         if best_epoch == epoch:
             best_params = {k: v.copy() for k, v in params.items()}
 
-    checkpoint = Checkpoint(
-        params=best_params,
-        config=model_cfg,
-        intent_vocab=intent_vocab,
-        slot_vocab=slot_vocab,
-        piece_vocab=piece_vocab,
-        featurizer=featurizer,
-    )
     return TrainResult(
-        checkpoint=checkpoint,
+        checkpoint=dataclasses.replace(ckpt, params=best_params),
         best_epoch=best_epoch,
         history=tuple(history),
     )

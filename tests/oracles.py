@@ -11,7 +11,8 @@ every (batch, length) position), which reuses the package's softmax, dropout
 and cross-entropy helpers so it draws the same dropout masks as the packed
 model it checks; its CRF term is the per-sequence `crf_forward_backward`.
 The per-piece `align_per_piece` segments words with the vocabulary's own
-`tokenize_pieces`, which its own tests pin.
+`tokenize_pieces`, which its own tests pin, and `decode_word_tags_per_piece`
+decodes with the slot vocabulary's own `decode`.
 """
 
 from __future__ import annotations
@@ -375,6 +376,17 @@ def align_per_piece(words, tags, features, vocab, max_len):
     for row, wi in enumerate(word_of, start=1):
         block[row] = features[wi]
     return tuple(ids), tuple(piece_tags), tuple(active), block, truncated
+
+
+def decode_word_tags_per_piece(seq, piece_tag_ids, slot_vocab):
+    """Word tags from piece-level tag ids by decoding every piece, markers
+    and continuation pieces included, then keeping the first piece of each
+    word, an X there read as O. The reference for decode_word_tags."""
+    from jointnlu.tagging import O_TAG
+
+    piece_tags = [slot_vocab.decode(int(i)) for i in piece_tag_ids]
+    return [O_TAG if tag.kind == "X" else tag
+            for tag, is_first in zip(piece_tags, seq.active) if is_first]
 
 
 def gelu_two_erf(x):

@@ -41,7 +41,6 @@ from jointnlu.intent_head import attention_weights, intent_forward
 from jointnlu.model import (
     Batch,
     ModelConfig,
-    align_utterance,
     init_model_params,
     model_loss_and_grads,
     param_spec,
@@ -251,16 +250,7 @@ def _toy_run(seed, features):
     t0 = time.time()
     result = train(data.train, data.dev, config, data.featurizer())
     seconds = time.time() - t0
-    ck = result.checkpoint
-    seqs = [
-        align_utterance(u, ck.piece_vocab, ck.featurizer, config.max_len)
-        for u in data.test
-    ]
-    report = evaluate(
-        ck.params, ck.config, seqs, data.test,
-        ck.intent_vocab, ck.slot_vocab,
-    )
-    return report, seconds
+    return evaluate(result.checkpoint, data.test), seconds
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,8 @@
 align_utterance, make_batch, predict_batch and decode_word_tags. The file is
 loaded here read-only, with perfbench/ on sys.path as the benchmark runs it,
 so a change to those functions or to the batch layout that breaks the
-benchmark fails in the suite rather than in a benchmark run.
+benchmark fails in the suite rather than in a benchmark run. It must also
+predict what the package's own serving path, `predict`, predicts.
 """
 
 import importlib.util
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from jointnlu.toy import toy_grammar
-from jointnlu.training import train
+from jointnlu.training import predict, train
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,16 +41,31 @@ def workloads():
                 del sys.modules[name]
 
 
-@pytest.mark.parametrize("workload", ["train-softmax", "train-crf"])
-def test_serve_tags_every_word_alike_at_batch_1_and_n(workloads, workload):
+@pytest.fixture(scope="module", params=["train-softmax", "train-crf"])
+def served(workloads, request):
+    """A checkpoint trained as the workload trains it, and the words of
+    the utterances to serve."""
     data = toy_grammar(1, 300, 30, 48)
-    config = workloads.train_config(workloads.WORKLOADS[workload])
+    config = workloads.train_config(workloads.WORKLOADS[request.param])
     ckpt = train(data.train, data.dev, config, data.featurizer()).checkpoint
-    utterances = [u.words for u in data.test]
+    return ckpt, [u.words for u in data.test]
 
+
+def test_serve_tags_every_word_alike_at_batch_1_and_n(workloads, served):
+    ckpt, utterances = served
     batched = workloads.serve(ckpt, utterances)
     alone = [workloads.serve(ckpt, [words])[0] for words in utterances]
     assert batched == alone
     for words, (intent, tags) in zip(utterances, batched):
         assert intent in ckpt.intent_vocab.labels
         assert len(tags) == len(words)
+
+
+def test_predict_matches_serve(workloads, served):
+    # the package's serving path and the benchmark's cannot drift apart
+    ckpt, utterances = served
+    predicted = [
+        (p.intent, tuple(str(t) for t in p.tags))
+        for p in predict(ckpt, utterances, workloads.OFFLINE_BATCH)
+    ]
+    assert predicted == workloads.serve(ckpt, utterances)

@@ -26,10 +26,11 @@ from jointnlu.model import (
     save_checkpoint,
 )
 from jointnlu.subwords import WordPieceVocab, RESERVED_TOKENS
-from jointnlu.tagging import SlotTag
+from jointnlu.tagging import O_TAG, SlotTag, X_TAG
 from jointnlu.toy import toy_grammar
 
 from oracles import (
+    decode_word_tags_per_piece,
     finite_difference,
     model_losses,
     model_padded,
@@ -709,6 +710,38 @@ class TestEndToEndPipeline:
             seq = align_utterance(utt, piece_vocab, featurizer, max_len=40)
             gold_ids = np.array([slot_vocab.encode(t) for t in seq.piece_tags])
             assert decode_word_tags(seq, gold_ids, slot_vocab) == list(utt.tags)
+
+
+class TestDecodeWordTags:
+    @pytest.mark.parametrize("slot_mode", SLOT_MODES)
+    def test_matches_per_piece_decoding(self, slot_mode, rng):
+        from jointnlu.subwords import train_vocab
+
+        data = toy_grammar(5, 16, 2, 2)
+        words = sorted({w for u in data.train for w in u.words})
+        piece_vocab = train_vocab(words, 200)
+        slot_vocab = SlotVocab.from_corpus(data.train)
+        featurizer = data.featurizer()
+        seqs = [
+            align_utterance(u, piece_vocab, featurizer, max_len=40)
+            for u in data.train
+        ]
+        cfg = ModelConfig(
+            encoder=EncoderConfig(vocab_size=len(piece_vocab), d_h=8,
+                                  n_layers=1, n_heads=2, d_ff=16, max_len=40),
+            n_intents=2, n_slots=len(slot_vocab), slot_mode=slot_mode,
+        )
+        batch = make_batch(seqs, [0] * len(seqs), slot_vocab)
+        _, predicted, _ = predict_batch(init_model_params(cfg, rng), cfg, batch)
+        x_id = slot_vocab.encode(X_TAG)
+        for seq, pred in zip(seqs, predicted):
+            x_at_first = np.where(seq.active, x_id, pred)
+            drawn = rng.integers(0, len(slot_vocab), len(seq))
+            for ids in (pred, x_at_first, drawn):
+                assert decode_word_tags(seq, ids, slot_vocab) == \
+                    decode_word_tags_per_piece(seq, ids, slot_vocab)
+            assert decode_word_tags(seq, x_at_first, slot_vocab) == \
+                [O_TAG] * seq.word_count
 
 
 class TestBatch:

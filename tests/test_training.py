@@ -12,10 +12,8 @@ from jointnlu.model import (
     COMPUTE_DTYPE,
     SLOT_MODES,
     align_utterance,
-    decode_word_tags,
     load_checkpoint,
     make_batch,
-    predict_batch,
     save_checkpoint,
 )
 from jointnlu.subwords import train_vocab
@@ -27,6 +25,7 @@ from jointnlu.training import (
     TrainConfig,
     evaluate,
     joint_loss,
+    predict,
     select_best,
     train,
     validate_config_text,
@@ -310,19 +309,7 @@ class TestTrainLoop:
         path = tmp_path / "best.npz"
         save_checkpoint(res.checkpoint, path)
         loaded = load_checkpoint(path)
-        dev_seqs = [
-            align_utterance(u, loaded.piece_vocab, loaded.featurizer, 50)
-            for u in data.dev
-        ]
-        before = evaluate(
-            res.checkpoint.params, res.checkpoint.config, dev_seqs,
-            data.dev, res.checkpoint.intent_vocab, res.checkpoint.slot_vocab,
-        )
-        after = evaluate(
-            loaded.params, loaded.config, dev_seqs, data.dev,
-            loaded.intent_vocab, loaded.slot_vocab,
-        )
-        assert before == after
+        assert evaluate(res.checkpoint, data.dev) == evaluate(loaded, data.dev)
 
     @pytest.mark.parametrize("variant", [
         dict(slot_mode="crf"),
@@ -359,23 +346,11 @@ class TestFloat32Model:
         assert {a.dtype for a in ckpt.params.values()} == {
             np.dtype(COMPUTE_DTYPE)
         }
-        seqs = [
-            align_utterance(u, ckpt.piece_vocab, ckpt.featurizer, 50)
-            for u in data.test
-        ]
+        words = [u.words for u in data.test]
 
         def served(batch_size):
-            out = []
-            for lo in range(0, len(seqs), batch_size):
-                chunk = seqs[lo:lo + batch_size]
-                batch = make_batch(chunk, [0] * len(chunk), ckpt.slot_vocab)
-                intents, pieces, _ = predict_batch(ckpt.params, ckpt.config,
-                                                   batch)
-                out += [
-                    (int(i), decode_word_tags(seq, p, ckpt.slot_vocab))
-                    for seq, i, p in zip(chunk, intents, pieces)
-                ]
-            return out
+            return [(p.intent, p.tags)
+                    for p in predict(ckpt, words, batch_size)]
 
         alone = served(1)
         assert served(7) == alone
@@ -396,34 +371,42 @@ class TestEvaluate:
             TaggedUtterance(u.words, u.tags, "intent_never_seen")
             for u in data.dev[:4]
         ]
-        seqs = [
-            align_utterance(u, ckpt.piece_vocab, ckpt.featurizer, 50)
-            for u in weird
-        ]
-        rep = evaluate(ckpt.params, ckpt.config, seqs, weird,
-                       ckpt.intent_vocab, ckpt.slot_vocab)
+        rep = evaluate(ckpt, weird)
         assert rep.intent_accuracy == 0.0
         assert rep.sentence_accuracy == 0.0
 
     def test_truncated_sequences_score_without_crashing(self):
         data, res = self._fitted()
         ckpt = res.checkpoint
-        subset = list(data.dev[:4])
-        seqs = [
-            align_utterance(u, ckpt.piece_vocab, ckpt.featurizer, max_len=5)
-            for u in subset
+        # each utterance is the dev split three times over, rotated: more
+        # words than the checkpoint's max_len has positions
+        dev = list(data.dev)
+        joined = [(dev[k:] + dev[:k]) * 3 for k in range(4)]
+        long = [
+            TaggedUtterance([w for u in us for w in u.words],
+                            [t for u in us for t in u.tags], us[0].intent)
+            for us in joined
         ]
-        assert any(s.truncated for s in seqs)
-        rep = evaluate(ckpt.params, ckpt.config, seqs, subset,
-                       ckpt.intent_vocab, ckpt.slot_vocab)
+        assert all(len(u.words) > ckpt.config.encoder.max_len for u in long)
+        preds = predict(ckpt, [u.words for u in long])
+        assert all(p.seq.truncated for p in preds)
+        assert all(len(p.tags) < len(u.words) for p, u in zip(preds, long))
+        rep = evaluate(ckpt, long)
         assert 0.0 <= rep.slot_f1 <= 1.0
 
-    def test_mismatched_inputs_rejected(self):
+    def test_empty_corpus_rejected(self):
+        _, res = self._fitted()
+        with pytest.raises(ValueError, match="at least one utterance"):
+            evaluate(res.checkpoint, [])
+
+    def test_bad_requests_rejected(self):
         data, res = self._fitted()
-        ckpt = res.checkpoint
-        with pytest.raises(ValueError):
-            evaluate(ckpt.params, ckpt.config, [], data.dev,
-                     ckpt.intent_vocab, ckpt.slot_vocab)
+        words = data.dev[0].words
+        with pytest.raises(ValueError, match="batch_size"):
+            predict(res.checkpoint, [words], batch_size=0)
+        # a string is a sequence too, of one-character words
+        with pytest.raises(ValueError, match="not a string"):
+            predict(res.checkpoint, [" ".join(words)])
 
 
 def test_desk_encoder_dimensions():
