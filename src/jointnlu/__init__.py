@@ -64,7 +64,6 @@ from .training import (
     TrainConfig,
     TrainResult,
     evaluate,
-    joint_loss,
     predict,
     score,
     select_best,
@@ -111,7 +110,6 @@ __all__ = [
     "extract_chunks",
     "init_model_params",
     "intent_accuracy",
-    "joint_loss",
     "lint_corpus",
     "load_checkpoint",
     "load_corpus",

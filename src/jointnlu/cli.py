@@ -28,7 +28,7 @@ from . import __version__
 from .data import load_corpus, read_utf8, staged
 from .features import WordFeaturizer
 from .model import COMPUTE_DTYPE, load_checkpoint, save_checkpoint
-from .tagging import read_kv, relative_error_reduction
+from .tagging import HEADLINE_MEASURES, read_kv, relative_error_reduction
 from .training import (
     DivergenceError,
     TrainConfig,
@@ -44,9 +44,6 @@ from .training import (
 # Every file a training run reads from the data directory.
 _REQUIRED_DATA = ("train.txt", "dev.txt", "lexicon.txt", "gazetteer.tsv",
                   "english_dict.txt")
-
-# Headline measures compared between two runs.
-_MEASURES = ("intent_acc", "sent_acc", "slot_f1")
 
 # Environment variables that set the BLAS thread count, which can change
 # the summation order of matrix products and so the bits of a run.
@@ -145,7 +142,7 @@ def _seed_summary(runs: Sequence[Tuple[int, TrainResult]]) -> str:
         d = report.to_dict()
         lines.append(
             f"seed={seed} best_epoch={r.best_epoch} "
-            + " ".join(f"{k}={d[k]!r}" for k in _MEASURES)
+            + " ".join(f"{k}={d[k]!r}" for k in HEADLINE_MEASURES)
             + f" selection={report.selection_score!r}"
         )
     lines.append(f"best seed={runs[select_best(reports)][0]}")
@@ -272,11 +269,11 @@ def _read_measures(path) -> Dict[str, float]:
     entries, problems = read_kv(read_utf8(path))
     if problems:
         raise ValueError(f"{path}: {problems[0]}")
-    missing = [m for m in _MEASURES if m not in entries]
+    missing = [m for m in HEADLINE_MEASURES if m not in entries]
     if missing:
         raise ValueError(f"{path}: missing measure(s): {', '.join(missing)}")
     picked = {}
-    for m in _MEASURES:
+    for m in HEADLINE_MEASURES:
         lineno, text = entries[m]
         try:
             value = float(text)
@@ -297,7 +294,7 @@ def cmd_compare(args) -> int:
     a = _read_measures(args.report_a)
     b = _read_measures(args.report_b)
     lines = ["measure\ta\tb\trer_pct"]
-    for m in _MEASURES:
+    for m in HEADLINE_MEASURES:
         rer = relative_error_reduction(a[m], b[m])
         lines.append(f"{m}\t{100 * a[m]:.2f}\t{100 * b[m]:.2f}\t{rer:.2f}")
     text = "\n".join(lines) + "\n"

@@ -222,7 +222,7 @@ def align_utterance(
     utt: TaggedUtterance,
     piece_vocab: WordPieceVocab,
     featurizer: WordFeaturizer,
-    max_len: int = 50,
+    max_len: int,
 ) -> AlignedSequence:
     feats = featurizer.featurize(utt.words)
     return align(utt.words, utt.tags, feats, piece_vocab, max_len)
@@ -256,25 +256,14 @@ def model_outputs(
     return y_int, slot_scores, alpha, cache
 
 
-def _intent_ce(y_int: np.ndarray, intent_ids: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient."""
-    b = y_int.shape[0]
-    logp = log_softmax(y_int, axis=-1)
-    rows = np.arange(b)
-    loss = float(-logp[rows, intent_ids].mean())
-    d = np.exp(logp)
-    d[rows, intent_ids] -= 1.0
-    return loss, d / b
-
-
-def _softmax_slot_loss(
-    slot_scores: np.ndarray, tag_ids: np.ndarray, lengths: np.ndarray
+def _cross_entropy(
+    scores: np.ndarray, gold_ids: np.ndarray, lengths: np.ndarray
 ) -> Tuple[float, np.ndarray]:
-    """Cross-entropy at every packed row: per-sequence mean over positions,
-    then mean over the batch."""
+    """Cross-entropy at every packed row: per-sequence mean over its rows,
+    then mean over the batch; and its gradient."""
     starts = np.cumsum(lengths) - lengths
-    logp = log_softmax(slot_scores, axis=-1)
-    gold = (np.arange(len(tag_ids)), tag_ids)
+    logp = log_softmax(scores, axis=-1)
+    gold = (np.arange(len(gold_ids)), gold_ids)
     per_seq = -np.add.reduceat(logp[gold], starts) / lengths
     loss = float(per_seq.mean())
 
@@ -312,17 +301,20 @@ def model_loss_and_grads(
     batch: Batch,
     gamma: float,
     rng: Optional[np.random.Generator] = None,
-) -> Tuple[float, float, Dict[str, np.ndarray]]:
+) -> Tuple[float, float, float, Dict[str, np.ndarray]]:
     """One full forward/backward pass, with dropout as in model_outputs.
 
-    Returns (l_intent, l_slot, grads) where grads is the gradient of
-    gamma*l_intent + (1-gamma)*l_slot, keyed exactly like params.
+    Returns (l_intent, l_slot, l_joint, grads): the joint objective
+    l_joint = gamma*l_intent + (1-gamma)*l_slot and its gradient, keyed
+    exactly like params.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
     y_int, slot_scores, _, cache = model_outputs(params, cfg, batch, rng)
 
-    l_int, d_y_ce = _intent_ce(y_int, batch.intent_ids)
+    l_int, d_y_ce = _cross_entropy(
+        y_int, batch.intent_ids, np.ones_like(batch.intent_ids)
+    )
     grads: Dict[str, np.ndarray] = {}
     if cfg.slot_mode == "crf":
         l_slot, d_slot, crf_grads = _crf_slot_loss(
@@ -330,10 +322,9 @@ def model_loss_and_grads(
         )
         grads.update((k, (1.0 - gamma) * v) for k, v in crf_grads.items())
     else:
-        l_slot, d_slot = _softmax_slot_loss(
-            slot_scores, batch.tag_ids, batch.lengths
-        )
+        l_slot, d_slot = _cross_entropy(slot_scores, batch.tag_ids, batch.lengths)
 
+    l_joint = gamma * l_int + (1.0 - gamma) * l_slot
     d_slot = (1.0 - gamma) * d_slot
     d_y_from_slot, d_f, d_H_slot, slot_grads = slot_backward(
         d_slot, cache["slot"], params
@@ -350,7 +341,7 @@ def model_loss_and_grads(
     grads.update(
         encode_backward(d_H_int + d_H_slot, cache["enc"], params, cfg.encoder)
     )
-    return l_int, l_slot, grads
+    return l_int, l_slot, l_joint, grads
 
 
 def predict_batch(

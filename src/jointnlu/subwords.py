@@ -194,7 +194,7 @@ def align(
     tags: Sequence[SlotTag],
     features: np.ndarray,
     vocab: WordPieceVocab,
-    max_len: int = 50,
+    max_len: int,
 ) -> AlignedSequence:
     """Tokenize a tagged utterance and build its aligned piece sequence.
 

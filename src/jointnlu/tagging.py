@@ -233,6 +233,10 @@ def kv_text(entries: Mapping[str, object]) -> str:
     return "".join(f"{k}={v!r}\n" for k, v in entries.items())
 
 
+# The report keys of the headline measures: compared between runs, and
+# summed in this order for model selection.
+HEADLINE_MEASURES = ("intent_acc", "sent_acc", "slot_f1")
+
 # Report key, EvalReport field and its type, in emission order.
 _REPORT_FIELDS = (
     ("intent_acc", "intent_accuracy", float),
@@ -266,7 +270,8 @@ class EvalReport:
     @property
     def selection_score(self) -> float:
         """Sum of the three headline measures, used for model selection."""
-        return self.intent_accuracy + self.sentence_accuracy + self.slot_f1
+        report = self.to_dict()
+        return sum(report[key] for key in HEADLINE_MEASURES)
 
     def to_dict(self) -> dict:
         return {key: getattr(self, name) for key, name, _ in _REPORT_FIELDS}

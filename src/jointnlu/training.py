@@ -1,5 +1,5 @@
-"""Joint training: the weighted two-task objective, the schedule and
-optimizer regime, per-epoch dev evaluation, and best-checkpoint selection."""
+"""Joint training: the config that builds the model, the optimizer and the
+schedule; the loop, per-epoch dev evaluation and best-checkpoint selection."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import dataclasses
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,10 +84,27 @@ class TrainConfig:
         # The model, the optimizer and the schedule own the ranges of their
         # settings; building them here makes a bad value fail before any
         # output exists.
-        ModelConfig(DESK_ENCODER, 1, 1, self.slot_mode, self.slot_features,
-                    self.intent_pool, self.dropout_rate)
-        AdamW({}, (), self.beta1, self.beta2, self.epsilon, self.weight_decay)
-        lr_schedule(0, 1, self.warmup_proportion, self.learning_rate)
+        self.model_config(DESK_ENCODER, 1, 1)
+        self.optimizer({}, ())
+        self.lr_at(0, 1)
+
+    def model_config(self, encoder: EncoderConfig, n_intents: int,
+                     n_slots: int) -> ModelConfig:
+        """The model these settings train, over the given label spaces."""
+        return ModelConfig(encoder, n_intents, n_slots, self.slot_mode,
+                           self.slot_features, self.intent_pool,
+                           self.dropout_rate)
+
+    def optimizer(self, shapes: Mapping[str, Tuple[int, ...]],
+                  decayed: Iterable[str]) -> AdamW:
+        """AdamW with these settings over the `flat_buffer(shapes)` layout."""
+        return AdamW(shapes, decayed, self.beta1, self.beta2, self.epsilon,
+                     self.weight_decay)
+
+    def lr_at(self, step: int, total_steps: int) -> float:
+        """The learning rate of `step` out of `total_steps`."""
+        return lr_schedule(step, total_steps, self.warmup_proportion,
+                           self.learning_rate)
 
     def to_kv_text(self) -> str:
         return kv_text(dataclasses.asdict(self))
@@ -134,13 +151,6 @@ def validate_config_text(text: str):
     if errors:
         return None, errors
     return TrainConfig(**kwargs), []
-
-
-def joint_loss(l_intent: float, l_slot: float, gamma: float) -> float:
-    """Two-task mix: gamma weighs the intent term, (1-gamma) the slot term."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must be in [0, 1]")
-    return gamma * l_intent + (1.0 - gamma) * l_slot
 
 
 def select_best(reports: Sequence[EvalReport]) -> int:
@@ -322,15 +332,7 @@ def train(
     enc_cfg = dataclasses.replace(
         template, vocab_size=len(piece_vocab.pieces), max_len=config.max_len
     )
-    model_cfg = ModelConfig(
-        encoder=enc_cfg,
-        n_intents=len(intent_vocab),
-        n_slots=len(slot_vocab),
-        slot_mode=config.slot_mode,
-        slot_features=config.slot_features,
-        intent_pool=config.intent_pool,
-        dropout_rate=config.dropout_rate,
-    )
+    model_cfg = config.model_config(enc_cfg, len(intent_vocab), len(slot_vocab))
     # Every tensor is a view into one flat float64 master buffer, which
     # AdamW updates in one step, and into its flat COMPUTE_DTYPE copy, which
     # the forward and backward passes, dev evaluation and the checkpoint read.
@@ -345,14 +347,7 @@ def train(
     # views; the result holds a copy of the best epoch's.
     ckpt = Checkpoint(params, model_cfg, intent_vocab, slot_vocab,
                       piece_vocab, featurizer)
-    opt = AdamW(
-        shapes,
-        [row.name for row in spec if row.decay],
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.epsilon,
-        weight_decay=config.weight_decay,
-    )
+    opt = config.optimizer(shapes, [row.name for row in spec if row.decay])
 
     train_seqs = [
         align_utterance(u, piece_vocab, featurizer, config.max_len)
@@ -373,26 +368,18 @@ def train(
         n_batches = 0
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            batch = make_batch(
-                [train_seqs[i] for i in idx],
-                train_intents[idx],
-                slot_vocab,
-            )
+            batch = make_batch([train_seqs[i] for i in idx], train_intents[idx],
+                               slot_vocab)
             with _diverges_at(epoch, step):
-                l_int, l_slot, grads = model_loss_and_grads(
+                l_int, l_slot, l_joint, grads = model_loss_and_grads(
                     params, model_cfg, batch, config.gamma, rng
                 )
-            l_jnt = joint_loss(l_int, l_slot, config.gamma)
             if not (np.isfinite(l_int) and np.isfinite(l_slot)):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}: "
                     f"intent={l_int}, slot={l_slot}"
                 )
-            lr = lr_schedule(
-                step, total_steps, config.warmup_proportion,
-                config.learning_rate,
-            )
-            opt.step(masters, grads, lr)
+            opt.step(masters, grads, config.lr_at(step, total_steps))
             if not np.isfinite(masters).all():
                 raise DivergenceError(
                     f"non-finite parameters after epoch {epoch}, "
@@ -403,7 +390,7 @@ def train(
             with _diverges_at(epoch, step):
                 np.copyto(compute, masters)
             step += 1
-            sums += (l_int, l_slot, l_jnt)
+            sums += (l_int, l_slot, l_joint)
             n_batches += 1
 
         dev_report = evaluate(ckpt, dev_corpus, config.batch_size)

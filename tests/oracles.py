@@ -4,12 +4,13 @@ Everything here is deliberately brute-force and shares no code with the
 package: chunking by scanning all (start, end, label) triples, CRF partition
 and decoding by exhaustive enumeration, gradients by central finite
 differences, and AdamW one tensor at a time (`AdamWPerTensor`). The
-exceptions are `model_losses`, the joint model's loss without any backward
-pass, which the finite-difference checks probe, and the
+exceptions are `model_losses`, the joint model's two loss terms without any
+backward pass, which the finite-difference checks probe, and the
 padded model (`model_padded`: encoder, heads, feature net and losses run on
-every (batch, length) position), which reuses the package's softmax, dropout
-and cross-entropy helpers so it draws the same dropout masks as the packed
-model it checks; its CRF term is the per-sequence `crf_forward_backward`.
+every (batch, length) position), which reuses the package's softmax and
+dropout helpers so it draws the same dropout masks as the packed model it
+checks; its intent term is the per-row `intent_ce` and its CRF term the
+per-sequence `crf_forward_backward`.
 The per-piece `align_per_piece` segments words with the vocabulary's own
 `tokenize_pieces`, which its own tests pin, and `decode_word_tags_per_piece`
 decodes with the slot vocabulary's own `decode`.
@@ -217,22 +218,36 @@ def slot_logits(intent_logit_vec, feature_vec, hidden_vec, W_s, b_s) -> np.ndarr
     return W_s @ np.concatenate(blocks) + b_s
 
 
+def intent_ce(y_int, intent_ids):
+    """Mean cross-entropy of one row per sequence over the batch, and its
+    gradient: the reference for the package's cross-entropy at unit
+    lengths."""
+    b = y_int.shape[0]
+    logp = log_softmax(y_int, axis=-1)
+    rows = np.arange(b)
+    loss = float(-logp[rows, intent_ids].mean())
+    d = np.exp(logp)
+    d[rows, intent_ids] -= 1.0
+    return loss, d / b
+
+
 def model_losses(params, cfg, batch, rng=None):
     """Forward-only (l_intent, l_slot): the package's forward pass and loss
     terms, with the CRF's negative log-likelihood taken from crf_nll and no
     backward pass run."""
     from jointnlu.crf import crf_nll
-    from jointnlu.model import _intent_ce, _softmax_slot_loss, model_outputs
+    from jointnlu.model import _cross_entropy, model_outputs
 
     y_int, slot_scores, _, _ = model_outputs(params, cfg, batch, rng)
-    l_int, _ = _intent_ce(y_int, batch.intent_ids)
+    l_int, _ = _cross_entropy(y_int, batch.intent_ids,
+                              np.ones_like(batch.intent_ids))
     if cfg.slot_mode == "crf":
         nll, _ = crf_nll(
             slot_scores, batch.tag_ids, params["crf.T"], params["crf.start"],
             params["crf.end"], batch.lengths,
         )
         return l_int, float(nll.sum()) / len(nll)
-    l_slot, _ = _softmax_slot_loss(slot_scores, batch.tag_ids, batch.lengths)
+    l_slot, _ = _cross_entropy(slot_scores, batch.tag_ids, batch.lengths)
     return l_int, l_slot
 
 
@@ -688,8 +703,6 @@ def model_padded(params, cfg, batch, gamma, rng=None):
     scattered to zero-padded blocks here. Returns (l_intent, l_slot, grads,
     y_int, slot_scores, alpha), with slot_scores (b, n, K) and alpha (b, n).
     """
-    from jointnlu.model import _intent_ce
-
     pad_mask, rate = batch.pad_mask, cfg.dropout_rate
     b = pad_mask.shape[0]
     features = pad_rows(batch.features, pad_mask)
@@ -705,7 +718,7 @@ def model_padded(params, cfg, batch, gamma, rng=None):
         y_int, f_words, H, pad_mask, params, rate, rng
     )
 
-    l_int, d_y_ce = _intent_ce(y_int, batch.intent_ids)
+    l_int, d_y_ce = intent_ce(y_int, batch.intent_ids)
     grads = {}
     if cfg.slot_mode == "crf":
         names = {"crf.T": "trans", "crf.start": "start", "crf.end": "end"}

@@ -49,7 +49,7 @@ from jointnlu.optim import AdamW, flat_buffer
 from jointnlu.subwords import align, de_align, train_vocab
 from jointnlu.tagging import extract_chunks, parse_tags, per_token_micro_f1, slot_f1
 from jointnlu.toy import toy_grammar
-from jointnlu.training import TrainConfig, evaluate, joint_loss, train
+from jointnlu.training import TrainConfig, evaluate, train
 
 
 # ----------------------------------------------------------------------
@@ -114,15 +114,14 @@ def test_criterion_02_full_loss_gradients_match_finite_differences():
         params = init_model_params(cfg, rng)
         batch = _random_batch(rng, enc, cfg.n_intents, cfg.n_slots)
         gamma = float(rng.uniform())
-        _, _, grads = model_loss_and_grads(params, cfg, batch, gamma)
+        _, _, _, grads = model_loss_and_grads(params, cfg, batch, gamma)
 
-        def weighted_loss(ps, _cfg=cfg, _batch=batch, _gamma=gamma):
-            l_int, l_slot, _ = model_loss_and_grads(ps, _cfg, _batch, _gamma)
-            return _gamma * l_int + (1.0 - _gamma) * l_slot
+        def joint_loss(ps, _cfg=cfg, _batch=batch, _gamma=gamma):
+            return model_loss_and_grads(ps, _cfg, _batch, _gamma)[2]
 
         for name in params:
             coords, fd = finite_difference(
-                weighted_loss, params, name, max_coords=2, rng=rng
+                joint_loss, params, name, max_coords=2, rng=rng
             )
             analytic = grads[name].reshape(-1)[coords]
             err = relative_gradient_error(analytic, fd).max()
@@ -330,13 +329,15 @@ def test_criterion_09_intent_only_weighting_freezes_slot_head():
     opt = AdamW(shapes, [row.name for row in spec if row.decay])
     for _ in range(10):
         batch = _random_batch(rng, enc, cfg.n_intents, cfg.n_slots)
-        l_int, l_slot, grads = model_loss_and_grads(params, cfg, batch, 1.0)
+        l_int, l_slot, l_joint, grads = model_loss_and_grads(
+            params, cfg, batch, 1.0)
         for name in slot_only:
             assert np.all(grads[name] == 0.0), name
         # the slot loss is still computed for logging, just unweighted
         assert np.isfinite(l_slot) and l_slot > 0.0
-        assert joint_loss(l_int, l_slot, 1.0) == 1.0 * l_int + 0.0 * l_slot
-        assert joint_loss(l_int, l_slot, 0.6) == 0.6 * l_int + 0.4 * l_slot
+        assert l_joint == 1.0 * l_int + 0.0 * l_slot
+        mixed = model_loss_and_grads(params, cfg, batch, 0.6)
+        assert mixed[:3] == (l_int, l_slot, 0.6 * l_int + 0.4 * l_slot)
         opt.step(flat, grads, 1e-3)
 
 

@@ -1289,6 +1289,10 @@ _ARGV_OPTIONS = {
                  ("--dict", _input("dict")), ("--text", _TEXT)],
 }
 
+# The options of a working eval command line; it leaves --self-test out.
+_EVAL_WORKING = {"--checkpoint": "model", "--data": "corpus",
+                 "--out": "out.txt", "--batch-size": "8"}
+
 
 @pytest.fixture(scope="module")
 def argv_inputs(trained, tmp_path_factory):
@@ -1336,17 +1340,32 @@ class TestArgvFuzz:
         # inputs right, so train also gets examples of its own
         self.check(argv_inputs, data, "train")
 
+    @given(data=st.data())
+    def test_eval_exit_0_or_one_error_line(self, argv_inputs, data):
+        # the shared examples seldom get all five of eval's options right at
+        # once, so eval gets examples of its own, which mostly keep each
+        # option at a working value
+        self.check(argv_inputs, data, "eval", _EVAL_WORKING)
+
     @staticmethod
-    def check(argv_inputs, data, command):
+    def check(argv_inputs, data, command, working=None):
+        """Fuzz one command line. Given `working`, the options of a working
+        command line, each option is set as there nine times in ten."""
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             (work / "sub").mkdir()
             argv, out = [command], None
             for flag, values in _ARGV_OPTIONS[command]:
+                if working is not None and data.draw(
+                        st.integers(0, 9), label=f"vary {flag}") < 9:
+                    if flag not in working:
+                        continue
+                    value = working[flag]
                 # most options are kept, so that many cases get to run
-                if data.draw(st.integers(0, 4), label=f"drop {flag}") == 4:
+                elif data.draw(st.integers(0, 4), label=f"drop {flag}") == 4:
                     continue
-                value = None if values is None else data.draw(values, label=flag)
+                else:
+                    value = None if values is None else data.draw(values, label=flag)
                 if flag == "--out":
                     out = value = work / value
                 elif values is not None and value in argv_inputs:

@@ -32,6 +32,7 @@ from jointnlu.toy import toy_grammar
 from oracles import (
     decode_word_tags_per_piece,
     finite_difference,
+    intent_ce,
     model_losses,
     model_padded,
     relative_gradient_error,
@@ -169,8 +170,8 @@ class TestForward:
         params_on["W_s"][:, n_int:n_int + 32] = 0.0
         batch = tiny_batch(rng)
 
-        li_on, ls_on, g_on = model_loss_and_grads(params_on, cfg_on, batch, 0.6)
-        li_off, ls_off, g_off = model_loss_and_grads(params_off, cfg_off, batch, 0.6)
+        li_on, ls_on, _, g_on = model_loss_and_grads(params_on, cfg_on, batch, 0.6)
+        li_off, ls_off, _, g_off = model_loss_and_grads(params_off, cfg_off, batch, 0.6)
         assert li_on == pytest.approx(li_off, abs=1e-12)
         assert ls_on == pytest.approx(ls_off, abs=1e-12)
         for k in g_off:
@@ -189,7 +190,7 @@ class TestGradients:
         cfg = tiny_config(slot_mode=slot_mode, slot_features=slot_features,
                           intent_pool=intent_pool)
         params = init_model_params(cfg, rng)
-        _, _, grads = model_loss_and_grads(params, cfg, tiny_batch(rng), 0.6)
+        _, _, _, grads = model_loss_and_grads(params, cfg, tiny_batch(rng), 0.6)
         assert sorted(grads) == sorted(row.name for row in param_spec(cfg))
         for row in param_spec(cfg):
             assert grads[row.name].shape == row.shape, row.name
@@ -205,7 +206,7 @@ class TestGradients:
         params = init_model_params(cfg, rng)
         batch = tiny_batch(rng)
         gamma = 0.6
-        _, _, grads = model_loss_and_grads(params, cfg, batch, gamma)
+        _, _, _, grads = model_loss_and_grads(params, cfg, batch, gamma)
         assert set(grads) == set(params)
 
         def loss(_parms=None):
@@ -250,7 +251,7 @@ class TestGradients:
                     names.append((k, None))
             batch = ragged_batch(rng, [7, 1, 4, 2, 7])
             gamma = 0.3
-            _, _, grads = model_loss_and_grads(params, cfg, batch, gamma)
+            _, _, _, grads = model_loss_and_grads(params, cfg, batch, gamma)
 
             def loss(_parms=None, cfg=cfg, params=params, batch=batch):
                 li, ls = model_losses(params, cfg, batch)
@@ -269,7 +270,7 @@ class TestGradients:
         cfg = tiny_config(intent_pool="start_token")
         params = init_model_params(cfg, rng)
         batch = tiny_batch(rng)
-        _, _, grads = model_loss_and_grads(params, cfg, batch, 0.6)
+        _, _, _, grads = model_loss_and_grads(params, cfg, batch, 0.6)
 
         def loss(_parms=None):
             li, ls = model_losses(params, cfg, batch)
@@ -286,7 +287,7 @@ class TestGradients:
         cfg = tiny_config(dropout_rate=0.2)
         params = init_model_params(cfg, rng)
         batch = tiny_batch(rng)
-        _, _, grads = model_loss_and_grads(
+        _, _, _, grads = model_loss_and_grads(
             params, cfg, batch, 0.6, rng=np.random.default_rng(99),
         )
 
@@ -308,7 +309,7 @@ class TestGradients:
         cfg = tiny_config(slot_mode=slot_mode)
         params = init_model_params(cfg, rng)
         batch = tiny_batch(rng)
-        _, _, grads = model_loss_and_grads(params, cfg, batch, gamma=1.0)
+        _, _, _, grads = model_loss_and_grads(params, cfg, batch, gamma=1.0)
         slot_only = ["W_s", "b_s"]
         if slot_mode == "crf":
             slot_only += ["crf.T", "crf.start", "crf.end"]
@@ -321,7 +322,7 @@ class TestGradients:
         cfg = tiny_config()
         params = init_model_params(cfg, rng)
         batch = tiny_batch(rng)
-        _, _, g0 = model_loss_and_grads(params, cfg, batch, gamma=0.0)
+        _, _, _, g0 = model_loss_and_grads(params, cfg, batch, gamma=0.0)
         # intent parameters still receive gradient through the fused slots
         assert np.abs(g0["int.W_cls"]).max() > 0
 
@@ -330,7 +331,7 @@ class TestGradients:
         params = init_model_params(cfg, rng)
         batch = tiny_batch(rng)
         li_a, ls_a = model_losses(params, cfg, batch)
-        li_b, ls_b, _ = model_loss_and_grads(params, cfg, batch, 0.3)
+        li_b, ls_b, _, _ = model_loss_and_grads(params, cfg, batch, 0.3)
         assert li_a == pytest.approx(li_b, abs=1e-15)
         assert ls_a == pytest.approx(ls_b, abs=1e-15)
 
@@ -358,7 +359,7 @@ class TestPackedMatchesPaddedModel:
 
             rng_packed = np.random.default_rng(trial)
             rng_padded = np.random.default_rng(trial)
-            l_int, l_slot, grads = model_loss_and_grads(
+            l_int, l_slot, _, grads = model_loss_and_grads(
                 params, cfg, batch, 0.4, rng_packed)
             ref_int, ref_slot, ref_grads, *_ = model_padded(
                 params, cfg, batch, 0.4, rng_padded)
@@ -568,15 +569,33 @@ class TestComputeDtype:
         assert rngs[0] == rngs[1]
 
 
+class TestCrossEntropy:
+    """One cross-entropy serves both heads: at unit lengths it is the intent
+    loss, the per-row reference `oracles.intent_ce` it replaced."""
+
+    @pytest.mark.parametrize("b", [1, 7, 16, 32, 64])
+    def test_unit_lengths_match_the_per_row_reference(self, rng, b):
+        from jointnlu.model import _cross_entropy
+
+        for trial in range(20):
+            y_int = rng.normal(scale=3.0, size=(b, N_INT)).astype(COMPUTE_DTYPE)
+            gold = rng.integers(0, N_INT, size=b)
+            loss, d = _cross_entropy(y_int, gold, np.ones(b, dtype=int))
+            ref_loss, ref_d = intent_ce(y_int, gold)
+            assert d.dtype == ref_d.dtype == COMPUTE_DTYPE
+            assert d.tobytes() == ref_d.tobytes(), (b, trial)
+            assert loss == pytest.approx(ref_loss, rel=1e-6)
+
+
 class TestSlotLossShape:
     def test_softmax_loss_is_per_sequence_position_mean(self, rng):
-        from jointnlu.model import _softmax_slot_loss
+        from jointnlu.model import _cross_entropy
         from jointnlu.numerics import log_softmax
 
         S = 3
         scores = rng.normal(size=(7, S))
         tags = rng.integers(0, S, size=7)
-        loss, _ = _softmax_slot_loss(scores, tags, np.array([4, 3]))
+        loss, _ = _cross_entropy(scores, tags, np.array([4, 3]))
         manual = [
             np.mean([-log_softmax(scores[t])[tags[t]] for t in rows])
             for rows in (range(0, 4), range(4, 7))
@@ -593,9 +612,9 @@ class TestSlotLossShape:
         for slot_mode in SLOT_MODES:
             cfg = tiny_config(slot_mode=slot_mode, dropout_rate=0.3)
             params = init_model_params(cfg, rng)
-            li, ls, g = model_loss_and_grads(
+            li, ls, _, g = model_loss_and_grads(
                 params, cfg, batch, 0.4, np.random.default_rng(3))
-            li2, ls2, g2 = model_loss_and_grads(
+            li2, ls2, _, g2 = model_loss_and_grads(
                 params, cfg, other, 0.4, np.random.default_rng(3))
             assert (li2, ls2) == (li, ls)
             for k in g:

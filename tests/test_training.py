@@ -1,5 +1,6 @@
 """Training regime: config, losses, selection, determinism, divergence."""
 
+import dataclasses
 import zipfile
 
 import numpy as np
@@ -12,8 +13,10 @@ from jointnlu.model import (
     COMPUTE_DTYPE,
     SLOT_MODES,
     align_utterance,
+    init_model_params,
     load_checkpoint,
     make_batch,
+    model_loss_and_grads,
     save_checkpoint,
 )
 from jointnlu.subwords import train_vocab
@@ -24,7 +27,6 @@ from jointnlu.training import (
     EpochRecord,
     TrainConfig,
     evaluate,
-    joint_loss,
     predict,
     select_best,
     train,
@@ -60,6 +62,21 @@ class TestTrainConfig:
         assert c.slot_mode == "softmax"
         assert c.slot_features is True
         assert c.intent_pool == "attention"
+
+    def test_builds_the_model_optimizer_and_schedule_it_validates(self):
+        c = TrainConfig(slot_mode="crf", slot_features=False,
+                        intent_pool="start_token", dropout_rate=0.2,
+                        beta1=0.8, beta2=0.99, epsilon=1e-5, weight_decay=0.02,
+                        learning_rate=1e-3, warmup_proportion=0.5)
+        m = c.model_config(DESK_ENCODER, 3, 4)
+        assert (m.encoder, m.n_intents, m.n_slots, m.slot_mode,
+                m.slot_features, m.intent_pool, m.dropout_rate) == (
+            DESK_ENCODER, 3, 4, "crf", False, "start_token", 0.2)
+        opt = c.optimizer({}, ())
+        assert (opt.beta1, opt.beta2, opt.eps, opt.weight_decay) == (
+            0.8, 0.99, 1e-5, 0.02)
+        assert c.lr_at(5, 20) == pytest.approx(5e-4)
+        assert c.lr_at(10, 20) == 1e-3
 
     def test_kv_round_trip(self):
         c = TrainConfig(gamma=0.3, epochs=7, slot_mode="crf",
@@ -105,20 +122,60 @@ class TestTrainConfig:
 
 
 class TestJointLoss:
-    def test_worked_example(self):
-        assert joint_loss(1.0, 2.0, 0.6) == pytest.approx(1.4)
+    """The joint objective is the l_joint that model_loss_and_grads returns
+    beside its two terms and the gradient it differentiates."""
 
-    def test_boundaries(self):
-        assert joint_loss(3.0, 9.0, 1.0) == 3.0
-        assert joint_loss(3.0, 9.0, 0.0) == 9.0
+    @pytest.fixture(scope="class")
+    def models(self):
+        data = toy_grammar(2, 8, 1, 1)
+        vocab = train_vocab([w for u in data.train for w in u.words], 200)
+        seqs = [align_utterance(u, vocab, data.featurizer(), 50)
+                for u in data.train]
+        intents = IntentVocab.from_corpus(data.train)
+        slots = SlotVocab.from_corpus(data.train)
+        batch = make_batch(seqs, [intents.encode(u.intent) for u in data.train],
+                           slots)
+        enc = dataclasses.replace(TINY_ENCODER, vocab_size=len(vocab.pieces))
+        out = []
+        for slot_mode in SLOT_MODES:
+            cfg = TrainConfig(slot_mode=slot_mode).model_config(
+                enc, len(intents), len(slots))
+            params = init_model_params(cfg, np.random.default_rng(0))
+            out.append((params, cfg, batch))
+        return out
 
-    def test_gamma_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            joint_loss(1.0, 1.0, -0.1)
+    @staticmethod
+    def losses(model, gamma):
+        return model_loss_and_grads(*model, gamma)[:3]
 
-    def test_breakdown_identity_is_exact(self):
-        for li, ls, g in [(1.0, 2.0, 0.6), (0.123, 4.56, 0.31), (7.0, 0.0, 0.99)]:
-            assert joint_loss(li, ls, g) == g * li + (1 - g) * ls  # bitwise
+    def test_worked_example(self, models):
+        for model in models:
+            li, ls, lj = self.losses(model, 0.6)
+            assert li != ls
+            assert lj == pytest.approx(0.6 * li + 0.4 * ls)
+            assert min(li, ls) < lj < max(li, ls)
+
+    def test_boundaries(self, models):
+        for model in models:
+            li, ls, lj = self.losses(model, 1.0)
+            assert lj == li
+            li, ls, lj = self.losses(model, 0.0)
+            assert lj == ls
+
+    def test_gamma_out_of_range_rejected(self, models):
+        for gamma in (-0.1, 1.1):
+            with pytest.raises(ValueError):
+                self.losses(models[0], gamma)
+            with pytest.raises(ValueError):
+                TrainConfig(gamma=gamma)
+
+    def test_breakdown_identity_is_exact(self, models):
+        for model in models:
+            terms = self.losses(model, 0.5)[:2]
+            for g in (0.6, 0.31, 0.99):
+                li, ls, lj = self.losses(model, g)
+                assert (li, ls) == terms  # gamma weighs the terms only
+                assert lj == g * li + (1 - g) * ls  # bitwise
 
 
 class TestSlotLossPositions:
@@ -250,7 +307,7 @@ class TestTrainLoop:
             assert EpochRecord.from_line(rec.to_line()) == rec
         # identity between logged terms holds every epoch
         for rec in res.history:
-            mixed = joint_loss(rec.l_intent, rec.l_slot, 0.6)
+            mixed = 0.6 * rec.l_intent + 0.4 * rec.l_slot
             assert rec.l_joint == pytest.approx(mixed, abs=1e-12)
 
     def test_writes_no_files(self, tmp_path, monkeypatch):
