@@ -4,10 +4,13 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import erf, logsumexp
 
 from jointnlu.encoder import EncoderConfig, encode, encode_backward
 from jointnlu.numerics import (
+    _RATIONAL_ERF_MIN_SIZE,
+    _erf,
+    _rational_erf,
     apply_mask,
     dropout_mask,
     gelu,
@@ -57,6 +60,49 @@ def ragged_batch(rng, n):
     return ids, np.arange(n)[None, :] < lengths[:, None]
 
 
+class TestFloat32Erf:
+    """GELU's erf on a float32 array of at least _RATIONAL_ERF_MIN_SIZE
+    elements is the rational form; scipy's float64 erf is its oracle."""
+
+    BOUND = 5e-7
+
+    @staticmethod
+    def probes():
+        four = np.float32(4.0)
+        edges = np.array([0.0, four, np.nextafter(four, np.float32(0.0)),
+                          np.nextafter(four, np.float32(np.inf))], np.float32)
+        grid = np.linspace(-8.0, 8.0, 160_001, dtype=np.float32)
+        return np.concatenate([grid, edges, -edges])
+
+    def test_within_bound_of_float64_oracle(self):
+        x = self.probes()
+        got = _erf(x)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, _rational_erf(x))
+        err = np.abs(got.astype(np.float64) - erf(x.astype(np.float64)))
+        assert err.max() <= self.BOUND
+
+    def test_exactly_odd(self):
+        x = self.probes()
+        pos, neg = _erf(x), _erf(-x)
+        assert np.array_equal(neg, -pos)
+        assert np.array_equal(np.signbit(neg), np.signbit(-pos))  # erf(-0) = -0
+
+    def test_infinities_and_nan(self):
+        x = np.full(_RATIONAL_ERF_MIN_SIZE, 0.5, np.float32)
+        x[:3] = np.inf, -np.inf, np.nan
+        got = _erf(x)
+        assert got[0] == 1.0 and got[1] == -1.0 and np.isnan(got[2])
+
+    def test_agrees_across_the_size_rule(self, rng):
+        n = _RATIONAL_ERF_MIN_SIZE
+        x = (rng.normal(size=n) * 3).astype(np.float32)
+        below, above = _erf(x[:n - 1]), _erf(x)[:n - 1]
+        assert np.array_equal(below, erf(x[:n - 1]))
+        assert np.array_equal(above, _rational_erf(x[:n - 1]))
+        assert np.abs(below.astype(np.float64) - above).max() <= self.BOUND
+
+
 class TestNumerics:
     def test_softmax_rows_are_distributions(self, rng):
         probs = stable_softmax(rng.normal(size=(5, 7)))
@@ -95,6 +141,12 @@ class TestNumerics:
         assert np.array_equal(a, gelu_two_erf(x))
         assert np.array_equal(gelu_grad(x, one_erf), gelu_grad_two_erf(x))
 
+    def test_gelu_of_float32_zero_is_exact(self):
+        for x in (np.float32(0.0), np.zeros(_RATIONAL_ERF_MIN_SIZE, np.float32)):
+            a, one_erf = gelu(x)
+            assert a.dtype == one_erf.dtype == np.float32
+            assert np.all(a == 0.0) and np.all(one_erf == 1.0)
+
     @pytest.mark.parametrize(
         "shape", [(20, 64), (32, 20, 64), (450, 64), (1, 7, 64), (3, 5, 11)]
     )
@@ -114,13 +166,26 @@ class TestNumerics:
     )
     @pytest.mark.parametrize("axis", [-1, 0])
     def test_softmaxes_bit_equal_to_max_sum_oracles(self, rng, shape, axis):
+        self.check_softmaxes_against_oracles(rng, shape, axis, np.float64)
+
+    # the attention blocks of batch-64 serving, a training step and a
+    # batch-1 request
+    @pytest.mark.parametrize("shape", [(64, 4, 14, 14), (32, 4, 12, 12), (1, 4, 7, 7)])
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_float32_softmaxes_bit_equal_to_max_sum_oracles(self, rng, shape, axis):
+        self.check_softmaxes_against_oracles(rng, shape, axis, np.float32)
+
+    @staticmethod
+    def check_softmaxes_against_oracles(rng, shape, axis, dtype):
         scores = rng.normal(size=shape) * 4
         scores[rng.random(shape) < 0.2] = -np.inf  # masked entries
         scores[..., 0] = rng.normal(size=shape[:-1])  # one finite per row
         if axis == 0:
             scores = np.where(np.isinf(scores), 0.0, scores)
-        d = rng.normal(size=shape)
+        scores = scores.astype(dtype)
+        d = rng.normal(size=shape).astype(dtype)
         probs = stable_softmax(scores, axis=axis)
+        assert probs.dtype == dtype
         assert np.array_equal(probs, stable_softmax_max_sum(scores, axis))
         assert np.array_equal(log_softmax(scores, axis=axis),
                               log_softmax_max_sum(scores, axis))
@@ -152,6 +217,36 @@ class TestNumerics:
             coords, fd = finite_difference(loss, params, name, step=1e-6)
             err = relative_gradient_error(analytic[name].reshape(-1)[coords], fd)
             assert err.max() < 1e-5, name
+
+    def test_float32_layer_norm_degenerate_rows(self, rng):
+        d = 64
+        g = rng.normal(size=d).astype(np.float32)
+        b = rng.normal(size=d).astype(np.float32)
+        # Constant rows whose mean float32 computes exactly, constant rows
+        # whose mean it rounds, and rows of variance ~1e-8.
+        exact = np.float32([0.0, 1.0, -2.5, 3.0])
+        rounded = rng.normal(size=50).astype(np.float32) * 3
+        x = np.concatenate([
+            np.repeat(exact[:, None], d, axis=1),
+            np.repeat(rounded[:, None], d, axis=1),
+            1.0 + 1e-4 * rng.normal(size=(8, d)),
+        ]).astype(np.float32)
+        y, cache = layer_norm(x, g, b)
+        xhat = cache[0]
+        assert y.dtype == np.float32
+        assert np.isfinite(y).all() and np.isfinite(cache[1]).all()
+        k, m = len(exact), len(exact) + len(rounded)
+        assert np.all(xhat[:k] == 0.0)
+        assert np.array_equal(y[:k], np.broadcast_to(b, (k, d)))
+        # A rounded mean leaves one offset in every entry of the row, and
+        # LN_EPS (1e-12, BERT's) is too small to damp it: it normalizes to
+        # |xhat| < 1, not to 0.
+        assert np.all(xhat[k:m] == xhat[k:m, :1])
+        assert np.abs(xhat[k:m]).max() < 1.0
+        assert np.allclose(xhat[m:].var(axis=-1), 1.0, atol=1e-2)
+        d_y = rng.normal(size=x.shape).astype(np.float32)
+        for grad in layer_norm_backward(d_y, cache):
+            assert grad.dtype == np.float32 and np.isfinite(grad).all()
 
     def test_dropout_mask_values_and_scaling(self, rng):
         mask = dropout_mask(rng, (1000,), 0.25, np.float64)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from jointnlu.data import IntentVocab, SlotVocab, UNK_INTENT
+from jointnlu.data import IntentVocab, SlotVocab, TaggedUtterance, UNK_INTENT
 from jointnlu.encoder import EncoderConfig
 from jointnlu.features import FEATURE_DIM, WordFeaturizer
 from jointnlu.intent_head import POOL_MODES
@@ -25,9 +25,11 @@ from jointnlu.model import (
     predict_batch,
     save_checkpoint,
 )
-from jointnlu.subwords import WordPieceVocab, RESERVED_TOKENS
+from jointnlu.numerics import _RATIONAL_ERF_MIN_SIZE
+from jointnlu.subwords import WordPieceVocab, RESERVED_TOKENS, train_vocab
 from jointnlu.tagging import O_TAG, SlotTag, X_TAG
 from jointnlu.toy import toy_grammar
+from jointnlu.training import TrainConfig, predict, train
 
 from oracles import (
     decode_word_tags_per_piece,
@@ -685,6 +687,55 @@ class TestPredict:
                 else:
                     alone = emissions.argmax(axis=1)
                 assert np.array_equal(pieces[i], alone)
+
+
+class TestBatchSizeAgreement:
+    """A sequence served alone and inside a batch of 64 gets the same
+    logits to within TOL, not only the same argmax. Float32 GELU takes
+    different erf paths at the two sizes."""
+
+    TOL = 1e-5
+
+    @pytest.fixture(scope="class", params=SLOT_MODES)
+    def served(self, request):
+        # trained as perfbench/workloads.py trains: its split sizes,
+        # sub-word vocabulary target and TrainConfig
+        data = toy_grammar(0, 2000, 300, 256)
+        piece_vocab = train_vocab([w for u in data.train for w in u.words], 300)
+        config = TrainConfig(epochs=1, batch_size=32, max_len=32,
+                             slot_mode=request.param, seed=0)
+        result = train(data.train, data.dev, config, data.featurizer(),
+                       piece_vocab=piece_vocab)
+        return result.checkpoint, [u.words for u in data.test[:64]]
+
+    def test_logits_alone_match_a_batch_of_64(self, served):
+        ckpt, utterances = served
+        seqs = [
+            align_utterance(TaggedUtterance(w, (O_TAG,) * len(w), "unlabeled"),
+                            ckpt.piece_vocab, ckpt.featurizer,
+                            ckpt.config.encoder.max_len)
+            for w in utterances
+        ]
+        batch = make_batch(seqs, [0] * len(seqs), ckpt.slot_vocab)
+        y_int, slot_scores, _, _ = model_outputs(ckpt.params, ckpt.config, batch)
+        d_ff = ckpt.config.encoder.d_ff
+        # the batch's GELU runs the rational erf, short sequences alone scipy's
+        assert len(slot_scores) * d_ff >= _RATIONAL_ERF_MIN_SIZE
+        assert min(batch.lengths) * d_ff < _RATIONAL_ERF_MIN_SIZE
+        rows = np.split(slot_scores, np.cumsum(batch.lengths)[:-1])
+        for i, seq in enumerate(seqs):
+            y_alone, s_alone, _, _ = model_outputs(
+                ckpt.params, ckpt.config, make_batch([seq], [0], ckpt.slot_vocab)
+            )
+            assert np.abs(y_alone[0] - y_int[i]).max() <= self.TOL
+            assert np.abs(s_alone - rows[i]).max() <= self.TOL
+
+    def test_predict_alike_at_batch_1_and_64(self, served):
+        ckpt, utterances = served
+        alone = predict(ckpt, utterances, batch_size=1)
+        batched = predict(ckpt, utterances, batch_size=64)
+        assert ([(p.intent, p.tags) for p in alone]
+                == [(p.intent, p.tags) for p in batched])
 
 
 class TestEndToEndPipeline:
