@@ -293,10 +293,15 @@ def cmd_compare(args) -> int:
     _check_out(args.out)
     a = _read_measures(args.report_a)
     b = _read_measures(args.report_b)
-    lines = ["measure\ta\tb\trer_pct"]
+    lines, undefined = ["measure\ta\tb\trer_pct"], []
     for m in HEADLINE_MEASURES:
-        rer = relative_error_reduction(a[m], b[m])
-        lines.append(f"{m}\t{100 * a[m]:.2f}\t{100 * b[m]:.2f}\t{rer:.2f}")
+        try:  # a perfect baseline measure has no error to reduce
+            rer = f"{relative_error_reduction(a[m], b[m]):.2f}"
+        except ValueError as err:
+            rer, undefined = "undefined", undefined + [err]
+        lines.append(f"{m}\t{100 * a[m]:.2f}\t{100 * b[m]:.2f}\t{rer}")
+    if len(undefined) == len(HEADLINE_MEASURES):
+        raise ValueError(f"{args.report_b}: {undefined[0]}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:

@@ -66,9 +66,9 @@ class TaggedUtterance:
 
 def read_utf8(path, error: type[ValueError] = ValueError) -> str:
     """A UTF-8 text file's contents with universal newlines, as
-    Path.read_text gives them: the one reader of every text input. A byte
-    that does not decode raises `error` naming the file and the 1-based line
-    of the first bad byte."""
+    Path.read_text gives them, less a leading byte-order mark: the one reader
+    of every text input. A byte that does not decode raises `error` naming
+    the file and the 1-based line of the first bad byte."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
@@ -77,12 +77,12 @@ def read_utf8(path, error: type[ValueError] = ValueError) -> str:
         raise error(
             f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8"
         ) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_corpus(path) -> list[TaggedUtterance]:
-    """Parse a corpus file; malformed input raises CorpusError with the
-    offending line number. Lenient about chunk continuity (see lint_corpus)."""
+    """Parse a corpus file; malformed input raises CorpusError naming the
+    file and line. Lenient about chunk continuity (see lint_corpus)."""
     text = read_utf8(path, CorpusError)
     out: list[TaggedUtterance] = []
     intent: str | None = None
@@ -90,16 +90,19 @@ def load_corpus(path) -> list[TaggedUtterance]:
     words: list[str] = []
     tags: list[SlotTag] = []
 
+    def bad(lineno: int, problem: str) -> CorpusError:
+        return CorpusError(f"{path}: line {lineno}: {problem}")
+
     def flush() -> None:
         nonlocal intent, words, tags
         if intent is None:
             return
         if not words:
-            raise CorpusError(f"line {header_line}: intent header with no tokens")
+            raise bad(header_line, "intent header with no tokens")
         try:
             out.append(TaggedUtterance(tuple(words), tuple(tags), intent))
         except ValueError as exc:
-            raise CorpusError(f"utterance at line {header_line}: {exc}") from None
+            raise bad(header_line, f"utterance: {exc}") from None
         intent, words, tags = None, [], []
 
     for lineno, line in enumerate(text.split("\n"), 1):
@@ -108,32 +111,26 @@ def load_corpus(path) -> list[TaggedUtterance]:
             continue
         if line.startswith("#"):
             if not line.startswith(INTENT_HEADER):
-                raise CorpusError(f"line {lineno}: unrecognized header {line!r}")
+                raise bad(lineno, f"unrecognized header {line!r}")
             if intent is not None:
-                raise CorpusError(
-                    f"line {lineno}: new header before a blank separator"
-                )
+                raise bad(lineno, "new header before a blank separator")
             label = line[len(INTENT_HEADER):]
             if not label:
-                raise CorpusError(f"line {lineno}: empty intent label")
+                raise bad(lineno, "empty intent label")
             intent, header_line = label, lineno
             continue
         if intent is None:
-            raise CorpusError(f"line {lineno}: token line before an intent header")
+            raise bad(lineno, "token line before an intent header")
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise CorpusError(
-                f"line {lineno}: expected word<TAB>tag, got {line!r}"
-            )
+            raise bad(lineno, f"expected word<TAB>tag, got {line!r}")
         word, tag_text = parts
         try:
             tag = SlotTag.parse(tag_text)
         except ValueError as exc:
-            raise CorpusError(f"line {lineno}: {exc}") from None
+            raise bad(lineno, str(exc)) from None
         if tag.kind == "X":
-            raise CorpusError(
-                f"line {lineno}: X is reserved for sub-word alignment"
-            )
+            raise bad(lineno, "X is reserved for sub-word alignment")
         words.append(word)
         tags.append(tag)
     flush()
@@ -141,8 +138,15 @@ def load_corpus(path) -> list[TaggedUtterance]:
 
 
 def save_corpus(corpus: Sequence[TaggedUtterance], path) -> None:
+    """Write a corpus that load_corpus reads back as it is; what it would not
+    (a line break in an intent, a tab or line break in a slot label) is a
+    ValueError naming the utterance, and `path` is left as it was."""
     lines: list[str] = []
-    for utt in corpus:
+    for i, utt in enumerate(corpus):
+        if set(utt.intent) & set("\n\r"):
+            raise ValueError(f"utterance {i}: intent {utt.intent!r} holds a line break")
+        if any(set(t.label) & set("\t\n\r") for t in utt.tags):
+            raise ValueError(f"utterance {i}: a slot label holds a tab or line break")
         lines.append(INTENT_HEADER + utt.intent)
         lines.extend(f"{w}\t{t}" for w, t in zip(utt.words, utt.tags))
         lines.append("")

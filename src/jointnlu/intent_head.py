@@ -25,15 +25,6 @@ from .numerics import apply_mask, dropout_mask
 POOL_MODES = ("attention", "start_token")
 
 
-def attention_logits(
-    H: np.ndarray, W_score: np.ndarray, v_score: np.ndarray
-) -> np.ndarray:
-    """Pooling score of every row: v_score . tanh(W_score @ H[t])."""
-    if H.shape[-1] != W_score.shape[1] or W_score.shape[0] != v_score.shape[0]:
-        raise ValueError("hidden width disagrees with scoring parameters")
-    return np.tanh(H @ W_score.T) @ v_score
-
-
 def attention_weights(
     logits: np.ndarray, lengths: np.ndarray, d_h: int
 ) -> np.ndarray:
@@ -46,12 +37,6 @@ def attention_weights(
     return exp / np.repeat(np.add.reduceat(exp, starts), lengths)
 
 
-def intent_logits(h_int: np.ndarray, W_cls: np.ndarray, b_cls: np.ndarray) -> np.ndarray:
-    if h_int.shape[-1] != W_cls.shape[1]:
-        raise ValueError("pooled width disagrees with classifier")
-    return h_int @ W_cls.T + b_cls
-
-
 def intent_forward(
     H: np.ndarray,
     lengths: np.ndarray,
@@ -60,13 +45,14 @@ def intent_forward(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ):
-    """Pooled intent logits for a batch.
+    """Pooled intent logits, W_cls @ h_int + b_cls, for a batch.
 
     H holds the (T, d_h) packed rows of b sequences of the given (b,)
-    lengths. Returns (y_int, alpha, cache). alpha is the (T,) pooling weight
-    of each row (after attention dropout, when active); in start-token mode
-    it is the indicator of each sequence's first row. cache["h_int"] is the
-    pooled state. Dropout masks are drawn at the packed shapes, (T,) for the
+    lengths. Returns (y_int, alpha, cache). In attention mode alpha holds
+    the attention_weights of the row scores v_score . tanh(W_score @ H[t])
+    (after attention dropout, when active); in start-token mode it is the
+    indicator of each sequence's first row. cache["h_int"] is the pooled
+    state. Dropout masks are drawn at the packed shapes, (T,) for the
     pooling weights (no renormalization) and (b, d_h) for h_int after the
     tanh.
     """
@@ -77,25 +63,25 @@ def intent_forward(
     starts = np.cumsum(lengths) - lengths
 
     if mode == "attention":
-        logits = attention_logits(H, params["int.W_score"], params["int.v_score"])
-        alpha_clean = attention_weights(logits, lengths, H.shape[1])
+        t = np.tanh(H @ params["int.W_score"].T)
+        alpha_clean = attention_weights(t @ params["int.v_score"], lengths, H.shape[1])
         att_drop = dropout_mask(rng, alpha_clean.shape, dropout_rate, H.dtype)
         alpha = apply_mask(alpha_clean, att_drop)
         h_int = np.tanh(np.add.reduceat(alpha[:, None] * H, starts, axis=0))
     else:
         h_int = np.tanh(H[starts] @ params["int.W_pool"].T + params["int.b_pool"])
-        alpha_clean, att_drop = None, None
+        t, alpha_clean, att_drop = None, None, None
         alpha = np.zeros(len(H), dtype=H.dtype)
         alpha[starts] = 1.0
 
     h_drop = dropout_mask(rng, h_int.shape, dropout_rate, H.dtype)
     h_used = apply_mask(h_int, h_drop)
-    y_int = intent_logits(h_used, params["int.W_cls"], params["int.b_cls"])
+    y_int = h_used @ params["int.W_cls"].T + params["int.b_cls"]
 
     cache = dict(
-        H=H, mode=mode, lengths=lengths, starts=starts, alpha_clean=alpha_clean,
-        att_drop=att_drop, alpha=alpha, h_int=h_int, h_drop=h_drop,
-        h_used=h_used,
+        H=H, mode=mode, lengths=lengths, starts=starts, t=t,
+        alpha_clean=alpha_clean, att_drop=att_drop, alpha=alpha, h_int=h_int,
+        h_drop=h_drop, h_used=h_used,
     )
     return y_int, alpha, cache
 
@@ -133,7 +119,7 @@ def intent_backward(
         )
         d_logits = alpha_clean * (d_alpha_clean - inner) / math.sqrt(H.shape[1])
 
-        t = np.tanh(H @ params["int.W_score"].T)
+        t = cache["t"]
         d_proj = d_logits[:, None] * params["int.v_score"] * (1.0 - t * t)
         grads["int.v_score"] = t.T @ d_logits
         grads["int.W_score"] = d_proj.T @ H

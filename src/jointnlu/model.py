@@ -7,7 +7,7 @@ attention block sees the padded (b, n) layout.
 
 Parameters live in one flat name -> array dict. `param_spec` is the one
 list of its tensors (name, shape, initialiser, weight-decay flag); the
-initialiser, the checkpoint loader and the trainer's flat buffers all read
+initialiser, Checkpoint's check and the trainer's flat buffers all read
 it. Every layer reads its tensors from that dict under those names and
 returns gradients under the same names. The forward and backward passes
 compute in the dtype of the parameters handed in. The model's own dtype is
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import tokenize
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -387,7 +387,10 @@ _UNREADABLE = (zipfile.BadZipFile, RuntimeError, tokenize.TokenError, EOFError)
 @dataclass(frozen=True)
 class Checkpoint:
     """A self-contained trained model: tensors plus every vocabulary and
-    resource needed to run it on raw text."""
+    resource needed to run it on raw text, checked when built (ValueError):
+    the float32 or float64 tensors of param_spec(config), finite once cast
+    to COMPUTE_DTYPE, and vocabularies of the config's sizes. A float32
+    tensor is kept, not copied, so train()'s dev evaluation reads its views."""
 
     params: Dict[str, np.ndarray]
     config: ModelConfig
@@ -396,10 +399,43 @@ class Checkpoint:
     piece_vocab: WordPieceVocab
     featurizer: WordFeaturizer
 
+    def __post_init__(self):
+        shapes = {row.name: row.shape for row in param_spec(self.config)}
+        unexpected = sorted(self.params.keys() - shapes.keys())
+        if unexpected:
+            raise ValueError(f"unexpected tensor {unexpected[0]!r}")
+        params = {}
+        for name, shape in shapes.items():
+            arr = self.params.get(name)
+            if arr is None:
+                problem = "is missing"
+            elif arr.shape != shape:
+                problem = f"has shape {arr.shape}, expected {shape}"
+            elif arr.dtype not in (COMPUTE_DTYPE, np.float64):
+                problem = f"has dtype {arr.dtype}, expected {np.dtype(COMPUTE_DTYPE)}"
+            else:
+                with np.errstate(over="ignore"):  # past float32's range: inf
+                    params[name] = arr = arr.astype(COMPUTE_DTYPE, copy=False)
+                if np.isfinite(arr).all():
+                    continue
+                problem = "has non-finite values"
+            raise ValueError(f"tensor {name!r} {problem}")
+        object.__setattr__(self, "params", params)
+        for key, have, want in (
+            ("intent_labels", len(self.intent_vocab), self.config.n_intents),
+            ("slot_tags", len(self.slot_vocab), self.config.n_slots),
+            ("pieces", len(self.piece_vocab), self.config.encoder.vocab_size),
+        ):
+            if have != want:
+                raise ValueError(
+                    f"metadata {key!r} holds {have} entries, "
+                    f"the config says {want}"
+                )
+
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    if _META_KEY in ckpt.params:
-        raise ValueError(f"parameter name {_META_KEY!r} is reserved")
+    # Rebuilding checks a params dict edited after construction.
+    ckpt = replace(ckpt)
     meta = {
         "config": ckpt.config.to_dict(),
         "intent_labels": list(ckpt.intent_vocab.labels),
@@ -407,12 +443,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "pieces": list(ckpt.piece_vocab.pieces),
         "resources": ckpt.featurizer.to_dict(),
     }
-    arrays = {k: np.asarray(v, dtype=COMPUTE_DTYPE) for k, v in ckpt.params.items()}
-    arrays[_META_KEY] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    )
+    raw = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     with staged(path) as tmp, open(tmp, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, **ckpt.params, **{_META_KEY: raw})
 
 
 def _read_meta(path, raw: np.ndarray) -> dict:
@@ -449,32 +482,8 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: metadata 'config' is not a model config "
             f"({type(err).__name__}: {err})"
         ) from None
-    rows = param_spec(config)
-    unexpected = sorted(arrays.keys() - {row.name for row in rows})
-    if unexpected:
-        raise ValueError(f"{path}: unexpected tensor {unexpected[0]!r}")
-    for row in rows:
-        arr = arrays.get(row.name)
-        if arr is None:
-            problem = "is missing"
-        elif arr.shape != row.shape:
-            problem = f"has shape {arr.shape}, expected {row.shape}"
-        elif arr.dtype not in (COMPUTE_DTYPE, np.float64):
-            problem = f"has dtype {arr.dtype}, expected {np.dtype(COMPUTE_DTYPE)}"
-        else:
-            # Archives written before checkpoints were float32 hold float64
-            # tensors: one cast here. A value beyond float32's range becomes
-            # inf and is refused with the non-finite ones.
-            with np.errstate(over="ignore"):
-                arr = arrays[row.name] = arr.astype(COMPUTE_DTYPE, copy=False)
-            if np.isfinite(arr).all():
-                continue
-            problem = "has non-finite values"
-        raise ValueError(f"{path}: tensor {row.name!r} {problem}")
     try:
-        ckpt = Checkpoint(
-            params=arrays,
-            config=config,
+        vocabs = dict(
             intent_vocab=IntentVocab(tuple(meta["intent_labels"])),
             slot_vocab=SlotVocab(tuple(meta["slot_tags"])),
             piece_vocab=WordPieceVocab(tuple(meta["pieces"])),
@@ -485,14 +494,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: bad vocabulary or resources in metadata "
             f"({type(err).__name__}: {err})"
         ) from None
-    for field, have, want in (
-        ("intent_labels", len(ckpt.intent_vocab), config.n_intents),
-        ("slot_tags", len(ckpt.slot_vocab), config.n_slots),
-        ("pieces", len(ckpt.piece_vocab), config.encoder.vocab_size),
-    ):
-        if have != want:
-            raise ValueError(
-                f"{path}: metadata {field!r} holds {have} entries, "
-                f"the config says {want}"
-            )
-    return ckpt
+    try:
+        return Checkpoint(params=arrays, config=config, **vocabs)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

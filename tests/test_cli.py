@@ -17,7 +17,7 @@ from hypothesis import assume, event, given, strategies as st
 import jointnlu
 from jointnlu import cli
 from jointnlu.cli import RunManifest, main
-from jointnlu.data import load_corpus, save_corpus
+from jointnlu.data import load_corpus, read_utf8, save_corpus
 from jointnlu.features import WordFeaturizer
 from jointnlu.model import load_checkpoint
 from jointnlu.subwords import BOS_TOKEN, EOS_TOKEN
@@ -179,6 +179,31 @@ class TestTrainCommand:
         ])
         assert rc == 2
         assert "line 4: repeated key 'gamma'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_byte_order_mark_reads_like_its_twin(self, tmp_path):
+        config = tmp_path / "config.txt"
+        config.write_text("\ufeff" + CONFIG_TEXT, encoding="utf-8")
+        assert validate_config_text(read_utf8(config)) == (
+            validate_config_text(CONFIG_TEXT)
+        )
+
+    def test_malformed_dev_split_is_named(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        toy_grammar(3, 8, 4, 4).write(data_dir)
+        dev = data_dir / "dev.txt"
+        dev.write_text("# intent=x\nplay\tO\n# intent=y\n", encoding="utf-8")
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG_TEXT)
+        out = tmp_path / "out"
+        rc = main([
+            "train", "--config", str(config),
+            "--data", str(data_dir), "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {dev}: line 3: new header before a blank separator\n"
+        )
         assert not out.exists()
 
     def test_interrupted_checkpoint_write_leaves_no_checkpoint(
@@ -934,6 +959,34 @@ class TestCompareCommand:
         a = write_report(tmp_path / "a.txt", 99.0, 99.0, 99.0)
         b = write_report(tmp_path / "b.txt", 100.0, 100.0, 100.0)
         assert main(["compare", a, b]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {b}: baseline accuracy is 1: relative error reduction "
+            "undefined\n"
+        )
+
+    def test_one_perfect_baseline_measure_reads_undefined(self, tmp_path,
+                                                          capsys):
+        a = write_report(tmp_path / "a.txt", 1.0, 0.97, 0.95)
+        b = write_report(tmp_path / "b.txt", 1.0, 0.94, 0.90)
+        out = tmp_path / "cmp.tsv"
+        assert main(["compare", a, b, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.splitlines()[1:] == [
+            "intent_acc\t100.00\t100.00\tundefined",
+            "sent_acc\t95.00\t90.00\t50.00",
+            "slot_f1\t97.00\t94.00\t50.00",
+        ]
+        assert out.read_text() == stdout
+
+    def test_byte_order_mark_reads_like_its_twin(self, tmp_path, capsys):
+        a = write_report(tmp_path / "a.txt", 97.87, 96.25, 88.69)
+        b = write_report(tmp_path / "b.txt", 97.76, 95.80, 86.90)
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(a).read_bytes())
+        assert main(["compare", a, b]) == 0
+        plain = capsys.readouterr().out
+        assert main(["compare", str(marked), b]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_eval_reports_feed_straight_in(self, trained, tmp_path, capsys):
         ra, rb = tmp_path / "ra.txt", tmp_path / "rb.txt"

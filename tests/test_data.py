@@ -124,6 +124,28 @@ class TestLoadCorpus:
             load_corpus(p)
         assert str(exc.value) == f"{p}: line {line}: byte 0xe9 is not UTF-8"
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(PLAY_FILE.encode("utf-8"))
+        marked.write_bytes(PLAY_FILE.encode("utf-8-sig"))
+        assert load_corpus(marked) == load_corpus(plain)
+
+    def test_byte_order_mark_keeps_bad_byte_line(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_bytes(b"\xef\xbb\xbf# intent=x\npl\xe9y\tO\n")
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(p)
+        assert str(exc.value) == f"{p}: line 2: byte 0xe9 is not UTF-8"
+
+    def test_errors_name_the_file(self, tmp_path):
+        p = tmp_path / "dev.txt"
+        p.write_text("# intent=x\nplay\tO\n# intent=y\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(p)
+        assert str(exc.value) == (
+            f"{p}: line 3: new header before a blank separator"
+        )
+
     def test_crlf_lines_read_like_lf_lines(self, tmp_path):
         lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
         lf.write_bytes(PLAY_FILE.encode("utf-8"))
@@ -205,6 +227,36 @@ class TestLoadCorpus:
         save_corpus(corpus, path)
         assert load_corpus(path) == corpus
 
+
+    @given(
+        intent=st.text(st.sampled_from("ab#=\t\n\r\x0b\x0c\x1c\x85\u2028"), min_size=1),
+        label=st.text(st.sampled_from("ab-\t\n\r\x0b\x1c\x85\u2028"), min_size=1),
+    )
+    def test_save_refuses_or_round_trips(self, scratch, intent, label):
+        """Whatever save_corpus writes, load_corpus reads back exactly."""
+        corpus = [utt(["play", "it"], ["O", "O"]),
+                  TaggedUtterance(("play", "it"), (SlotTag("B", label), O_TAG),
+                                  intent)]
+        path = scratch / "saved.txt"
+        try:
+            save_corpus(corpus, path)
+        except ValueError as err:
+            assert str(err).startswith("utterance 1: "), err
+            return
+        assert load_corpus(path) == corpus
+
+    @pytest.mark.parametrize("intent,label", [
+        ("x\r", "a"), ("x\ny", "a"), ("x", "a\tb"), ("x", "a\n"),
+    ])
+    def test_refused_save_keeps_the_old_corpus(self, tmp_path, intent, label):
+        target = tmp_path / "train.txt"
+        save_corpus([utt(["play", "jazz"], ["O", "B-genre"])], target)
+        before = target.read_bytes()
+        bad = TaggedUtterance(("play",), (SlotTag("B", label),), intent)
+        with pytest.raises(ValueError, match="utterance 0: "):
+            save_corpus([bad], target)
+        assert target.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["train.txt"]
 
 class TestLint:
     def test_clean_corpus_has_no_flags(self):

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from jointnlu.intent_head import (
-    attention_logits,
-    attention_weights,
-    intent_backward,
-    intent_forward,
-    intent_logits,
-)
+from jointnlu.intent_head import attention_weights, intent_backward, intent_forward
 from jointnlu.numerics import log_softmax
 
 from heads import part_params
@@ -46,28 +40,32 @@ def segment_starts(lengths):
 class TestAttentionLogits:
     def test_zero_matrix_gives_zero_scores(self, rng):
         H, lengths = random_states(rng)
-        logits = attention_logits(H, np.zeros((D_H, D_H)), rng.normal(size=D_H))
-        assert np.array_equal(logits, np.zeros(lengths.sum()))
+        params = intent_params(rng)
+        params["int.W_score"] = np.zeros((D_H, D_H))
+        _, alpha, _ = intent_forward(H, lengths, params)
+        assert np.allclose(alpha, np.repeat(1.0 / lengths, lengths))
 
     def test_single_position(self, rng):
         H = rng.normal(size=(1, D_H))
-        logits = attention_logits(
-            H, rng.normal(size=(D_H, D_H)), rng.normal(size=D_H)
-        )
-        assert logits.shape == (1,)
+        y, alpha, _ = intent_forward(H, [1], intent_params(rng))
+        assert y.shape == (1, N_INTENTS)
+        assert np.array_equal(alpha, [1.0])
 
     def test_matches_per_position_evaluation(self, rng):
-        H, _ = random_states(rng)
-        W = rng.normal(size=(D_H, D_H))
-        v = rng.normal(size=D_H)
-        logits = attention_logits(H, W, v)
-        for t in range(len(H)):
-            assert np.isclose(logits[t], v @ np.tanh(W @ H[t]))
+        H, lengths = random_states(rng)
+        params = intent_params(rng)
+        W, v = params["int.W_score"], params["int.v_score"]
+        _, alpha, _ = intent_forward(H, lengths, params)
+        scores = [v @ np.tanh(W @ H[t]) for t in range(len(H))]
+        assert np.allclose(alpha, attention_weights(np.array(scores), lengths, D_H))
 
     def test_shape_mismatch(self, rng):
-        H, _ = random_states(rng)
+        H, lengths = random_states(rng)
+        params = intent_params(rng)
+        params["int.W_score"] = np.zeros((D_H + 1, D_H + 1))
+        params["int.v_score"] = np.zeros(D_H + 1)
         with pytest.raises(ValueError):
-            attention_logits(H, np.zeros((D_H + 1, D_H + 1)), np.zeros(D_H + 1))
+            intent_forward(H, lengths, params)
 
 
 class TestAttentionWeights:
@@ -105,11 +103,7 @@ class TestAttentionWeights:
         for _ in range(1000):
             lengths = rng.integers(1, 9, size=int(rng.integers(1, 4)))
             starts = np.cumsum(lengths) - lengths
-            logits = attention_logits(
-                rng.normal(size=(lengths.sum(), D_H)),
-                rng.normal(size=(D_H, D_H)), rng.normal(size=D_H),
-            )
-            alpha = attention_weights(logits, lengths, D_H)
+            alpha = attention_weights(rng.normal(size=lengths.sum()), lengths, D_H)
             assert np.abs(np.add.reduceat(alpha, starts) - 1.0).max() <= 1e-6
             assert (alpha >= 0).all()
 
@@ -147,26 +141,38 @@ class TestPool:
             pooled(H, [7, 7, 7], rng)
 
 
+def classify(H, lengths, params, W_cls, b_cls):
+    """intent_forward's logits with the given classifier tensors."""
+    return intent_forward(
+        H, lengths, {**params, "int.W_cls": W_cls, "int.b_cls": b_cls}
+    )[0]
+
+
 class TestIntentLogits:
     def test_zero_matrix_gives_bias(self, rng):
+        H, lengths = random_states(rng)
         b_cls = rng.normal(size=N_INTENTS)
-        y = intent_logits(rng.normal(size=(2, D_H)), np.zeros((N_INTENTS, D_H)), b_cls)
+        y = classify(H, lengths, intent_params(rng),
+                     np.zeros((N_INTENTS, D_H)), b_cls)
         assert np.allclose(y, b_cls)
 
     def test_linear_in_matrix(self, rng):
-        h = rng.normal(size=(2, D_H))
+        H, lengths = random_states(rng)
+        params = intent_params(rng)
         W = rng.normal(size=(N_INTENTS, D_H))
         b = rng.normal(size=N_INTENTS)
         assert np.allclose(
-            intent_logits(h, 2 * W, b) - b, 2 * (intent_logits(h, W, b) - b)
+            classify(H, lengths, params, 2 * W, b) - b,
+            2 * (classify(H, lengths, params, W, b) - b),
         )
 
     def test_argmax_invariant_to_constant_bias_shift(self, rng):
-        h = rng.normal(size=(5, D_H))
+        H, lengths = random_states(rng, b=5)
+        params = intent_params(rng)
         W = rng.normal(size=(N_INTENTS, D_H))
         b = rng.normal(size=N_INTENTS)
-        base = intent_logits(h, W, b).argmax(axis=-1)
-        shifted = intent_logits(h, W, b + 11.0).argmax(axis=-1)
+        base = classify(H, lengths, params, W, b).argmax(axis=-1)
+        shifted = classify(H, lengths, params, W, b + 11.0).argmax(axis=-1)
         assert np.array_equal(base, shifted)
 
 

@@ -1,5 +1,7 @@
 """Full-stack model wiring: losses, gradients, decoding, checkpoints."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -871,6 +873,32 @@ def tiny_checkpoint(params, cfg) -> Checkpoint:
     )
 
 
+def _poisoned(name, value):
+    def edit(params):
+        params[name].flat[0] = value
+    return edit
+
+
+# (edit of a valid crf-mode tiny_config params dict, the ValueError's text)
+BAD_PARAMS = {
+    "missing": (lambda p: p.pop("b_s"), "tensor 'b_s' is missing"),
+    "unexpected": (lambda p: p.update({"int.W_extra": np.zeros(3)}),
+                   "unexpected tensor 'int.W_extra'"),
+    "shape": (lambda p: p.update(W_s=p["W_s"][:, :-1]),
+              "tensor 'W_s' has shape (5, 43), expected (5, 44)"),
+    "float16": (lambda p: p.update(W_s=p["W_s"].astype(np.float16)),
+                "tensor 'W_s' has dtype float16, expected float32"),
+    "int": (lambda p: p.update({"crf.T": p["crf.T"].astype(int)}),
+            "tensor 'crf.T' has dtype int64, expected float32"),
+    "nan": (_poisoned("b_s", np.nan), "tensor 'b_s' has non-finite values"),
+    "inf": (_poisoned("crf.end", -np.inf),
+            "tensor 'crf.end' has non-finite values"),
+    # a float64 value beyond float32's range, in the 0-d tensor
+    "overflow": (lambda p: p.update({"feat.a_prelu": np.array(1e39)}),
+                 "tensor 'feat.a_prelu' has non-finite values"),
+}
+
+
 @pytest.fixture(scope="module")
 def archive(tmp_path_factory):
     """One small valid checkpoint's bytes, and a scratch path to write to."""
@@ -966,19 +994,88 @@ class TestCheckpoint:
         for x, y in zip(pieces_a, pieces_b):
             assert np.array_equal(x, y)
 
-    def test_reserved_name_collision_rejected(self, rng, tmp_path):
+    def test_reserved_name_collision_rejected(self, rng):
         cfg = tiny_config()
         params = init_model_params(cfg, rng)
         params["archive_meta"] = np.zeros(1)
-        ckpt = Checkpoint(
-            params=params, config=cfg,
-            intent_vocab=IntentVocab((UNK_INTENT,)),
-            slot_vocab=SlotVocab(("O", "X")),
-            piece_vocab=WordPieceVocab(RESERVED_TOKENS),
-            featurizer=WordFeaturizer({}, {}, frozenset()),
+        with pytest.raises(ValueError, match="unexpected tensor 'archive_meta'"):
+            tiny_checkpoint(params, cfg)
+
+    @pytest.mark.parametrize("case", BAD_PARAMS)
+    def test_construction_refuses_what_load_refuses(self, rng, case):
+        edit, text = BAD_PARAMS[case]
+        cfg = tiny_config(slot_mode="crf")
+        params = init_model_params(cfg, rng)
+        edit(params)
+        with pytest.raises(ValueError) as err:
+            tiny_checkpoint(params, cfg)
+        assert str(err.value) == text
+
+    def test_vocabulary_size_disagrees_with_config(self, rng):
+        cfg = tiny_config()
+        ckpt = tiny_checkpoint(init_model_params(cfg, rng), cfg)
+        with pytest.raises(ValueError) as err:
+            replace(ckpt, slot_vocab=SlotVocab(("O", "X", "B-a")))
+        assert str(err.value) == (
+            f"metadata 'slot_tags' holds 3 entries, the config says {N_SLOTS}"
         )
-        with pytest.raises(ValueError):
+
+    def test_save_refuses_params_edited_after_construction(self, rng, tmp_path):
+        cfg = tiny_config()
+        ckpt = tiny_checkpoint(init_model_params(cfg, rng), cfg)
+        ckpt.params["b_s"][0] = np.nan
+        with pytest.raises(ValueError, match="tensor 'b_s' has non-finite values"):
             save_checkpoint(ckpt, tmp_path / "m.npz")
+        assert list(tmp_path.iterdir()) == []  # no file and no stage
+
+    def test_float64_tensors_become_their_float32_twin(self, rng):
+        cfg = tiny_config(slot_mode="crf")
+        params = init_model_params(cfg, rng)
+        twin_params = {k: v.astype(COMPUTE_DTYPE) for k, v in params.items()}
+        ckpt = tiny_checkpoint(params, cfg)
+        twin = tiny_checkpoint(twin_params, cfg)
+        for k in params:
+            assert ckpt.params[k].dtype == COMPUTE_DTYPE, k
+            assert np.array_equal(ckpt.params[k], twin.params[k]), k
+            # a float32 tensor is kept, so live views stay live
+            assert twin.params[k] is twin_params[k], k
+        batch = tiny_batch(rng)
+        for a, b in zip(predict_batch(ckpt.params, cfg, batch),
+                        predict_batch(twin.params, cfg, batch)):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    @given(
+        slot_mode=st.sampled_from(SLOT_MODES),
+        slot_features=st.booleans(),
+        intent_pool=st.sampled_from(POOL_MODES),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        scale=st.sampled_from([0.02, 1e30, 1e39, np.inf, np.nan]),
+        seed=st.integers(0, 3),
+    )
+    def test_every_checkpoint_round_trips(self, archive, slot_mode,
+                                          slot_features, intent_pool, dtype,
+                                          scale, seed):
+        cfg = tiny_config(slot_mode=slot_mode, slot_features=slot_features,
+                          intent_pool=intent_pool)
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            params = {k: (v * scale).astype(dtype) for k, v in
+                      init_model_params(cfg, rng, 1.0).items()}
+        try:
+            ckpt = tiny_checkpoint(params, cfg)
+        except ValueError:
+            return
+        path = archive[1]
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        assert (loaded.config, loaded.intent_vocab, loaded.slot_vocab,
+                loaded.piece_vocab, loaded.featurizer) == (
+            ckpt.config, ckpt.intent_vocab, ckpt.slot_vocab, ckpt.piece_vocab,
+            ckpt.featurizer)
+        assert loaded.params.keys() == ckpt.params.keys()
+        for k, v in ckpt.params.items():
+            assert loaded.params[k].dtype == v.dtype == COMPUTE_DTYPE, k
+            assert loaded.params[k].tobytes() == v.tobytes(), k
 
     @given(st.data())
     def test_damaged_archive_loads_or_is_refused(self, archive, data):
