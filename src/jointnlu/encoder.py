@@ -1,15 +1,16 @@
 """Compact transformer encoder trained from scratch, with exact manual
 gradients.
 
-Post-norm residual blocks: embeddings go through a layer norm, then each
-block applies self-attention and a GELU feed-forward sublayer, each followed
-by residual add and layer norm. Every dense layer (embedding, Q/K/V, output
-projection, feed-forward, layer norms) runs on the packed rows of real
-pieces only, and every dropout mask is drawn at that (T, d_h) shape; the
-attention scores, their softmax and the weighted sum of values are the one
-block kept in the padded layout, with padded key positions masked out of
-every row, so padding content can never influence real positions. The
-hidden states come back packed.
+Post-norm residual blocks, as in BERT: the embeddings go through a layer norm,
+then each block runs the `_attention` and `_feed_forward` (GELU) sublayers,
+each with its own backward pass and cache and each ending in `_add_norm`
+(dropout on its output, residual add, layer norm); `_dense_backward` is every
+dense layer's gradient. Every dense layer (embedding, Q/K/V, output
+projection, feed-forward, layer norms) runs on the packed rows of real pieces
+only, and every dropout mask is drawn at that (T, d_h) shape; the attention
+scores, their softmax and the weighted sum of values are the one block kept in
+the padded layout, with padded keys masked out of every row, so padding can
+never influence real positions. The hidden states come back packed.
 
 Parameters are read from the model's flat name->array dict under their
 model.param_spec names ("enc.tok_emb", "enc.l0.Wq", ...); gradients come
@@ -46,10 +47,9 @@ class EncoderConfig:
     max_len: int = 50
 
     def __post_init__(self):
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be positive")
-        if min(self.d_h, self.n_layers, self.n_heads, self.d_ff, self.max_len) < 1:
-            raise ValueError("all encoder dimensions must be positive")
+        for name, value in vars(self).items():
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} {value!r} is not a positive int")
         if self.d_h % self.n_heads != 0:
             raise ValueError(f"d_h {self.d_h} not divisible by n_heads {self.n_heads}")
 
@@ -74,6 +74,77 @@ def _from_heads(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b * n, h * dh)[rows]
 
 
+def _add_norm(x, out, params, p, rate, rng):
+    """layer_norm(x + dropout(out)), gain p + "g" and bias p + "b", and its cache."""
+    mask = dropout_mask(rng, out.shape, rate, x.dtype)
+    y, ln = layer_norm(x + apply_mask(out, mask), params[p + "g"], params[p + "b"])
+    return y, (mask, ln)
+
+
+def _add_norm_backward(d_y, cache, grads, p):
+    """The gradients w.r.t. _add_norm's x and out; writes the norm's."""
+    mask, ln = cache
+    d_x, grads[p + "g"], grads[p + "b"] = layer_norm_backward(d_y, ln)
+    return d_x, apply_mask(d_x, mask)
+
+
+def _dense_backward(x, d_y, params, grads, p, name):
+    """d_x of x @ W + b for W, b = p + "W" + name, p + "b" + name; writes d_W, d_b."""
+    grads[p + "W" + name] = x.T @ d_y
+    grads[p + "b" + name] = d_y.sum(axis=0)
+    return d_y @ params[p + "W" + name].T
+
+
+def _attention(x, rows, pad_mask, params, p, cfg, rate, rng):
+    """Masked multi-head self-attention over the rows x, then _add_norm."""
+    b, n = pad_mask.shape
+    q = _to_heads(x @ params[p + "Wq"] + params[p + "bq"], rows, b, n, cfg.n_heads)
+    k = _to_heads(x @ params[p + "Wk"] + params[p + "bk"], rows, b, n, cfg.n_heads)
+    v = _to_heads(x @ params[p + "Wv"] + params[p + "bv"], rows, b, n, cfg.n_heads)
+    scale = 1.0 / math.sqrt(cfg.d_head)
+    key_mask = pad_mask[:, None, None, :]  # broadcast over heads and queries
+    scores = np.where(key_mask, (q @ k.swapaxes(-1, -2)) * scale, -np.inf)
+    probs = stable_softmax(scores, axis=-1)
+    ctx = _from_heads(probs @ v, rows)
+    out = ctx @ params[p + "Wo"] + params[p + "bo"]
+    y, norm = _add_norm(x, out, params, p + "ln1.", rate, rng)
+    return y, dict(x=x, q=q, k=k, v=v, probs=probs, ctx=ctx, scale=scale, norm=norm)
+
+
+def _attention_backward(d_y, cache, rows, params, p, cfg, grads):
+    """The gradient w.r.t. _attention's x; writes its parameters'."""
+    b, _, n, _ = cache["probs"].shape
+    d_x, d_out = _add_norm_backward(d_y, cache["norm"], grads, p + "ln1.")
+    d_ctx = _dense_backward(cache["ctx"], d_out, params, grads, p, "o")
+    d_ctx = _to_heads(d_ctx, rows, b, n, cfg.n_heads)
+    d_probs = d_ctx @ cache["v"].swapaxes(-1, -2)
+    d_v = cache["probs"].swapaxes(-1, -2) @ d_ctx
+    d_scores = softmax_backward(d_probs, cache["probs"], axis=-1)
+    d_q = (d_scores @ cache["k"]) * cache["scale"]
+    d_k = (d_scores.swapaxes(-1, -2) @ cache["q"]) * cache["scale"]
+    for name, d_heads in (("q", d_q), ("k", d_k), ("v", d_v)):
+        d_lin = _from_heads(d_heads, rows)
+        d_x = d_x + _dense_backward(cache["x"], d_lin, params, grads, p, name)
+    return d_x
+
+
+def _feed_forward(x, params, p, rate, rng):
+    """gelu(x @ W1 + b1) @ W2 + b2 over the rows x, then _add_norm."""
+    u = x @ params[p + "W1"] + params[p + "b1"]
+    a, one_erf = gelu(u)
+    out = a @ params[p + "W2"] + params[p + "b2"]
+    y, norm = _add_norm(x, out, params, p + "ln2.", rate, rng)
+    return y, dict(x=x, u=u, one_erf=one_erf, a=a, norm=norm)
+
+
+def _feed_forward_backward(d_y, cache, params, p, grads):
+    """The gradient w.r.t. _feed_forward's x; writes its parameters'."""
+    d_x, d_out = _add_norm_backward(d_y, cache["norm"], grads, p + "ln2.")
+    d_a = _dense_backward(cache["a"], d_out, params, grads, p, "2")
+    d_u = d_a * gelu_grad(cache["u"], cache["one_erf"])
+    return d_x + _dense_backward(cache["x"], d_u, params, grads, p, "1")
+
+
 def encode(
     ids: np.ndarray,
     pad_mask: np.ndarray,
@@ -87,11 +158,6 @@ def encode(
 
     pad_mask is True at real positions. Dropout needs an rng; with rate 0 or
     rng None the pass is deterministic.
-
-    Every dense layer runs on the packed rows; q, k and v are scattered to
-    the padded (batch, heads, length, d_head) layout for the masked
-    attention scores and their softmax, and the attention context is
-    gathered back to rows.
     """
     ids = np.asarray(ids)
     pad_mask = np.asarray(pad_mask, dtype=bool)
@@ -112,49 +178,17 @@ def encode(
     emb_mask = dropout_mask(rng, x.shape, dropout_rate, x.dtype)
     x = apply_mask(x, emb_mask)
 
-    key_mask = pad_mask[:, None, None, :]  # broadcast over heads and queries
-    scale = 1.0 / math.sqrt(cfg.d_head)
     layers = []
     for i in range(cfg.n_layers):
         p = f"enc.l{i}."
-        x_in = x
-        q = _to_heads(x @ params[p + "Wq"] + params[p + "bq"], rows, b, n, cfg.n_heads)
-        k = _to_heads(x @ params[p + "Wk"] + params[p + "bk"], rows, b, n, cfg.n_heads)
-        v = _to_heads(x @ params[p + "Wv"] + params[p + "bv"], rows, b, n, cfg.n_heads)
-        scores = np.where(key_mask, (q @ k.swapaxes(-1, -2)) * scale, -np.inf)
-        probs = stable_softmax(scores, axis=-1)
-        ctx = _from_heads(probs @ v, rows)
-        attn_out = ctx @ params[p + "Wo"] + params[p + "bo"]
-        attn_drop = dropout_mask(rng, attn_out.shape, dropout_rate, x.dtype)
-        attn_out = apply_mask(attn_out, attn_drop)
-        x1, ln1_cache = layer_norm(
-            x_in + attn_out, params[p + "ln1.g"], params[p + "ln1.b"]
-        )
+        x, attn = _attention(x, rows, pad_mask, params, p, cfg, dropout_rate, rng)
+        x, ffn = _feed_forward(x, params, p, dropout_rate, rng)
+        layers.append((attn, ffn))
 
-        u = x1 @ params[p + "W1"] + params[p + "b1"]
-        a, one_erf = gelu(u)
-        ffn_out = a @ params[p + "W2"] + params[p + "b2"]
-        ffn_drop = dropout_mask(rng, ffn_out.shape, dropout_rate, x.dtype)
-        ffn_out = apply_mask(ffn_out, ffn_drop)
-        x2, ln2_cache = layer_norm(
-            x1 + ffn_out, params[p + "ln2.g"], params[p + "ln2.b"]
-        )
-
-        layers.append(
-            dict(
-                x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx,
-                attn_drop=attn_drop, ln1_cache=ln1_cache, x1=x1,
-                u=u, one_erf=one_erf, a=a, ffn_drop=ffn_drop,
-                ln2_cache=ln2_cache,
-            )
-        )
-        x = x2
-
-    cache = dict(
+    return x, dict(
         real_ids=real_ids, rows=rows, shape=(b, n), emb_mask=emb_mask,
-        ln_emb_cache=ln_emb_cache, layers=layers, scale=scale,
+        ln_emb_cache=ln_emb_cache, layers=layers,
     )
-    return x, cache
 
 
 def encode_backward(
@@ -168,50 +202,12 @@ def encode_backward(
     rows = cache["rows"]
     b, n = cache["shape"]
     grads = {}
-
     d_x = d_out
     for i in reversed(range(cfg.n_layers)):
-        lc = cache["layers"][i]
         p = f"enc.l{i}."
-
-        d_r2, grads[p + "ln2.g"], grads[p + "ln2.b"] = layer_norm_backward(
-            d_x, lc["ln2_cache"]
-        )
-        d_x1 = d_r2.copy()
-        d_ffn = apply_mask(d_r2, lc["ffn_drop"])
-
-        grads[p + "W2"] = lc["a"].T @ d_ffn
-        grads[p + "b2"] = d_ffn.sum(axis=0)
-        d_a = d_ffn @ params[p + "W2"].T
-        d_u = d_a * gelu_grad(lc["u"], lc["one_erf"])
-        grads[p + "W1"] = lc["x1"].T @ d_u
-        grads[p + "b1"] = d_u.sum(axis=0)
-        d_x1 += d_u @ params[p + "W1"].T
-
-        d_r1, grads[p + "ln1.g"], grads[p + "ln1.b"] = layer_norm_backward(
-            d_x1, lc["ln1_cache"]
-        )
-        d_x_in = d_r1.copy()
-        d_attn = apply_mask(d_r1, lc["attn_drop"])
-
-        grads[p + "Wo"] = lc["ctx"].T @ d_attn
-        grads[p + "bo"] = d_attn.sum(axis=0)
-        d_ctx = _to_heads(d_attn @ params[p + "Wo"].T, rows, b, n, cfg.n_heads)
-
-        d_probs = d_ctx @ lc["v"].swapaxes(-1, -2)
-        d_v = lc["probs"].swapaxes(-1, -2) @ d_ctx
-        d_scores = softmax_backward(d_probs, lc["probs"], axis=-1)
-        d_q = (d_scores @ lc["k"]) * cache["scale"]
-        d_k = (d_scores.swapaxes(-1, -2) @ lc["q"]) * cache["scale"]
-
-        x_in = lc["x_in"]
-        for name, d_heads in (("q", d_q), ("k", d_k), ("v", d_v)):
-            d_lin = _from_heads(d_heads, rows)
-            grads[p + "W" + name] = x_in.T @ d_lin
-            grads[p + "b" + name] = d_lin.sum(axis=0)
-            d_x_in += d_lin @ params[p + "W" + name].T
-
-        d_x = d_x_in
+        attn, ffn = cache["layers"][i]
+        d_x = _feed_forward_backward(d_x, ffn, params, p, grads)
+        d_x = _attention_backward(d_x, attn, rows, params, p, cfg, grads)
 
     d_x = apply_mask(d_x, cache["emb_mask"])
     d_emb, grads["enc.ln_emb.g"], grads["enc.ln_emb.b"] = layer_norm_backward(

@@ -62,8 +62,11 @@ class ModelConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
-        if self.n_intents < 1 or self.n_slots < 1:
-            raise ValueError("label spaces must be nonempty")
+        for name, value in (("n_intents", self.n_intents), ("n_slots", self.n_slots)):
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} {value!r} is not a positive int")
+        if type(self.slot_features) is not bool:
+            raise ValueError(f"slot_features {self.slot_features!r} is not a bool")
         if self.slot_mode not in SLOT_MODES:
             raise ValueError(f"slot_mode must be one of {SLOT_MODES}")
         if self.intent_pool not in POOL_MODES:

@@ -164,7 +164,8 @@ def test_criterion_03_crf_matches_exhaustive_enumeration():
 
 def test_criterion_04_chunker_matches_brute_force_reference():
     labels = ["a", "b", "c"]
-    for length in range(1, 7):
+    # every BIO sequence of length 0-6, the empty one included
+    for length in range(0, 7):
         for raw in all_tag_sequences(length, labels):
             tags = list(raw)
             assert set(extract_chunks(tags)) == brute_force_chunks(tags)

@@ -729,6 +729,13 @@ def _with_config(**over):
     return lambda meta: {**meta, "config": {**meta["config"], **over}}
 
 
+def _with_encoder(**over):
+    def edit(meta):
+        config = meta["config"]
+        return {**meta, "config": {**config, "encoder": {**config["encoder"], **over}}}
+    return edit
+
+
 def _not_json(arrays):
     arrays["archive_meta"] = np.frombuffer(b"\xff{config", dtype=np.uint8)
 
@@ -749,6 +756,13 @@ BAD_METADATA = [
     (_meta_text(_with_config(dropout_rate=1.5)), "dropout_rate must be in"),
     (_meta_text(_with_config(n_layers=2)), "'n_layers'"),
     (_meta_text(_encoder_dropped), "KeyError: 'encoder'"),
+    (_meta_text(_with_encoder(n_layers=1.0)), "n_layers 1.0 is not a positive int"),
+    (_meta_text(_with_encoder(n_heads=2.0)), "n_heads 2.0 is not a positive int"),
+    (_meta_text(_with_encoder(d_h=8.0)), "d_h 8.0 is not a positive int"),
+    (_meta_text(_with_encoder(n_layers=True)), "n_layers True is not a positive int"),
+    (_meta_text(_with_config(n_intents=2.0)), "n_intents 2.0 is not a positive int"),
+    (_meta_text(_with_config(n_slots=False)), "n_slots False is not a positive int"),
+    (_meta_text(_with_config(slot_features="no")), "slot_features 'no' is not a bool"),
     (_meta_text(lambda meta: {**meta, "config": 7}), "not a model config"),
     (_meta_text(lambda meta: {**meta, "slot_tags": ["X"]}),
      "bad vocabulary or resources"),

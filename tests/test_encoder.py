@@ -327,8 +327,8 @@ class TestEncodeForward:
         params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
         _, cache = encode(ids, pad, params, SMALL)
-        for lc in cache["layers"]:
-            probs = lc["probs"]
+        for attn, _ in cache["layers"]:
+            probs = attn["probs"]
             assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
             assert (probs >= 0).all()
             padded_keys = probs * ~pad[:, None, None, :]
@@ -377,9 +377,11 @@ class TestEncodeBackward:
 
     def test_gradients_match_fd_with_dropout_replay(self, rng):
         # replaying the dropout rng seed makes the loss deterministic, so
-        # the masked path is checkable by finite differences too
+        # the masked path is checkable by finite differences too; the probes
+        # sit behind every masked residual of both layers
         params, loss, grads = self._loss_and_grads(rng, dropout_rate=0.3, seed=99)
-        for name in ("enc.l0.Wq", "enc.l1.W2", "enc.tok_emb", "enc.ln_emb.g"):
+        for name in ("enc.l0.Wq", "enc.l0.Wo", "enc.l0.ln1.g", "enc.l1.W1",
+                     "enc.l1.W2", "enc.l1.ln2.b", "enc.tok_emb", "enc.ln_emb.g"):
             coords, fd = finite_difference(
                 loss, params, name, step=1e-5, max_coords=4, rng=rng
             )
@@ -421,8 +423,8 @@ class TestPackedMatchesPaddedOracle:
             assert rng_packed.bit_generator.state == rng_padded.bit_generator.state
             assert np.abs(out - ref[pad]).max() <= 1e-12
             real_queries = pad[:, None, :, None]
-            for lc, ref_lc in zip(cache["layers"], ref_cache["layers"]):
-                diff = np.abs(lc["probs"] - ref_lc["probs"]) * real_queries
+            for (attn, _), ref_lc in zip(cache["layers"], ref_cache["layers"]):
+                diff = np.abs(attn["probs"] - ref_lc["probs"]) * real_queries
                 assert diff.max() <= 1e-12
 
             grads = encode_backward(d_out, cache, params, SMALL)

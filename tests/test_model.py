@@ -242,12 +242,14 @@ class TestGradients:
         "start_token": (("int.W_pool", 6), ("int.b_pool", None)),
     }
 
+    @pytest.mark.parametrize("slot_features", [True, False])
     @pytest.mark.parametrize("slot_mode", SLOT_MODES)
-    def test_gradients_match_fd_on_ragged_batch(self, rng, slot_mode):
+    def test_gradients_match_fd_on_ragged_batch(self, rng, slot_mode, slot_features):
         for intent_pool in POOL_MODES:
-            cfg = tiny_config(slot_mode=slot_mode, intent_pool=intent_pool)
+            cfg = tiny_config(slot_mode=slot_mode, intent_pool=intent_pool,
+                              slot_features=slot_features)
             params = init_model_params(cfg, rng)
-            names = [*self.RAGGED_PROBE, *self.FEATURE_PROBE,
+            names = [*self.RAGGED_PROBE, *(self.FEATURE_PROBE if slot_features else ()),
                      *self.POOL_PROBE[intent_pool]]
             if slot_mode == "crf":
                 for k in ("crf.T", "crf.start", "crf.end"):
@@ -267,7 +269,7 @@ class TestGradients:
                 )
                 err = relative_gradient_error(grads[name].reshape(-1)[probed], fd)
                 assert err.max() <= 1e-4, (
-                    f"{slot_mode} {intent_pool} {name}: {err.max():.2e}"
+                    f"{slot_mode} {slot_features} {intent_pool} {name}: {err.max():.2e}"
                 )
 
     def test_start_token_pool_gradients_match_fd(self, rng):
@@ -484,8 +486,9 @@ class TestPackedLayout:
         assert used.bit_generator.state == replay.bit_generator.state
         enc, head = cache["enc"], cache["int"]
         drawn = [enc["emb_mask"]]
-        for layer in enc["layers"]:
-            drawn += [layer["attn_drop"], layer["ffn_drop"]]
+        for attn, ffn in enc["layers"]:
+            # each sublayer's _add_norm cache is (dropout mask, layer-norm cache)
+            drawn += [attn["norm"][0], ffn["norm"][0]]
         if intent_pool == "attention":
             drawn.append(head["att_drop"])
         drawn += [head["h_drop"], cache["slot"]["drop"]]
