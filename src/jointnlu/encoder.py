@@ -131,17 +131,17 @@ def _attention_backward(d_y, cache, rows, params, p, cfg, grads):
 def _feed_forward(x, params, p, rate, rng):
     """gelu(x @ W1 + b1) @ W2 + b2 over the rows x, then _add_norm."""
     u = x @ params[p + "W1"] + params[p + "b1"]
-    a, one_erf = gelu(u)
+    a, t = gelu(u)
     out = a @ params[p + "W2"] + params[p + "b2"]
     y, norm = _add_norm(x, out, params, p + "ln2.", rate, rng)
-    return y, dict(x=x, u=u, one_erf=one_erf, a=a, norm=norm)
+    return y, dict(x=x, u=u, t=t, a=a, norm=norm)
 
 
 def _feed_forward_backward(d_y, cache, params, p, grads):
     """The gradient w.r.t. _feed_forward's x; writes its parameters'."""
     d_x, d_out = _add_norm_backward(d_y, cache["norm"], grads, p + "ln2.")
     d_a = _dense_backward(cache["a"], d_out, params, grads, p, "2")
-    d_u = d_a * gelu_grad(cache["u"], cache["one_erf"])
+    d_u = d_a * gelu_grad(cache["u"], cache["t"])
     return d_x + _dense_backward(cache["x"], d_u, params, grads, p, "1")
 
 

@@ -243,7 +243,10 @@ def load_gazetteer(path: str | Path) -> dict[str, str]:
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
             raise ValueError(f"{path}:{ln}: expected 'phrase<TAB>LABEL', got {line!r}")
         phrase, raw = parts[0].strip().lower(), parts[1].strip()
-        resolve_raw_label(raw)  # fail fast on labels outside the inventory
+        try:
+            resolve_raw_label(raw)  # fail fast on labels outside the inventory
+        except ValueError as err:
+            raise ValueError(f"{path}:{ln}: {err}") from None
         out[phrase] = raw
     return out
 
@@ -279,6 +282,13 @@ class WordFeaturizer:
     lexicon: Mapping[str, str]
     gazetteer: Mapping[str, str]
     english_dict: frozenset[str]
+
+    def __post_init__(self):
+        for key, form in self.lexicon.items():
+            if type(form) is not str or not form:
+                raise ValueError(f"lexicon form {form!r} of {key!r} is not a word")
+        for raw in set(self.gazetteer.values()):
+            resolve_raw_label(raw)
 
     @classmethod
     def from_files(

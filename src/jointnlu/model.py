@@ -469,7 +469,8 @@ def _read_meta(path, raw: np.ndarray) -> dict:
 
 def load_checkpoint(path) -> Checkpoint:
     try:
-        with np.load(path) as archive:
+        # np.load leaves the file it opened open when the archive is damaged
+        with open(path, "rb") as f, np.load(f) as archive:
             arrays = {k: archive[k] for k in archive.files}
     except _UNREADABLE as err:
         raise ValueError(

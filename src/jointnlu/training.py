@@ -75,6 +75,12 @@ class TrainConfig:
     intent_pool: str = "attention"
 
     def __post_init__(self):
+        # the declared types, as _parse_value reads them; a bool is no number
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kinds = {"int": int, "float": (int, float)}.get(f.type)
+            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+                raise ValueError(f"{f.name} {value!r} is not {f.type}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
         if self.epochs < 1 or self.batch_size < 1 or self.max_len < 3:

@@ -19,9 +19,9 @@ decodes with the slot vocabulary's own `decode`.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
-from scipy.special import erf
 
 from jointnlu.numerics import (
     LN_EPS,
@@ -404,15 +404,19 @@ def decode_word_tags_per_piece(seq, piece_tag_ids, slot_vocab):
             for tag, is_first in zip(piece_tags, seq.active) if is_first]
 
 
-def gelu_two_erf(x):
-    """GELU as x * Phi(x), erf evaluated here and again in its gradient."""
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+def _gelu_tanh_t(x):
+    return np.tanh(math.sqrt(2.0 / math.pi) * x * (1.0 + 0.044715 * x * x))
 
 
-def gelu_grad_two_erf(x):
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * (
-        1.0 / np.sqrt(2.0 * np.pi)
-    ) * np.exp(-0.5 * x * x)
+def gelu_tanh(x):
+    """GELU's tanh form, tanh evaluated here and again in its gradient."""
+    return 0.5 * x * (1.0 + _gelu_tanh_t(x))
+
+
+def gelu_grad_tanh(x):
+    t = _gelu_tanh_t(x)
+    return 0.5 * (1.0 + t) + 0.5 * math.sqrt(2.0 / math.pi) * x * (1.0 - t * t) * (
+        1.0 + 3.0 * 0.044715 * x * x)
 
 
 def layer_norm_mean(x, gain, bias):
@@ -497,7 +501,7 @@ def encode_padded(ids, pad_mask, params, cfg, dropout_rate=0.0, rng=None):
             x_in + attn_out, params[p + "ln1.g"], params[p + "ln1.b"]
         )
         u = x1 @ params[p + "W1"] + params[p + "b1"]
-        a = gelu_two_erf(u)
+        a = gelu_tanh(u)
         ffn_out = a @ params[p + "W2"] + params[p + "b2"]
         ffn_drop = packed_dropout(rng, pad_mask, (cfg.d_h,), dropout_rate)
         ffn_out = apply_mask(ffn_out, ffn_drop)
@@ -535,7 +539,7 @@ def encode_padded_backward(d_out, cache, params, cfg):
         flat_dffn = d_ffn.reshape(-1, cfg.d_h)
         grads[p + "W2"] = lc["a"].reshape(-1, cfg.d_ff).T @ flat_dffn
         grads[p + "b2"] = flat_dffn.sum(axis=0)
-        d_u = (d_ffn @ params[p + "W2"].T) * gelu_grad_two_erf(lc["u"])
+        d_u = (d_ffn @ params[p + "W2"].T) * gelu_grad_tanh(lc["u"])
         flat_du = d_u.reshape(-1, cfg.d_ff)
         grads[p + "W1"] = lc["x1"].reshape(-1, cfg.d_h).T @ flat_du
         grads[p + "b1"] = flat_du.sum(axis=0)

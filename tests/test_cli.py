@@ -736,6 +736,15 @@ def _with_encoder(**over):
     return edit
 
 
+def _with_resource(kind, value):
+    """The first entry of the checkpoint's lexicon or gazetteer set to value."""
+    def edit(meta):
+        table = dict(meta["resources"][kind])
+        table[next(iter(table))] = value
+        return {**meta, "resources": {**meta["resources"], kind: table}}
+    return edit
+
+
 def _not_json(arrays):
     arrays["archive_meta"] = np.frombuffer(b"\xff{config", dtype=np.uint8)
 
@@ -766,6 +775,11 @@ BAD_METADATA = [
     (_meta_text(lambda meta: {**meta, "config": 7}), "not a model config"),
     (_meta_text(lambda meta: {**meta, "slot_tags": ["X"]}),
      "bad vocabulary or resources"),
+    (_meta_text(_with_resource("lexicon", 5)), "lexicon form 5 of"),
+    (_meta_text(_with_resource("lexicon", "")), "lexicon form '' of"),
+    (_meta_text(_with_resource("gazetteer", "BOGUS")),
+     "resources in metadata (ValueError: unknown entity label 'BOGUS')"),
+    (_meta_text(_with_resource("gazetteer", 7)), "unknown entity label 7"),
 ]
 
 
@@ -1168,6 +1182,15 @@ class TestAnnotateCommand:
         resources["--lexicon"] = str(tmp_path / "nope.txt")
         rc = main(annotate_argv(resources, "hello"))
         assert rc == 2
+
+    def test_bad_gazetteer_label_names_file_and_line(self, resources, capsys):
+        path = resources["--gazetteer"]
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("boston\tBOGUS\n")
+        rc = main(annotate_argv(resources, "hello"))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {path}:3: unknown entity label 'BOGUS'\n"
 
 
 class TestParser:

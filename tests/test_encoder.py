@@ -1,6 +1,10 @@
 """Encoder forward/backward, padding isolation, and the numerics helpers."""
 
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,6 @@ from scipy.special import erf, logsumexp
 
 from jointnlu.encoder import EncoderConfig, encode, encode_backward
 from jointnlu.numerics import (
-    _RATIONAL_ERF_MIN_SIZE,
-    _erf,
-    _rational_erf,
     apply_mask,
     dropout_mask,
     gelu,
@@ -27,8 +28,8 @@ from oracles import (
     encode_padded,
     encode_padded_backward,
     finite_difference,
-    gelu_grad_two_erf,
-    gelu_two_erf,
+    gelu_grad_tanh,
+    gelu_tanh,
     layer_norm_mean,
     layer_norm_mean_backward,
     log_softmax_max_sum,
@@ -60,47 +61,58 @@ def ragged_batch(rng, n):
     return ids, np.arange(n)[None, :] < lengths[:, None]
 
 
-class TestFloat32Erf:
-    """GELU's erf on a float32 array of at least _RATIONAL_ERF_MIN_SIZE
-    elements is the rational form; scipy's float64 erf is its oracle."""
+class TestGelu:
+    """GELU is the tanh form at every dtype and size. Its float64 closed
+    form is the oracle of the float32 values and gradients."""
 
-    BOUND = 5e-7
+    C, A = np.sqrt(2.0 / np.pi), 0.044715
+    EPS = float(np.finfo(np.float32).eps)
 
-    @staticmethod
-    def probes():
-        four = np.float32(4.0)
-        edges = np.array([0.0, four, np.nextafter(four, np.float32(0.0)),
-                          np.nextafter(four, np.float32(np.inf))], np.float32)
-        grid = np.linspace(-8.0, 8.0, 160_001, dtype=np.float32)
-        return np.concatenate([grid, edges, -edges])
+    def grid(self):
+        return np.linspace(-8.0, 8.0, 160_001, dtype=np.float32)
 
-    def test_within_bound_of_float64_oracle(self):
-        x = self.probes()
-        got = _erf(x)
-        assert got.dtype == np.float32
-        assert np.array_equal(got, _rational_erf(x))
-        err = np.abs(got.astype(np.float64) - erf(x.astype(np.float64)))
-        assert err.max() <= self.BOUND
+    def closed_form(self, x):
+        t = np.tanh(self.C * (x + self.A * x ** 3))
+        grad = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * self.C * (1 + 3 * self.A * x * x)
+        return 0.5 * x * (1 + t), grad
 
-    def test_exactly_odd(self):
-        x = self.probes()
-        pos, neg = _erf(x), _erf(-x)
-        assert np.array_equal(neg, -pos)
-        assert np.array_equal(np.signbit(neg), np.signbit(-pos))  # erf(-0) = -0
+    def test_float32_within_bound_of_float64_closed_form(self):
+        x = self.grid()
+        a, t = gelu(x)
+        want, want_grad = self.closed_form(x.astype(np.float64))
+        # two rounding steps of the value's scale
+        assert (np.abs(a - want) / np.maximum(1.0, np.abs(x))).max() <= 2 * self.EPS
+        # 1 - t*t cancels where t is near +-1
+        assert np.abs(gelu_grad(x, t) - want_grad).max() <= 16 * self.EPS
 
-    def test_infinities_and_nan(self):
-        x = np.full(_RATIONAL_ERF_MIN_SIZE, 0.5, np.float32)
-        x[:3] = np.inf, -np.inf, np.nan
-        got = _erf(x)
-        assert got[0] == 1.0 and got[1] == -1.0 and np.isnan(got[2])
+    def test_within_4_8e_4_of_erf_gelu(self):
+        x = self.grid()
+        exact = 0.5 * x * (1.0 + erf(x.astype(np.float64) / np.sqrt(2.0)))
+        for dtype in (np.float32, np.float64):
+            a, _ = gelu(x.astype(dtype))
+            assert np.abs(a - exact).max() <= 4.8e-4
 
-    def test_agrees_across_the_size_rule(self, rng):
-        n = _RATIONAL_ERF_MIN_SIZE
-        x = (rng.normal(size=n) * 3).astype(np.float32)
-        below, above = _erf(x[:n - 1]), _erf(x)[:n - 1]
-        assert np.array_equal(below, erf(x[:n - 1]))
-        assert np.array_equal(above, _rational_erf(x[:n - 1]))
-        assert np.abs(below.astype(np.float64) - above).max() <= self.BOUND
+    def test_float32_zero_is_exact(self):
+        for x in (np.float32(0.0), np.zeros((13, 128), np.float32)):
+            a, t = gelu(x)
+            assert np.all(a == 0.0) and np.all(t == 0.0)
+            assert np.all(gelu_grad(x, t) == 0.5)
+
+    def test_training_imports_no_scipy_special(self):
+        code = "import sys, jointnlu.training; assert 'scipy.special' not in sys.modules"
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(), (7, 128), (284, 128)])
+    def test_dtype_kept(self, rng, dtype, shape):
+        x = (rng.normal(size=shape) * 3).astype(dtype)
+        a, t = gelu(x)
+        assert a.dtype == t.dtype == gelu_grad(x, t).dtype == dtype
 
 
 class TestNumerics:
@@ -124,7 +136,7 @@ class TestNumerics:
         assert np.isclose(logsumexp(scores), np.log(np.exp(scores).sum()))
 
     def test_gelu_endpoints(self):
-        assert gelu(np.array(0.0)) == (0.0, 1.0)
+        assert gelu(np.array(0.0)) == (0.0, 0.0)
         assert np.isclose(gelu(np.array(10.0))[0], 10.0)
         assert np.isclose(gelu(np.array(-10.0))[0], 0.0, atol=1e-12)
 
@@ -132,20 +144,14 @@ class TestNumerics:
         x = rng.normal(size=50) * 2
         step = 1e-6
         fd = (gelu(x + step)[0] - gelu(x - step)[0]) / (2 * step)
-        _, one_erf = gelu(x)
-        assert relative_gradient_error(gelu_grad(x, one_erf), fd).max() < 1e-6
+        _, t = gelu(x)
+        assert relative_gradient_error(gelu_grad(x, t), fd).max() < 1e-6
 
-    def test_gelu_bit_equal_to_two_erf_oracle(self, rng):
+    def test_gelu_bit_equal_to_tanh_oracle(self, rng):
         x = rng.normal(size=(32, 20, 128)) * 3
-        a, one_erf = gelu(x)
-        assert np.array_equal(a, gelu_two_erf(x))
-        assert np.array_equal(gelu_grad(x, one_erf), gelu_grad_two_erf(x))
-
-    def test_gelu_of_float32_zero_is_exact(self):
-        for x in (np.float32(0.0), np.zeros(_RATIONAL_ERF_MIN_SIZE, np.float32)):
-            a, one_erf = gelu(x)
-            assert a.dtype == one_erf.dtype == np.float32
-            assert np.all(a == 0.0) and np.all(one_erf == 1.0)
+        a, t = gelu(x)
+        assert np.array_equal(a, gelu_tanh(x))
+        assert np.array_equal(gelu_grad(x, t), gelu_grad_tanh(x))
 
     @pytest.mark.parametrize(
         "shape", [(20, 64), (32, 20, 64), (450, 64), (1, 7, 64), (3, 5, 11)]

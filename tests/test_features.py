@@ -1,5 +1,7 @@
 """Casing, entity annotation, one-hot encoding, and feature-net gradients."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -294,8 +296,9 @@ class TestResourceFiles:
 
     def test_gazetteer_rejects_unknown_label(self, tmp_path):
         path = tmp_path / "gaz.tsv"
-        path.write_text("thing\tGADGET\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        path.write_text("gadget\tCITY\nthing\tGADGET\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "
+                           "unknown entity label 'GADGET'$"):
             load_gazetteer(path)
 
     def test_lexicon_keys_by_lowercase(self, tmp_path):
@@ -317,6 +320,20 @@ class TestWordFeaturizer:
             gazetteer={"baltimore": "CITY", "dallas": "CITY"},
             english_dict=DICT,
         )
+
+    @pytest.mark.parametrize("lexicon,gazetteer,needle", [
+        ({"jfk": 5}, {}, "lexicon form 5 of 'jfk' is not a word"),
+        ({"jfk": ""}, {}, "lexicon form '' of 'jfk'"),
+        ({}, {"boston": "BOGUS"}, "unknown entity label 'BOGUS'"),
+        ({}, {"boston": 7}, "unknown entity label 7"),
+    ])
+    def test_bad_resources_refused_on_construction(self, lexicon, gazetteer,
+                                                   needle):
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            WordFeaturizer(lexicon, gazetteer, DICT)
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            WordFeaturizer.from_dict(
+                dict(lexicon=lexicon, gazetteer=gazetteer, english_dict=[]))
 
     def test_pipeline_on_flight_query(self):
         fz = self._featurizer()

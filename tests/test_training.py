@@ -1,6 +1,7 @@
 """Training regime: config, losses, selection, determinism, divergence."""
 
 import dataclasses
+import re
 import zipfile
 
 import numpy as np
@@ -119,6 +120,22 @@ class TestTrainConfig:
         ):
             with pytest.raises(ValueError):
                 TrainConfig(**setting)
+
+    @pytest.mark.parametrize("setting,needle", [
+        (dict(batch_size=8.0), "batch_size 8.0 is not int"),
+        (dict(epochs=1.0), "epochs 1.0 is not int"),
+        (dict(seed=1.5), "seed 1.5 is not int"),
+        (dict(epochs=True), "epochs True is not int"),
+        (dict(gamma=True), "gamma True is not float"),
+        (dict(learning_rate="1e-4"), "learning_rate '1e-4' is not float"),
+    ])
+    def test_field_types_checked(self, setting, needle):
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            TrainConfig(**setting)
+
+    def test_int_accepted_for_float_fields(self):
+        config = TrainConfig(gamma=1, dropout_rate=0)
+        assert (config.gamma, config.dropout_rate) == (1, 0)
 
 
 class TestJointLoss:
