@@ -52,6 +52,10 @@ class EncoderConfig:
                 raise ValueError(f"{name} {value!r} is not a positive int")
         if self.d_h % self.n_heads != 0:
             raise ValueError(f"d_h {self.d_h} not divisible by n_heads {self.n_heads}")
+        if self.max_len < 3:
+            raise ValueError(
+                f"max_len {self.max_len} cannot fit both markers plus one piece"
+            )
 
     @property
     def d_head(self) -> int:

@@ -289,6 +289,13 @@ class WordFeaturizer:
                 raise ValueError(f"lexicon form {form!r} of {key!r} is not a word")
         for raw in set(self.gazetteer.values()):
             resolve_raw_label(raw)
+        words = self.english_dict
+        if isinstance(words, str):
+            raise ValueError(f"english_dict {words!r} is a str, not a list of words")
+        for word in words:
+            if type(word) is not str or not word:
+                raise ValueError(f"english_dict entry {word!r} is not a word")
+        object.__setattr__(self, "english_dict", frozenset(words))
 
     @classmethod
     def from_files(
@@ -351,5 +358,5 @@ class WordFeaturizer:
         return cls(
             lexicon=dict(payload["lexicon"]),
             gazetteer=dict(payload["gazetteer"]),
-            english_dict=frozenset(payload["english_dict"]),
+            english_dict=payload["english_dict"],
         )

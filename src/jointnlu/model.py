@@ -11,9 +11,9 @@ initialiser, Checkpoint's check and the trainer's flat buffers all read
 it. Every layer reads its tensors from that dict under those names and
 returns gradients under the same names. The forward and backward passes
 compute in the dtype of the parameters handed in. The model's own dtype is
-COMPUTE_DTYPE (float32): training steps, dev evaluation, checkpoints and
-serving all use it, and only the optimizer's master copy is float64. The
-finite-difference tests hand in float64 arrays and get float64 passes.
+COMPUTE_DTYPE (float32): training, dev evaluation, checkpoints and serving
+all use it. The finite-difference tests hand in float64 arrays and get
+float64 passes.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from .tagging import SlotTag
 
 SLOT_MODES = ("softmax", "crf")
 
-# The dtype the model computes, is evaluated, saved and served in. Only the
-# trainer's master parameters, which AdamW updates, are float64.
+# The dtype the model is trained, evaluated, saved and served in.
 COMPUTE_DTYPE = np.float32
 
 

@@ -1,10 +1,10 @@
 """Learning-rate schedule, the flat parameter buffer and decoupled-weight-
 decay Adam.
 
-The trainer keeps every parameter tensor as a view into one flat float64
-buffer (`flat_buffer`), so AdamW updates all of them with one in-place step
-over flat moment and scratch buffers. Views handed out stay valid across
-steps.
+The trainer keeps every parameter tensor as a view into one flat buffer
+(`flat_buffer`), so AdamW updates all of them with one in-place step over
+flat gradient, moment and scratch buffers of that buffer's dtype. Views
+handed out stay valid across steps.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ def flat_buffer(
 
 
 class AdamW:
-    """Adam with bias correction and decoupled weight decay, over the flat
-    buffer that `flat_buffer(shapes)` lays out.
+    """Adam with bias correction and decoupled weight decay, in place on
+    `params`, a flat buffer in the layout of `flat_buffer(shapes)`. Its state
+    is in `params`'s dtype.
 
     Only the tensors named in `decayed` take weight decay (for the model,
     the rows of model.param_spec whose decay flag is set). The decay term
@@ -61,6 +62,7 @@ class AdamW:
 
     def __init__(
         self,
+        params: np.ndarray,
         shapes: Mapping[str, Tuple[int, ...]],
         decayed: Iterable[str],
         beta1: float = 0.9,
@@ -80,29 +82,24 @@ class AdamW:
         self.weight_decay = weight_decay
         self.t = 0
         # The gradient buffer doubles as scratch once the moments have read it.
-        self._g, self._grads = flat_buffer(shapes)
-        decay_mask, masks = flat_buffer(shapes)
+        self._g, self._grads = flat_buffer(shapes, params.dtype)
+        if params.shape != self._g.shape:
+            raise ValueError(f"params must be a flat buffer of {self._g.size} values, "
+                             f"got shape {params.shape}")
+        self._params = params
+        self._decay_mask, masks = flat_buffer(shapes, params.dtype)
         for name in frozenset(decayed) & masks.keys():
             masks[name][...] = 1.0
-        self._decay_mask = decay_mask
         self._m = np.zeros_like(self._g)
         self._v = np.zeros_like(self._g)
         self._scratch = np.zeros_like(self._g)
 
-    def step(
-        self, params: np.ndarray, grads: Mapping[str, np.ndarray], lr: float
-    ) -> None:
-        """Apply one update in place to the flat float64 `params`. `grads`
-        must hold exactly one gradient per tensor of the layout, by name and
-        shape, of any float dtype; otherwise ValueError is raised before
-        anything changes."""
+    def step(self, grads: Mapping[str, np.ndarray], lr: float) -> None:
+        """Apply one update in place to `params`. `grads` must hold exactly one
+        gradient per tensor of the layout, by name and shape, of any float
+        dtype; otherwise ValueError is raised before anything changes."""
         if lr < 0.0:
             raise ValueError("lr must be nonnegative")
-        if params.shape != self._g.shape:
-            raise ValueError(
-                f"params must be a flat buffer of {self._g.size} values, "
-                f"got shape {params.shape}"
-            )
         views = self._grads
         if grads.keys() != views.keys():
             missing = sorted(views.keys() - grads.keys())
@@ -122,7 +119,7 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        g, m, v, s = self._g, self._m, self._v, self._scratch
+        p, g, m, v, s = self._params, self._g, self._m, self._v, self._scratch
         # Per element, the arithmetic (and its order) of the textbook step:
         # m = b1 m + (1-b1) g; v = b2 v + (1-b2) g^2;
         # u = (m/bc1) / (sqrt(v/bc2) + eps) + wd p [decayed]; p -= lr u.
@@ -139,8 +136,8 @@ class AdamW:
         np.divide(m, bc1, out=g)
         g /= s
         if self.weight_decay > 0.0:
-            np.multiply(params, self.weight_decay, out=s)
+            np.multiply(p, self.weight_decay, out=s)
             s *= self._decay_mask
             g += s
         g *= lr
-        params -= g
+        p -= g

@@ -83,29 +83,31 @@ class TrainConfig:
                 raise ValueError(f"{f.name} {value!r} is not {f.type}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
-        if self.epochs < 1 or self.batch_size < 1 or self.max_len < 3:
-            raise ValueError("epochs, batch_size, max_len out of range")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs, batch_size out of range")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         # The model, the optimizer and the schedule own the ranges of their
         # settings; building them here makes a bad value fail before any
         # output exists.
         self.model_config(DESK_ENCODER, 1, 1)
-        self.optimizer({}, ())
+        self.optimizer(flat_buffer({})[0], {}, ())
         self.lr_at(0, 1)
 
     def model_config(self, encoder: EncoderConfig, n_intents: int,
                      n_slots: int) -> ModelConfig:
-        """The model these settings train, over the given label spaces."""
-        return ModelConfig(encoder, n_intents, n_slots, self.slot_mode,
+        """The model these settings train: `encoder` at their max_len, over
+        the given label spaces."""
+        return ModelConfig(dataclasses.replace(encoder, max_len=self.max_len),
+                           n_intents, n_slots, self.slot_mode,
                            self.slot_features, self.intent_pool,
                            self.dropout_rate)
 
-    def optimizer(self, shapes: Mapping[str, Tuple[int, ...]],
+    def optimizer(self, params: np.ndarray, shapes: Mapping[str, Tuple[int, ...]],
                   decayed: Iterable[str]) -> AdamW:
-        """AdamW with these settings over the `flat_buffer(shapes)` layout."""
-        return AdamW(shapes, decayed, self.beta1, self.beta2, self.epsilon,
-                     self.weight_decay)
+        """AdamW with these settings over `params`, as `flat_buffer(shapes)`."""
+        return AdamW(params, shapes, decayed, self.beta1, self.beta2,
+                     self.epsilon, self.weight_decay)
 
     def lr_at(self, step: int, total_steps: int) -> float:
         """The learning rate of `step` out of `total_steps`."""
@@ -295,8 +297,8 @@ def _diverges_at(epoch: int, step: int):
     """Turn an overflow or invalid value in the block into a DivergenceError.
 
     Healthy runs never overflow: softmax is shift protected, so inf/nan in a
-    step, or a master parameter beyond float32's range in its copy, means
-    the run blew up."""
+    step, or a learning rate or update beyond float32's range in AdamW,
+    means the run blew up."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
@@ -334,26 +336,19 @@ def train(
     intent_vocab = IntentVocab.from_corpus(train_corpus)
     slot_vocab = SlotVocab.from_corpus(train_corpus)
 
-    template = encoder if encoder is not None else DESK_ENCODER
-    enc_cfg = dataclasses.replace(
-        template, vocab_size=len(piece_vocab.pieces), max_len=config.max_len
-    )
+    enc_cfg = dataclasses.replace(encoder or DESK_ENCODER, vocab_size=len(piece_vocab))
     model_cfg = config.model_config(enc_cfg, len(intent_vocab), len(slot_vocab))
-    # Every tensor is a view into one flat float64 master buffer, which
-    # AdamW updates in one step, and into its flat COMPUTE_DTYPE copy, which
-    # the forward and backward passes, dev evaluation and the checkpoint read.
+    # Every tensor is a view into one flat COMPUTE_DTYPE buffer, which AdamW
+    # updates in place. Each epoch's dev evaluation serves this checkpoint over
+    # the live views; the result holds a copy of the best epoch's.
     spec = param_spec(model_cfg)
     shapes = {row.name: row.shape for row in spec}
-    masters, master_params = flat_buffer(shapes)
+    flat, params = flat_buffer(shapes, COMPUTE_DTYPE)
     for name, value in init_model_params(model_cfg, rng).items():
-        master_params[name][...] = value
-    compute, params = flat_buffer(shapes, COMPUTE_DTYPE)
-    np.copyto(compute, masters)
-    # Each epoch's dev evaluation serves this checkpoint over the live
-    # views; the result holds a copy of the best epoch's.
-    ckpt = Checkpoint(params, model_cfg, intent_vocab, slot_vocab,
-                      piece_vocab, featurizer)
-    opt = config.optimizer(shapes, [row.name for row in spec if row.decay])
+        params[name][...] = value
+    ckpt = Checkpoint(params, model_cfg, intent_vocab, slot_vocab, piece_vocab,
+                      featurizer)
+    opt = config.optimizer(flat, shapes, [row.name for row in spec if row.decay])
 
     train_seqs = [
         align_utterance(u, piece_vocab, featurizer, config.max_len)
@@ -380,21 +375,17 @@ def train(
                 l_int, l_slot, l_joint, grads = model_loss_and_grads(
                     params, model_cfg, batch, config.gamma, rng
                 )
-            if not (np.isfinite(l_int) and np.isfinite(l_slot)):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, step {step}: "
-                    f"intent={l_int}, slot={l_slot}"
-                )
-            opt.step(masters, grads, config.lr_at(step, total_steps))
-            if not np.isfinite(masters).all():
+                if not (np.isfinite(l_int) and np.isfinite(l_slot)):
+                    raise DivergenceError(
+                        f"non-finite loss at epoch {epoch}, step {step}: "
+                        f"intent={l_int}, slot={l_slot}"
+                    )
+                opt.step(grads, config.lr_at(step, total_steps))
+            if not np.isfinite(flat).all():
                 raise DivergenceError(
                     f"non-finite parameters after epoch {epoch}, "
                     f"step {step}; try a lower learning rate"
                 )
-            # The copy follows the masters after every step, so the dev
-            # evaluation below reads the parameters the epoch ended with.
-            with _diverges_at(epoch, step):
-                np.copyto(compute, masters)
             step += 1
             sums += (l_int, l_slot, l_joint)
             n_batches += 1

@@ -327,7 +327,7 @@ def test_criterion_09_intent_only_weighting_freezes_slot_head():
     ]
     assert slot_only, "expected a slot-side parameter block"
 
-    opt = AdamW(shapes, [row.name for row in spec if row.decay])
+    opt = AdamW(flat, shapes, [row.name for row in spec if row.decay])
     for _ in range(10):
         batch = _random_batch(rng, enc, cfg.n_intents, cfg.n_slots)
         l_int, l_slot, l_joint, grads = model_loss_and_grads(
@@ -339,7 +339,7 @@ def test_criterion_09_intent_only_weighting_freezes_slot_head():
         assert l_joint == 1.0 * l_int + 0.0 * l_slot
         mixed = model_loss_and_grads(params, cfg, batch, 0.6)
         assert mixed[:3] == (l_int, l_slot, 0.6 * l_int + 0.4 * l_slot)
-        opt.step(flat, grads, 1e-3)
+        opt.step(grads, 1e-3)
 
 
 # ----------------------------------------------------------------------

@@ -745,6 +745,12 @@ def _with_resource(kind, value):
     return edit
 
 
+def _with_english_dict(value):
+    return lambda meta: {
+        **meta, "resources": {**meta["resources"], "english_dict": value}
+    }
+
+
 def _not_json(arrays):
     arrays["archive_meta"] = np.frombuffer(b"\xff{config", dtype=np.uint8)
 
@@ -769,6 +775,8 @@ BAD_METADATA = [
     (_meta_text(_with_encoder(n_heads=2.0)), "n_heads 2.0 is not a positive int"),
     (_meta_text(_with_encoder(d_h=8.0)), "d_h 8.0 is not a positive int"),
     (_meta_text(_with_encoder(n_layers=True)), "n_layers True is not a positive int"),
+    (_meta_text(_with_encoder(max_len=2)),
+     "max_len 2 cannot fit both markers plus one piece"),
     (_meta_text(_with_config(n_intents=2.0)), "n_intents 2.0 is not a positive int"),
     (_meta_text(_with_config(n_slots=False)), "n_slots False is not a positive int"),
     (_meta_text(_with_config(slot_features="no")), "slot_features 'no' is not a bool"),
@@ -780,6 +788,9 @@ BAD_METADATA = [
     (_meta_text(_with_resource("gazetteer", "BOGUS")),
      "resources in metadata (ValueError: unknown entity label 'BOGUS')"),
     (_meta_text(_with_resource("gazetteer", 7)), "unknown entity label 7"),
+    (_meta_text(_with_english_dict("jfk")), "english_dict 'jfk' is a str"),
+    (_meta_text(_with_english_dict([5, "the"])),
+     "english_dict entry 5 is not a word"),
 ]
 
 

@@ -335,6 +335,19 @@ class TestWordFeaturizer:
             WordFeaturizer.from_dict(
                 dict(lexicon=lexicon, gazetteer=gazetteer, english_dict=[]))
 
+    @pytest.mark.parametrize("english_dict,needle", [
+        ("jfk", "english_dict 'jfk' is a str, not a list of words"),
+        ([5, "the"], "english_dict entry 5 is not a word"),
+        (["the", ""], "english_dict entry '' is not a word"),
+    ])
+    def test_bad_english_dict_refused_on_construction(self, english_dict,
+                                                      needle):
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            WordFeaturizer({}, {}, english_dict)
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            WordFeaturizer.from_dict(
+                dict(lexicon={}, gazetteer={}, english_dict=english_dict))
+
     def test_pipeline_on_flight_query(self):
         fz = self._featurizer()
         words = "i want fly from baltimore to jfk".split()

@@ -99,10 +99,10 @@ def reference_adamw_step(p, g, m, v, t, lr, b1, b2, eps, wd):
     return p, m, v
 
 
-def flat_copy(params):
-    """A flat float64 buffer holding copies of `params`, and its views by
+def flat_copy(params, dtype=np.float64):
+    """A flat buffer of `dtype` holding copies of `params`, and its views by
     name: the layout the trainer hands AdamW."""
-    flat, views = flat_buffer({k: np.shape(v) for k, v in params.items()})
+    flat, views = flat_buffer({k: np.shape(v) for k, v in params.items()}, dtype)
     for k, v in params.items():
         views[k][...] = v
     return flat, views
@@ -134,8 +134,8 @@ class TestAdamW:
         p0 = rng.normal(size=(3, 4))
         g = rng.normal(size=(3, 4))
         flat, params = flat_copy({"W": p0})
-        opt = AdamW(shapes_of(params), {"W"}, weight_decay=0.01)
-        opt.step(flat, {"W": g}, lr=0.1)
+        opt = AdamW(flat, shapes_of(params), {"W"}, weight_decay=0.01)
+        opt.step({"W": g}, lr=0.1)
         # after one step bias correction cancels the (1-beta) factors
         expected = p0 - 0.1 * (g / (np.abs(g) + 1e-6) + 0.01 * p0)
         assert np.allclose(params["W"], expected, atol=1e-12)
@@ -147,12 +147,12 @@ class TestAdamW:
         m = {k: np.zeros(s) for k, s in shapes.items()}
         v = {k: np.zeros(s) for k, s in shapes.items()}
         decayed = {"W", "crf.T"}
-        opt = AdamW(shapes, decayed, beta1=0.9, beta2=0.999, eps=1e-6,
+        opt = AdamW(flat, shapes, decayed, beta1=0.9, beta2=0.999, eps=1e-6,
                     weight_decay=0.05)
         for t in range(1, 8):
             grads = {k: rng.normal(size=s) for k, s in shapes.items()}
             lr = 0.01 * t
-            opt.step(flat, grads, lr)
+            opt.step(grads, lr)
             for k in shapes:
                 wd = 0.05 if k in decayed else 0.0
                 mirror[k], m[k], v[k] = reference_adamw_step(
@@ -161,22 +161,27 @@ class TestAdamW:
         for k in shapes:
             assert np.allclose(params[k], mirror[k], atol=1e-12), k
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("weight_decay", [0.05, 0.0])
-    def test_flat_step_is_bit_equal_to_per_tensor_loop(self, rng, weight_decay):
+    def test_flat_step_is_bit_equal_to_per_tensor_loop(self, rng, weight_decay,
+                                                       dtype):
         # Mixed decay flags, a 0-d tensor, a step at lr=0 and steps after it.
         shapes = {"W": (4, 5), "b": (5,), "a": (), "T": (3, 3), "c": (2,)}
         decayed = {"W", "T"}
-        flat, params = flat_copy({k: rng.normal(size=s) for k, s in shapes.items()})
+        flat, params = flat_copy(
+            {k: rng.normal(size=s) for k, s in shapes.items()}, dtype)
         mirror = {k: np.array(v) for k, v in params.items()}
-        opt = AdamW(shapes, decayed, beta1=0.8, beta2=0.99, eps=1e-6,
+        opt = AdamW(flat, shapes, decayed, beta1=0.8, beta2=0.99, eps=1e-6,
                     weight_decay=weight_decay)
         oracle = AdamWPerTensor(decayed, beta1=0.8, beta2=0.99, eps=1e-6,
                                 weight_decay=weight_decay)
         for lr in (0.1, 0.0, 0.03, 0.2, 0.05, 0.01):
-            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
-            opt.step(flat, grads, lr)
+            grads = {k: rng.normal(size=s).astype(dtype)
+                     for k, s in shapes.items()}
+            opt.step(grads, lr)
             oracle.step(mirror, grads, lr)
             for k in shapes:
+                assert mirror[k].dtype == dtype, k
                 assert np.array_equal(params[k], mirror[k]), (k, lr)
 
     def test_float32_gradients_are_upcast_exactly(self, rng):
@@ -184,97 +189,98 @@ class TestAdamW:
         start = {k: rng.normal(size=s) for k, s in shapes.items()}
         flat32, _ = flat_copy(start)
         flat64, _ = flat_copy(start)
-        opt32, opt64 = AdamW(shapes, {"W"}), AdamW(shapes, {"W"})
+        opt32 = AdamW(flat32, shapes, {"W"})
+        opt64 = AdamW(flat64, shapes, {"W"})
         for _ in range(3):
             grads = {k: rng.normal(size=s).astype(np.float32)
                      for k, s in shapes.items()}
-            opt32.step(flat32, grads, 0.1)
-            opt64.step(flat64, {k: g.astype(np.float64) for k, g in grads.items()}, 0.1)
+            opt32.step(grads, 0.1)
+            opt64.step({k: g.astype(np.float64) for k, g in grads.items()}, 0.1)
         assert np.array_equal(flat32, flat64)
 
     def test_zero_lr_step_is_pure_noop(self, rng):
         flat, params = flat_copy({"W": rng.normal(size=(3, 3)), "b": rng.normal(size=3)})
         before = {k: v.copy() for k, v in params.items()}
-        opt = AdamW(shapes_of(params), params, weight_decay=0.5)
-        opt.step(flat, {k: rng.normal(size=v.shape) for k, v in params.items()}, 0.0)
+        opt = AdamW(flat, shapes_of(params), params, weight_decay=0.5)
+        opt.step({k: rng.normal(size=v.shape) for k, v in params.items()}, 0.0)
         for k in params:
             assert np.array_equal(params[k], before[k]), k
 
     def test_decay_only_touches_filtered_names(self, rng):
         flat, params = flat_copy({"W": np.full((2, 2), 2.0), "b": np.full(2, 2.0)})
         zero = {k: np.zeros_like(v) for k, v in params.items()}
-        opt = AdamW(shapes_of(params), {"W"}, weight_decay=0.1)
-        opt.step(flat, zero, lr=1.0)
+        opt = AdamW(flat, shapes_of(params), {"W"}, weight_decay=0.1)
+        opt.step(zero, lr=1.0)
         assert np.allclose(params["W"], 2.0 - 1.0 * 0.1 * 2.0)
         assert np.allclose(params["b"], 2.0)
 
     def test_custom_filter_overrides_default(self, rng):
         flat, params = flat_copy({"b": np.full(2, 2.0)})
         # the caller's set decides, whatever a name looks like
-        opt = AdamW(shapes_of(params), {"b"}, weight_decay=0.1)
-        opt.step(flat, {"b": np.zeros(2)}, lr=1.0)
+        opt = AdamW(flat, shapes_of(params), {"b"}, weight_decay=0.1)
+        opt.step({"b": np.zeros(2)}, lr=1.0)
         assert np.allclose(params["b"], 1.8)
 
     def test_updates_in_place_preserving_views(self, rng):
         flat, params = flat_copy({"W": rng.normal(size=(3, 3))})
         view = params["W"].reshape(-1)
-        opt = AdamW(shapes_of(params), params)
-        opt.step(flat, {"W": rng.normal(size=(3, 3))}, lr=0.1)
+        opt = AdamW(flat, shapes_of(params), params)
+        opt.step({"W": rng.normal(size=(3, 3))}, lr=0.1)
         assert np.shares_memory(view, flat)
         assert np.array_equal(view, flat)
 
     def test_grad_names_must_match_params(self):
         flat, params = flat_copy({"W": np.full((2, 2), 1.0), "U": np.full((2, 2), 1.0)})
-        opt = AdamW(shapes_of(params), params, weight_decay=0.0)
+        opt = AdamW(flat, shapes_of(params), params, weight_decay=0.0)
         with pytest.raises(ValueError, match="no gradient for parameter 'U'"):
-            opt.step(flat, {"W": np.ones((2, 2))}, lr=0.1)
+            opt.step({"W": np.ones((2, 2))}, lr=0.1)
         grads = {"W": np.ones((2, 2)), "U": np.ones((2, 2)), "V": np.ones(2)}
         with pytest.raises(ValueError, match="gradient 'V' names no parameter"):
-            opt.step(flat, grads, lr=0.1)
+            opt.step(grads, lr=0.1)
         # a refused step changes neither the parameters nor the step count
         assert opt.t == 0
         assert np.array_equal(params["W"], np.full((2, 2), 1.0))
         assert np.array_equal(params["U"], np.full((2, 2), 1.0))
 
     def test_shape_mismatch_rejected(self, rng):
-        opt = AdamW({"W": (2, 2)}, ())
+        opt = AdamW(np.zeros(4), {"W": (2, 2)}, ())
         with pytest.raises(ValueError):
-            opt.step(np.zeros(4), {"W": np.zeros(3)}, lr=0.1)
+            opt.step({"W": np.zeros(3)}, lr=0.1)
         # the check runs before any tensor is updated
         flat, params = flat_copy({"A": np.ones(2), "W": np.ones((2, 2))})
-        opt = AdamW(shapes_of(params), ())
+        opt = AdamW(flat, shapes_of(params), ())
         grads = {"A": np.ones(2), "W": np.ones(3)}
         with pytest.raises(ValueError, match="'W'"):
-            opt.step(flat, grads, lr=0.1)
+            opt.step(grads, lr=0.1)
         assert opt.t == 0
         assert np.array_equal(params["A"], np.ones(2))
 
     def test_flat_params_of_another_layout_rejected(self):
-        opt = AdamW({"W": (2, 2)}, ())
         with pytest.raises(ValueError, match="flat buffer of 4 values"):
-            opt.step(np.zeros((2, 2)), {"W": np.zeros((2, 2))}, lr=0.1)
-        assert opt.t == 0
+            AdamW(np.zeros((2, 2)), {"W": (2, 2)}, ())
+        with pytest.raises(ValueError, match="flat buffer of 4 values"):
+            AdamW(np.zeros(5), {"W": (2, 2)}, ())
 
     def test_converges_on_quadratic(self):
         flat, params = flat_copy({"x": np.array([5.0, -3.0])})
-        opt = AdamW(shapes_of(params), (), weight_decay=0.0)
+        opt = AdamW(flat, shapes_of(params), (), weight_decay=0.0)
         total = 400
         for s in range(total):
             lr = lr_schedule(s, total, 0.1, 0.2)
-            opt.step(flat, {"x": 2.0 * params["x"]}, lr)
+            opt.step({"x": 2.0 * params["x"]}, lr)
         assert np.abs(params["x"]).max() < 1e-2
 
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
-            AdamW({}, (), beta1=1.0)
+            AdamW(np.zeros(0), {}, (), beta1=1.0)
         with pytest.raises(ValueError):
-            AdamW({}, (), eps=0.0)
+            AdamW(np.zeros(0), {}, (), eps=0.0)
         with pytest.raises(ValueError):
-            AdamW({}, (), weight_decay=-0.1)
+            AdamW(np.zeros(0), {}, (), weight_decay=-0.1)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_hyperparameters_rejected(self, bad):
         with pytest.raises(ValueError, match="eps must be finite"):
-            AdamW({}, (), eps=bad)
+            AdamW(np.zeros(0), {}, (), eps=bad)
         with pytest.raises(ValueError, match="weight_decay must be finite"):
-            AdamW({}, (), weight_decay=bad)
+            AdamW(np.zeros(0), {}, (), weight_decay=bad)

@@ -73,7 +73,7 @@ class TestTrainConfig:
         assert (m.encoder, m.n_intents, m.n_slots, m.slot_mode,
                 m.slot_features, m.intent_pool, m.dropout_rate) == (
             DESK_ENCODER, 3, 4, "crf", False, "start_token", 0.2)
-        opt = c.optimizer({}, ())
+        opt = c.optimizer(np.zeros(0, COMPUTE_DTYPE), {}, ())
         assert (opt.beta1, opt.beta2, opt.eps, opt.weight_decay) == (
             0.8, 0.99, 1e-5, 0.02)
         assert c.lr_at(5, 20) == pytest.approx(5e-4)
@@ -120,6 +120,13 @@ class TestTrainConfig:
         ):
             with pytest.raises(ValueError):
                 TrainConfig(**setting)
+
+    def test_max_len_is_the_encoders(self):
+        # the encoder's rule is the one check of max_len
+        with pytest.raises(ValueError, match="max_len 2 cannot fit both markers"):
+            TrainConfig(max_len=2)
+        m = TrainConfig(max_len=3).model_config(DESK_ENCODER, 1, 1)
+        assert m.encoder == dataclasses.replace(DESK_ENCODER, max_len=3)
 
     @pytest.mark.parametrize("setting,needle", [
         (dict(batch_size=8.0), "batch_size 8.0 is not int"),
@@ -429,6 +436,35 @@ class TestFloat32Model:
         alone = served(1)
         assert served(7) == alone
         assert served(64) == alone
+
+    def test_training_holds_no_float64_array(self, monkeypatch):
+        # the parameters each step reads and AdamW's whole state are held
+        # once, in the model's dtype
+        opts, read = [], []
+        build = TrainConfig.optimizer
+
+        def optimizer(self, *args):
+            opts.append(build(self, *args))
+            return opts[-1]
+
+        def loss_and_grads(params, *args):
+            read.extend(params.values())
+            return model_loss_and_grads(params, *args)
+
+        cfg = quick_config(epochs=1, slot_mode="crf")
+        monkeypatch.setattr(TrainConfig, "optimizer", optimizer)
+        monkeypatch.setattr("jointnlu.training.model_loss_and_grads",
+                            loss_and_grads)
+        data = toy_grammar(5, 16, 4, 4)
+        train(data.train, data.dev, cfg, data.featurizer(),
+              encoder=TINY_ENCODER)
+        (opt,) = opts
+        state = [a for a in vars(opt).values() if isinstance(a, np.ndarray)]
+        state += list(opt._grads.values())
+        assert len(state) > 5 and opt.t == 2
+        assert {a.dtype for a in state + read} == {np.dtype(COMPUTE_DTYPE)}
+        # every step reads views of the one buffer that AdamW updates
+        assert all(np.shares_memory(a, opt._params) for a in read)
 
 
 class TestEvaluate:
