@@ -256,6 +256,9 @@ class IntentVocab:
         object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels or self.labels[0] != UNK_INTENT:
             raise ValueError(f"labels must start with {UNK_INTENT!r}")
+        for label in self.labels:
+            if type(label) is not str or not label:
+                raise ValueError(f"intent label {label!r} is not a non-empty str")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate intent labels")
         object.__setattr__(
@@ -288,6 +291,9 @@ class SlotVocab:
         object.__setattr__(self, "tags", tuple(self.tags))
         if len(self.tags) < 2 or self.tags[0] != "O" or self.tags[1] != "X":
             raise ValueError("tag table must start with ('O', 'X')")
+        for tag in self.tags:
+            if type(tag) is not str or not tag:
+                raise ValueError(f"slot tag {tag!r} is not a non-empty str")
         if len(set(self.tags)) != len(self.tags):
             raise ValueError("duplicate tags")
         parsed = tuple(SlotTag.parse(t) for t in self.tags)

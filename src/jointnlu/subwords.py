@@ -10,7 +10,8 @@ piece-level predictions can be gathered back to word level.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Sequence
@@ -46,6 +47,9 @@ class WordPieceVocab:
     def __post_init__(self):
         if tuple(self.pieces[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
             raise ValueError("vocabulary must start with the reserved tokens")
+        for piece in self.pieces:
+            if type(piece) is not str or not piece:
+                raise ValueError(f"piece {piece!r} is not a non-empty str")
         if len(set(self.pieces)) != len(self.pieces):
             raise ValueError("duplicate pieces in vocabulary")
         object.__setattr__(self, "ids", {p: i for i, p in enumerate(self.pieces)})
@@ -106,6 +110,21 @@ def _merge(a: str, b: str) -> str:
     return a + b.removeprefix(CONTINUATION)
 
 
+def _replace(pieces: tuple[str, ...], pair: tuple[str, str], new_piece: str) -> tuple[str, ...]:
+    """`pieces` with each occurrence of `pair` merged, left to right and
+    non-overlapping."""
+    out = []
+    i = 0
+    while i < len(pieces):
+        if i + 1 < len(pieces) and (pieces[i], pieces[i + 1]) == pair:
+            out.append(new_piece)
+            i += 2
+        else:
+            out.append(pieces[i])
+            i += 1
+    return tuple(out)
+
+
 def train_vocab(words: Iterable[str], target_size: int) -> WordPieceVocab:
     """Induce a word-piece vocabulary by greedy pair merging.
 
@@ -114,10 +133,21 @@ def train_vocab(words: Iterable[str], target_size: int) -> WordPieceVocab:
     add the most frequent adjacent pair until `target_size` pieces exist or
     no pair repeats. Ties are broken lexicographically, so the result is a
     pure function of the word multiset and the size.
+
+    Pair counts are built once and then kept up to date: each merge
+    re-segments only the distinct words that hold the merged pair and
+    adjusts the counts of the pairs those words lose and gain, so a merge
+    costs time in proportion to the words it touches, not to the corpus.
+    The pieces are those of recounting every pair after every merge.
     """
+    if isinstance(words, str):
+        raise ValueError(f"corpus {words!r} is a str, not a list of words")
     counts = Counter(words)
     if not counts:
         raise ValueError("empty corpus")
+    for w in counts:
+        if type(w) is not str:
+            raise ValueError(f"corpus word {w!r} is not a str")
     if any(not w for w in counts):
         raise ValueError("empty word in corpus")
     alphabet = sorted({c for w in counts for c in w})
@@ -129,32 +159,53 @@ def train_vocab(words: Iterable[str], target_size: int) -> WordPieceVocab:
             f"({len(base)} character pieces + {len(RESERVED_TOKENS)} reserved)"
         )
 
-    segmented = {w: tuple([w[0]] + [CONTINUATION + c for c in w[1:]]) for w in counts}
+    freqs = list(counts.values())
+    segmented = [tuple([w[0]] + [CONTINUATION + c for c in w[1:]]) for w in counts]
+    pair_counts: Counter = Counter()
+    # the words that hold each counted pair, and perhaps some that held it
+    holders: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for i, pieces in enumerate(segmented):
+        for pair in zip(pieces, pieces[1:]):
+            pair_counts[pair] += freqs[i]
+            holders[pair].add(i)
+    # (-count, pair), so the top is the best pair; an entry whose count is
+    # no longer the pair's is stale and dropped when it reaches the top
+    heap = [(-n, pair) for pair, n in pair_counts.items()]
+    heapq.heapify(heap)
     merged: list[str] = []
+    seen: set[str] = set()
     while floor + len(merged) < target_size:
-        pair_counts: Counter = Counter()
-        for w, pieces in segmented.items():
-            for a, b in zip(pieces, pieces[1:]):
-                pair_counts[(a, b)] += counts[w]
-        if not pair_counts:
+        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < 2:
             break
-        best = min(pair_counts, key=lambda p: (-pair_counts[p], p))
-        if pair_counts[best] < 2:
-            break
+        best = heap[0][1]
         new_piece = _merge(*best)
-        if new_piece not in merged:  # re-derivable via a different split
+        if new_piece not in seen:  # re-derivable via a different split
+            seen.add(new_piece)
             merged.append(new_piece)
-        for w, pieces in segmented.items():
-            out = []
-            i = 0
-            while i < len(pieces):
-                if i + 1 < len(pieces) and (pieces[i], pieces[i + 1]) == best:
-                    out.append(new_piece)
-                    i += 2
-                else:
-                    out.append(pieces[i])
-                    i += 1
-            segmented[w] = tuple(out)
+        changed = set()
+        for i in holders.pop(best):
+            old = segmented[i]
+            new = _replace(old, best, new_piece)
+            if len(new) == len(old):  # no longer holds the pair
+                continue
+            segmented[i] = new
+            for pair in zip(old, old[1:]):
+                pair_counts[pair] -= freqs[i]
+                changed.add(pair)
+            for pair in zip(new, new[1:]):
+                pair_counts[pair] += freqs[i]
+                holders[pair].add(i)
+                changed.add(pair)
+        # the merge leaves no occurrence of `best`, so its count reaches zero
+        for pair in changed:
+            n = pair_counts[pair]
+            if n:
+                heapq.heappush(heap, (-n, pair))
+            else:
+                del pair_counts[pair]
+                holders.pop(pair, None)
 
     return WordPieceVocab(RESERVED_TOKENS + tuple(base) + tuple(merged))
 

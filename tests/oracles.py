@@ -13,7 +13,9 @@ checks; its intent term is the per-row `intent_ce` and its CRF term the
 per-sequence `crf_forward_backward`.
 The per-piece `align_per_piece` segments words with the vocabulary's own
 `tokenize_pieces`, which its own tests pin, and `decode_word_tags_per_piece`
-decodes with the slot vocabulary's own `decode`.
+decodes with the slot vocabulary's own `decode`. `train_vocab_recount`
+builds the package's `WordPieceVocab` from pieces it induces by recounting
+every pair after every merge.
 """
 
 from __future__ import annotations
@@ -402,6 +404,58 @@ def decode_word_tags_per_piece(seq, piece_tag_ids, slot_vocab):
     piece_tags = [slot_vocab.decode(int(i)) for i in piece_tag_ids]
     return [O_TAG if tag.kind == "X" else tag
             for tag, is_first in zip(piece_tags, seq.active) if is_first]
+
+
+def train_vocab_recount(words, target_size):
+    """Word-piece induction that recounts every adjacent pair of every
+    distinct word, and re-segments every word, after each merge. The
+    reference for the incremental train_vocab."""
+    from collections import Counter
+
+    from jointnlu.subwords import CONTINUATION, RESERVED_TOKENS, WordPieceVocab
+
+    counts = Counter(words)
+    if not counts:
+        raise ValueError("empty corpus")
+    if any(not w for w in counts):
+        raise ValueError("empty word in corpus")
+    alphabet = sorted({c for w in counts for c in w})
+    base = sorted(alphabet + [CONTINUATION + c for c in alphabet])
+    floor = len(RESERVED_TOKENS) + len(base)
+    if target_size < floor:
+        raise ValueError(
+            f"target_size {target_size} below base inventory "
+            f"({len(base)} character pieces + {len(RESERVED_TOKENS)} reserved)"
+        )
+
+    segmented = {w: tuple([w[0]] + [CONTINUATION + c for c in w[1:]]) for w in counts}
+    merged: list[str] = []
+    while floor + len(merged) < target_size:
+        pair_counts: Counter = Counter()
+        for w, pieces in segmented.items():
+            for a, b in zip(pieces, pieces[1:]):
+                pair_counts[(a, b)] += counts[w]
+        if not pair_counts:
+            break
+        best = min(pair_counts, key=lambda p: (-pair_counts[p], p))
+        if pair_counts[best] < 2:
+            break
+        new_piece = best[0] + best[1].removeprefix(CONTINUATION)
+        if new_piece not in merged:  # re-derivable via a different split
+            merged.append(new_piece)
+        for w, pieces in segmented.items():
+            out = []
+            i = 0
+            while i < len(pieces):
+                if i + 1 < len(pieces) and (pieces[i], pieces[i + 1]) == best:
+                    out.append(new_piece)
+                    i += 2
+                else:
+                    out.append(pieces[i])
+                    i += 1
+            segmented[w] = tuple(out)
+
+    return WordPieceVocab(RESERVED_TOKENS + tuple(base) + tuple(merged))
 
 
 def _gelu_tanh_t(x):

@@ -751,6 +751,12 @@ def _with_english_dict(value):
     }
 
 
+def _with_last(key, value):
+    """The last entry of the checkpoint's piece, intent or slot table set to
+    value."""
+    return lambda meta: {**meta, key: meta[key][:-1] + [value]}
+
+
 def _not_json(arrays):
     arrays["archive_meta"] = np.frombuffer(b"\xff{config", dtype=np.uint8)
 
@@ -791,6 +797,16 @@ BAD_METADATA = [
     (_meta_text(_with_english_dict("jfk")), "english_dict 'jfk' is a str"),
     (_meta_text(_with_english_dict([5, "the"])),
      "english_dict entry 5 is not a word"),
+    (_meta_text(_with_last("pieces", 5)),
+     "metadata (ValueError: piece 5 is not a non-empty str)"),
+    (_meta_text(_with_last("pieces", "")),
+     "metadata (ValueError: piece '' is not a non-empty str)"),
+    (_meta_text(_with_last("intent_labels", 5)),
+     "metadata (ValueError: intent label 5 is not a non-empty str)"),
+    (_meta_text(_with_last("intent_labels", None)),
+     "metadata (ValueError: intent label None is not a non-empty str)"),
+    (_meta_text(_with_last("slot_tags", 5)),
+     "metadata (ValueError: slot tag 5 is not a non-empty str)"),
 ]
 
 

@@ -443,6 +443,9 @@ class TestIntentVocab:
             IntentVocab(("a", "b"))
         with pytest.raises(ValueError):
             IntentVocab((UNK_INTENT, "a", "a"))
+        for bad in (5, None, ""):
+            with pytest.raises(ValueError, match=f"intent label {bad!r} is not"):
+                IntentVocab((UNK_INTENT, bad))
 
 
 class TestSlotVocab:
@@ -472,6 +475,9 @@ class TestSlotVocab:
             SlotVocab(("X", "O"))
         with pytest.raises(ValueError):
             SlotVocab(("O", "X", "O"))
+        for bad in (5, None, ""):
+            with pytest.raises(ValueError, match=f"slot tag {bad!r} is not"):
+                SlotVocab(("O", "X", bad))
 
 
 _DATASETS = Path(__file__).resolve().parent.parent / "datasets"

@@ -4,7 +4,7 @@ import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from jointnlu import subwords
 from jointnlu.data import UNK_INTENT, IntentVocab, SlotVocab
@@ -31,8 +31,9 @@ from jointnlu.subwords import (
     train_vocab,
 )
 from jointnlu.tagging import AlignmentError, O_TAG, SlotTag, X_TAG, parse_tags
+from jointnlu.toy import toy_grammar
 
-from oracles import align_per_piece
+from oracles import align_per_piece, train_vocab_recount
 
 
 def make_vocab(*extra: str) -> WordPieceVocab:
@@ -78,6 +79,11 @@ class TestVocab:
         with pytest.raises(ValueError):
             make_vocab("play", "play")
 
+    @pytest.mark.parametrize("bad", [5, None, ""])
+    def test_rejects_entries_that_are_not_pieces(self, bad):
+        with pytest.raises(ValueError, match=f"piece {bad!r} is not"):
+            make_vocab("a", "##a", bad)
+
     def test_save_load_round_trip(self, tmp_path, rng):
         # the vocabulary is stored inside the model checkpoint
         v = train_vocab(["play", "played", "plays"], 40)
@@ -108,10 +114,49 @@ class TestTrainVocab:
         with pytest.raises(ValueError):
             train_vocab([], 100)
 
+    def test_bare_str_corpus_rejected(self):
+        # a str would otherwise be read as a corpus of one-letter words
+        with pytest.raises(ValueError, match="corpus 'abc' is a str"):
+            train_vocab("abc", 20)
+
+    @pytest.mark.parametrize("bad", [5, None, b"ab"])
+    def test_word_that_is_not_a_str_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"corpus word {bad!r} is not a str"):
+            train_vocab(["ab", bad], 20)
+
     def test_alphabet_has_both_piece_forms(self):
         v = train_vocab(["ab"], 20)
         for c in "ab":
             assert c in v.ids and CONTINUATION + c in v.ids
+
+
+class TestTrainVocabMatchesRecount:
+    """train_vocab against the oracle that recounts every pair after every
+    merge: the same pieces in the same order."""
+
+    # one- to four-letter alphabets: runs of one letter overlap their own
+    # pairs (a ##a ##a), and a few short words tie many counts
+    CORPUS = st.sampled_from(["a", "ab", "abc", "abcd"]).flatmap(
+        lambda alphabet: st.lists(
+            st.text(alphabet=alphabet, min_size=1, max_size=8), min_size=1, max_size=25
+        )
+    )
+
+    @given(CORPUS, st.integers(0, 120))
+    @example(["aaaa"] * 3, 1)
+    @example(["aaaaa", "aa"], 2)
+    @example(["ab", "ba"] * 2, 1)
+    @example(["ab", "ba"] * 2, 120)
+    def test_random_corpora(self, words, extra):
+        # targets run from the base floor to past the last repeating pair
+        target = len(RESERVED_TOKENS) + 2 * len(set("".join(words))) + extra
+        assert train_vocab(words, target).pieces == train_vocab_recount(words, target).pieces
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_corpus(self, seed):
+        data = toy_grammar(seed, 2000, 300, 256)
+        words = [w for u in data.train for w in u.words]
+        assert train_vocab(words, 300).pieces == train_vocab_recount(words, 300).pieces
 
 
 class TestTokenize:
