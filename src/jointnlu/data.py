@@ -246,6 +246,22 @@ def combine_intents(labels: Iterable[str]) -> str:
     return "#".join(sorted(parts))
 
 
+def id_table(entries: Iterable[str], head: Tuple[str, ...], kind: str):
+    """`entries` as a tuple and each entry's id, its index. The one check of
+    every vocabulary (ValueError): the reserved `head` first, then distinct
+    non-empty strs."""
+    entries = tuple(entries)
+    if entries[: len(head)] != head:
+        raise ValueError(f"{kind}s must start with {head!r}")
+    ids: dict[str, int] = {}
+    for i, entry in enumerate(entries):
+        if type(entry) is not str or not entry:
+            raise ValueError(f"{kind} {entry!r} is not a non-empty str")
+        if ids.setdefault(entry, i) != i:
+            raise ValueError(f"duplicate {kind} {entry!r}")
+    return entries, ids
+
+
 @dataclass(frozen=True)
 class IntentVocab:
     """Intent label <-> id table. Id 0 is the reserved unseen-label slot."""
@@ -253,17 +269,9 @@ class IntentVocab:
     labels: Tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.labels or self.labels[0] != UNK_INTENT:
-            raise ValueError(f"labels must start with {UNK_INTENT!r}")
-        for label in self.labels:
-            if type(label) is not str or not label:
-                raise ValueError(f"intent label {label!r} is not a non-empty str")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate intent labels")
-        object.__setattr__(
-            self, "_ids", {label: i for i, label in enumerate(self.labels)}
-        )
+        labels, ids = id_table(self.labels, (UNK_INTENT,), "intent label")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_ids", ids)
 
     @classmethod
     def from_corpus(cls, corpus: Sequence[TaggedUtterance]) -> "IntentVocab":
@@ -288,17 +296,10 @@ class SlotVocab:
     tags: Tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tags", tuple(self.tags))
-        if len(self.tags) < 2 or self.tags[0] != "O" or self.tags[1] != "X":
-            raise ValueError("tag table must start with ('O', 'X')")
-        for tag in self.tags:
-            if type(tag) is not str or not tag:
-                raise ValueError(f"slot tag {tag!r} is not a non-empty str")
-        if len(set(self.tags)) != len(self.tags):
-            raise ValueError("duplicate tags")
-        parsed = tuple(SlotTag.parse(t) for t in self.tags)
-        object.__setattr__(self, "_parsed", parsed)
-        object.__setattr__(self, "_ids", {t: i for i, t in enumerate(self.tags)})
+        tags, ids = id_table(self.tags, ("O", "X"), "slot tag")
+        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "_parsed", tuple(SlotTag.parse(t) for t in tags))
+        object.__setattr__(self, "_ids", ids)
 
     @classmethod
     def from_corpus(cls, corpus: Sequence[TaggedUtterance]) -> "SlotVocab":

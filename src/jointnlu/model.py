@@ -378,8 +378,6 @@ def decode_word_tags(
 
 
 _META_KEY = "archive_meta"
-# The keys save_checkpoint writes into the metadata object.
-_META_FIELDS = ("config", "intent_labels", "slot_tags", "pieces", "resources")
 # What np.load raises, besides ValueError and OSError, on a damaged archive.
 # RuntimeError covers zipfile's "compression method is not supported"
 # (a NotImplementedError) and "is encrypted, password required".
@@ -435,16 +433,21 @@ class Checkpoint:
                 )
 
 
+# The metadata object, key by key in the order it is written: the key, the
+# Checkpoint field it holds, the field as JSON, and the field from that JSON.
+_META = (
+    ("config", "config", ModelConfig.to_dict, ModelConfig.from_dict),
+    ("intent_labels", "intent_vocab", lambda v: list(v.labels), IntentVocab),
+    ("slot_tags", "slot_vocab", lambda v: list(v.tags), SlotVocab),
+    ("pieces", "piece_vocab", lambda v: list(v.pieces), WordPieceVocab),
+    ("resources", "featurizer", WordFeaturizer.to_dict, WordFeaturizer.from_dict),
+)
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     # Rebuilding checks a params dict edited after construction.
     ckpt = replace(ckpt)
-    meta = {
-        "config": ckpt.config.to_dict(),
-        "intent_labels": list(ckpt.intent_vocab.labels),
-        "slot_tags": list(ckpt.slot_vocab.tags),
-        "pieces": list(ckpt.piece_vocab.pieces),
-        "resources": ckpt.featurizer.to_dict(),
-    }
+    meta = {key: write(getattr(ckpt, attr)) for key, attr, write, _ in _META}
     raw = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     with staged(path) as tmp, open(tmp, "wb") as fh:
         np.savez(fh, **ckpt.params, **{_META_KEY: raw})
@@ -460,7 +463,7 @@ def _read_meta(path, raw: np.ndarray) -> dict:
             f"{path}: model metadata is a JSON {type(meta).__name__}, "
             "expected an object"
         )
-    missing = [key for key in _META_FIELDS if key not in meta]
+    missing = [key for key, *_ in _META if key not in meta]
     if missing:
         raise ValueError(f"{path}: model metadata lacks {missing[0]!r}")
     return meta
@@ -478,26 +481,16 @@ def load_checkpoint(path) -> Checkpoint:
     if _META_KEY not in arrays:
         raise ValueError(f"{path}: not a model archive (missing metadata)")
     meta = _read_meta(path, arrays.pop(_META_KEY))
+    fields = {}
+    for key, attr, _, read in _META:
+        try:
+            fields[attr] = read(meta[key])
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(
+                f"{path}: metadata {key!r} is not valid "
+                f"({type(err).__name__}: {err})"
+            ) from None
     try:
-        config = ModelConfig.from_dict(meta["config"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(
-            f"{path}: metadata 'config' is not a model config "
-            f"({type(err).__name__}: {err})"
-        ) from None
-    try:
-        vocabs = dict(
-            intent_vocab=IntentVocab(tuple(meta["intent_labels"])),
-            slot_vocab=SlotVocab(tuple(meta["slot_tags"])),
-            piece_vocab=WordPieceVocab(tuple(meta["pieces"])),
-            featurizer=WordFeaturizer.from_dict(meta["resources"]),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(
-            f"{path}: bad vocabulary or resources in metadata "
-            f"({type(err).__name__}: {err})"
-        ) from None
-    try:
-        return Checkpoint(params=arrays, config=config, **vocabs)
+        return Checkpoint(params=arrays, **fields)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .data import id_table
 from .features import FEATURE_DIM
 from .tagging import AlignmentError, O_TAG, SlotTag, X_TAG
 
@@ -45,14 +46,9 @@ class WordPieceVocab:
     pieces: tuple[str, ...]
 
     def __post_init__(self):
-        if tuple(self.pieces[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
-            raise ValueError("vocabulary must start with the reserved tokens")
-        for piece in self.pieces:
-            if type(piece) is not str or not piece:
-                raise ValueError(f"piece {piece!r} is not a non-empty str")
-        if len(set(self.pieces)) != len(self.pieces):
-            raise ValueError("duplicate pieces in vocabulary")
-        object.__setattr__(self, "ids", {p: i for i, p in enumerate(self.pieces)})
+        pieces, ids = id_table(self.pieces, RESERVED_TOKENS, "piece")
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "_memo", {})
 
     def __len__(self) -> int:
@@ -132,7 +128,9 @@ def train_vocab(words: Iterable[str], target_size: int) -> WordPieceVocab:
     word-initial and continuation form (tokenization totality); merges then
     add the most frequent adjacent pair until `target_size` pieces exist or
     no pair repeats. Ties are broken lexicographically, so the result is a
-    pure function of the word multiset and the size.
+    pure function of the word multiset and the size. A merged piece that is
+    already a piece is not added twice, so the word [PAD] reads as the
+    reserved piece and the word ##x as the continuation piece of x.
 
     Pair counts are built once and then kept up to date: each merge
     re-segments only the distinct words that hold the merged pair and
@@ -173,7 +171,7 @@ def train_vocab(words: Iterable[str], target_size: int) -> WordPieceVocab:
     heap = [(-n, pair) for pair, n in pair_counts.items()]
     heapq.heapify(heap)
     merged: list[str] = []
-    seen: set[str] = set()
+    seen = {*RESERVED_TOKENS, *base}
     while floor + len(merged) < target_size:
         while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
             heapq.heappop(heap)
@@ -181,7 +179,7 @@ def train_vocab(words: Iterable[str], target_size: int) -> WordPieceVocab:
             break
         best = heap[0][1]
         new_piece = _merge(*best)
-        if new_piece not in seen:  # re-derivable via a different split
+        if new_piece not in seen:  # a piece already, or re-derived
             seen.add(new_piece)
             merged.append(new_piece)
         changed = set()

@@ -441,7 +441,8 @@ def train_vocab_recount(words, target_size):
         if pair_counts[best] < 2:
             break
         new_piece = best[0] + best[1].removeprefix(CONTINUATION)
-        if new_piece not in merged:  # re-derivable via a different split
+        # a piece already, or re-derivable via a different split
+        if new_piece not in (*RESERVED_TOKENS, *base, *merged):
             merged.append(new_piece)
         for w, pieces in segmented.items():
             out = []

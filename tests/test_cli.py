@@ -786,27 +786,31 @@ BAD_METADATA = [
     (_meta_text(_with_config(n_intents=2.0)), "n_intents 2.0 is not a positive int"),
     (_meta_text(_with_config(n_slots=False)), "n_slots False is not a positive int"),
     (_meta_text(_with_config(slot_features="no")), "slot_features 'no' is not a bool"),
-    (_meta_text(lambda meta: {**meta, "config": 7}), "not a model config"),
+    (_meta_text(lambda meta: {**meta, "config": 7}),
+     "metadata 'config' is not valid (TypeError: "),
     (_meta_text(lambda meta: {**meta, "slot_tags": ["X"]}),
-     "bad vocabulary or resources"),
+     "metadata 'slot_tags' is not valid (ValueError: slot tags must start with"),
     (_meta_text(_with_resource("lexicon", 5)), "lexicon form 5 of"),
     (_meta_text(_with_resource("lexicon", "")), "lexicon form '' of"),
     (_meta_text(_with_resource("gazetteer", "BOGUS")),
-     "resources in metadata (ValueError: unknown entity label 'BOGUS')"),
+     "metadata 'resources' is not valid (ValueError: unknown entity label 'BOGUS')"),
     (_meta_text(_with_resource("gazetteer", 7)), "unknown entity label 7"),
     (_meta_text(_with_english_dict("jfk")), "english_dict 'jfk' is a str"),
     (_meta_text(_with_english_dict([5, "the"])),
      "english_dict entry 5 is not a word"),
     (_meta_text(_with_last("pieces", 5)),
-     "metadata (ValueError: piece 5 is not a non-empty str)"),
+     "metadata 'pieces' is not valid (ValueError: piece 5 is not a non-empty str)"),
     (_meta_text(_with_last("pieces", "")),
-     "metadata (ValueError: piece '' is not a non-empty str)"),
+     "metadata 'pieces' is not valid (ValueError: piece '' is not a non-empty str)"),
     (_meta_text(_with_last("intent_labels", 5)),
-     "metadata (ValueError: intent label 5 is not a non-empty str)"),
+     "metadata 'intent_labels' is not valid "
+     "(ValueError: intent label 5 is not a non-empty str)"),
     (_meta_text(_with_last("intent_labels", None)),
-     "metadata (ValueError: intent label None is not a non-empty str)"),
+     "metadata 'intent_labels' is not valid "
+     "(ValueError: intent label None is not a non-empty str)"),
     (_meta_text(_with_last("slot_tags", 5)),
-     "metadata (ValueError: slot tag 5 is not a non-empty str)"),
+     "metadata 'slot_tags' is not valid "
+     "(ValueError: slot tag 5 is not a non-empty str)"),
 ]
 
 

@@ -16,12 +16,14 @@ from jointnlu.data import (
     SlotVocab,
     TaggedUtterance,
     combine_intents,
+    id_table,
     lint_corpus,
     load_corpus,
     save_corpus,
     staged,
 )
 from jointnlu.features import CaseClass, EntityClass
+from jointnlu.subwords import RESERVED_TOKENS, WordPieceVocab
 from jointnlu.tagging import O_TAG, SlotTag, parse_tags
 from jointnlu.toy import INTENTS, SLOT_TYPES, toy_grammar
 
@@ -411,6 +413,31 @@ class TestStaged:
             save_corpus([utt(["fly", "to", "boston"], ["O", "O", "B-city"])],
                         target)
         assert tree(tmp_path) == before
+
+
+class TestIdTable:
+    """The one check of the intent, slot and piece tables."""
+
+    @pytest.mark.parametrize("vocab,entries", [
+        (IntentVocab, (UNK_INTENT, "a", "b")),
+        (SlotVocab, ("O", "X", "B-a")),
+        (WordPieceVocab, RESERVED_TOKENS + ("a", "##a")),
+    ], ids=["intent", "slot", "piece"])
+    def test_list_built_equals_tuple_built(self, vocab, entries):
+        from_list, from_tuple = vocab(list(entries)), vocab(entries)
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+
+    @pytest.mark.parametrize("entries,message", [
+        ([], "labels must start with ('h',)"),
+        (["a", "h"], "labels must start with ('h',)"),
+        (["h", "a", "a"], "duplicate label 'a'"),
+        (["h", ["a"]], "label ['a'] is not a non-empty str"),
+    ])
+    def test_refusals(self, entries, message):
+        with pytest.raises(ValueError) as info:
+            id_table(entries, ("h",), "label")
+        assert str(info.value) == message
 
 
 class TestIntentVocab:

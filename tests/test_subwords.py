@@ -135,8 +135,9 @@ class TestTrainVocabMatchesRecount:
     merge: the same pieces in the same order."""
 
     # one- to four-letter alphabets: runs of one letter overlap their own
-    # pairs (a ##a ##a), and a few short words tie many counts
-    CORPUS = st.sampled_from(["a", "ab", "abc", "abcd"]).flatmap(
+    # pairs (a ##a ##a), and a few short words tie many counts; with "#", a
+    # merge can rebuild a piece that is already there (# + ### is ##)
+    CORPUS = st.sampled_from(["a", "ab", "abc", "abcd", "#a"]).flatmap(
         lambda alphabet: st.lists(
             st.text(alphabet=alphabet, min_size=1, max_size=8), min_size=1, max_size=25
         )
@@ -147,10 +148,15 @@ class TestTrainVocabMatchesRecount:
     @example(["aaaaa", "aa"], 2)
     @example(["ab", "ba"] * 2, 1)
     @example(["ab", "ba"] * 2, 120)
+    @example(["##x"] * 2, 100)  # merges # + ### and ## + ##x
+    @example(["[PAD]"] * 3, 100)  # merges into the reserved piece
     def test_random_corpora(self, words, extra):
         # targets run from the base floor to past the last repeating pair
         target = len(RESERVED_TOKENS) + 2 * len(set("".join(words))) + extra
-        assert train_vocab(words, target).pieces == train_vocab_recount(words, target).pieces
+        vocab = train_vocab(words, target)
+        assert vocab.pieces == train_vocab_recount(words, target).pieces
+        for w in words:
+            assert UNK_TOKEN not in vocab.tokenize_pieces(w), w
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_benchmark_corpus(self, seed):
