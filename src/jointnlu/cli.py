@@ -351,7 +351,7 @@ def cmd_attn(args) -> int:
     (pred,) = predict(ckpt, [words])
     seq = pred.seq
     if seq.truncated:
-        print(f"warning: kept {seq.word_count} of {len(words)} words, the most "
+        print(f"warning: kept {len(seq.tags)} of {len(words)} words, the most "
               f"that fit the checkpoint's max_len of "
               f"{ckpt.config.encoder.max_len}", file=sys.stderr)
     rows = [

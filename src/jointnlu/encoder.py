@@ -10,7 +10,8 @@ projection, feed-forward, layer norms) runs on the packed rows of real pieces
 only, and every dropout mask is drawn at that (T, d_h) shape; the attention
 scores, their softmax and the weighted sum of values are the one block kept in
 the padded layout, with padded keys masked out of every row, so padding can
-never influence real positions. The hidden states come back packed.
+never influence real positions. The piece ids come in packed, placed by the
+(b, n) pad_mask, and the hidden states go out packed.
 
 Parameters are read from the model's flat name->array dict under their
 model.param_spec names ("enc.tok_emb", "enc.l0.Wq", ...); gradients come
@@ -157,27 +158,25 @@ def encode(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ):
-    """Hidden states (T, d_h) of the T real pieces of a padded id batch, in
-    np.flatnonzero(pad_mask) order, and the cache encode_backward needs.
-
-    pad_mask is True at real positions. Dropout needs an rng; with rate 0 or
-    rng None the pass is deterministic.
+    """Hidden states (T, d_h) of the T real pieces whose ids (T,) are placed
+    by pad_mask (b, n), True at real positions, in np.flatnonzero(pad_mask)
+    order; and the cache encode_backward needs. Dropout needs an rng; with
+    rate 0 or rng None the pass is deterministic.
     """
     ids = np.asarray(ids)
     pad_mask = np.asarray(pad_mask, dtype=bool)
-    if ids.ndim != 2 or ids.shape != pad_mask.shape:
-        raise ValueError("ids and pad_mask must share one (batch, length) shape")
-    b, n = ids.shape
+    if pad_mask.ndim != 2 or not pad_mask.any(axis=1).all():
+        raise ValueError("every sequence needs at least one real position")
+    b, n = pad_mask.shape
     if n > cfg.max_len:
         raise ValueError(f"sequence length {n} exceeds max_len {cfg.max_len}")
+    rows = np.flatnonzero(pad_mask)
+    if ids.shape != rows.shape:
+        raise ValueError(f"need {rows.size} ids, one per real position")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError("token id out of range")
-    if not pad_mask.any(axis=1).all():
-        raise ValueError("every sequence needs at least one real position")
 
-    rows = np.flatnonzero(pad_mask)
-    real_ids = ids.ravel()[rows]
-    emb = params["enc.tok_emb"][real_ids] + params["enc.pos_emb"][rows % n]
+    emb = params["enc.tok_emb"][ids] + params["enc.pos_emb"][rows % n]
     x, ln_emb_cache = layer_norm(emb, params["enc.ln_emb.g"], params["enc.ln_emb.b"])
     emb_mask = dropout_mask(rng, x.shape, dropout_rate, x.dtype)
     x = apply_mask(x, emb_mask)
@@ -190,7 +189,7 @@ def encode(
         layers.append((attn, ffn))
 
     return x, dict(
-        real_ids=real_ids, rows=rows, shape=(b, n), emb_mask=emb_mask,
+        ids=ids, rows=rows, shape=(b, n), emb_mask=emb_mask,
         ln_emb_cache=ln_emb_cache, layers=layers,
     )
 
@@ -219,7 +218,7 @@ def encode_backward(
     )
     # Embedding rows the batch never touches get exact zeros.
     grads["enc.tok_emb"] = np.zeros_like(params["enc.tok_emb"])
-    np.add.at(grads["enc.tok_emb"], cache["real_ids"], d_emb)
+    np.add.at(grads["enc.tok_emb"], cache["ids"], d_emb)
     grads["enc.pos_emb"] = np.zeros_like(params["enc.pos_emb"])
     grads["enc.pos_emb"][:n] = scatter_rows(d_emb, rows, b, n).sum(axis=0)
     return grads

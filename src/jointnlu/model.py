@@ -1,9 +1,9 @@
 """The full joint model: encoder, intent pooling, fused slot scoring.
 
-Every per-piece array from the encoder's output to the loss is packed: one
-row per real piece, sequence after sequence. Past the encoder the one layout
+Every per-piece array, from the piece ids through the encoder to the loss,
+is packed: one row per real piece, sequence after sequence. The one layout
 fact is `Batch.lengths`, each sequence's row count; only the encoder's
-attention block sees the padded (b, n) layout.
+attention block sees the padded (b, n) layout, through `Batch.pad_mask`.
 
 Parameters live in one flat name -> array dict. `param_spec` is the one
 list of its tensors (name, shape, initialiser, weight-decay flag); the
@@ -21,7 +21,9 @@ from __future__ import annotations
 import json
 import tokenize
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain, pairwise
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +42,7 @@ from .intent_head import POOL_MODES, intent_backward, intent_forward
 from .numerics import log_softmax
 from .slot_head import slot_backward, slot_forward
 from .subwords import AlignedSequence, WordPieceVocab, align, de_align
-from .tagging import SlotTag
+from .tagging import SlotTag, X_TAG
 
 SLOT_MODES = ("softmax", "crf")
 
@@ -179,27 +181,28 @@ def init_model_params(
 
 @dataclass(frozen=True)
 class Batch:
-    """A list of aligned sequences as arrays. The ids are padded for the
-    encoder; the per-piece arrays hold the T real pieces packed, in
-    np.flatnonzero(pad_mask) order, `lengths` of them per sequence."""
+    """Aligned sequences as arrays: the per-piece arrays hold the T real
+    pieces, sequence after sequence, `lengths` of them per sequence; the
+    derived (b, n) `pad_mask` places them, in np.flatnonzero(pad_mask) order."""
 
-    ids: np.ndarray          # (b, n) int
-    pad_mask: np.ndarray     # (b, n) bool, True at real positions
+    ids: np.ndarray          # (T,) int
+    lengths: np.ndarray      # (b,) int, each at least 1
     features: np.ndarray     # (T, 23)
     tag_ids: np.ndarray      # (T,) int
     intent_ids: np.ndarray   # (b,)
-    lengths: np.ndarray = field(init=False)  # (b,) real pieces per sequence
+    pad_mask: np.ndarray = field(init=False)  # (b, n) bool, True at real positions
 
     def __post_init__(self):
-        b, n = self.ids.shape
-        if self.pad_mask.shape != (b, n):
-            raise ValueError("ids and pad_mask disagree on shape")
-        object.__setattr__(self, "lengths", self.pad_mask.sum(axis=1))
+        if self.lengths.ndim != 1 or not (self.lengths.size and self.lengths.min() > 0):
+            raise ValueError("need sequences of at least one real position each")
         T = int(self.lengths.sum())
-        if self.tag_ids.shape != (T,) or self.features.shape != (T, FEATURE_DIM):
+        if (self.ids.shape != (T,) or self.tag_ids.shape != (T,)
+                or self.features.shape != (T, FEATURE_DIM)):
             raise ValueError("per-piece arrays need one row per real position")
-        if self.intent_ids.shape != (b,):
+        if self.intent_ids.shape != self.lengths.shape:
             raise ValueError("need one intent id per sequence")
+        pad_mask = np.arange(self.lengths.max()) < self.lengths[:, None]
+        object.__setattr__(self, "pad_mask", pad_mask)
 
 
 def make_batch(
@@ -207,17 +210,17 @@ def make_batch(
     intent_ids: Sequence[int],
     slot_vocab: SlotVocab,
 ) -> Batch:
+    """The sequences packed into one Batch. The X rule lives here: every
+    position's tag id is X's but at each first piece, which gets its word's."""
     if not seqs or len(seqs) != len(intent_ids):
         raise ValueError("need one intent id per aligned sequence")
-    lengths = np.array([len(s) for s in seqs])
-    pad_mask = np.arange(lengths.max()) < lengths[:, None]
-    ids = np.zeros(pad_mask.shape, dtype=int)  # padding is piece id 0
-    ids[pad_mask] = [pid for seq in seqs for pid in seq.piece_ids]
+    ids = np.fromiter(chain.from_iterable(seq.piece_ids for seq in seqs), int)
+    active = np.fromiter(chain.from_iterable(seq.active for seq in seqs), bool)
+    tag_ids = np.full(len(ids), slot_vocab.encode(X_TAG))
+    tag_ids[active] = [slot_vocab.encode(t) for seq in seqs for t in seq.tags]
+    lengths = np.array([len(seq) for seq in seqs])
     features = np.concatenate([seq.features for seq in seqs])
-    tag_ids = np.array(
-        [slot_vocab.encode(t) for seq in seqs for t in seq.piece_tags], dtype=int
-    )
-    return Batch(ids, pad_mask, features, tag_ids, np.asarray(intent_ids, dtype=int))
+    return Batch(ids, lengths, features, tag_ids, np.asarray(intent_ids, dtype=int))
 
 
 def align_utterance(
@@ -348,12 +351,13 @@ def model_loss_and_grads(
 
 def predict_batch(
     params: Dict[str, np.ndarray], cfg: ModelConfig, batch: Batch
-) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
+) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
     """Deterministic decoding.
 
-    Returns (intent id per sequence, piece-level tag ids per sequence
-    [unpadded lengths], (T,) pooling weights). The structured decoder is
-    used in crf mode, independent per-position argmax otherwise.
+    Returns (intent id per sequence, piece-level tag ids per sequence,
+    pooling weights per sequence), each sequence's arrays `lengths` long.
+    The structured decoder is used in crf mode, independent per-position
+    argmax otherwise.
     """
     # Slicing drops the forward cache before decoding starts.
     y_int, slot_scores, alpha = model_outputs(params, cfg, batch)[:3]
@@ -366,7 +370,9 @@ def predict_batch(
         )
     else:
         paths = np.argmax(slot_scores, axis=-1)
-    return intent_pred, np.split(paths, np.cumsum(lengths)[:-1]), alpha
+    spans = list(pairwise([0, *np.cumsum(lengths).tolist()]))
+    return (intent_pred, [paths[lo:hi] for lo, hi in spans],
+            [alpha[lo:hi] for lo, hi in spans])
 
 
 def decode_word_tags(
@@ -378,10 +384,11 @@ def decode_word_tags(
 
 
 _META_KEY = "archive_meta"
-# What np.load raises, besides ValueError and OSError, on a damaged archive.
-# RuntimeError covers zipfile's "compression method is not supported"
-# (a NotImplementedError) and "is encrypted, password required".
-_UNREADABLE = (zipfile.BadZipFile, RuntimeError, tokenize.TokenError, EOFError)
+# What np.load and reading its members raise, besides OSError, on a damaged
+# archive: ValueError (a broken member header, an object array), zlib.error (a
+# corrupt deflate stream), RuntimeError (unsupported compression, encryption).
+_UNREADABLE = (zipfile.BadZipFile, RuntimeError, tokenize.TokenError, EOFError,
+               ValueError, zlib.error)
 
 
 @dataclass(frozen=True)

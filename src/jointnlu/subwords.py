@@ -1,11 +1,11 @@
 """Word-piece vocabulary induction, greedy tokenization, and the alignment
 bookkeeping that maps word-level tags onto piece-level sequences.
 
-Aligned sequences are framed by start/end markers. The first piece of each
-word carries the word's tag; every following piece and both markers carry X.
-Word features are copied to every piece of the word; markers get zeros. A
-boolean `active` mask remembers which positions are first pieces so that
-piece-level predictions can be gathered back to word level.
+Aligned sequences are framed by start/end markers. A boolean `active` mask
+marks the first piece of each kept word and `tags` holds one tag per first
+piece; `model.make_batch` gives every other position X. Word features are
+copied to every piece of the word; markers get zeros. Piece-level predictions
+are gathered back to word level at the active positions.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import id_table
 from .features import FEATURE_DIM
-from .tagging import AlignmentError, O_TAG, SlotTag, X_TAG
+from .tagging import AlignmentError, O_TAG, SlotTag
 
 CONTINUATION = "##"
 
@@ -71,6 +71,7 @@ class WordPieceVocab:
         A word containing any character with no vocabulary entry collapses to
         a single [UNK]; words over the known alphabet always segment, since
         every character has both a word-initial and a continuation entry.
+        A reserved token never matches: the word [BOS] is no start marker.
         """
         if not word:
             raise ValueError("cannot tokenize an empty word")
@@ -82,7 +83,7 @@ class WordPieceVocab:
             piece = None
             while end > pos:
                 cand = prefix + word[pos:end]
-                if cand in self.ids:
+                if cand in self.ids and cand not in RESERVED_TOKENS:
                     piece = cand
                     break
                 end -= 1
@@ -129,8 +130,8 @@ def train_vocab(words: Iterable[str], target_size: int) -> WordPieceVocab:
     add the most frequent adjacent pair until `target_size` pieces exist or
     no pair repeats. Ties are broken lexicographically, so the result is a
     pure function of the word multiset and the size. A merged piece that is
-    already a piece is not added twice, so the word [PAD] reads as the
-    reserved piece and the word ##x as the continuation piece of x.
+    already a piece is not added twice: the word ##x reads as the piece ##x,
+    and the word [PAD] as ordinary pieces such as [ and ##P.
 
     Pair counts are built once and then kept up to date: each merge
     re-segments only the distinct words that hold the merged pair and
@@ -212,30 +213,28 @@ def train_vocab(words: Iterable[str], target_size: int) -> WordPieceVocab:
 class AlignedSequence:
     """Piece-level view of one tagged utterance, framed by [BOS]/[EOS].
 
-    All per-position tuples share one length. `active[i]` is True exactly at
-    the first piece of each surviving word. `features` is (length, 23)
-    float64.
+    `piece_ids`, `active` and the (length, 23) float64 `features` share one
+    length. `active[i]` is True exactly at the first piece of each kept word,
+    and `tags` holds the tags of those words, in order.
     """
 
     piece_ids: tuple[int, ...]
-    piece_tags: tuple[SlotTag, ...]
+    tags: tuple[SlotTag, ...]
     active: tuple[bool, ...]
     features: np.ndarray
     truncated: bool = False
 
     def __post_init__(self):
         n = len(self.piece_ids)
-        if not (len(self.piece_tags) == len(self.active) == n):
+        if len(self.active) != n:
             raise ValueError("aligned fields disagree on length")
+        if len(self.tags) != sum(self.active):
+            raise ValueError("need one tag per first piece")
         if self.features.shape != (n, FEATURE_DIM):
             raise ValueError(f"features must be ({n}, {FEATURE_DIM})")
 
     def __len__(self) -> int:
         return len(self.piece_ids)
-
-    @property
-    def word_count(self) -> int:
-        return sum(self.active)
 
 
 def align(
@@ -259,25 +258,19 @@ def align(
         raise ValueError("max_len must fit both markers plus one piece")
 
     ids = [vocab.bos_id]
-    piece_tags = [X_TAG]
     active = [False]
     widths = []  # the piece count of each kept word
     truncated = False
-    for word, tag in zip(words, tags):
+    for word in words:
         piece_ids = vocab.tokenize(word)
         n = len(piece_ids)
         if len(ids) + n + 1 > max_len:
             truncated = True
             break
         ids += piece_ids
-        piece_tags.append(tag)
-        active.append(True)
-        if n > 1:
-            piece_tags += [X_TAG] * (n - 1)
-            active += [False] * (n - 1)
+        active += [True] + [False] * (n - 1)
         widths.append(n)
     ids.append(vocab.eos_id)
-    piece_tags.append(X_TAG)
     active.append(False)
     block = np.zeros((len(ids), FEATURE_DIM))  # the markers keep zero rows
     block[1:-1] = np.asarray(features, dtype=np.float64)[:len(widths)].repeat(
@@ -286,7 +279,7 @@ def align(
 
     return AlignedSequence(
         piece_ids=tuple(ids),
-        piece_tags=tuple(piece_tags),
+        tags=tuple(tags[:len(widths)]),
         active=tuple(active),
         features=block,
         truncated=truncated,

@@ -267,8 +267,7 @@ def predict(ckpt: Checkpoint, utterances: Sequence[Sequence[str]],
             for w in utterances[lo:lo + batch_size]
         ]
         batch = make_batch(seqs, [0] * len(seqs), ckpt.slot_vocab)
-        intent_ids, pieces, alpha = predict_batch(ckpt.params, ckpt.config, batch)
-        alphas = np.split(alpha, np.cumsum(batch.lengths)[:-1])
+        intent_ids, pieces, alphas = predict_batch(ckpt.params, ckpt.config, batch)
         out += [
             Prediction(ckpt.intent_vocab.decode(int(i)),
                        decode_word_tags(seq, p, ckpt.slot_vocab), seq, a)

@@ -366,9 +366,11 @@ def annotate_entities_longest_first(words, gazetteer, english_dict):
 
 
 def align_per_piece(words, tags, features, vocab, max_len):
-    """The aligned fields (ids, tags, active, feature block, truncated) built
-    one piece at a time, each word segmented afresh with tokenize_pieces.
-    The reference for the per-word align; it checks no arguments."""
+    """The aligned fields (ids, piece tags, active, feature block, truncated)
+    built one piece at a time, each word segmented afresh with
+    tokenize_pieces, with the per-piece X rule: a word's tag at its first
+    piece, X at every other piece and at both markers. The reference for the
+    per-word align and for make_batch's tag ids; it checks no arguments."""
     from jointnlu.tagging import X_TAG
 
     ids = [vocab.ids["[BOS]"]]
@@ -758,15 +760,16 @@ def softmax_slot_loss_padded(slot_scores, tag_ids, pad_mask):
 def model_padded(params, cfg, batch, gamma, rng=None):
     """The joint model with every layer after the encoder on the padded
     (b, n) layout, as before packing: the reference for model_outputs and
-    model_loss_and_grads. The packed per-piece arrays of `batch` are
-    scattered to zero-padded blocks here. Returns (l_intent, l_slot, grads,
+    model_loss_and_grads. The packed per-piece arrays of `batch`, its ids
+    included, are scattered to zero-padded blocks here. Returns (l_intent, l_slot, grads,
     y_int, slot_scores, alpha), with slot_scores (b, n, K) and alpha (b, n).
     """
     pad_mask, rate = batch.pad_mask, cfg.dropout_rate
     b = pad_mask.shape[0]
     features = pad_rows(batch.features, pad_mask)
     tag_ids = pad_rows(batch.tag_ids, pad_mask)
-    H, enc_cache = encode_padded(batch.ids, pad_mask, params, cfg.encoder, rate, rng)
+    ids = pad_rows(batch.ids, pad_mask)
+    H, enc_cache = encode_padded(ids, pad_mask, params, cfg.encoder, rate, rng)
     y_int, alpha, int_cache = intent_forward_padded(
         H, pad_mask, params, cfg.intent_pool, rate, rng
     )

@@ -62,10 +62,14 @@ def test_serve_tags_every_word_alike_at_batch_1_and_n(workloads, served):
 
 
 def test_predict_matches_serve(workloads, served):
-    # the package's serving path and the benchmark's cannot drift apart
+    # the package's serving path and the benchmark's cannot drift apart,
+    # on an utterance cut at max_len and on one spelling a reserved token
     ckpt, utterances = served
-    predicted = [
-        (p.intent, tuple(str(t) for t in p.tags))
-        for p in predict(ckpt, utterances, workloads.OFFLINE_BATCH)
+    utterances = utterances + [
+        [w for words in utterances for w in words][:workloads.MAX_LEN],
+        ["play", "[PAD]", "[BOS]", "now"],
     ]
+    preds = predict(ckpt, utterances, workloads.OFFLINE_BATCH)
+    assert preds[-2].seq.truncated and not preds[-1].seq.truncated
+    predicted = [(p.intent, tuple(str(t) for t in p.tags)) for p in preds]
     assert predicted == workloads.serve(ckpt, utterances)

@@ -6,7 +6,9 @@ import dataclasses
 import io
 import json
 import os
+import struct
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -870,6 +872,40 @@ def _emptied(raw):
     return b""
 
 
+def _archive_arrays(raw) -> dict:
+    with np.load(io.BytesIO(raw)) as archive:
+        return {k: archive[k] for k in archive.files}
+
+
+def _saved(arrays, save=np.savez) -> bytes:
+    buf = io.BytesIO()
+    save(buf, **arrays)
+    return buf.getvalue()
+
+
+def _broken_member_header(raw):
+    # the first tensor's .npy header names no 'descr' key
+    at = raw.index(b"'descr'")
+    return raw[:at] + b"'dexcr'" + raw[at + 7:]
+
+
+def _object_array_member(raw):
+    arrays = _archive_arrays(raw)
+    arrays["enc.tok_emb"] = np.array([None, "x"], dtype=object)
+    return _saved(arrays)
+
+
+def _corrupt_deflate_stream(raw):
+    # a compressed archive whose first member's first deflate block has
+    # the reserved block type 3
+    out = bytearray(_saved(_archive_arrays(raw), np.savez_compressed))
+    with zipfile.ZipFile(io.BytesIO(bytes(out))) as zf:
+        info = zf.infolist()[0]
+    name_len, extra_len = struct.unpack_from("<HH", out, info.header_offset + 26)
+    out[info.header_offset + 30 + name_len + extra_len] = 0b110
+    return bytes(out)
+
+
 def _extra_pieces(pieces):
     return pieces + [f"[EXTRA{i}]" for i in range(50)]
 
@@ -895,7 +931,10 @@ class TestUnreadableCheckpoint:
             errors.append(captured.err)
         return errors
 
-    @pytest.mark.parametrize("damage", [_cut_in_half, _zeroed_run, _emptied])
+    @pytest.mark.parametrize("damage", [
+        _cut_in_half, _zeroed_run, _emptied, _broken_member_header,
+        _object_array_member, _corrupt_deflate_stream,
+    ])
     def test_damaged_file(self, trained, tmp_path, capsys, damage):
         raw = (trained["out"] / "checkpoint.npz").read_bytes()
         damaged = tmp_path / "damaged.npz"
@@ -904,6 +943,27 @@ class TestUnreadableCheckpoint:
             assert err.startswith(
                 f"error: {damaged}: not a readable model archive ("
             ), err
+
+    @pytest.fixture(scope="class")
+    def flip_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("flips")
+
+    @pytest.mark.parametrize("save", [np.savez, np.savez_compressed])
+    @given(data=st.data())
+    def test_any_one_byte_change_loads_or_names_the_file(self, trained, flip_dir,
+                                                        save, data):
+        raw = (trained["out"] / "checkpoint.npz").read_bytes()
+        if save is np.savez_compressed:
+            raw = _saved(_archive_arrays(raw), save)
+        at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]),
+                         label="byte")
+        path = flip_dir / f"{save.__name__}.npz"
+        path.write_bytes(raw[:at] + bytes([byte]) + raw[at + 1:])
+        try:
+            load_checkpoint(path)
+        except ValueError as err:
+            assert str(err).startswith(f"{path}: "), err
 
     @pytest.mark.parametrize("field,edit", [
         ("intent_labels", lambda labels: labels[:2]),

@@ -44,11 +44,10 @@ SMALL = EncoderConfig(vocab_size=11, d_h=8, n_layers=2, n_heads=2, d_ff=16, max_
 
 
 def small_batch(rng):
-    """Rows of lengths 4, 6 (full) and 1, with random non-zero ids in the
-    padded slots, which nothing may read."""
-    ids = rng.integers(1, SMALL.vocab_size, size=(3, 6))
+    """Rows of lengths 4, 6 (full) and 1: the packed ids, random and
+    non-zero, and the pad mask."""
     pad = np.arange(6)[None, :] < np.array([4, 6, 1])[:, None]
-    return ids, pad
+    return rng.integers(1, SMALL.vocab_size, size=int(pad.sum())), pad
 
 
 def ragged_batch(rng, n):
@@ -320,14 +319,15 @@ class TestEncodeForward:
             assert np.allclose(norms, np.sqrt(SMALL.d_h), atol=1e-6)
 
     def test_padding_content_cannot_leak(self, rng):
+        # each row, padded beside the full one, encodes as it does alone
         params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
-        ids2 = ids.copy()
-        # a different real id in every padded slot
-        ids2[~pad] = ids[~pad] % (SMALL.vocab_size - 1) + 1
-        assert np.array_equal(
-            encode(ids, pad, params, SMALL)[0], encode(ids2, pad, params, SMALL)[0]
-        )
+        out, _ = encode(ids, pad, params, SMALL)
+        lo = 0
+        for L in pad.sum(axis=1):
+            alone, _ = encode(ids[lo:lo + L], np.ones((1, L), bool), params, SMALL)
+            assert np.abs(alone - out[lo:lo + L]).max() <= 1e-12
+            lo += L
 
     def test_attention_rows_are_masked_distributions(self, rng):
         params = part_params(rng, "enc.", encoder=SMALL)
@@ -343,12 +343,14 @@ class TestEncodeForward:
     def test_input_validation(self, rng):
         params = part_params(rng, "enc.", encoder=SMALL)
         ids, pad = small_batch(rng)
+        with pytest.raises(ValueError, match="need 11 ids"):
+            encode(ids[:-1], pad, params, SMALL)
+        with pytest.raises(ValueError, match="need 11 ids"):
+            encode(ids[:1], pad, params, SMALL)  # would broadcast
         with pytest.raises(ValueError):
-            encode(ids[:, :5], pad, params, SMALL)
+            encode(np.full(13, 4), np.ones((1, 13), bool), params, SMALL)
         with pytest.raises(ValueError):
-            encode(np.full((1, 13), 4), np.ones((1, 13), bool), params, SMALL)
-        with pytest.raises(ValueError):
-            encode(np.array([[4, 99]]), np.ones((1, 2), bool), params, SMALL)
+            encode(np.array([4, 99]), np.ones((1, 2), bool), params, SMALL)
         with pytest.raises(ValueError):
             encode(ids, np.zeros_like(pad), params, SMALL)
 
@@ -424,7 +426,7 @@ class TestPackedMatchesPaddedOracle:
             rng_packed = np.random.default_rng(trial)
             rng_padded = np.random.default_rng(trial)
 
-            out, cache = encode(ids, pad, params, SMALL, rate, rng_packed)
+            out, cache = encode(ids[pad], pad, params, SMALL, rate, rng_packed)
             ref, ref_cache = encode_padded(ids, pad, params, SMALL, rate, rng_padded)
             assert rng_packed.bit_generator.state == rng_padded.bit_generator.state
             assert np.abs(out - ref[pad]).max() <= 1e-12
@@ -446,6 +448,6 @@ class TestPackedMatchesPaddedOracle:
         params = part_params(rng, "enc.", encoder=SMALL)
         ids = rng.integers(1, SMALL.vocab_size, size=(1, 7))
         pad = np.ones((1, 7), dtype=bool)
-        out, _ = encode(ids, pad, params, SMALL)
+        out, _ = encode(ids[pad], pad, params, SMALL)
         ref, _ = encode_padded(ids, pad, params, SMALL)
         assert np.abs(out - ref[0]).max() <= 1e-12

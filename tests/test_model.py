@@ -33,6 +33,7 @@ from jointnlu.toy import toy_grammar
 from jointnlu.training import TrainConfig, predict, train
 
 from oracles import (
+    align_per_piece,
     decode_word_tags_per_piece,
     finite_difference,
     intent_ce,
@@ -62,7 +63,6 @@ def tiny_batch(rng, b=3, n=7):
     ids = rng.integers(4, VOCAB, size=(b, n))
     pad_mask = np.ones((b, n), dtype=bool)
     pad_mask[0, n - 2:] = False  # one padded row exercises masking
-    ids[~pad_mask] = 0
     features = np.zeros((b, n, FEATURE_DIM))
     hot = rng.integers(0, FEATURE_DIM, size=(b, n))
     for i in range(b):
@@ -71,27 +71,35 @@ def tiny_batch(rng, b=3, n=7):
                 features[i, j, hot[i, j]] = 1.0
     tag_ids = rng.integers(0, N_SLOTS, size=(b, n))
     intent_ids = rng.integers(0, N_INT, size=b)
-    return Batch(ids, pad_mask, features[pad_mask], tag_ids[pad_mask], intent_ids)
+    return Batch(ids[pad_mask], pad_mask.sum(axis=1), features[pad_mask],
+                 tag_ids[pad_mask], intent_ids)
 
 
 def ragged_batch(rng, lengths, n=7):
-    """A batch whose sequences have the given lengths, padded to n. The
-    padded slots hold random real ids, which nothing may read."""
+    """A batch whose sequences have the given lengths, each at most n."""
     b = len(lengths)
     pad_mask = np.arange(n)[None, :] < np.asarray(lengths)[:, None]
-    ids = rng.integers(4, VOCAB, size=(b, n))
+    ids = rng.integers(4, VOCAB, size=(b, n))[pad_mask]
     T = int(pad_mask.sum())
     features = np.zeros((T, FEATURE_DIM))
     features[np.arange(T), rng.integers(0, FEATURE_DIM, size=T)] = 1.0
     tag_ids = rng.integers(0, N_SLOTS, size=T)
     intent_ids = rng.integers(0, N_INT, size=b)
-    return Batch(ids, pad_mask, features, tag_ids, intent_ids)
+    return Batch(ids, pad_mask.sum(axis=1), features, tag_ids, intent_ids)
 
 
 def segments(batch):
     """(start, length) of each sequence's packed rows."""
-    lengths = batch.pad_mask.sum(axis=1)
+    lengths = batch.lengths
     return list(zip((np.cumsum(lengths) - lengths).tolist(), lengths.tolist()))
+
+
+def sub_batch(batch, i):
+    """Sequence i of a batch, alone."""
+    lo, L = segments(batch)[i]
+    return Batch(batch.ids[lo:lo + L], batch.lengths[i:i + 1],
+                 batch.features[lo:lo + L], batch.tag_ids[lo:lo + L],
+                 batch.intent_ids[i:i + 1])
 
 
 class TestConfig:
@@ -359,7 +367,7 @@ class TestPackedMatchesPaddedModel:
             params = init_model_params(cfg, rng, scale=0.3)
             lengths = rng.integers(1, 8, size=5)
             lengths[:2] = (1, 7)
-            batch = ragged_batch(rng, lengths)  # random ids in the padding
+            batch = ragged_batch(rng, lengths)
             pad = batch.pad_mask
 
             rng_packed = np.random.default_rng(trial)
@@ -609,22 +617,20 @@ class TestSlotLossShape:
         assert loss == pytest.approx(np.mean(manual))
 
     def test_padded_positions_carry_no_gradient(self, rng):
-        # whatever ids the padded slots hold, no loss or gradient moves
+        # the losses and gradients of a ragged batch are the means of its
+        # sequences' own, each taken alone and so without padding
         batch = ragged_batch(rng, [7, 1, 4, 2, 7])
-        ids = batch.ids.copy()
-        ids[~batch.pad_mask] = rng.integers(0, VOCAB, size=(~batch.pad_mask).sum())
-        other = Batch(ids, batch.pad_mask, batch.features, batch.tag_ids,
-                      batch.intent_ids)
         for slot_mode in SLOT_MODES:
-            cfg = tiny_config(slot_mode=slot_mode, dropout_rate=0.3)
-            params = init_model_params(cfg, rng)
-            li, ls, _, g = model_loss_and_grads(
-                params, cfg, batch, 0.4, np.random.default_rng(3))
-            li2, ls2, _, g2 = model_loss_and_grads(
-                params, cfg, other, 0.4, np.random.default_rng(3))
-            assert (li2, ls2) == (li, ls)
+            cfg = tiny_config(slot_mode=slot_mode, dropout_rate=0.0)
+            params = init_model_params(cfg, rng, scale=0.3)
+            li, ls, _, g = model_loss_and_grads(params, cfg, batch, 0.4)
+            alone = [model_loss_and_grads(params, cfg, sub_batch(batch, i), 0.4)
+                     for i in range(len(batch.lengths))]
+            assert abs(li - np.mean([a[0] for a in alone])) <= 1e-12
+            assert abs(ls - np.mean([a[1] for a in alone])) <= 1e-12
             for k in g:
-                assert np.array_equal(g2[k], g[k]), (slot_mode, k)
+                mean = np.mean([a[3][k] for a in alone], axis=0)
+                assert np.abs(g[k] - mean).max() <= 1e-12, (slot_mode, k)
 
     def test_crf_loss_is_batch_mean_of_the_packed_crf(self, rng):
         from jointnlu.crf import crf_nll, crf_nll_backward
@@ -652,13 +658,14 @@ class TestPredict:
             cfg = tiny_config(slot_mode=slot_mode)
             params = init_model_params(cfg, rng)
             batch = tiny_batch(rng)
-            intents, pieces, alpha = predict_batch(params, cfg, batch)
+            intents, pieces, alphas = predict_batch(params, cfg, batch)
             assert intents.shape == (3,)
             assert all(0 <= i < N_INT for i in intents)
-            lengths = batch.pad_mask.sum(axis=1)
-            for i, p in enumerate(pieces):
-                assert len(p) == lengths[i]
+            _, _, alpha, _ = model_outputs(params, cfg, batch)
+            for (lo, L), p, a in zip(segments(batch), pieces, alphas, strict=True):
+                assert len(p) == L
                 assert p.min() >= 0 and p.max() < N_SLOTS
+                assert np.array_equal(a, alpha[lo:lo + L])
 
     def test_crf_predictions_use_transitions(self, rng):
         cfg = tiny_config(slot_mode="crf")
@@ -750,7 +757,7 @@ class TestEndToEndPipeline:
 
         utt = data.train[0]
         seq = align_utterance(utt, piece_vocab, featurizer, max_len=30)
-        assert seq.word_count == len(utt.words)
+        assert len(seq.tags) == len(utt.words)
 
         enc = EncoderConfig(
             vocab_size=len(piece_vocab.pieces), d_h=8, n_layers=1,
@@ -777,8 +784,22 @@ class TestEndToEndPipeline:
         slot_vocab = SlotVocab.from_corpus(data.train)
         for utt in data.train:
             seq = align_utterance(utt, piece_vocab, featurizer, max_len=40)
-            gold_ids = np.array([slot_vocab.encode(t) for t in seq.piece_tags])
+            gold_ids = make_batch([seq], [0], slot_vocab).tag_ids
             assert decode_word_tags(seq, gold_ids, slot_vocab) == list(utt.tags)
+
+
+class TestReservedSpellingsServed:
+    def test_the_word_bos_is_no_start_marker(self, rng):
+        cfg = tiny_config()
+        ckpt = tiny_checkpoint(init_model_params(cfg, rng), cfg)
+        piece_vocab = ckpt.piece_vocab
+        for words in (["[BOS]", "play"], ["[PAD]", "[EOS]", "[BOS]"]):
+            (pred,) = predict(ckpt, [words])
+            ids = pred.seq.piece_ids
+            assert ids.count(piece_vocab.bos_id) == 1 and ids[0] == piece_vocab.bos_id
+            assert ids.count(piece_vocab.eos_id) == 1 and ids[-1] == piece_vocab.eos_id
+            assert 0 not in ids
+            assert len(pred.tags) == len(words)
 
 
 class TestDecodeWordTags:
@@ -810,47 +831,53 @@ class TestDecodeWordTags:
                 assert decode_word_tags(seq, ids, slot_vocab) == \
                     decode_word_tags_per_piece(seq, ids, slot_vocab)
             assert decode_word_tags(seq, x_at_first, slot_vocab) == \
-                [O_TAG] * seq.word_count
+                [O_TAG] * len(seq.tags)
 
 
 class TestBatch:
-    def test_make_batch_pads_and_masks(self, rng):
-        data = toy_grammar(9, 8, 2, 2)
-        from jointnlu.subwords import train_vocab
-
+    @pytest.mark.parametrize("max_len", [40, 12])
+    def test_make_batch_matches_per_piece_reference(self, max_len):
+        # ragged batches, some utterances truncated at max_len 12
+        data = toy_grammar(9, 16, 2, 2)
         words = sorted({w for u in data.train for w in u.words})
         piece_vocab = train_vocab(words, 200)
         featurizer = data.featurizer()
         slot_vocab = SlotVocab.from_corpus(data.train)
-        seqs = [
-            align_utterance(u, piece_vocab, featurizer, max_len=40)
-            for u in data.train[:4]
-        ]
-        batch = make_batch(seqs, [0, 1, 2, 3], slot_vocab)
-        n = batch.ids.shape[1]
-        assert n == max(len(s) for s in seqs)
-        for i, seq in enumerate(seqs):
-            L = len(seq)
-            assert batch.pad_mask[i, :L].all()
-            assert not batch.pad_mask[i, L:].any()
-            assert batch.ids[i, :L].tolist() == list(seq.piece_ids)
-            assert (batch.ids[i, L:] == 0).all()
-        # the per-piece arrays are packed: sequence after sequence
-        assert np.array_equal(
-            batch.features, np.concatenate([s.features for s in seqs])
-        )
+        utts = data.train[:6]
+        seqs = [align_utterance(u, piece_vocab, featurizer, max_len) for u in utts]
+        assert len({len(s) for s in seqs}) > 1
+        assert any(s.truncated for s in seqs) == (max_len == 12)
+        batch = make_batch(seqs, range(6), slot_vocab)
+        ref = [align_per_piece(u.words, u.tags, featurizer.featurize(u.words),
+                               piece_vocab, max_len) for u in utts]
+        assert batch.ids.tolist() == [pid for r in ref for pid in r[0]]
+        assert batch.lengths.tolist() == [len(r[0]) for r in ref]
+        assert batch.features.tobytes() == np.concatenate(
+            [r[3] for r in ref]).tobytes()
         assert batch.tag_ids.tolist() == [
-            slot_vocab.encode(t) for s in seqs for t in s.piece_tags
+            slot_vocab.encode(t) for r in ref for t in r[1]
         ]
+        assert batch.intent_ids.tolist() == list(range(6))
+        assert np.array_equal(
+            batch.pad_mask,
+            np.arange(max(map(len, seqs))) < batch.lengths[:, None],
+        )
 
     def test_per_piece_arrays_need_one_row_per_real_position(self, rng):
         batch = tiny_batch(rng)
-        with pytest.raises(ValueError):
-            Batch(batch.ids, batch.pad_mask, batch.features[:-1],
+        for i in range(3):
+            arrays = [batch.ids, batch.features, batch.tag_ids]
+            arrays[i] = arrays[i][:-1]
+            ids, features, tag_ids = arrays
+            with pytest.raises(ValueError, match="one row per real position"):
+                Batch(ids, batch.lengths, features, tag_ids, batch.intent_ids)
+
+    @pytest.mark.parametrize("lengths", [[5, 0, 7], [6, -1, 8], [], [[5, 7, 7]]])
+    def test_lengths_need_a_real_position_each(self, rng, lengths):
+        batch = tiny_batch(rng)
+        with pytest.raises(ValueError, match="at least one real position"):
+            Batch(batch.ids, np.array(lengths, dtype=int), batch.features,
                   batch.tag_ids, batch.intent_ids)
-        with pytest.raises(ValueError):
-            Batch(batch.ids, batch.pad_mask, batch.features,
-                  batch.tag_ids[:-1], batch.intent_ids)
 
     def test_mismatched_lengths_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Vocabulary induction, greedy tokenization, and tag/feature alignment."""
 
 import zipfile
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -210,11 +211,40 @@ class TestTokenize:
         assert pieces == v.tokenize_pieces(word)
 
 
+class TestReservedSpellings:
+    """Text never reads as a reserved token, so no word can become the
+    padding id 0 or a start or end marker."""
+
+    MARKER_IDS = {0, 2, 3}
+
+    def test_toy_vocabulary_reads_them_as_unknown(self):
+        data = toy_grammar(0, 200, 5, 5)
+        v = train_vocab([w for u in data.train for w in u.words], 300)
+        assert not any("[" in p for p in v.pieces[len(RESERVED_TOKENS):])
+        for word in RESERVED_TOKENS:
+            assert v.tokenize(word) == [v.ids[UNK_TOKEN]], word
+
+    @pytest.mark.parametrize("extra", [0, 8, 40])
+    def test_a_vocabulary_trained_on_them_splits_them(self, extra):
+        # with enough merges, [PAD] and the rest are merged pairs that
+        # train_vocab does not add again
+        words = [*RESERVED_TOKENS, "[PA"] * 3
+        target = len(RESERVED_TOKENS) + 2 * len(set("".join(words))) + extra
+        v = train_vocab(words, target)
+        for word in RESERVED_TOKENS:
+            ids = v.tokenize(word)
+            assert not self.MARKER_IDS & set(ids), word
+            assert UNK_TOKEN not in v.tokenize_pieces(word), word
+            assert "".join(
+                p.removeprefix(CONTINUATION) for p in v.tokenize_pieces(word)
+            ) == word
+
+
 class TestAlign:
     def _vocab(self):
         return make_vocab("play", "broad", "##rick", "music")
 
-    def test_first_piece_carries_tag_rest_get_x(self):
+    def test_first_pieces_are_active_and_carry_the_tags(self):
         v = self._vocab()
         words = ["play", "broadrick"]
         tags = parse_tags(["O", "I-artist"])
@@ -225,7 +255,7 @@ class TestAlign:
         assert seq.piece_ids == (
             v.bos_id, v.ids["play"], v.ids["broad"], v.ids["##rick"], v.eos_id
         )
-        assert [str(t) for t in seq.piece_tags] == ["X", "O", "I-artist", "X", "X"]
+        assert seq.tags == tuple(tags)
         assert seq.active == (False, True, True, False, False)
         assert not seq.truncated
 
@@ -252,22 +282,22 @@ class TestAlign:
         assert seq.features.tobytes() == want.tobytes()
         # a truncated sequence keeps the rows of the words it kept
         cut = align(words, [O_TAG] * 4, feats, v, max_len=8)
-        assert cut.truncated and cut.word_count == 2
+        assert cut.truncated and cut.tags == (O_TAG,) * 2
         assert cut.features.tobytes() == np.vstack(
             [want[:5], np.zeros((1, FEATURE_DIM))]
         ).tobytes()
 
-    def test_markers_carry_zero_features_and_x(self):
+    def test_markers_carry_zero_features_and_are_inactive(self):
         v = self._vocab()
         seq = align(["play"], [O_TAG], np.ones((1, FEATURE_DIM)), v, max_len=50)
         assert np.array_equal(seq.features[0], np.zeros(FEATURE_DIM))
         assert np.array_equal(seq.features[-1], np.zeros(FEATURE_DIM))
-        assert seq.piece_tags[0] == X_TAG and seq.piece_tags[-1] == X_TAG
+        assert not seq.active[0] and not seq.active[-1]
 
     def test_single_word_single_active(self):
         v = self._vocab()
         seq = align(["music"], [O_TAG], np.zeros((1, FEATURE_DIM)), v, max_len=50)
-        assert sum(seq.active) == 1 == seq.word_count
+        assert sum(seq.active) == 1 == len(seq.tags)
 
     def test_truncation_drops_whole_trailing_word(self):
         v = self._vocab()
@@ -276,7 +306,7 @@ class TestAlign:
         seq = align(words, tags, np.zeros((2, FEATURE_DIM)), v, max_len=4)
         assert seq.truncated
         assert seq.piece_ids == (v.bos_id, v.ids["play"], v.eos_id)
-        assert seq.word_count == 1
+        assert seq.tags == (O_TAG,)
 
     def test_exact_fit_is_not_truncated(self):
         v = self._vocab()
@@ -287,8 +317,8 @@ class TestAlign:
     def test_empty_utterance(self):
         v = self._vocab()
         seq = align([], [], np.zeros((0, FEATURE_DIM)), v, max_len=50)
-        assert len(seq) == 2 and seq.word_count == 0
-        assert de_align(seq, seq.piece_tags) == []
+        assert len(seq) == 2 and seq.tags == ()
+        assert de_align(seq, [X_TAG, X_TAG]) == []
 
     def test_word_tag_length_mismatch(self):
         v = self._vocab()
@@ -313,9 +343,14 @@ class TestDeAlign:
         tags = parse_tags(["B-song", "I-artist"])
         return align(words, tags, np.zeros((2, FEATURE_DIM)), v, max_len=50), tags
 
+    @staticmethod
+    def _gold_pieces(tags):
+        """The per-piece tags of [BOS] play broad ##rick [EOS]."""
+        return [X_TAG, tags[0], tags[1], X_TAG, X_TAG]
+
     def test_gold_pieces_round_trip(self):
         seq, tags = self._aligned()
-        assert de_align(seq, seq.piece_tags) == tags
+        assert de_align(seq, self._gold_pieces(tags)) == tags
 
     def test_x_at_active_position_becomes_o(self):
         seq, _ = self._aligned()
@@ -324,7 +359,7 @@ class TestDeAlign:
 
     def test_inactive_predictions_ignored(self):
         seq, tags = self._aligned()
-        preds = list(seq.piece_tags)
+        preds = self._gold_pieces(tags)
         for i, is_active in enumerate(seq.active):
             if not is_active:
                 preds[i] = SlotTag("B", "noise")
@@ -333,7 +368,7 @@ class TestDeAlign:
     def test_length_mismatch_rejected(self):
         seq, _ = self._aligned()
         with pytest.raises(AlignmentError):
-            de_align(seq, seq.piece_tags[:-1])
+            de_align(seq, [X_TAG] * (len(seq) - 1))
 
 
 class TestRoundTripOracle:
@@ -355,8 +390,9 @@ class TestRoundTripOracle:
             feats = rand_features(rng, n)
             seq = align(words, tags, feats, vocab, max_len=200)
             assert not seq.truncated
-            assert seq.word_count == n
-            assert de_align(seq, seq.piece_tags) == tags
+            assert seq.tags == tuple(tags)
+            gold = align_per_piece(words, tags, feats, vocab, 200)[1]
+            assert de_align(seq, gold) == tags
             active_rows = seq.features[np.array(seq.active)]
             assert np.array_equal(active_rows, feats)
 
@@ -415,8 +451,8 @@ class TestAlignMatchesPerPieceReference:
         ids, piece_tags, active, block, truncated = align_per_piece(
             words, tags, feats, self.VOCAB, max_len)
         assert got.piece_ids == ids
-        assert got.piece_tags == piece_tags
         assert got.active == active
+        assert got.tags == tuple(compress(piece_tags, active))
         assert got.features.dtype == block.dtype
         assert got.features.tobytes() == block.tobytes()
         assert got.truncated == truncated
@@ -450,8 +486,8 @@ class TestAlignedSequenceValidation:
         with pytest.raises(ValueError):
             AlignedSequence(
                 piece_ids=(2, 3),
-                piece_tags=(X_TAG,),
-                active=(False, False),
+                tags=(),
+                active=(False,),
                 features=np.zeros((2, FEATURE_DIM)),
             )
 
@@ -459,7 +495,18 @@ class TestAlignedSequenceValidation:
         with pytest.raises(ValueError):
             AlignedSequence(
                 piece_ids=(2, 3),
-                piece_tags=(X_TAG, X_TAG),
+                tags=(),
                 active=(False, False),
                 features=np.zeros((2, FEATURE_DIM + 1)),
+            )
+
+    @pytest.mark.parametrize("tags", [(), (O_TAG,), (O_TAG,) * 3])
+    def test_one_tag_per_first_piece(self, tags):
+        # two words, the second of two pieces: exactly two tags
+        with pytest.raises(ValueError, match="one tag per first piece"):
+            AlignedSequence(
+                piece_ids=(2, 4, 5, 6, 3),
+                tags=tags,
+                active=(False, True, True, False, False),
+                features=np.zeros((5, FEATURE_DIM)),
             )
