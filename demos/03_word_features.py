@@ -4,11 +4,18 @@ Per-word features: truecasing, entities, and the 23-dim encoding
 
 The word-feature pipeline runs before the model sees anything: restore
 each word's canonical casing from a lexicon, then label entities from a
-gazetteer plus a few shape rules, and one-hot encode (entity, case) into
-a 23-dim row (19 entity classes + 4 case classes).
+gazetteer plus a few shape rules. Each word's (entity, case) pair travels
+as one code until a batch is built, where it becomes a one-hot 23-dim row
+(19 entity classes + 4 case classes).
 """
 
-from jointnlu import CaseClass, EntityClass, WordFeaturizer, encode_features
+from jointnlu import (
+    CaseClass,
+    EntityClass,
+    WordFeaturizer,
+    encode_features,
+    feature_codes,
+)
 
 featurizer = WordFeaturizer(
     lexicon={
@@ -43,12 +50,15 @@ assert entities[7] is EntityClass.NONE
 assert cases[8] is CaseClass.O
 
 # ------------------------------------------------------------------
-# The dense encoding: one 23-dim row per word, exactly two ones.
+# The codes and the dense encoding: one code per word, e * 4 + c, and
+# one 23-dim row per code with exactly two ones.
 # ------------------------------------------------------------------
-row = encode_features([EntityClass.CITY], [CaseClass.INIT_UPPER])[0]
-print("\nfeature row length:", row.shape[0])
+code = feature_codes([EntityClass.CITY], [CaseClass.INIT_UPPER])[0]
+row = encode_features([code])[0]
+print("\nCITY/INIT_UPPER code:", code, "| feature row length:", row.shape[0])
 print("hot positions:", [int(i) for i in row.nonzero()[0]],
       "(entity block 0-18, case block 19-22)")
 
-rows = featurizer.featurize(words)
-print("featurize shape for the sentence:", rows.shape)
+codes = featurizer.featurize(words)
+print("featurize codes for the sentence:", codes)
+print("their rows:", encode_features(codes).shape)

@@ -24,6 +24,7 @@ from .features import (
     FEATURE_DIM,
     WordFeaturizer,
     encode_features,
+    feature_codes,
 )
 from .model import (
     Checkpoint,
@@ -108,6 +109,7 @@ __all__ = [
     "encode_features",
     "evaluate",
     "extract_chunks",
+    "feature_codes",
     "init_model_params",
     "intent_accuracy",
     "lint_corpus",

@@ -9,9 +9,12 @@ dense layer's gradient. Every dense layer (embedding, Q/K/V, output
 projection, feed-forward, layer norms) runs on the packed rows of real pieces
 only, and every dropout mask is drawn at that (T, d_h) shape; the attention
 scores, their softmax and the weighted sum of values are the one block kept in
-the padded layout, with padded keys masked out of every row, so padding can
-never influence real positions. The piece ids come in packed, placed by the
-(b, n) pad_mask, and the hidden states go out packed.
+the padded layout. `encode` builds one (b, 1, 1, n) key bias per batch, in
+the compute dtype: 0 at real keys and -inf at padded ones. Each layer adds it
+in place to its scaled scores, so every padded key gets probability zero in
+every row and padding can never influence real positions (x + 0 is x, and
+x + -inf is -inf). The piece ids come in packed, placed by the (b, n)
+pad_mask, and the hidden states go out packed.
 
 Parameters are read from the model's flat name->array dict under their
 model.param_spec names ("enc.tok_emb", "enc.l0.Wq", ...); gradients come
@@ -100,15 +103,17 @@ def _dense_backward(x, d_y, params, grads, p, name):
     return d_y @ params[p + "W" + name].T
 
 
-def _attention(x, rows, pad_mask, params, p, cfg, rate, rng):
-    """Masked multi-head self-attention over the rows x, then _add_norm."""
-    b, n = pad_mask.shape
+def _attention(x, rows, key_bias, params, p, cfg, rate, rng):
+    """Multi-head self-attention over the rows x, padded keys masked by the
+    (b, 1, 1, n) key_bias, then _add_norm."""
+    b, _, _, n = key_bias.shape
     q = _to_heads(x @ params[p + "Wq"] + params[p + "bq"], rows, b, n, cfg.n_heads)
     k = _to_heads(x @ params[p + "Wk"] + params[p + "bk"], rows, b, n, cfg.n_heads)
     v = _to_heads(x @ params[p + "Wv"] + params[p + "bv"], rows, b, n, cfg.n_heads)
     scale = 1.0 / math.sqrt(cfg.d_head)
-    key_mask = pad_mask[:, None, None, :]  # broadcast over heads and queries
-    scores = np.where(key_mask, (q @ k.swapaxes(-1, -2)) * scale, -np.inf)
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
+    scores += key_bias  # broadcast over heads and queries
     probs = stable_softmax(scores, axis=-1)
     ctx = _from_heads(probs @ v, rows)
     out = ctx @ params[p + "Wo"] + params[p + "bo"]
@@ -181,10 +186,11 @@ def encode(
     emb_mask = dropout_mask(rng, x.shape, dropout_rate, x.dtype)
     x = apply_mask(x, emb_mask)
 
+    key_bias = np.where(pad_mask, 0.0, -np.inf).astype(x.dtype)[:, None, None, :]
     layers = []
     for i in range(cfg.n_layers):
         p = f"enc.l{i}."
-        x, attn = _attention(x, rows, pad_mask, params, p, cfg, dropout_rate, rng)
+        x, attn = _attention(x, rows, key_bias, params, p, cfg, dropout_rate, rng)
         x, ffn = _feed_forward(x, params, p, dropout_rate, rng)
         layers.append((attn, ffn))
 

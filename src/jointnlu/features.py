@@ -1,10 +1,12 @@
 """Per-word casing and entity features, and the small network that embeds them.
 
-Each word gets a 23-dim one-hot pair: 19 entity classes followed by 4 case
-classes. Casing comes from a lexicon of canonical forms; entities come from a
-longest-match gazetteer plus a few deterministic rules (digits, years,
-airport codes). A two-layer PReLU network maps the 23-dim vector to a 32-dim
-embedding that the slot classifier consumes.
+Each word gets an entity class and a case class, carried as one pair code
+e * CASE_DIM + c. Casing comes from a lexicon of canonical forms; entities
+come from a longest-match gazetteer plus a few deterministic rules (digits,
+years, airport codes). `encode_features` turns codes into 23-dim one-hot
+rows, 19 entity classes followed by 4 case classes, and the sequence markers'
+MARKER_CODE into a zero row. A two-layer PReLU network maps each row to a
+32-dim embedding that the slot classifier consumes.
 """
 
 from __future__ import annotations
@@ -173,24 +175,34 @@ def annotate_entities(
     return out
 
 
-# Row e * CASE_DIM + c is the one-hot pair of entity class e and case class c.
-_ONE_HOT_PAIRS = np.hstack([
-    np.repeat(np.eye(ENTITY_DIM), CASE_DIM, axis=0),
-    np.tile(np.eye(CASE_DIM), (ENTITY_DIM, 1)),
+# The code of the [BOS]/[EOS] markers, one past the last pair code.
+MARKER_CODE = ENTITY_DIM * CASE_DIM
+
+# Row e * CASE_DIM + c is the one-hot pair of entity class e and case class
+# c; row MARKER_CODE is all zeros.
+_FEATURE_ROWS = np.vstack([
+    np.hstack([np.repeat(np.eye(ENTITY_DIM), CASE_DIM, axis=0),
+               np.tile(np.eye(CASE_DIM), (ENTITY_DIM, 1))]),
+    np.zeros((1, FEATURE_DIM)),
 ])
 
 
-def encode_features(
+def feature_codes(
     entities: Sequence[EntityClass], cases: Sequence[CaseClass]
-) -> np.ndarray:
-    """One one-hot pair per word, shape (len(entities), 23): entity block
-    first, case block after it."""
+) -> list[int]:
+    """Each word's pair code e * CASE_DIM + c."""
     if len(entities) != len(cases):
         raise ValueError(
             f"{len(entities)} entity classes vs {len(cases)} case classes"
         )
-    pairs = [e * CASE_DIM + c for e, c in zip(entities, cases)]
-    return _ONE_HOT_PAIRS.take(pairs, axis=0)
+    return [e * CASE_DIM + c for e, c in zip(entities, cases)]
+
+
+def encode_features(codes) -> np.ndarray:
+    """The float64 rows of the given codes, shape (len(codes), 23): a pair
+    code's one-hot pair, entity block first and case block after it, and
+    MARKER_CODE's zero row."""
+    return _FEATURE_ROWS.take(np.asarray(codes, dtype=np.intp), axis=0)
 
 
 def feature_forward(x: np.ndarray, params: dict[str, np.ndarray]):
@@ -341,10 +353,10 @@ class WordFeaturizer:
         entities = annotate_entities(facts, self.phrase_index)
         return entities, [f.case for f in facts], [f.canonical for f in facts]
 
-    def featurize(self, words: Sequence[str]) -> np.ndarray:
-        """Per-word 23-dim feature rows, shape (len(words), 23)."""
+    def featurize(self, words: Sequence[str]) -> list[int]:
+        """Each word's pair code (see feature_codes), one per word."""
         entities, cases, _ = self.annotate(words)
-        return encode_features(entities, cases)
+        return feature_codes(entities, cases)
 
     def to_dict(self) -> dict:
         return {

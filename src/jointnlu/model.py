@@ -35,6 +35,7 @@ from .features import (
     FEATURE_DIM,
     FEATURE_HIDDEN,
     WordFeaturizer,
+    encode_features,
     feature_backward,
     feature_forward,
 )
@@ -211,7 +212,8 @@ def make_batch(
     slot_vocab: SlotVocab,
 ) -> Batch:
     """The sequences packed into one Batch. The X rule lives here: every
-    position's tag id is X's but at each first piece, which gets its word's."""
+    position's tag id is X's but at each first piece, which gets its word's.
+    The feature rows of all pieces come from their codes in one gather."""
     if not seqs or len(seqs) != len(intent_ids):
         raise ValueError("need one intent id per aligned sequence")
     ids = np.fromiter(chain.from_iterable(seq.piece_ids for seq in seqs), int)
@@ -219,7 +221,8 @@ def make_batch(
     tag_ids = np.full(len(ids), slot_vocab.encode(X_TAG))
     tag_ids[active] = [slot_vocab.encode(t) for seq in seqs for t in seq.tags]
     lengths = np.array([len(seq) for seq in seqs])
-    features = np.concatenate([seq.features for seq in seqs])
+    features = encode_features(np.fromiter(
+        chain.from_iterable(seq.features for seq in seqs), int, len(ids)))
     return Batch(ids, lengths, features, tag_ids, np.asarray(intent_ids, dtype=int))
 
 

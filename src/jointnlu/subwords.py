@@ -3,9 +3,11 @@ bookkeeping that maps word-level tags onto piece-level sequences.
 
 Aligned sequences are framed by start/end markers. A boolean `active` mask
 marks the first piece of each kept word and `tags` holds one tag per first
-piece; `model.make_batch` gives every other position X. Word features are
-copied to every piece of the word; markers get zeros. Piece-level predictions
-are gathered back to word level at the active positions.
+piece; `model.make_batch` gives every other position X. A word's feature
+code is repeated on every piece of the word, and the markers get
+MARKER_CODE; `model.make_batch` turns the codes into feature rows.
+Piece-level predictions are gathered back to word level at the active
+positions.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .data import id_table
-from .features import FEATURE_DIM
+from .features import MARKER_CODE
 from .tagging import AlignmentError, O_TAG, SlotTag
 
 CONTINUATION = "##"
@@ -29,6 +29,9 @@ UNK_TOKEN = "[UNK]"
 BOS_TOKEN = "[BOS]"
 EOS_TOKEN = "[EOS]"
 RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN, BOS_TOKEN, EOS_TOKEN)
+
+# The codes a word's features may have: every pair code, not MARKER_CODE.
+_WORD_CODES = frozenset(range(MARKER_CODE))
 
 # Most distinct words one vocabulary remembers the piece ids of; a word first
 # seen after that is segmented afresh on every call.
@@ -213,15 +216,16 @@ def train_vocab(words: Iterable[str], target_size: int) -> WordPieceVocab:
 class AlignedSequence:
     """Piece-level view of one tagged utterance, framed by [BOS]/[EOS].
 
-    `piece_ids`, `active` and the (length, 23) float64 `features` share one
-    length. `active[i]` is True exactly at the first piece of each kept word,
-    and `tags` holds the tags of those words, in order.
+    `piece_ids`, `active` and `features`, each piece's feature code (its
+    word's pair code, MARKER_CODE at the markers), share one length.
+    `active[i]` is True exactly at the first piece of each kept word, and
+    `tags` holds the tags of those words, in order.
     """
 
     piece_ids: tuple[int, ...]
     tags: tuple[SlotTag, ...]
     active: tuple[bool, ...]
-    features: np.ndarray
+    features: tuple[int, ...]
     truncated: bool = False
 
     def __post_init__(self):
@@ -230,8 +234,11 @@ class AlignedSequence:
             raise ValueError("aligned fields disagree on length")
         if len(self.tags) != sum(self.active):
             raise ValueError("need one tag per first piece")
-        if self.features.shape != (n, FEATURE_DIM):
-            raise ValueError(f"features must be ({n}, {FEATURE_DIM})")
+        if len(self.features) != n:
+            raise ValueError(
+                f"need one feature code per piece, got {len(self.features)} "
+                f"for {n} pieces"
+            )
 
     def __len__(self) -> int:
         return len(self.piece_ids)
@@ -240,11 +247,12 @@ class AlignedSequence:
 def align(
     words: Sequence[str],
     tags: Sequence[SlotTag],
-    features: np.ndarray,
+    features: Sequence[int],
     vocab: WordPieceVocab,
     max_len: int,
 ) -> AlignedSequence:
-    """Tokenize a tagged utterance and build its aligned piece sequence.
+    """Tokenize a tagged utterance and build its aligned piece sequence;
+    `features` holds each word's pair code (WordFeaturizer.featurize).
 
     Truncation drops trailing words whole: a word whose pieces would cross
     the max_len boundary (with both markers counted) is cut entirely and the
@@ -252,16 +260,25 @@ def align(
     """
     if len(words) != len(tags):
         raise AlignmentError(f"{len(words)} words vs {len(tags)} tags")
-    if np.shape(features) != (len(words), FEATURE_DIM):
-        raise ValueError(f"features must be ({len(words)}, {FEATURE_DIM})")
+    if len(features) != len(words):
+        raise ValueError(
+            f"need one feature code per word, got {len(features)} "
+            f"for {len(words)} words"
+        )
+    if not _WORD_CODES.issuperset(features):
+        bad = next(c for c in features if c not in _WORD_CODES)
+        raise ValueError(
+            f"feature code {bad!r} is not a pair code (0..{MARKER_CODE - 1})"
+        )
     if max_len < 3:
         raise ValueError("max_len must fit both markers plus one piece")
 
     ids = [vocab.bos_id]
     active = [False]
-    widths = []  # the piece count of each kept word
+    codes = [MARKER_CODE]
+    kept = 0  # words kept whole
     truncated = False
-    for word in words:
+    for word, code in zip(words, features):
         piece_ids = vocab.tokenize(word)
         n = len(piece_ids)
         if len(ids) + n + 1 > max_len:
@@ -269,19 +286,17 @@ def align(
             break
         ids += piece_ids
         active += [True] + [False] * (n - 1)
-        widths.append(n)
+        codes += [code] * n
+        kept += 1
     ids.append(vocab.eos_id)
     active.append(False)
-    block = np.zeros((len(ids), FEATURE_DIM))  # the markers keep zero rows
-    block[1:-1] = np.asarray(features, dtype=np.float64)[:len(widths)].repeat(
-        widths, axis=0
-    )
+    codes.append(MARKER_CODE)
 
     return AlignedSequence(
         piece_ids=tuple(ids),
-        tags=tuple(tags[:len(widths)]),
+        tags=tuple(tags[:kept]),
         active=tuple(active),
-        features=block,
+        features=tuple(codes),
         truncated=truncated,
     )
 

@@ -365,12 +365,17 @@ def annotate_entities_longest_first(words, gazetteer, english_dict):
     return out
 
 
-def align_per_piece(words, tags, features, vocab, max_len):
+def align_per_piece(words, tags, entities, cases, vocab, max_len):
     """The aligned fields (ids, piece tags, active, feature block, truncated)
     built one piece at a time, each word segmented afresh with
     tokenize_pieces, with the per-piece X rule: a word's tag at its first
-    piece, X at every other piece and at both markers. The reference for the
-    per-word align and for make_batch's tag ids; it checks no arguments."""
+    piece, X at every other piece and at both markers. Each piece's feature
+    row is built from its word's entity and case classes (as
+    WordFeaturizer.annotate gives them), a one at the entity's column and
+    one at the case's column after the 19 entity columns; the markers' rows
+    stay zero. The reference for the per-word align and for make_batch's tag
+    ids and feature rows; it checks no arguments."""
+    from jointnlu.features import ENTITY_DIM, FEATURE_DIM
     from jointnlu.tagging import X_TAG
 
     ids = [vocab.ids["[BOS]"]]
@@ -391,9 +396,10 @@ def align_per_piece(words, tags, features, vocab, max_len):
     ids.append(vocab.ids["[EOS]"])
     piece_tags.append(X_TAG)
     active.append(False)
-    block = np.zeros((len(ids), features.shape[1]))
+    block = np.zeros((len(ids), FEATURE_DIM))
     for row, wi in enumerate(word_of, start=1):
-        block[row] = features[wi]
+        block[row, int(entities[wi])] = 1.0
+        block[row, ENTITY_DIM + int(cases[wi])] = 1.0
     return tuple(ids), tuple(piece_tags), tuple(active), block, truncated
 
 

@@ -37,6 +37,7 @@ from jointnlu.features import (
     FEATURE_DIM,
     WordFeaturizer,
     encode_features,
+    feature_codes,
 )
 from jointnlu.intent_head import attention_weights, intent_forward
 from jointnlu.model import (
@@ -189,7 +190,8 @@ def test_criterion_05_alignment_round_trip_is_lossless():
         seq = align(utt.words, utt.tags, feats, vocab, max_len=50)
         assert not seq.truncated
         assert int(np.sum(seq.active)) == len(utt.words)
-        gold = align_per_piece(utt.words, utt.tags, feats, vocab, 50)[1]
+        gold = align_per_piece(utt.words, utt.tags,
+                               *featurizer.annotate(utt.words)[:2], vocab, 50)[1]
         assert de_align(seq, gold) == list(utt.tags)
 
 
@@ -370,5 +372,5 @@ def test_criterion_10_word_feature_rules_and_encoding_width():
     # one entity block plus one case block, one-hot each
     assert FEATURE_DIM == 23 == ENTITY_DIM + CASE_DIM
     assert ENTITY_DIM == 19 and CASE_DIM == 4
-    row = encode_features([EntityClass.CITY], [CaseClass.LOWER])
+    row = encode_features(feature_codes([EntityClass.CITY], [CaseClass.LOWER]))
     assert row.shape == (1, FEATURE_DIM) and row.sum() == 2.0

@@ -47,7 +47,7 @@ def test_result_hooks_count_batches_and_truncation():
     tracing = load_tracing()
     data = toy_grammar(4, 24, 8, 1)
     config = TrainConfig(epochs=1, batch_size=8)
-    encoder = EncoderConfig(vocab_size=4, d_h=8, n_layers=1, n_heads=2,
+    encoder = EncoderConfig(vocab_size=4, d_h=8, n_layers=2, n_heads=2,
                             d_ff=16, max_len=4)
     plain = train(data.train, data.dev, config, data.featurizer(),
                   encoder=encoder)
@@ -68,6 +68,19 @@ def test_result_hooks_count_batches_and_truncation():
     n_aligned = len(data.train) + len(data.dev) + len(served)
     assert tracer.names.count("subwords.align") == n_aligned
     assert counts["subwords.truncated"] == 1
+    # featurizing stays one call per aligned sequence, inside align_utterance,
+    # so features.b1_frac still measures featurizing
+    names, parents = tracer.names, tracer.parents
+    featurize = [i for i, name in enumerate(names) if name == "features.featurize"]
+    assert len(featurize) == n_aligned
+    assert {names[parents[i]] for i in featurize} == {"model.align_utterance"}
+    # one attention softmax per layer of every forward pass, looked up by
+    # encode at call time, so numerics.stable_softmax.ms still measures it
+    softmax = [i for i, name in enumerate(names)
+               if name == "numerics.stable_softmax"]
+    assert names.count("encoder.encode") > 0
+    assert len(softmax) == encoder.n_layers * names.count("encoder.encode")
+    assert {names[parents[i]] for i in softmax} == {"encoder.encode"}
     # tracing changes no number
     assert traced.history == plain.history
     params = traced.checkpoint.params

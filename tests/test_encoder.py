@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import erf, logsumexp
 
+from jointnlu import numerics
 from jointnlu.encoder import EncoderConfig, encode, encode_backward
 from jointnlu.numerics import (
     apply_mask,
@@ -175,7 +177,9 @@ class TestNumerics:
 
     # the attention blocks of batch-64 serving, a training step and a
     # batch-1 request
-    @pytest.mark.parametrize("shape", [(64, 4, 14, 14), (32, 4, 12, 12), (1, 4, 7, 7)])
+    # a request of 2 and one of 8 straddle the row maxima's size rule
+    @pytest.mark.parametrize("shape", [(64, 4, 14, 14), (32, 4, 12, 12), (1, 4, 7, 7),
+                                       (2, 4, 13, 13), (8, 4, 13, 13)])
     @pytest.mark.parametrize("axis", [-1, 0])
     def test_float32_softmaxes_bit_equal_to_max_sum_oracles(self, rng, shape, axis):
         self.check_softmaxes_against_oracles(rng, shape, axis, np.float32)
@@ -196,6 +200,52 @@ class TestNumerics:
                               log_softmax_max_sum(scores, axis))
         assert np.array_equal(softmax_backward(d, probs, axis=axis),
                               softmax_backward_max_sum(d, probs, axis))
+
+    # row counts on both sides of the size rule, odd and even widths
+    @given(st.integers(1, 20),
+           st.sampled_from([1, 3, 28, 104, 255, 256, 257, 416, 1000, 1792]),
+           st.sampled_from([np.float32, np.float64]),
+           st.sampled_from([0.0, 0.3, 1.0]),
+           st.integers(0, 2**32 - 1))
+    def test_row_maxima_tree_equals_fmax_reduce(self, width, rows, dtype,
+                                                p_inf, seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=(rows, width)) * 4).astype(dtype)
+        x[rng.random(x.shape) < p_inf] = -np.inf  # at 1.0, rows of -inf only
+        x[rng.random(x.shape) < 0.02] = np.nan  # fmax skips NaN
+        tree = numerics._row_maxima(x)
+        assert tree.shape == (rows, 1) and tree.dtype == dtype
+        assert np.array_equal(tree, np.fmax.reduce(x, axis=-1, keepdims=True),
+                              equal_nan=True)
+        # the softmax picks the tree or the reduce by the size rule, the same
+        # to the bit either way, on rows with a finite entry each
+        x[np.isnan(x)] = -np.inf
+        x[:, rng.integers(0, width)] = rng.normal(size=rows)
+        assert np.array_equal(stable_softmax(x), stable_softmax_max_sum(x))
+
+    @pytest.mark.parametrize("shape,tree", [
+        ((1, 4, 7, 7), False),  # a batch-1 request
+        ((2, 4, 13, 13), False),
+        ((8, 4, 13, 13), True),
+        ((32, 4, 14, 14), True),  # a training step
+        ((64, 4, 16, 16), True),
+        ((64, 4, 17, 17), False),  # rows too wide
+        ((2048, 4), True),
+    ])
+    def test_softmax_takes_tree_maxima_over_many_short_rows(
+            self, rng, monkeypatch, shape, tree):
+        calls = []
+        row_maxima = numerics._row_maxima
+
+        def spy(x):
+            calls.append(x.shape)
+            return row_maxima(x)
+
+        monkeypatch.setattr(numerics, "_row_maxima", spy)
+        scores = rng.normal(size=shape).astype(np.float32)
+        stable_softmax(scores)
+        stable_softmax(scores, axis=0)  # another axis never takes the tree
+        assert calls == ([shape] if tree else [])
 
     def test_layer_norm_statistics(self, rng):
         x = rng.normal(size=(3, 4, 10)) * 5 + 2

@@ -12,6 +12,7 @@ from jointnlu.features import (
     ENTITY_DIM,
     FEATURE_DIM,
     FEATURE_HIDDEN,
+    MARKER_CODE,
     MERGED_RAW_LABELS,
     CaseClass,
     EntityClass,
@@ -21,6 +22,7 @@ from jointnlu.features import (
     classify_case,
     encode_features,
     feature_backward,
+    feature_codes,
     feature_forward,
     load_english_dict,
     load_gazetteer,
@@ -172,23 +174,40 @@ class TestEncodeFeatures:
         assert ENTITY_DIM == 19 and CASE_DIM == 4 and FEATURE_DIM == 23
 
     def test_none_lower_positions(self):
-        vec = encode_features([EntityClass.NONE], [CaseClass.LOWER])
+        vec = encode_features(feature_codes([EntityClass.NONE], [CaseClass.LOWER]))
         assert np.flatnonzero(vec).tolist() == [18, 20]
 
     def test_airport_upper_positions(self):
-        vec = encode_features([EntityClass.AIRPORT_CODE], [CaseClass.UPPER])
+        vec = encode_features(
+            feature_codes([EntityClass.AIRPORT_CODE], [CaseClass.UPPER]))
         assert np.flatnonzero(vec).tolist() == [17, 19]
 
     def test_every_pair_sums_to_two(self):
         for e in EntityClass:
             for c in CaseClass:
-                v = encode_features([e], [c])
+                v = encode_features(feature_codes([e], [c]))
                 assert v.sum() == 2.0
                 assert v.shape == (1, FEATURE_DIM)
 
+    def test_codes_are_the_pairs_below_the_marker(self):
+        codes = feature_codes(
+            [e for e in EntityClass for _ in CaseClass],
+            [c for _ in EntityClass for c in CaseClass],
+        )
+        assert codes == list(range(MARKER_CODE))
+        assert all(type(code) is int for code in codes)
+
+    def test_marker_code_is_the_zero_row(self):
+        vec = encode_features([MARKER_CODE])
+        assert vec.shape == (1, FEATURE_DIM) and not vec.any()
+
+    def test_code_count_must_match(self):
+        with pytest.raises(ValueError, match="2 entity classes vs 1 case classes"):
+            feature_codes([EntityClass.NONE] * 2, [CaseClass.LOWER])
+
     def test_injective_over_all_pairs(self):
         seen = {
-            tuple(encode_features([e], [c])[0])
+            tuple(encode_features(feature_codes([e], [c]))[0])
             for e in EntityClass for c in CaseClass
         }
         assert len(seen) == len(EntityClass) * len(CaseClass)
@@ -203,10 +222,10 @@ class TestEncodeFeatures:
             row = np.zeros(FEATURE_DIM)
             row[int(e)] = row[ENTITY_DIM + int(c)] = 1.0
             rows.append(row)
-        block = encode_features(entities, cases)
+        block = encode_features(feature_codes(entities, cases))
         assert block.dtype == np.float64
         assert np.array_equal(block, np.stack(rows))
-        assert encode_features([], []).shape == (0, FEATURE_DIM)
+        assert encode_features([]).shape == (0, FEATURE_DIM)
 
 
 class TestFeatureForward:
@@ -362,19 +381,22 @@ class TestWordFeaturizer:
 
     def test_feature_matrix_shape_and_onehots(self):
         fz = self._featurizer()
-        feats = fz.featurize("fly from baltimore".split())
+        words = "fly from baltimore".split()
+        codes = fz.featurize(words)
+        entities, cases, _ = fz.annotate(words)
+        assert codes == [e * CASE_DIM + c for e, c in zip(entities, cases)]
+        feats = encode_features(codes)
         assert feats.shape == (3, FEATURE_DIM)
         assert np.all(feats.sum(axis=1) == 2.0)
 
     def test_empty_input(self):
-        feats = self._featurizer().featurize([])
-        assert feats.shape == (0, FEATURE_DIM)
+        assert self._featurizer().featurize([]) == []
 
     def test_dict_round_trip(self):
         fz = self._featurizer()
         clone = WordFeaturizer.from_dict(fz.to_dict())
         words = "fly from baltimore to jfk for 2005".split()
-        assert np.array_equal(clone.featurize(words), fz.featurize(words))
+        assert clone.featurize(words) == fz.featurize(words)
 
     def test_phrase_index_built_once_on_first_use(self):
         fz = WordFeaturizer.from_dict(self._featurizer().to_dict())

@@ -848,7 +848,7 @@ class TestBatch:
         assert len({len(s) for s in seqs}) > 1
         assert any(s.truncated for s in seqs) == (max_len == 12)
         batch = make_batch(seqs, range(6), slot_vocab)
-        ref = [align_per_piece(u.words, u.tags, featurizer.featurize(u.words),
+        ref = [align_per_piece(u.words, u.tags, *featurizer.annotate(u.words)[:2],
                                piece_vocab, max_len) for u in utts]
         assert batch.ids.tolist() == [pid for r in ref for pid in r[0]]
         assert batch.lengths.tolist() == [len(r[0]) for r in ref]

@@ -1,5 +1,6 @@
 """Vocabulary induction, greedy tokenization, and tag/feature alignment."""
 
+import re
 import zipfile
 from itertools import compress
 
@@ -10,7 +11,14 @@ from hypothesis import example, given, strategies as st
 from jointnlu import subwords
 from jointnlu.data import UNK_INTENT, IntentVocab, SlotVocab
 from jointnlu.encoder import EncoderConfig
-from jointnlu.features import FEATURE_DIM, WordFeaturizer
+from jointnlu.features import (
+    MARKER_CODE,
+    CaseClass,
+    EntityClass,
+    WordFeaturizer,
+    encode_features,
+    feature_codes,
+)
 from jointnlu.model import (
     Checkpoint,
     ModelConfig,
@@ -56,12 +64,10 @@ def tiny_checkpoint(vocab, featurizer, rng) -> Checkpoint:
     )
 
 
-def rand_features(rng, n):
-    feats = np.zeros((n, FEATURE_DIM))
-    for i in range(n):
-        feats[i, rng.integers(0, 19)] = 1.0
-        feats[i, 19 + rng.integers(0, 4)] = 1.0
-    return feats
+def rand_classes(rng, n):
+    """n random (entity, case) class lists, as WordFeaturizer.annotate gives."""
+    return ([EntityClass(int(i)) for i in rng.integers(0, len(EntityClass), n)],
+            [CaseClass(int(i)) for i in rng.integers(0, len(CaseClass), n)])
 
 
 class TestVocab:
@@ -248,9 +254,7 @@ class TestAlign:
         v = self._vocab()
         words = ["play", "broadrick"]
         tags = parse_tags(["O", "I-artist"])
-        feats = np.zeros((2, FEATURE_DIM))
-        feats[0, 0] = feats[1, 1] = 1.0
-        seq = align(words, tags, feats, v, max_len=50)
+        seq = align(words, tags, [0, 5], v, max_len=50)
 
         assert seq.piece_ids == (
             v.bos_id, v.ids["play"], v.ids["broad"], v.ids["##rick"], v.eos_id
@@ -261,49 +265,42 @@ class TestAlign:
 
     def test_features_copied_to_every_piece(self):
         v = self._vocab()
-        feats = np.zeros((1, FEATURE_DIM))
-        feats[0, 5] = 1.0
-        seq = align(["broadrick"], [O_TAG], feats, v, max_len=50)
-        assert np.array_equal(seq.features[1], feats[0])
-        assert np.array_equal(seq.features[2], feats[0])
+        seq = align(["broadrick"], [O_TAG], [5], v, max_len=50)
+        assert seq.features[1] == seq.features[2] == 5
 
-    def test_feature_block_of_several_multi_piece_words(self):
+    def test_feature_codes_of_several_multi_piece_words(self):
         # broad|##rick, mu|##sic and p|##l|##ay: every piece copies its
-        # word's row, the markers get zero rows, all bit for bit
+        # word's code, the markers get MARKER_CODE
         v = make_vocab("broad", "##rick", "mu", "##sic", "p", "##l", "##ay")
         words = ["broadrick", "music", "play", "music"]
-        feats = np.random.default_rng(4).normal(size=(4, FEATURE_DIM))
-        seq = align(words, [O_TAG] * 4, feats, v, max_len=50)
+        codes = [3, 40, MARKER_CODE - 1, 0]
+        seq = align(words, [O_TAG] * 4, codes, v, max_len=50)
         word_of_piece = [0, 0, 1, 1, 2, 2, 2, 3, 3]
-        want = np.zeros((len(word_of_piece) + 2, FEATURE_DIM))
-        for i, w in enumerate(word_of_piece):
-            want[i + 1] = feats[w]
-        assert seq.features.dtype == np.float64
-        assert seq.features.tobytes() == want.tobytes()
-        # a truncated sequence keeps the rows of the words it kept
-        cut = align(words, [O_TAG] * 4, feats, v, max_len=8)
+        want = (MARKER_CODE, *(codes[w] for w in word_of_piece), MARKER_CODE)
+        assert seq.features == want
+        # a truncated sequence keeps the codes of the words it kept
+        cut = align(words, [O_TAG] * 4, codes, v, max_len=8)
         assert cut.truncated and cut.tags == (O_TAG,) * 2
-        assert cut.features.tobytes() == np.vstack(
-            [want[:5], np.zeros((1, FEATURE_DIM))]
-        ).tobytes()
+        assert cut.features == want[:5] + (MARKER_CODE,)
 
     def test_markers_carry_zero_features_and_are_inactive(self):
         v = self._vocab()
-        seq = align(["play"], [O_TAG], np.ones((1, FEATURE_DIM)), v, max_len=50)
-        assert np.array_equal(seq.features[0], np.zeros(FEATURE_DIM))
-        assert np.array_equal(seq.features[-1], np.zeros(FEATURE_DIM))
+        seq = align(["play"], [O_TAG], [7], v, max_len=50)
+        assert seq.features == (MARKER_CODE, 7, MARKER_CODE)
+        rows = encode_features(seq.features)
+        assert not rows[0].any() and not rows[-1].any() and rows[1].sum() == 2
         assert not seq.active[0] and not seq.active[-1]
 
     def test_single_word_single_active(self):
         v = self._vocab()
-        seq = align(["music"], [O_TAG], np.zeros((1, FEATURE_DIM)), v, max_len=50)
+        seq = align(["music"], [O_TAG], [0], v, max_len=50)
         assert sum(seq.active) == 1 == len(seq.tags)
 
     def test_truncation_drops_whole_trailing_word(self):
         v = self._vocab()
         words = ["play", "broadrick"]
         tags = [O_TAG, O_TAG]
-        seq = align(words, tags, np.zeros((2, FEATURE_DIM)), v, max_len=4)
+        seq = align(words, tags, [0, 0], v, max_len=4)
         assert seq.truncated
         assert seq.piece_ids == (v.bos_id, v.ids["play"], v.eos_id)
         assert seq.tags == (O_TAG,)
@@ -311,29 +308,39 @@ class TestAlign:
     def test_exact_fit_is_not_truncated(self):
         v = self._vocab()
         words = ["play", "broadrick"]
-        seq = align(words, [O_TAG, O_TAG], np.zeros((2, FEATURE_DIM)), v, max_len=5)
+        seq = align(words, [O_TAG, O_TAG], [0, 0], v, max_len=5)
         assert not seq.truncated and len(seq) == 5
 
     def test_empty_utterance(self):
         v = self._vocab()
-        seq = align([], [], np.zeros((0, FEATURE_DIM)), v, max_len=50)
+        seq = align([], [], [], v, max_len=50)
         assert len(seq) == 2 and seq.tags == ()
         assert de_align(seq, [X_TAG, X_TAG]) == []
 
     def test_word_tag_length_mismatch(self):
         v = self._vocab()
         with pytest.raises(AlignmentError):
-            align(["play"], [], np.zeros((1, FEATURE_DIM)), v, max_len=50)
+            align(["play"], [], [0], v, max_len=50)
 
-    def test_bad_feature_shape(self):
+    @pytest.mark.parametrize("codes", [[], [0, 0], [0, 0, 0]])
+    def test_one_feature_code_per_word(self, codes):
         v = self._vocab()
-        with pytest.raises(ValueError):
-            align(["play"], [O_TAG], np.zeros((2, FEATURE_DIM)), v, max_len=50)
+        with pytest.raises(ValueError, match=(
+                f"need one feature code per word, got {len(codes)} for 1 words")):
+            align(["play"], [O_TAG], codes, v, max_len=50)
+
+    @pytest.mark.parametrize("bad", [-1, MARKER_CODE, MARKER_CODE + 1, 2.5, "3"])
+    def test_feature_code_outside_the_table(self, bad):
+        # checked on every word, a truncated one too
+        v = self._vocab()
+        with pytest.raises(ValueError, match=re.escape(
+                f"feature code {bad!r} is not a pair code (0..{MARKER_CODE - 1})")):
+            align(["play", "music"], [O_TAG] * 2, [0, bad], v, max_len=3)
 
     def test_max_len_too_small(self):
         v = self._vocab()
         with pytest.raises(ValueError):
-            align(["play"], [O_TAG], np.zeros((1, FEATURE_DIM)), v, max_len=2)
+            align(["play"], [O_TAG], [0], v, max_len=2)
 
 
 class TestDeAlign:
@@ -341,7 +348,7 @@ class TestDeAlign:
         v = make_vocab("play", "broad", "##rick")
         words = ["play", "broadrick"]
         tags = parse_tags(["B-song", "I-artist"])
-        return align(words, tags, np.zeros((2, FEATURE_DIM)), v, max_len=50), tags
+        return align(words, tags, [0, 0], v, max_len=50), tags
 
     @staticmethod
     def _gold_pieces(tags):
@@ -387,14 +394,14 @@ class TestRoundTripOracle:
                 for _ in range(n)
             ]
             tags = [self.TAGS[i] for i in rng.integers(0, len(self.TAGS), size=n)]
-            feats = rand_features(rng, n)
-            seq = align(words, tags, feats, vocab, max_len=200)
+            entities, cases = rand_classes(rng, n)
+            codes = feature_codes(entities, cases)
+            seq = align(words, tags, codes, vocab, max_len=200)
             assert not seq.truncated
             assert seq.tags == tuple(tags)
-            gold = align_per_piece(words, tags, feats, vocab, 200)[1]
+            gold = align_per_piece(words, tags, entities, cases, vocab, 200)[1]
             assert de_align(seq, gold) == tags
-            active_rows = seq.features[np.array(seq.active)]
-            assert np.array_equal(active_rows, feats)
+            assert list(compress(seq.features, seq.active)) == codes
 
 
 def archive_members(path) -> dict:
@@ -446,15 +453,16 @@ class TestAlignMatchesPerPieceReference:
     VOCAB = train_vocab(["abc", "abd", "bca", "cab", "ab", "ab", "dd", "ca"], 30)
     WORD = st.text(alphabet="abcdz", min_size=1, max_size=9)
 
-    def _check(self, words, tags, feats, max_len):
-        got = align(words, tags, feats, self.VOCAB, max_len)
+    def _check(self, words, tags, classes, max_len):
+        got = align(words, tags, feature_codes(*classes), self.VOCAB, max_len)
         ids, piece_tags, active, block, truncated = align_per_piece(
-            words, tags, feats, self.VOCAB, max_len)
+            words, tags, *classes, self.VOCAB, max_len)
         assert got.piece_ids == ids
         assert got.active == active
         assert got.tags == tuple(compress(piece_tags, active))
-        assert got.features.dtype == block.dtype
-        assert got.features.tobytes() == block.tobytes()
+        rows = encode_features(got.features)
+        assert rows.dtype == block.dtype
+        assert rows.tobytes() == block.tobytes()
         assert got.truncated == truncated
         return got
 
@@ -462,8 +470,8 @@ class TestAlignMatchesPerPieceReference:
     def test_hypothesis_utterances(self, words, max_len, data):
         tags = [data.draw(st.sampled_from(self.TAGS)) for _ in words]
         seed = data.draw(st.integers(0, 2**32 - 1))
-        feats = np.random.default_rng(seed).normal(size=(len(words), FEATURE_DIM))
-        self._check(words, tags, feats, max_len)
+        classes = rand_classes(np.random.default_rng(seed), len(words))
+        self._check(words, tags, classes, max_len)
 
     def test_random_utterances_cover_every_case(self, rng):
         seen = {"unk": 0, "multi": 0, "truncated": 0}
@@ -473,8 +481,8 @@ class TestAlignMatchesPerPieceReference:
             words = ["".join(rng.choice(list("abcdz"), size=rng.integers(1, 7)))
                      for _ in range(n)]
             tags = [self.TAGS[i] for i in rng.integers(0, len(self.TAGS), size=n)]
-            feats = rng.normal(size=(n, FEATURE_DIM))
-            seq = self._check(words, tags, feats, int(rng.integers(3, 30)))
+            seq = self._check(words, tags, rand_classes(rng, n),
+                              int(rng.integers(3, 30)))
             seen["unk"] += unk in seq.piece_ids
             seen["multi"] += any(len(self.VOCAB.tokenize(w)) > 1 for w in words)
             seen["truncated"] += seq.truncated
@@ -488,16 +496,18 @@ class TestAlignedSequenceValidation:
                 piece_ids=(2, 3),
                 tags=(),
                 active=(False,),
-                features=np.zeros((2, FEATURE_DIM)),
+                features=(MARKER_CODE,) * 2,
             )
 
-    def test_feature_width_enforced(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("n_codes", [0, 1, 3])
+    def test_one_feature_code_per_piece(self, n_codes):
+        with pytest.raises(ValueError, match=(
+                f"need one feature code per piece, got {n_codes} for 2 pieces")):
             AlignedSequence(
                 piece_ids=(2, 3),
                 tags=(),
                 active=(False, False),
-                features=np.zeros((2, FEATURE_DIM + 1)),
+                features=(MARKER_CODE,) * n_codes,
             )
 
     @pytest.mark.parametrize("tags", [(), (O_TAG,), (O_TAG,) * 3])
@@ -508,5 +518,5 @@ class TestAlignedSequenceValidation:
                 piece_ids=(2, 4, 5, 6, 3),
                 tags=tags,
                 active=(False, True, True, False, False),
-                features=np.zeros((5, FEATURE_DIM)),
+                features=(MARKER_CODE, 0, 0, 0, MARKER_CODE),
             )
