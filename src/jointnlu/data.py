@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, Tuple
 
-from .tagging import SlotTag
+from .tagging import SlotTag, extract_chunks
 
 INTENT_HEADER = "# intent="
 
@@ -109,7 +109,8 @@ def load_corpus(path) -> list[TaggedUtterance]:
         if line == "":
             flush()
             continue
-        if line.startswith("#"):
+        # a word holds no whitespace, so no token line starts with the header
+        if line.startswith(INTENT_HEADER) or (line[:1] == "#" and "\t" not in line):
             if not line.startswith(INTENT_HEADER):
                 raise bad(lineno, f"unrecognized header {line!r}")
             if intent is not None:
@@ -207,26 +208,19 @@ def staged(path):
 
 
 def lint_corpus(corpus: Sequence[TaggedUtterance]) -> list[str]:
-    """Flag continuation tags that do not extend a chunk of the same label.
+    """Flag the chunks that extract_chunks opens at an I- tag: continuation
+    tags that do not extend a chunk of the same label.
 
     These are accepted by the loader (the chunk extractor repairs them), but
     usually indicate annotation mistakes worth surfacing.
     """
-    flags = []
-    for i, utt in enumerate(corpus):
-        prev: SlotTag | None = None
-        for j, tag in enumerate(utt.tags):
-            if tag.kind == "I":
-                ok = prev is not None and prev.kind in ("B", "I") and (
-                    prev.label == tag.label
-                )
-                if not ok:
-                    before = str(prev) if prev is not None else "start"
-                    flags.append(
-                        f"utterance {i} word {j}: {tag} follows {before}"
-                    )
-            prev = tag
-    return flags
+    return [
+        f"utterance {i} word {c.start}: {tags[c.start]} follows "
+        f"{tags[c.start - 1] if c.start else 'start'}"
+        for i, tags in enumerate(u.tags for u in corpus)
+        for c in extract_chunks(tags)
+        if tags[c.start].kind == "I"
+    ]
 
 
 def combine_intents(labels: Iterable[str]) -> str:

@@ -65,10 +65,6 @@ class EncoderConfig:
     def d_head(self) -> int:
         return self.d_h // self.n_heads
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EncoderConfig":
-        return cls(**payload)
-
 
 def _to_heads(x: np.ndarray, rows: np.ndarray, b: int, n: int, n_heads: int):
     """(T, d) rows -> (b, heads, n, d_head) for attention, zeros at padding."""
@@ -114,7 +110,7 @@ def _attention(x, rows, key_bias, params, p, cfg, rate, rng):
     scores = q @ k.swapaxes(-1, -2)
     scores *= scale
     scores += key_bias  # broadcast over heads and queries
-    probs = stable_softmax(scores, axis=-1)
+    probs = stable_softmax(scores)
     ctx = _from_heads(probs @ v, rows)
     out = ctx @ params[p + "Wo"] + params[p + "bo"]
     y, norm = _add_norm(x, out, params, p + "ln1.", rate, rng)
@@ -129,7 +125,7 @@ def _attention_backward(d_y, cache, rows, params, p, cfg, grads):
     d_ctx = _to_heads(d_ctx, rows, b, n, cfg.n_heads)
     d_probs = d_ctx @ cache["v"].swapaxes(-1, -2)
     d_v = cache["probs"].swapaxes(-1, -2) @ d_ctx
-    d_scores = softmax_backward(d_probs, cache["probs"], axis=-1)
+    d_scores = softmax_backward(d_probs, cache["probs"])
     d_q = (d_scores @ cache["k"]) * cache["scale"]
     d_k = (d_scores.swapaxes(-1, -2) @ cache["q"]) * cache["scale"]
     for name, d_heads in (("q", d_q), ("k", d_k), ("v", d_v)):

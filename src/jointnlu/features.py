@@ -245,12 +245,17 @@ def feature_backward(
     }
 
 
+def _resource_lines(path: str | Path):
+    """Each non-blank line of a resource file, as read, and its number."""
+    for ln, line in enumerate(read_utf8(path).splitlines(), 1):
+        if line.strip():
+            yield ln, line
+
+
 def load_gazetteer(path: str | Path) -> dict[str, str]:
     """Read tab-separated "phrase<TAB>RAW_LABEL" lines into a phrase map."""
     out: dict[str, str] = {}
-    for ln, line in enumerate(read_utf8(path).splitlines(), 1):
-        if not line.strip():
-            continue
+    for ln, line in _resource_lines(path):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
             raise ValueError(f"{path}:{ln}: expected 'phrase<TAB>LABEL', got {line!r}")
@@ -265,22 +270,25 @@ def load_gazetteer(path: str | Path) -> dict[str, str]:
 
 def load_lexicon(path: str | Path) -> dict[str, str]:
     """Read canonical cased forms, one per line, keyed by lowercase."""
-    out: dict[str, str] = {}
-    for line in read_utf8(path).splitlines():
-        form = line.strip()
-        if not form:
-            continue
-        out[form.lower()] = form
-    return out
+    forms = (line.strip() for _, line in _resource_lines(path))
+    return {form.lower(): form for form in forms}
 
 
 def load_english_dict(path: str | Path) -> frozenset[str]:
-    words = set()
-    for line in read_utf8(path).splitlines():
-        w = line.strip()
-        if w:
-            words.add(w.lower())
-    return frozenset(words)
+    return frozenset(line.strip().lower() for _, line in _resource_lines(path))
+
+
+def _refuse_unmatchable(kind: str, entries) -> None:
+    """Lookups lowercase the word, so an entry that is not a lowercase str
+    never matches: refuse it by name. One join tests a whole table."""
+    try:
+        if (joined := "\n".join(entries)) == joined.lower():
+            return
+    except TypeError:  # an entry that is not a str
+        pass
+    for entry in entries:
+        if type(entry) is not str or entry != entry.lower():
+            raise ValueError(f"{kind} {entry!r} is not a lowercase str")
 
 
 @dataclass(frozen=True)
@@ -307,6 +315,9 @@ class WordFeaturizer:
         for word in words:
             if type(word) is not str or not word:
                 raise ValueError(f"english_dict entry {word!r} is not a word")
+        _refuse_unmatchable("lexicon key", self.lexicon)
+        _refuse_unmatchable("gazetteer phrase", self.gazetteer)
+        _refuse_unmatchable("english_dict entry", words)
         object.__setattr__(self, "english_dict", frozenset(words))
 
     @classmethod

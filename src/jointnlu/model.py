@@ -9,11 +9,12 @@ Parameters live in one flat name -> array dict. `param_spec` is the one
 list of its tensors (name, shape, initialiser, weight-decay flag); the
 initialiser, Checkpoint's check and the trainer's flat buffers all read
 it. Every layer reads its tensors from that dict under those names and
-returns gradients under the same names. The forward and backward passes
-compute in the dtype of the parameters handed in. The model's own dtype is
-COMPUTE_DTYPE (float32): training, dev evaluation, checkpoints and serving
-all use it. The finite-difference tests hand in float64 arrays and get
-float64 passes.
+returns gradients under the same names, except the CRF: `crf_nll` is handed
+its three tensors, and `_crf_slot_loss` names their gradients ("crf.T",
+"crf.start", "crf.end"). The forward and backward passes compute in the
+dtype of the parameters handed in. The model's own dtype is COMPUTE_DTYPE
+(float32): training, dev evaluation, checkpoints and serving all use it.
+The finite-difference tests hand in float64 arrays and get float64 passes.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
-        d["encoder"] = EncoderConfig.from_dict(d["encoder"])
+        d["encoder"] = EncoderConfig(**d["encoder"])
         return cls(**d)
 
 
@@ -270,7 +271,7 @@ def _cross_entropy(
     """Cross-entropy at every packed row: per-sequence mean over its rows,
     then mean over the batch; and its gradient."""
     starts = np.cumsum(lengths) - lengths
-    logp = log_softmax(scores, axis=-1)
+    logp = log_softmax(scores)
     gold = (np.arange(len(gold_ids)), gold_ids)
     per_seq = -np.add.reduceat(logp[gold], starts) / lengths
     loss = float(per_seq.mean())

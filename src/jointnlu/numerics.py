@@ -15,11 +15,11 @@ GELU is the tanh form of BERT's and GPT's reference code, 0.5*x*(1 +
 tanh(c*(x + a*x^3))) with c = sqrt(2/pi) and a = 0.044715, at every dtype
 and size. It is within 4.8e-4 of the erf form x*Phi(x).
 
-`stable_softmax` picks how it takes row maxima by a size rule that reads the
-array: over many short last-axis rows (attention's score block at training
-and batch-64 shapes) a halving tree of np.fmax, else np.fmax.reduce. Both
-give the same values, so the rule changes no number. It then exponentiates
-and normalizes in place, on the one temporary it made.
+The softmaxes reduce over the last axis only. `stable_softmax` takes row
+maxima by a size rule that reads the array: a halving tree of np.fmax over
+many short rows (attention's score block at training and batch-64 shapes),
+else np.fmax.reduce. Both give the same values, so the rule changes no
+number. It then exponentiates and normalizes in place, on its one temporary.
 """
 
 from __future__ import annotations
@@ -66,30 +66,29 @@ def _row_maxima(x: np.ndarray) -> np.ndarray:
     return m
 
 
-def stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+def stable_softmax(scores: np.ndarray) -> np.ndarray:
     """Softmax that tolerates -inf entries (they get probability zero)."""
     # The first test, implied by the third, is the cheapest, and it alone
     # turns the smallest blocks away.
     if (scores.size >= _TREE_MIN_ROWS
             and 0 < scores.shape[-1] <= _TREE_MAX_WIDTH
-            and scores.size >= _TREE_MIN_ROWS * scores.shape[-1]
-            and axis in (-1, scores.ndim - 1)):
+            and scores.size >= _TREE_MIN_ROWS * scores.shape[-1]):
         exp = scores - _row_maxima(scores)
     else:
-        exp = scores - np.fmax.reduce(scores, axis=axis, keepdims=True)
+        exp = scores - np.fmax.reduce(scores, axis=-1, keepdims=True)
     np.exp(exp, out=exp)
-    exp /= np.add.reduce(exp, axis=axis, keepdims=True)
+    exp /= np.add.reduce(exp, axis=-1, keepdims=True)
     return exp
 
 
-def softmax_backward(d_probs: np.ndarray, probs: np.ndarray, axis: int = -1) -> np.ndarray:
-    inner = np.add.reduce(d_probs * probs, axis=axis, keepdims=True)
+def softmax_backward(d_probs: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    inner = np.add.reduce(d_probs * probs, axis=-1, keepdims=True)
     return probs * (d_probs - inner)
 
 
-def log_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = scores - np.fmax.reduce(scores, axis=axis, keepdims=True)
-    log_total = np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
+def log_softmax(scores: np.ndarray) -> np.ndarray:
+    shifted = scores - np.fmax.reduce(scores, axis=-1, keepdims=True)
+    log_total = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
     return shifted - log_total
 
 

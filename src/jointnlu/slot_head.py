@@ -36,7 +36,7 @@ def slot_forward(
     hits the concatenated vector, with the mask drawn at its packed shape.
     """
     starts = np.cumsum(lengths) - lengths
-    p_int = stable_softmax(y_int, axis=-1)
+    p_int = stable_softmax(y_int)
     blocks = [np.repeat(p_int, lengths, axis=0)]
     if f_words is not None:
         blocks.append(f_words)
@@ -73,7 +73,7 @@ def slot_backward(
     d_fused = apply_mask(d_logits @ W_s, cache["drop"])
     # every row of a sequence shares its intent row
     d_p_int = np.add.reduceat(d_fused[:, :n_int], cache["starts"], axis=0)
-    d_y_int = softmax_backward(d_p_int, p_int, axis=-1)
+    d_y_int = softmax_backward(d_p_int, p_int)
     d_f_words = d_fused[:, n_int:n_int + f_width] if f_width else None
     d_H = d_fused[:, n_int + f_width:]
     return d_y_int, d_f_words, d_H, grads

@@ -172,19 +172,19 @@ def select_best(reports: Sequence[EvalReport]) -> int:
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """One training-log line."""
+    """One training-log line: the _LOG_FIELDS, then the dev report's."""
 
     epoch: int
     l_intent: float
     l_slot: float
     l_joint: float
     dev: EvalReport
+    # (key, the type it reads back as), in the order written
+    _LOG_FIELDS = (("epoch", int), ("l_intent", float), ("l_slot", float),
+                   ("l_joint", float))
 
     def to_line(self) -> str:
-        losses = dict(
-            epoch=self.epoch, l_intent=self.l_intent, l_slot=self.l_slot,
-            l_joint=self.l_joint,
-        )
+        losses = {key: getattr(self, key) for key, _ in self._LOG_FIELDS}
         return " ".join(kv_text({**losses, **self.dev.to_dict()}).splitlines())
 
     @classmethod
@@ -195,16 +195,11 @@ class EpochRecord:
         if problems:
             raise ValueError(f"training log line: {problems[0]}")
         d = {k: v for k, (_, v) in entries.items()}
-        missing = [k for k in ("epoch", "l_intent", "l_slot", "l_joint") if k not in d]
+        missing = [key for key, _ in cls._LOG_FIELDS if key not in d]
         if missing:
             raise ValueError(f"training log line lacks {missing[0]!r}")
-        return cls(
-            epoch=int(d["epoch"]),
-            l_intent=float(d["l_intent"]),
-            l_slot=float(d["l_slot"]),
-            l_joint=float(d["l_joint"]),
-            dev=EvalReport.from_dict(d),
-        )
+        return cls(**{key: kind(d[key]) for key, kind in cls._LOG_FIELDS},
+                   dev=EvalReport.from_dict(d))
 
 
 @dataclass(frozen=True)

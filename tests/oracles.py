@@ -64,6 +64,26 @@ def brute_force_chunks(tags: list[SlotTag]) -> set[Chunk]:
     return out
 
 
+def lint_corpus_scan(corpus) -> list[str]:
+    """lint_corpus's flags by a left-to-right scan: an I- tag is flagged
+    unless the tag before it is a B- or I- tag of the same label."""
+    flags = []
+    for i, utt in enumerate(corpus):
+        prev: SlotTag | None = None
+        for j, tag in enumerate(utt.tags):
+            if tag.kind == "I":
+                ok = prev is not None and prev.kind in ("B", "I") and (
+                    prev.label == tag.label
+                )
+                if not ok:
+                    before = str(prev) if prev is not None else "start"
+                    flags.append(
+                        f"utterance {i} word {j}: {tag} follows {before}"
+                    )
+            prev = tag
+    return flags
+
+
 def all_tag_sequences(length: int, labels: list[str]):
     """Every BIO tag sequence of exactly `length` over the given labels."""
     alphabet = [SlotTag("O")]
@@ -225,7 +245,7 @@ def intent_ce(y_int, intent_ids):
     gradient: the reference for the package's cross-entropy at unit
     lengths."""
     b = y_int.shape[0]
-    logp = log_softmax(y_int, axis=-1)
+    logp = log_softmax(y_int)
     rows = np.arange(b)
     loss = float(-logp[rows, intent_ids].mean())
     d = np.exp(logp)
@@ -504,19 +524,19 @@ def layer_norm_mean_backward(d_y, cache):
     return d_x, d_gain, d_bias
 
 
-def stable_softmax_max_sum(scores, axis=-1):
-    """Softmax through the np.max and np.sum wrappers."""
-    exp = np.exp(scores - np.max(scores, axis=axis, keepdims=True))
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+def stable_softmax_max_sum(scores):
+    """Softmax over the last axis through the np.max and np.sum wrappers."""
+    exp = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    return exp / np.sum(exp, axis=-1, keepdims=True)
 
 
-def log_softmax_max_sum(scores, axis=-1):
-    shifted = scores - np.max(scores, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+def log_softmax_max_sum(scores):
+    shifted = scores - np.max(scores, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def softmax_backward_max_sum(d_probs, probs, axis=-1):
-    return probs * (d_probs - np.sum(d_probs * probs, axis=axis, keepdims=True))
+def softmax_backward_max_sum(d_probs, probs):
+    return probs * (d_probs - np.sum(d_probs * probs, axis=-1, keepdims=True))
 
 
 def _split_heads(x, n_heads):
@@ -555,7 +575,7 @@ def encode_padded(ids, pad_mask, params, cfg, dropout_rate=0.0, rng=None):
         k = _split_heads(x @ params[p + "Wk"] + params[p + "bk"], cfg.n_heads)
         v = _split_heads(x @ params[p + "Wv"] + params[p + "bv"], cfg.n_heads)
         scores = np.where(key_mask, (q @ k.swapaxes(-1, -2)) * scale, -np.inf)
-        probs = stable_softmax(scores, axis=-1)
+        probs = stable_softmax(scores)
         ctx = _merge_heads(probs @ v)
         attn_out = ctx @ params[p + "Wo"] + params[p + "bo"]
         attn_drop = packed_dropout(rng, pad_mask, (cfg.d_h,), dropout_rate)
@@ -620,7 +640,7 @@ def encode_padded_backward(d_out, cache, params, cfg):
 
         d_probs = d_ctx @ lc["v"].swapaxes(-1, -2)
         d_v = lc["probs"].swapaxes(-1, -2) @ d_ctx
-        d_scores = softmax_backward(d_probs, lc["probs"], axis=-1)
+        d_scores = softmax_backward(d_probs, lc["probs"])
         d_q = (d_scores @ lc["k"]) * cache["scale"]
         d_k = (d_scores.swapaxes(-1, -2) @ lc["q"]) * cache["scale"]
 
@@ -652,7 +672,7 @@ def intent_forward_padded(H, pad_mask, params, mode, dropout_rate=0.0, rng=None)
     if mode == "attention":
         scores = np.tanh(H @ params["int.W_score"].T) @ params["int.v_score"]
         logits = np.where(pad_mask, scores, -np.inf)
-        alpha_clean = stable_softmax(logits / np.sqrt(d_h), axis=-1)
+        alpha_clean = stable_softmax(logits / np.sqrt(d_h))
         att_drop = packed_dropout(rng, pad_mask, (), dropout_rate)
         alpha = apply_mask(alpha_clean, att_drop)
         h_int = np.tanh(np.einsum("bn,bnd->bd", alpha, H))
@@ -681,7 +701,7 @@ def intent_backward_padded(d_y_int, cache, params):
         d_alpha = np.einsum("bd,bnd->bn", d_pre_tanh, H)
         d_H = alpha[:, :, None] * d_pre_tanh[:, None, :]
         d_alpha_clean = apply_mask(d_alpha, cache["att_drop"])
-        d_logits = softmax_backward(d_alpha_clean, alpha_clean, axis=-1) / np.sqrt(d_h)
+        d_logits = softmax_backward(d_alpha_clean, alpha_clean) / np.sqrt(d_h)
         t = np.tanh(H @ params["int.W_score"].T)
         d_proj = d_logits[:, :, None] * params["int.v_score"][None, None, :] * (1.0 - t * t)
         grads["int.v_score"] = np.einsum("bnd,bn->d", t, d_logits)
@@ -723,7 +743,7 @@ def slot_forward_padded(y_int, f_words, H, pad_mask, params, dropout_rate=0.0,
     """Slot scores (b, n, n_slots) with the intent row broadcast to every
     position, padding included."""
     b, n, _ = H.shape
-    p_int = stable_softmax(y_int, axis=-1)
+    p_int = stable_softmax(y_int)
     blocks = [np.broadcast_to(p_int[:, None, :], (b, n, p_int.shape[-1]))]
     if f_words is not None:
         blocks.append(f_words)
@@ -744,7 +764,7 @@ def slot_backward_padded(d_logits, cache, params):
     grads = {"W_s": flat_d.T @ cache["fused_used"].reshape(-1, W_s.shape[1]),
              "b_s": flat_d.sum(axis=0)}
     d_fused = apply_mask(d_logits @ W_s, cache["drop"])
-    d_y_int = softmax_backward(d_fused[..., :n_int].sum(axis=1), p_int, axis=-1)
+    d_y_int = softmax_backward(d_fused[..., :n_int].sum(axis=1), p_int)
     d_f = d_fused[..., n_int:n_int + f_width] if f_width else None
     return d_y_int, d_f, d_fused[..., n_int + f_width:], grads
 
@@ -753,7 +773,7 @@ def softmax_slot_loss_padded(slot_scores, tag_ids, pad_mask):
     """Per-sequence mean cross-entropy over (b, n) positions with padding
     masked out, then the batch mean; and its gradient."""
     b, n, _ = slot_scores.shape
-    logp = log_softmax(slot_scores, axis=-1)
+    logp = log_softmax(slot_scores)
     gold = np.take_along_axis(logp, tag_ids[:, :, None], axis=-1)[:, :, 0]
     counts = pad_mask.sum(axis=1)
     loss = float((-(gold * pad_mask).sum(axis=1) / counts).mean())

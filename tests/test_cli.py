@@ -747,6 +747,16 @@ def _with_resource(kind, value):
     return edit
 
 
+def _with_resource_key(kind, key):
+    """The checkpoint's lexicon or gazetteer with an entry at key, holding
+    the first entry's value."""
+    def edit(meta):
+        table = dict(meta["resources"][kind])
+        table[key] = next(iter(table.values()))
+        return {**meta, "resources": {**meta["resources"], kind: table}}
+    return edit
+
+
 def _with_english_dict(value):
     return lambda meta: {
         **meta, "resources": {**meta["resources"], "english_dict": value}
@@ -800,6 +810,16 @@ BAD_METADATA = [
     (_meta_text(_with_english_dict("jfk")), "english_dict 'jfk' is a str"),
     (_meta_text(_with_english_dict([5, "the"])),
      "english_dict entry 5 is not a word"),
+    # lookups lowercase the word, so such an entry could never match
+    (_meta_text(_with_resource_key("gazetteer", "Boston")),
+     "metadata 'resources' is not valid "
+     "(ValueError: gazetteer phrase 'Boston' is not a lowercase str)"),
+    (_meta_text(_with_resource_key("lexicon", "JFK")),
+     "metadata 'resources' is not valid "
+     "(ValueError: lexicon key 'JFK' is not a lowercase str)"),
+    (_meta_text(_with_english_dict(["the", "For"])),
+     "metadata 'resources' is not valid "
+     "(ValueError: english_dict entry 'For' is not a lowercase str)"),
     (_meta_text(_with_last("pieces", 5)),
      "metadata 'pieces' is not valid (ValueError: piece 5 is not a non-empty str)"),
     (_meta_text(_with_last("pieces", "")),

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from jointnlu.data import (
     UNK_INTENT,
@@ -26,6 +26,7 @@ from jointnlu.features import CaseClass, EntityClass
 from jointnlu.subwords import RESERVED_TOKENS, WordPieceVocab
 from jointnlu.tagging import O_TAG, SlotTag, parse_tags
 from jointnlu.toy import INTENTS, SLOT_TYPES, toy_grammar
+from oracles import all_tag_sequences, lint_corpus_scan
 
 
 def utt(words, tags, intent="play_music"):
@@ -231,13 +232,19 @@ class TestLoadCorpus:
 
 
     @given(
+        word=st.text(st.sampled_from("#=ab"), min_size=1),
         intent=st.text(st.sampled_from("ab#=\t\n\r\x0b\x0c\x1c\x85\u2028"), min_size=1),
         label=st.text(st.sampled_from("ab-\t\n\r\x0b\x1c\x85\u2028"), min_size=1),
     )
-    def test_save_refuses_or_round_trips(self, scratch, intent, label):
+    # a word that starts with "#" is a token line, not a header
+    @example(word="#tag", intent="x", label="a")
+    @example(word="#", intent="x", label="a")
+    @example(word="#intent=x", intent="x", label="a")
+    @example(word="#", intent="x\ty", label="a")
+    def test_save_refuses_or_round_trips(self, scratch, word, intent, label):
         """Whatever save_corpus writes, load_corpus reads back exactly."""
         corpus = [utt(["play", "it"], ["O", "O"]),
-                  TaggedUtterance(("play", "it"), (SlotTag("B", label), O_TAG),
+                  TaggedUtterance((word, "it"), (SlotTag("B", label), O_TAG),
                                   intent)]
         path = scratch / "saved.txt"
         try:
@@ -278,6 +285,16 @@ class TestLint:
     def test_sequence_initial_continuation_flagged(self):
         corpus = [utt(["a"], ["I-x"])]
         assert len(lint_corpus(corpus)) == 1
+
+    def test_matches_the_scan_on_every_short_sequence(self):
+        """Every tag sequence of length 1-6 over O, B-a, I-a, B-b and I-b
+        (19,530 of them), one utterance each and all in one corpus."""
+        corpus = [
+            TaggedUtterance(tuple("w" * n), tags, "x")
+            for n in range(1, 7) for tags in all_tag_sequences(n, ["a", "b"])
+        ]
+        assert len(corpus) == 19_530
+        assert lint_corpus(corpus) == lint_corpus_scan(corpus)
 
 
 class TestCombineIntents:

@@ -331,6 +331,26 @@ class TestResourceFiles:
         path.write_text("For\nthe\n", encoding="utf-8")
         assert load_english_dict(path) == frozenset({"for", "the"})
 
+    @pytest.mark.parametrize("load,first,second,want", [
+        (load_gazetteer, "New York\tCITY", "senator\tTITLE",
+         {"new york": "CITY", "senator": "TITLE"}),
+        (load_lexicon, "McVey", " JFK ", {"mcvey": "McVey", "jfk": "JFK"}),
+        (load_english_dict, "For", "the", frozenset({"for", "the"})),
+    ])
+    def test_blank_lines_crlf_and_byte_order_mark(self, tmp_path, load, first,
+                                                  second, want):
+        """Blank and whitespace-only lines are skipped, CRLF reads like LF
+        and a leading byte-order mark is dropped, by all three loaders."""
+        path = tmp_path / "resource.txt"
+        text = f"\ufeff{first}\r\n\r\n \t \r\n{second}\r\n\r\n"
+        path.write_bytes(text.encode("utf-8"))
+        assert load(path) == want
+        if load is load_gazetteer:  # blank lines still count toward line numbers
+            path.write_bytes((text + "bad line\r\n").encode("utf-8"))
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}:6: expected 'phrase<TAB>LABEL', got 'bad line'")):
+                load(path)
+
 
 class TestWordFeaturizer:
     def _featurizer(self):
@@ -345,6 +365,13 @@ class TestWordFeaturizer:
         ({"jfk": ""}, {}, "lexicon form '' of 'jfk'"),
         ({}, {"boston": "BOGUS"}, "unknown entity label 'BOGUS'"),
         ({}, {"boston": 7}, "unknown entity label 7"),
+        # lookups lowercase the word, so these entries could never match
+        ({"JFK": "JFK"}, {}, "lexicon key 'JFK' is not a lowercase str"),
+        ({5: "JFK"}, {}, "lexicon key 5 is not a lowercase str"),
+        ({}, {"Boston": "CITY"}, "gazetteer phrase 'Boston' is not a lowercase str"),
+        ({}, {"new york": "CITY", ("boston",): "CITY"},
+         "gazetteer phrase ('boston',) is not a lowercase str"),
+        ({}, {"san Ἀ": "CITY"}, "gazetteer phrase 'san Ἀ' is not a lowercase str"),
     ])
     def test_bad_resources_refused_on_construction(self, lexicon, gazetteer,
                                                    needle):
@@ -358,6 +385,8 @@ class TestWordFeaturizer:
         ("jfk", "english_dict 'jfk' is a str, not a list of words"),
         ([5, "the"], "english_dict entry 5 is not a word"),
         (["the", ""], "english_dict entry '' is not a word"),
+        (["the", "For"], "english_dict entry 'For' is not a lowercase str"),
+        (["the", "İ"], "english_dict entry 'İ' is not a lowercase str"),
     ])
     def test_bad_english_dict_refused_on_construction(self, english_dict,
                                                       needle):

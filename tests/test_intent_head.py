@@ -96,7 +96,7 @@ class TestAttentionWeights:
         logits = rng.normal(size=(4, 7)) * 5
         assert np.allclose(
             attention_weights(logits.ravel(), [7] * 4, D_H),
-            stable_softmax(logits / np.sqrt(D_H), axis=-1).ravel(),
+            stable_softmax(logits / np.sqrt(D_H)).ravel(),
         )
 
     def test_each_segment_is_a_simplex(self, rng):
@@ -177,13 +177,13 @@ class TestIntentLogits:
 
 
 def _ce(y, targets):
-    return float(-log_softmax(y, axis=-1)[np.arange(len(targets)), targets].mean())
+    return float(-log_softmax(y)[np.arange(len(targets)), targets].mean())
 
 
 def _ce_grad(y, targets):
     from jointnlu.numerics import stable_softmax
 
-    g = stable_softmax(y, axis=-1)
+    g = stable_softmax(y)
     g[np.arange(len(targets)), targets] -= 1.0
     return g / len(targets)
 
