@@ -1,8 +1,9 @@
 """Operator commands: train, eval, compare, attn, annotate.
 
-Batch commands only; every run is deterministic given its inputs, and a
-training run leaves behind a manifest that pins everything needed to redo
-it bit for bit (settings, seed, corpus fingerprints).
+Batch commands only; every run is deterministic given its inputs. `train`
+reads the files of `data.DATA_FILES` and leaves a manifest, one JSON object
+pinning all it takes to redo the run bit for bit (settings, seed, corpus
+fingerprints, numerics).
 
 Exit codes: 0 success, 2 bad usage or bad inputs, 3 training divergence,
 130 interrupted (Ctrl-C).
@@ -17,7 +18,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -25,13 +25,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .data import load_corpus, read_utf8, staged
+from .data import DATA_FILES, load_corpus, read_utf8, staged
 from .features import WordFeaturizer
 from .model import COMPUTE_DTYPE, load_checkpoint, save_checkpoint
 from .tagging import HEADLINE_MEASURES, read_kv, relative_error_reduction
 from .training import (
     DivergenceError,
-    TrainConfig,
     TrainResult,
     evaluate,
     predict,
@@ -41,41 +40,9 @@ from .training import (
     validate_config_text,
 )
 
-# Every file a training run reads from the data directory.
-_REQUIRED_DATA = ("train.txt", "dev.txt", "lexicon.txt", "gazetteer.tsv",
-                  "english_dict.txt")
-
 # Environment variables that set the BLAS thread count, which can change
 # the summation order of matrix products and so the bits of a run.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one training run, sufficient to reproduce it bit for bit:
-    the exact settings (seed included), fingerprints of every input file,
-    where the outputs live relative to the manifest, and the numerics it ran
-    with (compute dtype, numpy and scipy versions, BLAS thread variables,
-    None for an unset one). It also records the jointnlu version and the
-    run's wall seconds, from the start of training to the checkpoint being
-    written. The fields after best_epoch have empty defaults, which is how a
-    manifest written before they were recorded reads back."""
-
-    config: TrainConfig
-    data_dir: str
-    corpus_hashes: Dict[str, str]
-    checkpoint_path: str
-    log_path: str
-    best_epoch: int
-    compute_dtype: str = ""
-    numpy_version: str = ""
-    scipy_version: str = ""
-    blas_threads: Dict[str, Optional[str]] = field(default_factory=dict)
-    package_version: str = ""
-    wall_s: Optional[float] = None
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -86,25 +53,21 @@ def _load_data_dir(data_dir: Path):
     """Load corpora and annotation resources, fingerprinting every file."""
     if not data_dir.is_dir():
         raise ValueError(f"data directory not found: {data_dir}")
-    missing = [n for n in _REQUIRED_DATA if not (data_dir / n).is_file()]
+    paths = {role: data_dir / name for role, name in DATA_FILES.items()}
+    if not paths["test"].is_file():  # the one optional file
+        del paths["test"]
+    missing = [p.name for p in paths.values() if not p.is_file()]
     if missing:
         raise ValueError(f"{data_dir} is missing {', '.join(missing)}")
-    corpora = {
-        "train": load_corpus(data_dir / "train.txt"),
-        "dev": load_corpus(data_dir / "dev.txt"),
-    }
+    corpora = {split: load_corpus(paths[split]) for split in ("train", "dev")}
     for split, corpus in corpora.items():
         if not corpus:
-            raise ValueError(f"{data_dir / (split + '.txt')} holds no utterances")
-    hashes = {n: _sha256(data_dir / n) for n in _REQUIRED_DATA}
-    if (data_dir / "test.txt").is_file():
-        corpora["test"] = load_corpus(data_dir / "test.txt")
-        hashes["test.txt"] = _sha256(data_dir / "test.txt")
-    featurizer = WordFeaturizer.from_files(
-        data_dir / "lexicon.txt",
-        data_dir / "gazetteer.tsv",
-        data_dir / "english_dict.txt",
-    )
+            raise ValueError(f"{paths[split]} holds no utterances")
+    if "test" in paths:
+        corpora["test"] = load_corpus(paths["test"])
+    hashes = {p.name: _sha256(p) for p in paths.values()}
+    featurizer = WordFeaturizer.from_files(paths["lexicon"], paths["gazetteer"],
+                                           paths["english_dict"])
     return corpora, featurizer, hashes
 
 
@@ -117,21 +80,27 @@ def _train_one(config, corpora, hashes, featurizer, run_dir: Path,
         "".join(r.to_line() + "\n" for r in result.history), encoding="utf-8"
     )
     save_checkpoint(result.checkpoint, run_dir / "checkpoint.npz")
-    manifest = RunManifest(
-        config=config,
-        data_dir=data_dir,
-        corpus_hashes=dict(hashes),
-        checkpoint_path="checkpoint.npz",
-        log_path="train.log",
-        best_epoch=result.best_epoch,
-        compute_dtype=np.dtype(COMPUTE_DTYPE).name,
-        numpy_version=np.__version__,
-        scipy_version=scipy.__version__,
-        blas_threads={v: os.environ.get(v) for v in _BLAS_THREAD_VARS},
-        package_version=__version__,
-        wall_s=time.perf_counter() - t0,
+    # Enough to redo the run bit for bit: the exact settings (seed included),
+    # every input file's fingerprint, the outputs' paths relative to it, the
+    # numerics (a BLAS thread variable is None when unset), the version, and
+    # the seconds from the start of training to the checkpoint written.
+    manifest = {
+        "config": dataclasses.asdict(config),
+        "data_dir": data_dir,
+        "corpus_hashes": hashes,
+        "checkpoint_path": "checkpoint.npz",
+        "log_path": "train.log",
+        "best_epoch": result.best_epoch,
+        "compute_dtype": np.dtype(COMPUTE_DTYPE).name,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "blas_threads": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS},
+        "package_version": __version__,
+        "wall_s": time.perf_counter() - t0,
+    }
+    (run_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    (run_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
     return result
 
 

@@ -29,6 +29,13 @@ INTENT_HEADER = "# intent="
 # target and scoring compares original strings, so it always counts wrong.
 UNK_INTENT = "[UNK]"
 
+# The file of each role in a training data directory, the corpus splits and
+# the word-feature resources; each but "test" is required. `ToyData.write`
+# writes them all and `jointnlu train` reads them.
+DATA_FILES = {"train": "train.txt", "dev": "dev.txt", "lexicon": "lexicon.txt",
+              "gazetteer": "gazetteer.tsv", "english_dict": "english_dict.txt",
+              "test": "test.txt"}
+
 
 class CorpusError(ValueError):
     """A corpus file does not follow the token-per-line format."""

@@ -278,17 +278,23 @@ def load_english_dict(path: str | Path) -> frozenset[str]:
     return frozenset(line.strip().lower() for _, line in _resource_lines(path))
 
 
-def _refuse_unmatchable(kind: str, entries) -> None:
-    """Lookups lowercase the word, so an entry that is not a lowercase str
-    never matches: refuse it by name. One join tests a whole table."""
+def _refuse_unmatchable(kind: str, entries, phrases: bool = False) -> None:
+    """Lookups compare lowercased words, one per entry or, for a gazetteer
+    phrase, a run of one or more, so any other entry never matches: refuse
+    it by name. One join tests a whole table."""
     try:
-        if (joined := "\n".join(entries)) == joined.lower():
+        if (joined := "\n".join(entries)) == joined.lower() and (
+            "" not in entries and not any(map(str.isspace, entries))
+            if phrases else joined.split() == list(entries)
+        ):
             return
     except TypeError:  # an entry that is not a str
         pass
     for entry in entries:
         if type(entry) is not str or entry != entry.lower():
             raise ValueError(f"{kind} {entry!r} is not a lowercase str")
+        if (n := len(entry.split())) != 1 and not (phrases and n):
+            raise ValueError(f"{kind} {entry!r} holds {n} words")
 
 
 @dataclass(frozen=True)
@@ -312,11 +318,12 @@ class WordFeaturizer:
         words = self.english_dict
         if isinstance(words, str):
             raise ValueError(f"english_dict {words!r} is a str, not a list of words")
+        words = tuple(words)  # read once: it may be an iterator
         for word in words:
             if type(word) is not str or not word:
                 raise ValueError(f"english_dict entry {word!r} is not a word")
         _refuse_unmatchable("lexicon key", self.lexicon)
-        _refuse_unmatchable("gazetteer phrase", self.gazetteer)
+        _refuse_unmatchable("gazetteer phrase", self.gazetteer, phrases=True)
         _refuse_unmatchable("english_dict entry", words)
         object.__setattr__(self, "english_dict", frozenset(words))
 

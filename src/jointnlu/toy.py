@@ -16,7 +16,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .data import TaggedUtterance, save_corpus, staged
+from .data import DATA_FILES, TaggedUtterance, save_corpus, staged
 from .features import WordFeaturizer
 from .tagging import O_TAG, SlotTag
 
@@ -148,26 +148,20 @@ class ToyData:
     english_dict: Tuple[str, ...]
 
     def write(self, directory) -> Dict[str, Path]:
+        """Write each file of DATA_FILES from the field its role names."""
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "train": root / "train.txt",
-            "dev": root / "dev.txt",
-            "test": root / "test.txt",
-            "gazetteer": root / "gazetteer.tsv",
-            "lexicon": root / "lexicon.txt",
-            "english_dict": root / "english_dict.txt",
-        }
-        save_corpus(self.train, paths["train"])
-        save_corpus(self.dev, paths["dev"])
-        save_corpus(self.test, paths["test"])
-        for name, lines in (
-            ("gazetteer", [f"{p}\t{lab}\n" for p, lab in self.gazetteer]),
-            ("lexicon", [f"{w}\n" for w in self.lexicon]),
-            ("english_dict", [f"{w}\n" for w in self.english_dict]),
+        paths = {role: root / name for role, name in DATA_FILES.items()}
+        for split in ("train", "dev", "test"):
+            save_corpus(getattr(self, split), paths[split])
+        for role, lines in (
+            ("gazetteer", ["\t".join(entry) for entry in self.gazetteer]),
+            ("lexicon", self.lexicon),
+            ("english_dict", self.english_dict),
         ):
-            with staged(paths[name]) as tmp:
-                tmp.write_text("".join(lines), encoding="utf-8", newline="\n")
+            with staged(paths[role]) as tmp:
+                tmp.write_text("".join(f"{line}\n" for line in lines),
+                               encoding="utf-8", newline="\n")
         return paths
 
     def featurizer(self) -> WordFeaturizer:

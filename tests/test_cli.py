@@ -10,6 +10,7 @@ import struct
 import tempfile
 import zipfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from hypothesis import assume, event, given, strategies as st
 
 import jointnlu
 from jointnlu import cli
-from jointnlu.cli import RunManifest, main
-from jointnlu.data import load_corpus, read_utf8, save_corpus
+from jointnlu.cli import main
+from jointnlu.data import DATA_FILES, load_corpus, read_utf8, save_corpus
 from jointnlu.features import WordFeaturizer
 from jointnlu.model import load_checkpoint
 from jointnlu.subwords import BOS_TOKEN, EOS_TOKEN
@@ -62,11 +63,11 @@ def trained(tmp_path_factory):
     return {"data": data_dir, "config": config_path, "out": out_dir}
 
 
-def read_manifest(out_dir) -> RunManifest:
-    """The run's manifest.json, read back into the RunManifest it holds."""
+def read_manifest(out_dir) -> SimpleNamespace:
+    """The run's manifest.json, its keys as attributes and its config read
+    back into a TrainConfig."""
     d = json.loads((out_dir / "manifest.json").read_text())
-    d["config"] = TrainConfig(**d["config"])
-    return RunManifest(**d)
+    return SimpleNamespace(**{**d, "config": TrainConfig(**d["config"])})
 
 
 def best_dev_report(out_dir) -> EvalReport:
@@ -123,20 +124,14 @@ class TestTrainCommand:
         assert manifest.package_version == jointnlu.__version__
         assert 0.0 < manifest.wall_s < 600.0
 
-    def test_manifest_without_the_numerics_still_loads(self, trained):
-        # a manifest written before the numerics, the version and the wall
-        # time were recorded
+    def test_manifest_holds_exactly_its_twelve_keys(self, trained):
         d = json.loads((trained["out"] / "manifest.json").read_text())
-        for key in ("compute_dtype", "numpy_version", "scipy_version",
-                    "blas_threads", "package_version", "wall_s"):
-            del d[key]
-        d["config"] = TrainConfig(**d["config"])
-        old = RunManifest(**d)
-        assert old.compute_dtype == old.numpy_version == old.scipy_version == ""
-        assert old.package_version == ""
-        assert old.blas_threads == {}
-        assert old.wall_s is None
-        assert old.config == read_manifest(trained["out"]).config
+        assert sorted(d) == [
+            "best_epoch", "blas_threads", "checkpoint_path", "compute_dtype",
+            "config", "corpus_hashes", "data_dir", "log_path", "numpy_version",
+            "package_version", "scipy_version", "wall_s",
+        ]
+        assert TrainConfig(**d["config"]) == validate_config_text(CONFIG_TEXT)[0]
 
     def test_manifest_reproduces_the_run_bitwise(self, trained):
         data_dir = trained["data"]
@@ -157,6 +152,57 @@ class TestTrainCommand:
         assert redo.checkpoint.params.keys() == ckpt.params.keys()
         for name, arr in redo.checkpoint.params.items():
             assert np.array_equal(arr, ckpt.params[name]), name
+
+    @pytest.mark.parametrize("role", [r for r in DATA_FILES if r != "test"])
+    def test_missing_required_file_is_named(self, tmp_path, capsys, role):
+        data_dir = tmp_path / "data"
+        toy_grammar(3, 8, 4, 4).write(data_dir)
+        (data_dir / DATA_FILES[role]).unlink()
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\nbatch_size=4\n")
+        before = snapshot(tmp_path)
+        rc = main([
+            "train", "--config", str(config), "--data", str(data_dir),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {data_dir} is missing {DATA_FILES[role]}\n"
+        )
+        assert snapshot(tmp_path) == before
+
+    def test_missing_files_listed_in_table_order(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / "dev.txt").write_text("")
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\nbatch_size=4\n")
+        rc = main([
+            "train", "--config", str(config), "--data", str(data_dir),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {data_dir} is missing train.txt, lexicon.txt, "
+            "gazetteer.tsv, english_dict.txt\n"
+        )
+
+    def test_directory_without_test_split_trains(self, tmp_path):
+        data_dir = tmp_path / "data"
+        toy_grammar(3, 8, 4, 4).write(data_dir)
+        (data_dir / "test.txt").unlink()
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\nbatch_size=4\n")
+        out = tmp_path / "out"
+        rc = main([
+            "train", "--config", str(config), "--data", str(data_dir),
+            "--out", str(out),
+        ])
+        assert rc == 0
+        assert sorted(read_manifest(out).corpus_hashes) == [
+            "dev.txt", "english_dict.txt", "gazetteer.tsv", "lexicon.txt",
+            "train.txt",
+        ]
 
     def test_missing_data_dir_leaves_no_outputs(self, tmp_path):
         config = tmp_path / "config.txt"
@@ -820,6 +866,10 @@ BAD_METADATA = [
     (_meta_text(_with_english_dict(["the", "For"])),
      "metadata 'resources' is not valid "
      "(ValueError: english_dict entry 'For' is not a lowercase str)"),
+    # a lexicon key is one word, so a multi-word key could never match
+    (_meta_text(_with_resource_key("lexicon", "new york")),
+     "metadata 'resources' is not valid "
+     "(ValueError: lexicon key 'new york' holds 2 words)"),
     (_meta_text(_with_last("pieces", 5)),
      "metadata 'pieces' is not valid (ValueError: piece 5 is not a non-empty str)"),
     (_meta_text(_with_last("pieces", "")),

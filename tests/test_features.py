@@ -372,6 +372,12 @@ class TestWordFeaturizer:
         ({}, {"new york": "CITY", ("boston",): "CITY"},
          "gazetteer phrase ('boston',) is not a lowercase str"),
         ({}, {"san Ἀ": "CITY"}, "gazetteer phrase 'san Ἀ' is not a lowercase str"),
+        # lookups compare one word, or a phrase's run of one or more
+        ({"": "JFK"}, {}, "lexicon key '' holds 0 words"),
+        ({"new york": "New York"}, {}, "lexicon key 'new york' holds 2 words"),
+        ({}, {"": "CITY"}, "gazetteer phrase '' holds 0 words"),
+        ({}, {"new york": "CITY", "   ": "CITY"},
+         "gazetteer phrase '   ' holds 0 words"),
     ])
     def test_bad_resources_refused_on_construction(self, lexicon, gazetteer,
                                                    needle):
@@ -387,6 +393,8 @@ class TestWordFeaturizer:
         (["the", ""], "english_dict entry '' is not a word"),
         (["the", "For"], "english_dict entry 'For' is not a lowercase str"),
         (["the", "İ"], "english_dict entry 'İ' is not a lowercase str"),
+        (["the", "for the"], "english_dict entry 'for the' holds 2 words"),
+        (["the", " "], "english_dict entry ' ' holds 0 words"),
     ])
     def test_bad_english_dict_refused_on_construction(self, english_dict,
                                                       needle):
@@ -395,6 +403,12 @@ class TestWordFeaturizer:
         with pytest.raises(ValueError, match=re.escape(needle)):
             WordFeaturizer.from_dict(
                 dict(lexicon={}, gazetteer={}, english_dict=english_dict))
+
+    def test_english_dict_may_be_an_iterator(self):
+        words = ["the", "for"]
+        from_iter = WordFeaturizer({}, {}, (w for w in words))
+        assert from_iter == WordFeaturizer({}, {}, words)
+        assert from_iter.annotate(["FOR"])[0] == [EntityClass.NONE]
 
     def test_pipeline_on_flight_query(self):
         fz = self._featurizer()
