@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .data import DATA_FILES, load_corpus, read_utf8, staged
@@ -93,7 +92,6 @@ def _train_one(config, corpora, hashes, featurizer, run_dir: Path,
         "best_epoch": result.best_epoch,
         "compute_dtype": np.dtype(COMPUTE_DTYPE).name,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "blas_threads": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS},
         "package_version": __version__,
         "wall_s": time.perf_counter() - t0,

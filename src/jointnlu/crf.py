@@ -91,6 +91,18 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _forward(em, steps: _Steps, trans, start, reduce) -> np.ndarray:
+    """The forward recursion: log alpha with _logsumexp, Viterbi's delta with a max."""
+    counts, offsets = steps.counts, steps.offsets
+    out = np.empty(em.shape, em.dtype)
+    np.add(start, em[:counts[0]], out=out[:counts[0]])
+    for t in range(1, len(counts)):
+        lo, m, prev = offsets[t], counts[t], offsets[t - 1]
+        best = reduce(out[prev:prev + m, :, None] + trans, axis=1)
+        np.add(em[lo:lo + m], best, out=out[lo:lo + m])
+    return out
+
+
 def _path_scores(emissions, tags, lengths, trans, start, end) -> np.ndarray:
     """Unnormalized log-score of each sequence's tag path, on packed rows."""
     starts = np.cumsum(lengths) - lengths
@@ -126,17 +138,8 @@ def crf_nll(
         raise ValueError(f"need tags of shape {(T,)}, got {tags.shape}")
     if tags.min() < 0 or tags.max() >= K:
         raise ValueError("tag id out of range")
-    counts, offsets = steps.counts, steps.offsets
 
-    log_alpha = np.empty((T, K), dtype=em.dtype)
-    np.add(start, em[:counts[0]], out=log_alpha[:counts[0]])
-    for t in range(1, len(counts)):
-        lo, m, prev = offsets[t], counts[t], offsets[t - 1]
-        np.add(
-            em[lo:lo + m],
-            _logsumexp(log_alpha[prev:prev + m, :, None] + trans, axis=1),
-            out=log_alpha[lo:lo + m],
-        )
+    log_alpha = _forward(em, steps, trans, start, _logsumexp)
     log_z = _logsumexp(log_alpha[steps.last] + end, axis=1)
 
     nll = log_z - _path_scores(emissions, tags, steps.lengths, trans, start, end)
@@ -218,16 +221,9 @@ def viterbi(
     Returns the (T,) tags, packed like the emissions.
     """
     emissions, steps, em = _inputs(emissions, trans, start, end, lengths)
-    counts, offsets = steps.counts, steps.offsets
-    T, K = emissions.shape
-
+    offsets, K = steps.offsets, emissions.shape[1]
     # delta[r, j]: best score of a path prefix ending in tag j at row r.
-    delta = np.empty((T, K), dtype=em.dtype)
-    np.add(start, em[:counts[0]], out=delta[:counts[0]])
-    for t in range(1, len(counts)):
-        lo, m, prev = offsets[t], counts[t], offsets[t - 1]
-        best = np.maximum.reduce(delta[prev:prev + m, :, None] + trans, axis=1)
-        np.add(em[lo:lo + m], best, out=delta[lo:lo + m])
+    delta = _forward(em, steps, trans, start, np.maximum.reduce)
     # choice[r][j] for j < K: the best tag at row r before tag j at the next
     # position; choice[r][K]: the best last tag if the sequence ends at row
     # r. One argmax over every row, previous tag on the last axis.

@@ -245,11 +245,17 @@ def feature_backward(
     }
 
 
-def _resource_lines(path: str | Path):
-    """Each non-blank line of a resource file, as read, and its number."""
+def _resource_lines(path: str | Path, kind: str = ""):
+    """Each non-blank line of a resource file, as read, and its number; with
+    a `kind` of one-word entry, a line that is not one is named and refused."""
     for ln, line in enumerate(read_utf8(path).splitlines(), 1):
-        if line.strip():
-            yield ln, line
+        if not line.strip():
+            continue
+        try:
+            _refuse_unmatchable(kind, [line.strip().lower()] if kind else [])
+        except ValueError as err:
+            raise ValueError(f"{path}:{ln}: {err}") from None
+        yield ln, line
 
 
 def load_gazetteer(path: str | Path) -> dict[str, str]:
@@ -270,12 +276,13 @@ def load_gazetteer(path: str | Path) -> dict[str, str]:
 
 def load_lexicon(path: str | Path) -> dict[str, str]:
     """Read canonical cased forms, one per line, keyed by lowercase."""
-    forms = (line.strip() for _, line in _resource_lines(path))
+    forms = (line.strip() for _, line in _resource_lines(path, "lexicon key"))
     return {form.lower(): form for form in forms}
 
 
 def load_english_dict(path: str | Path) -> frozenset[str]:
-    return frozenset(line.strip().lower() for _, line in _resource_lines(path))
+    lines = _resource_lines(path, "english_dict entry")
+    return frozenset(line.strip().lower() for _, line in lines)
 
 
 def _refuse_unmatchable(kind: str, entries, phrases: bool = False) -> None:
@@ -293,8 +300,10 @@ def _refuse_unmatchable(kind: str, entries, phrases: bool = False) -> None:
     for entry in entries:
         if type(entry) is not str or entry != entry.lower():
             raise ValueError(f"{kind} {entry!r} is not a lowercase str")
-        if (n := len(entry.split())) != 1 and not (phrases and n):
+        if (n := len(words := entry.split())) != 1 and not (phrases and n):
             raise ValueError(f"{kind} {entry!r} holds {n} words")
+        if not phrases and words != [entry]:
+            raise ValueError(f"{kind} {entry!r} has whitespace around its word")
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,12 @@ Parameters live in one flat name -> array dict. `param_spec` is the one
 list of its tensors (name, shape, initialiser, weight-decay flag); the
 initialiser, Checkpoint's check and the trainer's flat buffers all read
 it. Every layer reads its tensors from that dict under those names and
-returns gradients under the same names, except the CRF: `crf_nll` is handed
-its three tensors, and `_crf_slot_loss` names their gradients ("crf.T",
-"crf.start", "crf.end"). The forward and backward passes compute in the
-dtype of the parameters handed in. The model's own dtype is COMPUTE_DTYPE
-(float32): training, dev evaluation, checkpoints and serving all use it.
-The finite-difference tests hand in float64 arrays and get float64 passes.
+returns gradients under the same names, except the CRF: `crf_nll` and
+`viterbi` are handed its three tensors, and `model_loss_and_grads` names
+their gradients. The forward and backward passes compute in the dtype of
+the parameters handed in. The model's own dtype is COMPUTE_DTYPE (float32):
+training, dev evaluation, checkpoints and serving all use it. The
+finite-difference tests hand in float64 arrays and get float64 passes.
 """
 
 from __future__ import annotations
@@ -215,8 +215,6 @@ def make_batch(
     """The sequences packed into one Batch. The X rule lives here: every
     position's tag id is X's but at each first piece, which gets its word's.
     The feature rows of all pieces come from their codes in one gather."""
-    if not seqs or len(seqs) != len(intent_ids):
-        raise ValueError("need one intent id per aligned sequence")
     ids = np.fromiter(chain.from_iterable(seq.piece_ids for seq in seqs), int)
     active = np.fromiter(chain.from_iterable(seq.active for seq in seqs), bool)
     tag_ids = np.full(len(ids), slot_vocab.encode(X_TAG))
@@ -282,28 +280,6 @@ def _cross_entropy(
     return loss, d
 
 
-def _crf_slot_loss(
-    slot_scores: np.ndarray,
-    tag_ids: np.ndarray,
-    lengths: np.ndarray,
-    params: Dict[str, np.ndarray],
-) -> Tuple[float, np.ndarray, Dict[str, np.ndarray]]:
-    """Batch-mean sequence negative log-likelihood and its gradients, the
-    emission gradient packed like slot_scores."""
-    b = len(lengths)
-    nll, cache = crf_nll(
-        slot_scores, tag_ids, params["crf.T"], params["crf.start"],
-        params["crf.end"], lengths,
-    )
-    g = crf_nll_backward(cache)
-    crf_grads = {
-        "crf.T": g["trans"] / b,
-        "crf.start": g["start"] / b,
-        "crf.end": g["end"] / b,
-    }
-    return float(nll.sum()) / b, g["emissions"] / b, crf_grads
-
-
 def model_loss_and_grads(
     params: Dict[str, np.ndarray],
     cfg: ModelConfig,
@@ -326,10 +302,13 @@ def model_loss_and_grads(
     )
     grads: Dict[str, np.ndarray] = {}
     if cfg.slot_mode == "crf":
-        l_slot, d_slot, crf_grads = _crf_slot_loss(
-            slot_scores, batch.tag_ids, batch.lengths, params
-        )
-        grads.update((k, (1.0 - gamma) * v) for k, v in crf_grads.items())
+        b, names = len(batch.lengths), ("crf.T", "crf.start", "crf.end")
+        nll, crf_cache = crf_nll(slot_scores, batch.tag_ids,
+                                 *[params[n] for n in names], batch.lengths)
+        g = crf_nll_backward(crf_cache)
+        l_slot, d_slot = float(nll.sum()) / b, g["emissions"] / b
+        for name, key in zip(names, ("trans", "start", "end")):
+            grads[name] = (1.0 - gamma) * (g[key] / b)
     else:
         l_slot, d_slot = _cross_entropy(slot_scores, batch.tag_ids, batch.lengths)
 

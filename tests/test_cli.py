@@ -14,7 +14,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import assume, event, given, strategies as st
 
 import jointnlu
@@ -113,7 +112,6 @@ class TestTrainCommand:
         manifest = read_manifest(trained["out"])
         assert manifest.compute_dtype == "float32"
         assert manifest.numpy_version == np.__version__
-        assert manifest.scipy_version == scipy.__version__
         assert manifest.blas_threads == {
             v: os.environ.get(v)
             for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -124,12 +122,12 @@ class TestTrainCommand:
         assert manifest.package_version == jointnlu.__version__
         assert 0.0 < manifest.wall_s < 600.0
 
-    def test_manifest_holds_exactly_its_twelve_keys(self, trained):
+    def test_manifest_holds_exactly_its_eleven_keys(self, trained):
         d = json.loads((trained["out"] / "manifest.json").read_text())
         assert sorted(d) == [
             "best_epoch", "blas_threads", "checkpoint_path", "compute_dtype",
             "config", "corpus_hashes", "data_dir", "log_path", "numpy_version",
-            "package_version", "scipy_version", "wall_s",
+            "package_version", "wall_s",
         ]
         assert TrainConfig(**d["config"]) == validate_config_text(CONFIG_TEXT)[0]
 
@@ -168,6 +166,26 @@ class TestTrainCommand:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: {data_dir} is missing {DATA_FILES[role]}\n"
+        )
+        assert snapshot(tmp_path) == before
+
+    def test_bad_lexicon_line_is_named_by_file_and_line(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        toy_grammar(3, 8, 4, 4).write(data_dir)
+        lexicon = data_dir / DATA_FILES["lexicon"]
+        lines = lexicon.read_text(encoding="utf-8").splitlines()
+        lexicon.write_text("\n".join(lines + ["", "New York", ""]), encoding="utf-8")
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\nbatch_size=4\n")
+        before = snapshot(tmp_path)
+        rc = main([
+            "train", "--config", str(config), "--data", str(data_dir),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {lexicon}:{len(lines) + 2}: "
+            "lexicon key 'new york' holds 2 words\n"
         )
         assert snapshot(tmp_path) == before
 

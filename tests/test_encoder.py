@@ -1,6 +1,7 @@
 """Encoder forward/backward, padding isolation, and the numerics helpers."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -100,13 +101,30 @@ class TestGelu:
             assert np.all(gelu_grad(x, t) == 0.5)
 
     def test_training_imports_no_scipy_special(self):
-        code = "import sys, jointnlu.training; assert 'scipy.special' not in sys.modules"
+        # Every jointnlu module, cli included, runs on the standard library
+        # and numpy alone: importing them all in a fresh interpreter loads no
+        # other top-level module, and the package declares numpy alone.
+        code = (
+            "import importlib, pkgutil, sys\n"
+            "before = set(sys.modules)\n"
+            "import jointnlu\n"
+            "for m in pkgutil.iter_modules(jointnlu.__path__):\n"
+            "    importlib.import_module('jointnlu.' + m.name)\n"
+            "assert 'jointnlu.cli' in sys.modules\n"
+            "added = {n.partition('.')[0] for n in sys.modules.keys() - before}\n"
+            "extra = added - sys.stdlib_module_names - {'numpy', 'jointnlu'}\n"
+            "assert not extra, sorted(extra)\n"
+        )
         src = Path(__file__).resolve().parent.parent / "src"
         done = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
+        tomllib = pytest.importorskip("tomllib")
+        with open(src.parent / "pyproject.toml", "rb") as f:
+            deps = tomllib.load(f)["project"]["dependencies"]
+        assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(), (7, 128), (284, 128)])

@@ -331,6 +331,18 @@ class TestResourceFiles:
         path.write_text("For\nthe\n", encoding="utf-8")
         assert load_english_dict(path) == frozenset({"for", "the"})
 
+    @pytest.mark.parametrize("load,needle", [
+        (load_lexicon, "lexicon key 'new york' holds 2 words"),
+        (load_english_dict, "english_dict entry 'new york' holds 2 words"),
+    ])
+    def test_word_list_line_of_two_words_named_by_file_and_line(
+            self, tmp_path, load, needle):
+        path = tmp_path / "resource.txt"
+        path.write_text("JFK\n\n \t\nparis\nNew York\nthe\n", encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'{path}:5: {needle}')}$"):
+            load(path)
+
     @pytest.mark.parametrize("load,first,second,want", [
         (load_gazetteer, "New York\tCITY", "senator\tTITLE",
          {"new york": "CITY", "senator": "TITLE"}),
@@ -378,6 +390,8 @@ class TestWordFeaturizer:
         ({}, {"": "CITY"}, "gazetteer phrase '' holds 0 words"),
         ({}, {"new york": "CITY", "   ": "CITY"},
          "gazetteer phrase '   ' holds 0 words"),
+        ({" new": "New"}, {}, "lexicon key ' new' has whitespace around its word"),
+        ({"new ": "New"}, {}, "lexicon key 'new ' has whitespace around its word"),
     ])
     def test_bad_resources_refused_on_construction(self, lexicon, gazetteer,
                                                    needle):
@@ -395,6 +409,7 @@ class TestWordFeaturizer:
         (["the", "İ"], "english_dict entry 'İ' is not a lowercase str"),
         (["the", "for the"], "english_dict entry 'for the' holds 2 words"),
         (["the", " "], "english_dict entry ' ' holds 0 words"),
+        (["the", " the"], "english_dict entry ' the' has whitespace around its word"),
     ])
     def test_bad_english_dict_refused_on_construction(self, english_dict,
                                                       needle):
@@ -403,6 +418,26 @@ class TestWordFeaturizer:
         with pytest.raises(ValueError, match=re.escape(needle)):
             WordFeaturizer.from_dict(
                 dict(lexicon={}, gazetteer={}, english_dict=english_dict))
+
+    @given(kind=st.sampled_from(["lexicon", "gazetteer", "english_dict"]),
+           entries=st.lists(st.text("aAİ \t\n", max_size=4), max_size=4))
+    def test_refused_exactly_when_an_entry_breaks_the_rule(self, kind, entries):
+        # an entry is a lowercase str holding one word with nothing around it,
+        # or, for a gazetteer phrase, at least one word
+        def kept(entry):
+            words = entry.split()
+            return entry == entry.lower() and (
+                len(words) > 0 if kind == "gazetteer" else words == [entry])
+
+        resources = dict(lexicon={}, gazetteer={}, english_dict=entries)
+        if kind != "english_dict":
+            resources[kind] = dict.fromkeys(entries, "CITY")
+            resources["english_dict"] = []
+        if all(map(kept, entries)):
+            WordFeaturizer(**resources)
+        else:
+            with pytest.raises(ValueError):
+                WordFeaturizer(**resources)
 
     def test_english_dict_may_be_an_iterator(self):
         words = ["the", "for"]

@@ -634,22 +634,20 @@ class TestSlotLossShape:
 
     def test_crf_loss_is_batch_mean_of_the_packed_crf(self, rng):
         from jointnlu.crf import crf_nll, crf_nll_backward
-        from jointnlu.model import _crf_slot_loss
 
         cfg = tiny_config(slot_mode="crf")
         params = init_model_params(cfg, rng)
-        lengths = np.array([2, 4, 1])
-        scores = rng.normal(size=(7, N_SLOTS))
-        tags = rng.integers(0, N_SLOTS, size=7)
-        loss, d, grads = _crf_slot_loss(scores, tags, lengths, params)
-        nll, cache = crf_nll(scores, tags, params["crf.T"], params["crf.start"],
-                             params["crf.end"], lengths)
+        batch = ragged_batch(rng, [2, 4, 1])
+        gamma = 0.3
+        _, loss, _, grads = model_loss_and_grads(params, cfg, batch, gamma)
+        scores = model_outputs(params, cfg, batch)[1]
+        nll, cache = crf_nll(scores, batch.tag_ids, params["crf.T"],
+                             params["crf.start"], params["crf.end"], batch.lengths)
         g = crf_nll_backward(cache)
         assert loss == float(nll.sum()) / 3
-        assert np.array_equal(d, g["emissions"] / 3)
         for k, key in (("crf.T", "trans"), ("crf.start", "start"),
                        ("crf.end", "end")):
-            assert np.array_equal(grads[k], g[key] / 3), k
+            assert np.array_equal(grads[k], (1.0 - gamma) * (g[key] / 3)), k
 
 
 class TestPredict:
@@ -879,9 +877,16 @@ class TestBatch:
             Batch(batch.ids, np.array(lengths, dtype=int), batch.features,
                   batch.tag_ids, batch.intent_ids)
 
-    def test_mismatched_lengths_rejected(self, rng):
-        with pytest.raises(ValueError):
-            make_batch([], [], SlotVocab(("O", "X")))
+    @pytest.mark.parametrize("n_seqs, match", [
+        (0, None), (1, "need one intent id per sequence"),
+    ])
+    def test_mismatched_lengths_rejected(self, n_seqs, match):
+        from jointnlu.subwords import align
+
+        vocab = WordPieceVocab(RESERVED_TOKENS + ("a",))
+        seqs = [align(["a"], [O_TAG], [0], vocab, 8)] * n_seqs
+        with pytest.raises(ValueError, match=match):
+            make_batch(seqs, [0] * (2 * n_seqs), SlotVocab(("O", "X")))
 
 
 def tiny_checkpoint(params, cfg) -> Checkpoint:
