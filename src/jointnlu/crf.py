@@ -1,11 +1,14 @@
 """Linear-chain CRF over per-position tag scores, batched over sequences.
 
 A path's score is start[y0] + sum of emissions + sum of pairwise transition
-scores + end[yL-1]. Training minimizes the negative log-likelihood computed
-with a log-space forward pass; its gradient is (marginals - gold indicator),
-obtained from a log-space forward-backward sweep (Sutton & McCallum, "An
-Introduction to Conditional Random Fields", arXiv:1011.4088). Decoding is
-Viterbi with ties broken toward the lowest tag id at each backtrack step.
+scores + end[yL-1] (Sutton & McCallum, "An Introduction to Conditional
+Random Fields", arXiv:1011.4088). Training minimizes the negative
+log-likelihood, found with its gradient (marginals - gold indicator) by
+forward-backward in scaled probability space (Rabiner, "A tutorial on hidden
+Markov models", 1989, section V.A): each factor is exp(score - its maximum)
+and each forward step is divided by its sum, the logs of the sums adding up
+to log Z. Viterbi decodes max-plus in log space, ties broken toward the
+lowest tag id at each backtrack step.
 
 Every function takes packed rows: emissions (T, K) and tags (T,) hold the
 positions of b sequences one after another, and `lengths` (b,) gives each
@@ -80,25 +83,14 @@ def _inputs(emissions, trans, start, end, lengths):
     return emissions, steps, em
 
 
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(x))) along `axis`, shifted by the maximum so nothing
-    overflows; a slice that is all -inf gives -inf."""
-    shift = x.max(axis=axis, keepdims=True)
-    shift[np.isneginf(shift)] = 0.0
-    out = np.exp(x - shift).sum(axis=axis)
-    np.log(out, out=out)
-    out += np.squeeze(shift, axis)
-    return out
-
-
-def _forward(em, steps: _Steps, trans, start, reduce) -> np.ndarray:
-    """The forward recursion: log alpha with _logsumexp, Viterbi's delta with a max."""
+def _forward(em, steps: _Steps, trans, start) -> np.ndarray:
+    """Viterbi's max-plus recursion, delta, over the step-major rows."""
     counts, offsets = steps.counts, steps.offsets
     out = np.empty(em.shape, em.dtype)
     np.add(start, em[:counts[0]], out=out[:counts[0]])
     for t in range(1, len(counts)):
         lo, m, prev = offsets[t], counts[t], offsets[t - 1]
-        best = reduce(out[prev:prev + m, :, None] + trans, axis=1)
+        best = np.maximum.reduce(out[prev:prev + m, :, None] + trans, axis=1)
         np.add(em[lo:lo + m], best, out=out[lo:lo + m])
     return out
 
@@ -115,8 +107,8 @@ def _path_scores(emissions, tags, lengths, trans, start, end) -> np.ndarray:
     return score
 
 
-# log(0) = -inf is the expected log-sum of a tag no path reaches.
-@np.errstate(divide="ignore")
+# The check on log Z reports a zero scale or a NaN score; neither warns first.
+@np.errstate(divide="ignore", invalid="ignore")
 def crf_nll(
     emissions: np.ndarray,
     tags,
@@ -129,7 +121,8 @@ def crf_nll(
     the cache crf_nll_backward needs.
 
     The loss is a (b,) array, as is the cache's "log_z", each sequence's
-    log Z.
+    log Z. A sequence whose every path's weight underflows to 0 in the
+    scores' dtype, or a NaN score, raises FloatingPointError naming it.
     """
     emissions, steps, em = _inputs(emissions, trans, start, end, lengths)
     T, K = emissions.shape
@@ -138,19 +131,49 @@ def crf_nll(
         raise ValueError(f"need tags of shape {(T,)}, got {tags.shape}")
     if tags.min() < 0 or tags.max() >= K:
         raise ValueError("tag id out of range")
+    counts, offsets = steps.counts, steps.offsets
+    b = counts[0]
 
-    log_alpha = _forward(em, steps, trans, start, _logsumexp)
-    log_z = _logsumexp(log_alpha[steps.last] + end, axis=1)
+    # Every factor is exp(score - its maximum), at most 1, and each step's
+    # alpha is divided by its sum, the step's scale c, so alpha[r] is the
+    # distribution of row r's tag given the scores up to it.
+    em_max, trans_max = em.max(axis=1), trans.max()
+    weights, pair = np.exp(em - em_max[:, None]), np.exp(trans - trans_max)
+    alpha, scale = np.empty_like(weights), np.empty(T, weights.dtype)
+    np.multiply(np.exp(start - start.max()), weights[:b], out=alpha[:b])
+    for t, (lo, m) in enumerate(zip(offsets, counts)):
+        if t:
+            prev = offsets[t - 1]
+            np.matmul(alpha[prev:prev + m], pair, out=alpha[lo:lo + m])
+            alpha[lo:lo + m] *= weights[lo:lo + m]
+        np.add.reduce(alpha[lo:lo + m], axis=1, out=scale[lo:lo + m])
+        alpha[lo:lo + m] /= scale[lo:lo + m, None]
+
+    # Per sequence, log Z sums every row's log c and shifts (one transition
+    # shift per row after the first) and the last row's end weights.
+    terms = np.log(scale) + em_max
+    terms[b:] += trans_max
+    if steps.rows is not None:
+        terms[steps.rows] = terms.copy()
+    log_z = np.add.reduceat(terms, np.cumsum(steps.lengths) - steps.lengths)
+    log_z += np.log(alpha[steps.last] @ np.exp(end - end.max()))
+    log_z += start.max() + end.max()
+    bad = np.flatnonzero(~np.isfinite(log_z))
+    if bad.size:
+        raise FloatingPointError(
+            f"CRF sequence {bad[0]} has no finite log Z in {weights.dtype}: every "
+            "tag path's weight underflows, or a score is not finite"
+        )
 
     nll = log_z - _path_scores(emissions, tags, steps.lengths, trans, start, end)
     cache = dict(
-        steps=steps, em=em, tags=tags if steps.rows is None else tags[steps.rows],
-        trans=trans, end=end, log_alpha=log_alpha, log_z=log_z,
+        steps=steps, tags=tags if steps.rows is None else tags[steps.rows],
+        weights=weights, scale=scale, alpha=alpha, trans=trans, end=end,
+        log_z=log_z,
     )
     return nll, cache
 
 
-@np.errstate(divide="ignore")
 def crf_nll_backward(cache: dict) -> dict[str, np.ndarray]:
     """Exact gradients of the summed crf_nll w.r.t. emissions, trans, start
     and end.
@@ -160,52 +183,40 @@ def crf_nll_backward(cache: dict) -> dict[str, np.ndarray]:
     follow the same pattern with pairwise and boundary marginals, summed over
     the batch.
     """
-    steps, em, tags, trans = cache["steps"], cache["em"], cache["tags"], cache["trans"]
-    log_alpha, log_z = cache["log_alpha"], cache["log_z"]
+    steps, tags, trans = cache["steps"], cache["tags"], cache["trans"]
+    weights, scale, alpha = cache["weights"], cache["scale"], cache["alpha"]
     counts, offsets = steps.counts, steps.offsets
-    T, K = em.shape
+    T, K = alpha.shape
     b = counts[0]
+    pair = np.exp(trans - trans.max())
+    end_weights = np.exp(cache["end"] - cache["end"].max())
 
-    log_beta = np.empty((T, K), dtype=em.dtype)
-    log_beta[steps.last] = cache["end"]
+    # beta is scaled so that alpha * beta are the marginals; row r passes
+    # q[r] = weights[r] * beta[r] / c[r] back to the row before it.
+    beta = np.empty_like(alpha)
+    beta[steps.last] = end_weights / (alpha[steps.last] @ end_weights)[:, None]
+    q = weights / scale[:, None]
     for t in range(len(counts) - 2, -1, -1):
         lo, m, nxt = offsets[t], counts[t + 1], offsets[t + 1]
-        log_beta[lo:lo + m] = _logsumexp(
-            trans + (em[nxt:nxt + m] + log_beta[nxt:nxt + m])[:, None, :], axis=2
-        )
+        q[nxt:nxt + m] *= beta[nxt:nxt + m]
+        np.matmul(q[nxt:nxt + m], pair.T, out=beta[lo:lo + m])
 
-    # Each step-major row's log Z.
-    row_log_z = np.repeat(log_z, steps.lengths)
-    if steps.rows is not None:
-        row_log_z = row_log_z[steps.rows]
-    d_em = np.exp(log_alpha + log_beta - row_log_z[:, None])
+    d_em = alpha * beta
     d_em[np.arange(T), tags] -= 1.0
 
-    # Pairwise marginals of every transition inside a sequence: step-major
-    # row r >= b follows row r - (the count of the step before it).
+    # Pairwise marginals of every transition inside a sequence, summed:
+    # step-major row r >= b follows row r - (the count of the step before it).
     prev = np.arange(b, T) - np.repeat(
         np.array(counts[:-1], dtype=np.intp), counts[1:]
     )
-    log_pair = (
-        log_alpha[prev][:, :, None]
-        + trans
-        + (em[b:] + log_beta[b:])[:, None, :]
-        - row_log_z[b:, None, None]
-    )
-    d_trans = np.exp(log_pair, out=log_pair).sum(axis=0)
+    d_trans = pair * (alpha[prev].T @ q[b:])
     d_trans -= np.bincount(tags[prev] * K + tags[b:], minlength=K * K).reshape(K, K)
 
-    if steps.rows is None:
-        d_emissions = d_em
-    else:
-        d_emissions = np.empty_like(d_em)
-        d_emissions[steps.rows] = d_em
-    return dict(
-        emissions=d_emissions,
-        trans=d_trans,
-        start=d_em[:b].sum(axis=0),
-        end=d_em[steps.last].sum(axis=0),
-    )
+    grads = dict(trans=d_trans, start=d_em[:b].sum(axis=0),
+                 end=d_em[steps.last].sum(axis=0))
+    if steps.rows is not None:
+        d_em[steps.rows] = d_em.copy()
+    return dict(emissions=d_em, **grads)
 
 
 def viterbi(
@@ -223,7 +234,7 @@ def viterbi(
     emissions, steps, em = _inputs(emissions, trans, start, end, lengths)
     offsets, K = steps.offsets, emissions.shape[1]
     # delta[r, j]: best score of a path prefix ending in tag j at row r.
-    delta = _forward(em, steps, trans, start, np.maximum.reduce)
+    delta = _forward(em, steps, trans, start)
     # choice[r][j] for j < K: the best tag at row r before tag j at the next
     # position; choice[r][K]: the best last tag if the sequence ends at row
     # r. One argmax over every row, previous tag on the last axis.

@@ -7,9 +7,15 @@ sequence of all L rows.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import jointnlu.training
 from jointnlu.crf import crf_nll, crf_nll_backward, viterbi
+from jointnlu.encoder import EncoderConfig
 from jointnlu.numerics import log_softmax
+from jointnlu.toy import toy_grammar
+from jointnlu.training import DivergenceError, TrainConfig, train
 
 import oracles
 from oracles import (
@@ -353,3 +359,119 @@ class TestValidation:
             tags[3] = bad
             with pytest.raises(ValueError, match="tag id out of range"):
                 crf_nll(emis, tags, np.zeros((4, 4)), zeros, zeros, [3, 2])
+
+
+def assert_matches_reference(nll, grads, emis, tags, lengths, trans, start, end,
+                             tol):
+    """Each sequence's loss and emission gradient, and the batch's summed
+    transition, start and end gradients, within `tol` of the per-sequence
+    reference in float64."""
+    f64 = [np.asarray(x, dtype=np.float64) for x in (emis, trans, start, end)]
+    summed = dict.fromkeys(("trans", "start", "end"), 0.0)
+    for i, (lo, L) in enumerate(segments(lengths)):
+        ref_nll, ref = crf_forward_backward(f64[0][lo:lo + L], tags[lo:lo + L],
+                                            *f64[1:])
+        assert abs(nll[i] - ref_nll) <= tol
+        assert np.abs(grads["emissions"][lo:lo + L] - ref["emissions"]).max() <= tol
+        for k in summed:
+            summed[k] = summed[k] + ref[k]
+    for k, v in summed.items():
+        assert np.abs(grads[k] - v).max() <= tol, k
+
+
+def underflowing(K, dtype):
+    """Transition and start scores under which every path's weight
+    underflows in float32 but not in float64: only tag 0 may start
+    (exp(-200) is 0 in float32), and every move out of tag 0 lies 110 nats
+    below the best move, from tag K - 1 to itself."""
+    trans = np.full((K, K), -110.0)
+    trans[K - 1, K - 1] = 0.0
+    start = np.full(K, -200.0)
+    start[0] = 0.0
+    return trans.astype(dtype), start.astype(dtype)
+
+
+class TestScaling:
+    """The likelihood works on weights scaled at every step, not on log
+    scores: check it where scaling matters, against the float64 log-space
+    reference."""
+
+    def test_long_float32_sequence_keeps_log_z(self, rng):
+        L, K = 2000, 5
+        emis = rng.normal(size=(L, K)) * 2 - 4
+        trans, start, end = (rng.normal(size=s) for s in ((K, K), K, K))
+        tags = rng.integers(0, K, size=L)
+        ref_nll, _ = crf_forward_backward(emis, tags, trans, start, end)
+        ref_log_z = ref_nll + oracles.crf_score(emis, tags, trans, start, end)
+        # unscaled, alpha would be far below float32's smallest number
+        assert ref_log_z < np.log(np.finfo(np.float32).tiny)
+        f32 = [x.astype(np.float32) for x in (emis, trans, start, end)]
+        _, cache = crf_nll(f32[0], tags, *f32[1:])
+        assert cache["log_z"].dtype == np.float32
+        assert abs(cache["log_z"][0] - ref_log_z) <= 1e-5 * abs(ref_log_z)
+
+    def test_float32_batch_at_benchmark_shape_matches_float64_reference(self, rng):
+        b, K = 32, 14
+        lengths = rng.integers(4, 15, size=b)
+        T = int(lengths.sum())
+        emis, trans, start, end = (
+            (rng.normal(size=shape) * 3).astype(np.float32)
+            for shape in ((T, K), (K, K), (K,), (K,))
+        )
+        tags = rng.integers(0, K, size=T)
+        nll, cache = crf_nll(emis, tags, trans, start, end, lengths)
+        grads = crf_nll_backward(cache)
+        assert all(x.dtype == np.float32 for x in (nll, *grads.values()))
+        assert_matches_reference(nll, grads, emis, tags, lengths, trans, start, end,
+                                 tol=1e-4)
+
+    @given(data=st.data())
+    def test_scores_up_to_30_match_reference(self, data):
+        L, K = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 5))
+        scores = st.floats(-30, 30)
+        emis, trans, start, end = (
+            data.draw(arrays(np.float64, shape, elements=scores))
+            for shape in ((L, K), (K, K), (K,), (K,))
+        )
+        tags = data.draw(arrays(np.intp, L, elements=st.integers(0, K - 1)))
+        nll, cache = crf_nll(emis, tags, trans, start, end)
+        grads = crf_nll_backward(cache)
+        ref_nll, ref = crf_forward_backward(emis, tags, trans, start, end)
+        assert abs(nll[0] - ref_nll) <= 1e-9 * max(1.0, abs(ref_nll))
+        for k, want in ref.items():
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(grads[k] - want).max() <= 1e-9 * scale, k
+
+    def test_zero_scale_raises_and_float64_keeps_it(self, rng):
+        K, lengths = 4, np.array([1, 3, 2])
+        emis = rng.normal(size=(6, K))
+        tags = rng.integers(0, K, size=6)
+        end = rng.normal(size=K)
+        trans, start = underflowing(K, np.float32)
+        f32 = emis.astype(np.float32), end.astype(np.float32)
+        with pytest.raises(FloatingPointError,
+                           match="CRF sequence 1 has no finite log Z in float32"):
+            crf_nll(f32[0], tags, trans, start, f32[1], lengths)
+
+        trans, start = underflowing(K, np.float64)
+        nll, cache = crf_nll(emis, tags, trans, start, end, lengths)
+        assert_matches_reference(nll, crf_nll_backward(cache), emis, tags, lengths,
+                                 trans, start, end, tol=1e-12)
+
+    def test_zero_scale_in_training_is_a_divergence(self, monkeypatch):
+        original = jointnlu.training.init_model_params
+
+        def init(cfg, rng):
+            params = original(cfg, rng)
+            params["crf.T"], params["crf.start"] = underflowing(cfg.n_slots,
+                                                                np.float64)
+            return params
+
+        monkeypatch.setattr(jointnlu.training, "init_model_params", init)
+        data = toy_grammar(9, 8, 4, 4)
+        cfg = TrainConfig(epochs=1, batch_size=4, slot_mode="crf", seed=11)
+        encoder = EncoderConfig(vocab_size=4, d_h=16, n_layers=1, n_heads=2,
+                                d_ff=32, max_len=50)
+        message = r"epoch 0, step 0: CRF sequence \d+ has no finite log Z"
+        with pytest.raises(DivergenceError, match=message):
+            train(data.train, data.dev, cfg, data.featurizer(), encoder=encoder)
