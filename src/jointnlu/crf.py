@@ -7,8 +7,8 @@ log-likelihood, found with its gradient (marginals - gold indicator) by
 forward-backward in scaled probability space (Rabiner, "A tutorial on hidden
 Markov models", 1989, section V.A): each factor is exp(score - its maximum)
 and each forward step is divided by its sum, the logs of the sums adding up
-to log Z. Viterbi decodes max-plus in log space, ties broken toward the
-lowest tag id at each backtrack step.
+to log Z. Viterbi decodes max-plus in log space and keeps its back pointers
+inside the recursion, ties broken toward the lowest tag id.
 
 Every function takes packed rows: emissions (T, K) and tags (T,) hold the
 positions of b sequences one after another, and `lengths` (b,) gives each
@@ -81,18 +81,6 @@ def _inputs(emissions, trans, start, end, lengths):
     steps = _steps(T, lengths)
     em = emissions if steps.rows is None else emissions[steps.rows]
     return emissions, steps, em
-
-
-def _forward(em, steps: _Steps, trans, start) -> np.ndarray:
-    """Viterbi's max-plus recursion, delta, over the step-major rows."""
-    counts, offsets = steps.counts, steps.offsets
-    out = np.empty(em.shape, em.dtype)
-    np.add(start, em[:counts[0]], out=out[:counts[0]])
-    for t in range(1, len(counts)):
-        lo, m, prev = offsets[t], counts[t], offsets[t - 1]
-        best = np.maximum.reduce(out[prev:prev + m, :, None] + trans, axis=1)
-        np.add(em[lo:lo + m], best, out=out[lo:lo + m])
-    return out
 
 
 def _path_scores(emissions, tags, lengths, trans, start, end) -> np.ndarray:
@@ -231,24 +219,28 @@ def viterbi(
 
     Returns the (T,) tags, packed like the emissions.
     """
-    emissions, steps, em = _inputs(emissions, trans, start, end, lengths)
-    offsets, K = steps.offsets, emissions.shape[1]
-    # delta[r, j]: best score of a path prefix ending in tag j at row r.
-    delta = _forward(em, steps, trans, start)
-    # choice[r][j] for j < K: the best tag at row r before tag j at the next
-    # position; choice[r][K]: the best last tag if the sequence ends at row
-    # r. One argmax over every row, previous tag on the last axis.
-    into = np.concatenate([trans.T, end[None]])
-    choice = (delta[:, None, :] + into).argmax(axis=2).tolist()
+    _, steps, em = _inputs(emissions, trans, start, end, lengths)
+    counts, offsets = steps.counts, steps.offsets
+    # delta[r, j]: best score of a path prefix ending in tag j at row r;
+    # back[r, j]: the best tag one position earlier, given tag j at row r.
+    delta, back = np.empty(em.shape, em.dtype), np.empty(em.shape, np.intp)
+    np.add(start, em[:counts[0]], out=delta[:counts[0]])
+    for t in range(1, len(counts)):
+        lo, m, prev = offsets[t], counts[t], offsets[t - 1]
+        # (sequence, next tag, previous tag): one block for max and argmax
+        into = delta[prev:prev + m, None, :] + trans.T
+        into.argmax(axis=2, out=back[lo:lo + m])
+        np.add(em[lo:lo + m], np.maximum.reduce(into, axis=2), out=delta[lo:lo + m])
+    tags = (delta[steps.last] + end).argmax(axis=1).tolist()
+    back = back.tolist()
 
     # The walk back along the pointers is on Python ints: a step costs far
     # less than one numpy call, which matters most for a batch of one.
     paths = []
-    for rank, last, length in zip(steps.ranks, steps.last, steps.lengths.tolist()):
-        tag = choice[last][K]
+    for tag, rank, length in zip(tags, steps.ranks, steps.lengths.tolist()):
         path = [tag]
-        for t in range(length - 2, -1, -1):
-            tag = choice[offsets[t] + rank][tag]
+        for t in range(length - 1, 0, -1):
+            tag = back[offsets[t] + rank][tag]
             path.append(tag)
         paths.extend(reversed(path))
     return np.array(paths, dtype=np.intp)
