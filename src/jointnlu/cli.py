@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .data import DATA_FILES, load_corpus, read_utf8, staged
+from .data import DATA_FILES, lint_corpus, load_corpus, read_utf8, staged
 from .features import WordFeaturizer
 from .model import COMPUTE_DTYPE, load_checkpoint, save_checkpoint
 from .tagging import HEADLINE_MEASURES, read_kv, relative_error_reduction
@@ -87,6 +87,7 @@ def _train_one(config, corpora, hashes, featurizer, run_dir: Path,
         "config": dataclasses.asdict(config),
         "data_dir": data_dir,
         "corpus_hashes": hashes,
+        "lint": {split: len(lint_corpus(corpus)) for split, corpus in corpora.items()},
         "checkpoint_path": "checkpoint.npz",
         "log_path": "train.log",
         "best_epoch": result.best_epoch,

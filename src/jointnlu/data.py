@@ -58,12 +58,18 @@ class TaggedUtterance:
             raise ValueError(
                 f"{len(self.words)} words but {len(self.tags)} tags"
             )
+        if not isinstance(self.intent, str):
+            raise ValueError(f"intent label {self.intent!r} is not a non-empty str")
         if not self.intent:
             raise ValueError("intent label is empty")
         for w in self.words:
-            if w.split() != [w]:  # empty, or holds whitespace
+            if not isinstance(w, str) or w.split() != [w]:  # empty, or holds whitespace
                 raise ValueError(f"bad word {w!r}")
         for t in self.tags:
+            if not isinstance(t, SlotTag):
+                raise ValueError(
+                    f"tag {t!r} is not a SlotTag; read tag text with SlotTag.parse"
+                )
             if t.kind == "X":
                 raise ValueError("X is a sub-word marker, not a word tag")
 

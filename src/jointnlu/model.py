@@ -399,6 +399,8 @@ class Checkpoint:
             arr = self.params.get(name)
             if arr is None:
                 problem = "is missing"
+            elif not isinstance(arr, np.ndarray):
+                problem = f"is a {type(arr).__name__}, not an array"
             elif arr.shape != shape:
                 problem = f"has shape {arr.shape}, expected {shape}"
             elif arr.dtype not in (COMPUTE_DTYPE, np.float64):

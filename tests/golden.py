@@ -10,6 +10,7 @@ as float.hex. Batches of 16 make 4 steps an epoch: the warmup gives the
 first step a learning rate of 0, so with one batch an epoch a checkpoint
 selected at epoch 0 would hold the initial parameters, and no change to
 the gradients or the optimizer could move it.
+
 The environment block records what the bits depend on besides the code:
 numpy, its BLAS and the CPU. tests/test_golden_outputs.py compares a fresh
 run with the committed file; a change that moves the numbers on purpose

@@ -19,11 +19,17 @@ from hypothesis import assume, event, given, strategies as st
 import jointnlu
 from jointnlu import cli
 from jointnlu.cli import main
-from jointnlu.data import DATA_FILES, load_corpus, read_utf8, save_corpus
+from jointnlu.data import (
+    DATA_FILES,
+    TaggedUtterance,
+    load_corpus,
+    read_utf8,
+    save_corpus,
+)
 from jointnlu.features import WordFeaturizer
 from jointnlu.model import load_checkpoint
 from jointnlu.subwords import BOS_TOKEN, EOS_TOKEN
-from jointnlu.tagging import EvalReport
+from jointnlu.tagging import O_TAG, EvalReport, SlotTag
 from jointnlu.toy import toy_grammar
 from jointnlu.training import (
     DivergenceError,
@@ -122,14 +128,33 @@ class TestTrainCommand:
         assert manifest.package_version == jointnlu.__version__
         assert 0.0 < manifest.wall_s < 600.0
 
-    def test_manifest_holds_exactly_its_eleven_keys(self, trained):
+    def test_manifest_holds_exactly_its_twelve_keys(self, trained):
         d = json.loads((trained["out"] / "manifest.json").read_text())
         assert sorted(d) == [
             "best_epoch", "blas_threads", "checkpoint_path", "compute_dtype",
-            "config", "corpus_hashes", "data_dir", "log_path", "numpy_version",
-            "package_version", "wall_s",
+            "config", "corpus_hashes", "data_dir", "lint", "log_path",
+            "numpy_version", "package_version", "wall_s",
         ]
         assert TrainConfig(**d["config"]) == validate_config_text(CONFIG_TEXT)[0]
+        assert d["lint"] == {"train": 0, "dev": 0, "test": 0}
+
+    def test_manifest_counts_the_lint_flags_of_each_split(self, tmp_path):
+        data = toy_grammar(3, 8, 4, 4)
+        data_dir = tmp_path / "data"
+        data.write(data_dir)
+        # an I- tag right after O opens a chunk, which lint flags
+        orphan = TaggedUtterance(("fly", "boston"), (O_TAG, SlotTag("I", "city")),
+                                 data.train[0].intent)
+        save_corpus([*data.train, orphan], data_dir / DATA_FILES["train"])
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\nbatch_size=4\n")
+        out = tmp_path / "out"
+        rc = main([
+            "train", "--config", str(config), "--data", str(data_dir),
+            "--out", str(out),
+        ])
+        assert rc == 0
+        assert read_manifest(out).lint == {"train": 1, "dev": 0, "test": 0}
 
     def test_manifest_reproduces_the_run_bitwise(self, trained):
         data_dir = trained["data"]

@@ -55,21 +55,37 @@ class TestTaggedUtterance:
         with pytest.raises(ValueError):
             utt(["play"], ["O", "O"])
 
-    def test_empty_intent_rejected(self):
-        with pytest.raises(ValueError):
-            utt(["play"], ["O"], intent="")
+    @pytest.mark.parametrize("intent, message", [
+        ("", "intent label is empty"),
+        (5, "intent label 5 is not a non-empty str"),
+        (None, "intent label None is not a non-empty str"),
+    ], ids=["empty", "int", "none"])
+    def test_empty_intent_rejected(self, intent, message):
+        with pytest.raises(ValueError) as err:
+            TaggedUtterance(("play",), (O_TAG,), intent)
+        assert str(err.value) == message
 
     def test_empty_words_rejected(self):
         with pytest.raises(ValueError):
             utt([], [])
 
-    def test_whitespace_word_rejected(self):
-        with pytest.raises(ValueError):
-            utt(["new york"], ["B-city"])
+    # a word that is not a str is refused with the same message
+    @pytest.mark.parametrize("word", ["new york", 3, b"play", None],
+                             ids=["whitespace", "int", "bytes", "none"])
+    def test_whitespace_word_rejected(self, word):
+        with pytest.raises(ValueError) as err:
+            TaggedUtterance((word,), (SlotTag("B", "city"),), "i")
+        assert str(err.value) == f"bad word {word!r}"
 
-    def test_x_tag_rejected(self):
-        with pytest.raises(ValueError):
-            TaggedUtterance(("a",), (SlotTag("X"),), "i")
+    @pytest.mark.parametrize("tag, message", [
+        (SlotTag("X"), "X is a sub-word marker, not a word tag"),
+        ("O", "tag 'O' is not a SlotTag; read tag text with SlotTag.parse"),
+        (0, "tag 0 is not a SlotTag; read tag text with SlotTag.parse"),
+    ], ids=["x", "str", "int"])
+    def test_x_tag_rejected(self, tag, message):
+        with pytest.raises(ValueError) as err:
+            TaggedUtterance(("a",), (tag,), "i")
+        assert str(err.value) == message
 
     @given(st.text(st.one_of(
         st.characters(),

@@ -911,6 +911,8 @@ def _poisoned(name, value):
 # (edit of a valid crf-mode tiny_config params dict, the ValueError's text)
 BAD_PARAMS = {
     "missing": (lambda p: p.pop("b_s"), "tensor 'b_s' is missing"),
+    "list": (lambda p: p.update(W_s=p["W_s"].tolist()),
+             "tensor 'W_s' is a list, not an array"),
     "unexpected": (lambda p: p.update({"int.W_extra": np.zeros(3)}),
                    "unexpected tensor 'int.W_extra'"),
     "shape": (lambda p: p.update(W_s=p["W_s"][:, :-1]),

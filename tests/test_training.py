@@ -509,14 +509,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="at least one utterance"):
             evaluate(res.checkpoint, [])
 
-    def test_bad_requests_rejected(self):
-        data, res = self._fitted()
-        words = data.dev[0].words
-        with pytest.raises(ValueError, match="batch_size"):
-            predict(res.checkpoint, [words], batch_size=0)
+    @pytest.mark.parametrize("request_of, batch_size, match", [
+        (lambda words: [words], 0, "batch_size"),
         # a string is a sequence too, of one-character words
-        with pytest.raises(ValueError, match="not a string"):
-            predict(res.checkpoint, [" ".join(words)])
+        (lambda words: [" ".join(words)], 64, "not a string"),
+        (lambda words: [words + (3,)], 64, "bad word 3"),
+    ], ids=["batch_size", "string", "int_word"])
+    def test_bad_requests_rejected(self, request_of, batch_size, match):
+        data, res = self._fitted()
+        with pytest.raises(ValueError, match=match):
+            predict(res.checkpoint, request_of(data.dev[0].words), batch_size)
 
 
 def test_desk_encoder_dimensions():
