@@ -81,7 +81,9 @@ def _from_heads(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _add_norm(x, out, params, p, rate, rng):
     """layer_norm(x + dropout(out)), gain p + "g" and bias p + "b", and its cache."""
     mask = dropout_mask(rng, out.shape, rate, x.dtype)
-    y, ln = layer_norm(x + apply_mask(out, mask), params[p + "g"], params[p + "b"])
+    if mask is not None:
+        out *= mask  # the sublayer's own output, which nothing else keeps
+    y, ln = layer_norm(x + out, params[p + "g"], params[p + "b"])
     return y, (mask, ln)
 
 

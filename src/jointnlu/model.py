@@ -41,7 +41,7 @@ from .features import (
     feature_forward,
 )
 from .intent_head import POOL_MODES, intent_backward, intent_forward
-from .numerics import log_softmax
+from .numerics import dropout_steps, log_softmax
 from .slot_head import slot_backward, slot_forward
 from .subwords import AlignedSequence, WordPieceVocab, align, de_align
 from .tagging import SlotTag, X_TAG
@@ -74,8 +74,7 @@ class ModelConfig:
             raise ValueError(f"slot_mode must be one of {SLOT_MODES}")
         if self.intent_pool not in POOL_MODES:
             raise ValueError(f"intent_pool must be one of {POOL_MODES}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+        dropout_steps(self.dropout_rate)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -20,6 +20,14 @@ maxima by a size rule that reads the array: a halving tree of np.fmax over
 many short rows (attention's score block at training and batch-64 shapes),
 else np.fmax.reduce. Both give the same values, so the rule changes no
 number. It then exponentiates and normalizes in place, on its one temporary.
+
+Dropout rates live on a grid of 1/65536 (DROPOUT_GRID). A mask of n entries
+takes ceil(n/4) raw 64-bit words from the generator, read little-endian as
+4n 16-bit values (the same draw on every byte order), and keeps each entry
+whose value is at least drop = round(rate * 65536): exactly a (65536 - drop)
+/ 65536 share of the values. Kept entries are scaled by 65536 / (65536 -
+drop), so each entry's expectation is 1 up to the rounding of that scale.
+No float is drawn, and the draw does not depend on the mask's dtype.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ _GELU_A = 0.044715
 # a constant row it keeps 1/sqrt(var) finite; if float32 rounds that row's
 # mean, the offset left in every entry normalizes to |xhat| < 1, not to 0.
 LN_EPS = 1e-12
+
+DROPOUT_GRID = 65536  # dropout rates are taken as multiples of 1/DROPOUT_GRID
 
 
 # The softmaxes reduce with np.fmax.reduce / np.add.reduce: the arithmetic
@@ -135,6 +145,21 @@ def layer_norm_backward(d_y: np.ndarray, cache):
     return d_x, d_gain, d_bias
 
 
+def dropout_steps(rate: float) -> int:
+    """round(rate * DROPOUT_GRID), the number of 16-bit values a mask drops.
+    ValueError for a rate outside [0, 1), and for one the grid cannot hold:
+    a positive rate that rounds to no step would turn dropout off, and one
+    that rounds to every step would keep nothing and scale by 1/0."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout_rate must be in [0, 1), got {rate}")
+    drop = round(rate * DROPOUT_GRID)
+    if drop == DROPOUT_GRID or (drop == 0 and rate > 0.0):
+        raise ValueError(f"dropout_rate {rate} is off the 1/{DROPOUT_GRID} grid "
+                         f"of dropout rates: it rounds to {drop} steps, and a "
+                         f"rate must round to 1 to {DROPOUT_GRID - 1} of them")
+    return drop
+
+
 def dropout_mask(
     rng: np.random.Generator | None,
     shape: tuple[int, ...],
@@ -144,15 +169,22 @@ def dropout_mask(
     """Inverted-dropout multiplier of the given float dtype, or None when
     dropout is inactive.
 
-    Kept entries are scaled by 1/(1-rate) so expectations are preserved. The
-    draws do not depend on the dtype.
+    The rate is taken on the 1/65536 grid (dropout_steps). The mask reads
+    ceil(size/4) raw words of the generator's bit stream as little-endian
+    16-bit values, one per entry, and keeps the entries whose value is at
+    least drop = dropout_steps(rate). Kept entries are 65536/(65536 - drop),
+    the inverse of the exact keep fraction, rounded to `dtype`. The draws do
+    not depend on the dtype.
     """
-    if rate < 0.0 or rate >= 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0 or rng is None:
+    drop = dropout_steps(rate)
+    if drop == 0 or rng is None:
         return None
-    keep = rng.random(shape) >= rate
-    return keep.astype(dtype) / (1.0 - rate)
+    size = math.prod(shape)
+    words = rng.bit_generator.random_raw(-(-size // 4))
+    bits = words.astype("<u8", copy=False).view("<u2")[:size].reshape(shape)
+    mask = (bits >= drop).astype(dtype)
+    mask *= DROPOUT_GRID / (DROPOUT_GRID - drop)
+    return mask
 
 
 def apply_mask(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:

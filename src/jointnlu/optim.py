@@ -18,7 +18,11 @@ import numpy as np
 def lr_schedule(
     step: int, total_steps: int, warmup_proportion: float, peak_lr: float
 ) -> float:
-    """Linear ramp 0 -> peak over the warmup span, then linear peak -> 0."""
+    """Linear ramp 0 -> peak over the warmup span, then linear peak -> 0.
+
+    With a warmup span, step 0's rate is 0: the first AdamW step moves no
+    parameter, though it still folds that step's gradient into the moments.
+    """
     if total_steps <= 0:
         raise ValueError("total_steps must be positive")
     if not 0 <= step <= total_steps:
@@ -87,9 +91,9 @@ class AdamW:
             raise ValueError(f"params must be a flat buffer of {self._g.size} values, "
                              f"got shape {params.shape}")
         self._params = params
-        self._decay_mask, masks = flat_buffer(shapes, params.dtype)
-        for name in frozenset(decayed) & masks.keys():
-            masks[name][...] = 1.0
+        self._decay, decays = flat_buffer(shapes, params.dtype)
+        for name in frozenset(decayed) & decays.keys():
+            decays[name][...] = weight_decay
         self._m = np.zeros_like(self._g)
         self._v = np.zeros_like(self._g)
         self._scratch = np.zeros_like(self._g)
@@ -136,8 +140,7 @@ class AdamW:
         np.divide(m, bc1, out=g)
         g /= s
         if self.weight_decay > 0.0:
-            np.multiply(p, self.weight_decay, out=s)
-            s *= self._decay_mask
+            np.multiply(p, self._decay, out=s)
             g += s
         g *= lr
         p -= g

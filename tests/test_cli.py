@@ -356,6 +356,24 @@ class TestTrainCommand:
             assert setting.split("=")[0] in err
             assert not out.exists(), setting
 
+    @pytest.mark.parametrize("rate", ["1e-6", "0.999995"])
+    def test_dropout_rate_off_the_grid_writes_nothing(self, tmp_path, capsys,
+                                                      rate):
+        # 1e-6 rounds to no 1/65536 step, 0.999995 to all of them
+        data_dir = tmp_path / "data"
+        toy_grammar(3, 8, 4, 4).write(data_dir)
+        config = tmp_path / "config.txt"
+        config.write_text(f"epochs=1\nbatch_size=4\ndropout_rate={rate}\n")
+        out = tmp_path / "out"
+        rc = main([
+            "train", "--config", str(config),
+            "--data", str(data_dir), "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"dropout_rate {float(rate)} is off the 1/65536 grid" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt", "data"]
+
     def test_empty_dev_split_rejected(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         toy_grammar(3, 8, 4, 4).write(data_dir)

@@ -14,6 +14,7 @@ from scipy.special import erf, logsumexp
 
 from jointnlu import numerics
 from jointnlu.encoder import EncoderConfig, encode, encode_backward
+from jointnlu.model import ModelConfig
 from jointnlu.numerics import (
     apply_mask,
     dropout_mask,
@@ -344,6 +345,62 @@ class TestNumerics:
             dropout_mask(rng, (4,), 1.0, np.float64)
         with pytest.raises(ValueError):
             dropout_mask(rng, (4,), -0.1, np.float64)
+
+    # rates the 1/65536 grid cannot hold: a positive rate that rounds to no
+    # step (0.5 steps rounds to even, 0), and one below 1 that rounds to all
+    @pytest.mark.parametrize("rate", [1e-6, 2.0 ** -18, 2.0 ** -17,
+                                      1 - 2.0 ** -17, 1 - 2.0 ** -18])
+    def test_dropout_rates_off_the_grid_are_refused(self, rng, rate):
+        message = rf"dropout_rate {rate} is off the 1/65536 grid"
+        with pytest.raises(ValueError, match=message):
+            dropout_mask(rng, (4,), rate, np.float64)
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(SMALL, 2, 3, dropout_rate=rate)
+
+    @pytest.mark.parametrize("rate, kept", [(2.0 ** -16, 65535),
+                                            (1.5 * 2.0 ** -16, 65534),
+                                            (1 - 2.0 ** -16, 1)])
+    def test_dropout_rates_at_the_grid_ends_are_kept(self, rate, kept):
+        ModelConfig(SMALL, 2, 3, dropout_rate=rate)
+        mask = dropout_mask(np.random.default_rng(3), (64,), rate, np.float64)
+        assert set(np.unique(mask)) <= {0.0, 65536 / kept}
+
+    @pytest.mark.parametrize("rate", [0.1, 0.2, 0.25, 0.3])
+    def test_dropout_keep_fraction_times_scale_is_one(self, rng, rate):
+        # the rates of the configs and tests, on the grid: the scale is the
+        # inverse of the share of 16-bit values kept
+        drop = round(rate * 65536)
+        mask = dropout_mask(rng, (4096,), rate, np.float64)
+        scale = mask.max()
+        assert set(np.unique(mask)) == {0.0, scale}
+        assert (65536 - drop) / 65536 * scale == 1.0
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (1,), (5,), (2, 3),
+                                       (4,), (7, 3)])
+    def test_dropout_mask_reads_a_quarter_word_per_entry(self, shape):
+        used, replay = np.random.default_rng(11), np.random.default_rng(11)
+        mask = dropout_mask(used, shape, 0.5, np.float64)
+        n = int(np.prod(shape))
+        words = replay.bit_generator.random_raw(-(-n // 4))
+        assert used.bit_generator.state == replay.bit_generator.state
+        assert mask.shape == shape
+        bits = words.astype("<u8").view("<u2")[:n].reshape(shape)
+        assert np.array_equal(mask, (bits >= 32768) * 2.0)
+
+    def test_dropout_keeps_an_entry_at_the_threshold(self):
+        # a rate of v/65536 drops the values below v and keeps v itself
+        values = np.random.default_rng(11).bit_generator.random_raw(1)
+        for i, v in enumerate(values.astype("<u8").view("<u2").tolist()):
+            if v:
+                mask = dropout_mask(np.random.default_rng(11), (4,),
+                                    v / 65536, np.float64)
+                assert mask[i] == 65536 / (65536 - v)
+
+    def test_dropout_keep_fraction_at_the_paper_rate(self, rng):
+        # 0.1 is 6554 steps; a binomial keep count within 5 sigma of its mean
+        n, p = 2 ** 20, 1 - 6554 / 65536
+        kept = np.count_nonzero(dropout_mask(rng, (n,), 0.1, np.float32))
+        assert abs(kept - n * p) < 5 * np.sqrt(n * p * (1 - p))
 
 
 class TestEncoderConfig:

@@ -1,5 +1,6 @@
 """Full-stack model wiring: losses, gradients, decoding, checkpoints."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -488,8 +489,15 @@ class TestPackedLayout:
 
         used = np.random.default_rng(7)
         *_, cache = model_outputs(params, cfg, batch, used)
+        # dropout_mask's draw, spelled out: 0.3 is 19661 steps of 1/65536, and
+        # a mask of n entries reads ceil(n/4) raw words as 16-bit values
         replay = np.random.default_rng(7)
-        masks = [(replay.random(shape) >= 0.3) / 0.7 for shape in shapes]
+        masks = []
+        for shape in shapes:
+            n = math.prod(shape)
+            words = replay.bit_generator.random_raw(-(-n // 4))
+            bits = words.astype("<u8").view("<u2")[:n].reshape(shape)
+            masks.append((bits >= 19661) * (65536 / (65536 - 19661)))
         assert used.bit_generator.state == replay.bit_generator.state
         enc, head = cache["enc"], cache["int"]
         drawn = [enc["emb_mask"]]
