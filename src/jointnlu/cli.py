@@ -103,20 +103,6 @@ def _train_one(config, corpora, hashes, featurizer, run_dir: Path,
     return result
 
 
-def _seed_summary(runs: Sequence[Tuple[int, TrainResult]]) -> str:
-    reports = [r.history[r.best_epoch].dev for _, r in runs]
-    lines = []
-    for (seed, r), report in zip(runs, reports):
-        d = report.to_dict()
-        lines.append(
-            f"seed={seed} best_epoch={r.best_epoch} "
-            + " ".join(f"{k}={d[k]!r}" for k in HEADLINE_MEASURES)
-            + f" selection={report.selection_score!r}"
-        )
-    lines.append(f"best seed={runs[select_best(reports)][0]}")
-    return "\n".join(lines) + "\n"
-
-
 def _check_out(out) -> None:
     """Refuse an --out that cannot be published: its parent is not a
     directory, or it is an existing directory. Every command that writes
@@ -129,6 +115,15 @@ def _check_out(out) -> None:
         raise ValueError(f"{out.parent} is not a directory; create it first")
     if out.is_dir():
         raise ValueError(f"{out} is a directory; give a file path")
+
+
+def _publish(text: str, out) -> int:
+    """Print `text` and, given an --out, also write it there whole."""
+    sys.stdout.write(text)
+    if out:
+        with staged(out) as tmp:
+            tmp.write_text(text, encoding="utf-8")
+    return 0
 
 
 def cmd_train(args) -> int:
@@ -150,24 +145,25 @@ def cmd_train(args) -> int:
 
     # The run is built in a staging directory beside --out and renamed into
     # place whole, so a failed or interrupted run leaves nothing behind.
-    runs = []
+    # stdout, like summary.txt, is one line per seed and then the best seed.
+    lines, reports = [], []
     with staged(out) as stage:
         for k in range(args.seeds):
             run_cfg = dataclasses.replace(config, seed=config.seed + k)
             run_dir = stage / f"seed{run_cfg.seed}" if args.seeds > 1 else stage
             result = _train_one(run_cfg, corpora, hashes, featurizer,
                                 run_dir, args.data)
-            runs.append((run_cfg.seed, result))
-            best = result.history[result.best_epoch].dev
-            print(
-                f"seed={run_cfg.seed} best_epoch={result.best_epoch}"
-                f" selection={best.selection_score:.4f}"
-            )
+            reports.append(report := result.history[result.best_epoch].dev)
+            d = report.to_dict()
+            lines.append(f"seed={run_cfg.seed} best_epoch={result.best_epoch} "
+                         + " ".join(f"{m}={d[m]!r}" for m in HEADLINE_MEASURES)
+                         + f" selection={report.selection_score!r}\n")
+            sys.stdout.write(lines[-1])
         if args.seeds > 1:
-            summary = _seed_summary(runs)
-            (stage / "summary.txt").write_text(summary, encoding="utf-8")
+            lines.append(f"best seed={config.seed + select_best(reports)}\n")
+            (stage / "summary.txt").write_text("".join(lines), encoding="utf-8")
     if args.seeds > 1:
-        sys.stdout.write(summary)
+        sys.stdout.write(lines[-1])
     return 0
 
 
@@ -218,12 +214,7 @@ def cmd_eval(args) -> int:
         ckpt = load_checkpoint(args.checkpoint)
         _check_label_vocabularies(ckpt, corpus)
         report = evaluate(ckpt, corpus, args.batch_size)
-    text = report.to_kv_text()
-    sys.stdout.write(text)
-    if args.out:
-        with staged(args.out) as tmp:
-            tmp.write_text(text, encoding="utf-8")
-    return 0
+    return _publish(report.to_kv_text(), args.out)
 
 
 def _read_measures(path) -> Dict[str, float]:
@@ -270,12 +261,7 @@ def cmd_compare(args) -> int:
         lines.append(f"{m}\t{100 * a[m]:.2f}\t{100 * b[m]:.2f}\t{rer}")
     if len(undefined) == len(HEADLINE_MEASURES):
         raise ValueError(f"{args.report_b}: {undefined[0]}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        with staged(args.out) as tmp:
-            tmp.write_text(text, encoding="utf-8")
-    return 0
+    return _publish("\n".join(lines) + "\n", args.out)
 
 
 def _attention_svg(rows: Sequence[Tuple[str, float]]) -> str:

@@ -78,10 +78,13 @@ class TaggedUtterance:
 
 
 def read_utf8(path, error: type[ValueError] = ValueError) -> str:
-    """A UTF-8 text file's contents with universal newlines, as
+    r"""A UTF-8 text file's contents with universal newlines, as
     Path.read_text gives them, less a leading byte-order mark: the one reader
-    of every text input. A byte that does not decode raises `error` naming
-    the file and the 1-based line of the first bad byte."""
+    of every text input. "\n" is then the one line end, and every reader
+    splits lines at it alone, never at the other breaks of str.splitlines
+    (\v, \f, \x1c-\x1e, \x85, \u2028, \u2029). A byte that does not
+    decode raises `error` naming the file and the 1-based line of the first
+    bad byte."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")

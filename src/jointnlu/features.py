@@ -246,9 +246,10 @@ def feature_backward(
 
 
 def _resource_lines(path: str | Path, kind: str = ""):
-    """Each non-blank line of a resource file, as read, and its number; with
-    a `kind` of one-word entry, a line that is not one is named and refused."""
-    for ln, line in enumerate(read_utf8(path).splitlines(), 1):
+    r"""Each non-blank line of a resource file, as read, and its number, lines
+    ending at "\n" alone (see read_utf8); with a `kind` of one-word entry, a
+    line that is not one is named and refused."""
+    for ln, line in enumerate(read_utf8(path).split("\n"), 1):
         if not line.strip():
             continue
         try:
@@ -309,6 +310,7 @@ def _refuse_unmatchable(kind: str, entries, phrases: bool = False) -> None:
 @dataclass(frozen=True)
 class WordFeaturizer:
     """Bundles the three annotation resources behind one featurize call.
+    Construction refuses, by _refuse_unmatchable alone, entries that cannot match.
 
     The resources must not be changed after first use: the phrase index and
     the per-word memo are built from them once, lazily, and are not fields,
@@ -328,9 +330,6 @@ class WordFeaturizer:
         if isinstance(words, str):
             raise ValueError(f"english_dict {words!r} is a str, not a list of words")
         words = tuple(words)  # read once: it may be an iterator
-        for word in words:
-            if type(word) is not str or not word:
-                raise ValueError(f"english_dict entry {word!r} is not a word")
         _refuse_unmatchable("lexicon key", self.lexicon)
         _refuse_unmatchable("gazetteer phrase", self.gazetteer, phrases=True)
         _refuse_unmatchable("english_dict entry", words)

@@ -6,7 +6,8 @@ fact is `Batch.lengths`, each sequence's row count; only the encoder's
 attention block sees the padded (b, n) layout, through `Batch.pad_mask`.
 
 Parameters live in one flat name -> array dict. `param_spec` is the one
-list of its tensors (name, shape, initialiser, weight-decay flag); the
+list of its tensors (name, shape, and the value a fixed tensor starts at,
+None for a weight drawn N(0, scale), which alone takes weight decay); the
 initialiser, Checkpoint's check and the trainer's flat buffers all read
 it. Every layer reads its tensors from that dict under those names and
 returns gradients under the same names, except the CRF: `crf_nll` and
@@ -87,86 +88,82 @@ class ModelConfig:
 
 
 class ParamRow(NamedTuple):
-    """One model tensor: its name, its shape, how it starts, and whether
-    AdamW applies weight decay to it."""
+    """One model tensor: its name, its shape, and the value a fixed tensor
+    starts at; None marks a weight, drawn N(0, scale) and decayed by AdamW."""
 
     name: str
     shape: Tuple[int, ...]
-    init: str  # a key of _INITIALISERS
-    decay: bool
+    start: Optional[float]
 
-
-_INITIALISERS = {
-    "normal": lambda rng, shape, scale: rng.normal(0.0, scale, shape),
-    "zeros": lambda rng, shape, scale: np.zeros(shape),
-    "ones": lambda rng, shape, scale: np.ones(shape),
-    "prelu": lambda rng, shape, scale: np.full(shape, 0.25),
-}
+    @property
+    def decay(self) -> bool:
+        return self.start is None
 
 
 def param_spec(cfg: ModelConfig) -> List[ParamRow]:
     """Every tensor of the model, in the order init_model_params draws them.
 
-    Weights and embeddings start N(0, scale) and take weight decay. Biases,
-    layer-norm gains, the PReLU slope (a 0-d array) and the CRF boundary
-    scores take none. The slot projection reads [intent probabilities; word
-    features, when on; hidden state].
+    Weights and embeddings start N(0, scale) and take weight decay. Biases
+    and the CRF boundary scores start at 0, layer-norm gains at 1 and the
+    PReLU slope (a 0-d array) at 0.25, and none takes decay. The slot
+    projection reads [intent probabilities; word features, when on; hidden
+    state].
     """
     enc, d_h = cfg.encoder, cfg.encoder.d_h
 
     def weight(name: str, *shape: int) -> ParamRow:
-        return ParamRow(name, shape, "normal", True)
+        return ParamRow(name, shape, None)
 
-    def fixed(name: str, init: str, *shape: int) -> ParamRow:
-        return ParamRow(name, shape, init, False)
+    def fixed(name: str, start: float, *shape: int) -> ParamRow:
+        return ParamRow(name, shape, start)
 
     rows = [
         weight("enc.tok_emb", enc.vocab_size, d_h),
         weight("enc.pos_emb", enc.max_len, d_h),
-        fixed("enc.ln_emb.g", "ones", d_h),
-        fixed("enc.ln_emb.b", "zeros", d_h),
+        fixed("enc.ln_emb.g", 1.0, d_h),
+        fixed("enc.ln_emb.b", 0.0, d_h),
     ]
     for i in range(enc.n_layers):
         p = f"enc.l{i}."
         rows += [weight(p + w, d_h, d_h) for w in ("Wq", "Wk", "Wv", "Wo")]
-        rows += [fixed(p + b, "zeros", d_h) for b in ("bq", "bk", "bv", "bo")]
+        rows += [fixed(p + b, 0.0, d_h) for b in ("bq", "bk", "bv", "bo")]
         rows += [
-            fixed(p + "ln1.g", "ones", d_h),
-            fixed(p + "ln1.b", "zeros", d_h),
+            fixed(p + "ln1.g", 1.0, d_h),
+            fixed(p + "ln1.b", 0.0, d_h),
             weight(p + "W1", d_h, enc.d_ff),
-            fixed(p + "b1", "zeros", enc.d_ff),
+            fixed(p + "b1", 0.0, enc.d_ff),
             weight(p + "W2", enc.d_ff, d_h),
-            fixed(p + "b2", "zeros", d_h),
-            fixed(p + "ln2.g", "ones", d_h),
-            fixed(p + "ln2.b", "zeros", d_h),
+            fixed(p + "b2", 0.0, d_h),
+            fixed(p + "ln2.g", 1.0, d_h),
+            fixed(p + "ln2.b", 0.0, d_h),
         ]
     slot_input_width = cfg.n_intents + d_h
     if cfg.slot_features:
         slot_input_width += FEATURE_HIDDEN
         rows += [
             weight("feat.W_w", FEATURE_DIM, FEATURE_HIDDEN),
-            fixed("feat.b_w", "zeros", FEATURE_HIDDEN),
-            fixed("feat.a_prelu", "prelu"),
+            fixed("feat.b_w", 0.0, FEATURE_HIDDEN),
+            fixed("feat.a_prelu", 0.25),
             weight("feat.W_proj", FEATURE_HIDDEN, FEATURE_HIDDEN),
-            fixed("feat.b_proj", "zeros", FEATURE_HIDDEN),
+            fixed("feat.b_proj", 0.0, FEATURE_HIDDEN),
         ]
     rows += [
         weight("int.W_cls", cfg.n_intents, d_h),
-        fixed("int.b_cls", "zeros", cfg.n_intents),
+        fixed("int.b_cls", 0.0, cfg.n_intents),
     ]
     if cfg.intent_pool == "attention":
         rows += [weight("int.W_score", d_h, d_h), weight("int.v_score", d_h)]
     else:
-        rows += [weight("int.W_pool", d_h, d_h), fixed("int.b_pool", "zeros", d_h)]
+        rows += [weight("int.W_pool", d_h, d_h), fixed("int.b_pool", 0.0, d_h)]
     rows += [
         weight("W_s", cfg.n_slots, slot_input_width),
-        fixed("b_s", "zeros", cfg.n_slots),
+        fixed("b_s", 0.0, cfg.n_slots),
     ]
     if cfg.slot_mode == "crf":
         rows += [
             weight("crf.T", cfg.n_slots, cfg.n_slots),
-            fixed("crf.start", "zeros", cfg.n_slots),
-            fixed("crf.end", "zeros", cfg.n_slots),
+            fixed("crf.start", 0.0, cfg.n_slots),
+            fixed("crf.end", 0.0, cfg.n_slots),
         ]
     return rows
 
@@ -175,7 +172,8 @@ def init_model_params(
     cfg: ModelConfig, rng: np.random.Generator, scale: float = 0.02
 ) -> Dict[str, np.ndarray]:
     return {
-        row.name: _INITIALISERS[row.init](rng, row.shape, scale)
+        row.name: rng.normal(0.0, scale, row.shape) if row.start is None
+        else np.full(row.shape, row.start)
         for row in param_spec(cfg)
     }
 

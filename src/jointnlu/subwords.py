@@ -47,6 +47,10 @@ class WordPieceVocab:
     checkpoint stores."""
 
     pieces: tuple[str, ...]
+    # id_table fixes the reserved head, so the markers' ids are the same in
+    # every vocabulary.
+    bos_id = RESERVED_TOKENS.index(BOS_TOKEN)
+    eos_id = RESERVED_TOKENS.index(EOS_TOKEN)
 
     def __post_init__(self):
         pieces, ids = id_table(self.pieces, RESERVED_TOKENS, "piece")
@@ -56,14 +60,6 @@ class WordPieceVocab:
 
     def __len__(self) -> int:
         return len(self.pieces)
-
-    @property
-    def bos_id(self) -> int:
-        return self.ids[BOS_TOKEN]
-
-    @property
-    def eos_id(self) -> int:
-        return self.ids[EOS_TOKEN]
 
     def piece(self, piece_id: int) -> str:
         return self.pieces[piece_id]

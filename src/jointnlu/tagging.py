@@ -199,8 +199,8 @@ def relative_error_reduction(acc_a: float, acc_b: float) -> float:
 
 
 def read_kv(text: str, fields: bool = False):
-    """Parse key=value entries, one per line, or with `fields` one per
-    whitespace-separated field of a single line.
+    r"""Parse key=value entries, one per "\n"-ended line (see read_utf8), or
+    with `fields` one per whitespace-separated field of a single line.
 
     Blank entries and entries starting with '#' are skipped; keys and values
     are stripped. Returns (entries, problems): entries maps each key to
@@ -211,7 +211,7 @@ def read_kv(text: str, fields: bool = False):
     unit = "field" if fields else "line"
     entries: Dict[str, Tuple[int, str]] = {}
     problems: List[str] = []
-    for number, raw in enumerate(text.split() if fields else text.splitlines(), 1):
+    for number, raw in enumerate(text.split() if fields else text.split("\n"), 1):
         item = raw.strip()
         if not item or item.startswith("#"):
             continue

@@ -40,10 +40,9 @@ from .tagging import (
     slot_f1,
 )
 
-# Encoder dimensions small enough to train on one CPU core in minutes.
-DESK_ENCODER = EncoderConfig(
-    vocab_size=4, d_h=64, n_layers=2, n_heads=4, d_ff=128, max_len=50
-)
+# EncoderConfig's default dimensions, small enough to train on one CPU core
+# in minutes; train() replaces the placeholder vocab_size.
+DESK_ENCODER = EncoderConfig(vocab_size=4)
 
 # Size of the sub-word vocabulary induced from the train split.
 VOCAB_TARGET = 300

@@ -81,6 +81,14 @@ def best_dev_report(out_dir) -> EvalReport:
     return EpochRecord.from_line(lines[read_manifest(out_dir).best_epoch]).dev
 
 
+def seed_line(run_dir) -> str:
+    """The line `train` prints for the run's seed, as summary.txt holds it."""
+    m, d = read_manifest(run_dir), best_dev_report(run_dir)
+    return (f"seed={m.config.seed} best_epoch={m.best_epoch} "
+            f"intent_acc={d.intent_accuracy!r} sent_acc={d.sentence_accuracy!r} "
+            f"slot_f1={d.slot_f1!r} selection={d.selection_score!r}\n")
+
+
 def snapshot(root) -> dict:
     """Every path under `root`, with the bytes of each file."""
     return {
@@ -389,7 +397,7 @@ class TestTrainCommand:
         assert "dev.txt" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_three_seeds_write_summary(self, tmp_path):
+    def test_three_seeds_write_summary(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         toy_grammar(3, 16, 8, 8).write(data_dir)
         config = tmp_path / "config.txt"
@@ -410,7 +418,25 @@ class TestTrainCommand:
             best_dev_report(out / f"seed{s}").selection_score for s in (7, 8, 9)
         ]
         expected = manifests[int(np.argmax(scores))].config.seed
-        assert summary.strip().splitlines()[-1] == f"best seed={expected}"
+        assert summary == "".join(
+            seed_line(out / f"seed{s}") for s in (7, 8, 9)
+        ) + f"best seed={expected}\n"
+        # stdout is the summary's four lines, each seed's as it finishes
+        assert capsys.readouterr().out == summary
+
+    def test_one_seed_prints_its_line_and_writes_no_summary(self, tmp_path,
+                                                            capsys):
+        data_dir = tmp_path / "data"
+        toy_grammar(3, 8, 4, 4).write(data_dir)
+        config = tmp_path / "config.txt"
+        config.write_text("epochs=1\nbatch_size=4\nmax_len=24\nseed=5\n")
+        out = tmp_path / "run"
+        assert main([
+            "train", "--config", str(config), "--data", str(data_dir),
+            "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().out == seed_line(out)
+        assert not (out / "summary.txt").exists()
 
     def test_divergent_run_exits_3(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -916,7 +942,7 @@ BAD_METADATA = [
     (_meta_text(_with_resource("gazetteer", 7)), "unknown entity label 7"),
     (_meta_text(_with_english_dict("jfk")), "english_dict 'jfk' is a str"),
     (_meta_text(_with_english_dict([5, "the"])),
-     "english_dict entry 5 is not a word"),
+     "english_dict entry 5 is not a lowercase str"),
     # lookups lowercase the word, so such an entry could never match
     (_meta_text(_with_resource_key("gazetteer", "Boston")),
      "metadata 'resources' is not valid "
@@ -1500,6 +1526,63 @@ class TestUnreadableText:
             f"error: {bad}: line {line}: byte 0xff is not UTF-8"
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
+
+
+# The line breaks of str.splitlines besides "\n" and "\r", which read_utf8
+# turns into "\n".
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_ENDS, ids=lambda ch: f"{ord(ch):#x}")
+class TestLineRule:
+    r"""Every text input ends its lines at "\n" alone, as load_corpus does: a
+    line holding another break is one entry or one setting, and an error
+    names the file's own line."""
+
+    @pytest.mark.parametrize("flag,kind", [
+        ("--lexicon", "lexicon key"), ("--dict", "english_dict entry"),
+    ])
+    def test_word_list(self, tmp_path, capsys, ch, flag, kind):
+        paths = {f: tmp_path / f"{f[2:]}.txt" for f in
+                 ("--lexicon", "--gazetteer", "--dict")}
+        argv = ["annotate", "--text", "boston"]
+        for f, path in paths.items():
+            path.write_text(f"JFK\nBoston{ch}Denver\nNew York\n"
+                            if f == flag else "", encoding="utf-8")
+            argv += [f, str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: {paths[flag]}:2: {kind} "
+                                           f"{f'boston{ch}denver'!r} holds 2 words\n")
+
+    def test_config(self, tmp_path, capsys, ch):
+        config = tmp_path / "config.txt"
+        config.write_text(
+            f"epochs=2{ch}batch_size=3\n# note{ch}gamma=2\nbogus=1\n",
+            encoding="utf-8")
+        assert main(["train", "--config", str(config), "--data",
+                     str(tmp_path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: line 1: bad value for epochs: {f'2{ch}batch_size=3'!r}\n"
+            "config error: line 3: unknown setting 'bogus'\n")
+
+    def test_compare_report(self, tmp_path, capsys, ch):
+        plain = write_report(tmp_path / "plain.txt", 0.9, 0.7, 0.8)
+        commented = tmp_path / "commented.txt"
+        commented.write_text(f"# note{ch}intent_acc=0.1\n"
+                             + Path(plain).read_text(), encoding="utf-8")
+        assert main(["compare", plain, plain]) == 0
+        want = capsys.readouterr().out
+        assert main(["compare", str(commented), plain]) == 0
+        assert capsys.readouterr().out == want
+
+        bad = tmp_path / "bad.txt"
+        bad.write_text(
+            f"slot_f1=0.5\nintent_acc=0.5{ch}sent_acc=0.5\nsent_acc=0.5\n",
+            encoding="utf-8")
+        assert main(["compare", str(bad), plain]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 2: intent_acc=0.5{ch}sent_acc=0.5 "
+            "is not a number in [0, 100]\n")
 
 
 class TestOutParentChecked:

@@ -403,8 +403,8 @@ class TestWordFeaturizer:
 
     @pytest.mark.parametrize("english_dict,needle", [
         ("jfk", "english_dict 'jfk' is a str, not a list of words"),
-        ([5, "the"], "english_dict entry 5 is not a word"),
-        (["the", ""], "english_dict entry '' is not a word"),
+        ([5, "the"], "english_dict entry 5 is not a lowercase str"),
+        (["the", ""], "english_dict entry '' holds 0 words"),
         (["the", "For"], "english_dict entry 'For' is not a lowercase str"),
         (["the", "İ"], "english_dict entry 'İ' is not a lowercase str"),
         (["the", "for the"], "english_dict entry 'for the' holds 2 words"),
