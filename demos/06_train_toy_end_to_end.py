@@ -37,7 +37,7 @@ slim = EncoderConfig(vocab_size=4, d_h=32, n_layers=1, n_heads=4,
 result = train(data.train, data.dev, config, data.featurizer(), encoder=slim)
 print("\nepoch  l_joint  dev_intent  dev_slot_f1")
 for r in result.history:
-    print(f"{r.epoch:5d}  {r.l_joint:7.4f}  {r.dev.intent_accuracy:10.3f}"
+    print(f"{r.epoch:5d}  {r.l_joint:7.4f}  {r.dev.intent_acc:10.3f}"
           f"  {r.dev.slot_f1:11.3f}")
 print("selected epoch:", result.best_epoch)
 

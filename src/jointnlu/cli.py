@@ -144,8 +144,9 @@ def cmd_train(args) -> int:
     corpora, featurizer, hashes = _load_data_dir(Path(args.data))
 
     # The run is built in a staging directory beside --out and renamed into
-    # place whole, so a failed or interrupted run leaves nothing behind.
-    # stdout, like summary.txt, is one line per seed and then the best seed.
+    # place whole, so a failed or interrupted run leaves nothing behind and
+    # prints nothing. stdout, like summary.txt, is one line per seed and then
+    # the best seed, written once the run is published.
     lines, reports = [], []
     with staged(out) as stage:
         for k in range(args.seeds):
@@ -154,16 +155,14 @@ def cmd_train(args) -> int:
             result = _train_one(run_cfg, corpora, hashes, featurizer,
                                 run_dir, args.data)
             reports.append(report := result.history[result.best_epoch].dev)
-            d = report.to_dict()
             lines.append(f"seed={run_cfg.seed} best_epoch={result.best_epoch} "
-                         + " ".join(f"{m}={d[m]!r}" for m in HEADLINE_MEASURES)
+                         + " ".join(f"{m}={getattr(report, m)!r}"
+                                    for m in HEADLINE_MEASURES)
                          + f" selection={report.selection_score!r}\n")
-            sys.stdout.write(lines[-1])
         if args.seeds > 1:
             lines.append(f"best seed={config.seed + select_best(reports)}\n")
             (stage / "summary.txt").write_text("".join(lines), encoding="utf-8")
-    if args.seeds > 1:
-        sys.stdout.write(lines[-1])
+    sys.stdout.write("".join(lines))
     return 0
 
 

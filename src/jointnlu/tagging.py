@@ -4,11 +4,14 @@ Slot annotations use the BIO scheme: ``B-label`` opens a chunk, ``I-label``
 continues it, ``O`` is outside any chunk. ``X`` is a placeholder used only at
 sub-word/special positions of aligned piece sequences; it is rejected here so
 callers are forced to de-align before scoring.
+
+Records are written as key=value text by `kv_text` and read by `read_kv`, each
+field under its dataclass name and each value by `read_value`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import Field, asdict, dataclass, fields
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 
@@ -233,55 +236,59 @@ def kv_text(entries: Mapping[str, object]) -> str:
     return "".join(f"{k}={v!r}\n" for k, v in entries.items())
 
 
+def read_value(field: Field, text: str):
+    """`text` as the declared type of dataclass field `field`: a bool word,
+    an int, a float, or else the str without its quotes. Text the type
+    cannot read is a ValueError naming the field."""
+    words = {"true": True, "on": True, "1": True, "yes": True,
+             "false": False, "off": False, "0": False, "no": False}
+    read = {"bool": lambda t: words[t.lower()], "int": int, "float": float}
+    try:
+        return read.get(field.type, lambda t: t.strip("'\""))(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"bad value for {field.name}: {text!r}") from None
+
+
 # The report keys of the headline measures: compared between runs, and
 # summed in this order for model selection.
 HEADLINE_MEASURES = ("intent_acc", "sent_acc", "slot_f1")
 
-# Report key, EvalReport field and its type, in emission order.
-_REPORT_FIELDS = (
-    ("intent_acc", "intent_accuracy", float),
-    ("sent_acc", "sentence_accuracy", float),
-    ("slot_f1", "slot_f1", float),
-    ("token_f1", "per_token_micro_f1", float),
-    ("tp", "tp", int),
-    ("fp", "fp", int),
-    ("fn", "fn", int),
-)
-
 
 @dataclass(frozen=True)
 class EvalReport:
-    """The full measurement bundle for one model on one corpus."""
+    """The full measurement bundle for one model on one corpus. Each field
+    is written, in this order, under its own name as a report key."""
 
-    intent_accuracy: float
-    sentence_accuracy: float
+    intent_acc: float
+    sent_acc: float
     slot_f1: float
-    per_token_micro_f1: float
+    token_f1: float
     tp: int = 0
     fp: int = 0
     fn: int = 0
 
     def __post_init__(self):
-        for _, name, kind in _REPORT_FIELDS:
-            v = getattr(self, name)
-            if kind is float and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0,1]")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "float" and not 0.0 <= v <= 1.0:
+                raise ValueError(f"{f.name}={v} outside [0,1]")
+            if f.type == "int" and v < 0:
+                raise ValueError(f"{f.name}={v} is negative")
 
     @property
     def selection_score(self) -> float:
         """Sum of the three headline measures, used for model selection."""
-        report = self.to_dict()
-        return sum(report[key] for key in HEADLINE_MEASURES)
+        return sum(getattr(self, key) for key in HEADLINE_MEASURES)
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, name) for key, name, _ in _REPORT_FIELDS}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "EvalReport":
-        missing = [key for key, _, _ in _REPORT_FIELDS if key not in d]
+        missing = [f.name for f in fields(cls) if f.name not in d]
         if missing:
             raise ValueError(f"report is missing keys: {missing}")
-        return cls(**{name: kind(d[key]) for key, name, kind in _REPORT_FIELDS})
+        return cls(**{f.name: read_value(f, str(d[f.name])) for f in fields(cls)})
 
     def to_kv_text(self) -> str:
         return kv_text(self.to_dict())

@@ -1,5 +1,6 @@
 """Joint training: the config that builds the model, the optimizer and the
-schedule; the loop, per-epoch dev evaluation and best-checkpoint selection."""
+schedule (each value read by `tagging.read_value`); the loop, per-epoch dev
+evaluation and its `EpochRecord` log lines, and best-checkpoint selection."""
 
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from .tagging import (
     kv_text,
     per_token_micro_f1,
     read_kv,
+    read_value,
     sentence_accuracy,
     slot_f1,
 )
@@ -74,7 +76,7 @@ class TrainConfig:
     intent_pool: str = "attention"
 
     def __post_init__(self):
-        # the declared types, as _parse_value reads them; a bool is no number
+        # the declared types, as read_value reads them; a bool is no number
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             kinds = {"int": int, "float": (int, float)}.get(f.type)
@@ -117,22 +119,6 @@ class TrainConfig:
         return kv_text(dataclasses.asdict(self))
 
 
-def _parse_value(name: str, text: str):
-    """A setting's value from its text; `name` is the field's type name."""
-    if name == "bool":
-        low = text.lower()
-        if low in ("true", "on", "1", "yes"):
-            return True
-        if low in ("false", "off", "0", "no"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
-    if name == "int":
-        return int(text)
-    if name == "float":
-        return float(text)
-    return text.strip("'\"")
-
-
 def validate_config_text(text: str):
     """Parse a config file, collecting every problem instead of stopping at
     the first one. Returns (config, []) on success, (None, errors) otherwise.
@@ -145,9 +131,9 @@ def validate_config_text(text: str):
             errors.append(f"line {lineno}: unknown setting {key!r}")
             continue
         try:
-            kwargs[key] = _parse_value(fields[key].type, value)
-        except ValueError:
-            errors.append(f"line {lineno}: bad value for {key}: {value!r}")
+            kwargs[key] = read_value(fields[key], value)
+        except ValueError as err:
+            errors.append(f"line {lineno}: {err}")
     # Probe each parsed value on its own so one out-of-range setting does
     # not hide the next.
     for key, value in kwargs.items():
@@ -171,34 +157,35 @@ def select_best(reports: Sequence[EvalReport]) -> int:
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """One training-log line: the _LOG_FIELDS, then the dev report's."""
+    """One training-log line: the fields before `dev`, then the dev
+    report's, each under its field name."""
 
     epoch: int
     l_intent: float
     l_slot: float
     l_joint: float
     dev: EvalReport
-    # (key, the type it reads back as), in the order written
-    _LOG_FIELDS = (("epoch", int), ("l_intent", float), ("l_slot", float),
-                   ("l_joint", float))
 
     def to_line(self) -> str:
-        losses = {key: getattr(self, key) for key, _ in self._LOG_FIELDS}
-        return " ".join(kv_text({**losses, **self.dev.to_dict()}).splitlines())
+        entries = dataclasses.asdict(self)
+        dev = entries.pop("dev")
+        return " ".join(kv_text({**entries, **dev}).splitlines())
 
     @classmethod
     def from_line(cls, line: str) -> "EpochRecord":
         """Read a to_line line; a malformed one raises ValueError naming
         the problem."""
         entries, problems = read_kv(line, fields=True)
-        if problems:
-            raise ValueError(f"training log line: {problems[0]}")
         d = {k: v for k, (_, v) in entries.items()}
-        missing = [key for key, _ in cls._LOG_FIELDS if key not in d]
-        if missing:
-            raise ValueError(f"training log line lacks {missing[0]!r}")
-        return cls(**{key: kind(d[key]) for key, kind in cls._LOG_FIELDS},
-                   dev=EvalReport.from_dict(d))
+        logged = dataclasses.fields(cls)[:-1]
+        missing = [f.name for f in logged if f.name not in d]
+        try:
+            if problems or missing:
+                raise ValueError(problems[0] if problems else f"lacks {missing[0]!r}")
+            return cls(**{f.name: read_value(f, d[f.name]) for f in logged},
+                       dev=EvalReport.from_dict(d))
+        except ValueError as err:
+            raise ValueError(f"training log line: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -217,12 +204,11 @@ def score(
     """Every measure of one corpus's word-level predictions, in one report."""
     chunk_scores = slot_f1(gold_tags, pred_tags)
     return EvalReport(
-        intent_accuracy=intent_accuracy(gold_intents, pred_intents),
-        sentence_accuracy=sentence_accuracy(
-            gold_intents, pred_intents, gold_tags, pred_tags
-        ),
+        intent_acc=intent_accuracy(gold_intents, pred_intents),
+        sent_acc=sentence_accuracy(gold_intents, pred_intents, gold_tags,
+                                   pred_tags),
         slot_f1=chunk_scores.f1,
-        per_token_micro_f1=per_token_micro_f1(gold_tags, pred_tags),
+        token_f1=per_token_micro_f1(gold_tags, pred_tags),
         tp=chunk_scores.tp,
         fp=chunk_scores.fp,
         fn=chunk_scores.fn,

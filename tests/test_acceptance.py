@@ -277,9 +277,9 @@ def toy_runs():
 
 def test_criterion_07_toy_training_meets_operating_bars(toy_runs):
     report, seconds = toy_runs[0, True]
-    assert report.intent_accuracy >= 0.95
+    assert report.intent_acc >= 0.95
     assert report.slot_f1 >= 0.90
-    assert report.sentence_accuracy >= 0.85
+    assert report.sent_acc >= 0.85
     assert seconds <= 300.0
 
 

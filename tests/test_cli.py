@@ -85,7 +85,7 @@ def seed_line(run_dir) -> str:
     """The line `train` prints for the run's seed, as summary.txt holds it."""
     m, d = read_manifest(run_dir), best_dev_report(run_dir)
     return (f"seed={m.config.seed} best_epoch={m.best_epoch} "
-            f"intent_acc={d.intent_accuracy!r} sent_acc={d.sentence_accuracy!r} "
+            f"intent_acc={d.intent_acc!r} sent_acc={d.sent_acc!r} "
             f"slot_f1={d.slot_f1!r} selection={d.selection_score!r}\n")
 
 
@@ -107,7 +107,7 @@ class TestTrainCommand:
         manifest = read_manifest(out)
         assert 0 <= manifest.best_epoch < 3
         report = best_dev_report(out)
-        for v in (report.intent_accuracy, report.sentence_accuracy,
+        for v in (report.intent_acc, report.sent_acc,
                   report.slot_f1):
             assert 0.0 <= v <= 1.0
         # the log holds one record per epoch; the manifest does not copy it
@@ -421,7 +421,7 @@ class TestTrainCommand:
         assert summary == "".join(
             seed_line(out / f"seed{s}") for s in (7, 8, 9)
         ) + f"best seed={expected}\n"
-        # stdout is the summary's four lines, each seed's as it finishes
+        # stdout is the summary's four lines, once the run is published
         assert capsys.readouterr().out == summary
 
     def test_one_seed_prints_its_line_and_writes_no_summary(self, tmp_path,
@@ -670,6 +670,24 @@ class TestWholeRun:
         # no run directory, no seed directory, no staging directory
         assert list(parent.iterdir()) == []
 
+    def test_failed_run_prints_nothing(self, runs, monkeypatch, capsys):
+        """A seed line is printed only once its run is published: the first
+        seed trains, the second diverges, and stdout stays empty."""
+        parent, argv = runs
+        real_train, calls = cli.train, []
+
+        def train(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DivergenceError("non-finite loss at epoch 0, step 0")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", train)
+        assert main(argv) == 3
+        assert len(calls) == 2
+        assert capsys.readouterr().out == ""
+        assert not (parent / "out").exists()
+
     def test_complete_run_is_published(self, runs, capsys):
         parent, argv = runs
         assert main(argv) == 0
@@ -733,10 +751,10 @@ class TestEvalCommand:
         ])
         assert rc == 0
         report = EvalReport.from_kv_text(capsys.readouterr().out)
-        assert report.intent_accuracy == 1.0
-        assert report.sentence_accuracy == 1.0
+        assert report.intent_acc == 1.0
+        assert report.sent_acc == 1.0
         assert report.slot_f1 == 1.0
-        assert report.per_token_micro_f1 == 1.0
+        assert report.token_f1 == 1.0
         assert report.tp > 0 and report.fp == 0 and report.fn == 0
 
     def test_unknown_labels_warned_and_scored(self, trained, tmp_path,
@@ -756,7 +774,7 @@ class TestEvalCommand:
         assert rc == 0
         assert "martian_request" in captured.err
         # half the gold intents are unknowable, capping accuracy at 50%
-        assert EvalReport.from_kv_text(captured.out).intent_accuracy <= 0.5
+        assert EvalReport.from_kv_text(captured.out).intent_acc <= 0.5
 
     def test_fully_disjoint_vocabulary_rejected(self, trained, tmp_path,
                                                 capsys):

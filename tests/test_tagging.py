@@ -225,6 +225,24 @@ class TestEvalReport:
         with pytest.raises(ValueError):
             EvalReport(1.2, 0.5, 0.5, 0.5)
 
+    def with_value(self, key, text):
+        """The report text of put() with `key` set to `text`."""
+        return "".join(f"{key}={text}\n" if ln.startswith(f"{key}=") else ln
+                       for ln in self.put().to_kv_text().splitlines(True))
+
+    @pytest.mark.parametrize("key, text", [
+        ("intent_acc", "abc"), ("token_f1", "0.5.1"), ("fp", "3.0"), ("fn", ""),
+    ])
+    def test_unreadable_value_names_its_key(self, key, text):
+        with pytest.raises(ValueError) as err:
+            EvalReport.from_kv_text(self.with_value(key, text))
+        assert str(err.value) == f"bad value for {key}: {text!r}"
+
+    @pytest.mark.parametrize("key, text", [("tp", "-4"), ("fn", "-1")])
+    def test_negative_count_rejected(self, key, text):
+        with pytest.raises(ValueError, match=f"^{key}={text} is negative$"):
+            EvalReport.from_kv_text(self.with_value(key, text))
+
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError):
             EvalReport.from_kv_text("intent_acc=0.5\n")

@@ -48,7 +48,7 @@ def parse(text):
 
 def report(i, s, f, t=0.5):
     return EvalReport(
-        intent_accuracy=i, sentence_accuracy=s, slot_f1=f, per_token_micro_f1=t
+        intent_acc=i, sent_acc=s, slot_f1=f, token_f1=t
     )
 
 
@@ -259,6 +259,21 @@ class TestEpochRecord:
         with pytest.raises(ValueError, match="field 2: expected key=value, got 'junk'"):
             EpochRecord.from_line("epoch=1 junk")
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("epoch=2", "epoch=x", "training log line: bad value for epoch: 'x'"),
+        ("l_slot=1.25", "l_slot=1,25",
+         "training log line: bad value for l_slot: '1,25'"),
+        ("tp=7", "tp=7.0", "training log line: bad value for tp: '7.0'"),
+    ])
+    def test_unreadable_value_names_its_key(self, old, new, message):
+        line = (
+            "epoch=2 l_intent=0.5 l_slot=1.25 l_joint=0.8 intent_acc=0.9 "
+            "sent_acc=0.8 slot_f1=0.7 token_f1=0.6 tp=7 fp=1 fn=2"
+        ).replace(old, new)
+        with pytest.raises(ValueError) as err:
+            EpochRecord.from_line(line)
+        assert str(err.value) == message
+
     def test_missing_loss_is_a_clear_error(self):
         line = EpochRecord(
             epoch=3, l_intent=0.25, l_slot=1.5, l_joint=0.75,
@@ -357,8 +372,8 @@ class TestTrainLoop:
                     encoder=TINY_ENCODER)
         first = res.history[0]
         best = res.history[res.best_epoch]
-        assert best.dev.intent_accuracy > first.dev.intent_accuracy or (
-            first.dev.intent_accuracy == 1.0
+        assert best.dev.intent_acc > first.dev.intent_acc or (
+            first.dev.intent_acc == 1.0
         )
         assert res.history[-1].l_joint < first.l_joint
 
@@ -482,8 +497,8 @@ class TestEvaluate:
             for u in data.dev[:4]
         ]
         rep = evaluate(ckpt, weird)
-        assert rep.intent_accuracy == 0.0
-        assert rep.sentence_accuracy == 0.0
+        assert rep.intent_acc == 0.0
+        assert rep.sent_acc == 0.0
 
     def test_truncated_sequences_score_without_crashing(self):
         data, res = self._fitted()
