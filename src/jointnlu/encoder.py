@@ -8,13 +8,17 @@ each with its own backward pass and cache and each ending in `_add_norm`
 dense layer's gradient. Every dense layer (embedding, Q/K/V, output
 projection, feed-forward, layer norms) runs on the packed rows of real pieces
 only, and every dropout mask is drawn at that (T, d_h) shape; the attention
-scores, their softmax and the weighted sum of values are the one block kept in
-the padded layout. `encode` builds one (b, 1, 1, n) key bias per batch, in
-the compute dtype: 0 at real keys and -inf at padded ones. Each layer adds it
-in place to its scaled scores, so every padded key gets probability zero in
-every row and padding can never influence real positions (x + 0 is x, and
-x + -inf is -inf). The piece ids come in packed, placed by the (b, n)
-pad_mask, and the hidden states go out packed.
+scores, their softmax and the weighted sum of values are the one block laid
+out (b, heads, n, d_head). With padding, Q, K and V are scattered to that
+layout (zeros at padding), the context is gathered back, and `encode` builds
+one (b, 1, 1, n) key bias per batch, in the compute dtype: 0 at real keys and
+-inf at padded ones. Each layer adds it in place to its scaled scores, so
+every padded key gets probability zero in every row and padding can never
+influence real positions (x + 0 is x, and x + -inf is -inf). With no padding
+(rows.size == b * n: every batch of 1, and any of equal lengths) the rows are
+the layout: a reshape, no gather, no key bias, and the same bits. The piece
+ids come in packed, placed by the (b, n) pad_mask, and the hidden states go
+out packed.
 
 Parameters are read from the model's flat name->array dict under their
 model.param_spec names ("enc.tok_emb", "enc.l0.Wq", ...); gradients come
@@ -66,16 +70,20 @@ class EncoderConfig:
         return self.d_h // self.n_heads
 
 
-def _to_heads(x: np.ndarray, rows: np.ndarray, b: int, n: int, n_heads: int):
-    """(T, d) rows -> (b, heads, n, d_head) for attention, zeros at padding."""
-    padded = scatter_rows(x, rows, b, n)
-    return padded.reshape(b, n, n_heads, -1).transpose(0, 2, 1, 3)
+def _to_heads(x: np.ndarray, rows: np.ndarray | None, b: int, n: int, n_heads: int):
+    """(T, d) rows -> (b, heads, n, d_head) for attention: scattered by rows,
+    zeros at padding, or, with rows None (no padding, T = b * n), a reshape."""
+    if rows is not None:
+        x = scatter_rows(x, rows, b, n)
+    return x.reshape(b, n, n_heads, -1).transpose(0, 2, 1, 3)
 
 
-def _from_heads(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(b, heads, n, d_head) -> the (T, d) rows of real pieces."""
+def _from_heads(x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """(b, heads, n, d_head) -> the (T, d) rows of real pieces: gathered by
+    rows, or every row with rows None."""
     b, h, n, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b * n, h * dh)[rows]
+    x = x.transpose(0, 2, 1, 3).reshape(b * n, h * dh)
+    return x if rows is None else x[rows]
 
 
 def _add_norm(x, out, params, p, rate, rng):
@@ -101,17 +109,18 @@ def _dense_backward(x, d_y, params, grads, p, name):
     return d_y @ params[p + "W" + name].T
 
 
-def _attention(x, rows, key_bias, params, p, cfg, rate, rng):
-    """Multi-head self-attention over the rows x, padded keys masked by the
-    (b, 1, 1, n) key_bias, then _add_norm."""
-    b, _, _, n = key_bias.shape
+def _attention(x, rows, b, n, key_bias, params, p, cfg, rate, rng):
+    """Multi-head self-attention over the rows x of a (b, n) batch, padded
+    keys masked by the (b, 1, 1, n) key_bias (None with no padding), then
+    _add_norm."""
     q = _to_heads(x @ params[p + "Wq"] + params[p + "bq"], rows, b, n, cfg.n_heads)
     k = _to_heads(x @ params[p + "Wk"] + params[p + "bk"], rows, b, n, cfg.n_heads)
     v = _to_heads(x @ params[p + "Wv"] + params[p + "bv"], rows, b, n, cfg.n_heads)
     scale = 1.0 / math.sqrt(cfg.d_head)
     scores = q @ k.swapaxes(-1, -2)
     scores *= scale
-    scores += key_bias  # broadcast over heads and queries
+    if key_bias is not None:
+        scores += key_bias  # broadcast over heads and queries
     probs = stable_softmax(scores)
     ctx = _from_heads(probs @ v, rows)
     out = ctx @ params[p + "Wo"] + params[p + "bo"]
@@ -161,15 +170,21 @@ def encode(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ):
-    """Hidden states (T, d_h) of the T real pieces whose ids (T,) are placed
-    by pad_mask (b, n), True at real positions, in np.flatnonzero(pad_mask)
-    order; and the cache encode_backward needs. Dropout needs an rng; with
-    rate 0 or rng None the pass is deterministic.
+    """Hidden states (T, d_h) of the T real pieces whose integer ids (T,)
+    are placed by pad_mask (b, n), True at real positions, in
+    np.flatnonzero(pad_mask) order; and the cache encode_backward needs.
+    Dropout needs an rng; with rate 0 or rng None the pass is deterministic.
     """
     ids = np.asarray(ids)
     pad_mask = np.asarray(pad_mask, dtype=bool)
-    if pad_mask.ndim != 2 or not pad_mask.any(axis=1).all():
+    if pad_mask.ndim != 2:
+        raise ValueError(f"pad_mask has shape {pad_mask.shape}, expected 2-D (b, n)")
+    if len(pad_mask) == 0:
+        raise ValueError("need at least one sequence")
+    if not pad_mask.any(axis=1).all():
         raise ValueError("every sequence needs at least one real position")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"piece ids have dtype {ids.dtype}, expected integers")
     b, n = pad_mask.shape
     if n > cfg.max_len:
         raise ValueError(f"sequence length {n} exceeds max_len {cfg.max_len}")
@@ -184,11 +199,14 @@ def encode(
     emb_mask = dropout_mask(rng, x.shape, dropout_rate, x.dtype)
     x = apply_mask(x, emb_mask)
 
-    key_bias = np.where(pad_mask, 0.0, -np.inf).astype(x.dtype)[:, None, None, :]
+    if rows.size == b * n:  # no padding: no scatter, gather or key bias
+        rows = key_bias = None
+    else:
+        key_bias = np.where(pad_mask, 0.0, -np.inf).astype(x.dtype)[:, None, None, :]
     layers = []
     for i in range(cfg.n_layers):
         p = f"enc.l{i}."
-        x, attn = _attention(x, rows, key_bias, params, p, cfg, dropout_rate, rng)
+        x, attn = _attention(x, rows, b, n, key_bias, params, p, cfg, dropout_rate, rng)
         x, ffn = _feed_forward(x, params, p, dropout_rate, rng)
         layers.append((attn, ffn))
 
@@ -224,5 +242,6 @@ def encode_backward(
     grads["enc.tok_emb"] = np.zeros_like(params["enc.tok_emb"])
     np.add.at(grads["enc.tok_emb"], cache["ids"], d_emb)
     grads["enc.pos_emb"] = np.zeros_like(params["enc.pos_emb"])
-    grads["enc.pos_emb"][:n] = scatter_rows(d_emb, rows, b, n).sum(axis=0)
+    d_pos = d_emb if rows is None else scatter_rows(d_emb, rows, b, n)
+    grads["enc.pos_emb"][:n] = d_pos.reshape(b, n, -1).sum(axis=0)
     return grads

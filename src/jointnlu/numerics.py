@@ -1,7 +1,7 @@
 """Shared building blocks: softmax, GELU, layer norm, dropout masks, and
 the scatter of packed rows (one per real piece of a (batch, length) batch,
 in np.flatnonzero(pad_mask) order) to the padded layout that attention
-needs.
+needs when the batch has padding.
 
 Every forward helper that participates in training has an exact hand-derived
 backward companion; caches carry whatever the backward pass needs. Each

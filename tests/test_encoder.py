@@ -47,10 +47,10 @@ from oracles import (
 SMALL = EncoderConfig(vocab_size=11, d_h=8, n_layers=2, n_heads=2, d_ff=16, max_len=12)
 
 
-def small_batch(rng):
-    """Rows of lengths 4, 6 (full) and 1: the packed ids, random and
-    non-zero, and the pad mask."""
-    pad = np.arange(6)[None, :] < np.array([4, 6, 1])[:, None]
+def small_batch(rng, lengths=(4, 6, 1)):
+    """Rows of the given lengths (by default 4, 6 (full) and 1): the packed
+    ids, random and non-zero, and the pad mask."""
+    pad = np.arange(max(lengths))[None, :] < np.array(lengths)[:, None]
     return rng.integers(1, SMALL.vocab_size, size=int(pad.sum())), pad
 
 
@@ -475,14 +475,56 @@ class TestEncodeForward:
             encode(np.full(13, 4), np.ones((1, 13), bool), params, SMALL)
         with pytest.raises(ValueError):
             encode(np.array([4, 99]), np.ones((1, 2), bool), params, SMALL)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one real position"):
             encode(ids, np.zeros_like(pad), params, SMALL)
+        with pytest.raises(ValueError, match="need at least one sequence"):
+            encode([], np.ones((0, 6), bool), params, SMALL)
+
+    @pytest.mark.parametrize("shape", [(11,), (1, 1, 11)])
+    def test_pad_mask_of_other_rank_is_named(self, rng, shape):
+        params = part_params(rng, "enc.", encoder=SMALL)
+        ids, _ = small_batch(rng)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}, expected 2-D")):
+            encode(ids, np.ones(shape, bool), params, SMALL)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+    def test_ids_that_are_not_integers_are_named(self, rng, dtype):
+        params = part_params(rng, "enc.", encoder=SMALL)
+        ids, pad = small_batch(rng)
+        with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)}, expected integers"):
+            encode(ids.astype(dtype), pad, params, SMALL)
+
+    def test_unsigned_ids_are_taken(self, rng):
+        params = part_params(rng, "enc.", encoder=SMALL)
+        ids, pad = small_batch(rng)
+        assert np.array_equal(
+            encode(ids.astype(np.uint16), pad, params, SMALL)[0],
+            encode(ids, pad, params, SMALL)[0],
+        )
+
+    @pytest.mark.parametrize("lengths", [(5, 5, 5), (5, 3, 5)])
+    def test_padded_layout_only_for_padded_batches(self, rng, monkeypatch, lengths):
+        # the rule reads the array, not the batch size: an equal-length batch
+        # of 3 never scatters; a ragged one scatters Q, K, V and d_ctx in
+        # each layer, and the position gradient once
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return numerics.scatter_rows(*args)
+
+        monkeypatch.setattr("jointnlu.encoder.scatter_rows", counting)
+        params = part_params(rng, "enc.", encoder=SMALL)
+        ids, pad = small_batch(rng, lengths)
+        out, cache = encode(ids, pad, params, SMALL, 0.3, np.random.default_rng(0))
+        encode_backward(np.ones_like(out), cache, params, SMALL)
+        assert len(calls) == (0 if pad.all() else 4 * SMALL.n_layers + 1)
 
 
 class TestEncodeBackward:
-    def _loss_and_grads(self, rng, dropout_rate=0.0, seed=None):
+    def _loss_and_grads(self, rng, dropout_rate=0.0, seed=None, lengths=(4, 6, 1)):
         params = part_params(rng, "enc.", encoder=SMALL)
-        ids, pad = small_batch(rng)
+        ids, pad = small_batch(rng, lengths)
         probe = rng.normal(size=(int(pad.sum()), SMALL.d_h))
 
         def forward():
@@ -497,28 +539,34 @@ class TestEncodeBackward:
         grads = encode_backward(probe, cache, params, SMALL)
         return params, loss, grads
 
-    def test_gradients_match_fd(self, rng):
-        for _ in range(2):
-            params, loss, grads = self._loss_and_grads(rng)
-            for name in params:
-                coords, fd = finite_difference(
-                    loss, params, name, step=1e-5, max_coords=4, rng=rng
-                )
-                err = relative_gradient_error(grads[name].reshape(-1)[coords], fd)
-                assert err.max() <= 1e-4, f"{name}: {err.max():.2e}"
+    # the probes of the dropout replay sit behind every masked residual of
+    # both layers
+    REPLAY_PROBES = ("enc.l0.Wq", "enc.l0.Wo", "enc.l0.ln1.g", "enc.l1.W1",
+                     "enc.l1.W2", "enc.l1.ln2.b", "enc.tok_emb", "enc.ln_emb.g")
 
-    def test_gradients_match_fd_with_dropout_replay(self, rng):
-        # replaying the dropout rng seed makes the loss deterministic, so
-        # the masked path is checkable by finite differences too; the probes
-        # sit behind every masked residual of both layers
-        params, loss, grads = self._loss_and_grads(rng, dropout_rate=0.3, seed=99)
-        for name in ("enc.l0.Wq", "enc.l0.Wo", "enc.l0.ln1.g", "enc.l1.W1",
-                     "enc.l1.W2", "enc.l1.ln2.b", "enc.tok_emb", "enc.ln_emb.g"):
+    def _check_fd(self, rng, names, params, loss, grads):
+        for name in names or params:
             coords, fd = finite_difference(
                 loss, params, name, step=1e-5, max_coords=4, rng=rng
             )
             err = relative_gradient_error(grads[name].reshape(-1)[coords], fd)
             assert err.max() <= 1e-4, f"{name}: {err.max():.2e}"
+
+    def test_gradients_match_fd(self, rng):
+        for _ in range(2):
+            self._check_fd(rng, None, *self._loss_and_grads(rng))
+
+    def test_gradients_match_fd_with_dropout_replay(self, rng):
+        # replaying the dropout rng seed makes the loss deterministic, so
+        # the masked path is checkable by finite differences too
+        self._check_fd(rng, self.REPLAY_PROBES,
+                       *self._loss_and_grads(rng, dropout_rate=0.3, seed=99))
+
+    @pytest.mark.parametrize("rate, seed", [(0.0, None), (0.3, 99)])
+    def test_gradients_match_fd_at_equal_lengths(self, rng, rate, seed):
+        # no padding: the no-scatter, no-key-bias path, every parameter
+        self._check_fd(rng, None, *self._loss_and_grads(
+            rng, dropout_rate=rate, seed=seed, lengths=(5, 5, 5)))
 
     def test_grads_cover_every_parameter(self, rng):
         params, _, grads = self._loss_and_grads(rng)
@@ -540,33 +588,49 @@ class TestPackedMatchesPaddedOracle:
     """The packed encoder against the padded one in tests/oracles.py, which
     runs every dense layer over padding too."""
 
+    @staticmethod
+    def _check(rng, params, ids, pad, rate, seed):
+        """Output, each layer's probs, every gradient and the generator state
+        of the packed encoder against the oracle's, on the padded ids (b, n)."""
+        d_out = rng.normal(size=(int(pad.sum()), SMALL.d_h))
+        rng_packed = np.random.default_rng(seed)
+        rng_padded = np.random.default_rng(seed)
+
+        out, cache = encode(ids[pad], pad, params, SMALL, rate, rng_packed)
+        ref, ref_cache = encode_padded(ids, pad, params, SMALL, rate, rng_padded)
+        assert rng_packed.bit_generator.state == rng_padded.bit_generator.state
+        assert np.abs(out - ref[pad]).max() <= 1e-12
+        real_queries = pad[:, None, :, None]
+        for (attn, _), ref_lc in zip(cache["layers"], ref_cache["layers"]):
+            diff = np.abs(attn["probs"] - ref_lc["probs"]) * real_queries
+            assert diff.max() <= 1e-12
+
+        grads = encode_backward(d_out, cache, params, SMALL)
+        ref_grads = encode_padded_backward(
+            pad_rows(d_out, pad), ref_cache, params, SMALL
+        )
+        assert grads.keys() == ref_grads.keys() == params.keys()
+        for name in params:
+            err = np.abs(grads[name] - ref_grads[name]).max()
+            assert err <= 1e-12, f"{name}: {err:.2e}"
+
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_forward_and_gradients_match(self, rng, rate):
         for trial in range(6):
             n = int(rng.integers(2, SMALL.max_len + 1))
             params = part_params(rng, "enc.", encoder=SMALL)
             ids, pad = ragged_batch(rng, n)
-            d_out = rng.normal(size=(int(pad.sum()), SMALL.d_h))
-            rng_packed = np.random.default_rng(trial)
-            rng_padded = np.random.default_rng(trial)
+            self._check(rng, params, ids, pad, rate, trial)
 
-            out, cache = encode(ids[pad], pad, params, SMALL, rate, rng_packed)
-            ref, ref_cache = encode_padded(ids, pad, params, SMALL, rate, rng_padded)
-            assert rng_packed.bit_generator.state == rng_padded.bit_generator.state
-            assert np.abs(out - ref[pad]).max() <= 1e-12
-            real_queries = pad[:, None, :, None]
-            for (attn, _), ref_lc in zip(cache["layers"], ref_cache["layers"]):
-                diff = np.abs(attn["probs"] - ref_lc["probs"]) * real_queries
-                assert diff.max() <= 1e-12
-
-            grads = encode_backward(d_out, cache, params, SMALL)
-            ref_grads = encode_padded_backward(
-                pad_rows(d_out, pad), ref_cache, params, SMALL
-            )
-            assert grads.keys() == ref_grads.keys() == params.keys()
-            for name in params:
-                err = np.abs(grads[name] - ref_grads[name]).max()
-                assert err <= 1e-12, f"{name}: {err:.2e}"
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_unpadded_forward_and_gradients_match(self, rng, b, rate):
+        # all-True masks take the no-padding path: no scatter, no key bias
+        for trial in range(3):
+            n = int(rng.integers(2, SMALL.max_len + 1))
+            params = part_params(rng, "enc.", encoder=SMALL)
+            ids = rng.integers(1, SMALL.vocab_size, size=(b, n))
+            self._check(rng, params, ids, np.ones((b, n), bool), rate, trial)
 
     def test_unpadded_batch_matches(self, rng):
         params = part_params(rng, "enc.", encoder=SMALL)

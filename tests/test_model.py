@@ -364,12 +364,16 @@ class TestPackedMatchesPaddedModel:
     ):
         cfg = tiny_config(slot_mode=slot_mode, intent_pool=intent_pool,
                           slot_features=slot_features, dropout_rate=rate)
-        for trial in range(3):
+        for trial in range(4):
             params = init_model_params(cfg, rng, scale=0.3)
-            lengths = rng.integers(1, 8, size=5)
-            lengths[:2] = (1, 7)
+            if trial < 3:
+                lengths = rng.integers(1, 8, size=5)
+                lengths[:2] = (1, 7)
+            else:
+                lengths = (5, 5, 5)  # equal lengths: the encoder's no-padding path
             batch = ragged_batch(rng, lengths)
             pad = batch.pad_mask
+            assert pad.all() == (trial == 3)
 
             rng_packed = np.random.default_rng(trial)
             rng_padded = np.random.default_rng(trial)
